@@ -111,16 +111,8 @@ func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, err
 	}
 	inc := sta.NewIncremental(c)
 	for rounds := 0; rounds < 64; rounds++ {
-		snap := sta.Analyze(c)
-		order := make([]int, len(c.Gates))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return snap.SlackS[order[a]] > snap.SlackS[order[b]]
-		})
 		moved := 0
-		for _, i := range order {
+		for _, i := range inc.SlackOrder() {
 			g := &c.Gates[i]
 			next, ok := lib.NextBelow(g.Size)
 			if !ok {
@@ -128,13 +120,7 @@ func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, err
 			}
 			old := g.Size
 			g.Size = next
-			seeds := []int{i}
-			for _, ref := range g.Inputs {
-				if _, isPI := netlist.IsPI(ref); !isPI {
-					seeds = append(seeds, ref)
-				}
-			}
-			if inc.TryUpdate(seeds...) {
+			if inc.TryResize(i) {
 				moved++
 			} else {
 				g.Size = old

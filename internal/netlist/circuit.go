@@ -102,8 +102,25 @@ func (c *Circuit) Validate() error {
 
 // Rebuild recomputes the fanout lists and marks sink gates as POs.
 func (c *Circuit) Rebuild() {
+	// Count first, then carve every fanout list out of one backing array.
+	counts := make([]int, len(c.Gates))
+	total := 0
 	for i := range c.Gates {
-		c.Gates[i].Fanouts = c.Gates[i].Fanouts[:0]
+		for _, in := range c.Gates[i].Inputs {
+			if _, ok := IsPI(in); !ok {
+				counts[in]++
+				total++
+			}
+		}
+	}
+	edges := make([]int, total)
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		if counts[i] == 0 {
+			g.Fanouts = g.Fanouts[:0]
+			continue
+		}
+		g.Fanouts, edges = edges[:0:counts[i]], edges[counts[i]:]
 	}
 	for i := range c.Gates {
 		for _, in := range c.Gates[i].Inputs {
@@ -150,9 +167,25 @@ func (c *Circuit) Clone() *Circuit {
 	cp := *c
 	cp.Gates = make([]Gate, len(c.Gates))
 	copy(cp.Gates, c.Gates)
+	n := 0
+	for i := range c.Gates {
+		n += len(c.Gates[i].Inputs) + len(c.Gates[i].Fanouts)
+	}
+	// One backing array for every edge list; each gate's slices are capped
+	// at their length, so an append on one never writes into a neighbour.
+	edges := make([]int, 0, n)
+	share := func(s []int) []int {
+		if len(s) == 0 {
+			return nil
+		}
+		at := len(edges)
+		edges = append(edges, s...)
+		return edges[at:len(edges):len(edges)]
+	}
 	for i := range cp.Gates {
-		cp.Gates[i].Inputs = append([]int(nil), c.Gates[i].Inputs...)
-		cp.Gates[i].Fanouts = append([]int(nil), c.Gates[i].Fanouts...)
+		g := &cp.Gates[i]
+		g.Inputs = share(g.Inputs)
+		g.Fanouts = share(g.Fanouts)
 	}
 	return &cp
 }

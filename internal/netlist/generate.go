@@ -92,6 +92,10 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 	byLevel := make([][]int, p.Levels+1)
 	uses := make([]int, p.Gates)
 	kinds := []gate.Kind{gate.Inv, gate.Nand, gate.Nand, gate.Nor, gate.Nand}
+	// Every input list is carved out of one backing array (≤ 3 per gate),
+	// capped so that no list can grow into its neighbour.
+	edges := make([]int, 0, 3*p.Gates)
+	c.Gates = make([]Gate, 0, p.Gates)
 	for i := 0; i < p.Gates; i++ {
 		lvl := levels[i]
 		kind := kinds[rng.Intn(len(kinds))]
@@ -112,6 +116,8 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 		// Draw fanins from earlier levels within the spread window, or PIs.
 		back := maxInt(1, int(float64(lvl)*p.DepthSpread*float64(p.Levels))/p.Levels)
 		loLvl := maxInt(0, lvl-1-back)
+		at, end := len(edges), len(edges)+inputs
+		g.Inputs = edges[at:at:end]
 		for k := 0; k < inputs; k++ {
 			src := -1
 			// Prefer the immediately preceding levels for long paths, and
@@ -143,6 +149,7 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 				uses[src]++
 			}
 		}
+		edges = edges[:end]
 		c.Gates = append(c.Gates, g)
 		byLevel[lvl] = append(byLevel[lvl], i)
 	}

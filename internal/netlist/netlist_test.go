@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 
 	"nanometer/internal/gate"
@@ -147,6 +148,16 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if a.Gates[3].Inputs[0] == PI(0) && a.Gates[3].Inputs[0] != b.Gates[3].Inputs[0] {
 		t.Fatalf("clone shares input slices")
+	}
+	// Edge lists share one backing array per circuit (generated or
+	// cloned); growing one list must never write into the next gate's.
+	for _, c := range []*Circuit{a, b} {
+		next := append([]int(nil), c.Gates[4].Inputs...)
+		c.Gates[3].Inputs = append(c.Gates[3].Inputs, PI(1))
+		c.Gates[3].Fanouts = append(c.Gates[3].Fanouts, 7)
+		if !slices.Equal(c.Gates[4].Inputs, next) {
+			t.Fatalf("appending to gate 3's edges changed gate 4's inputs: %v → %v", next, c.Gates[4].Inputs)
+		}
 	}
 }
 

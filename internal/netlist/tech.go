@@ -20,7 +20,8 @@ import (
 type Tech struct {
 	NodeNM int
 	// VddLevels are the available supplies, highest first (index 0 is
-	// Vdd,h — the timing reference).
+	// Vdd,h — the timing reference). Both level lists hold at most
+	// maxLevels (4) entries.
 	VddLevels []float64
 	// VthLevels are the available thresholds, lowest (fastest) first.
 	VthLevels []float64
@@ -34,14 +35,9 @@ type Tech struct {
 	LevelConverterEnergyJ float64
 
 	nmos, pmos *device.Device
-	cache      map[cacheKey]unitCell
-}
-
-type cacheKey struct {
-	kind   gate.Kind
-	inputs int
-	vdd    int
-	vth    int
+	// units caches the unit cells densely by unitIndex; every delay and
+	// load evaluation in the STA inner loop reads it.
+	units []unitCell
 }
 
 // unitCell holds the unit-size characteristics of a cell flavor.
@@ -52,6 +48,22 @@ type unitCell struct {
 	leakW    float64 // state-averaged leakage power, unit size
 	vdd      float64
 	delayFit float64
+	built    bool
+}
+
+// maxLevels bounds the gate kinds and the supply and threshold class
+// indices the dense unit-cell cache lays out; NewTechIn builds two levels
+// of each class.
+const maxLevels = 4
+
+// unitIndex packs a flavor into its units slot: the input count is the
+// outermost stride, so the cache grows by appending.
+func unitIndex(kind gate.Kind, inputs, vddClass, vthClass int) int {
+	if uint(kind) >= maxLevels || uint(vddClass) >= maxLevels || uint(vthClass) >= maxLevels || inputs < 0 {
+		panic(fmt.Sprintf("netlist: cell flavor (%v, %d inputs, vdd %d, vth %d) outside the tech's %d-level cache",
+			kind, inputs, vddClass, vthClass, maxLevels))
+	}
+	return ((inputs*maxLevels+int(kind))*maxLevels+vddClass)*maxLevels + vthClass
 }
 
 // VthOffsetHigh is the default high-Vth offset above nominal (the dual-Vth
@@ -95,7 +107,6 @@ func NewTechIn(lab *device.Lab, nodeNM int, lowRatio float64) (*Tech, error) {
 		UnitWpM:      8 * n.LeffM,
 		nmos:         n,
 		pmos:         p,
-		cache:        map[cacheKey]unitCell{},
 	}
 	// Level converter priced as ~1.5 reference-inverter delays and ~2×
 	// a unit cell's switching energy — the granularity behind the paper's
@@ -141,9 +152,9 @@ func (t *Tech) buildGate(kind gate.Kind, inputs, vth int) *gate.Gate {
 // unit returns (building and caching as needed) the unit-cell data for a
 // flavor.
 func (t *Tech) unit(kind gate.Kind, inputs, vddClass, vthClass int) unitCell {
-	key := cacheKey{kind, inputs, vddClass, vthClass}
-	if u, ok := t.cache[key]; ok {
-		return u
+	k := unitIndex(kind, inputs, vddClass, vthClass)
+	if k < len(t.units) && t.units[k].built {
+		return t.units[k]
 	}
 	g := t.buildGate(kind, inputs, vthClass)
 	vdd := t.VddLevels[vddClass]
@@ -170,8 +181,12 @@ func (t *Tech) unit(kind gate.Kind, inputs, vddClass, vthClass int) unitCell {
 		leakW:    g.LeakagePower(vdd, t.TemperatureK),
 		vdd:      vdd,
 		delayFit: gate.DefaultDelayFit,
+		built:    true,
 	}
-	t.cache[key] = u
+	if k >= len(t.units) {
+		t.units = append(t.units, make([]unitCell, k+1-len(t.units))...)
+	}
+	t.units[k] = u
 	return u
 }
 

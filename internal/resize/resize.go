@@ -8,7 +8,6 @@ package resize
 
 import (
 	"fmt"
-	"sort"
 
 	"nanometer/internal/netlist"
 	"nanometer/internal/power"
@@ -79,16 +78,8 @@ func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
 	inc := sta.NewIncremental(c)
 	for round := 0; round < opts.Rounds; round++ {
 		// Most-slack-first ordering from a fresh snapshot each round.
-		snap := sta.Analyze(c)
-		order := make([]int, len(c.Gates))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return snap.SlackS[order[a]] > snap.SlackS[order[b]]
-		})
 		moved := 0
-		for _, i := range order {
+		for _, i := range inc.SlackOrder() {
 			g := &c.Gates[i]
 			newSize := g.Size * opts.Step
 			if newSize < opts.MinSize {
@@ -96,15 +87,7 @@ func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
 			}
 			oldSize := g.Size
 			g.Size = newSize
-			// The gate's own delay changes, and its fanins see a smaller
-			// load, so their delays change too.
-			seeds := []int{i}
-			for _, ref := range g.Inputs {
-				if _, isPI := netlist.IsPI(ref); !isPI {
-					seeds = append(seeds, ref)
-				}
-			}
-			if inc.TryUpdate(seeds...) {
+			if inc.TryResize(i) {
 				moved++
 			} else {
 				g.Size = oldSize

@@ -61,27 +61,7 @@ func Analyze(c *netlist.Circuit) *Result {
 	if r.PeriodS == 0 {
 		r.PeriodS = r.MaxDelayS
 	}
-	// Backward: required times.
-	for i := range r.RequiredS {
-		r.RequiredS[i] = math.Inf(1)
-	}
-	for i := n - 1; i >= 0; i-- {
-		g := &c.Gates[i]
-		if g.IsPO {
-			if r.PeriodS < r.RequiredS[i] {
-				r.RequiredS[i] = r.PeriodS
-			}
-		}
-		for _, ref := range g.Inputs {
-			if _, ok := netlist.IsPI(ref); ok {
-				continue
-			}
-			need := r.RequiredS[i] - r.DelayS[i]
-			if need < r.RequiredS[ref] {
-				r.RequiredS[ref] = need
-			}
-		}
-	}
+	backward(c, r.PeriodS, r.DelayS, r.RequiredS)
 	r.WorstSlackS = math.Inf(1)
 	for i := range c.Gates {
 		r.SlackS[i] = r.RequiredS[i] - r.ArrivalS[i]
@@ -91,6 +71,31 @@ func Analyze(c *netlist.Circuit) *Result {
 	}
 	r.CriticalPath = criticalPath(c, r)
 	return r
+}
+
+// backward fills required with each gate's required time against period,
+// given the gate delays.
+func backward(c *netlist.Circuit, period float64, delay, required []float64) {
+	for i := range required {
+		required[i] = math.Inf(1)
+	}
+	for i := len(c.Gates) - 1; i >= 0; i-- {
+		g := &c.Gates[i]
+		if g.IsPO {
+			if period < required[i] {
+				required[i] = period
+			}
+		}
+		for _, ref := range g.Inputs {
+			if _, ok := netlist.IsPI(ref); ok {
+				continue
+			}
+			need := required[i] - delay[i]
+			if need < required[ref] {
+				required[ref] = need
+			}
+		}
+	}
 }
 
 // criticalPath walks back from the worst PO along worst-arrival fanins.
