@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-cross verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve bench-replicas
+.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve bench-replicas
 
 all: verify
 
@@ -65,16 +65,6 @@ vet:
 lint:
 	$(GO) run ./cmd/nanolint ./...
 
-# Cross-configuration lint: the loader resolves files through `go list`,
-# which honors GOOS/GOFLAGS, so files hidden from the default
-# configuration by build tags (the mg_rbgs red-black smoother) or by a
-# GOOS constraint still pass through every analyzer. The nanolint binary
-# itself runs on the host; only the package loading is cross-configured.
-lint-cross:
-	$(GO) build -o $(CURDIR)/bin/nanolint ./cmd/nanolint
-	GOOS=darwin $(CURDIR)/bin/nanolint ./...
-	GOFLAGS=-tags=mg_rbgs $(CURDIR)/bin/nanolint ./...
-
 race:
 	$(GO) test -race ./...
 
@@ -85,13 +75,11 @@ verify: vet build lint race
 bench-all:
 	$(GO) test -bench=. -run='^$$' -benchmem .
 
-# The hot IR-drop kernel: seed-style allocating CG vs workspace CG vs
-# Jacobi PCG vs the multigrid-preconditioned production path
-# (powergrid.Mesh.Solve) at n = 63 and 255, the smoother ablation
-# (Jacobi / red-black GS / Chebyshev ± FMG), and the 9-variant batched
-# sweep vs independent solves.
+# The hot IR-drop kernel: seed-style allocating CG vs the
+# multigrid-preconditioned production path at n = 63 and 255, and the
+# 9-variant batched sweep vs independent solves.
 bench-mesh:
-	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSmoothers|BenchmarkSweepBatch' -run='^$$' -benchmem .
+	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSweepBatch' -run='^$$' -benchmem .
 
 # The parallel-cutoff micro-benchmark behind mathx.parCutoff: serial axpy
 # vs parForBlocks across the cutoff, at GOMAXPROCS 1 and 4.

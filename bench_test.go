@@ -6,6 +6,7 @@
 package nanometer_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -466,14 +467,12 @@ func meshLaplacian(n int) (*mathx.SparseMatrix, []float64) {
 	return m, b
 }
 
-// BenchmarkMeshSolve compares the solver variants on the IR-drop kernel at
-// two grid sizes: allocating CG (the seed behaviour), CG on a reused
-// workspace, Jacobi PCG (on par in iterations here because the mesh
-// diagonal is near-constant), and the production path — frozen CSR with a
-// multigrid V-cycle preconditioner (near-constant iterations in n, zero
-// allocations warm). Iterations are reported per variant; the Krylov
-// variants grow O(n) while MG-workspace stays flat, which is what makes
-// n = 255 affordable.
+// BenchmarkMeshSolve compares the IR-drop kernel at two grid sizes:
+// allocating CG (the seed behaviour and the differential-test reference)
+// against the production path — frozen CSR with a multigrid V-cycle
+// preconditioner (near-constant iterations in n, zero allocations warm).
+// Iterations are reported per row; CG grows O(n) while MG-workspace stays
+// flat, which is what makes n = 255 affordable.
 func BenchmarkMeshSolve(b *testing.B) {
 	for _, n := range []int{63, 255} {
 		m, rhs := meshLaplacian(n)
@@ -501,64 +500,11 @@ func BenchmarkMeshSolve(b *testing.B) {
 			_, it, err := m.SolveCG(rhs, 1e-10, 20*m.N)
 			return it, err
 		})
-		var wsCG mathx.Workspace
-		run("CG-workspace", func(b *testing.B) (int, error) {
-			_, it, err := m.SolveCGW(&wsCG, rhs, 1e-10, 20*m.N)
-			return it, err
-		})
-		var wsPCG mathx.Workspace
-		run("PCG-workspace", func(b *testing.B) (int, error) {
-			_, it, err := m.SolvePCGW(&wsPCG, rhs, 1e-10, 20*m.N)
-			return it, err
-		})
 		var wsMG mathx.Workspace
 		run("MG-workspace", func(b *testing.B) (int, error) {
 			_, it, err := frozen.SolveMGW(&wsMG, mg, rhs, 1e-10, 20*frozen.N)
 			return it, err
 		})
-	}
-}
-
-// BenchmarkSmoothers is the DESIGN.md §5 smoother ablation on the MG-PCG
-// production path: damped Jacobi (the round-1 smoother), red-black
-// Gauss-Seidel (the `mg_rbgs` build-tag alternative), and the default
-// degree-2 Chebyshev — plus Chebyshev with the full-multigrid start
-// disabled, isolating what FMG alone contributes. Iterations per solve are
-// reported alongside ns/op; the smoothing factor each variant achieves is
-// tabulated in DESIGN.md §5 from these numbers.
-func BenchmarkSmoothers(b *testing.B) {
-	for _, n := range []int{63, 255} {
-		frozen, rhs := meshLaplacian(n)
-		frozen.Freeze()
-		run := func(name string, mg *mathx.MeshMG) {
-			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
-				b.ReportAllocs()
-				var ws mathx.Workspace
-				iters := 0
-				for i := 0; i < b.N; i++ {
-					_, it, err := frozen.SolveMGW(&ws, mg, rhs, 1e-10, 20*frozen.N)
-					if err != nil {
-						b.Fatal(err)
-					}
-					iters = it
-				}
-				b.ReportMetric(float64(iters), "iters")
-			})
-		}
-		pin := (n/2)*n + n/2
-		for _, sm := range []mathx.Smoother{mathx.SmootherJacobi, mathx.SmootherRBGS, mathx.SmootherChebyshev} {
-			mg, err := mathx.NewMeshMGSmoother(n, pin, sm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(sm.String(), mg)
-		}
-		noFMG, err := mathx.NewMeshMGSmoother(n, pin, mathx.SmootherChebyshev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		noFMG.SetFMG(false)
-		run("chebyshev-nofmg", noFMG)
 	}
 }
 
@@ -669,7 +615,7 @@ func BenchmarkFullReport(b *testing.B) {
 			jobs := repro.Jobs(repro.Artifacts(), repro.Options{NoCache: true})
 			pool := runner.Pool{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				results, err := pool.RunTo(io.Discard, jobs)
+				results, err := pool.RunToContext(context.Background(), io.Discard, jobs)
 				if err != nil {
 					b.Fatal(err)
 				}

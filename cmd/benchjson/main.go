@@ -73,7 +73,7 @@ type Benchmark struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkSmoothers|BenchmarkSweepBatch|BenchmarkValidationRCSim|BenchmarkFullReport", "go test -bench regexp")
+		bench     = flag.String("bench", "BenchmarkMeshSolve|BenchmarkSweepBatch|BenchmarkValidationRCSim|BenchmarkFullReport", "go test -bench regexp")
 		benchtime = flag.String("benchtime", "1s", "go test -benchtime value")
 		pkg       = flag.String("pkg", ".", "package pattern holding the benchmarks")
 		cpu       = flag.String("cpu", "", "go test -cpu matrix, e.g. 1,4 (each benchmark repeats per GOMAXPROCS value)")

@@ -112,6 +112,9 @@ func main() {
 	}
 	pool := runner.Pool{Workers: *jobs}
 	opts := repro.Options{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose, MeshN: *meshN}
+	// The one-shot report runs to completion by design; there is no
+	// cancellation signal to thread.
+	ctx := context.Background()
 
 	// All variants flatten into ONE pool run (variant-major, so output is
 	// byte-identical to the historical per-variant loop at any -jobs):
@@ -122,11 +125,11 @@ func main() {
 	rep := &result.Report{}
 	switch *format {
 	case "text":
-		failed = stream(pool, repro.VariantJobs(arts, opts, variants, nil))
+		failed = stream(ctx, pool, repro.VariantJobs(arts, opts, variants, nil))
 	case "csv":
-		failed = stream(pool, repro.VariantJobs(arts, opts, variants, render.CSV{}))
+		failed = stream(ctx, pool, repro.VariantJobs(arts, opts, variants, render.CSV{}))
 	case "json":
-		grouped, aggErr := repro.ComputeAllVariants(pool, arts, opts, variants)
+		grouped, aggErr := repro.ComputeAllVariants(ctx, pool, arts, opts, variants)
 		for _, results := range grouped {
 			for _, r := range results {
 				if r != nil {
@@ -192,8 +195,8 @@ func runTrace(path string) {
 // canonical order. It reports per-artifact failures and returns whether any
 // occurred, so a sweep finishes its remaining variants before the non-zero
 // exit.
-func stream(pool runner.Pool, jobs []runner.Job) bool {
-	results, sinkErr := pool.RunTo(os.Stdout, jobs)
+func stream(ctx context.Context, pool runner.Pool, jobs []runner.Job) bool {
+	results, sinkErr := pool.RunToContext(ctx, os.Stdout, jobs)
 	if sinkErr != nil {
 		fatal(sinkErr)
 	}

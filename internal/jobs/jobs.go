@@ -394,7 +394,10 @@ func (q *Queue) run(ctx context.Context, j *Job) {
 	q.finish(j, res, err)
 }
 
-// finish moves a job to its terminal state and releases its queue slot.
+// finish releases a job's queue slot and moves the job to its terminal
+// state, in that order and both under q.mu: a caller that observes the
+// terminal state and resubmits is ordered after the release, so it never
+// sees the slot still taken.
 func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	state := StateDone
 	switch {
@@ -405,6 +408,8 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	default:
 		state = StateFailed
 	}
+	q.mu.Lock()
+	q.active--
 	j.mu.Lock()
 	j.state = state
 	j.res = res
@@ -417,8 +422,6 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	j.notify = make(chan struct{})
 	j.mu.Unlock()
 	close(j.done)
-	q.mu.Lock()
-	q.active--
 	q.evictLocked()
 	q.mu.Unlock()
 	if q.OnFinish != nil {

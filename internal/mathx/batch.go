@@ -24,7 +24,7 @@ import (
 // populate caches that solo solves must later match byte for byte
 // (TestBatchMatchesSoloBitwise pins it).
 //
-// Every slice argument has length k; wss/pres follow the same reuse and
+// Every slice argument has length k; wss/mgs follow the same reuse and
 // aliasing contracts as SolveMGW (xs[v] aliases wss[v].x). The V-cycle
 // preconditioner itself is deliberately NOT batched: its stencil levels
 // share no arrays between variants, and interleaving k working sets
@@ -32,7 +32,7 @@ import (
 // errs[v] reports each variant's outcome; a batch-shape violation
 // (mismatched lengths, unfrozen or different-pattern matrices) fails every
 // variant with the same error so callers can fall back to solo solves.
-func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix, bs [][]float64, tol float64, maxIter int) ([][]float64, []int, []error) {
+func SolveMGBatchW(wss []*Workspace, mgs []*MeshMG, mats []*SparseMatrix, bs [][]float64, tol float64, maxIter int) ([][]float64, []int, []error) {
 	k := len(bs)
 	xs := make([][]float64, k)
 	iters := make([]int, k)
@@ -46,8 +46,8 @@ func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix
 		}
 		return xs, iters, errs
 	}
-	if len(wss) != k || len(pres) != k || len(mats) != k {
-		return failAll(fmt.Errorf("mathx: batch solve length mismatch (ws=%d pre=%d mat=%d b=%d)", len(wss), len(pres), len(mats), k))
+	if len(wss) != k || len(mgs) != k || len(mats) != k {
+		return failAll(fmt.Errorf("mathx: batch solve length mismatch (ws=%d mg=%d mat=%d b=%d)", len(wss), len(mgs), len(mats), k))
 	}
 	m0 := mats[0]
 	n := m0.N
@@ -72,7 +72,6 @@ func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix
 	}
 	sts := make([]state, k)
 	active := make([]int, 0, k)
-	fmgIdx := make([]int, 0, k)
 	for v := 0; v < k; v++ {
 		ws := wss[v]
 		ws.grow(n)
@@ -84,22 +83,20 @@ func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix
 			xs[v] = st.x
 			continue
 		}
-		if fs, ok := pres[v].(fmgStarter); ok && fs.FMGStart(bs[v], st.x) {
-			fmgIdx = append(fmgIdx, v)
-		}
+		mgs[v].FMGStart(bs[v], st.x)
 		active = append(active, v)
 	}
 	// FMG residuals r = b − A·x₀, the A·x₀ products batched across the
-	// variants that started from an interpolated guess.
-	if len(fmgIdx) > 0 {
-		amats := make([]*SparseMatrix, len(fmgIdx))
-		axs := make([][]float64, len(fmgIdx))
-		ays := make([][]float64, len(fmgIdx))
-		for j, v := range fmgIdx {
+	// active variants.
+	if len(active) > 0 {
+		amats := make([]*SparseMatrix, len(active))
+		axs := make([][]float64, len(active))
+		ays := make([][]float64, len(active))
+		for j, v := range active {
 			amats[j], axs[j], ays[j] = mats[v], sts[v].x, sts[v].ap
 		}
 		mulVecBatch(amats, axs, ays)
-		for _, v := range fmgIdx {
+		for _, v := range active {
 			st := &sts[v]
 			r, b, ap := st.r, bs[v], st.ap
 			if parallelOK(n) {
@@ -118,7 +115,7 @@ func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix
 	live := active[:0]
 	for _, v := range active {
 		st := &sts[v]
-		pres[v].Apply(st.r, st.z)
+		mgs[v].Apply(st.r, st.z)
 		copy(st.p, st.z)
 		st.rz = dot(st.r, st.z)
 		if !(st.rz > 0) {
@@ -193,7 +190,7 @@ func SolveMGBatchW(wss []*Workspace, pres []Preconditioner, mats []*SparseMatrix
 				iters[v] = iter
 				continue
 			}
-			pres[v].Apply(r, z)
+			mgs[v].Apply(r, z)
 			rzNew := dot(r, z)
 			if !(rzNew > 0) {
 				errs[v] = fmt.Errorf("mathx: MG-PCG: preconditioner not positive definite (rᵀz = %g): %w", rzNew, ErrNotSPD)

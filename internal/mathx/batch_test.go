@@ -8,10 +8,10 @@ import (
 // batchFixture builds k same-pattern mesh systems (one grid size, varied
 // conductance) with per-variant RHS, plus the per-variant preconditioners
 // and workspaces both the solo and batch paths need.
-func batchFixture(t testing.TB, n, k int) ([]*Workspace, []Preconditioner, []*SparseMatrix, [][]float64) {
+func batchFixture(t testing.TB, n, k int) ([]*Workspace, []*MeshMG, []*SparseMatrix, [][]float64) {
 	t.Helper()
 	wss := make([]*Workspace, k)
-	pres := make([]Preconditioner, k)
+	mgs := make([]*MeshMG, k)
 	mats := make([]*SparseMatrix, k)
 	bs := make([][]float64, k)
 	for v := 0; v < k; v++ {
@@ -20,9 +20,9 @@ func batchFixture(t testing.TB, n, k int) ([]*Workspace, []Preconditioner, []*Sp
 		if err := mg.SetConductance(g); err != nil {
 			t.Fatal(err)
 		}
-		wss[v], pres[v], mats[v], bs[v] = new(Workspace), mg, m, b
+		wss[v], mgs[v], mats[v], bs[v] = new(Workspace), mg, m, b
 	}
-	return wss, pres, mats, bs
+	return wss, mgs, mats, bs
 }
 
 // TestBatchMatchesSoloBitwise is the contract the sweep fast path stands
@@ -37,9 +37,9 @@ func TestBatchMatchesSoloBitwise(t *testing.T) {
 		cnt := n*n - 1
 		solo := make([][]float64, k)
 		soloIters := make([]int, k)
-		wss, pres, mats, bs := batchFixture(t, n, k)
+		wss, mgs, mats, bs := batchFixture(t, n, k)
 		for v := 0; v < k; v++ {
-			x, iters, err := mats[v].SolveMGW(wss[v], pres[v], bs[v], 1e-10, 20*cnt)
+			x, iters, err := mats[v].SolveMGW(wss[v], mgs[v], bs[v], 1e-10, 20*cnt)
 			if err != nil {
 				t.Fatalf("n=%d solo %d: %v", n, v, err)
 			}
@@ -47,8 +47,8 @@ func TestBatchMatchesSoloBitwise(t *testing.T) {
 			soloIters[v] = iters
 		}
 		// Fresh state for the batch: MeshMG and workspaces are stateful.
-		wss, pres, mats, bs = batchFixture(t, n, k)
-		xs, iters, errs := SolveMGBatchW(wss, pres, mats, bs, 1e-10, 20*cnt)
+		wss, mgs, mats, bs = batchFixture(t, n, k)
+		xs, iters, errs := SolveMGBatchW(wss, mgs, mats, bs, 1e-10, 20*cnt)
 		for v := 0; v < k; v++ {
 			if errs[v] != nil {
 				t.Fatalf("n=%d batch %d: %v", n, v, errs[v])
@@ -65,8 +65,8 @@ func TestBatchMatchesSoloBitwise(t *testing.T) {
 		}
 		// A singleton batch must match too — batch composition (k=1 vs
 		// k=3) must never leak into any variant's bits.
-		wss, pres, mats, bs = batchFixture(t, n, k)
-		xs1, it1, errs1 := SolveMGBatchW(wss[:1], pres[:1], mats[:1], bs[:1], 1e-10, 20*cnt)
+		wss, mgs, mats, bs = batchFixture(t, n, k)
+		xs1, it1, errs1 := SolveMGBatchW(wss[:1], mgs[:1], mats[:1], bs[:1], 1e-10, 20*cnt)
 		if errs1[0] != nil {
 			t.Fatalf("n=%d singleton batch: %v", n, errs1[0])
 		}
@@ -85,18 +85,18 @@ func TestBatchMatchesSoloBitwise(t *testing.T) {
 // violations, which is what lets callers treat any batch error as "fall
 // back to solo solves".
 func TestBatchValidation(t *testing.T) {
-	wss, pres, mats, bs := batchFixture(t, 15, 2)
-	_, _, errs := SolveMGBatchW(wss[:1], pres, mats, bs, 1e-10, 100)
+	wss, mgs, mats, bs := batchFixture(t, 15, 2)
+	_, _, errs := SolveMGBatchW(wss[:1], mgs, mats, bs, 1e-10, 100)
 	for v, e := range errs {
 		if e == nil {
 			t.Errorf("length mismatch: variant %d did not fail", v)
 		}
 	}
 	// Different grid sizes → different N → every variant fails.
-	wss2, pres2, mats2, bs2 := batchFixture(t, 17, 1)
+	wss2, mgs2, mats2, bs2 := batchFixture(t, 17, 1)
 	_, _, errs = SolveMGBatchW(
 		[]*Workspace{wss[0], wss2[0]},
-		[]Preconditioner{pres[0], pres2[0]},
+		[]*MeshMG{mgs[0], mgs2[0]},
 		[]*SparseMatrix{mats[0], mats2[0]},
 		[][]float64{bs[0], bs2[0]}, 1e-10, 100)
 	for v, e := range errs {
@@ -109,7 +109,7 @@ func TestBatchValidation(t *testing.T) {
 	for r := 0; r < un.N; r++ {
 		un.Add(r, r, 4)
 	}
-	_, _, errs = SolveMGBatchW(wss[:1], pres[:1], []*SparseMatrix{un}, bs[:1], 1e-10, 100)
+	_, _, errs = SolveMGBatchW(wss[:1], mgs[:1], []*SparseMatrix{un}, bs[:1], 1e-10, 100)
 	if errs[0] == nil {
 		t.Error("unfrozen matrix was not rejected")
 	}
@@ -123,9 +123,9 @@ func TestBatchValidation(t *testing.T) {
 // TestBatchZeroRHS: a zero right-hand side converges in zero iterations
 // with a zero solution, exactly like solo.
 func TestBatchZeroRHS(t *testing.T) {
-	wss, pres, mats, bs := batchFixture(t, 15, 2)
+	wss, mgs, mats, bs := batchFixture(t, 15, 2)
 	bs[1] = make([]float64, mats[1].N)
-	xs, iters, errs := SolveMGBatchW(wss, pres, mats, bs, 1e-10, 100)
+	xs, iters, errs := SolveMGBatchW(wss, mgs, mats, bs, 1e-10, 100)
 	if errs[1] != nil || iters[1] != 0 {
 		t.Fatalf("zero-RHS variant: iters=%d err=%v", iters[1], errs[1])
 	}

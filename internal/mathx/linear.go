@@ -227,10 +227,10 @@ func (s *SparseMatrix) residualNorm(b, x, scratch []float64) float64 {
 // to use; it grows on demand and is NOT safe for concurrent use — each
 // goroutine needs its own (or take one from a sync.Pool).
 //
-// The solution slice returned by the *W solver variants aliases the
+// The solution slice returned by SolveMGW and SolveMGBatchW aliases the
 // workspace and is only valid until the next solve that reuses it.
 type Workspace struct {
-	x, r, p, z, ap, invDiag []float64
+	x, r, p, z, ap []float64
 }
 
 // grow resizes every scratch vector to length n and zeroes x.
@@ -241,22 +241,20 @@ func (w *Workspace) grow(n int) {
 		w.p = make([]float64, n)
 		w.z = make([]float64, n)
 		w.ap = make([]float64, n)
-		w.invDiag = make([]float64, n)
 	}
-	w.x, w.r, w.p, w.z, w.ap, w.invDiag = w.x[:n], w.r[:n], w.p[:n], w.z[:n], w.ap[:n], w.invDiag[:n]
+	w.x, w.r, w.p, w.z, w.ap = w.x[:n], w.r[:n], w.p[:n], w.z[:n], w.ap[:n]
 	for i := range w.x {
 		w.x[i] = 0
 	}
 }
 
-// Convergence semantics shared by SolveSOR, SolveCG, and SolvePCG: every
-// solver returns (x, iters, err) where iters is the number of sweeps or
-// Krylov iterations performed, and convergence means the residual satisfies
-// ‖b − A·x‖₂ ≤ tol·‖b‖₂ (SOR checks the true residual each sweep; CG/PCG
-// use the recursively-updated residual, which tracks the true one to
-// round-off). On iteration exhaustion the best iterate is returned together
-// with an error wrapping ErrNoConverge that records the final relative
-// residual.
+// Convergence semantics shared by SolveCG, SolveMG, and the MG-PCG solvers:
+// every solver returns (x, iters, err) where iters is the number of
+// iterations performed, and convergence means the residual satisfies
+// ‖b − A·x‖₂ ≤ tol·‖b‖₂ (CG and MG-PCG use the recursively-updated
+// residual, which tracks the true one to round-off). On iteration
+// exhaustion the best iterate is returned together with an error wrapping
+// ErrNoConverge that records the final relative residual.
 
 // noConverge builds the shared non-convergence error.
 func noConverge(method string, iters int, relRes float64) error {
@@ -264,135 +262,27 @@ func noConverge(method string, iters int, relRes float64) error {
 		method, ErrNoConverge, iters, relRes)
 }
 
-// SolveSOR solves A·x = b by successive over-relaxation with factor omega,
-// starting from x0 (may be nil). It sweeps until the true residual norm
-// satisfies ‖b − A·x‖₂ ≤ tol·‖b‖₂ or maxIter sweeps complete. (An earlier
-// version stopped on the max per-sweep update instead, which declares
-// convergence prematurely on slowly-converging grids where successive
-// iterates move little while the residual is still large.) Returns the
-// solution and the number of sweeps used.
-func (s *SparseMatrix) SolveSOR(b []float64, x0 []float64, omega, tol float64, maxIter int) ([]float64, int, error) {
-	if len(b) != s.N {
-		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), s.N)
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, 0, fmt.Errorf("mathx: SOR omega %g outside (0,2)", omega)
-	}
-	x := make([]float64, s.N)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	for r := 0; r < s.N; r++ {
-		if s.diag[r] == 0 {
-			return nil, 0, fmt.Errorf("mathx: zero diagonal at row %d", r)
-		}
-	}
-	bNorm := math.Sqrt(dot(b, b))
-	scratch := make([]float64, s.N)
-	if bNorm == 0 {
-		bNorm = 1 // converge on absolute residual for a zero RHS
-	}
-	relRes := math.Inf(1)
-	for iter := 1; iter <= maxIter; iter++ {
-		for r := 0; r < s.N; r++ {
-			sum := b[r]
-			cols, vals := s.row(r)
-			for i := range cols {
-				sum -= vals[i] * x[cols[i]]
-			}
-			xNew := sum / s.diag[r]
-			x[r] += omega * (xNew - x[r])
-		}
-		relRes = s.residualNorm(b, x, scratch) / bNorm
-		if relRes <= tol {
-			return x, iter, nil
-		}
-	}
-	return x, maxIter, noConverge("SOR", maxIter, relRes)
-}
-
 // SolveCG solves A·x = b by (unpreconditioned) conjugate gradients; A must
 // be symmetric positive definite. Returns the solution and iterations used.
 // Non-positive curvature (a non-SPD matrix, or round-off on tiny meshes)
 // returns an error wrapping ErrNotSPD instead of silently producing
-// NaN/Inf solutions.
+// NaN/Inf solutions. It is the reference the multigrid solvers are
+// differentially tested against; production mesh solves use SolveMGW.
 func (s *SparseMatrix) SolveCG(b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	var ws Workspace
-	x, iters, err := s.solvePCG(&ws, b, tol, maxIter, false)
-	if x != nil {
-		x = append([]float64(nil), x...)
-	}
-	return x, iters, err
-}
-
-// SolvePCG solves A·x = b by Jacobi (diagonal) preconditioned conjugate
-// gradients; A must be symmetric positive definite with a strictly positive
-// diagonal. The preconditioner costs one multiply per unknown per iteration;
-// it leaves uniform-conductance meshes (near-constant diagonal) on par with
-// plain CG but sharply cuts iterations on badly scaled systems — non-uniform
-// rail widths, mixed-pitch grids — and rejects non-positive diagonals before
-// iterating. Returns the solution and iterations used.
-func (s *SparseMatrix) SolvePCG(b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	var ws Workspace
-	x, iters, err := s.solvePCG(&ws, b, tol, maxIter, true)
-	if x != nil {
-		x = append([]float64(nil), x...)
-	}
-	return x, iters, err
-}
-
-// SolvePCGW is SolvePCG reusing ws for every vector, including the returned
-// solution, which aliases ws and is only valid until ws is reused. It exists
-// so hot callers (the power-grid mesh solves) can run allocation-free.
-func (s *SparseMatrix) SolvePCGW(ws *Workspace, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	return s.solvePCG(ws, b, tol, maxIter, true)
-}
-
-// SolveCGW is SolveCG on a reused workspace (see SolvePCGW for the aliasing
-// contract). On uniform-conductance meshes — a near-constant diagonal, where
-// Jacobi preconditioning buys no iterations but still pays two extra vector
-// sweeps per iteration (measured ≈25% wall clock, BenchmarkMeshSolve) — this
-// is the fastest solver in the package.
-func (s *SparseMatrix) SolveCGW(ws *Workspace, b []float64, tol float64, maxIter int) ([]float64, int, error) {
-	return s.solvePCG(ws, b, tol, maxIter, false)
-}
-
-// solvePCG is the shared CG core. With precond it applies the Jacobi
-// preconditioner M = diag(A); without it M = I and it reduces to plain CG.
-func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter int, precond bool) ([]float64, int, error) {
 	n := s.N
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
 	}
+	var ws Workspace
 	ws.grow(n)
-	x, r, p, z, ap, invDiag := ws.x, ws.r, ws.p, ws.z, ws.ap, ws.invDiag
-	if precond {
-		// Rows of mesh systems always carry a positive diagonal (diagonal
-		// dominance of the Laplacian); reject anything else before iterating.
-		for i, d := range s.diag {
-			if d <= 0 {
-				return nil, 0, fmt.Errorf("mathx: PCG: non-positive diagonal %g at row %d: %w", d, i, ErrNotSPD)
-			}
-			invDiag[i] = 1 / d
-		}
-	}
+	x, r, p, ap := ws.x, ws.r, ws.p, ws.ap
 	copy(r, b)
 	rr := dot(r, r)
 	bNorm := math.Sqrt(rr)
 	if bNorm == 0 {
 		return x, 0, nil
 	}
-	var rz float64
-	if precond {
-		for i := range z {
-			z[i] = invDiag[i] * r[i]
-		}
-		copy(p, z)
-		rz = dot(r, z)
-	} else {
-		copy(p, r)
-		rz = rr
-	}
+	copy(p, r)
 	rNorm := bNorm
 	for iter := 1; iter <= maxIter; iter++ {
 		s.MulVec(p, ap)
@@ -402,11 +292,10 @@ func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter
 		if !(pAp > 0) {
 			return nil, iter, fmt.Errorf("mathx: CG: curvature pᵀAp = %g at iteration %d: %w", pAp, iter, ErrNotSPD)
 		}
-		alpha := rz / pAp
+		alpha := rr / pAp
 		// Gated like MulVec: build the parallel closure only on systems
-		// large enough to amortize it (parallelOK), so small/serial solves
-		// stay allocation-free. Element-wise updates are bit-deterministic
-		// under any block split.
+		// large enough to amortize it (parallelOK). Element-wise updates are
+		// bit-deterministic under any block split.
 		if parallelOK(n) {
 			parFor(n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -420,43 +309,26 @@ func (s *SparseMatrix) solvePCG(ws *Workspace, b []float64, tol float64, maxIter
 				r[i] -= alpha * ap[i]
 			}
 		}
-		rr = dot(r, r)
-		rNorm = math.Sqrt(rr)
+		rrNew := dot(r, r)
+		rNorm = math.Sqrt(rrNew)
 		if rNorm <= tol*bNorm {
 			return x, iter, nil
 		}
-		var rzNew float64
-		if precond {
-			for i := range z {
-				z[i] = invDiag[i] * r[i]
-			}
-			rzNew = dot(r, z)
-		} else {
-			rzNew = rr
-		}
-		beta := rzNew / rz
-		dir := r
-		if precond {
-			dir = z
-		}
+		beta := rrNew / rr
 		if parallelOK(n) {
 			parFor(n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					p[i] = dir[i] + beta*p[i]
+					p[i] = r[i] + beta*p[i]
 				}
 			})
 		} else {
 			for i := range p {
-				p[i] = dir[i] + beta*p[i]
+				p[i] = r[i] + beta*p[i]
 			}
 		}
-		rz = rzNew
+		rr = rrNew
 	}
-	method := "CG"
-	if precond {
-		method = "PCG"
-	}
-	return x, maxIter, noConverge(method, maxIter, rNorm/bNorm)
+	return x, maxIter, noConverge("CG", maxIter, rNorm/bNorm)
 }
 
 func dot(a, b []float64) float64 {

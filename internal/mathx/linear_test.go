@@ -129,18 +129,11 @@ func TestSparseSolversAgreeWithDense(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sor, _, err := m.SolveSOR(b, nil, 1.8, 1e-12, 100000)
-	if err != nil {
-		t.Fatalf("SOR: %v", err)
-	}
 	cg, _, err := m.SolveCG(b, 1e-12, 10000)
 	if err != nil {
 		t.Fatalf("CG: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if math.Abs(sor[i]-want[i]) > 1e-6 {
-			t.Fatalf("SOR[%d] = %g, want %g", i, sor[i], want[i])
-		}
 		if math.Abs(cg[i]-want[i]) > 1e-6 {
 			t.Fatalf("CG[%d] = %g, want %g", i, cg[i], want[i])
 		}
@@ -172,21 +165,6 @@ func TestSparseAccumulates(t *testing.T) {
 	}
 }
 
-func TestSORParameterValidation(t *testing.T) {
-	m, b := buildLaplacian(4)
-	if _, _, err := m.SolveSOR(b, nil, 2.5, 1e-9, 100); err == nil {
-		t.Fatalf("omega ≥ 2 must error")
-	}
-	if _, _, err := m.SolveSOR(b[:2], nil, 1.5, 1e-9, 100); err == nil {
-		t.Fatalf("rhs mismatch must error")
-	}
-	bad := NewSparseMatrix(2)
-	bad.Add(0, 1, 1)
-	if _, _, err := bad.SolveSOR([]float64{1, 1}, nil, 1.5, 1e-9, 100); err == nil {
-		t.Fatalf("zero diagonal must error")
-	}
-}
-
 // buildMesh2D builds the n×n 5-point mesh Laplacian with Dirichlet boundary
 // (the structure of the power-grid IR-drop systems) and a uniform RHS.
 func buildMesh2D(n int) (*SparseMatrix, []float64) {
@@ -215,7 +193,7 @@ func buildMesh2D(n int) (*SparseMatrix, []float64) {
 }
 
 // TestSolversAgreeOnSPDSystems is the table-driven agreement check: on small
-// SPD systems PCG, CG, and dense elimination must produce the same solution.
+// SPD systems CG and dense elimination must produce the same solution.
 func TestSolversAgreeOnSPDSystems(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -256,51 +234,15 @@ func TestSolversAgreeOnSPDSystems(t *testing.T) {
 			if err != nil {
 				t.Fatalf("CG: %v", err)
 			}
-			pcg, pcgIters, err := tc.sparse.SolvePCG(tc.b, 1e-12, 10000)
-			if err != nil {
-				t.Fatalf("PCG: %v", err)
-			}
-			if cgIters <= 0 || pcgIters <= 0 {
-				t.Fatalf("iteration counts must be positive: cg %d, pcg %d", cgIters, pcgIters)
+			if cgIters <= 0 {
+				t.Fatalf("iteration count must be positive: cg %d", cgIters)
 			}
 			for i := 0; i < n; i++ {
 				if math.Abs(cg[i]-want[i]) > 1e-6 {
 					t.Fatalf("CG[%d] = %g, want %g", i, cg[i], want[i])
 				}
-				if math.Abs(pcg[i]-want[i]) > 1e-6 {
-					t.Fatalf("PCG[%d] = %g, want %g", i, pcg[i], want[i])
-				}
 			}
 		})
-	}
-}
-
-// TestPCGPreconditionerHelps pins the reason SolvePCG exists: on a
-// badly-scaled SPD system Jacobi preconditioning must cut the iteration
-// count.
-func TestPCGPreconditionerHelps(t *testing.T) {
-	const n = 64
-	m := NewSparseMatrix(n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		scale := math.Pow(10, float64(i%4)) // wildly varying diagonal
-		m.Add(i, i, 2*scale)
-		if i > 0 {
-			m.Add(i, i-1, -0.5)
-			m.Add(i-1, i, -0.5)
-		}
-		b[i] = 1
-	}
-	_, cgIters, err := m.SolveCG(b, 1e-10, 10*n)
-	if err != nil {
-		t.Fatalf("CG: %v", err)
-	}
-	_, pcgIters, err := m.SolvePCG(b, 1e-10, 10*n)
-	if err != nil {
-		t.Fatalf("PCG: %v", err)
-	}
-	if pcgIters >= cgIters {
-		t.Fatalf("Jacobi preconditioning did not help: PCG %d iters vs CG %d", pcgIters, cgIters)
 	}
 }
 
@@ -329,11 +271,12 @@ func TestNonSPDReturnsError(t *testing.T) {
 			t.Fatalf("NaN/Inf leaked into the solution: %v", x)
 		}
 	}
-	// Negative diagonal: PCG rejects before iterating.
+	// Negative diagonal: the first search direction b = (2, 1) has
+	// curvature −4 + 1 < 0.
 	neg := NewSparseMatrix(2)
 	neg.Add(0, 0, -1)
 	neg.Add(1, 1, 1)
-	if _, _, err := neg.SolvePCG([]float64{1, 1}, 1e-10, 100); !errors.Is(err, ErrNotSPD) {
+	if _, _, err := neg.SolveCG([]float64{2, 1}, 1e-10, 100); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("negative diagonal must yield ErrNotSPD, got %v", err)
 	}
 	// Zero matrix row → zero curvature, also non-SPD.
@@ -344,73 +287,38 @@ func TestNonSPDReturnsError(t *testing.T) {
 	}
 }
 
-// TestSORStopsOnTrueResidual: when SolveSOR reports convergence the *actual*
-// residual must satisfy the tolerance (the old delta-based test could stop
-// while the residual was still large), and iteration exhaustion must report
-// ErrNoConverge with the best iterate.
-func TestSORStopsOnTrueResidual(t *testing.T) {
-	// Slowly converging: a long 1-D chain with under-relaxation.
-	m, b := buildLaplacian(60)
-	x, iters, err := m.SolveSOR(b, nil, 0.8, 1e-8, 1000000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters <= 0 {
-		t.Fatalf("iteration count %d", iters)
-	}
-	scratch := make([]float64, m.N)
-	bNorm := math.Sqrt(dot(b, b))
-	if rel := m.residualNorm(b, x, scratch) / bNorm; rel > 1e-8 {
-		t.Fatalf("declared converged at relative residual %g > tol", rel)
-	}
-	// Exhaustion: too few sweeps must error (not silently claim success) and
-	// still return the running iterate.
-	x, iters, err = m.SolveSOR(b, nil, 0.8, 1e-8, 3)
-	if !errors.Is(err, ErrNoConverge) {
-		t.Fatalf("want ErrNoConverge, got %v", err)
-	}
-	if iters != 3 || x == nil {
-		t.Fatalf("exhaustion must report maxIter and the best iterate (%d, %v)", iters, x)
-	}
-}
-
-// TestWorkspaceSolverReuse: repeated workspace solves stay correct (no state
-// leaks between solves, across solver variants and different system sizes)
-// and allocate nothing once warm.
+// TestWorkspaceSolverReuse: repeated MG-PCG solves on one Workspace stay
+// correct across two mesh sizes (each with its own MeshMG, so no state
+// leaks between solves when the workspace shrinks and regrows) and
+// allocate nothing once warm — the production power-grid contract.
 func TestWorkspaceSolverReuse(t *testing.T) {
 	var ws Workspace
-	big, bigB := buildMesh2D(7)
-	small, smallB := buildLaplacian(5)
-	solvers := []func(m *SparseMatrix, b []float64) ([]float64, int, error){
-		func(m *SparseMatrix, b []float64) ([]float64, int, error) { return m.SolvePCGW(&ws, b, 1e-12, 10000) },
-		func(m *SparseMatrix, b []float64) ([]float64, int, error) { return m.SolveCGW(&ws, b, 1e-12, 10000) },
-	}
+	big, bigMG, bigB := buildMesh(t, 15, 1.5, 3)
+	small, smallMG, smallB := buildMesh(t, 7, 0.8, 4)
+	systems := []struct {
+		m  *SparseMatrix
+		mg *MeshMG
+		b  []float64
+	}{{big, bigMG, bigB}, {small, smallMG, smallB}}
 	for round := 0; round < 3; round++ {
-		for si, solve := range solvers {
-			for _, sys := range []struct {
-				m *SparseMatrix
-				b []float64
-			}{{big, bigB}, {small, smallB}} {
-				x, _, err := solve(sys.m, sys.b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scratch := make([]float64, sys.m.N)
-				if rel := sys.m.residualNorm(sys.b, x, scratch) / math.Sqrt(dot(sys.b, sys.b)); rel > 1e-10 {
-					t.Fatalf("round %d solver %d: residual %g", round, si, rel)
-				}
-			}
-		}
-	}
-	for si, solve := range solvers {
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := solve(big, bigB); err != nil {
+		for si, sys := range systems {
+			x, _, err := sys.m.SolveMGW(&ws, sys.mg, sys.b, 1e-12, 200)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 0 {
-			t.Fatalf("warm workspace solve (solver %d) allocates %.0f objects, want 0", si, allocs)
+			scratch := make([]float64, sys.m.N)
+			if rel := sys.m.residualNorm(sys.b, x, scratch) / math.Sqrt(dot(sys.b, sys.b)); rel > 1e-10 {
+				t.Fatalf("round %d system %d: residual %g", round, si, rel)
+			}
 		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := big.SolveMGW(&ws, bigMG, bigB, 1e-12, 200); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm workspace MG-PCG solve allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -5,60 +5,6 @@ import (
 	"math"
 )
 
-// Preconditioner supplies z ≈ M⁻¹·r for the preconditioned Krylov solvers.
-// Apply must be linear, symmetric positive definite as an operator, and
-// deterministic; r and z never alias. MeshMG is the package's production
-// implementation.
-type Preconditioner interface {
-	Apply(r, z []float64)
-}
-
-// fmgStarter is the optional hook SolveMGW (and SolveMGBatchW) probe for: a
-// preconditioner that can seed the Krylov iteration with a full-multigrid
-// initial guess instead of x = 0. FMGStart writes the guess into x (same
-// eliminated layout as Apply) and reports whether it did; false means the
-// solver starts from zero as before. MeshMG implements it.
-type fmgStarter interface {
-	FMGStart(b, x []float64) bool
-}
-
-// Smoother selects the V-cycle smoothing kernel of a MeshMG. All variants
-// preserve the pinned node (its inverse-diagonal entry is zero, so no sweep
-// ever moves it), are applied in A-adjoint pre/post pairs so the V-cycle
-// stays a symmetric (CG-safe) operator, and are bit-identical serial or
-// parallel: row/element blocks are fixed by n and GOMAXPROCS alone and no
-// kernel reduces across blocks.
-type Smoother int
-
-const (
-	// SmootherChebyshev smooths with a degree-chebDegree Chebyshev
-	// polynomial in the Jacobi-preconditioned operator D⁻¹L — SpMV + axpy
-	// only, no data dependence inside a sweep, and the best measured
-	// damping per FLOP of the three (DESIGN.md §5 ablation). The default.
-	SmootherChebyshev Smoother = iota
-	// SmootherRBGS is red-black Gauss-Seidel: red-then-black before
-	// coarsening and black-then-red after, an A-adjoint pair. Stronger per
-	// sweep than Jacobi at the same traffic; selectable at build time via
-	// the mg_rbgs tag (see DefaultSmoother).
-	SmootherRBGS
-	// SmootherJacobi is the damped-Jacobi sweep (ω = 0.8, one pre and one
-	// post sweep) the first multigrid round shipped, kept selectable so the
-	// ablation benchmarks compare against it.
-	SmootherJacobi
-)
-
-func (s Smoother) String() string {
-	switch s {
-	case SmootherChebyshev:
-		return "chebyshev"
-	case SmootherRBGS:
-		return "rbgs"
-	case SmootherJacobi:
-		return "jacobi"
-	}
-	return fmt.Sprintf("Smoother(%d)", int(s))
-}
-
 // Chebyshev smoother parameters. Gershgorin puts the spectrum of the
 // Jacobi-preconditioned mesh Laplacian D⁻¹L inside (0, 2] on every level
 // (each row's off-diagonal magnitudes sum to its diagonal), so chebLMax = 2
@@ -91,22 +37,19 @@ const (
 //
 // Internals work on full n_l×n_l grids per level with unit conductance —
 // the operator scales linearly in g, so Apply rescales its output by 1/g
-// (SetConductance) instead of rebuilding levels. Smoothing defaults to a
-// Chebyshev polynomial (see Smoother for the alternatives), transfers are
-// bilinear interpolation and its exact transpose, and the coarsest pinned
-// system is solved by a Cholesky factorization computed once at
-// construction. MeshMG also implements the full-multigrid start SolveMGW
-// seeds its iteration with (FMGStart; SetFMG disables it for ablation).
-// All level storage is preallocated: Apply performs no allocations, so a
-// pooled MeshMG keeps the whole solve on the zero-alloc warm path.
+// (SetConductance) instead of rebuilding levels. Smoothing is a
+// degree-chebDegree Chebyshev polynomial in the Jacobi-preconditioned
+// operator (SpMV + axpy only; DESIGN.md §5 records the ablation that chose
+// it), transfers are bilinear interpolation and its exact transpose, and
+// the coarsest pinned system is solved by a Cholesky factorization computed
+// once at construction. MeshMG also computes the full-multigrid start
+// SolveMGW seeds its iteration with (FMGStart). All level storage is
+// preallocated: Apply performs no allocations, so a pooled MeshMG keeps
+// the whole solve on the zero-alloc warm path.
 type MeshMG struct {
 	n      int
 	levels []*mgLevel
 	invG   float64
-	sm     Smoother
-	fmg    bool
-	omega  float64
-	nu     int // Jacobi pre- and post-smoothing sweeps per level
 
 	// Coarsest-level direct solve: Cholesky factor of the pinned
 	// unit-conductance system, plus gather/scatter scratch.
@@ -125,13 +68,12 @@ type MeshMG struct {
 // iteration counts grew 22→61 from n=31 to n=255 with even-only
 // coarsening; they stay ≤ ~15 with parity-matched coarsening).
 type mgLevel struct {
-	n        int
-	pin      int
-	off      int
-	x, b, r  []float64
-	d        []float64 // Chebyshev direction scratch (nil for other smoothers)
-	wInvDiag []float64 // ω / degree, 0 at the pin (Jacobi)
-	invDiag  []float64 // 1 / degree, 0 at the pin (Chebyshev, RBGS)
+	n       int
+	pin     int
+	off     int
+	x, b, r []float64
+	d       []float64 // Chebyshev direction scratch
+	invDiag []float64 // 1 / degree, 0 at the pin
 }
 
 // mgCoarsest is the grid size at which the hierarchy bottoms out into the
@@ -139,39 +81,24 @@ type mgLevel struct {
 const mgCoarsest = 8
 
 // NewMeshMG builds the hierarchy for an n×n mesh with the node at flat
-// index pin (row·n + col) held at 0 V, smoothing with DefaultSmoother.
-// Unit edge conductance; call SetConductance to match the assembled system
-// before Apply.
+// index pin (row·n + col) held at 0 V. Unit edge conductance; call
+// SetConductance to match the assembled system before Apply.
 func NewMeshMG(n, pin int) (*MeshMG, error) {
-	return NewMeshMGSmoother(n, pin, DefaultSmoother)
-}
-
-// NewMeshMGSmoother is NewMeshMG with an explicit smoother selection; the
-// ablation benchmarks use it to compare kernels on one hierarchy shape.
-func NewMeshMGSmoother(n, pin int, sm Smoother) (*MeshMG, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("mathx: mesh multigrid needs n ≥ 3, got %d", n)
 	}
 	if pin < 0 || pin >= n*n {
 		return nil, fmt.Errorf("mathx: pinned node %d outside %d×%d grid", pin, n, n)
 	}
-	switch sm {
-	case SmootherChebyshev, SmootherRBGS, SmootherJacobi:
-	default:
-		return nil, fmt.Errorf("mathx: unknown multigrid smoother %d", int(sm))
-	}
 	pr, pc := pin/n, pin%n
-	mg := &MeshMG{n: n, invG: 1, sm: sm, fmg: true, omega: 0.8, nu: 1}
+	mg := &MeshMG{n: n, invG: 1}
 	for ln := n; ; {
 		lev := &mgLevel{n: ln, pin: pr*ln + pc}
 		lev.x = make([]float64, ln*ln)
 		lev.b = make([]float64, ln*ln)
 		lev.r = make([]float64, ln*ln)
-		lev.wInvDiag = make([]float64, ln*ln)
+		lev.d = make([]float64, ln*ln)
 		lev.invDiag = make([]float64, ln*ln)
-		if sm == SmootherChebyshev {
-			lev.d = make([]float64, ln*ln)
-		}
 		for r := 0; r < ln; r++ {
 			for c := 0; c < ln; c++ {
 				deg := 0.0
@@ -187,11 +114,9 @@ func NewMeshMGSmoother(n, pin int, sm Smoother) (*MeshMG, error) {
 				if c < ln-1 {
 					deg++
 				}
-				lev.wInvDiag[r*ln+c] = mg.omega / deg
 				lev.invDiag[r*ln+c] = 1 / deg
 			}
 		}
-		lev.wInvDiag[lev.pin] = 0
 		lev.invDiag[lev.pin] = 0
 		mg.levels = append(mg.levels, lev)
 		if ln <= mgCoarsest {
@@ -235,12 +160,6 @@ func (mg *MeshMG) SetConductance(g float64) error {
 	return nil
 }
 
-// SetFMG toggles the full-multigrid start SolveMGW seeds its iteration with
-// when this preconditioner is attached (on by default). Off exists for the
-// ablation benchmarks that isolate the smoother's contribution; production
-// solves keep it on.
-func (mg *MeshMG) SetFMG(on bool) { mg.fmg = on }
-
 // N returns the fine-grid dimension (nodes per side).
 func (mg *MeshMG) N() int { return mg.n }
 
@@ -271,12 +190,8 @@ func (mg *MeshMG) Apply(r, z []float64) {
 // solved exactly, and the solution is interpolated upward with one V-cycle
 // of polishing per level. The result approximates A⁻¹b to roughly V-cycle
 // accuracy for about 4/3 of one fine V-cycle's work, so MG-PCG started here
-// saves several Krylov iterations against a zero guess. Reports false (and
-// writes nothing) when the start is disabled via SetFMG.
-func (mg *MeshMG) FMGStart(b, x []float64) bool {
-	if !mg.fmg {
-		return false
-	}
+// saves several Krylov iterations against a zero guess.
+func (mg *MeshMG) FMGStart(b, x []float64) {
 	f := mg.levels[0]
 	pin := f.pin
 	copy(f.b[:pin], b[:pin])
@@ -309,7 +224,6 @@ func (mg *MeshMG) FMGStart(b, x []float64) bool {
 	for j := pin; j < len(x); j++ {
 		x[j] = f.x[j+1] * invG
 	}
-	return true
 }
 
 // vcycle runs the cycle from level k downward, solving lev.b into lev.x.
@@ -323,7 +237,10 @@ func (mg *MeshMG) vcycle(k int, zeroStart bool) {
 		mg.coarseSolve(lev)
 		return
 	}
-	mg.presmooth(lev, zeroStart)
+	// Pre- and post-smoothing apply the same A-self-adjoint Chebyshev
+	// polynomial, which keeps the V-cycle a symmetric operator — the
+	// property SolveMGW's CG wrapper requires.
+	lev.chebSmooth(zeroStart)
 	// Residual of the smoothed iterate, restricted to the coarse RHS.
 	lev.applyRes(lev.x, lev.b, lev.r)
 	lev.r[lev.pin] = 0
@@ -333,90 +250,17 @@ func (mg *MeshMG) vcycle(k int, zeroStart bool) {
 	mg.vcycle(k+1, true)
 	prolongAdd(next, lev)
 	lev.x[lev.pin] = 0
-	mg.postsmooth(lev)
-}
-
-// presmooth applies the selected smoother before coarsening. The pre/post
-// pair is arranged A-adjoint (Chebyshev and Jacobi polynomials are
-// A-self-adjoint; RBGS reverses its color order), keeping the V-cycle a
-// symmetric operator — the property SolveMGW's CG wrapper requires.
-func (mg *MeshMG) presmooth(lev *mgLevel, zeroStart bool) {
-	switch mg.sm {
-	case SmootherChebyshev:
-		mg.chebSmooth(lev, zeroStart)
-	case SmootherRBGS:
-		if zeroStart {
-			x := lev.x
-			for i := range x {
-				x[i] = 0
-			}
-		}
-		lev.rbSweep(0)
-		lev.rbSweep(1)
-	default: // SmootherJacobi
-		s := 0
-		if zeroStart {
-			// From x = 0 the first damped-Jacobi sweep collapses to a
-			// diagonal scaling of b.
-			x, b, wd := lev.x, lev.b, lev.wInvDiag
-			if parallelOK(len(x)) {
-				parFor(len(x), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						x[i] = wd[i] * b[i]
-					}
-				})
-			} else {
-				for i := range x {
-					x[i] = wd[i] * b[i]
-				}
-			}
-			s = 1
-		}
-		for ; s < mg.nu; s++ {
-			lev.smooth()
-		}
-	}
-}
-
-// postsmooth applies the A-adjoint of presmooth after prolongation.
-func (mg *MeshMG) postsmooth(lev *mgLevel) {
-	switch mg.sm {
-	case SmootherChebyshev:
-		mg.chebSmooth(lev, false)
-	case SmootherRBGS:
-		// Black-then-red: the adjoint of the pre-smoother's red-then-black.
-		lev.rbSweep(1)
-		lev.rbSweep(0)
-	default:
-		for s := 0; s < mg.nu; s++ {
-			lev.smooth()
-		}
-	}
-}
-
-// smooth performs one damped-Jacobi sweep x += ω·D⁻¹·(b − A·x).
-func (l *mgLevel) smooth() {
-	l.applyRes(l.x, l.b, l.r)
-	x, r, wd := l.x, l.r, l.wInvDiag
-	if parallelOK(len(x)) {
-		parFor(len(x), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += wd[i] * r[i]
-			}
-		})
-	} else {
-		for i := range x {
-			x[i] += wd[i] * r[i]
-		}
-	}
+	lev.chebSmooth(false)
 }
 
 // chebSmooth applies the degree-chebDegree Chebyshev polynomial smoother:
 // the standard three-term recurrence on the interval [chebLMin, chebLMax]
 // of the Jacobi-preconditioned operator, built from applyRes/applySub
 // stencil applications and fused axpy sweeps only. The pin never moves
-// because invDiag is zero there, so every direction d has d[pin] = 0.
-func (mg *MeshMG) chebSmooth(l *mgLevel, zeroStart bool) {
+// because invDiag is zero there, so every direction d has d[pin] = 0. It is
+// bit-identical serial or parallel: row/element blocks are fixed by n and
+// GOMAXPROCS alone and no kernel reduces across blocks.
+func (l *mgLevel) chebSmooth(zeroStart bool) {
 	x, b, r, d, di := l.x, l.b, l.r, l.d, l.invDiag
 	m := len(x)
 	if zeroStart {
@@ -480,48 +324,6 @@ func chebStep(x, r, d, di []float64, c1, c2 float64, lo, hi int) {
 		v := c1*d[i] + c2*di[i]*r[i]
 		d[i] = v
 		x[i] += v
-	}
-}
-
-// rbSweep performs one Gauss-Seidel half-sweep over the given color
-// (0 = red, (row+col) even; 1 = black). Nodes of one color couple only to
-// the other color, so the half-sweep solves its color's equations exactly
-// and rows can run in parallel: each block writes its own color rows and
-// reads only other-color values no block writes.
-func (l *mgLevel) rbSweep(color int) {
-	n := l.n
-	if parallelOK(n * n) {
-		parForBlocks(n, func(lo, hi int) { l.rbRows(color, lo, hi) })
-	} else {
-		l.rbRows(color, 0, n)
-	}
-}
-
-// rbRows is the Gauss-Seidel color kernel for grid rows [rLo, rHi):
-// x[i] = (b[i] + Σ x[neighbours]) / degree, skipping the pin via its zero
-// inverse diagonal.
-func (l *mgLevel) rbRows(color, rLo, rHi int) {
-	n := l.n
-	x, b, di := l.x, l.b, l.invDiag
-	for r := rLo; r < rHi; r++ {
-		i0 := r * n
-		for c := (color + r) & 1; c < n; c += 2 {
-			i := i0 + c
-			s := b[i]
-			if r > 0 {
-				s += x[i-n]
-			}
-			if r < n-1 {
-				s += x[i+n]
-			}
-			if c > 0 {
-				s += x[i-1]
-			}
-			if c < n-1 {
-				s += x[i+1]
-			}
-			x[i] = di[i] * s
-		}
 	}
 }
 
@@ -908,15 +710,15 @@ func (s *SparseMatrix) SolveMG(mg *MeshMG, b []float64, tol float64, maxIter int
 	return x, maxIter, noConverge("MG", maxIter, rNorm/bNorm)
 }
 
-// SolveMGW solves A·x = b by conjugate gradients preconditioned with pre
-// (typically a *MeshMG V-cycle), reusing ws for every vector including the
-// returned solution (same aliasing contract as SolvePCGW). When pre offers
-// a full-multigrid start (MeshMG does unless SetFMG disabled it), the
-// iteration begins from that interpolated guess instead of x = 0, which
-// typically saves several Krylov iterations for ~4/3 of a V-cycle of extra
-// work. This is the production power-grid path: near-constant iteration
-// counts as the mesh refines, zero allocations on the warm path.
-func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, tol float64, maxIter int) ([]float64, int, error) {
+// SolveMGW solves A·x = b by conjugate gradients preconditioned with one
+// mg V-cycle per iteration, reusing ws for every vector including the
+// returned solution, which aliases ws and is only valid until ws is
+// reused. The iteration begins from mg's full-multigrid start (FMGStart)
+// instead of x = 0, which saves several Krylov iterations for ~4/3 of a
+// V-cycle of extra work. This is the production power-grid path:
+// near-constant iteration counts as the mesh refines, zero allocations on
+// the warm path.
+func (s *SparseMatrix) SolveMGW(ws *Workspace, mg *MeshMG, b []float64, tol float64, maxIter int) ([]float64, int, error) {
 	n := s.N
 	if len(b) != n {
 		return nil, 0, fmt.Errorf("mathx: rhs length %d, want %d", len(b), n)
@@ -928,24 +730,23 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 	if bNorm == 0 {
 		return x, 0, nil
 	}
-	if fs, ok := pre.(fmgStarter); ok && fs.FMGStart(b, x) {
-		// r = b − A·x₀ for the interpolated start. Convergence still tests
-		// against ‖b‖, so the tolerance is unchanged — the start only moves
-		// the iteration closer to it.
-		s.MulVec(x, ap)
-		if parallelOK(n) {
-			parFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					r[i] = b[i] - ap[i]
-				}
-			})
-		} else {
-			for i := range r {
+	// r = b − A·x₀ for the interpolated start. Convergence still tests
+	// against ‖b‖, so the tolerance is unchanged — the start only moves the
+	// iteration closer to it.
+	mg.FMGStart(b, x)
+	s.MulVec(x, ap)
+	if parallelOK(n) {
+		parFor(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				r[i] = b[i] - ap[i]
 			}
+		})
+	} else {
+		for i := range r {
+			r[i] = b[i] - ap[i]
 		}
 	}
-	pre.Apply(r, z)
+	mg.Apply(r, z)
 	copy(p, z)
 	rz := dot(r, z)
 	if !(rz > 0) {
@@ -977,7 +778,7 @@ func (s *SparseMatrix) SolveMGW(ws *Workspace, pre Preconditioner, b []float64, 
 		if rNorm <= tol*bNorm {
 			return x, iter, nil
 		}
-		pre.Apply(r, z)
+		mg.Apply(r, z)
 		rzNew := dot(r, z)
 		if !(rzNew > 0) {
 			return nil, iter, fmt.Errorf("mathx: MG-PCG: preconditioner not positive definite (rᵀz = %g): %w", rzNew, ErrNotSPD)

@@ -147,7 +147,7 @@ func TestMGIterationCountsStayFlat(t *testing.T) {
 			t.Errorf("n=%d: MG-PCG took %d iterations, want ≤ 25", n, itMG)
 		}
 		if n <= 127 {
-			_, itCG, err := m.SolveCGW(&ws, b, 1e-10, 40*m.N)
+			_, itCG, err := m.SolveCG(b, 1e-10, 40*m.N)
 			if err != nil {
 				t.Fatalf("n=%d: CG: %v", n, err)
 			}

@@ -63,41 +63,39 @@ func TestMulVecParallelBitIdentical(t *testing.T) {
 // TestSolveParallelBitIdentical runs the full MG-PCG solve — FMG start,
 // V-cycle smoothers, transfers, axpy sweeps, batched SpMV — at GOMAXPROCS
 // 1 vs 8 and demands bit-identical solutions and iteration counts, for
-// every smoother and for grid sizes spanning the parallel cutoff (129² is
-// the first grid whose kernels split; 255² is the production heavy size).
+// grid sizes spanning the parallel cutoff (129² is the first grid whose
+// kernels split; 255² is the production heavy size).
 func TestSolveParallelBitIdentical(t *testing.T) {
 	for _, n := range []int{63, 129, 255} {
-		for _, sm := range allSmoothers {
-			cnt := n*n - 1
-			var serial, par []float64
-			var serialIters, parIters int
-			withProcs(1, func() {
-				m, mg, b := buildMeshSmoother(t, n, 2.0, int64(n), sm)
-				var ws Workspace
-				x, iters, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
-				if err != nil {
-					t.Fatalf("n=%d %v serial: %v", n, sm, err)
-				}
-				serial = append([]float64(nil), x...)
-				serialIters = iters
-			})
-			withProcs(8, func() {
-				m, mg, b := buildMeshSmoother(t, n, 2.0, int64(n), sm)
-				var ws Workspace
-				x, iters, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
-				if err != nil {
-					t.Fatalf("n=%d %v parallel: %v", n, sm, err)
-				}
-				par = append([]float64(nil), x...)
-				parIters = iters
-			})
-			if serialIters != parIters {
-				t.Errorf("n=%d %v: %d iterations serial, %d parallel", n, sm, serialIters, parIters)
+		cnt := n*n - 1
+		var serial, par []float64
+		var serialIters, parIters int
+		withProcs(1, func() {
+			m, mg, b := buildMesh(t, n, 2.0, int64(n))
+			var ws Workspace
+			x, iters, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
+			if err != nil {
+				t.Fatalf("n=%d serial: %v", n, err)
 			}
-			for i := range serial {
-				if math.Float64bits(serial[i]) != math.Float64bits(par[i]) {
-					t.Fatalf("n=%d %v: solve diverges at %d under GOMAXPROCS", n, sm, i)
-				}
+			serial = append([]float64(nil), x...)
+			serialIters = iters
+		})
+		withProcs(8, func() {
+			m, mg, b := buildMesh(t, n, 2.0, int64(n))
+			var ws Workspace
+			x, iters, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
+			if err != nil {
+				t.Fatalf("n=%d parallel: %v", n, err)
+			}
+			par = append([]float64(nil), x...)
+			parIters = iters
+		})
+		if serialIters != parIters {
+			t.Errorf("n=%d: %d iterations serial, %d parallel", n, serialIters, parIters)
+		}
+		for i := range serial {
+			if math.Float64bits(serial[i]) != math.Float64bits(par[i]) {
+				t.Fatalf("n=%d: solve diverges at %d under GOMAXPROCS", n, i)
 			}
 		}
 	}
@@ -112,8 +110,8 @@ func TestBatchParallelBitIdentical(t *testing.T) {
 		var xs [][]float64
 		var iters []int
 		withProcs(procs, func() {
-			wss, pres, mats, bs := batchFixture(t, n, k)
-			sols, its, errs := SolveMGBatchW(wss, pres, mats, bs, 1e-10, 20*cnt)
+			wss, mgs, mats, bs := batchFixture(t, n, k)
+			sols, its, errs := SolveMGBatchW(wss, mgs, mats, bs, 1e-10, 20*cnt)
 			for v, e := range errs {
 				if e != nil {
 					t.Fatalf("procs=%d variant %d: %v", procs, v, e)

@@ -6,56 +6,36 @@ import (
 	"testing"
 )
 
-// buildMeshSmoother is buildMesh with an explicit smoother selection.
-func buildMeshSmoother(t testing.TB, n int, g float64, seed int64, sm Smoother) (*SparseMatrix, *MeshMG, []float64) {
-	t.Helper()
-	m, _, b := buildMesh(t, n, g, seed)
-	mg, err := NewMeshMGSmoother(n, (n/2)*n+n/2, sm)
-	if err != nil {
-		t.Fatalf("NewMeshMGSmoother(%d, %v): %v", n, sm, err)
-	}
-	if err := mg.SetConductance(g); err != nil {
-		t.Fatal(err)
-	}
-	return m, mg, b
-}
-
-var allSmoothers = []Smoother{SmootherChebyshev, SmootherRBGS, SmootherJacobi}
-
-// TestSmoothersAgreeWithCG checks every smoother variant drives MG-PCG to
-// the CG answer, and that the stationary V-cycle iteration converges on its
-// own (a diverging smoother shows up here long before it corrupts MG-PCG,
-// which can limp through a weak preconditioner).
+// TestSmoothersAgreeWithCG checks the Chebyshev-smoothed V-cycle drives
+// MG-PCG to the CG answer, and that the stationary V-cycle iteration
+// converges on its own (a diverging smoother shows up here long before it
+// corrupts MG-PCG, which can limp through a weak preconditioner).
 func TestSmoothersAgreeWithCG(t *testing.T) {
 	for _, n := range []int{15, 31, 63} {
-		m, _, b := buildMesh(t, n, 2.5, int64(100+n))
+		m, mg, b := buildMesh(t, n, 2.5, int64(100+n))
 		cnt := m.N
 		ref, _, err := m.SolveCG(b, 1e-12, 20*cnt)
 		if err != nil {
 			t.Fatalf("n=%d: CG: %v", n, err)
 		}
-		for _, sm := range allSmoothers {
-			_, mg, _ := buildMeshSmoother(t, n, 2.5, int64(100+n), sm)
-			var ws Workspace
-			x, iters, err := m.SolveMGW(&ws, mg, b, 1e-11, 20*cnt)
-			if err != nil {
-				t.Fatalf("n=%d %v: MG-PCG: %v", n, sm, err)
-			}
-			if iters <= 0 || iters > 30 {
-				t.Errorf("n=%d %v: MG-PCG took %d iterations", n, sm, iters)
-			}
-			assertClose(t, x, ref, 1e-9)
-			// Stationary tolerance stays off the double-precision floor
-			// (the weaker smoothers limp once the residual nears it).
-			xs, sIters, err := m.SolveMG(mg, b, 1e-9, 300)
-			if err != nil {
-				t.Fatalf("n=%d %v: stationary MG: %v", n, sm, err)
-			}
-			if sIters > 150 {
-				t.Errorf("n=%d %v: stationary MG took %d iterations", n, sm, sIters)
-			}
-			assertClose(t, xs, ref, 1e-7)
+		var ws Workspace
+		x, iters, err := m.SolveMGW(&ws, mg, b, 1e-11, 20*cnt)
+		if err != nil {
+			t.Fatalf("n=%d: MG-PCG: %v", n, err)
 		}
+		if iters <= 0 || iters > 30 {
+			t.Errorf("n=%d: MG-PCG took %d iterations", n, iters)
+		}
+		assertClose(t, x, ref, 1e-9)
+		// Stationary tolerance stays off the double-precision floor.
+		xs, sIters, err := m.SolveMG(mg, b, 1e-9, 300)
+		if err != nil {
+			t.Fatalf("n=%d: stationary MG: %v", n, err)
+		}
+		if sIters > 150 {
+			t.Errorf("n=%d: stationary MG took %d iterations", n, sIters)
+		}
+		assertClose(t, xs, ref, 1e-7)
 	}
 }
 
@@ -74,60 +54,32 @@ func assertClose(t *testing.T, got, want []float64, tol float64) {
 	}
 }
 
-// TestVCycleIsSymmetric verifies ⟨u, M·v⟩ = ⟨v, M·u⟩ for every smoother's
-// V-cycle — the A-adjoint pre/post pairing that makes the preconditioner
-// CG-safe. A broken pairing (e.g. red-then-black on both sides of the
-// coarse correction) fails this long before it visibly stalls MG-PCG.
+// TestVCycleIsSymmetric verifies ⟨u, M·v⟩ = ⟨v, M·u⟩ for the V-cycle —
+// the A-adjoint pre/post pairing that makes the preconditioner CG-safe. A
+// broken pairing fails this long before it visibly stalls MG-PCG.
 func TestVCycleIsSymmetric(t *testing.T) {
 	const n = 31
-	for _, sm := range allSmoothers {
-		_, mg, _ := buildMeshSmoother(t, n, 1.75, 7, sm)
-		cnt := n*n - 1
-		rng := rand.New(rand.NewSource(11))
-		u := make([]float64, cnt)
-		v := make([]float64, cnt)
-		for i := range u {
-			u[i] = rng.NormFloat64()
-			v[i] = rng.NormFloat64()
-		}
-		mu := make([]float64, cnt)
-		mv := make([]float64, cnt)
-		mg.Apply(u, mu)
-		mg.Apply(v, mv)
-		uMv, vMu, norm := 0.0, 0.0, 0.0
-		for i := range u {
-			uMv += u[i] * mv[i]
-			vMu += v[i] * mu[i]
-			norm += math.Abs(u[i]*mv[i]) + math.Abs(v[i]*mu[i])
-		}
-		if d := math.Abs(uMv - vMu); d > 1e-12*norm {
-			t.Errorf("%v: V-cycle not symmetric: ⟨u,Mv⟩=%g ⟨v,Mu⟩=%g (|Δ|=%g)", sm, uMv, vMu, d)
-		}
+	_, mg, _ := buildMesh(t, n, 1.75, 7)
+	cnt := n*n - 1
+	rng := rand.New(rand.NewSource(11))
+	u := make([]float64, cnt)
+	v := make([]float64, cnt)
+	for i := range u {
+		u[i] = rng.NormFloat64()
+		v[i] = rng.NormFloat64()
 	}
-}
-
-// TestFMGStartSavesIterations pins the point of the full-multigrid start:
-// the same system converges to the same answer in strictly fewer MG-PCG
-// iterations from the interpolated guess than from zero.
-func TestFMGStartSavesIterations(t *testing.T) {
-	for _, n := range []int{63, 127} {
-		m, mg, b := buildMesh(t, n, 3.0, int64(200+n))
-		cnt := m.N
-		var ws, wsRef Workspace
-		x, withFMG, err := m.SolveMGW(&ws, mg, b, 1e-10, 20*cnt)
-		if err != nil {
-			t.Fatalf("n=%d FMG: %v", n, err)
-		}
-		got := append([]float64(nil), x...)
-		mg.SetFMG(false)
-		ref, without, err := m.SolveMGW(&wsRef, mg, b, 1e-10, 20*cnt)
-		if err != nil {
-			t.Fatalf("n=%d no-FMG: %v", n, err)
-		}
-		if withFMG >= without {
-			t.Errorf("n=%d: FMG start saved nothing (%d iterations with, %d without)", n, withFMG, without)
-		}
-		assertClose(t, got, ref, 1e-8)
+	mu := make([]float64, cnt)
+	mv := make([]float64, cnt)
+	mg.Apply(u, mu)
+	mg.Apply(v, mv)
+	uMv, vMu, norm := 0.0, 0.0, 0.0
+	for i := range u {
+		uMv += u[i] * mv[i]
+		vMu += v[i] * mu[i]
+		norm += math.Abs(u[i]*mv[i]) + math.Abs(v[i]*mu[i])
+	}
+	if d := math.Abs(uMv - vMu); d > 1e-12*norm {
+		t.Errorf("V-cycle not symmetric: ⟨u,Mv⟩=%g ⟨v,Mu⟩=%g (|Δ|=%g)", uMv, vMu, d)
 	}
 }
 
@@ -140,9 +92,7 @@ func TestFMGStartQuality(t *testing.T) {
 	const n = 63
 	m, mg, b := buildMesh(t, n, 1.0, 5)
 	x := make([]float64, m.N)
-	if !mg.FMGStart(b, x) {
-		t.Fatal("FMGStart reported disabled on a default MeshMG")
-	}
+	mg.FMGStart(b, x)
 	var ws Workspace
 	ref, _, err := m.SolveMGW(&ws, mg, b, 1e-12, 20*m.N)
 	if err != nil {
@@ -156,9 +106,5 @@ func TestFMGStartQuality(t *testing.T) {
 	}
 	if rel := math.Sqrt(ee / xx); rel > 0.35 {
 		t.Errorf("FMG start is %.3g of the solution away from it — interpolated guess is not close", rel)
-	}
-	mg.SetFMG(false)
-	if mg.FMGStart(b, x) {
-		t.Error("FMGStart ignored SetFMG(false)")
 	}
 }

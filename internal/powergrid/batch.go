@@ -64,7 +64,7 @@ func solveMeshChunk(meshes []*Mesh, drops []float64) (err error) {
 		}
 	}()
 	wss := make([]*mathx.Workspace, k)
-	pres := make([]mathx.Preconditioner, k)
+	mgs := make([]*mathx.MeshMG, k)
 	mats := make([]*mathx.SparseMatrix, k)
 	bs := make([][]float64, k)
 	for v, m := range meshes {
@@ -82,12 +82,12 @@ func solveMeshChunk(meshes []*Mesh, drops []float64) (err error) {
 		if err := sv.mg.SetConductance(g); err != nil {
 			return fmt.Errorf("powergrid: mesh solve: %w", err)
 		}
-		wss[v], pres[v], mats[v], bs[v] = &sv.ws, sv.mg, mat, sv.rhs
+		wss[v], mgs[v], mats[v], bs[v] = &sv.ws, sv.mg, mat, sv.rhs
 	}
 	// Same per-artifact cancellation-granularity decision as Mesh.Solve:
 	// one batch is bounded work, ctx checks live upstream.
 	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
-	sols, iters, errs := mathx.SolveMGBatchW(wss, pres, mats, bs, 1e-10, 20*asm.cnt)
+	sols, iters, errs := mathx.SolveMGBatchW(wss, mgs, mats, bs, 1e-10, 20*asm.cnt)
 	for v, e := range errs {
 		if e != nil {
 			return fmt.Errorf("powergrid: mesh solve: %w", e)

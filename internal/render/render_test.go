@@ -2,6 +2,7 @@ package render_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -59,7 +60,7 @@ func TestJSONReportCoversAllArtifacts(t *testing.T) {
 		t.Skip("computes the full registry")
 	}
 	arts := repro.Artifacts()
-	results, err := repro.ComputeAll(runner.Pool{}, arts, repro.Options{})
+	results, err := repro.ComputeAllCtx(context.Background(), runner.Pool{}, arts, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

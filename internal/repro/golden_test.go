@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -25,7 +26,7 @@ func TestGoldenFullReport(t *testing.T) {
 	}
 	render := func(workers int) []byte {
 		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunTo(&buf, Jobs(Artifacts(), Options{}))
+		results, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &buf, Jobs(Artifacts(), Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestGoldenJSONReport(t *testing.T) {
 		t.Skip("full report compute is slow; run without -short")
 	}
 	renderJSON := func(workers int) []byte {
-		results, err := ComputeAll(runner.Pool{Workers: workers}, Artifacts(), Options{})
+		results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: workers}, Artifacts(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestGoldenCSVReport(t *testing.T) {
 	}
 	renderCSV := func(workers int) []byte {
 		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunTo(&buf, EncodeJobs(Artifacts(), Options{}, render.CSV{}))
+		results, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &buf, EncodeJobs(Artifacts(), Options{}, render.CSV{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,22 +260,14 @@ func EncodeJobs(arts []Artifact, opts Options, enc Encoder) []runner.Job {
 	return jobs
 }
 
-// ComputeAll computes the artifacts on the pool without encoding anything,
-// returning the results in registry order. A failed artifact leaves a nil
-// slot; the per-artifact failures are aggregated in the returned error and
-// the healthy results are still usable.
-func ComputeAll(pool runner.Pool, arts []Artifact, opts Options) ([]*result.Result, error) {
-	// Compat wrapper for the CLI path, which runs to completion by design;
-	// cancelable callers use ComputeAllCtx.
-	//lint:allow ctxflow uncancelable CLI compat shim over ComputeAllCtx
-	return ComputeAllCtx(context.Background(), pool, arts, opts)
-}
-
-// ComputeAllCtx is ComputeAll with cancellation: artifacts that have not
-// started when ctx is canceled are skipped (their slots stay nil and the
-// aggregate error carries ctx's error per skipped artifact). In-flight
-// computes finish normally so the cache is never poisoned by a partial
-// result.
+// ComputeAllCtx computes the artifacts on the pool without encoding
+// anything, returning the results in registry order. A failed artifact
+// leaves a nil slot; the per-artifact failures are aggregated in the
+// returned error and the healthy results are still usable. Artifacts that
+// have not started when ctx is canceled are skipped (their slots stay nil
+// and the aggregate error carries ctx's error per skipped artifact).
+// In-flight computes finish normally so the cache is never poisoned by a
+// partial result.
 func ComputeAllCtx(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options) ([]*result.Result, error) {
 	out := make([]*result.Result, len(arts))
 	jobs := make([]runner.Job, len(arts))

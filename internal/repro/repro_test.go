@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -25,10 +26,10 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	var opts Options
 	var serial, parallel bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunTo(&serial, Jobs(arts, opts)); err != nil {
+	if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &serial, Jobs(arts, opts)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (runner.Pool{Workers: 8}).RunTo(&parallel, Jobs(arts, opts)); err != nil {
+	if _, err := (runner.Pool{Workers: 8}).RunToContext(context.Background(), &parallel, Jobs(arts, opts)); err != nil {
 		t.Fatal(err)
 	}
 	if serial.Len() == 0 {
@@ -76,7 +77,7 @@ func TestCSVFailureIsAggregatedNotFatal(t *testing.T) {
 	}
 	opts := Options{CSVDir: filepath.Join(blocker, "sub")} // Create() must fail
 	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{Workers: 4}).RunTo(&out, Jobs(arts, opts))
+	results, sinkErr := (runner.Pool{Workers: 4}).RunToContext(context.Background(), &out, Jobs(arts, opts))
 	if sinkErr != nil {
 		t.Fatal(sinkErr)
 	}
@@ -111,7 +112,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{}).RunTo(&out, Jobs(arts, Options{CSVDir: dir}))
+	results, sinkErr := (runner.Pool{}).RunToContext(context.Background(), &out, Jobs(arts, Options{CSVDir: dir}))
 	if sinkErr != nil {
 		t.Fatal(sinkErr)
 	}
@@ -175,7 +176,7 @@ func TestJobsBindOptions(t *testing.T) {
 		fakeArtifact("fake-a", "marker-A", nil),
 		fakeArtifact("fake-b", "marker-B", errSentinel),
 	}
-	results := (runner.Pool{Workers: 2}).Run(Jobs(arts, Options{}))
+	results, _ := (runner.Pool{Workers: 2}).RunToContext(context.Background(), nil, Jobs(arts, Options{}))
 	if !strings.Contains(string(results[0].Output), "marker-A") || len(results[1].Output) != 0 {
 		t.Fatalf("outputs %q, %q", results[0].Output, results[1].Output)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -104,11 +105,11 @@ func VariantJobs(arts []Artifact, opts Options, variants []*scenario.Scenario, e
 	return jobs
 }
 
-// ComputeAllVariants is ComputeAll across a sweep: one flattened pool run
-// (primed like VariantJobs), results grouped per variant in variant-major
-// order with nil slots for failed artifacts, failures aggregated with
-// variant-qualified IDs.
-func ComputeAllVariants(pool runner.Pool, arts []Artifact, opts Options, variants []*scenario.Scenario) ([][]*result.Result, error) {
+// ComputeAllVariants is ComputeAllCtx across a sweep: one flattened pool
+// run (primed like VariantJobs), results grouped per variant in
+// variant-major order with nil slots for failed artifacts, failures
+// aggregated with variant-qualified IDs.
+func ComputeAllVariants(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options, variants []*scenario.Scenario) ([][]*result.Result, error) {
 	PrimeVariants(arts, opts, variants)
 	out := make([][]*result.Result, len(variants))
 	jobs := make([]runner.Job, 0, len(arts)*len(variants))
@@ -129,5 +130,6 @@ func ComputeAllVariants(pool runner.Pool, arts []Artifact, opts Options, variant
 			}})
 		}
 	}
-	return out, runner.Errs(pool.Run(jobs))
+	results, _ := pool.RunToContext(ctx, nil, jobs)
+	return out, runner.Errs(results)
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"nanometer/internal/powergrid"
@@ -48,7 +49,7 @@ func TestVariantJobsMatchSequentialBytes(t *testing.T) {
 	for _, v := range variants {
 		vo := opts
 		vo.Scenario = v
-		if _, err := (runner.Pool{Workers: 1}).RunTo(&sequential, Jobs(arts, vo)); err != nil {
+		if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &sequential, Jobs(arts, vo)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +60,7 @@ func TestVariantJobsMatchSequentialBytes(t *testing.T) {
 		if len(jobs) != len(arts)*len(variants) {
 			t.Fatalf("got %d jobs, want %d", len(jobs), len(arts)*len(variants))
 		}
-		if _, err := (runner.Pool{Workers: workers}).RunTo(&flat, jobs); err != nil {
+		if _, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &flat, jobs); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(flat.Bytes(), sequential.Bytes()) {

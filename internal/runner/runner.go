@@ -46,32 +46,21 @@ func (p Pool) workers() int {
 	return runtime.NumCPU()
 }
 
-// Run executes every job and returns the results in submission order. Job
-// panics are recovered into errors so a crashing artifact cannot take down
-// the remaining jobs.
-func (p Pool) Run(jobs []Job) []Result {
-	results, _ := p.RunTo(nil, jobs)
-	return results
-}
-
-// RunTo is Run with streaming emission: each job's output is copied to sink
-// as soon as the job and all jobs before it have finished, so the sink sees
-// the exact byte sequence of a serial run regardless of worker count or
-// completion order. A nil sink skips emission (output stays in the results).
-// The returned error reports sink write failures only; per-job errors are in
-// the results (aggregate them with Errs).
-func (p Pool) RunTo(sink io.Writer, jobs []Job) ([]Result, error) {
-	// Compat wrapper for the CLI path, which runs to completion by design;
-	// cancelable callers use RunToContext.
-	//lint:allow ctxflow uncancelable CLI compat shim over RunToContext
-	return p.RunToContext(context.Background(), sink, jobs)
-}
-
-// RunToContext is RunTo with cancellation: jobs that have not started when
-// ctx is canceled are skipped and record ctx's error instead of running.
-// Jobs already executing run to completion (they hold gate/pool resources
-// that must wind down normally), so a canceled run still returns one Result
-// per job in submission order.
+// RunToContext executes every job and returns the results in submission
+// order. Job panics are recovered into errors so a crashing artifact cannot
+// take down the remaining jobs.
+//
+// Emission streams: each job's output is copied to sink as soon as the job
+// and all jobs before it have finished, so the sink sees the exact byte
+// sequence of a serial run regardless of worker count or completion order.
+// A nil sink skips emission (output stays in the results). The returned
+// error reports sink write failures only; per-job errors are in the results
+// (aggregate them with Errs).
+//
+// Jobs that have not started when ctx is canceled are skipped and record
+// ctx's error instead of running. Jobs already executing run to completion
+// (they hold gate/pool resources that must wind down normally), so a
+// canceled run still returns one Result per job in submission order.
 func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]Result, error) {
 	n := len(jobs)
 	results := make([]Result, n)

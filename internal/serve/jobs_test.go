@@ -178,10 +178,20 @@ func TestJobsCancelReleasesGate(t *testing.T) {
 	if got := srv.gate.InFlight(); got < 17 {
 		t.Fatalf("running 80M-interval job holds %d gate units, want its weight (17)", got)
 	}
+	// Wait for the simulator's first progress chunk before canceling, so
+	// the partial-progress assertion below does not race the first emit.
+	stream, err := http.Get(ts.URL + "/api/v1/jobs/" + snap.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := bufio.NewScanner(stream.Body); !sc.Scan() {
+		t.Fatalf("no first progress chunk: %v", sc.Err())
+	}
+	stream.Body.Close()
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+snap.ID, nil)
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,12 +145,12 @@ func TestServerMatchesCLI(t *testing.T) {
 			var err error
 			switch format {
 			case "text":
-				_, err = pool.RunTo(&want, repro.Jobs(sel, repro.Options{}))
+				_, err = pool.RunToContext(context.Background(), &want, repro.Jobs(sel, repro.Options{}))
 			case "csv":
-				_, err = pool.RunTo(&want, repro.EncodeJobs(sel, repro.Options{}, render.CSV{}))
+				_, err = pool.RunToContext(context.Background(), &want, repro.EncodeJobs(sel, repro.Options{}, render.CSV{}))
 			case "json":
 				var results []*result.Result
-				results, err = repro.ComputeAll(pool, sel, repro.Options{})
+				results, err = repro.ComputeAllCtx(context.Background(), pool, sel, repro.Options{})
 				if err == nil {
 					err = render.JSON{Indent: "  "}.EncodeReport(&want, &result.Report{Artifacts: results})
 				}
@@ -175,7 +175,7 @@ func TestServerMatchesCLI(t *testing.T) {
 func TestReportMatchesCLI(t *testing.T) {
 	h := New(Config{}).Handler()
 	var want bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunTo(&want, repro.Jobs(repro.Artifacts(), repro.Options{})); err != nil {
+	if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &want, repro.Jobs(repro.Artifacts(), repro.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	rec := get(t, h, "/api/v1/report", nil)
