@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve bench-replicas
+.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve
 
 all: verify
 
@@ -13,8 +13,9 @@ all: verify
 # GOMAXPROCS) with the seed baseline embedded for before/after diffing.
 # BENCH_CPU repeats the selection at each GOMAXPROCS so the serial and
 # parallel numbers land as separate rows of one document. The HTTP load
-# run appends the serving-layer numbers (throughput, latency percentiles,
-# cache hit ratio) to the same output.
+# run then prints the serving-layer numbers (throughput, latency
+# percentiles, cache counters) to stdout; they are not written to
+# BENCH_OUT.
 BENCH_OUT ?= BENCH_8.json
 BENCH_BASELINE ?= bench_seed.json
 BENCH_CPU ?= 1,4
@@ -22,7 +23,6 @@ BENCH_CPU ?= 1,4
 bench:
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASELINE) -cpu $(BENCH_CPU)
 	$(MAKE) bench-serve
-	$(MAKE) bench-replicas
 
 # The HTTP daemon on :8077 (override: make serve ADDR=:9000).
 ADDR ?= :8077
@@ -34,15 +34,6 @@ serve:
 # percentiles, and the server's cache/gate counters.
 bench-serve:
 	$(GO) run ./cmd/nanoreprod -loadgen -requests 200 -concurrency 8
-
-# Replica-scaling run: sweeps 1/2/4 in-process replicas over one shared
-# result store (fresh compute cache and store per round) and pins the
-# replicas × throughput × p99 table — plus the singleflight-collapse
-# demonstration (16 identical mesh-n=255 requests → 1 solve) — to
-# BENCH_REPLICAS_OUT.
-BENCH_REPLICAS_OUT ?= BENCH_6.json
-bench-replicas:
-	$(GO) run ./cmd/nanoreprod -loadgen -replica-bench 1,2,4 -requests 200 -concurrency 16 -bench-out $(BENCH_REPLICAS_OUT)
 
 build:
 	$(GO) build ./...

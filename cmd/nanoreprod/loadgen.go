@@ -3,13 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,35 +15,28 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nanometer/internal/powergrid"
 	"nanometer/internal/repro"
 	"nanometer/internal/scenario"
 	"nanometer/internal/serve"
-	"nanometer/internal/store"
 )
 
 // runLoadgen fires a concurrent artifact-request mix at a daemon and
 // prints a throughput/latency/cache summary — the serving-layer companion
 // to cmd/benchjson's solver numbers in `make bench`. With no -base it
-// starts its own in-process replicas first (one by default, -replicas R
-// for a multi-replica run over one shared store), so a single command
-// measures the full stack cold-to-warm. -replica-bench sweeps replica
-// counts and pins the scaling curve to -bench-out.
+// starts its own in-process daemon first, so a single command measures
+// the full stack cold-to-warm.
 func runLoadgen() error {
-	if *replicaBench != "" {
-		return runReplicaBench()
-	}
 	every, scnBody, err := loadgenScenarioMix()
 	if err != nil {
 		return err
 	}
-	bases, shutdown, err := loadgenBases(*replicas)
+	baseURL, shutdown, err := loadgenBase()
 	if err != nil {
 		return err
 	}
 	defer shutdown()
 
-	sum := fire(bases, fireConfig{
+	sum := fire(baseURL, fireConfig{
 		requests:      *requests,
 		workers:       *concurrency,
 		targets:       loadgenTargets(),
@@ -54,8 +45,8 @@ func runLoadgen() error {
 		scenarioEvery: every,
 		scenarioBody:  scnBody,
 	})
-	fmt.Printf("loadgen: %d requests (%d targets × format=%s), %d replicas, %d clients, %d errors\n",
-		sum.requests, len(loadgenTargets()), *lgFormat, len(bases), *concurrency, len(sum.failed))
+	fmt.Printf("loadgen: %d requests (%d targets × format=%s), %d clients, %d errors\n",
+		sum.requests, len(loadgenTargets()), *lgFormat, *concurrency, len(sum.failed))
 	if sum.scenarioPosts > 0 {
 		fmt.Printf("loadgen: %d of those were scenario posts (every %d-th request → POST /api/v1/scenarios)\n",
 			sum.scenarioPosts, every)
@@ -74,15 +65,13 @@ func runLoadgen() error {
 			pct(sum.failed, 50), pct(sum.failed, 99), sum.failed[len(sum.failed)-1])
 	}
 	// The server-side view: cache/store effectiveness, singleflight
-	// collapse, peer traffic, solver work, and admission pressure.
+	// collapse, solver work, and admission pressure.
 	client := &http.Client{Timeout: *timeout + 5*time.Second}
-	for _, b := range bases {
-		if err := printMetrics(client, b,
-			"nanoreprod_cache_", "nanoreprod_store_", "nanoreprod_singleflight_",
-			"nanoreprod_peer_", "nanoreprod_mesh_solves_total", "nanoreprod_scenario_",
-			"nanoreprod_gate_rejections_total", "nanoreprod_request_timeouts_total"); err != nil {
-			return fmt.Errorf("scraping %s/metrics: %w", b, err)
-		}
+	if err := printMetrics(client, baseURL,
+		"nanoreprod_cache_", "nanoreprod_store_", "nanoreprod_singleflight_",
+		"nanoreprod_mesh_solves_total", "nanoreprod_scenario_",
+		"nanoreprod_gate_rejections_total", "nanoreprod_request_timeouts_total"); err != nil {
+		return fmt.Errorf("scraping %s/metrics: %w", baseURL, err)
 	}
 	return nil
 }
@@ -117,14 +106,20 @@ func loadgenScenarioMix() (every int, body []byte, err error) {
 	return every, body, nil
 }
 
-// loadgenTargets resolves -targets (empty = the whole registry).
-func loadgenTargets() []string {
-	var clean []string
-	for _, id := range strings.Split(*targets, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			clean = append(clean, id)
+// splitList parses a comma-separated flag into its non-empty elements.
+func splitList(v string) []string {
+	var out []string
+	for _, p := range strings.Split(v, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
 		}
 	}
+	return out
+}
+
+// loadgenTargets resolves -targets (empty = the whole registry).
+func loadgenTargets() []string {
+	clean := splitList(*targets)
 	if len(clean) == 0 {
 		for _, a := range repro.Artifacts() {
 			clean = append(clean, a.ID)
@@ -133,45 +128,30 @@ func loadgenTargets() []string {
 	return clean
 }
 
-// loadgenBases returns the base URLs to fire at: the -base daemon when
-// given, otherwise n freshly started in-process replicas. Replicas share
-// one result store when -store is set (and, unavoidably, the process-wide
-// compute cache — cross-process cold-start behavior is CI's multi-replica
-// smoke job, not this benchmark's subject).
-func loadgenBases(n int) (bases []string, shutdown func(), err error) {
+// loadgenBase returns the base URL to fire at: the -base daemon when
+// given, otherwise a freshly started in-process daemon (over the -store
+// directory when one is set).
+func loadgenBase() (baseURL string, shutdown func(), err error) {
 	if *base != "" {
-		return []string{strings.TrimRight(*base, "/")}, func() {}, nil
-	}
-	if n < 1 {
-		n = 1
+		return strings.TrimRight(*base, "/"), func() {}, nil
 	}
 	st, err := openStore()
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
-	var srvs []*http.Server
-	shutdown = func() {
-		for _, s := range srvs {
-			s.Close()
-		}
+	s := serve.New(serve.Config{GateUnits: *gate, Timeout: *timeout, Jobs: *jobs, Store: st})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
 	}
-	for i := 0; i < n; i++ {
-		s := serve.New(serve.Config{GateUnits: *gate, Timeout: *timeout, Jobs: *jobs, Store: st})
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			shutdown()
-			return nil, nil, lerr
-		}
-		srv := &http.Server{Handler: s.Handler()}
-		// Serve returns once shutdown() closes the server; the goroutine
-		// cannot outlive the loadgen run.
-		//lint:allow goexit srv.Serve exits when shutdown() closes srv
-		go srv.Serve(ln)
-		srvs = append(srvs, srv)
-		bases = append(bases, "http://"+ln.Addr().String())
-	}
-	fmt.Printf("loadgen: started %d in-process replica(s): %s\n", n, strings.Join(bases, " "))
-	return bases, shutdown, nil
+	srv := &http.Server{Handler: s.Handler()}
+	// Serve returns once shutdown closes the server; the goroutine cannot
+	// outlive the loadgen run.
+	//lint:allow goexit srv.Serve exits when shutdown closes srv
+	go srv.Serve(ln)
+	baseURL = "http://" + ln.Addr().String()
+	fmt.Printf("loadgen: started an in-process daemon: %s\n", baseURL)
+	return baseURL, func() { srv.Close() }, nil
 }
 
 // fireConfig parameterizes one load round.
@@ -198,9 +178,9 @@ type fireSummary struct {
 	scenarioPosts int
 }
 
-// fire runs the request mix, spreading request i over bases[i%len] and
+// fire runs the request mix against baseURL, cycling request i over
 // targets[i%len].
-func fire(bases []string, cfg fireConfig) fireSummary {
+func fire(baseURL string, cfg fireConfig) fireSummary {
 	n := cfg.requests
 	if n < 1 {
 		n = 1
@@ -232,13 +212,12 @@ func fire(bases []string, cfg fireConfig) fireSummary {
 					break
 				}
 				id := cfg.targets[i%int64(len(cfg.targets))]
-				base := bases[i%int64(len(bases))]
 				var url string
 				scn := cfg.scenarioEvery > 0 && i%int64(cfg.scenarioEvery) == 0
 				if scn {
-					url = fmt.Sprintf("%s/api/v1/scenarios?only=%s", base, id)
+					url = fmt.Sprintf("%s/api/v1/scenarios?only=%s", baseURL, id)
 				} else {
-					url = fmt.Sprintf("%s/api/v1/artifacts/%s?format=%s", base, id, cfg.format)
+					url = fmt.Sprintf("%s/api/v1/artifacts/%s?format=%s", baseURL, id, cfg.format)
 				}
 				if cfg.meshN > 0 {
 					url += "&mesh-n=" + strconv.Itoa(cfg.meshN)
@@ -295,228 +274,6 @@ func pct(sorted []time.Duration, p int) time.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx].Round(10 * time.Microsecond)
-}
-
-// benchRow is one replica-scaling measurement in BENCH_6.json.
-type benchRow struct {
-	Replicas           int     `json:"replicas"`
-	Requests           int     `json:"requests"`
-	Errors             int     `json:"errors"`
-	ThroughputRPS      float64 `json:"throughput_rps"`
-	P50Ms              float64 `json:"p50_ms"`
-	P99Ms              float64 `json:"p99_ms"`
-	SingleflightShared float64 `json:"singleflight_shared"`
-	StoreHits          uint64  `json:"store_hits"`
-	MeshSolves         uint64  `json:"mesh_solves"`
-}
-
-// collapseRow pins the K-identical-requests acceptance demo: K concurrent
-// requests for one heavy key must run exactly one solve, with the other
-// K−1 collapsed onto it.
-type collapseRow struct {
-	K                  int     `json:"k"`
-	Target             string  `json:"target"`
-	MeshN              int     `json:"mesh_n"`
-	MeshSolves         uint64  `json:"mesh_solves"`
-	SingleflightShared float64 `json:"singleflight_shared"`
-	Errors             int     `json:"errors"`
-}
-
-// runReplicaBench sweeps -replica-bench replica counts over one scenario
-// per round (fresh compute cache, fresh store directory each round, so
-// rounds are comparable) and writes the scaling table plus the
-// singleflight-collapse demonstration to -bench-out.
-func runReplicaBench() error {
-	var counts []int
-	for _, p := range strings.Split(*replicaBench, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		r, err := strconv.Atoi(p)
-		if err != nil || r < 1 {
-			return fmt.Errorf("loadgen: bad -replica-bench element %q", p)
-		}
-		counts = append(counts, r)
-	}
-	if len(counts) == 0 {
-		return fmt.Errorf("loadgen: -replica-bench is empty")
-	}
-	client := &http.Client{Timeout: *timeout + 5*time.Second}
-
-	var rows []benchRow
-	for _, r := range counts {
-		repro.ResetCache()
-		dir, err := os.MkdirTemp("", "nanostore-bench-")
-		if err != nil {
-			return err
-		}
-		st, err := store.Open(store.Config{Dir: dir})
-		if err != nil {
-			return err
-		}
-		repro.SetResultStore(st)
-		cacheBefore := repro.ReadCacheStats()
-		solvesBefore := powergrid.ReadSolveStats().Solves
-
-		bases, shutdown, err := startReplicas(r, st)
-		if err != nil {
-			return err
-		}
-		sum := fire(bases, fireConfig{
-			requests: *requests,
-			workers:  *concurrency,
-			targets:  loadgenTargets(),
-			format:   *lgFormat,
-			meshN:    *lgMeshN,
-		})
-		shared := 0.0
-		for _, b := range bases {
-			v, serr := scrapeMetric(client, b, "nanoreprod_singleflight_shared_total")
-			if serr != nil {
-				shutdown()
-				os.RemoveAll(dir)
-				return serr
-			}
-			shared += v
-		}
-		shutdown()
-		cacheAfter := repro.ReadCacheStats()
-		row := benchRow{
-			Replicas:           r,
-			Requests:           sum.requests,
-			Errors:             len(sum.failed),
-			ThroughputRPS:      round2(float64(len(sum.ok)) / sum.elapsed.Seconds()),
-			P50Ms:              round2(pct(sum.ok, 50).Seconds() * 1000),
-			P99Ms:              round2(pct(sum.ok, 99).Seconds() * 1000),
-			SingleflightShared: shared,
-			StoreHits:          cacheAfter.StoreHits - cacheBefore.StoreHits,
-			MeshSolves:         powergrid.ReadSolveStats().Solves - solvesBefore,
-		}
-		rows = append(rows, row)
-		fmt.Printf("loadgen: replicas=%d %.1f req/s p50=%.2fms p99=%.2fms errors=%d shared=%.0f store_hits=%d solves=%d\n",
-			row.Replicas, row.ThroughputRPS, row.P50Ms, row.P99Ms, row.Errors,
-			row.SingleflightShared, row.StoreHits, row.MeshSolves)
-		os.RemoveAll(dir)
-	}
-	repro.SetResultStore(nil)
-
-	collapse, err := runCollapseDemo(client)
-	if err != nil {
-		return err
-	}
-
-	doc := struct {
-		GeneratedAt string        `json:"generated_at"`
-		GoVersion   string        `json:"go_version"`
-		GOMAXPROCS  int           `json:"gomaxprocs"`
-		Requests    int           `json:"requests"`
-		Concurrency int           `json:"concurrency"`
-		Format      string        `json:"format"`
-		Targets     string        `json:"targets"`
-		Rows        []benchRow    `json:"rows"`
-		Collapse    []collapseRow `json:"singleflight_collapse"`
-	}{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Requests:    *requests,
-		Concurrency: *concurrency,
-		Format:      *lgFormat,
-		Targets:     strings.Join(loadgenTargets(), ","),
-		Rows:        rows,
-		Collapse:    collapse,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(*benchOut, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("loadgen: wrote %s (%d replica rows)\n", *benchOut, len(rows))
-	return nil
-}
-
-// runCollapseDemo fires K=16 identical mesh-n=255 requests at one fresh
-// replica: the acceptance demonstration that duplicates collapse onto one
-// leader (one mesh-solve run, K−1 shared).
-func runCollapseDemo(client *http.Client) ([]collapseRow, error) {
-	const k, meshN, target = 16, 255, "c8"
-	repro.ResetCache()
-	solvesBefore := powergrid.ReadSolveStats().Solves
-	bases, shutdown, err := startReplicas(1, nil)
-	if err != nil {
-		return nil, err
-	}
-	sum := fire(bases, fireConfig{requests: k, workers: k, targets: []string{target}, format: "text", meshN: meshN})
-	shared, err := scrapeMetric(client, bases[0], "nanoreprod_singleflight_shared_total")
-	shutdown()
-	if err != nil {
-		return nil, err
-	}
-	row := collapseRow{
-		K:                  k,
-		Target:             target,
-		MeshN:              meshN,
-		MeshSolves:         powergrid.ReadSolveStats().Solves - solvesBefore,
-		SingleflightShared: shared,
-		Errors:             len(sum.failed),
-	}
-	fmt.Printf("loadgen: collapse demo k=%d mesh-n=%d → solves=%d shared=%.0f errors=%d\n",
-		row.K, row.MeshN, row.MeshSolves, row.SingleflightShared, row.Errors)
-	repro.ResetCache()
-	return []collapseRow{row}, nil
-}
-
-// startReplicas boots n in-process replicas over one (optional) store.
-func startReplicas(n int, st *store.Store) (bases []string, shutdown func(), err error) {
-	var srvs []*http.Server
-	shutdown = func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	}
-	for i := 0; i < n; i++ {
-		s := serve.New(serve.Config{GateUnits: *gate, Timeout: *timeout, Jobs: *jobs, Store: st})
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			shutdown()
-			return nil, nil, lerr
-		}
-		srv := &http.Server{Handler: s.Handler()}
-		// Serve returns once shutdown() closes the server; the goroutine
-		// cannot outlive the loadgen run.
-		//lint:allow goexit srv.Serve exits when shutdown() closes srv
-		go srv.Serve(ln)
-		srvs = append(srvs, srv)
-		bases = append(bases, "http://"+ln.Addr().String())
-	}
-	return bases, shutdown, nil
-}
-
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-// scrapeMetric reads one plain (label-free) sample value off /metrics.
-func scrapeMetric(client *http.Client, baseURL, name string) (float64, error) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name+" ") {
-			continue
-		}
-		return strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 64)
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("metric %s not found on %s", name, baseURL)
 }
 
 // printMetrics scrapes the daemon and echoes the sample lines matching any

@@ -49,7 +49,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -65,10 +64,7 @@ var (
 	drain   = flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
 	traceWk = flag.Int("trace-workers", 0, "concurrently running trace-simulation jobs (0 = 2)")
 
-	storeDir    = flag.String("store", "", "directory for the disk-backed result store (empty = memory-only; share it between replicas to warm each other)")
-	peers       = flag.String("peers", "", "comma-separated replica member list (host:port each) for shared-compute mode; keys are rendezvous-hashed to an owner consulted before solving locally")
-	self        = flag.String("self", "", "this replica's own entry in -peers (default: the -addr value)")
-	peerTimeout = flag.Duration("peer-timeout", 0, "per-peer-fetch budget (0 = 2s); any peer failure falls through to a local solve")
+	storeDir = flag.String("store", "", "directory for the disk-backed result store (empty = memory-only; share it between replicas to warm each other)")
 
 	loadgen      = flag.Bool("loadgen", false, "run as a load generator instead of a server")
 	base         = flag.String("base", "", "loadgen: base URL of a running daemon (empty = start one in-process)")
@@ -79,9 +75,6 @@ var (
 	lgMeshN      = flag.Int("mesh-n", 0, "loadgen: mesh-n query parameter (0 = omit)")
 	scenarioMix  = flag.Float64("scenario-mix", 0, "loadgen: fraction of requests that POST a scenario to /api/v1/scenarios instead of GETting an artifact (0 = none)")
 	scenarioFile = flag.String("scenario-file", "", "loadgen: scenario JSON to post for the -scenario-mix fraction (empty = a built-in 3-step Vdd sweep)")
-	replicas     = flag.Int("replicas", 1, "loadgen: in-process replicas to spread requests over (shared store when -store is set)")
-	replicaBench = flag.String("replica-bench", "", "loadgen: comma-separated replica counts to sweep (e.g. 1,2,4); writes rows to -bench-out")
-	benchOut     = flag.String("bench-out", "BENCH_6.json", "loadgen: output file for -replica-bench")
 )
 
 func main() {
@@ -99,17 +92,6 @@ func main() {
 	}
 }
 
-// splitList parses a comma-separated flag into its non-empty elements.
-func splitList(v string) []string {
-	var out []string
-	for _, p := range strings.Split(v, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // openStore opens the -store directory when one is configured.
 func openStore() (*store.Store, error) {
 	if *storeDir == "" {
@@ -124,19 +106,12 @@ func runServer() error {
 	if err != nil {
 		return err
 	}
-	selfAddr := *self
-	if selfAddr == "" {
-		selfAddr = *addr
-	}
 	s := serve.New(serve.Config{
-		GateUnits:   *gate,
-		Timeout:     *timeout,
-		Jobs:        *jobs,
-		Store:       st,
-		Peers:       splitList(*peers),
-		Self:        selfAddr,
-		PeerTimeout: *peerTimeout,
-		JobWorkers:  *traceWk,
+		GateUnits:  *gate,
+		Timeout:    *timeout,
+		Jobs:       *jobs,
+		Store:      st,
+		JobWorkers: *traceWk,
 	})
 	srv := &http.Server{
 		Addr:              *addr,
@@ -147,8 +122,8 @@ func runServer() error {
 	if err != nil {
 		return err
 	}
-	logger.Printf("serving on http://%s (gate=%d units, timeout=%s, store=%q, peers=%d)",
-		ln.Addr(), *gate, *timeout, *storeDir, len(splitList(*peers)))
+	logger.Printf("serving on http://%s (gate=%d units, timeout=%s, store=%q)",
+		ln.Addr(), *gate, *timeout, *storeDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

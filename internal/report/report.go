@@ -21,22 +21,6 @@ type Table struct {
 // AddRow appends a row of formatted cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row by applying each format to its value.
-func (t *Table) AddRowf(values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case string:
-			cells[i] = x
-		case float64:
-			cells[i] = fmt.Sprintf("%.4g", x)
-		default:
-			cells[i] = fmt.Sprint(x)
-		}
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
@@ -241,36 +225,4 @@ func (f *Figure) bounds() (xmin, xmax, ymin, ymax float64) {
 		}
 	}
 	return
-}
-
-// WriteMarkdown renders the table as GitHub-flavored Markdown, for pasting
-// experiment results into EXPERIMENTS.md-style documents.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	row := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteString("\n")
-	}
-	row(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	row(sep)
-	for _, r := range t.Rows {
-		row(r)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*%s*\n", n)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

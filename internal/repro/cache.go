@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"errors"
 	"hash/fnv"
 	"io"
 	"strconv"
@@ -73,13 +72,6 @@ func ReadCacheStats() CacheStats {
 	}
 }
 
-// ErrUncomputed is returned by ComputeCached for CacheOnly options when the
-// result is in neither the in-memory cache nor the result store. It means
-// "answering would require running the models", never that the artifact is
-// broken — callers (the peer-forwarding layer) react by computing somewhere
-// else or dropping CacheOnly.
-var ErrUncomputed = errors.New("repro: result not cached")
-
 // ResultStore is the optional second-level result cache behind the
 // in-memory once-cells: a disk-backed (and typically replica-shared)
 // mapping of compute key → result. Get returns a previously stored result
@@ -127,8 +119,7 @@ type computeCell struct {
 // ComputeCached returns the artifact's typed result, computing it at most
 // once per process for a given compute-options hash. Results are shared and
 // must be treated as immutable by callers. opts.NoCache bypasses the cache
-// entirely; opts.CacheOnly never computes (memory or store hit, else
-// ErrUncomputed).
+// entirely.
 //
 // A failed compute is NOT memoized: the dead cell is evicted (and the
 // entry count released) as soon as the failure is observed, so concurrent
@@ -137,7 +128,7 @@ type computeCell struct {
 // from poisoning the key forever, and it is why the result store can trust
 // that only successful results ever reach Put.
 func (a Artifact) ComputeCached(opts Options) (*result.Result, error) {
-	if opts.NoCache && !opts.CacheOnly {
+	if opts.NoCache {
 		cacheBypassed.Add(1)
 		return a.compute(opts)
 	}
@@ -145,9 +136,6 @@ func (a Artifact) ComputeCached(opts Options) (*result.Result, error) {
 	key := a.ID + "\x00" + opts.computeKey()
 	e, ok := st.m.Load(key)
 	if !ok {
-		if opts.CacheOnly {
-			return a.cacheOnlyFill(st, key, opts)
-		}
 		// Admit a new entry only under the bound. The check-then-store is
 		// approximate under contention (a burst of distinct keys can
 		// overshoot by the number of racing goroutines), which is fine:
@@ -207,31 +195,6 @@ func (a Artifact) fill(opts Options) (*result.Result, error) {
 	return res, nil
 }
 
-// cacheOnlyFill answers a CacheOnly miss of the in-memory map: a store hit
-// is installed as a regular cell (so later calls are memory hits) and
-// returned; a store miss is ErrUncomputed. It never runs the models.
-func (a Artifact) cacheOnlyFill(st *cacheState, key string, opts Options) (*result.Result, error) {
-	res, found := a.storeGet(opts)
-	if !found {
-		return nil, ErrUncomputed
-	}
-	if st.n.Load() < MaxCacheEntries {
-		e, loaded := st.m.LoadOrStore(key, &computeCell{})
-		if !loaded {
-			st.n.Add(1)
-		}
-		cell := e.(*computeCell)
-		cell.once.Do(func() { cell.res, cell.err = res, nil })
-		// A racing compute may own the cell; share its result if it
-		// succeeded, otherwise fall back to the copy the store just gave
-		// us (the racer's eviction logic owns the dead cell).
-		if cell.err == nil {
-			return cell.res, nil
-		}
-	}
-	return res, nil
-}
-
 func (a Artifact) storeGet(opts Options) (*result.Result, bool) {
 	s := loadResultStore()
 	if s == nil {
@@ -255,19 +218,19 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 }
 
 // computeKey hashes the options that reach the models. CSVDir, Plot,
-// Verbose, NoCache, and CacheOnly only affect encoding (or cache policy)
-// and are deliberately excluded, so every encoding of one artifact shares
-// a single cache entry. Any compute-side option (today: MeshN and
+// Verbose, and NoCache only affect encoding (or cache policy) and are
+// deliberately excluded, so every encoding of one artifact shares a
+// single cache entry. Any compute-side option (today: MeshN and
 // Scenario) must be written into this hash or the cache will serve stale
 // results — TestComputeKeyCoversOptions enforces the classification by
 // reflection, so adding a field to Options without teaching it to that
 // test fails the suite.
 //
 // The nil scenario contributes nothing, so every pre-scenario cache key —
-// and with it every ETag, result-store file, and peer-ownership hash — is
-// unchanged. A non-nil scenario folds in the digest of its full canonical
-// content: two scenarios differing in any override get distinct keys, and
-// the same scenario document hashes identically across replicas.
+// and with it every ETag and result-store file — is unchanged. A non-nil
+// scenario folds in the digest of its full canonical content: two
+// scenarios differing in any override get distinct keys, and the same
+// scenario document hashes identically across replicas.
 func (o Options) computeKey() string {
 	h := fnv.New64a()
 	io.WriteString(h, "compute-v1")
@@ -283,8 +246,8 @@ func (o Options) computeKey() string {
 // CacheKey exposes the compute-options hash. The serving layer folds it
 // into strong ETags: two requests whose options hash equal are guaranteed
 // the same cache entry, hence byte-identical artifact data. The result
-// store files and the peer-ownership hash use the same key, which is what
-// makes "equal ETag ⇒ equal bytes" hold across replicas too.
+// files use the same key, which is what makes "equal ETag ⇒ equal bytes"
+// hold across replicas sharing a store too.
 func (o Options) CacheKey() string { return o.computeKey() }
 
 // ResetCache atomically drops every memoized result. Safe to call while

@@ -179,46 +179,3 @@ func TestStoreLayering(t *testing.T) {
 		t.Fatal("NoCache compute must not write the store")
 	}
 }
-
-// TestCacheOnly: CacheOnly never runs the models — a cold key answers
-// ErrUncomputed, a store-warm key answers from the store and installs the
-// memory cell so the next plain call is a memory hit.
-func TestCacheOnly(t *testing.T) {
-	ResetCache()
-	ms := newMemStore()
-	SetResultStore(ms)
-	defer SetResultStore(nil)
-	defer ResetCache()
-
-	var computes atomic.Int64
-	a := flaky("cacheonly", 0, &computes)
-	if _, err := a.ComputeCached(Options{CacheOnly: true}); !errors.Is(err, ErrUncomputed) {
-		t.Fatalf("cold CacheOnly err = %v, want ErrUncomputed", err)
-	}
-	if computes.Load() != 0 {
-		t.Fatal("CacheOnly ran the models")
-	}
-	if got := ReadCacheStats().Entries; got != 0 {
-		t.Fatalf("CacheOnly miss created %d cache entries", got)
-	}
-	// Warm the store (via a real compute), simulate a restart, and probe.
-	if _, err := a.ComputeCached(Options{}); err != nil {
-		t.Fatal(err)
-	}
-	ResetCache()
-	r1, err := a.ComputeCached(Options{CacheOnly: true})
-	if err != nil {
-		t.Fatalf("store-warm CacheOnly: %v", err)
-	}
-	if computes.Load() != 1 {
-		t.Fatal("store-warm CacheOnly ran the models")
-	}
-	// The probe installed the cell: the next plain call is a memory hit.
-	r2, err := a.ComputeCached(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("CacheOnly store hit was not installed as a memory cell")
-	}
-}

@@ -16,10 +16,9 @@ var (
 		"Scenario": true,
 	}
 	encodeOnlyFields = map[string]bool{
-		"CSVDir":    true,
-		"Plot":      true,
-		"Verbose":   true,
-		"NoCache":   true,
-		"CacheOnly": true,
+		"CSVDir":  true,
+		"Plot":    true,
+		"Verbose": true,
+		"NoCache": true,
 	}
 )

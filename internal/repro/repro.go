@@ -41,13 +41,6 @@ type Options struct {
 	// NoCache bypasses the process-wide result cache, forcing every
 	// render to recompute (benchmarks, freshness-critical callers).
 	NoCache bool
-	// CacheOnly makes ComputeCached answer from the in-memory cache or
-	// the result store only, returning ErrUncomputed instead of running
-	// the models. The serving layer's peer mode probes with this before
-	// deciding whether to forward a request to the key's owner replica.
-	// A cache-policy toggle like NoCache: it never reaches the models and
-	// must stay out of the compute key.
-	CacheOnly bool
 	// MeshN overrides the n×n power-grid validation mesh of the C8
 	// artifact (0 = the experiments default, 41). A compute-side option:
 	// it reaches the models, so it participates in the cache key. Callers
@@ -58,7 +51,7 @@ type Options struct {
 	// the base ITRS-2000 table and reproduces the seed output byte for
 	// byte. A compute-side option: every artifact's numbers depend on the
 	// roadmap, so the scenario's content digest participates in the cache
-	// key (and through it the ETags, result store, and peer ownership).
+	// key (and through it the ETags and the result store).
 	// Scenarios from untrusted input must come through scenario.Parse,
 	// which validates; a sweep-bearing scenario should be expanded with
 	// Variants() before it reaches Options.

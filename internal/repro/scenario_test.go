@@ -10,9 +10,8 @@ import (
 
 // TestScenarioComputeKeys pins the cache-key contract of the scenario
 // engine: the nil scenario hashes exactly as the pre-scenario engine did
-// (so every ETag, store file, and peer-ownership hash survives the
-// refactor), and any content difference — not just a name difference —
-// separates keys.
+// (so every ETag and store file survives the refactor), and any content
+// difference — not just a name difference — separates keys.
 func TestScenarioComputeKeys(t *testing.T) {
 	base := Options{}.computeKey()
 	a := Options{Scenario: scenario.MustParse(`{"name":"a","nodes":[{"node_nm":70,"vdd_v":1.0}]}`)}

@@ -25,10 +25,9 @@ import (
 // just leaves a variant to the solo path where it can surface attributably.
 //
 // No-ops unless there are ≥ 2 variants and the selection includes c8 (the
-// only artifact whose compute is mesh-bound). CacheOnly options never reach
-// the models, so they never prime.
+// only artifact whose compute is mesh-bound).
 func PrimeVariants(arts []Artifact, opts Options, variants []*scenario.Scenario) {
-	if len(variants) < 2 || opts.CacheOnly {
+	if len(variants) < 2 {
 		return
 	}
 	var heavy *Artifact
@@ -66,9 +65,9 @@ func PrimeVariants(arts []Artifact, opts Options, variants []*scenario.Scenario)
 
 // cachedInMemory reports whether a cell for this artifact + options already
 // exists in the in-memory cache (computed OR in flight — either way the
-// variant's compute will not solve). Deliberately NOT ComputeCached with
-// CacheOnly: that counts a cache hit, and priming must not distort the
-// hit/miss telemetry the smokes assert exactly. The second-level result
+// variant's compute will not solve). Deliberately NOT ComputeCached: that
+// counts a hit or a miss, and priming must not distort the hit/miss
+// telemetry the smokes assert exactly. The second-level result
 // store is deliberately not probed — a store-warmed variant wastes its
 // batch slot, which costs a little shared work, not correctness.
 func (a Artifact) cachedInMemory(opts Options) bool {

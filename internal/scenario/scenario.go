@@ -351,7 +351,7 @@ func (s *Scenario) Canonical() []byte {
 
 // Key returns a short stable digest of the scenario's full content, used to
 // thread scenario identity through the compute-cache key (and with it the
-// disk store, singleflight, ETags, and peer ownership).
+// disk store, singleflight, and ETags).
 func (s *Scenario) Key() string {
 	h := fnv.New64a()
 	h.Write(s.Canonical())

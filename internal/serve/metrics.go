@@ -26,9 +26,6 @@ type metrics struct {
 	rejected       *obs.Counter    // nanoreprod_gate_rejections_total
 
 	singleflightShared *obs.Counter    // nanoreprod_singleflight_shared_total
-	peerHits           *obs.Counter    // nanoreprod_peer_hits_total
-	peerFallthrough    *obs.Counter    // nanoreprod_peer_fallthrough_total
-	peerServes         *obs.Counter    // nanoreprod_peer_result_requests_total
 	scenarioComputes   *obs.CounterVec // nanoreprod_scenario_computes_total{scenario}
 
 	jobsSubmitted *obs.Counter    // nanoreprod_jobs_submitted_total
@@ -56,12 +53,6 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue) *metrics {
 			"Requests whose admission-gate wait was cut short (timeout or client gone)."),
 		singleflightShared: reg.Counter("nanoreprod_singleflight_shared_total",
 			"Requests collapsed onto another request's in-flight compute (no gate weight acquired)."),
-		peerHits: reg.Counter("nanoreprod_peer_hits_total",
-			"Requests answered with a result fetched from the owning peer replica."),
-		peerFallthrough: reg.Counter("nanoreprod_peer_fallthrough_total",
-			"Peer consultations that failed (down, slow, corrupt) and fell through to a local solve."),
-		peerServes: reg.Counter("nanoreprod_peer_result_requests_total",
-			"Internal result requests served to sibling replicas."),
 		scenarioComputes: reg.CounterVec("nanoreprod_scenario_computes_total",
 			"Scenario-variant computes by base scenario name (sweep suffixes folded into the parent; names past the cardinality cap land in \"other\").", "scenario"),
 		jobsSubmitted: reg.Counter("nanoreprod_jobs_submitted_total",

@@ -83,10 +83,6 @@ type variantLine struct {
 // priced and admitted through the weighted FIFO gate independently — the
 // grid fans onto the compute pool as capacity allows — and results stream
 // back as NDJSON in grid order regardless of completion order.
-//
-// Scenario computes never consult peer replicas: the internal result
-// exchange carries only mesh-n, so a peer could not reconstruct the
-// scenario; the local solve is the base case that is always correct.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	arts := s.order

@@ -67,16 +67,6 @@ type Config struct {
 	// repro.SetResultStore) and exported on /metrics. Replicas sharing a
 	// store directory warm each other through it.
 	Store *store.Store
-	// Peers is the replica member list for shared-compute mode
-	// (host:port each, the full cluster including this replica as the
-	// others address it). Empty disables peer consultation.
-	Peers []string
-	// Self is this replica's own entry in Peers; keys it owns are solved
-	// locally, keys owned by another member are fetched from that peer
-	// (falling through to a local solve on any failure).
-	Self string
-	// PeerTimeout bounds one peer fetch; ≤ 0 selects DefaultPeerTimeout.
-	PeerTimeout time.Duration
 	// JobWorkers bounds concurrently running trace-simulation jobs; ≤ 0
 	// selects 2. Queue depth and retention use the jobs package defaults.
 	JobWorkers int
@@ -89,7 +79,6 @@ type Server struct {
 	order   []repro.Artifact
 	gate    *gate
 	flights *flightGroup
-	peers   *peerSet
 	store   *store.Store
 	jobq    *jobsvc.Queue
 	timeout time.Duration
@@ -138,14 +127,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Store != nil {
 		// The compute cache (and so the store hook) is process-wide;
-		// installing it here keeps single-binary wiring trivial, and
-		// in-process multi-replica setups (loadgen -replicas) pass the
-		// same handle so the install is idempotent.
+		// installing it here keeps single-binary wiring trivial.
 		s.store = cfg.Store
 		repro.SetResultStore(cfg.Store)
-	}
-	if len(cfg.Peers) > 0 {
-		s.peers = newPeerSet(cfg.Self, cfg.Peers, cfg.PeerTimeout)
 	}
 	// The job queue shares the admission gate with one-shot requests: a
 	// running simulation holds weight like a solve does, and a canceled
@@ -188,10 +172,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/stream", s.handleJobStream)
 	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleJobCancel)
-	// The replica-to-replica result exchange: bare typed-result JSON, no
-	// encoding options, and — the loop-prevention invariant — served
-	// strictly from local compute (never re-forwarded to another peer).
-	s.mux.HandleFunc("GET /api/v1/internal/result/{id}", s.handleInternalResult)
 	s.mux.HandleFunc("POST /api/v1/cache/flush", s.handleFlush)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -406,7 +386,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, ok := s.produceResult(w, r, a, opts, true)
+	res, ok := s.produceResult(w, r, a, opts)
 	if !ok {
 		return
 	}
@@ -427,10 +407,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // and either returns its shared result or writes the failure response
 // (503/504/500) itself. The first concurrent request for an (artifact,
 // compute key) pair becomes the leader: it alone acquires gate weight and
-// computes (consulting peers when allowed). Followers wait on the leader's
-// flight under their own deadline without touching the gate — N identical
-// concurrent requests cost one admission, not N.
-func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.Artifact, opts repro.Options, allowPeers bool) (*result.Result, bool) {
+// computes (memory cache, then the shared store, then the models).
+// Followers wait on the leader's flight under their own deadline without
+// touching the gate — N identical concurrent requests cost one admission,
+// not N.
+func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.Artifact, opts repro.Options) (*result.Result, bool) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 	key := a.ID + "\x00" + opts.CacheKey()
@@ -475,7 +456,7 @@ func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.A
 	go func() {
 		defer release()
 		start := time.Now()
-		res, err := s.computeArtifact(ctx, a, opts, allowPeers)
+		res, err := a.ComputeCached(opts)
 		s.met.computeSeconds.With(artifactLabel(a)).Add(time.Since(start).Seconds())
 		s.flights.finish(key, f, res, err, false)
 		ch <- outcome{res, err}
@@ -489,70 +470,6 @@ func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.A
 		return nil, false
 	}
 	return out.res, true
-}
-
-// computeArtifact is the leader's compute: local caches (memory, then the
-// shared store) answer first; a key owned by a remote peer is fetched from
-// that peer; anything else — including every flavor of peer failure —
-// solves locally. The local solve is the always-available base case, so
-// peer mode can only add capacity, never subtract availability.
-func (s *Server) computeArtifact(ctx context.Context, a repro.Artifact, opts repro.Options, allowPeers bool) (*result.Result, error) {
-	if s.peers != nil && allowPeers {
-		probe := opts
-		probe.CacheOnly = true
-		if res, err := a.ComputeCached(probe); err == nil {
-			return res, nil
-		}
-		if owner, remote := s.peers.owner(a.ID + "\x00" + opts.CacheKey()); remote {
-			res, err := s.peers.fetch(ctx, owner, a.ID, opts)
-			if err == nil {
-				s.met.peerHits.Inc()
-				return res, nil
-			}
-			s.met.peerFallthrough.Inc()
-		}
-	}
-	return a.ComputeCached(opts)
-}
-
-// handleInternalResult serves one artifact's bare typed result as JSON for
-// a sibling replica. It reuses the full admission + singleflight machinery
-// but never consults peers itself (allowPeers=false): a forwarded request
-// terminates here, so peer topologies cannot loop no matter how the member
-// lists disagree.
-func (s *Server) handleInternalResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	a, ok := s.byID[id]
-	if !ok {
-		apiError(w, http.StatusNotFound, "unknown artifact %q", id)
-		return
-	}
-	s.met.peerServes.Inc()
-	var opts repro.Options
-	if v := r.URL.Query().Get("mesh-n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "mesh-n %q is not an integer", v)
-			return
-		}
-		if err := repro.ValidateMeshN(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		opts.MeshN = n
-	}
-	res, ok := s.produceResult(w, r, a, opts, false)
-	if !ok {
-		return
-	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
 }
 
 // handleReport serves the full run — the exact bytes `nanorepro

@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,204 +188,5 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	}
 	if st.Stats().Hits == 0 {
 		t.Fatal("retry did not read the store")
-	}
-}
-
-// TestPeerFallThroughWhenPeerDown: a dead peer never fails a request — the
-// fetch times out / refuses, the fall-through counter moves, and the local
-// solve answers 200.
-func TestPeerFallThroughWhenPeerDown(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	var computes atomic.Int64
-	arts := []repro.Artifact{counting("peerless", &computes, 0, nil)}
-	// 127.0.0.1:1 is essentially never listening; self is not in the member
-	// list, so every key is remote-owned and the peer path always fires.
-	s := New(Config{
-		Artifacts:   arts,
-		Peers:       []string{"127.0.0.1:1"},
-		Self:        "self:0",
-		PeerTimeout: 200 * time.Millisecond,
-	})
-	rec := get(t, s.Handler(), "/api/v1/artifacts/peerless", nil)
-	if rec.Code != 200 {
-		t.Fatalf("request with dead peer = %d, want 200", rec.Code)
-	}
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("local solve ran %d times, want 1", n)
-	}
-	if got := s.met.peerFallthrough.Value(); got != 1 {
-		t.Errorf("peer fall-through count = %v, want 1", got)
-	}
-	if got := s.met.peerHits.Value(); got != 0 {
-		t.Errorf("peer hit count = %v, want 0", got)
-	}
-}
-
-// TestPeerFetchServesRemoteResult: a key owned by a live peer is answered
-// from that peer — the local solver never runs (it would fail loudly here).
-func TestPeerFetchServesRemoteResult(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	remote := &result.Result{ID: "remoteonly", Title: "remote only"}
-	remote.AddTable(&result.Table{Title: "from-peer", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/api/v1/internal/result/remoteonly" {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(remote)
-	}))
-	defer peer.Close()
-	peerAddr := strings.TrimPrefix(peer.URL, "http://")
-
-	arts := []repro.Artifact{{ID: "remoteonly", Title: "remote only", Compute: func(repro.Options) (*result.Result, error) {
-		return nil, errors.New("must not solve locally")
-	}}}
-	s := New(Config{Artifacts: arts, Peers: []string{peerAddr}, Self: "self:0"})
-	rec := get(t, s.Handler(), "/api/v1/artifacts/remoteonly", nil)
-	if rec.Code != 200 {
-		t.Fatalf("peer-owned request = %d, want 200 (body: %s)", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "from-peer") {
-		t.Fatal("response body is not the peer's result")
-	}
-	if got := s.met.peerHits.Value(); got != 1 {
-		t.Errorf("peer hit count = %v, want 1", got)
-	}
-}
-
-// TestPeerRejectsWrongResult: a peer answering with the wrong artifact's
-// result (or garbage) is a fall-through, not a served lie.
-func TestPeerRejectsWrongResult(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	wrong := &result.Result{ID: "somethingelse", Title: "wrong"}
-	wrong.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(wrong)
-	}))
-	defer peer.Close()
-
-	var computes atomic.Int64
-	arts := []repro.Artifact{counting("verified", &computes, 0, nil)}
-	s := New(Config{Artifacts: arts, Peers: []string{strings.TrimPrefix(peer.URL, "http://")}, Self: "self:0"})
-	rec := get(t, s.Handler(), "/api/v1/artifacts/verified", nil)
-	if rec.Code != 200 {
-		t.Fatalf("request = %d, want 200", rec.Code)
-	}
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("local solve ran %d times, want 1 (bad peer result must fall through)", n)
-	}
-	if got := s.met.peerFallthrough.Value(); got != 1 {
-		t.Errorf("fall-through count = %v, want 1", got)
-	}
-}
-
-// TestPeerRejectsSkewedResult: a peer answering with otherwise-valid JSON
-// from a newer schema (an unknown field) or with trailing bytes is a
-// fall-through, not a silent partial decode — peer exchange is strict in
-// both directions so version skew across replicas surfaces loudly.
-func TestPeerRejectsSkewedResult(t *testing.T) {
-	for name, mangle := range map[string]func([]byte) []byte{
-		"unknown-field": func(b []byte) []byte {
-			return append([]byte(`{"future_field":1,`), b[1:]...)
-		},
-		"trailing-data": func(b []byte) []byte {
-			return append(b, []byte("{}")...)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			repro.ResetCache()
-			defer repro.ResetCache()
-			var computes atomic.Int64
-			arts := []repro.Artifact{counting("skewed", &computes, 0, nil)}
-			good := &result.Result{ID: "skewed", Title: "count 1"}
-			good.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
-			body, err := json.Marshal(good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-				w.Write(mangle(body))
-			}))
-			defer peer.Close()
-
-			s := New(Config{Artifacts: arts, Peers: []string{strings.TrimPrefix(peer.URL, "http://")}, Self: "self:0"})
-			rec := get(t, s.Handler(), "/api/v1/artifacts/skewed", nil)
-			if rec.Code != 200 {
-				t.Fatalf("request = %d, want 200", rec.Code)
-			}
-			if n := computes.Load(); n != 1 {
-				t.Fatalf("local solve ran %d times, want 1 (skewed peer result must fall through)", n)
-			}
-			if got := s.met.peerFallthrough.Value(); got != 1 {
-				t.Errorf("fall-through count = %v, want 1", got)
-			}
-		})
-	}
-}
-
-// TestInternalResultEndpoint: the replica-to-replica endpoint serves bare
-// typed-result JSON that a sibling can validate, and rejects bad mesh-n.
-func TestInternalResultEndpoint(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	h := New(Config{}).Handler()
-	rec := get(t, h, "/api/v1/internal/result/t2", nil)
-	if rec.Code != 200 {
-		t.Fatalf("internal result = %d", rec.Code)
-	}
-	var res result.Result
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "t2" {
-		t.Fatalf("internal result ID = %q", res.ID)
-	}
-	if rec := get(t, h, "/api/v1/internal/result/t2?mesh-n=4", nil); rec.Code != 400 {
-		t.Fatalf("bad mesh-n = %d, want 400", rec.Code)
-	}
-	if rec := get(t, h, "/api/v1/internal/result/zz", nil); rec.Code != 404 {
-		t.Fatalf("unknown artifact = %d, want 404", rec.Code)
-	}
-}
-
-// TestRendezvousOwnerStability: the owner assignment is deterministic,
-// spread across members, and only the removed member's keys remap when the
-// member list shrinks.
-func TestRendezvousOwnerStability(t *testing.T) {
-	members := []string{"a:1", "b:1", "c:1"}
-	p3 := newPeerSet("a:1", members, 0)
-	owners := make(map[string]string)
-	byOwner := make(map[string]int)
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("art%02d\x00cafe", i)
-		addr, _ := p3.owner(key)
-		owners[key] = addr
-		byOwner[addr]++
-	}
-	if len(byOwner) != 3 {
-		t.Fatalf("64 keys landed on %d of 3 members", len(byOwner))
-	}
-	// Drop c: keys owned by a or b must keep their owner.
-	p2 := newPeerSet("a:1", members[:2], 0)
-	for key, was := range owners {
-		now, _ := p2.owner(key)
-		if was != "c:1" && now != was {
-			t.Fatalf("key %q remapped %s → %s though its owner survived", key, was, now)
-		}
-		if was == "c:1" && now != "a:1" && now != "b:1" {
-			t.Fatalf("orphaned key %q mapped to %q", key, now)
-		}
-	}
-	// Self-owned keys are not remote.
-	for key, was := range owners {
-		if _, remote := p3.owner(key); remote == (was == "a:1") {
-			t.Fatalf("key %q owned by %s, remote=%v", key, was, remote)
-		}
 	}
 }
