@@ -8,7 +8,7 @@ import (
 	"nanometer/internal/gate"
 	"nanometer/internal/mathx"
 	"nanometer/internal/powergrid"
-	"nanometer/internal/report"
+	"nanometer/internal/result"
 	"nanometer/internal/units"
 )
 
@@ -28,17 +28,17 @@ func Figure1Cases() []Figure1Case {
 // with average wiring load at 85 °C, swept over switching activity. The
 // threshold at each (node, Vdd) point is the Table 2 solution (Ion target
 // met at that supply), as in the paper's §3.1 setup.
-func Figure1(activities []float64) (*report.Figure, error) {
+func Figure1(activities []float64) (*result.Figure, error) {
 	return Figure1In(device.BaseLab(), activities)
 }
 
 // Figure1In is Figure1 against an explicit laboratory.
-func Figure1In(lab *device.Lab, activities []float64) (*report.Figure, error) {
+func Figure1In(lab *device.Lab, activities []float64) (*result.Figure, error) {
 	if len(activities) == 0 {
 		activities = mathx.Logspace(0.005, 0.5, 25)
 	}
 	T := units.CelsiusToKelvin(85)
-	fig := &report.Figure{
+	fig := &result.Figure{
 		Title:  "Figure 1. Pstatic/Pdynamic for an FO4 inverter with average wiring load (85 °C)",
 		XLabel: "switching activity factor",
 		YLabel: "Pstatic / Pdynamic",
@@ -56,7 +56,7 @@ func Figure1In(lab *device.Lab, activities []float64) (*report.Figure, error) {
 			return nil, fmt.Errorf("experiments: figure1 %dnm@%gV: %w", cs.NodeNM, cs.Vdd, err)
 		}
 		g := inv.WithVth(vth)
-		s := &report.Series{Name: fmt.Sprintf("%dnm, Vdd=%.1fV", cs.NodeNM, cs.Vdd)}
+		s := result.Series{Name: fmt.Sprintf("%dnm, Vdd=%.1fV", cs.NodeNM, cs.Vdd)}
 		for _, a := range activities {
 			s.Add(a, g.StaticOverDynamic(a, node.ClockHz, cs.Vdd, T))
 		}
@@ -117,30 +117,30 @@ func Figure2In(lab *device.Lab) ([]Figure2Row, error) {
 }
 
 // Figure2Figure converts the rows to plotting series.
-func Figure2Figure(rows []Figure2Row) *report.Figure {
-	gainS := &report.Series{Name: "Ion increase with 100 mV Vth reduction (%)"}
-	penS := &report.Series{Name: "Ioff increase for +20% Ion (×, log)"}
+func Figure2Figure(rows []Figure2Row) *result.Figure {
+	gainS := result.Series{Name: "Ion increase with 100 mV Vth reduction (%)"}
+	penS := result.Series{Name: "Ioff increase for +20% Ion (×, log)"}
 	for _, r := range rows {
 		gainS.Add(float64(r.NodeNM), r.IonGainPct)
 		penS.Add(float64(r.NodeNM), r.IoffXFor20PctIon)
 	}
-	return &report.Figure{
+	return &result.Figure{
 		Title:  "Figure 2. Dual-Vth scaling: drive gain and leakage penalty vs node",
 		XLabel: "technology node (nm)",
 		YLabel: "see series",
-		Series: []*report.Series{gainS, penS},
+		Series: []result.Series{gainS, penS},
 	}
 }
 
 // Figure3And4 evaluates the Vth-scaling policies at 35 nm across supplies:
 // normalized delay (Figure 3) and Pdynamic/Pstatic at activity 0.1
 // (Figure 4).
-func Figure3And4(vdds []float64) (fig3, fig4 *report.Figure, err error) {
+func Figure3And4(vdds []float64) (fig3, fig4 *result.Figure, err error) {
 	return Figure3And4In(device.BaseLab(), vdds)
 }
 
 // Figure3And4In is Figure3And4 against an explicit laboratory.
-func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *report.Figure, err error) {
+func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *result.Figure, err error) {
 	if len(vdds) == 0 {
 		vdds = mathx.Linspace(0.2, 0.6, 17)
 	}
@@ -149,11 +149,11 @@ func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *report.Figure, 
 	if err != nil {
 		return nil, nil, err
 	}
-	fig3 = &report.Figure{
+	fig3 = &result.Figure{
 		Title:  "Figure 3. Delay vs Vdd under Vth-scaling policies (35 nm, nominal Vdd = 0.6 V)",
 		XLabel: "Vdd (V)", YLabel: "delay (normalized)",
 	}
-	fig4 = &report.Figure{
+	fig4 = &result.Figure{
 		Title:  "Figure 4. Pdynamic/Pstatic vs Vdd (35 nm, switching activity 0.1)",
 		XLabel: "Vdd (V)", YLabel: "Pdynamic / Pstatic", LogY: true,
 	}
@@ -162,8 +162,8 @@ func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *report.Figure, 
 		if err != nil {
 			return nil, nil, err
 		}
-		s3 := &report.Series{Name: p.String()}
-		s4 := &report.Series{Name: p.String()}
+		s3 := result.Series{Name: p.String()}
+		s4 := result.Series{Name: p.String()}
 		for _, op := range ops {
 			s3.Add(op.Vdd, op.DelayNorm)
 			s4.Add(op.Vdd, op.DynOverStatic)
@@ -221,20 +221,20 @@ func Figure5In(lab *device.Lab) ([]Figure5Row, error) {
 }
 
 // Figure5Figure converts the rows to plotting series.
-func Figure5Figure(rows []Figure5Row) *report.Figure {
-	minW := &report.Series{Name: "min bump pitch: rail width / Wmin"}
-	itrsW := &report.Series{Name: "ITRS bump count: rail width / Wmin"}
-	minR := &report.Series{Name: "min pitch: % routing used"}
+func Figure5Figure(rows []Figure5Row) *result.Figure {
+	minW := result.Series{Name: "min bump pitch: rail width / Wmin"}
+	itrsW := result.Series{Name: "ITRS bump count: rail width / Wmin"}
+	minR := result.Series{Name: "min pitch: % routing used"}
 	for _, r := range rows {
 		minW.Add(float64(r.NodeNM), r.MinWidthOverMin)
 		itrsW.Add(float64(r.NodeNM), r.ITRSWidthOverMin)
 		minR.Add(float64(r.NodeNM), r.MinRoutingFraction*100)
 	}
-	return &report.Figure{
+	return &result.Figure{
 		Title:  "Figure 5. IR-drop scaling: required rail width and routing resources",
 		XLabel: "technology node (nm)",
 		YLabel: "rail width / Wmin (log) ; % routing",
 		LogY:   true,
-		Series: []*report.Series{minW, itrsW, minR},
+		Series: []result.Series{minW, itrsW, minR},
 	}
 }

@@ -2,15 +2,31 @@ package experiments
 
 import (
 	"encoding/csv"
+	"io"
 	"strings"
 	"testing"
+
+	"nanometer/internal/render"
+	"nanometer/internal/result"
 )
 
 // The rendering paths cmd/nanorepro relies on: tables carry the paper
 // comparison columns, figures write well-formed CSV.
 
+// encode runs one of the render encoders over a single-item result.
+func encode(t *testing.T, enc interface {
+	Encode(w io.Writer, res *result.Result) error
+}, it result.Item) string {
+	t.Helper()
+	var b strings.Builder
+	if err := enc.Encode(&b, &result.Result{ID: "x", Items: []result.Item{it}}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestTable1ReportRenders(t *testing.T) {
-	out := Table1Report().String()
+	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: Table1Report()})
 	for _, want := range []string{"[24]", "[29]", "ITRS", "Ioff (nA/µm)", "+78%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 report missing %q:\n%s", want, out)
@@ -23,7 +39,7 @@ func TestTable2ReportRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tab.String()
+	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: tab})
 	for _, want := range []string{"Vth req", "paper", "Ioff MG", "ITRS Ioff", "152×"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 2 report missing %q:\n%s", want, out)
@@ -42,14 +58,13 @@ func TestFigureCSVWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := fig.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	// The output must parse as CSV (series names contain commas and rely
-	// on quoting) in the aligned wide format: header + 25 activity points,
-	// 4 columns each.
-	records, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	out := encode(t, render.CSV{}, result.Item{Kind: result.KindFigure, Figure: fig})
+	// Past its "#" block header the output must parse as CSV (series names
+	// contain commas and rely on quoting) in the aligned wide format:
+	// header + 25 activity points, 4 columns each.
+	r := csv.NewReader(strings.NewReader(out))
+	r.Comment = '#'
+	records, err := r.ReadAll()
 	if err != nil {
 		t.Fatalf("CSV does not parse: %v", err)
 	}
@@ -78,9 +93,8 @@ func TestFigure5FigureSeries(t *testing.T) {
 		}
 	}
 	// The ASCII renderer must handle the log-axis figure.
-	var b strings.Builder
-	fig.RenderASCII(&b, 60, 14)
-	if !strings.Contains(b.String(), "Figure 5") {
-		t.Fatalf("ASCII render failed:\n%s", b.String())
+	out := encode(t, render.Text{Plot: true}, result.Item{Kind: result.KindFigure, Figure: fig})
+	if !strings.Contains(out, "Figure 5") {
+		t.Fatalf("ASCII render failed:\n%s", out)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
-	"nanometer/internal/report"
+	"nanometer/internal/result"
 )
 
 // Table1Row is one line of the reproduced Table 1.
@@ -76,13 +76,13 @@ func Table1In(lab *device.Lab) []Table1Row {
 }
 
 // Table1Report renders Table 1.
-func Table1Report() *report.Table {
+func Table1Report() *result.Table {
 	return Table1ReportIn(device.BaseLab())
 }
 
 // Table1ReportIn is Table1Report against an explicit laboratory.
-func Table1ReportIn(lab *device.Lab) *report.Table {
-	t := &report.Table{
+func Table1ReportIn(lab *device.Lab) *result.Table {
+	t := &result.Table{
 		Title:   "Table 1. Recent NMOS device results, compared with ITRS projections",
 		Headers: []string{"Ref", "node (nm)", "Tox (Å)", "Vdd (V)", "Ion (µA/µm)", "Ioff (nA/µm)", "sub-1V+Ion?", "Pdyn penalty"},
 	}

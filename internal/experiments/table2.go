@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"nanometer/internal/device"
-	"nanometer/internal/report"
+	"nanometer/internal/result"
 	"nanometer/internal/units"
 )
 
@@ -114,17 +114,17 @@ func Table2In(lab *device.Lab) ([]Table2Row, error) {
 }
 
 // Table2Report renders the reproduction with paper-vs-measured columns.
-func Table2Report() (*report.Table, error) {
+func Table2Report() (*result.Table, error) {
 	return Table2ReportIn(device.BaseLab())
 }
 
 // Table2ReportIn is Table2Report against an explicit laboratory.
-func Table2ReportIn(lab *device.Lab) (*report.Table, error) {
+func Table2ReportIn(lab *device.Lab) (*result.Table, error) {
 	rows, err := Table2In(lab)
 	if err != nil {
 		return nil, err
 	}
-	t := &report.Table{
+	t := &result.Table{
 		Title: "Table 2. Analytical model results for Ioff scaling (Ion target 750 µA/µm, 300 K)",
 		Headers: []string{"node", "Vdd", "Coxe(norm)", "Cox(phys)", "Vth req", "paper",
 			"Ioff nA/µm", "paper", "Ioff MG", "paper", "ITRS Ioff"},

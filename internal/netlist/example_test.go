@@ -1,38 +1,10 @@
 package netlist_test
 
 import (
-	"bytes"
 	"fmt"
 
 	"nanometer/internal/netlist"
 )
-
-// Generate a block, serialize it, and read it back — the text format the
-// CLI tools exchange circuits in.
-func Example() {
-	tech := netlist.MustNewTech(100, 0.65)
-	p := netlist.DefaultGenParams()
-	p.Gates = 200
-	p.Seed = 1
-	c, err := netlist.Generate(tech, p)
-	if err != nil {
-		panic(err)
-	}
-	c.ClockPeriodS = 1e-9
-
-	var buf bytes.Buffer
-	if err := netlist.Write(&buf, c); err != nil {
-		panic(err)
-	}
-	back, err := netlist.Read(&buf)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("gates: %d → %d; valid: %v\n",
-		len(c.Gates), len(back.Gates), back.Validate() == nil)
-	// Output:
-	// gates: 200 → 200; valid: true
-}
 
 // The two-supply, two-threshold technology binding of §2.4/§3.2.
 func ExampleNewTech() {

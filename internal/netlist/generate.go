@@ -72,7 +72,7 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 	levels := make([]int, p.Gates)
 	for i := range levels {
 		if rng.Float64() < p.ShortPathFraction {
-			levels[i] = 1 + rng.Intn(maxInt(1, p.Levels/4))
+			levels[i] = 1 + rng.Intn(max(1, p.Levels/4))
 		} else {
 			// Skew the remaining population toward shallow levels (real
 			// blocks concentrate logic near the registers; the deep
@@ -114,8 +114,8 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 			VthClass: 0,
 		}
 		// Draw fanins from earlier levels within the spread window, or PIs.
-		back := maxInt(1, int(float64(lvl)*p.DepthSpread*float64(p.Levels))/p.Levels)
-		loLvl := maxInt(0, lvl-1-back)
+		back := max(1, int(float64(lvl)*p.DepthSpread*float64(p.Levels))/p.Levels)
+		loLvl := max(0, lvl-1-back)
 		at, end := len(edges), len(edges)+inputs
 		g.Inputs = edges[at:at:end]
 		for k := 0; k < inputs; k++ {
@@ -188,11 +188,4 @@ func sortByLevel(levels []int) {
 			i++
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

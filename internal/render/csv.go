@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -56,16 +57,43 @@ func encodeTableCSV(w io.Writer, id string, t *result.Table) error {
 	return err
 }
 
-// WriteFigureCSV emits one figure's data, byte-identical to the legacy
-// per-figure CSV files (wide format when the series share an x grid, long
-// format otherwise).
-func WriteFigureCSV(w io.Writer, f *result.Figure) error {
-	return toReportFigure(f).WriteCSV(w)
+// writeFigureCSV emits one figure's data: wide format (x, one column per
+// series) when every series shares the first one's x grid, long format
+// (series,x,y) otherwise. These are the bytes of a -csv directory file.
+func writeFigureCSV(w io.Writer, f *result.Figure) error {
+	first := &f.Series[0]
+	aligned := true
+	for si := 1; si < len(f.Series) && aligned; si++ {
+		aligned = slices.Equal(f.Series[si].X, first.X)
+	}
+	if aligned {
+		fmt.Fprintf(w, "%s", csvEscape(f.XLabel))
+		for si := range f.Series {
+			fmt.Fprintf(w, ",%s", csvEscape(f.Series[si].Name))
+		}
+		fmt.Fprintln(w)
+		for i := range first.X {
+			fmt.Fprintf(w, "%g", first.X[i])
+			for si := range f.Series {
+				fmt.Fprintf(w, ",%g", f.Series[si].Y[i])
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	}
+	fmt.Fprintln(w, "series,x,y")
+	for si := range f.Series {
+		s := &f.Series[si]
+		for i := range s.X {
+			fmt.Fprintf(w, "%s,%g,%g\n", csvEscape(s.Name), s.X[i], s.Y[i])
+		}
+	}
+	return nil
 }
 
 func encodeFigureCSV(w io.Writer, id string, f *result.Figure) error {
 	fmt.Fprintf(w, "# %s figure %s: %s\n", id, f.Name, f.Title)
-	if err := WriteFigureCSV(w, f); err != nil {
+	if err := writeFigureCSV(w, f); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintln(w)
@@ -99,8 +127,7 @@ func writeRecord(w io.Writer, cells []string) {
 	io.WriteString(w, "\n")
 }
 
-// csvEscape quotes a cell when it contains a separator, quote, or newline
-// (same dialect as the figure writer in internal/report).
+// csvEscape quotes a cell when it contains a separator, quote, or newline.
 func csvEscape(s string) string {
 	if strings.ContainsAny(s, ",\"\n") {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`

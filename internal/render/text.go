@@ -1,8 +1,15 @@
+// Package render is the encode layer of the reproduction pipeline: it turns
+// the typed results of the compute layer (internal/result) into consumable
+// output. Three encoders share one input schema — Text reproduces the
+// classic terminal report byte for byte, JSON emits the results as data,
+// and CSV streams tables, figures, and claim findings as comma-separated
+// blocks.
 package render
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,7 +41,7 @@ func (t Text) Encode(w io.Writer, res *result.Result) error {
 		var err error
 		switch {
 		case it.Table != nil:
-			_, err = toReportTable(it.Table).WriteTo(w)
+			err = writeTable(w, it.Table)
 		case it.Figure != nil:
 			err = t.encodeFigure(w, it.Figure)
 		case it.Claim != nil:
@@ -55,7 +62,7 @@ func (t Text) Encode(w io.Writer, res *result.Result) error {
 // aggregation reports the broken file.
 func (t Text) encodeFigure(w io.Writer, f *result.Figure) error {
 	if t.Plot {
-		toReportFigure(f).RenderASCII(w, 72, 18)
+		plotASCII(w, f, 72, 18)
 		fmt.Fprintln(w)
 	} else {
 		// Compact textual dump: endpoint summary per series.
@@ -78,7 +85,7 @@ func (t Text) encodeFigure(w io.Writer, f *result.Figure) error {
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	if err := toReportFigure(f).WriteCSV(file); err != nil {
+	if err := writeFigureCSV(file, f); err != nil {
 		file.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
@@ -87,6 +94,126 @@ func (t Text) encodeFigure(w io.Writer, f *result.Figure) error {
 	}
 	fmt.Fprintf(w, "  wrote %s\n\n", path)
 	return nil
+}
+
+// writeTable renders a column-aligned table: title, header row, dashed
+// rule, rows, then the notes and a separating blank line. Columns are
+// sized in runes, not bytes — the tables carry µ, θ, °.
+func writeTable(w io.Writer, t *result.Table) error {
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "%s\n", t.Title)
+	}
+	widths := make([]int, len(t.Headers))
+	for i, h := range t.Headers {
+		widths[i] = displayWidth(h)
+	}
+	for _, row := range t.Rows {
+		for i, c := range row {
+			if i < len(widths) && displayWidth(c) > widths[i] {
+				widths[i] = displayWidth(c)
+			}
+		}
+	}
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			b.WriteString(c)
+			if i < len(widths) {
+				for k := displayWidth(c); k < widths[i]; k++ {
+					b.WriteByte(' ')
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	line(t.Headers)
+	total := 0
+	for _, w := range widths {
+		total += w + 2
+	}
+	b.WriteString(strings.Repeat("-", max(total-2, 4)))
+	b.WriteByte('\n')
+	for _, row := range t.Rows {
+		line(row)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(&b, "  note: %s\n", n)
+	}
+	b.WriteByte('\n')
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// displayWidth approximates terminal width by counting runes.
+func displayWidth(s string) int { return len([]rune(s)) }
+
+// plotASCII draws a crude width×height terminal plot of the figure: one
+// character column per x bucket, one letter per series.
+func plotASCII(w io.Writer, f *result.Figure, width, height int) {
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	xmin, xmax, ymin, ymax := bounds(f)
+	tx := func(v float64) float64 { return v }
+	ty := func(v float64) float64 { return v }
+	if f.LogX && xmin > 0 {
+		tx = math.Log10
+	}
+	if f.LogY && ymin > 0 {
+		ty = math.Log10
+	}
+	xmin, xmax, ymin, ymax = tx(xmin), tx(xmax), ty(ymin), ty(ymax)
+	if xmax == xmin || ymax == ymin {
+		fmt.Fprintln(w, "(degenerate figure)")
+		return
+	}
+	marks := "abcdefghijklmnopqrstuvwxyz"
+	for si := range f.Series {
+		s := &f.Series[si]
+		m := marks[si%len(marks)]
+		for i := range s.X {
+			fx := (tx(s.X[i]) - xmin) / (xmax - xmin)
+			fy := (ty(s.Y[i]) - ymin) / (ymax - ymin)
+			col := int(fx * float64(width-1))
+			row := height - 1 - int(fy*float64(height-1))
+			if col >= 0 && col < width && row >= 0 && row < height {
+				grid[row][col] = m
+			}
+		}
+	}
+	fmt.Fprintf(w, "%s\n", f.Title)
+	for _, line := range grid {
+		fmt.Fprintf(w, "|%s\n", string(line))
+	}
+	fmt.Fprintf(w, "+%s\n", strings.Repeat("-", width))
+	fmt.Fprintf(w, " x: %s [%.3g, %.3g]   y: %s [%.3g, %.3g]\n", f.XLabel, xmin, xmax, f.YLabel, ymin, ymax)
+	for si := range f.Series {
+		fmt.Fprintf(w, "   %c = %s\n", marks[si%len(marks)], f.Series[si].Name)
+	}
+}
+
+// bounds is the data range over every point of every series.
+func bounds(f *result.Figure) (xmin, xmax, ymin, ymax float64) {
+	first := true
+	for si := range f.Series {
+		s := &f.Series[si]
+		for i := range s.X {
+			if first {
+				xmin, xmax, ymin, ymax = s.X[i], s.X[i], s.Y[i], s.Y[i]
+				first = false
+				continue
+			}
+			xmin = math.Min(xmin, s.X[i])
+			xmax = math.Max(xmax, s.X[i])
+			ymin = math.Min(ymin, s.Y[i])
+			ymax = math.Max(ymax, s.Y[i])
+		}
+	}
+	return
 }
 
 // encodeClaim runs the claim's prose template, then the optional verbose

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nanometer/internal/experiments"
-	"nanometer/internal/report"
 	"nanometer/internal/result"
 	"nanometer/internal/signaling"
 )
@@ -18,21 +17,6 @@ import (
 // experiment outputs into typed results (internal/result). No formatting
 // decisions beyond table-cell significant digits live here — prose, plots,
 // CSV dialects, and paper-check presentation belong to internal/render.
-
-// fromReportTable adapts the experiment packages' table type (they predate
-// the compute/encode split) into the typed schema.
-func fromReportTable(t *report.Table) *result.Table {
-	return &result.Table{Title: t.Title, Headers: t.Headers, Rows: t.Rows, Notes: t.Notes}
-}
-
-// fromReportFigure adapts a report figure, attaching the stable CSV name.
-func fromReportFigure(name string, f *report.Figure) *result.Figure {
-	rf := &result.Figure{Name: name, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel, LogX: f.LogX, LogY: f.LogY}
-	for _, s := range f.Series {
-		rf.Series = append(rf.Series, result.Series{Name: s.Name, X: s.X, Y: s.Y})
-	}
-	return rf
-}
 
 func tableResult(t *result.Table) *result.Result {
 	res := &result.Result{}
@@ -53,7 +37,7 @@ func computeTable1(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tableResult(fromReportTable(experiments.Table1ReportIn(lab))), nil
+	return tableResult(experiments.Table1ReportIn(lab)), nil
 }
 
 func computeTable2(opts Options) (*result.Result, error) {
@@ -65,7 +49,7 @@ func computeTable2(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tableResult(fromReportTable(t)), nil
+	return tableResult(t), nil
 }
 
 // --- Figures ------------------------------------------------------------------
@@ -79,8 +63,9 @@ func computeFigure1(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	fig.Name = "figure1"
 	res := &result.Result{}
-	res.AddFigure(fromReportFigure("figure1", fig))
+	res.AddFigure(fig)
 	return res, nil
 }
 
@@ -107,7 +92,9 @@ func computeFigure2(opts Options) (*result.Result, error) {
 	t.Notes = append(t.Notes, "paper: Ioff penalty for +20% Ion falls from 54× \"today\" to 7× at 35 nm; 100 mV ⇒ ~15× Ioff throughout")
 	res := &result.Result{}
 	res.AddTable(t)
-	res.AddFigure(fromReportFigure("figure2", experiments.Figure2Figure(rows)))
+	fig := experiments.Figure2Figure(rows)
+	fig.Name = "figure2"
+	res.AddFigure(fig)
 	return res, nil
 }
 
@@ -123,8 +110,9 @@ func computeFigure3(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	fig3.Name = "figure3"
 	res := &result.Result{}
-	res.AddFigure(fromReportFigure("figure3", fig3))
+	res.AddFigure(fig3)
 	return res, nil
 }
 
@@ -137,8 +125,9 @@ func computeFigure4(opts Options) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	fig4.Name = "figure4"
 	res := &result.Result{}
-	res.AddFigure(fromReportFigure("figure4", fig4))
+	res.AddFigure(fig4)
 	return res, nil
 }
 
@@ -167,7 +156,9 @@ func computeFigure5(opts Options) (*result.Result, error) {
 	t.Notes = append(t.Notes, "paper: 16× Wmin (<4% routing + 16% pads) at 35 nm minimum pitch; >2000× under ITRS bump counts")
 	res := &result.Result{}
 	res.AddTable(t)
-	res.AddFigure(fromReportFigure("figure5", experiments.Figure5Figure(rows)))
+	fig := experiments.Figure5Figure(rows)
+	fig.Name = "figure5"
+	res.AddFigure(fig)
 	return res, nil
 }
 

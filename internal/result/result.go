@@ -59,7 +59,8 @@ func (r *Result) AddFigure(f *Figure) { r.Items = append(r.Items, Item{Kind: Kin
 func (r *Result) AddClaim(c *Claim) { r.Items = append(r.Items, Item{Kind: KindClaim, Claim: c}) }
 
 // Validate checks structural invariants: every item carries exactly the
-// payload its Kind names. Encoders rely on this holding.
+// payload its Kind names, and every figure has at least one series, each
+// with as many X as Y values. Encoders rely on this holding.
 func (r *Result) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("result: missing artifact ID")
@@ -86,6 +87,14 @@ func (r *Result) Validate() error {
 		case KindFigure:
 			if it.Figure == nil {
 				return fmt.Errorf("result %s: item %d kind figure without figure payload", r.ID, i)
+			}
+			if len(it.Figure.Series) == 0 {
+				return fmt.Errorf("result %s: item %d figure has no series", r.ID, i)
+			}
+			for _, s := range it.Figure.Series {
+				if len(s.X) != len(s.Y) {
+					return fmt.Errorf("result %s: item %d series %q has %d x and %d y values", r.ID, i, s.Name, len(s.X), len(s.Y))
+				}
 			}
 		case KindClaim:
 			if it.Claim == nil {
@@ -129,6 +138,12 @@ type Series struct {
 	Name string    `json:"name"`
 	X    []float64 `json:"x"`
 	Y    []float64 `json:"y"`
+}
+
+// Add appends a point.
+func (s *Series) Add(x, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
 }
 
 // Claim is an ordered list of key/value findings — the machine-readable

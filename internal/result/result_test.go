@@ -97,4 +97,26 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("missing ID must fail validation")
 	}
+	bad = &Result{ID: "x"}
+	bad.AddFigure(&Figure{Name: "empty"})
+	if err := bad.Validate(); err == nil {
+		t.Fatal("figure without series must fail validation")
+	}
+	bad = &Result{ID: "x"}
+	bad.AddFigure(&Figure{Name: "ragged", Series: []Series{
+		{Name: "ok", X: []float64{1, 2}, Y: []float64{3, 4}},
+		{Name: "ragged", X: []float64{1, 2}, Y: []float64{3}},
+	}})
+	if err := bad.Validate(); err == nil {
+		t.Fatal("series with unequal X and Y lengths must fail validation")
+	}
+}
+
+func TestSeriesAdd(t *testing.T) {
+	s := &Series{Name: "s"}
+	s.Add(1, 2)
+	s.Add(3, 4)
+	if len(s.X) != 2 || s.Y[1] != 4 {
+		t.Fatalf("series add broken: %+v", s)
+	}
 }

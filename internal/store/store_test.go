@@ -89,6 +89,23 @@ func TestCorruptFallThrough(t *testing.T) {
 			payload = append([]byte(`{"future_field":1,`), payload[1:]...)
 			return frame(payload)
 		},
+		"figure-without-series": func(b []byte) []byte {
+			// Structurally invalid for the encoders (the CSV figure writer
+			// indexes the first series): a miss, so the caller recomputes
+			// instead of crashing mid-encode.
+			r := sample("t2")
+			r.AddFigure(&result.Figure{Name: "f", Title: "no series"})
+			payload, _ := json.Marshal(r)
+			return frame(payload)
+		},
+		"ragged-series": func(b []byte) []byte {
+			r := sample("t2")
+			r.AddFigure(&result.Figure{Name: "f", Title: "ragged", Series: []result.Series{
+				{Name: "s", X: []float64{1, 2}, Y: []float64{3}},
+			}})
+			payload, _ := json.Marshal(r)
+			return frame(payload)
+		},
 		"trailing-data": func(b []byte) []byte {
 			// A second JSON value after the result must not be ignored.
 			payload, _ := json.Marshal(sample("t2"))

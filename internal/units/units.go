@@ -99,58 +99,6 @@ func NAPerUMFromAmpsPerMeter(aPerM float64) float64 { return aPerM * 1e3 }
 // quote (resistance × width) to Ω·m.
 func OhmMetersFromOhmMicrons(ohmUM float64) float64 { return ohmUM * Micro }
 
-// Engineering formatting -----------------------------------------------------
-
-var siPrefixes = []struct {
-	exp    int
-	symbol string
-}{
-	{-15, "f"}, {-12, "p"}, {-9, "n"}, {-6, "µ"}, {-3, "m"},
-	{0, ""}, {3, "k"}, {6, "M"}, {9, "G"}, {12, "T"},
-}
-
-// Engineering formats v with an SI prefix and the given unit, using digits
-// significant digits, e.g. Engineering(3.2e-9, "s", 3) == "3.20 ns".
-func Engineering(v float64, unit string, digits int) string {
-	if v == 0 {
-		return fmt.Sprintf("%.*f %s", maxInt(digits-1, 0), 0.0, unit)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Sprintf("%g %s", v, unit)
-	}
-	mag := math.Abs(v)
-	exp := int(math.Floor(math.Log10(mag)/3.0)) * 3
-	if exp < siPrefixes[0].exp {
-		exp = siPrefixes[0].exp
-	}
-	last := siPrefixes[len(siPrefixes)-1].exp
-	if exp > last {
-		exp = last
-	}
-	symbol := ""
-	for _, p := range siPrefixes {
-		if p.exp == exp {
-			symbol = p.symbol
-			break
-		}
-	}
-	scaled := v / math.Pow(10, float64(exp))
-	// Choose decimals so total significant digits ≈ digits.
-	intDigits := 1
-	if a := math.Abs(scaled); a >= 10 {
-		intDigits = int(math.Floor(math.Log10(a))) + 1
-	}
-	dec := maxInt(digits-intDigits, 0)
-	return fmt.Sprintf("%.*f %s%s", dec, scaled, symbol, unit)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Percent formats a fraction (0.42 → "42.0%").
 func Percent(frac float64) string { return fmt.Sprintf("%.1f%%", frac*100) }
 

@@ -2,7 +2,6 @@ package units
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -70,33 +69,6 @@ func TestCurrentConversions(t *testing.T) {
 	}
 	if got := OhmMetersFromOhmMicrons(190); !ApproxEqual(got, 190e-6, 1e-12, 0) {
 		t.Fatalf("190 Ω·µm = %g Ω·m", got)
-	}
-}
-
-func TestEngineering(t *testing.T) {
-	cases := []struct {
-		v      float64
-		unit   string
-		digits int
-		want   string
-	}{
-		{3.2e-9, "s", 3, "3.20 ns"},
-		{0.0456, "A", 3, "45.6 mA"},
-		{1234, "W", 3, "1.23 kW"},
-		{2.5e-15, "F", 2, "2.5 fF"},
-		{0, "V", 2, "0.0 V"},
-		{1e15, "Hz", 3, "1000 THz"}, // clamps at tera
-	}
-	for _, c := range cases {
-		if got := Engineering(c.v, c.unit, c.digits); got != c.want {
-			t.Errorf("Engineering(%g, %q, %d) = %q, want %q", c.v, c.unit, c.digits, got, c.want)
-		}
-	}
-	if got := Engineering(math.NaN(), "x", 3); !strings.Contains(got, "NaN") {
-		t.Errorf("NaN formatting = %q", got)
-	}
-	if got := Engineering(-4.7e-6, "A", 3); got != "-4.70 µA" {
-		t.Errorf("negative formatting = %q", got)
 	}
 }
 

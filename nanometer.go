@@ -14,11 +14,11 @@
 // The implementation lives in the internal packages; the runnable surfaces
 // are:
 //
-//   - cmd/nanorepro — regenerates every table, figure, and quantified claim
-//   - cmd/thermsim  — dynamic-thermal-management simulator
-//   - cmd/gridsim   — power-grid IR-drop analyzer
-//   - cmd/powopt    — netlist power-optimization flow
-//   - examples/*    — library walkthroughs
+//   - cmd/nanorepro  — regenerates every table, figure, and quantified
+//     claim; runs roadmap scenarios (-scenario) and workload traces (-trace)
+//   - cmd/nanoreprod — serves the same artifacts over HTTP
+//
+// The packages' example_test.go files are the library walkthroughs.
 //
 // DESIGN.md maps each subsystem and experiment to its module; EXPERIMENTS.md
 // records paper-vs-measured values.
