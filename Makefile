@@ -51,7 +51,8 @@ vet:
 # concurrency contracts of the serving era — lock-guarded fields
 # (lockguard), context threading past blocking APIs (ctxflow), provable
 # goroutine exits (goexit), strict bounded JSON decoding at API
-# boundaries (strictjson), and bounded metric-label sets (metriclabel).
+# boundaries (strictjson), and bounded metric-label sets (metriclabel);
+# plus the base laboratory kept at the scenario edge (baselab).
 # Exit 1 on any finding, with the analyzer name in every line.
 lint:
 	$(GO) run ./cmd/nanolint ./...

@@ -37,7 +37,7 @@ import (
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1(); len(rows) != 9 {
+		if rows := experiments.Table1In(device.BaseLab()); len(rows) != 9 {
 			b.Fatalf("bad row count %d", len(rows))
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2()
+		rows, err := experiments.Table2In(device.BaseLab())
 		if err != nil || len(rows) != 7 {
 			b.Fatalf("table2: %v (%d rows)", err, len(rows))
 		}
@@ -56,7 +56,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(nil); err != nil {
+		if _, err := experiments.Figure1In(device.BaseLab(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkFigure1(b *testing.B) {
 
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(); err != nil {
+		if _, err := experiments.Figure2In(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func BenchmarkFigure2(b *testing.B) {
 
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4(nil); err != nil {
+		if _, _, err := experiments.Figure3And4In(device.BaseLab(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4(grid); err != nil {
+		if _, _, err := experiments.Figure3And4In(device.BaseLab(), grid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkFigure4(b *testing.B) {
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(); err != nil {
+		if _, err := experiments.Figure5In(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkFigure5(b *testing.B) {
 
 func BenchmarkClaimDTM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DTM(50); err != nil {
+		if _, err := experiments.DTMIn(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkClaimDTM(b *testing.B) {
 
 func BenchmarkClaimSignaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Signaling(); err != nil {
+		if _, err := experiments.SignalingIn(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkClaimSignaling(b *testing.B) {
 
 func BenchmarkClaimLibopt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunLibrary(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunLibraryIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkClaimLibopt(b *testing.B) {
 
 func BenchmarkClaimCVS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunCVS(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunCVSIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func BenchmarkClaimCVS(b *testing.B) {
 
 func BenchmarkClaimDualVth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunDualVth(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunDualVthIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func BenchmarkClaimDualVth(b *testing.B) {
 
 func BenchmarkClaimResize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunResizeVsVdd(experiments.DefaultCircuitSetup()); err != nil {
+		if _, err := experiments.RunResizeVsVddIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func BenchmarkClaimResize(b *testing.B) {
 
 func BenchmarkClaimVddFloor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunVddFloor(); err != nil {
+		if _, err := experiments.RunVddFloorIn(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func BenchmarkClaimVddFloor(b *testing.B) {
 
 func BenchmarkClaimBumps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBumps(); err != nil {
+		if _, err := experiments.RunBumpsNIn(device.BaseLab(), experiments.DefaultMeshN); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkClaimBumps(b *testing.B) {
 
 func BenchmarkClaimTransients(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTransients(); err != nil {
+		if _, err := experiments.RunTransientsIn(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,8 +179,8 @@ func BenchmarkClaimTransients(b *testing.B) {
 
 // Ablation 1: electrical vs physical oxide thickness in the Vth solve.
 func BenchmarkAblationMetalGate(b *testing.B) {
-	d := device.MustForNode(35)
-	node := itrs.MustNode(35)
+	d := device.BaseLab().MustForNode(35)
+	node := itrs.Base().MustNode(35)
 	for i := 0; i < b.N; i++ {
 		if _, err := d.SolveVthForIon(node.IonTargetAPerM, node.Vdd, units.RoomTemperature); err != nil {
 			b.Fatal(err)
@@ -193,7 +193,7 @@ func BenchmarkAblationMetalGate(b *testing.B) {
 
 // Ablation 2: DIBL on/off in the leakage model.
 func BenchmarkAblationDIBL(b *testing.B) {
-	d := device.MustForNode(35)
+	d := device.BaseLab().MustForNode(35)
 	noDIBL := *d
 	noDIBL.DIBL = 0
 	for i := 0; i < b.N; i++ {
@@ -207,11 +207,11 @@ func BenchmarkAblationDIBL(b *testing.B) {
 
 // Ablation 3: subthreshold-swing temperature scaling in Figure 1.
 func BenchmarkAblationSwingTemperature(b *testing.B) {
-	g, err := gate.ReferenceInverter(50)
+	g, err := gate.ReferenceInverterIn(device.BaseLab(), 50)
 	if err != nil {
 		b.Fatal(err)
 	}
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	for i := 0; i < b.N; i++ {
 		hot := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.CelsiusToKelvin(85))
 		cold := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.RoomTemperature)
@@ -223,7 +223,7 @@ func BenchmarkAblationSwingTemperature(b *testing.B) {
 
 func freshCircuit(b *testing.B, guard float64) *netlist.Circuit {
 	b.Helper()
-	tech, err := netlist.NewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func BenchmarkAblationCVSClustering(b *testing.B) {
 
 // Ablation 6: hot-spot factor in Figure 5.
 func BenchmarkAblationHotspot(b *testing.B) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	for i := 0; i < b.N; i++ {
 		uniform := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 		uniform.HotspotFactor = 1
@@ -281,7 +281,7 @@ func BenchmarkAblationHotspot(b *testing.B) {
 
 // Ablation 7: analytic rail model vs numerical solvers.
 func BenchmarkAblationGridSolvers(b *testing.B) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 	for i := 0; i < b.N; i++ {
 		if _, err := powergrid.ValidateAnalytic(spec, 128); err != nil {
@@ -295,12 +295,15 @@ func BenchmarkAblationGridSolvers(b *testing.B) {
 
 // Ablation 8: optimal vs ad-hoc repeater sizing.
 func BenchmarkAblationRepeaterSizing(b *testing.B) {
-	drv, err := repeater.UnitDriver(50, units.CelsiusToKelvin(85))
+	drv, err := repeater.UnitDriverIn(device.BaseLab(), 50, units.CelsiusToKelvin(85))
 	if err != nil {
 		b.Fatal(err)
 	}
-	line := wire.MustForNode(50, wire.Global)
-	length, err := wire.CrossChipLength(50)
+	line, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		b.Fatal(err)
+	}
+	length, err := wire.CrossChipLengthIn(itrs.Base(), 50)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,7 +368,7 @@ func BenchmarkResizeDownsize(b *testing.B) {
 }
 
 func BenchmarkNetlistGenerate(b *testing.B) {
-	tech, err := netlist.NewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +384,7 @@ func BenchmarkNetlistGenerate(b *testing.B) {
 }
 
 func BenchmarkDeviceIonSolve(b *testing.B) {
-	d := device.MustForNode(35)
+	d := device.BaseLab().MustForNode(35)
 	for i := 0; i < b.N; i++ {
 		if _, err := d.SolveVthForIon(750, 0.6, units.RoomTemperature); err != nil {
 			b.Fatal(err)
@@ -391,7 +394,7 @@ func BenchmarkDeviceIonSolve(b *testing.B) {
 
 func BenchmarkClaimStackVth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStackVth(70); err != nil {
+		if _, err := experiments.RunStackVthIn(device.BaseLab(), 70); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -399,7 +402,7 @@ func BenchmarkClaimStackVth(b *testing.B) {
 
 func BenchmarkClaimStandby(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStandby(); err != nil {
+		if _, err := experiments.RunStandbyIn(device.BaseLab()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +410,7 @@ func BenchmarkClaimStandby(b *testing.B) {
 
 func BenchmarkClaimSwingStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSwingStudy(50); err != nil {
+		if _, err := experiments.RunSwingStudyIn(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -415,7 +418,7 @@ func BenchmarkClaimSwingStudy(b *testing.B) {
 
 func BenchmarkClaimBusPlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBusPlan(50); err != nil {
+		if _, err := experiments.RunBusPlanIn(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -590,7 +593,7 @@ func BenchmarkSweepBatch(b *testing.B) {
 // BenchmarkMeshSolveGrid runs the full powergrid path (assembly + pooled
 // workspace + PCG) exactly as Figure 5 does.
 func BenchmarkMeshSolveGrid(b *testing.B) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 	for i := 0; i < b.N; i++ {
 		if _, err := powergrid.PessimisticRatio(spec, 63); err != nil {
@@ -630,7 +633,10 @@ func BenchmarkFullReport(b *testing.B) {
 // Validation benches: the numerical ground truths against the analytic layer.
 
 func BenchmarkValidationRCSim(b *testing.B) {
-	w := wire.MustForNode(50, wire.Global)
+	w, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		b.Fatal(err)
+	}
 	l := &rcsim.Line{
 		RPerM: w.RPerM(), CPerM: w.CPerM(),
 		LengthM: 5e-3, Segments: 64,

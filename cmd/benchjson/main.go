@@ -3,9 +3,9 @@
 // document (by convention committed as BENCH_<pr>.json), so performance
 // claims in review are pinned to numbers a script can diff rather than
 // prose. The default selection covers the solver kernels (per-variant
-// ns/op, allocs/op, and solver iteration counts), the smoother ablation,
-// the batched sweep solve, the RC-transient validator, and the
-// full-report wall clock at each worker count. With -cpu the whole
+// ns/op, allocs/op, and solver iteration counts), the batched sweep
+// solve, the RC-transient validator, and the full-report wall clock at
+// each worker count. With -cpu the whole
 // selection repeats per GOMAXPROCS value, pinning the serial/parallel
 // matrix in one document.
 //

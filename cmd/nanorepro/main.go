@@ -85,10 +85,16 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -format %q (want text, json, or csv)", *format))
 	}
-	if *trcPath != "" {
-		if *only != "" || *scnPath != "" {
-			fatal(fmt.Errorf("-trace is its own mode; it does not combine with -only or -scenario"))
+	if *trcPath != "" && (*only != "" || *scnPath != "") {
+		fatal(fmt.Errorf("-trace is its own mode; it does not combine with -only or -scenario"))
+	}
+	// Both the report and the trace mode write figure CSVs into -csv.
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatal(err)
 		}
+	}
+	if *trcPath != "" {
 		runTrace(*trcPath)
 		return
 	}
@@ -102,11 +108,6 @@ func main() {
 			fatal(err)
 		}
 		if variants, err = s.Variants(); err != nil {
-			fatal(err)
-		}
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,5 +79,19 @@ func TestListSucceeds(t *testing.T) {
 	code, stdout, stderr := nanorepro(t, "-list")
 	if code != 0 || stderr != "" || !strings.HasPrefix(stdout, "t1 ") {
 		t.Fatalf("-list: exit %d, stderr %q, stdout %q", code, stderr, stdout)
+	}
+}
+
+// TestTraceCSVCreatesDir: -trace with -csv creates a missing directory,
+// as the report path does, and writes the trace's figure CSV into it.
+func TestTraceCSVCreatesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "sub")
+	code, _, stderr := nanorepro(t, "-trace", "../../traces/virus.json", "-csv", dir)
+	if code != 0 {
+		t.Fatalf("exit status %d, want 0 (stderr %q)", code, stderr)
+	}
+	csvs, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil || len(csvs) == 0 {
+		t.Fatalf("no .csv file in %s (err %v)", dir, err)
 	}
 }

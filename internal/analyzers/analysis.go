@@ -1,7 +1,8 @@
-// Package analyzers is the repo's custom lint layer: four project-specific
+// Package analyzers is the repo's custom lint layer: project-specific
 // static analyzers that turn invariants the test suite enforces dynamically
 // (golden-byte determinism, never-dropped solver errors, cache-key
-// coverage, pooled-workspace discipline) into compile-time gates. The
+// coverage, pooled-workspace discipline, the base laboratory kept at the
+// scenario edge, and the concurrency contracts) into compile-time gates. The
 // analyzers run from cmd/nanolint (wired into `make lint`, `make verify`,
 // and CI) and are modeled on golang.org/x/tools/go/analysis — Analyzer,
 // Pass, Reportf — but implemented on the standard library alone
@@ -38,7 +39,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrange, Solvecheck, Cachekey, Poolescape,
-		Lockguard, Ctxflow, Goexit, Strictjson, Metriclabel,
+		Lockguard, Ctxflow, Goexit, Strictjson, Metriclabel, Baselab,
 	}
 }
 

@@ -57,6 +57,10 @@ func TestMetriclabelFixture(t *testing.T) {
 	atest.Run(t, analyzers.Metriclabel, "testdata/metriclabel", "nanometer/internal/fixture")
 }
 
+func TestBaselabFixture(t *testing.T) {
+	atest.Run(t, analyzers.Baselab, "testdata/baselab", "nanometer/internal/fixture")
+}
+
 // TestAnalyzerScopes pins the scoped-analyzer contract the nanolint driver
 // relies on: each scoped analyzer applies exactly to its listed packages,
 // the unscoped ones everywhere.
@@ -92,7 +96,7 @@ func TestAnalyzerScopes(t *testing.T) {
 }
 
 // TestViolationClassesFailLint is the meta-test for the concurrency-era
-// analyzers: for each of the five violation classes, a minimal source
+// analyzers and baselab: for each violation class, a minimal source
 // file reintroducing it is run through the FULL suite — the same
 // analyzer set `make lint` executes — and must produce at least one
 // finding from the expected analyzer. This pins the wiring, not just the
@@ -134,6 +138,10 @@ func lax(data []byte) (v map[string]int, err error) {
 		{"metriclabel", "nanometer/internal/fixture", `package fixture
 import "nanometer/internal/obs"
 func leak(vec *obs.CounterVec, name string) { vec.With(name).Inc() }
+`},
+		{"baselab", "nanometer/internal/fixture", `package fixture
+import "nanometer/internal/device"
+func lab() *device.Lab { return device.BaseLab() }
 `},
 	}
 	exports, err := analyzers.LoadExports(".",

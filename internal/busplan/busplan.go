@@ -73,12 +73,7 @@ type Planner struct {
 	driver repeater.Driver
 }
 
-// NewPlanner builds a planner for a node's global tier at 85 °C.
-func NewPlanner(nodeNM int) (*Planner, error) {
-	return NewPlannerIn(device.BaseLab(), nodeNM)
-}
-
-// NewPlannerIn is NewPlanner against an explicit laboratory.
+// NewPlannerIn builds a planner for a node's global tier at 85 °C.
 func NewPlannerIn(lab *device.Lab, nodeNM int) (*Planner, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {

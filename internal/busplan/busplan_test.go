@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/signaling"
 )
@@ -11,7 +12,7 @@ import (
 // testRoutes builds a realistic mix: latency-critical short hops, relaxed
 // cross-chip buses, and a high-activity datapath bus.
 func testRoutes(nodeNM int) []Route {
-	node := itrs.MustNode(nodeNM)
+	node := itrs.Base().MustNode(nodeNM)
 	period := 1 / node.ClockHz
 	var out []Route
 	for i := 0; i < 8; i++ {
@@ -37,7 +38,7 @@ func testRoutes(nodeNM int) []Route {
 }
 
 func TestAssignMixesPrimitives(t *testing.T) {
-	p, err := NewPlanner(50)
+	p, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestAssignMixesPrimitives(t *testing.T) {
 }
 
 func TestAssignLatencyForcesRepeaters(t *testing.T) {
-	p, err := NewPlanner(50)
+	p, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	tight := []Route{{
 		Name: "critical", LengthM: 10e-3,
 		LatencyBudgetS: 8 / node.ClockHz, ToggleHz: 0.15 * node.ClockHz,
@@ -91,11 +92,11 @@ func TestAssignLatencyForcesRepeaters(t *testing.T) {
 }
 
 func TestAssignInfeasibleRoute(t *testing.T) {
-	p, err := NewPlanner(50)
+	p, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	impossible := []Route{{
 		Name: "warp", LengthM: 18e-3,
 		LatencyBudgetS: 0.5 / node.ClockHz, // half a cycle across the die
@@ -111,7 +112,7 @@ func TestAssignInfeasibleRoute(t *testing.T) {
 }
 
 func TestTrackBudgetRepair(t *testing.T) {
-	free, err := NewPlanner(50)
+	free, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestTrackBudgetRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Now constrain tracks below the unbounded plan's usage.
-	tight, err := NewPlanner(50)
+	tight, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestTrackBudgetRepair(t *testing.T) {
 		t.Fatalf("constraining tracks cannot reduce power")
 	}
 	// Impossible budget errors.
-	hopeless, _ := NewPlanner(50)
+	hopeless, _ := NewPlannerIn(device.BaseLab(), 50)
 	hopeless.TrackBudget = float64(len(routes)) * 0.5
 	if _, err := hopeless.Assign(routes); err == nil {
 		t.Fatalf("unreachable track budget must error")
@@ -145,11 +146,11 @@ func TestTrackBudgetRepair(t *testing.T) {
 }
 
 func TestSwingSelectionIncludesMargin(t *testing.T) {
-	p, err := NewPlanner(50)
+	p, err := NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	relaxed := []Route{{
 		Name: "lazy", LengthM: 8e-3,
 		LatencyBudgetS: 30 / node.ClockHz, ToggleHz: 0.1 * node.ClockHz,
@@ -175,7 +176,7 @@ func TestSwingSelectionIncludesMargin(t *testing.T) {
 }
 
 func TestNewPlannerErrors(t *testing.T) {
-	if _, err := NewPlanner(65); err == nil {
+	if _, err := NewPlannerIn(device.BaseLab(), 65); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }

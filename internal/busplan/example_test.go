@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nanometer/internal/busplan"
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 )
 
@@ -11,9 +12,9 @@ import (
 // relaxed bus adopts a differential low-swing primitive, and the plan
 // undercuts the all-repeated baseline.
 func ExamplePlanner_Assign() {
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	period := 1 / node.ClockHz
-	p, err := busplan.NewPlanner(50)
+	p, err := busplan.NewPlannerIn(device.BaseLab(), 50)
 	if err != nil {
 		panic(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
@@ -12,8 +13,8 @@ import (
 
 func newExplorer(t *testing.T) *Explorer {
 	t.Helper()
-	node := itrs.MustNode(35)
-	ex, err := NewExplorer(35, units.RoomTemperature, 0.1, node.ClockHz)
+	node := itrs.Base().MustNode(35)
+	ex, err := NewExplorerIn(device.BaseLab(), 35, units.RoomTemperature, 0.1, node.ClockHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestPolicyString(t *testing.T) {
 
 func flowCircuit(t *testing.T, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = 1500
 	p.Levels = 30
@@ -249,7 +250,7 @@ func TestRunFlowErrors(t *testing.T) {
 		t.Fatalf("missing period must error")
 	}
 	// CVS requested on a single-supply tech.
-	single := netlist.MustNewTech(100, 0)
+	single := mustTech(t, 100, 0)
 	p := netlist.DefaultGenParams()
 	p.Gates = 100
 	c2, err := netlist.Generate(single, p)
@@ -268,4 +269,15 @@ func TestRunFlowErrors(t *testing.T) {
 	if _, err := RunFlow(c2, opts); err != nil {
 		t.Fatalf("CVS-less flow on single supply: %v", err)
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nanometer/internal/core"
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
@@ -14,8 +15,8 @@ import (
 // the threshold to hold static power costs little delay and buys 89 % of
 // the dynamic power back (Figure 3's "compelling results").
 func ExampleExplorer() {
-	node := itrs.MustNode(35)
-	ex, err := core.NewExplorer(35, units.RoomTemperature, 0.1, node.ClockHz)
+	node := itrs.Base().MustNode(35)
+	ex, err := core.NewExplorerIn(device.BaseLab(), 35, units.RoomTemperature, 0.1, node.ClockHz)
 	if err != nil {
 		panic(err)
 	}
@@ -32,8 +33,8 @@ func ExampleExplorer() {
 // The ITRS constraint Pdyn ≥ 10·Pstatic admits a 0.44 V supply at 35 nm —
 // a 46 % dynamic-power saving (§3.3).
 func ExampleExplorer_VddFloor() {
-	node := itrs.MustNode(35)
-	ex, err := core.NewExplorer(35, units.RoomTemperature, 0.1, node.ClockHz)
+	node := itrs.Base().MustNode(35)
+	ex, err := core.NewExplorerIn(device.BaseLab(), 35, units.RoomTemperature, 0.1, node.ClockHz)
 	if err != nil {
 		panic(err)
 	}
@@ -49,7 +50,10 @@ func ExampleExplorer_VddFloor() {
 // The combined multi-Vdd + multi-Vth + re-sizing pipeline on a generated
 // block.
 func ExampleRunFlow() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1000
 	p.Seed = 42

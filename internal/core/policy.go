@@ -86,13 +86,8 @@ type Explorer struct {
 	}
 }
 
-// NewExplorer builds the explorer for a node at its nominal supply and
+// NewExplorerIn builds the explorer for a node at its nominal supply and
 // threshold.
-func NewExplorer(nodeNM int, tKelvin, activity, clockHz float64) (*Explorer, error) {
-	return NewExplorerIn(device.BaseLab(), nodeNM, tKelvin, activity, clockHz)
-}
-
-// NewExplorerIn is NewExplorer against an explicit laboratory.
 func NewExplorerIn(lab *device.Lab, nodeNM int, tKelvin, activity, clockHz float64) (*Explorer, error) {
 	inv, err := gate.ReferenceInverterIn(lab, nodeNM)
 	if err != nil {

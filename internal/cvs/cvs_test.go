@@ -3,13 +3,14 @@ package cvs
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
 
 func mediaCircuit(t *testing.T, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = 1500
 	p.Levels = 30
@@ -147,7 +148,7 @@ func TestTightClockLimitsAssignment(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	single := netlist.MustNewTech(100, 0)
+	single := mustTech(t, 100, 0)
 	p := netlist.DefaultGenParams()
 	p.Gates = 100
 	c, err := netlist.Generate(single, p)
@@ -169,4 +170,15 @@ func TestAssignErrors(t *testing.T) {
 	if _, err := Assign(c3, DefaultOptions()); err == nil {
 		t.Fatalf("violated baseline must error")
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nanometer/internal/cvs"
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
@@ -12,7 +13,10 @@ import (
 // share of gates moves to Vdd,l = 0.65·Vdd,h with conversion confined to
 // the register boundaries.
 func ExampleAssign() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1500
 	p.Levels = 30

@@ -10,15 +10,15 @@ import (
 )
 
 func TestForNodeAllNodes(t *testing.T) {
-	for _, nm := range itrs.Nodes() {
-		n, err := ForNode(nm)
+	for _, nm := range itrs.Base().NodesNM() {
+		n, err := BaseLab().ForNode(nm)
 		if err != nil {
 			t.Fatalf("%d nm NMOS: %v", nm, err)
 		}
 		if err := n.Validate(); err != nil {
 			t.Fatalf("%d nm NMOS invalid: %v", nm, err)
 		}
-		p, err := ForNodePMOS(nm)
+		p, err := BaseLab().ForNodePMOS(nm)
 		if err != nil {
 			t.Fatalf("%d nm PMOS: %v", nm, err)
 		}
@@ -29,15 +29,15 @@ func TestForNodeAllNodes(t *testing.T) {
 }
 
 func TestForNodeUnknown(t *testing.T) {
-	if _, err := ForNode(65); err == nil {
+	if _, err := BaseLab().ForNode(65); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 func TestForNodeReturnsCopies(t *testing.T) {
-	a := MustForNode(100)
+	a := BaseLab().MustForNode(100)
 	a.Vth0 = 99
-	b := MustForNode(100)
+	b := BaseLab().MustForNode(100)
 	if b.Vth0 == 99 {
 		t.Fatalf("ForNode must return independent copies")
 	}
@@ -46,9 +46,9 @@ func TestForNodeReturnsCopies(t *testing.T) {
 func TestCalibrationHitsIonTarget(t *testing.T) {
 	// The mobility calibration must make every node deliver exactly the
 	// ITRS 750 µA/µm at nominal conditions.
-	for _, nm := range itrs.Nodes() {
-		d := MustForNode(nm)
-		node := itrs.MustNode(nm)
+	for _, nm := range itrs.Base().NodesNM() {
+		d := BaseLab().MustForNode(nm)
+		node := itrs.Base().MustNode(nm)
 		ion := d.IonPerWidth(node.Vdd, units.RoomTemperature)
 		if !units.ApproxEqual(ion, node.IonTargetAPerM, 1e-6, 0) {
 			t.Errorf("%d nm: Ion = %g A/m, want %g", nm, ion, node.IonTargetAPerM)
@@ -57,7 +57,7 @@ func TestCalibrationHitsIonTarget(t *testing.T) {
 }
 
 func TestElectricalOxide(t *testing.T) {
-	d := MustForNode(100)
+	d := BaseLab().MustForNode(100)
 	// Poly gate: physical + 0.7 nm (0.4 inversion + 0.3 depletion).
 	if got := d.ToxElectricalM() - d.ToxPhysicalM; math.Abs(got-0.7e-9) > 1e-12 {
 		t.Fatalf("electrical-physical gap = %g, want 0.7 nm", got)
@@ -77,7 +77,7 @@ func TestElectricalOxide(t *testing.T) {
 func TestIoffEquation4(t *testing.T) {
 	// At the reference drain bias (no DIBL shift) and 300 K, Eq. 4 is
 	// exactly 10 µA/µm × 10^(−Vth/85 mV).
-	d := MustForNode(70)
+	d := BaseLab().MustForNode(70)
 	for _, vth := range []float64{0.1, 0.2, 0.3, 0.4} {
 		got := d.WithVth(vth).IoffPerWidth(d.VddRef, units.RoomTemperature)
 		want := 10 * math.Pow(10, -vth/0.085)
@@ -88,7 +88,7 @@ func TestIoffEquation4(t *testing.T) {
 }
 
 func TestIoffDIBL(t *testing.T) {
-	d := MustForNode(35)
+	d := BaseLab().MustForNode(35)
 	lo := d.IoffPerWidth(0.3, units.RoomTemperature)
 	hi := d.IoffPerWidth(0.6, units.RoomTemperature)
 	if hi <= lo {
@@ -103,7 +103,7 @@ func TestIoffDIBL(t *testing.T) {
 }
 
 func TestSubthresholdSwingTemperature(t *testing.T) {
-	d := MustForNode(50)
+	d := BaseLab().MustForNode(50)
 	if got := d.SubthresholdSwing(300); got != 0.085 {
 		t.Fatalf("S(300 K) = %g, want 0.085", got)
 	}
@@ -121,8 +121,8 @@ func TestTable2VthAnchors(t *testing.T) {
 	// nominal supply and 300 K.
 	anchors := map[int]float64{180: 0.30, 130: 0.29, 100: 0.22, 70: 0.14, 50: 0.04, 35: 0.11}
 	for nm, want := range anchors {
-		d := MustForNode(nm)
-		node := itrs.MustNode(nm)
+		d := BaseLab().MustForNode(nm)
+		node := itrs.Base().MustNode(nm)
 		vth, err := d.SolveVthForIon(node.IonTargetAPerM, node.Vdd, units.RoomTemperature)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
@@ -134,8 +134,8 @@ func TestTable2VthAnchors(t *testing.T) {
 }
 
 func TestSolveVthMonotoneRoundTrip(t *testing.T) {
-	d := MustForNode(100)
-	node := itrs.MustNode(100)
+	d := BaseLab().MustForNode(100)
+	node := itrs.Base().MustNode(100)
 	// Property: solving for a target and evaluating gives the target back.
 	f := func(seed uint8) bool {
 		target := 300 + float64(seed)*3 // 300–1065 µA/µm
@@ -152,7 +152,7 @@ func TestSolveVthMonotoneRoundTrip(t *testing.T) {
 }
 
 func TestSolveVthErrors(t *testing.T) {
-	d := MustForNode(100)
+	d := BaseLab().MustForNode(100)
 	if _, err := d.SolveVthForIon(-1, 1.2, 300); err == nil {
 		t.Fatalf("negative target must error")
 	}
@@ -162,7 +162,7 @@ func TestSolveVthErrors(t *testing.T) {
 }
 
 func TestIonMonotonicity(t *testing.T) {
-	d := MustForNode(70)
+	d := BaseLab().MustForNode(70)
 	T := units.RoomTemperature
 	// Increasing Vdd increases Ion.
 	prev := 0.0
@@ -185,7 +185,7 @@ func TestIonMonotonicity(t *testing.T) {
 }
 
 func TestRsDegradesDrive(t *testing.T) {
-	d := MustForNode(100)
+	d := BaseLab().MustForNode(100)
 	noRs := *d
 	noRs.RsOhmM = 0
 	T := units.RoomTemperature
@@ -201,7 +201,7 @@ func TestRsDegradesDrive(t *testing.T) {
 func TestDriveBelowThresholdIsFiniteAndSmall(t *testing.T) {
 	// The moderate-inversion smoothing must keep current finite and small
 	// (but nonzero) at Vdd near or below Vth — the Figure 3 regime.
-	d := MustForNode(35)
+	d := BaseLab().MustForNode(35)
 	T := units.RoomTemperature
 	iAt := func(vdd float64) float64 { return d.IonPerWidth(vdd, T) }
 	if iAt(0.12) <= 0 {
@@ -213,7 +213,7 @@ func TestDriveBelowThresholdIsFiniteAndSmall(t *testing.T) {
 }
 
 func TestDelayMetric(t *testing.T) {
-	d := MustForNode(35)
+	d := BaseLab().MustForNode(35)
 	T := units.RoomTemperature
 	// Delay falls as supply rises.
 	if d.DelayMetric(0.3, T, 4) <= d.DelayMetric(0.6, T, 4) {
@@ -227,7 +227,7 @@ func TestDelayMetric(t *testing.T) {
 }
 
 func TestValidateCatchesEachField(t *testing.T) {
-	base := MustForNode(100)
+	base := BaseLab().MustForNode(100)
 	mutations := []func(*Device){
 		func(d *Device) { d.LeffM = 0 },
 		func(d *Device) { d.ToxPhysicalM = -1 },
@@ -248,7 +248,7 @@ func TestValidateCatchesEachField(t *testing.T) {
 }
 
 func TestCalibrateMobilityErrors(t *testing.T) {
-	d := MustForNode(100)
+	d := BaseLab().MustForNode(100)
 	if _, err := CalibrateMobility(d, 1e9, 1.2, 300); err == nil {
 		t.Fatalf("unreachable target must error")
 	}
@@ -258,7 +258,7 @@ func TestCalibrateMobilityErrors(t *testing.T) {
 }
 
 func TestIonOverIoff(t *testing.T) {
-	d := MustForNode(100)
+	d := BaseLab().MustForNode(100)
 	r := d.IonOverIoff(1.2, units.RoomTemperature)
 	// 750 µA/µm over 26 nA/µm ≈ 29k.
 	if r < 1e4 || r > 1e5 {

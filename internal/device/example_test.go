@@ -10,7 +10,7 @@ import (
 // Solve the threshold that delivers the ITRS drive target at the 70 nm node
 // and look at the leakage it implies — one column of the paper's Table 2.
 func Example() {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	vth, err := d.SolveVthForIon(750, 0.9, units.RoomTemperature)
 	if err != nil {
 		panic(err)
@@ -24,7 +24,7 @@ func Example() {
 // The dual-Vth trade of Figure 2: 100 mV of threshold costs ≈15× leakage
 // and buys drive current.
 func ExampleDevice_WithVth() {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	low := d.WithVth(d.Vth0 - 0.1)
 	ionGain := low.IonPerWidth(0.9, units.RoomTemperature)/d.IonPerWidth(0.9, units.RoomTemperature) - 1
 	ioffX := low.IoffPerWidth(0.9, units.RoomTemperature) / d.IoffPerWidth(0.9, units.RoomTemperature)
@@ -36,7 +36,7 @@ func ExampleDevice_WithVth() {
 // The metal-gate variant of Table 2: removing gate depletion thins the
 // electrical oxide and allows a higher threshold at the same drive.
 func ExampleDevice_MetalGate() {
-	d := device.MustForNode(35)
+	d := device.BaseLab().MustForNode(35)
 	mg := d.MetalGate()
 	fmt.Printf("electrical oxide: %.1f nm → %.1f nm\n", d.ToxElectricalM()*1e9, mg.ToxElectricalM()*1e9)
 	// Output:

@@ -62,8 +62,8 @@ type calibEntry struct {
 
 // Lab is a device laboratory: a roadmap table plus its per-node model
 // parameters and a calibration cache. All device models for one scenario
-// come out of one Lab; the package-level ForNode helpers delegate to
-// BaseLab(). A Lab is safe for concurrent use.
+// come out of one Lab, and every model takes its Lab as an argument. A Lab
+// is safe for concurrent use.
 type Lab struct {
 	table  *itrs.Table
 	params map[int]Params
@@ -102,9 +102,8 @@ func NewLab(table *itrs.Table, params map[int]Params) (*Lab, error) {
 	return &Lab{table: table, params: merged}, nil
 }
 
-// baseLab is the process-wide laboratory over the transcribed base roadmap;
-// the package-level ForNode family keeps its historical behavior (and its
-// shared calibration cache) by delegating here.
+// baseLabVal is the process-wide laboratory over the transcribed base
+// roadmap; every BaseLab caller shares its calibration cache.
 var (
 	baseLabOnce sync.Once
 	baseLabVal  *Lab
@@ -162,32 +161,6 @@ func (l *Lab) forNode(drawnNM int, pol Polarity) (*Device, error) {
 	}
 	c := *entry.dev
 	return &c, nil
-}
-
-// ForNode returns the calibrated NMOS device model for a node of the base
-// roadmap.
-func ForNode(drawnNM int) (*Device, error) { return BaseLab().ForNode(drawnNM) }
-
-// ForNodePMOS returns the calibrated PMOS companion device for a node of the
-// base roadmap.
-func ForNodePMOS(drawnNM int) (*Device, error) { return BaseLab().ForNodePMOS(drawnNM) }
-
-// MustForNode is ForNode for known-good node literals.
-func MustForNode(drawnNM int) *Device {
-	d, err := ForNode(drawnNM)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// MustForNodePMOS is ForNodePMOS for known-good node literals.
-func MustForNodePMOS(drawnNM int) *Device {
-	d, err := ForNodePMOS(drawnNM)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // calibrate builds and mobility-calibrates the device model for one node and

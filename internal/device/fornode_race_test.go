@@ -20,14 +20,14 @@ func TestForNodeConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, n := range nodes {
-				d, err := ForNode(n)
+				d, err := BaseLab().ForNode(n)
 				if err != nil {
-					t.Errorf("ForNode(%d): %v", n, err)
+					t.Errorf("BaseLab().ForNode(%d): %v", n, err)
 					return
 				}
-				p, err := ForNodePMOS(n)
+				p, err := BaseLab().ForNodePMOS(n)
 				if err != nil {
-					t.Errorf("ForNodePMOS(%d): %v", n, err)
+					t.Errorf("BaseLab().ForNodePMOS(%d): %v", n, err)
 					return
 				}
 				devs[g] = append(devs[g], d, p)
@@ -49,7 +49,7 @@ func TestForNodeConcurrent(t *testing.T) {
 	// Isolation: callers own their copies; mutating one must not leak into
 	// the cache or other callers.
 	devs[0][0].Vth0 += 1
-	fresh, err := ForNode(nodes[0])
+	fresh, err := BaseLab().ForNode(nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestForNodeConcurrentErrors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := ForNode(17); err == nil {
+			if _, err := BaseLab().ForNode(17); err == nil {
 				t.Error("unknown node must error")
 			}
 		}()

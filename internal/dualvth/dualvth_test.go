@@ -3,13 +3,14 @@ package dualvth
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
 
 func circuit(t *testing.T, seed int64, guard float64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = 1500
 	p.Levels = 30
@@ -102,7 +103,7 @@ func TestLooseClockConvertsMore(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	single := netlist.MustNewTech(100, 0.65)
+	single := mustTech(t, 100, 0.65)
 	single.VthLevels = single.VthLevels[:1]
 	p := netlist.DefaultGenParams()
 	p.Gates = 100
@@ -124,4 +125,15 @@ func TestAssignErrors(t *testing.T) {
 	if _, err := Assign(c3, Options{}); err == nil {
 		t.Fatalf("violated baseline must error")
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

@@ -3,6 +3,7 @@ package dualvth_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
@@ -12,7 +13,10 @@ import (
 // the published 40–80 % band while the critical path keeps the low
 // threshold and the clock holds.
 func ExampleAssign() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1200
 	p.Seed = 2

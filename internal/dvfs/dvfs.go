@@ -38,15 +38,10 @@ type Table struct {
 	LogicDepth float64
 }
 
-// NewTable builds an n-point table for a node, spanning supplies from the
+// NewTableIn builds an n-point table for a node, spanning supplies from the
 // nominal Vdd down to loFrac·Vdd. Frequencies come from the reference
 // inverter's FO4 delay with logicDepth stages per cycle (zero selects the
 // depth that reproduces the node's local clock at nominal supply).
-func NewTable(nodeNM, n int, loFrac, logicDepth float64) (*Table, error) {
-	return NewTableIn(device.BaseLab(), nodeNM, n, loFrac, logicDepth)
-}
-
-// NewTableIn is NewTable against an explicit laboratory.
 func NewTableIn(lab *device.Lab, nodeNM, n int, loFrac, logicDepth float64) (*Table, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("dvfs: need at least 2 points, got %d", n)

@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/units"
 )
 
 func table(t *testing.T) *Table {
 	t.Helper()
-	tb, err := NewTable(100, 6, 0.55, 0)
+	tb, err := NewTableIn(device.BaseLab(), 100, 6, 0.55, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,13 +19,13 @@ func table(t *testing.T) *Table {
 }
 
 func TestNewTableErrors(t *testing.T) {
-	if _, err := NewTable(100, 1, 0.5, 0); err == nil {
+	if _, err := NewTableIn(device.BaseLab(), 100, 1, 0.5, 0); err == nil {
 		t.Fatalf("single point must error")
 	}
-	if _, err := NewTable(100, 4, 1.2, 0); err == nil {
+	if _, err := NewTableIn(device.BaseLab(), 100, 4, 1.2, 0); err == nil {
 		t.Fatalf("bad fraction must error")
 	}
-	if _, err := NewTable(65, 4, 0.5, 0); err == nil {
+	if _, err := NewTableIn(device.BaseLab(), 65, 4, 0.5, 0); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
@@ -210,7 +211,7 @@ func TestGovernorRunConservesWork(t *testing.T) {
 		}},
 	}
 	for _, points := range []int{2, 6, 12} {
-		tb, err := NewTable(100, points, 0.55, 0)
+		tb, err := NewTableIn(device.BaseLab(), 100, points, 0.55, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

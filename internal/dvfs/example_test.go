@@ -3,6 +3,7 @@ package dvfs_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/dvfs"
 )
 
@@ -10,7 +11,7 @@ import (
 // the supply down returns quadratically more energy than gating the clock
 // at full voltage.
 func ExampleTable_EnergyVsThrottling() {
-	tb, err := dvfs.NewTable(100, 6, 0.55, 0)
+	tb, err := dvfs.NewTableIn(device.BaseLab(), 100, 6, 0.55, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -27,7 +28,7 @@ func ExampleTable_EnergyVsThrottling() {
 
 // The governor descends the table under light load and returns under bursts.
 func ExampleGovernor() {
-	tb, err := dvfs.NewTable(100, 6, 0.55, 0)
+	tb, err := dvfs.NewTableIn(device.BaseLab(), 100, 6, 0.55, 0)
 	if err != nil {
 		panic(err)
 	}

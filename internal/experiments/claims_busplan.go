@@ -19,13 +19,8 @@ type BusPlanResult struct {
 	Repeated, LowSwing, Differential int
 }
 
-// RunBusPlan plans a representative 50 nm global-route population: latency-
+// RunBusPlanIn plans a representative 50 nm global-route population: latency-
 // critical hops, relaxed cross-chip buses, and high-activity datapath links.
-func RunBusPlan(nodeNM int) (*BusPlanResult, error) {
-	return RunBusPlanIn(device.BaseLab(), nodeNM)
-}
-
-// RunBusPlanIn is RunBusPlan against an explicit laboratory.
 func RunBusPlanIn(lab *device.Lab, nodeNM int) (*BusPlanResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {

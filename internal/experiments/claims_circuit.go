@@ -35,12 +35,7 @@ func DefaultCircuitSetup() CircuitSetup {
 	return CircuitSetup{NodeNM: 100, Gates: 3000, LowVddRatio: 0.65, PeriodGuard: 1.15, Seed: 7}
 }
 
-// buildCircuit generates the benchmark netlist for a setup.
-func buildCircuit(s CircuitSetup) (*netlist.Circuit, error) {
-	return buildCircuitIn(device.BaseLab(), s)
-}
-
-// buildCircuitIn is buildCircuit against an explicit laboratory.
+// buildCircuitIn generates the benchmark netlist for a setup.
 func buildCircuitIn(lab *device.Lab, s CircuitSetup) (*netlist.Circuit, error) {
 	tech, err := netlist.NewTechIn(lab, s.NodeNM, s.LowVddRatio)
 	if err != nil {
@@ -71,12 +66,7 @@ type CVSResult struct {
 	Clustered, Unclustered *cvs.Result
 }
 
-// RunCVS runs clustered voltage scaling and its clustering ablation.
-func RunCVS(s CircuitSetup) (*CVSResult, error) {
-	return RunCVSIn(device.BaseLab(), s)
-}
-
-// RunCVSIn is RunCVS against an explicit laboratory.
+// RunCVSIn runs clustered voltage scaling and its clustering ablation.
 func RunCVSIn(lab *device.Lab, s CircuitSetup) (*CVSResult, error) {
 	c, err := buildCircuitIn(lab, s)
 	if err != nil {
@@ -106,15 +96,10 @@ type DualVthResult struct {
 	Sensitivity, SlackOrdered *dualvth.Result
 }
 
-// RunDualVth runs dual-threshold assignment and its ordering ablation. The
+// RunDualVthIn runs dual-threshold assignment and its ordering ablation. The
 // netlist is clocked at its critical delay (guard 1.0): the dual-Vth
 // literature's results are for timing-tight designs where the low threshold
 // is what makes the clock.
-func RunDualVth(s CircuitSetup) (*DualVthResult, error) {
-	return RunDualVthIn(device.BaseLab(), s)
-}
-
-// RunDualVthIn is RunDualVth against an explicit laboratory.
 func RunDualVthIn(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
 	s.PeriodGuard = 1.0
 	out := &DualVthResult{Setup: s}
@@ -154,12 +139,7 @@ type ResizeVsVddResult struct {
 	AssignedAfterResize float64
 }
 
-// RunResizeVsVdd runs the C6 comparison.
-func RunResizeVsVdd(s CircuitSetup) (*ResizeVsVddResult, error) {
-	return RunResizeVsVddIn(device.BaseLab(), s)
-}
-
-// RunResizeVsVddIn is RunResizeVsVdd against an explicit laboratory.
+// RunResizeVsVddIn runs the C6 comparison.
 func RunResizeVsVddIn(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, error) {
 	base, err := buildCircuitIn(lab, s)
 	if err != nil {
@@ -207,12 +187,7 @@ type LibraryResult struct {
 	ContinuousVsRich float64
 }
 
-// RunLibrary runs the library-granularity comparison.
-func RunLibrary(s CircuitSetup) (*LibraryResult, error) {
-	return RunLibraryIn(device.BaseLab(), s)
-}
-
-// RunLibraryIn is RunLibrary against an explicit laboratory.
+// RunLibraryIn runs the library-granularity comparison.
 func RunLibraryIn(lab *device.Lab, s CircuitSetup) (*LibraryResult, error) {
 	c, err := buildCircuitIn(lab, s)
 	if err != nil {

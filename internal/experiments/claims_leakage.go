@@ -27,12 +27,7 @@ type StackVthResult struct {
 	ParkedSaving float64
 }
 
-// RunStackVth evaluates the intra-cell assignment space for a node.
-func RunStackVth(nodeNM int) (*StackVthResult, error) {
-	return RunStackVthIn(device.BaseLab(), nodeNM)
-}
-
-// RunStackVthIn is RunStackVth against an explicit laboratory.
+// RunStackVthIn evaluates the intra-cell assignment space for a node.
 func RunStackVthIn(lab *device.Lab, nodeNM int) (*StackVthResult, error) {
 	d, err := lab.ForNode(nodeNM)
 	if err != nil {
@@ -87,12 +82,7 @@ type StandbyResult struct {
 	BodyBiasTrend []standby.Result
 }
 
-// RunStandby evaluates the standby-technique comparison.
-func RunStandby() (*StandbyResult, error) {
-	return RunStandbyIn(device.BaseLab())
-}
-
-// RunStandbyIn is RunStandby against an explicit laboratory.
+// RunStandbyIn evaluates the standby-technique comparison.
 func RunStandbyIn(lab *device.Lab) (*StandbyResult, error) {
 	const width = 1e-3
 	at180, err := standby.CompareIn(lab, 180, width)

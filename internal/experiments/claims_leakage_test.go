@@ -1,11 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"nanometer/internal/device"
+)
 
 // --- C10: intra-cell multi-Vth stacks ------------------------------------------
 
 func TestClaimStackVth(t *testing.T) {
-	r, err := RunStackVth(70)
+	r, err := RunStackVthIn(device.BaseLab(), 70)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestClaimStackVth(t *testing.T) {
 // --- C11: standby-technique comparison ------------------------------------------
 
 func TestClaimStandby(t *testing.T) {
-	r, err := RunStandby()
+	r, err := RunStandbyIn(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func TestClaimStandby(t *testing.T) {
 // --- C12: tolerable-swing study --------------------------------------------------
 
 func TestClaimSwingStudy(t *testing.T) {
-	r, err := RunSwingStudy(50)
+	r, err := RunSwingStudyIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +119,7 @@ func TestClaimSwingStudy(t *testing.T) {
 // --- C13: signaling-primitive planner ---------------------------------------------
 
 func TestClaimBusPlan(t *testing.T) {
-	r, err := RunBusPlan(50)
+	r, err := RunBusPlanIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,7 @@ type VddFloorResult struct {
 	At02V core.OperatingPoint
 }
 
-// RunVddFloor runs the C7 computation.
-func RunVddFloor() (*VddFloorResult, error) {
-	return RunVddFloorIn(device.BaseLab())
-}
-
-// RunVddFloorIn is RunVddFloor against an explicit laboratory.
+// RunVddFloorIn runs the C7 computation.
 func RunVddFloorIn(lab *device.Lab) (*VddFloorResult, error) {
 	node := lab.MustNode(35)
 	ex, err := core.NewExplorerIn(lab, 35, units.RoomTemperature, 0.1, node.ClockHz)
@@ -62,23 +57,10 @@ type BumpsResult struct {
 	LadderRatio, PessimisticRatio float64
 }
 
-// DefaultMeshN is the 2-D mesh discretization RunBumps uses: fine enough
-// that the smeared-mesh bound is converged at report precision, small
-// enough to stay cheap. RunBumpsN overrides it.
+// DefaultMeshN is the 2-D mesh discretization the C8 analysis uses unless
+// RunBumpsNIn is given another: fine enough that the smeared-mesh bound is
+// converged at report precision, small enough to stay cheap.
 const DefaultMeshN = 41
-
-// RunBumps runs the C8 analysis at 35 nm with the default mesh size.
-func RunBumps() (*BumpsResult, error) {
-	return RunBumpsN(DefaultMeshN)
-}
-
-// RunBumpsN runs the C8 analysis at 35 nm with an n×n validation mesh
-// (n ≤ 0 selects DefaultMeshN). The multigrid-preconditioned mesh solver
-// keeps iteration counts near-constant in n, so refinement sweeps (129,
-// 255, ...) stay close to linear in node count.
-func RunBumpsN(meshN int) (*BumpsResult, error) {
-	return RunBumpsNIn(device.BaseLab(), meshN)
-}
 
 // BumpMesh builds (without solving) the pessimistic validation mesh the
 // C8 analysis solves at meshN (n ≤ 0 selects DefaultMeshN) — the dominant
@@ -100,7 +82,10 @@ func BumpMesh(lab *device.Lab, meshN int) (*powergrid.Mesh, error) {
 	return powergrid.PessimisticMesh(minSpec, meshN)
 }
 
-// RunBumpsNIn is RunBumpsN against an explicit laboratory.
+// RunBumpsNIn runs the C8 analysis at 35 nm with an n×n validation mesh
+// (n ≤ 0 selects DefaultMeshN). The multigrid-preconditioned mesh solver
+// keeps iteration counts near-constant in n, so refinement sweeps (129,
+// 255, ...) stay close to linear in node count.
 func RunBumpsNIn(lab *device.Lab, meshN int) (*BumpsResult, error) {
 	if meshN <= 0 {
 		meshN = DefaultMeshN
@@ -159,12 +144,7 @@ type TransientsResult struct {
 	MCML mcml.Comparison
 }
 
-// RunTransients runs the C9 analysis at 35 nm.
-func RunTransients() (*TransientsResult, error) {
-	return RunTransientsIn(device.BaseLab())
-}
-
-// RunTransientsIn is RunTransients against an explicit laboratory.
+// RunTransientsIn runs the C9 analysis at 35 nm.
 func RunTransientsIn(lab *device.Lab) (*TransientsResult, error) {
 	const nodeNM = 35
 	node := lab.MustNode(nodeNM)

@@ -44,12 +44,7 @@ type SignalingRow struct {
 	ScaledCycles, UnscaledCycles float64
 }
 
-// Signaling runs the C2 experiment across the roadmap.
-func Signaling() ([]SignalingRow, error) {
-	return SignalingIn(device.BaseLab())
-}
-
-// SignalingIn is Signaling against an explicit laboratory.
+// SignalingIn runs the C2 experiment across the roadmap.
 func SignalingIn(lab *device.Lab) ([]SignalingRow, error) {
 	var rows []SignalingRow
 	for _, nm := range lab.NodesNM() {
@@ -112,12 +107,7 @@ type SwingStudyResult struct {
 	DiffShielded, DiffBare, SEShielded, SEBare signaling.SwingStudy
 }
 
-// RunSwingStudy evaluates tolerable swings on a cross-unit global route.
-func RunSwingStudy(nodeNM int) (*SwingStudyResult, error) {
-	return RunSwingStudyIn(device.BaseLab(), nodeNM)
-}
-
-// RunSwingStudyIn is RunSwingStudy against an explicit laboratory.
+// RunSwingStudyIn evaluates tolerable swings on a cross-unit global route.
 func RunSwingStudyIn(lab *device.Lab, nodeNM int) (*SwingStudyResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {

@@ -3,13 +3,14 @@ package experiments
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 )
 
 // --- C1: dynamic thermal management -------------------------------------------
 
 func TestClaimDTM(t *testing.T) {
-	r, err := DTM(50)
+	r, err := DTMIn(device.BaseLab(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestClaimDTM(t *testing.T) {
 	}
 	// The DTM-sized package survives the power virus within the junction
 	// limit at graceful throughput.
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	if r.VirusPeakTempC > node.JunctionTempC+0.5 {
 		t.Fatalf("virus peak %.1f °C exceeds the %g °C limit", r.VirusPeakTempC, node.JunctionTempC)
 	}
@@ -43,7 +44,7 @@ func TestClaimDTM(t *testing.T) {
 // --- C2: global signaling ------------------------------------------------------
 
 func TestClaimSignaling(t *testing.T) {
-	rows, err := Signaling()
+	rows, err := SignalingIn(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestClaimSignaling(t *testing.T) {
 // --- C3: library optimization ---------------------------------------------------
 
 func TestClaimLibrary(t *testing.T) {
-	r, err := RunLibrary(DefaultCircuitSetup())
+	r, err := RunLibraryIn(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestClaimLibrary(t *testing.T) {
 // --- C4: clustered voltage scaling ----------------------------------------------
 
 func TestClaimCVS(t *testing.T) {
-	r, err := RunCVS(DefaultCircuitSetup())
+	r, err := RunCVSIn(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestClaimCVS(t *testing.T) {
 // --- C5: dual-Vth ----------------------------------------------------------------
 
 func TestClaimDualVth(t *testing.T) {
-	r, err := RunDualVth(DefaultCircuitSetup())
+	r, err := RunDualVthIn(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestClaimDualVth(t *testing.T) {
 // --- C6: resize vs multi-Vdd ------------------------------------------------------
 
 func TestClaimResizeVsVdd(t *testing.T) {
-	r, err := RunResizeVsVdd(DefaultCircuitSetup())
+	r, err := RunResizeVsVddIn(device.BaseLab(), DefaultCircuitSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestClaimResizeVsVdd(t *testing.T) {
 // --- C7: the Vdd floor -------------------------------------------------------------
 
 func TestClaimVddFloor(t *testing.T) {
-	r, err := RunVddFloor()
+	r, err := RunVddFloorIn(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestClaimVddFloor(t *testing.T) {
 // --- C8: bump plans -----------------------------------------------------------------
 
 func TestClaimBumps(t *testing.T) {
-	r, err := RunBumps()
+	r, err := RunBumpsNIn(device.BaseLab(), DefaultMeshN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestClaimBumps(t *testing.T) {
 // --- C9: transients and MCML ---------------------------------------------------------
 
 func TestClaimTransients(t *testing.T) {
-	r, err := RunTransients()
+	r, err := RunTransientsIn(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,7 @@ type DTMResult struct {
 	Intel65to75 float64
 }
 
-// DTM runs the C1 experiment for a node.
-func DTM(nodeNM int) (*DTMResult, error) {
-	return DTMIn(device.BaseLab(), nodeNM)
-}
-
-// DTMIn is DTM against an explicit laboratory.
+// DTMIn runs the C1 experiment for a node.
 func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {

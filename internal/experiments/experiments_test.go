@@ -7,13 +7,14 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 )
 
 // --- Table 1 -----------------------------------------------------------------
 
 func TestTable1Shape(t *testing.T) {
-	rows := Table1()
+	rows := Table1In(device.BaseLab())
 	if len(rows) != 9 {
 		t.Fatalf("Table 1 has %d rows, want 6 published + 3 ITRS", len(rows))
 	}
@@ -35,7 +36,7 @@ func TestTable1Shape(t *testing.T) {
 	if flagged != 2 {
 		t.Fatalf("expected 2 devices with the +78%% dynamic-power penalty, got %d", flagged)
 	}
-	if Table1Report() == nil {
+	if Table1ReportIn(device.BaseLab()) == nil {
 		t.Fatalf("report rendering failed")
 	}
 }
@@ -43,7 +44,7 @@ func TestTable1Shape(t *testing.T) {
 // --- Table 2 -----------------------------------------------------------------
 
 func TestTable2AgainstPaper(t *testing.T) {
-	rows, err := Table2()
+	rows, err := Table2In(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestTable2AgainstPaper(t *testing.T) {
 		}
 		tolVth := 0.005
 		tolIoff := 1.6 // ×
-		if r.Vdd != itrs.MustNode(r.NodeNM).Vdd {
+		if r.Vdd != itrs.Base().MustNode(r.NodeNM).Vdd {
 			// The 0.7 V row is a pure prediction (not a calibration
 			// anchor); allow a wider band.
 			tolVth, tolIoff = 0.04, 2.5
@@ -89,7 +90,7 @@ func TestTable2AgainstPaper(t *testing.T) {
 		t.Errorf("35 nm model Ioff %.0f should exceed the ITRS %.0f by ~3×",
 			last.IoffNAPerUM, last.ITRSIoffNAPerUM)
 	}
-	if _, err := Table2Report(); err != nil {
+	if _, err := Table2ReportIn(device.BaseLab()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +98,7 @@ func TestTable2AgainstPaper(t *testing.T) {
 // --- Figure 1 ----------------------------------------------------------------
 
 func TestFigure1Shape(t *testing.T) {
-	fig, err := Figure1(nil)
+	fig, err := Figure1In(device.BaseLab(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestFigure1Shape(t *testing.T) {
 // --- Figure 2 ----------------------------------------------------------------
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2()
+	rows, err := Figure2In(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFigure2Shape(t *testing.T) {
 // --- Figures 3 and 4 ---------------------------------------------------------
 
 func TestFigure3And4Shape(t *testing.T) {
-	fig3, fig4, err := Figure3And4(nil)
+	fig3, fig4, err := Figure3And4In(device.BaseLab(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestFigure3And4Shape(t *testing.T) {
 // --- Figure 5 ----------------------------------------------------------------
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := Figure5()
+	rows, err := Figure5In(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,10 @@ func Figure1Cases() []Figure1Case {
 	return []Figure1Case{{70, 0.9}, {50, 0.7}, {50, 0.6}}
 }
 
-// Figure1 reproduces the Pstatic/Pdynamic ratio of a fan-out-of-4 inverter
+// Figure1In reproduces the Pstatic/Pdynamic ratio of a fan-out-of-4 inverter
 // with average wiring load at 85 °C, swept over switching activity. The
 // threshold at each (node, Vdd) point is the Table 2 solution (Ion target
 // met at that supply), as in the paper's §3.1 setup.
-func Figure1(activities []float64) (*result.Figure, error) {
-	return Figure1In(device.BaseLab(), activities)
-}
-
-// Figure1In is Figure1 against an explicit laboratory.
 func Figure1In(lab *device.Lab, activities []float64) (*result.Figure, error) {
 	if len(activities) == 0 {
 		activities = mathx.Logspace(0.005, 0.5, 25)
@@ -81,12 +76,7 @@ type Figure2Row struct {
 	DeltaVthFor20Pct float64
 }
 
-// Figure2 reproduces the dual-Vth scaling figure.
-func Figure2() ([]Figure2Row, error) {
-	return Figure2In(device.BaseLab())
-}
-
-// Figure2In is Figure2 against an explicit laboratory.
+// Figure2In reproduces the dual-Vth scaling figure.
 func Figure2In(lab *device.Lab) ([]Figure2Row, error) {
 	var rows []Figure2Row
 	T := units.RoomTemperature
@@ -132,14 +122,9 @@ func Figure2Figure(rows []Figure2Row) *result.Figure {
 	}
 }
 
-// Figure3And4 evaluates the Vth-scaling policies at 35 nm across supplies:
+// Figure3And4In evaluates the Vth-scaling policies at 35 nm across supplies:
 // normalized delay (Figure 3) and Pdynamic/Pstatic at activity 0.1
 // (Figure 4).
-func Figure3And4(vdds []float64) (fig3, fig4 *result.Figure, err error) {
-	return Figure3And4In(device.BaseLab(), vdds)
-}
-
-// Figure3And4In is Figure3And4 against an explicit laboratory.
 func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *result.Figure, err error) {
 	if len(vdds) == 0 {
 		vdds = mathx.Linspace(0.2, 0.6, 17)
@@ -187,12 +172,7 @@ type Figure5Row struct {
 	MinRoutingFraction, ITRSRoutingFraction float64
 }
 
-// Figure5 reproduces the power-distribution scaling analysis.
-func Figure5() ([]Figure5Row, error) {
-	return Figure5In(device.BaseLab())
-}
-
-// Figure5In is Figure5 against an explicit laboratory.
+// Figure5In reproduces the power-distribution scaling analysis.
 func Figure5In(lab *device.Lab) ([]Figure5Row, error) {
 	var rows []Figure5Row
 	for _, nm := range lab.NodesNM() {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/result"
 )
@@ -26,7 +27,7 @@ func encode(t *testing.T, enc interface {
 }
 
 func TestTable1ReportRenders(t *testing.T) {
-	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: Table1Report()})
+	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: Table1ReportIn(device.BaseLab())})
 	for _, want := range []string{"[24]", "[29]", "ITRS", "Ioff (nA/µm)", "+78%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 report missing %q:\n%s", want, out)
@@ -35,7 +36,7 @@ func TestTable1ReportRenders(t *testing.T) {
 }
 
 func TestTable2ReportRenders(t *testing.T) {
-	tab, err := Table2Report()
+	tab, err := Table2ReportIn(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestTable2ReportRenders(t *testing.T) {
 }
 
 func TestFigureCSVWellFormed(t *testing.T) {
-	fig, err := Figure1(nil)
+	fig, err := Figure1In(device.BaseLab(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestFigureCSVWellFormed(t *testing.T) {
 }
 
 func TestFigure5FigureSeries(t *testing.T) {
-	rows, err := Figure5()
+	rows, err := Figure5In(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"nanometer/internal/core"
 	"nanometer/internal/cvs"
+	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
 	"nanometer/internal/itrs"
 	"nanometer/internal/netlist"
@@ -33,7 +34,7 @@ func robustnessSetups() []CircuitSetup {
 func TestCombinedFlowRobustAcrossSeedsAndNodes(t *testing.T) {
 	for _, s := range robustnessSetups() {
 		s := s
-		c, err := buildCircuit(s)
+		c, err := buildCircuitIn(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -56,7 +57,7 @@ func TestCombinedFlowRobustAcrossSeedsAndNodes(t *testing.T) {
 
 func TestCVSStructureInvariantAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
-		c, err := buildCircuit(s)
+		c, err := buildCircuitIn(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -83,7 +84,7 @@ func TestCVSStructureInvariantAcrossSeeds(t *testing.T) {
 func TestDualVthNeverSlowsPastPeriodAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
 		s.PeriodGuard = 1.0 // the hardest case: zero slack on the critical path
-		c, err := buildCircuit(s)
+		c, err := buildCircuitIn(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -102,7 +103,7 @@ func TestDualVthNeverSlowsPastPeriodAcrossSeeds(t *testing.T) {
 
 func TestResizeFloorsAndTimingAcrossSeeds(t *testing.T) {
 	for _, s := range robustnessSetups() {
-		c, err := buildCircuit(s)
+		c, err := buildCircuitIn(device.BaseLab(), s)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
@@ -123,7 +124,10 @@ func TestResizeFloorsAndTimingAcrossSeeds(t *testing.T) {
 }
 
 func TestGeneratorInvariantsAcrossSeeds(t *testing.T) {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		p := netlist.DefaultGenParams()
 		p.Gates = 400
@@ -156,7 +160,7 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 	// The DTM pipeline (plant + sensor + throttle + cooling selection)
 	// must close at every nanometer node, not just the 50 nm headline.
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := DTM(nm)
+		r, err := DTMIn(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
@@ -166,7 +170,7 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 		if r.CostTheoretical.CostUSD < r.CostEffective.CostUSD {
 			t.Errorf("%d nm: DTM cannot make cooling more expensive", nm)
 		}
-		node := itrs.MustNode(nm)
+		node := itrs.Base().MustNode(nm)
 		if r.VirusPeakTempC > node.JunctionTempC+0.5 {
 			t.Errorf("%d nm: virus breached the junction limit", nm)
 		}
@@ -175,7 +179,7 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 
 func TestBusPlanRobustAcrossNodes(t *testing.T) {
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := RunBusPlan(nm)
+		r, err := RunBusPlanIn(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}

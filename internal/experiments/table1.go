@@ -27,16 +27,11 @@ type Table1Row struct {
 	PowerPenalty float64 // dynamic-power penalty vs the ITRS supply of the nearest node
 }
 
-// Table1 reproduces Table 1: recent published NMOS devices against ITRS
+// Table1In reproduces Table 1: recent published NMOS devices against ITRS
 // projections, with the paper's take-away flags (no published sub-1 V device
 // meets the Ion target; 70 nm-class devices at 1.2 V pay +78 % dynamic
-// power vs the 0.9 V roadmap supply).
-func Table1() []Table1Row {
-	return Table1In(device.BaseLab())
-}
-
-// Table1In is Table1 against an explicit laboratory: published devices are
-// compared to the laboratory's supplies rather than the base roadmap's.
+// power vs the 0.9 V roadmap supply). Published devices are compared to the
+// laboratory's supplies.
 func Table1In(lab *device.Lab) []Table1Row {
 	var rows []Table1Row
 	for _, d := range itrs.Table1Published() {
@@ -75,12 +70,7 @@ func Table1In(lab *device.Lab) []Table1Row {
 	return rows
 }
 
-// Table1Report renders Table 1.
-func Table1Report() *result.Table {
-	return Table1ReportIn(device.BaseLab())
-}
-
-// Table1ReportIn is Table1Report against an explicit laboratory.
+// Table1ReportIn renders Table 1.
 func Table1ReportIn(lab *device.Lab) *result.Table {
 	t := &result.Table{
 		Title:   "Table 1. Recent NMOS device results, compared with ITRS projections",

@@ -49,15 +49,10 @@ func PaperTable2(nodeNM int, vdd float64) (vth, ioff, ioffMG float64, ok bool) {
 	return v[0], v[1], v[2], true
 }
 
-// Table2 reproduces the Ioff-scaling analysis: for every node (and the
+// Table2In reproduces the Ioff-scaling analysis: for every node (and the
 // 50 nm node again at 0.7 V), solve the threshold that meets the 750 µA/µm
 // drive target from Eqs. 2–3, then evaluate Eq. 4 leakage for the poly-gate
 // (electrical-oxide) and metal-gate device variants.
-func Table2() ([]Table2Row, error) {
-	return Table2In(device.BaseLab())
-}
-
-// Table2In is Table2 against an explicit laboratory.
 func Table2In(lab *device.Lab) ([]Table2Row, error) {
 	ref, err := lab.ForNode(180)
 	if err != nil {
@@ -113,12 +108,7 @@ func Table2In(lab *device.Lab) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// Table2Report renders the reproduction with paper-vs-measured columns.
-func Table2Report() (*result.Table, error) {
-	return Table2ReportIn(device.BaseLab())
-}
-
-// Table2ReportIn is Table2Report against an explicit laboratory.
+// Table2ReportIn renders the reproduction with paper-vs-measured columns.
 func Table2ReportIn(lab *device.Lab) (*result.Table, error) {
 	rows, err := Table2In(lab)
 	if err != nil {

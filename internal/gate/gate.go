@@ -93,14 +93,8 @@ func NewInverter(n, p *device.Device, wnOverL, wpOverL float64) *Gate {
 	}
 }
 
-// ReferenceInverter returns the Figure 1/3/4 inverter (Wn/L = 4, Wp/L = 8)
-// for a node of the base roadmap.
-func ReferenceInverter(nodeNM int) (*Gate, error) {
-	return ReferenceInverterIn(device.BaseLab(), nodeNM)
-}
-
-// ReferenceInverterIn is ReferenceInverter against an explicit laboratory
-// (scenario roadmaps thread through here).
+// ReferenceInverterIn returns the Figure 1/3/4 inverter (Wn/L = 4, Wp/L = 8)
+// for a node of the laboratory's roadmap.
 func ReferenceInverterIn(lab *device.Lab, nodeNM int) (*Gate, error) {
 	n, err := lab.ForNode(nodeNM)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 func refInv(t *testing.T, nm int) *Gate {
 	t.Helper()
-	g, err := ReferenceInverter(nm)
+	g, err := ReferenceInverterIn(device.BaseLab(), nm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func refInv(t *testing.T, nm int) *Gate {
 
 func TestReferenceInverterGeometry(t *testing.T) {
 	g := refInv(t, 35)
-	n := device.MustForNode(35)
+	n := device.BaseLab().MustForNode(35)
 	if !units.ApproxEqual(g.WnM, 4*n.LeffM, 1e-12, 0) || !units.ApproxEqual(g.WpM, 8*n.LeffM, 1e-12, 0) {
 		t.Fatalf("reference inverter must be Wn/L=4, Wp/L=8 (paper footnote 6)")
 	}
@@ -30,9 +30,9 @@ func TestReferenceInverterGeometry(t *testing.T) {
 func TestFO4DelayScalesAcrossNodes(t *testing.T) {
 	// FO4 delay must shrink monotonically with scaling at nominal supply.
 	prev := math.Inf(1)
-	for _, nm := range itrs.Nodes() {
+	for _, nm := range itrs.Base().NodesNM() {
 		g := refInv(t, nm)
-		node := itrs.MustNode(nm)
+		node := itrs.Base().MustNode(nm)
 		d := g.FO4Delay(node.Vdd, units.RoomTemperature)
 		if d <= 0 || d >= prev {
 			t.Fatalf("%d nm FO4 = %g, previous %g — must shrink with scaling", nm, d, prev)
@@ -91,8 +91,11 @@ func TestDynamicPowerLinearInActivityAndFrequency(t *testing.T) {
 }
 
 func TestLeakageStackEffect(t *testing.T) {
-	n := device.MustForNode(50)
-	p := device.MustForNodePMOS(50)
+	n := device.BaseLab().MustForNode(50)
+	p, err := device.BaseLab().ForNodePMOS(50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	T := units.CelsiusToKelvin(85)
 	inv := NewInverter(n, p, 4, 8)
 	nand := NewNand(n, p, 2, inv.WnM, inv.WpM)
@@ -117,7 +120,7 @@ func TestLeakageRisesWithTemperature(t *testing.T) {
 
 func TestStaticOverDynamicInverseInActivity(t *testing.T) {
 	g := refInv(t, 50)
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	T := units.CelsiusToKelvin(85)
 	r1 := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, T)
 	r2 := g.StaticOverDynamic(0.2, node.ClockHz, 0.6, T)
@@ -171,8 +174,11 @@ func TestScaledPanics(t *testing.T) {
 }
 
 func TestNandNorDriveDerating(t *testing.T) {
-	n := device.MustForNode(70)
-	p := device.MustForNodePMOS(70)
+	n := device.BaseLab().MustForNode(70)
+	p, err := device.BaseLab().ForNodePMOS(70)
+	if err != nil {
+		t.Fatal(err)
+	}
 	T := units.RoomTemperature
 	w := 4 * n.LeffM
 	inv := NewInverter(n, p, 4, 8)

@@ -10,21 +10,9 @@ import (
 // effective power-bump pitch against an attainable 80 µm, and its standby
 // allowance reaches 30 A.
 func ExampleNode() {
-	n := itrs.MustNode(35)
+	n := itrs.Base().MustNode(35)
 	fmt.Printf("effective pitch %.0f µm (attainable %.0f µm); standby allowance %.1f A\n",
 		n.EffectiveBumpPitchM()*1e6, n.BumpPitchMinM*1e6, n.StandbyCurrentAllowanceA())
 	// Output:
 	// effective pitch 356 µm (attainable 80 µm); standby allowance 30.5 A
-}
-
-// Synthesize a between-nodes design point from the roadmap.
-func ExampleInterpolatedNode() {
-	n, err := itrs.InterpolatedNode(2003)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("between 130 and 100 nm: %v; Vdd between 1.5 and 1.2 V: %v\n",
-		n.DrawnNM < 130 && n.DrawnNM > 100, n.Vdd < 1.5 && n.Vdd > 1.2)
-	// Output:
-	// between 130 and 100 nm: true; Vdd between 1.5 and 1.2 V: true
 }

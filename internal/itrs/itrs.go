@@ -9,11 +9,7 @@
 // clock rate, top-metal geometry). DESIGN.md §2 records this substitution.
 package itrs
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Node describes one technology node of the roadmap. Geometric quantities
 // are in SI units (meters); currents per width in A/m (numerically equal to
@@ -85,10 +81,10 @@ type Node struct {
 	LogicTransistorsM float64
 }
 
-// Roadmap returns the six-node roadmap the paper spans, ordered from the
-// 180 nm node down to 35 nm. The returned slice is freshly allocated; the
-// caller may mutate it.
-func Roadmap() []Node {
+// roadmap returns the six-node roadmap the paper spans, ordered from the
+// 180 nm node down to 35 nm. The returned slice is freshly allocated; Base
+// is its only reader.
+func roadmap() []Node {
 	return []Node{
 		{
 			DrawnNM: 180, Year: 1999,
@@ -157,37 +153,6 @@ func Roadmap() []Node {
 			LogicTransistorsM: 770,
 		},
 	}
-}
-
-// ByNode returns the roadmap entry for the given drawn feature size.
-func ByNode(drawnNM int) (Node, error) {
-	for _, n := range Roadmap() {
-		if n.DrawnNM == drawnNM {
-			return n, nil
-		}
-	}
-	return Node{}, fmt.Errorf("itrs: no roadmap entry for %d nm", drawnNM)
-}
-
-// MustNode is ByNode for known-good literals; it panics on unknown nodes.
-func MustNode(drawnNM int) Node {
-	n, err := ByNode(drawnNM)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// Nodes returns the drawn feature sizes of the roadmap in descending order
-// (180 → 35).
-func Nodes() []int {
-	rm := Roadmap()
-	out := make([]int, len(rm))
-	for i, n := range rm {
-		out[i] = n.DrawnNM
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // PowerDensityWPerM2 returns the uniform-assumption power density of the

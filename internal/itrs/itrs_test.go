@@ -6,7 +6,7 @@ import (
 )
 
 func TestRoadmapCoverage(t *testing.T) {
-	rm := Roadmap()
+	rm := Base().All()
 	if len(rm) != 6 {
 		t.Fatalf("roadmap has %d nodes, want 6 (180→35 nm)", len(rm))
 	}
@@ -19,7 +19,7 @@ func TestRoadmapCoverage(t *testing.T) {
 }
 
 func TestRoadmapMonotoneTrends(t *testing.T) {
-	rm := Roadmap()
+	rm := Base().All()
 	for i := 1; i < len(rm); i++ {
 		prev, cur := rm[i-1], rm[i]
 		if cur.Vdd > prev.Vdd {
@@ -51,7 +51,7 @@ func TestRoadmapMonotoneTrends(t *testing.T) {
 
 func TestRoadmapPaperAnchors(t *testing.T) {
 	// Values the paper quotes directly.
-	n35 := MustNode(35)
+	n35 := Base().MustNode(35)
 	if n35.BumpPitchMinM != 80e-6 {
 		t.Errorf("35 nm min bump pitch = %g, paper says 80 µm", n35.BumpPitchMinM)
 	}
@@ -76,61 +76,61 @@ func TestRoadmapPaperAnchors(t *testing.T) {
 	// ITRS Ioff projections of Table 2: 7, 10, 16, 40, 80, 160 nA/µm.
 	wantIoff := map[int]float64{180: 7e-3, 130: 10e-3, 100: 16e-3, 70: 40e-3, 50: 80e-3, 35: 160e-3}
 	for nm, want := range wantIoff {
-		if got := MustNode(nm).IoffITRSAPerM; math.Abs(got-want) > 1e-9 {
+		if got := Base().MustNode(nm).IoffITRSAPerM; math.Abs(got-want) > 1e-9 {
 			t.Errorf("%d nm ITRS Ioff = %g, want %g A/m", nm, got, want)
 		}
 	}
 	// Junction temperature drops from 100 °C (1999) to 85 °C.
-	if MustNode(180).JunctionTempC != 100 || MustNode(130).JunctionTempC != 85 {
+	if Base().MustNode(180).JunctionTempC != 100 || Base().MustNode(130).JunctionTempC != 85 {
 		t.Errorf("junction temperature roadmap does not match the ITRS reduction")
 	}
 	// θja reaches 0.25 °C/W "in 3 years" (the 50 nm column carries it).
-	if MustNode(50).ThetaJA != 0.25 {
-		t.Errorf("50 nm θja = %g, want 0.25", MustNode(50).ThetaJA)
+	if Base().MustNode(50).ThetaJA != 0.25 {
+		t.Errorf("50 nm θja = %g, want 0.25", Base().MustNode(50).ThetaJA)
 	}
 }
 
 func TestPowerDensityDipAt35(t *testing.T) {
 	// The paper: "35 nm is less restricted than 50 nm due to a reduction in
 	// power density" — area jumps ~15 % while power is nearly flat.
-	d50 := MustNode(50).PowerDensityWPerM2()
-	d35 := MustNode(35).PowerDensityWPerM2()
+	d50 := Base().MustNode(50).PowerDensityWPerM2()
+	d35 := Base().MustNode(35).PowerDensityWPerM2()
 	if d35 >= d50 {
 		t.Fatalf("power density must dip at 35 nm: %g ≥ %g", d35, d50)
 	}
-	areaRatio := MustNode(35).DieAreaM2 / MustNode(50).DieAreaM2
+	areaRatio := Base().MustNode(35).DieAreaM2 / Base().MustNode(50).DieAreaM2
 	if areaRatio < 1.10 || areaRatio > 1.20 {
 		t.Fatalf("35 nm area jump = %.0f%%, paper says ~15%%", (areaRatio-1)*100)
 	}
 }
 
 func TestByNode(t *testing.T) {
-	if _, err := ByNode(90); err == nil {
+	if _, err := Base().ByNode(90); err == nil {
 		t.Fatalf("unknown node must error")
 	}
-	n, err := ByNode(70)
+	n, err := Base().ByNode(70)
 	if err != nil || n.DrawnNM != 70 {
-		t.Fatalf("ByNode(70) = %+v, %v", n, err)
+		t.Fatalf("Base().ByNode(70) = %+v, %v", n, err)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("MustNode must panic on unknown nodes")
 		}
 	}()
-	MustNode(65)
+	Base().MustNode(65)
 }
 
 func TestNodesOrder(t *testing.T) {
-	ns := Nodes()
+	ns := Base().NodesNM()
 	for i := 1; i < len(ns); i++ {
 		if ns[i] >= ns[i-1] {
-			t.Fatalf("Nodes() must be descending: %v", ns)
+			t.Fatalf("Base().NodesNM() must be descending: %v", ns)
 		}
 	}
 }
 
 func TestVddAltOnlyAt50(t *testing.T) {
-	for _, n := range Roadmap() {
+	for _, n := range Base().All() {
 		if n.DrawnNM == 50 {
 			if n.VddAlt != 0.7 {
 				t.Fatalf("50 nm VddAlt = %g, want 0.7 (the paper's realistic supply)", n.VddAlt)
@@ -144,14 +144,14 @@ func TestVddAltOnlyAt50(t *testing.T) {
 }
 
 func TestTopMetalSheetResistance(t *testing.T) {
-	for _, n := range Roadmap() {
+	for _, n := range Base().All() {
 		rs := n.TopMetalSheetOhms()
 		if rs <= 0 || rs > 1 {
 			t.Fatalf("%d nm sheet resistance %g Ω/sq out of range", n.DrawnNM, rs)
 		}
 	}
 	// Thinner top metal at finer nodes → higher sheet resistance.
-	if MustNode(35).TopMetalSheetOhms() <= MustNode(180).TopMetalSheetOhms() {
+	if Base().MustNode(35).TopMetalSheetOhms() <= Base().MustNode(180).TopMetalSheetOhms() {
 		t.Fatalf("sheet resistance must rise with scaling")
 	}
 }

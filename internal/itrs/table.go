@@ -6,10 +6,9 @@ import (
 )
 
 // Table is a roadmap as a value: a named, ordered set of nodes the models
-// compute against. The package-level Roadmap()/ByNode()/Nodes() helpers all
-// delegate to Base(); scenario-modified tables are built with NewTable and
-// threaded explicitly through the model constructors instead of mutating any
-// global state.
+// compute against. Base() returns the transcribed ITRS-2000 table and
+// NewTable builds scenario-modified ones; either is threaded explicitly
+// through the model constructors instead of mutating any global state.
 type Table struct {
 	name  string
 	nodes []Node // descending DrawnNM, validated, deduplicated
@@ -19,7 +18,7 @@ type Table struct {
 // freshly built on each call (the nodes slice is private to it), so callers
 // can hold it without aliasing concerns.
 func Base() *Table {
-	t, err := NewTable("", Roadmap())
+	t, err := NewTable("", roadmap())
 	if err != nil {
 		panic(err) // the transcribed table is validated by tests
 	}

@@ -372,18 +372,20 @@ func (q *Queue) run(ctx context.Context, j *Job) {
 		q.finish(j, nil, err)
 		return
 	}
+	release := func() {}
 	if q.cfg.Admit != nil {
-		release, err := q.cfg.Admit(ctx, j.Trace)
-		if err != nil {
+		var err error
+		if release, err = q.cfg.Admit(ctx, j.Trace); err != nil {
 			q.finish(j, nil, fmt.Errorf("admission: %w", err))
 			return
 		}
-		// Released on every exit path below — including cancellation —
-		// so a DELETE returns the job's gate units as soon as the
-		// simulator observes ctx, never when some stream reader is done.
-		defer release()
 	}
+	// The admission is released on every exit path below — including
+	// cancellation — and before the job turns terminal, so a DELETE
+	// returns the job's gate units as soon as the simulator observes ctx,
+	// and whoever sees the terminal state sees the units back.
 	if !j.setRunning() {
+		release()
 		q.finish(j, nil, ctx.Err())
 		return
 	}
@@ -391,6 +393,7 @@ func (q *Queue) run(ctx context.Context, j *Job) {
 	if err == nil && q.cfg.Store != nil {
 		q.cfg.Store.Put(j.Trace.ArtifactID(), j.Trace.Key(), res)
 	}
+	release()
 	q.finish(j, res, err)
 }
 

@@ -3,6 +3,7 @@ package libopt_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/libopt"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
@@ -12,7 +13,10 @@ import (
 // overdriven small loads; on-the-fly continuous cells recover it at fixed
 // timing.
 func ExampleCompareLibraries() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 600
 	p.Seed = 2

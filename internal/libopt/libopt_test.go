@@ -3,13 +3,17 @@ package libopt
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
 
 func oversized(t *testing.T, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1000
 	p.Seed = seed

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/netlist"
 )
 
 func genCircuit(t *testing.T, gates int, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = gates
 	p.Seed = seed
@@ -25,7 +26,7 @@ func TestInverterChainExact(t *testing.T) {
 	// An inverter chain propagates the PI toggle stream unchanged: every
 	// gate's measured activity equals the PI toggle probability and the
 	// probability sits at 0.5.
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 1, PIActivity: 0.2}
 	for i := 0; i < 6; i++ {
 		in := netlist.PI(0)
@@ -51,7 +52,7 @@ func TestInverterChainExact(t *testing.T) {
 
 func TestNandTruthTable(t *testing.T) {
 	// A NAND of two independent PIs spends 3/4 of the time at 1.
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 2, PIActivity: 0.5}
 	c.Gates = []netlist.Gate{
 		{ID: 0, Kind: gate.Nand, Inputs: []int{netlist.PI(0), netlist.PI(1)}, Size: 2},
@@ -146,4 +147,15 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(c, Options{}); err == nil {
 		t.Fatalf("unset stimulus must error")
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

@@ -1,7 +1,5 @@
 package mathx
 
-import "math"
-
 // GoldenSection minimizes a unimodal function f over [a, b] to within xtol,
 // returning the minimizing x and f(x).
 func GoldenSection(f func(float64) float64, a, b, xtol float64) (xmin, fmin float64) {
@@ -28,45 +26,4 @@ func GoldenSection(f func(float64) float64, a, b, xtol float64) (xmin, fmin floa
 	}
 	x := 0.5 * (a + b)
 	return x, f(x)
-}
-
-// MinimizeGrid evaluates f at n+1 evenly spaced points across [a, b] and
-// returns the best point, then polishes it with a golden-section search in
-// the surrounding cell. Useful when f may not be unimodal across [a, b].
-func MinimizeGrid(f func(float64) float64, a, b float64, n int) (xmin, fmin float64) {
-	if n < 2 {
-		n = 2
-	}
-	if a > b {
-		a, b = b, a
-	}
-	best, fbest := a, f(a)
-	step := (b - a) / float64(n)
-	for i := 1; i <= n; i++ {
-		x := a + float64(i)*step
-		if fx := f(x); fx < fbest {
-			best, fbest = x, fx
-		}
-	}
-	lo := math.Max(a, best-step)
-	hi := math.Min(b, best+step)
-	x, fx := GoldenSection(f, lo, hi, (hi-lo)*1e-7)
-	if fx < fbest {
-		return x, fx
-	}
-	return best, fbest
-}
-
-// MinimizeIntGrid returns the integer k in [lo, hi] minimizing f(k).
-func MinimizeIntGrid(f func(int) float64, lo, hi int) (kmin int, fmin float64) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	kmin, fmin = lo, f(lo)
-	for k := lo + 1; k <= hi; k++ {
-		if fk := f(k); fk < fmin {
-			kmin, fmin = k, fk
-		}
-	}
-	return kmin, fmin
 }

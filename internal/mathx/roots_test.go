@@ -125,26 +125,3 @@ func TestGoldenSection(t *testing.T) {
 		t.Fatalf("minimum at %g, want 1", x)
 	}
 }
-
-func TestMinimizeGridNonUnimodal(t *testing.T) {
-	// Two minima; the global one is at x = 4 (depth -2) vs x = -3 (-1).
-	f := func(x float64) float64 {
-		return math.Min((x+3)*(x+3)-1, (x-4)*(x-4)-2)
-	}
-	x, fx := MinimizeGrid(f, -10, 10, 100)
-	if math.Abs(x-4) > 1e-3 || fx > -1.999 {
-		t.Fatalf("global minimum at %g (f=%g), want 4 (-2)", x, fx)
-	}
-}
-
-func TestMinimizeIntGrid(t *testing.T) {
-	k, fk := MinimizeIntGrid(func(k int) float64 { return float64((k - 7) * (k - 7)) }, 1, 20)
-	if k != 7 || fk != 0 {
-		t.Fatalf("minimum at %d (f=%g), want 7 (0)", k, fk)
-	}
-	// Reversed bounds.
-	k, _ = MinimizeIntGrid(func(k int) float64 { return float64(k) }, 9, 3)
-	if k != 3 {
-		t.Fatalf("minimum at %d, want 3", k)
-	}
-}

@@ -3,6 +3,7 @@ package mcml_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/itrs"
 	"nanometer/internal/mcml"
@@ -13,11 +14,11 @@ import (
 // bias current, and its supply ripple is orders of magnitude below the CMOS
 // switching spike.
 func ExampleCompare() {
-	inv, err := gate.ReferenceInverter(35)
+	inv, err := gate.ReferenceInverterIn(device.BaseLab(), 35)
 	if err != nil {
 		panic(err)
 	}
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	cmp, err := mcml.Compare(inv, node.Vdd, units.CelsiusToKelvin(85), 0.5, node.LocalClockHz)
 	if err != nil {
 		panic(err)

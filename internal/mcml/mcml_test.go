@@ -3,6 +3,7 @@ package mcml
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/itrs"
 	"nanometer/internal/units"
@@ -60,11 +61,11 @@ func TestFasterCostsMore(t *testing.T) {
 }
 
 func TestCompareAgainstCMOS(t *testing.T) {
-	inv, err := gate.ReferenceInverter(35)
+	inv, err := gate.ReferenceInverterIn(device.BaseLab(), 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	T := units.CelsiusToKelvin(85)
 	cmp, err := Compare(inv, node.Vdd, T, 0.5, node.LocalClockHz)
 	if err != nil {
@@ -96,11 +97,11 @@ func TestCompareFasterClockFavorsMCML(t *testing.T) {
 	// higher clock on the same gate) therefore moves the crossover
 	// activity down — the paper's "high activity circuitry such as
 	// datapaths".
-	inv, err := gate.ReferenceInverter(35)
+	inv, err := gate.ReferenceInverterIn(device.BaseLab(), 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	T := units.CelsiusToKelvin(85)
 	base, err := Compare(inv, node.Vdd, T, 0.5, node.LocalClockHz)
 	if err != nil {

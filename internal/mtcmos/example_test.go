@@ -3,13 +3,14 @@ package mtcmos_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/mtcmos"
 )
 
 // Size an MTCMOS footer for a 5 % active-mode delay budget and check what
 // standby gating buys.
 func ExampleBlock_SizeFooterFor() {
-	blk, err := mtcmos.NewBlock(35, 1e-3, 0.08, 0.05)
+	blk, err := mtcmos.NewBlockIn(device.BaseLab(), 35, 1e-3, 0.08, 0.05)
 	if err != nil {
 		panic(err)
 	}
@@ -17,7 +18,7 @@ func ExampleBlock_SizeFooterFor() {
 	if err != nil {
 		panic(err)
 	}
-	resized, err := mtcmos.NewBlock(35, blk.LogicWidthM, frac, blk.ActiveCurrentA)
+	resized, err := mtcmos.NewBlockIn(device.BaseLab(), 35, blk.LogicWidthM, frac, blk.ActiveCurrentA)
 	if err != nil {
 		panic(err)
 	}

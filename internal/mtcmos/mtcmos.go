@@ -29,13 +29,8 @@ type Block struct {
 	VirtualRailCapF float64
 }
 
-// NewBlock builds a power-gated block for a node. sleepFraction sizes the
+// NewBlockIn builds a power-gated block for a node. sleepFraction sizes the
 // footer as a fraction of the logic width (typical 5–15 %).
-func NewBlock(nodeNM int, logicWidthM, sleepFraction, activeCurrentA float64) (*Block, error) {
-	return NewBlockIn(device.BaseLab(), nodeNM, logicWidthM, sleepFraction, activeCurrentA)
-}
-
-// NewBlockIn is NewBlock against an explicit laboratory.
 func NewBlockIn(lab *device.Lab, nodeNM int, logicWidthM, sleepFraction, activeCurrentA float64) (*Block, error) {
 	if sleepFraction <= 0 || sleepFraction > 1 {
 		return nil, fmt.Errorf("mtcmos: sleep fraction %g outside (0,1]", sleepFraction)

@@ -4,12 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/units"
 )
 
 func block(t *testing.T, sleepFrac float64) *Block {
 	t.Helper()
-	b, err := NewBlock(35, 1e-3, sleepFrac, 0.05) // 1 mm of logic width, 50 mA active
+	b, err := NewBlockIn(device.BaseLab(), 35, 1e-3, sleepFrac, 0.05) // 1 mm of logic width, 50 mA active
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,13 +18,13 @@ func block(t *testing.T, sleepFrac float64) *Block {
 }
 
 func TestNewBlockErrors(t *testing.T) {
-	if _, err := NewBlock(35, 1e-3, 0, 1); err == nil {
+	if _, err := NewBlockIn(device.BaseLab(), 35, 1e-3, 0, 1); err == nil {
 		t.Fatalf("zero sleep fraction must error")
 	}
-	if _, err := NewBlock(35, 1e-3, 1.5, 1); err == nil {
+	if _, err := NewBlockIn(device.BaseLab(), 35, 1e-3, 1.5, 1); err == nil {
 		t.Fatalf("sleep fraction above 1 must error")
 	}
-	if _, err := NewBlock(65, 1e-3, 0.1, 1); err == nil {
+	if _, err := NewBlockIn(device.BaseLab(), 65, 1e-3, 0.1, 1); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
@@ -67,7 +68,7 @@ func TestSizeFooterForRoundTrip(t *testing.T) {
 	if frac <= 0 {
 		t.Fatalf("sizing returned %g", frac)
 	}
-	resized, err := NewBlock(35, b.LogicWidthM, frac, b.ActiveCurrentA)
+	resized, err := NewBlockIn(device.BaseLab(), 35, b.LogicWidthM, frac, b.ActiveCurrentA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,13 @@ package netlist_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 )
 
 // The two-supply, two-threshold technology binding of §2.4/§3.2.
-func ExampleNewTech() {
-	tech, err := netlist.NewTech(100, 0.65)
+func ExampleNewTechIn() {
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
 	if err != nil {
 		panic(err)
 	}

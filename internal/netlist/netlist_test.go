@@ -4,13 +4,14 @@ import (
 	"slices"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/units"
 )
 
 func genTest(t *testing.T, gates int, seed int64) *Circuit {
 	t.Helper()
-	tech := MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := DefaultGenParams()
 	p.Gates = gates
 	p.Seed = seed
@@ -61,7 +62,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	tech := MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := DefaultGenParams()
 	p.Gates = 2
 	if _, err := Generate(tech, p); err == nil {
@@ -185,7 +186,7 @@ func TestLoadOnComposition(t *testing.T) {
 }
 
 func TestTechLevels(t *testing.T) {
-	tech := MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	if !tech.HasLowVdd() {
 		t.Fatalf("two-supply tech expected")
 	}
@@ -195,20 +196,20 @@ func TestTechLevels(t *testing.T) {
 	if len(tech.VthLevels) != 2 || tech.VthLevels[1]-tech.VthLevels[0] != VthOffsetHigh {
 		t.Fatalf("Vth levels = %v, want nominal and +100 mV", tech.VthLevels)
 	}
-	single := MustNewTech(100, 0)
+	single := mustTech(t, 100, 0)
 	if single.HasLowVdd() {
 		t.Fatalf("lowRatio 0 must give a single supply")
 	}
-	if _, err := NewTech(100, 1.5); err == nil {
+	if _, err := NewTechIn(device.BaseLab(), 100, 1.5); err == nil {
 		t.Fatalf("low ratio ≥ 1 must error")
 	}
-	if _, err := NewTech(65, 0.65); err == nil {
+	if _, err := NewTechIn(device.BaseLab(), 65, 0.65); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 func TestTechCellCharacteristics(t *testing.T) {
-	tech := MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	// Pin capacitance and leakage scale linearly with size.
 	c1 := tech.PinCapacitance(gate.Inv, 1, 0, 0, 1)
 	c2 := tech.PinCapacitance(gate.Inv, 1, 0, 0, 2)
@@ -257,4 +258,15 @@ func TestGateDelayIncludesLCPenalty(t *testing.T) {
 	if after <= before+c.Tech.LevelConverterDelayS*0.99 {
 		t.Fatalf("LC delay penalty missing: %g vs %g", after, before)
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *Tech {
+	t.Helper()
+	tech, err := NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

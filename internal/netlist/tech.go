@@ -70,14 +70,9 @@ func unitIndex(kind gate.Kind, inputs, vddClass, vthClass int) int {
 // literature's ≈100 mV split).
 const VthOffsetHigh = 0.10
 
-// NewTech builds a two-supply, two-threshold technology for a node:
+// NewTechIn builds a two-supply, two-threshold technology for a node:
 // Vdd levels {Vdd, lowRatio·Vdd} and Vth levels {nominal, nominal+100 mV}.
 // Pass lowRatio = 0 for a single-supply technology.
-func NewTech(nodeNM int, lowRatio float64) (*Tech, error) {
-	return NewTechIn(device.BaseLab(), nodeNM, lowRatio)
-}
-
-// NewTechIn is NewTech against an explicit laboratory.
 func NewTechIn(lab *device.Lab, nodeNM int, lowRatio float64) (*Tech, error) {
 	n, err := lab.ForNode(nodeNM)
 	if err != nil {
@@ -115,15 +110,6 @@ func NewTechIn(lab *device.Lab, nodeNM int, lowRatio float64) (*Tech, error) {
 	t.LevelConverterDelayS = 1.5 * ref.FO4Delay(node.Vdd, t.TemperatureK)
 	t.LevelConverterEnergyJ = 2 * ref.SwitchingEnergy(node.Vdd, ref.InputCapacitance())
 	return t, nil
-}
-
-// MustNewTech panics on error; for tests and examples with literal nodes.
-func MustNewTech(nodeNM int, lowRatio float64) *Tech {
-	t, err := NewTech(nodeNM, lowRatio)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // VddH returns the high (timing-reference) supply.

@@ -3,6 +3,7 @@ package power_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/power"
 )
@@ -10,7 +11,10 @@ import (
 // Analyze a block's power and read the per-supply breakdown the multi-Vdd
 // techniques act on.
 func ExampleAnalyze() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 500
 	p.Seed = 4

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/netlist"
 	"nanometer/internal/units"
@@ -11,7 +12,7 @@ import (
 
 func genCircuit(t *testing.T, gates int, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = gates
 	p.Seed = seed
@@ -24,7 +25,7 @@ func genCircuit(t *testing.T, gates int, seed int64) *netlist.Circuit {
 }
 
 func TestActivityPropagationInverterChain(t *testing.T) {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 1, PIActivity: 0.12}
 	for i := 0; i < 4; i++ {
 		in := netlist.PI(0)
@@ -48,7 +49,7 @@ func TestActivityPropagationInverterChain(t *testing.T) {
 }
 
 func TestActivityPropagationNandNor(t *testing.T) {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 2, PIActivity: 0.2}
 	c.Gates = []netlist.Gate{
 		{ID: 0, Kind: gate.Nand, Inputs: []int{netlist.PI(0), netlist.PI(1)}, Size: 2},
@@ -201,4 +202,15 @@ func TestAnalyzeAutoPropagatesActivity(t *testing.T) {
 	if nonZero < len(c.Gates)/2 {
 		t.Fatalf("most gates should toggle, got %d of %d", nonZero, len(c.Gates))
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

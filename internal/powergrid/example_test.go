@@ -10,7 +10,7 @@ import (
 // Figure 5's 35 nm anchor: at the minimum attainable bump pitch the rails
 // need ≈16× the minimum top-metal width and stay under 4 % of routing.
 func ExampleGridSpec_SizeRails() {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 	sz, err := spec.SizeRails()
 	if err != nil {
@@ -25,7 +25,7 @@ func ExampleGridSpec_SizeRails() {
 // The §4 bump-current check: 1500 Vdd bumps cannot carry the 35 nm chip's
 // ~300 A draw at the ITRS per-bump capability.
 func ExampleCheckBumpCurrent() {
-	chk := powergrid.CheckBumpCurrent(itrs.MustNode(35))
+	chk := powergrid.CheckBumpCurrent(itrs.Base().MustNode(35))
 	fmt.Printf("compatible: %v (%.2f A/bump vs %.2f A capability)\n",
 		chk.Compatible, chk.PerBumpA, chk.CapabilityA)
 	// Output:
@@ -35,7 +35,7 @@ func ExampleCheckBumpCurrent() {
 // Wakeup staging: how slowly must a 38 A sleep-gated block re-awaken to
 // keep the supply droop within 10 % of Vdd under the ITRS bump plan?
 func ExampleTransientSpec_MinSafeRampS() {
-	spec := powergrid.DefaultTransientSpec(itrs.MustNode(35))
+	spec := powergrid.DefaultTransientSpec(itrs.Base().MustNode(35))
 	ramp, err := spec.MinSafeRampS(38, 0.10)
 	if err != nil {
 		panic(err)

@@ -10,7 +10,7 @@ import (
 )
 
 func spec35(pitch float64) GridSpec {
-	return DefaultSpec(itrs.MustNode(35), pitch)
+	return DefaultSpec(itrs.Base().MustNode(35), pitch)
 }
 
 func TestSizeRailsCubicInPitch(t *testing.T) {
@@ -30,7 +30,7 @@ func TestSizeRailsCubicInPitch(t *testing.T) {
 }
 
 func TestSizeRailsPaperAnchors(t *testing.T) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	sz, err := spec35(node.BumpPitchMinM).SizeRails()
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestHotspotScalesWidth(t *testing.T) {
 }
 
 func TestFeasibleRails(t *testing.T) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	_, okMin, err := spec35(node.BumpPitchMinM).FeasibleRails()
 	if err != nil || !okMin {
 		t.Fatalf("min-pitch plan must be feasible (%v)", err)
@@ -214,7 +214,7 @@ func TestMeshDimensionLimits(t *testing.T) {
 }
 
 func TestCheckBumpCurrentAt35(t *testing.T) {
-	chk := CheckBumpCurrent(itrs.MustNode(35))
+	chk := CheckBumpCurrent(itrs.Base().MustNode(35))
 	if chk.Compatible {
 		t.Fatalf("the paper's point: 1500 Vdd bumps cannot carry ~300 A")
 	}
@@ -225,14 +225,14 @@ func TestCheckBumpCurrentAt35(t *testing.T) {
 		t.Fatalf("more bumps must be required")
 	}
 	// At 180 nm the plan closes.
-	chk180 := CheckBumpCurrent(itrs.MustNode(180))
+	chk180 := CheckBumpCurrent(itrs.Base().MustNode(180))
 	if !chk180.Compatible {
 		t.Fatalf("the 180 nm bump plan should be adequate")
 	}
 }
 
 func TestTransientBounds(t *testing.T) {
-	spec := DefaultTransientSpec(itrs.MustNode(35))
+	spec := DefaultTransientSpec(itrs.Base().MustNode(35))
 	// A very slow ramp is governed by the inductive bound, a fast step by
 	// the impedance bound.
 	slow, err := spec.Step(30, 1e-6)
@@ -255,7 +255,7 @@ func TestTransientBounds(t *testing.T) {
 }
 
 func TestTransientMoreBumpsLessNoise(t *testing.T) {
-	node := itrs.MustNode(35)
+	node := itrs.Base().MustNode(35)
 	few := DefaultTransientSpec(node)
 	many := DefaultTransientSpec(node)
 	many.PowerBumps = node.PowerBumps() * 20
@@ -267,7 +267,7 @@ func TestTransientMoreBumpsLessNoise(t *testing.T) {
 }
 
 func TestMinSafeRampConsistent(t *testing.T) {
-	spec := DefaultTransientSpec(itrs.MustNode(35))
+	spec := DefaultTransientSpec(itrs.Base().MustNode(35))
 	deltaI := 2 * spec.MaxStepA(0.10) // needs staging
 	ramp, err := spec.MinSafeRampS(deltaI, 0.10)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestMinSafeRampConsistent(t *testing.T) {
 }
 
 func TestTransientErrors(t *testing.T) {
-	spec := DefaultTransientSpec(itrs.MustNode(35))
+	spec := DefaultTransientSpec(itrs.Base().MustNode(35))
 	if _, err := spec.Step(0, 1e-9); err == nil {
 		t.Fatalf("zero step must error")
 	}

@@ -5,11 +5,12 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/itrs"
 	"nanometer/internal/wire"
 )
 
-func line50nm(length, rdrv, cload float64) *Line {
-	w := wire.MustForNode(50, wire.Global)
+func line50nm(t testing.TB, length, rdrv, cload float64) *Line {
+	w := mustGlobal(t, 50)
 	return &Line{
 		RPerM: w.RPerM(), CPerM: w.CPerM(),
 		LengthM: length, Segments: 64,
@@ -52,7 +53,7 @@ func TestLumpedRCAgainstClosedForm(t *testing.T) {
 func TestIdealDriverMatchesElmoreFactor(t *testing.T) {
 	// An ideally driven distributed line's 50 % delay is ≈0.38·R·C
 	// (the factor the analytical layer uses everywhere).
-	l := line50nm(5e-3, 0, 0)
+	l := line50nm(t, 5e-3, 0, 0)
 	got, err := l.Delay50()
 	if err != nil {
 		t.Fatal(err)
@@ -67,14 +68,14 @@ func TestIdealDriverMatchesElmoreFactor(t *testing.T) {
 func TestDrivenDelayFormulaAccuracy(t *testing.T) {
 	// The analytical DrivenDelay expression tracks the simulator within
 	// ~15 % across driver/load regimes.
-	w := wire.MustForNode(50, wire.Global)
+	w := mustGlobal(t, 50)
 	cases := []struct{ len, rdrv, cload float64 }{
 		{2e-3, 500, 5e-15},
 		{5e-3, 1000, 20e-15},
 		{10e-3, 200, 50e-15},
 	}
 	for _, cs := range cases {
-		l := line50nm(cs.len, cs.rdrv, cs.cload)
+		l := line50nm(t, cs.len, cs.rdrv, cs.cload)
 		sim, err := l.Delay50()
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +92,7 @@ func TestLowThresholdCrossesEarly(t *testing.T) {
 	// The signaling model's claim: a 10 %-of-final detection threshold is
 	// reached in a small fraction of the 50 % time — quantitatively, the
 	// dominant-pole model predicts t(10 %)/t(50 %) ≈ 0.09/0.38 ≈ 0.25.
-	l := line50nm(8e-3, 0, 0)
+	l := line50nm(t, 8e-3, 0, 0)
 	ts, err := l.StepResponse([]float64{0.1, 0.5, 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,7 @@ func TestLowThresholdCrossesEarly(t *testing.T) {
 }
 
 func TestStepResponseErrors(t *testing.T) {
-	l := line50nm(1e-3, 100, 1e-15)
+	l := line50nm(t, 1e-3, 100, 1e-15)
 	if _, err := l.StepResponse([]float64{0.5, 0.2}); err == nil {
 		t.Fatalf("non-ascending thresholds must error")
 	}
@@ -121,9 +122,9 @@ func TestStepResponseErrors(t *testing.T) {
 func TestConvergenceWithRefinement(t *testing.T) {
 	// Doubling the segment count moves the answer by little (the
 	// discretization is converged at 64 segments).
-	coarse := line50nm(5e-3, 500, 10e-15)
+	coarse := line50nm(t, 5e-3, 500, 10e-15)
 	coarse.Segments = 32
-	fine := line50nm(5e-3, 500, 10e-15)
+	fine := line50nm(t, 5e-3, 500, 10e-15)
 	fine.Segments = 128
 	dc, err := coarse.Delay50()
 	if err != nil {
@@ -257,7 +258,7 @@ func TestFactoredSolveMatchesReference(t *testing.T) {
 // historical implementation allocated two scratch slices per step (~2000
 // for a 50 % crossing), which this bound catches immediately.
 func TestStepResponseAllocation(t *testing.T) {
-	l := line50nm(5e-3, 500, 10e-15)
+	l := line50nm(t, 5e-3, 500, 10e-15)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := l.StepResponse([]float64{0.9}); err != nil {
 			t.Fatal(err)
@@ -266,4 +267,15 @@ func TestStepResponseAllocation(t *testing.T) {
 	if allocs > 25 {
 		t.Fatalf("StepResponse allocated %.0f objects; want setup-only (≤ 25) — the per-step path must not allocate", allocs)
 	}
+}
+
+// mustGlobal returns the global-tier wire of a base-roadmap node, failing
+// the test on error.
+func mustGlobal(t testing.TB, nodeNM int) wire.Line {
+	t.Helper()
+	l, err := wire.ForNodeIn(itrs.Base(), nodeNM, wire.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

@@ -3,6 +3,8 @@ package repeater_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
+	"nanometer/internal/itrs"
 	"nanometer/internal/repeater"
 	"nanometer/internal/units"
 	"nanometer/internal/wire"
@@ -11,11 +13,14 @@ import (
 // Optimally repeat a 10 mm global wire at the 50 nm node — the §2.2
 // baseline signaling style.
 func ExampleOptimize() {
-	drv, err := repeater.UnitDriver(50, units.CelsiusToKelvin(85))
+	drv, err := repeater.UnitDriverIn(device.BaseLab(), 50, units.CelsiusToKelvin(85))
 	if err != nil {
 		panic(err)
 	}
-	line := wire.MustForNode(50, wire.Global)
+	line, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		panic(err)
+	}
 	ins := repeater.Optimize(drv, line, 10e-3)
 	fmt.Printf("repeaters: %d, beats unrepeated RC: %v\n",
 		ins.Count, ins.Delay < line.ElmoreDelay(10e-3))
@@ -25,9 +30,9 @@ func ExampleOptimize() {
 
 // The chip-level repeater census: the paper's ~10⁴ repeaters at 180 nm
 // growing to ~10⁶ at 50 nm, with >50 W of signaling power.
-func ExampleTakeCensus() {
-	c180, _ := repeater.TakeCensus(180, repeater.CensusParams{})
-	c50, _ := repeater.TakeCensus(50, repeater.CensusParams{})
+func ExampleTakeCensusIn() {
+	c180, _ := repeater.TakeCensusIn(device.BaseLab(), 180, repeater.CensusParams{})
+	c50, _ := repeater.TakeCensusIn(device.BaseLab(), 50, repeater.CensusParams{})
 	fmt.Printf("180 nm ~10⁴: %v; 50 nm ~10⁶: %v; >50 W: %v\n",
 		c180.Repeaters > 5e3 && c180.Repeaters < 1e5,
 		c50.Repeaters > 5e5 && c50.Repeaters < 5e6,

@@ -26,14 +26,9 @@ type Driver struct {
 	Vdd float64
 }
 
-// UnitDriver extracts the unit repeater driver for a node at its nominal
+// UnitDriverIn extracts the unit repeater driver for a node at its nominal
 // supply and temperature tKelvin. The unit cell is a Wn/L = 1, Wp/L = 2
 // inverter.
-func UnitDriver(nodeNM int, tKelvin float64) (Driver, error) {
-	return UnitDriverIn(device.BaseLab(), nodeNM, tKelvin)
-}
-
-// UnitDriverIn is UnitDriver against an explicit laboratory.
 func UnitDriverIn(lab *device.Lab, nodeNM int, tKelvin float64) (Driver, error) {
 	n, err := lab.ForNode(nodeNM)
 	if err != nil {
@@ -202,13 +197,8 @@ func (p *CensusParams) fill(nodeNM int) {
 	}
 }
 
-// TakeCensus estimates the repeater count and signaling power for a node
+// TakeCensusIn estimates the repeater count and signaling power for a node
 // under the repeated full-swing CMOS paradigm.
-func TakeCensus(nodeNM int, params CensusParams) (Census, error) {
-	return TakeCensusIn(device.BaseLab(), nodeNM, params)
-}
-
-// TakeCensusIn is TakeCensus against an explicit laboratory.
 func TakeCensusIn(lab *device.Lab, nodeNM int, params CensusParams) (Census, error) {
 	params.fill(nodeNM)
 	node, err := lab.Node(nodeNM)

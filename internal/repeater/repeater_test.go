@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/units"
 	"nanometer/internal/wire"
@@ -13,8 +14,8 @@ import (
 const t85 = 358.15
 
 func TestUnitDriver(t *testing.T) {
-	for _, nm := range itrs.Nodes() {
-		d, err := UnitDriver(nm, t85)
+	for _, nm := range itrs.Base().NodesNM() {
+		d, err := UnitDriverIn(device.BaseLab(), nm, t85)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
@@ -28,18 +29,18 @@ func TestUnitDriver(t *testing.T) {
 			t.Fatalf("%d nm: τ = %g s out of range", nm, tau)
 		}
 	}
-	if _, err := UnitDriver(65, t85); err == nil {
+	if _, err := UnitDriverIn(device.BaseLab(), 65, t85); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 func TestOptimizeMatchesClosedForm(t *testing.T) {
-	d, err := UnitDriver(50, t85)
+	d, err := UnitDriverIn(device.BaseLab(), 50, t85)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := wire.MustForNode(50, wire.Global)
-	length, _ := wire.CrossChipLength(50)
+	l := mustGlobal(t, 50)
+	length, _ := wire.CrossChipLengthIn(itrs.Base(), 50)
 	ins := Optimize(d, l, length)
 	kf, hf := OptimalClosedForm(d, l, length)
 	if math.Abs(float64(ins.Count)-kf) > math.Max(2, 0.1*kf) {
@@ -51,8 +52,8 @@ func TestOptimizeMatchesClosedForm(t *testing.T) {
 }
 
 func TestOptimizedBeatsUnrepeated(t *testing.T) {
-	d, _ := UnitDriver(50, t85)
-	l := wire.MustForNode(50, wire.Global)
+	d, _ := UnitDriverIn(device.BaseLab(), 50, t85)
+	l := mustGlobal(t, 50)
 	length := 10e-3
 	ins := Optimize(d, l, length)
 	if ins.Delay >= l.ElmoreDelay(length) {
@@ -63,8 +64,8 @@ func TestOptimizedBeatsUnrepeated(t *testing.T) {
 
 func TestOptimizedIsMinimum(t *testing.T) {
 	// Perturbing the optimum in any direction must not improve delay.
-	d, _ := UnitDriver(70, t85)
-	l := wire.MustForNode(70, wire.Global)
+	d, _ := UnitDriverIn(device.BaseLab(), 70, t85)
+	l := mustGlobal(t, 70)
 	const length = 5e-3
 	best := Optimize(d, l, length)
 	for _, k := range []int{best.Count - 1, best.Count + 1} {
@@ -85,8 +86,8 @@ func TestOptimizedIsMinimum(t *testing.T) {
 func TestRepeatedDelayIsLinearInLength(t *testing.T) {
 	// The whole point of repeaters: delay grows ~linearly, not
 	// quadratically, with length.
-	d, _ := UnitDriver(50, t85)
-	l := wire.MustForNode(50, wire.Global)
+	d, _ := UnitDriverIn(device.BaseLab(), 50, t85)
+	l := mustGlobal(t, 50)
 	d1 := Optimize(d, l, 5e-3).Delay
 	d2 := Optimize(d, l, 10e-3).Delay
 	if d2 > 2.3*d1 || d2 < 1.7*d1 {
@@ -95,8 +96,8 @@ func TestRepeatedDelayIsLinearInLength(t *testing.T) {
 }
 
 func TestEnergyComposition(t *testing.T) {
-	d, _ := UnitDriver(50, t85)
-	l := wire.MustForNode(50, wire.Global)
+	d, _ := UnitDriverIn(device.BaseLab(), 50, t85)
+	l := mustGlobal(t, 50)
 	ins := Optimize(d, l, 10e-3)
 	wantWire := l.CPerM() * 10e-3
 	if !units.ApproxEqual(ins.WireCapF, wantWire, 1e-9, 0) {
@@ -113,12 +114,12 @@ func TestEnergyComposition(t *testing.T) {
 
 func TestOptimalSpacingShrinksWithScaling(t *testing.T) {
 	prev := math.Inf(1)
-	for _, nm := range itrs.Nodes() {
-		d, err := UnitDriver(nm, t85)
+	for _, nm := range itrs.Base().NodesNM() {
+		d, err := UnitDriverIn(device.BaseLab(), nm, t85)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := wire.MustForNode(nm, wire.Global)
+		l := mustGlobal(t, nm)
 		s := OptimalSpacing(d, l)
 		if s <= 0 || s >= prev {
 			t.Fatalf("%d nm: spacing %g must shrink with scaling (prev %g)", nm, s, prev)
@@ -130,14 +131,14 @@ func TestOptimalSpacingShrinksWithScaling(t *testing.T) {
 func TestCensusPaperAnchors(t *testing.T) {
 	// The paper: ~10⁴ repeaters in a large 180 nm MPU, ~10⁶ at 50 nm,
 	// >50 W of repeated-CMOS signaling power in the nanometer regime.
-	c180, err := TakeCensus(180, CensusParams{})
+	c180, err := TakeCensusIn(device.BaseLab(), 180, CensusParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c180.Repeaters < 5e3 || c180.Repeaters > 8e4 {
 		t.Fatalf("180 nm census = %d repeaters, paper says ~10⁴", c180.Repeaters)
 	}
-	c50, err := TakeCensus(50, CensusParams{})
+	c50, err := TakeCensusIn(device.BaseLab(), 50, CensusParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +157,23 @@ func TestCensusPaperAnchors(t *testing.T) {
 }
 
 func TestCensusParamOverrides(t *testing.T) {
-	base, _ := TakeCensus(50, CensusParams{})
-	hot, err := TakeCensus(50, CensusParams{Activity: 0.3})
+	base, _ := TakeCensusIn(device.BaseLab(), 50, CensusParams{})
+	hot, err := TakeCensusIn(device.BaseLab(), 50, CensusParams{Activity: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !units.ApproxEqual(hot.SignalingPowerW, 2*base.SignalingPowerW, 1e-9, 0) {
 		t.Fatalf("doubling activity must double power")
 	}
-	if _, err := TakeCensus(65, CensusParams{}); err == nil {
+	if _, err := TakeCensusIn(device.BaseLab(), 65, CensusParams{}); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 // Property: the numeric optimum never loses to an arbitrary configuration.
 func TestOptimizeDominates(t *testing.T) {
-	d, _ := UnitDriver(100, t85)
-	l := wire.MustForNode(100, wire.Global)
+	d, _ := UnitDriverIn(device.BaseLab(), 100, t85)
+	l := mustGlobal(t, 100)
 	const length = 8e-3
 	best := Optimize(d, l, length)
 	f := func(kSeed, hSeed uint8) bool {
@@ -188,7 +189,7 @@ func TestOptimizeDominates(t *testing.T) {
 func TestClusterPowerDensityExceeds100WPerCm2(t *testing.T) {
 	// Footnote 2: repeater clusters produce local power densities that
 	// "can exceed 100 W/cm²" in the nanometer regime.
-	c, err := TakeCensus(50, CensusParams{})
+	c, err := TakeCensusIn(device.BaseLab(), 50, CensusParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +202,22 @@ func TestClusterPowerDensityExceeds100WPerCm2(t *testing.T) {
 		t.Fatalf("cluster density must dwarf the chip average")
 	}
 	// The 180 nm clusters run much cooler.
-	c180, err := TakeCensus(180, CensusParams{})
+	c180, err := TakeCensusIn(device.BaseLab(), 180, CensusParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c180.ClusterPowerDensityWPerM2 >= c.ClusterPowerDensityWPerM2 {
 		t.Fatalf("cluster density must rise with scaling")
 	}
+}
+
+// mustGlobal returns the global-tier wire of a base-roadmap node, failing
+// the test on error.
+func mustGlobal(t testing.TB, nodeNM int) wire.Line {
+	t.Helper()
+	l, err := wire.ForNodeIn(itrs.Base(), nodeNM, wire.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

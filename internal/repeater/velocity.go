@@ -36,13 +36,7 @@ type ClockFeasibility struct {
 	ScaledCycles, UnscaledCycles float64
 }
 
-// EvaluateClockFeasibility computes the comparison for a node at 85 °C.
-func EvaluateClockFeasibility(nodeNM int) (ClockFeasibility, error) {
-	return EvaluateClockFeasibilityIn(device.BaseLab(), nodeNM)
-}
-
-// EvaluateClockFeasibilityIn is EvaluateClockFeasibility against an explicit
-// laboratory.
+// EvaluateClockFeasibilityIn computes the comparison for a node at 85 °C.
 func EvaluateClockFeasibilityIn(lab *device.Lab, nodeNM int) (ClockFeasibility, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {

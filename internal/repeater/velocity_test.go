@@ -3,16 +3,17 @@ package repeater
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 	"nanometer/internal/wire"
 )
 
 func TestSignalVelocity(t *testing.T) {
-	d, err := UnitDriver(50, t85)
+	d, err := UnitDriverIn(device.BaseLab(), 50, t85)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled := wire.MustForNode(50, wire.Global)
+	scaled := mustGlobal(t, 50)
 	unscaled := wire.UnscaledGlobal()
 	vS := SignalVelocity(d, scaled)
 	vU := SignalVelocity(d, unscaled)
@@ -35,8 +36,8 @@ func TestClockFeasibilityReproducesRef9(t *testing.T) {
 	// The §2.2 premise from [9]: ITRS global clocks remain usable if the
 	// top-level wiring does not scale; scaled wiring collapses.
 	var prevScaled float64
-	for _, nm := range itrs.Nodes() {
-		cf, err := EvaluateClockFeasibility(nm)
+	for _, nm := range itrs.Base().NodesNM() {
+		cf, err := EvaluateClockFeasibilityIn(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
@@ -49,7 +50,7 @@ func TestClockFeasibilityReproducesRef9(t *testing.T) {
 		}
 		prevScaled = cf.ScaledCycles
 	}
-	cf35, err := EvaluateClockFeasibility(35)
+	cf35, err := EvaluateClockFeasibilityIn(device.BaseLab(), 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestClockFeasibilityReproducesRef9(t *testing.T) {
 	if cf35.UnscaledCycles > 4 {
 		t.Fatalf("35 nm: unscaled wiring should cross the die in a few cycles, got %g", cf35.UnscaledCycles)
 	}
-	if _, err := EvaluateClockFeasibility(65); err == nil {
+	if _, err := EvaluateClockFeasibilityIn(device.BaseLab(), 65); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }

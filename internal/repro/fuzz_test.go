@@ -17,7 +17,7 @@ func FuzzValidateMeshN(f *testing.F) {
 	for _, n := range []int{0, 1, -1, 4, 5, 6, 41, 255, 1022, 1023, 1024, -1 << 62, 1 << 62} {
 		f.Add(n)
 	}
-	node := itrs.MustNode(50)
+	node := itrs.Base().MustNode(50)
 	spec := powergrid.DefaultSpec(node, node.EffectiveBumpPitchM())
 	f.Fuzz(func(t *testing.T, n int) {
 		err := ValidateMeshN(n)

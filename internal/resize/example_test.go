@@ -3,6 +3,7 @@ package resize_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/resize"
 	"nanometer/internal/sta"
@@ -12,7 +13,10 @@ import (
 // much less power than silicon area, because the wire capacitance on every
 // net stays put.
 func ExampleDownsize() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1000
 	p.Seed = 2

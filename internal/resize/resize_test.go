@@ -3,13 +3,17 @@ package resize
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
 
 func circuit(t *testing.T, seed int64, size float64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1200
 	p.Seed = seed

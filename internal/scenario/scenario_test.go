@@ -31,11 +31,11 @@ func TestParseOverrideScenario(t *testing.T) {
 		t.Fatalf("override not applied: Vdd=%g Tj=%g", n.Vdd, n.JunctionTempC)
 	}
 	// Untouched fields keep base values; untouched nodes are untouched.
-	base := itrs.MustNode(70)
+	base := itrs.Base().MustNode(70)
 	if n.ToxPhysicalM != base.ToxPhysicalM {
 		t.Fatalf("Tox drifted: %g vs %g", n.ToxPhysicalM, base.ToxPhysicalM)
 	}
-	if got := lab.MustNode(50); got != itrs.MustNode(50) {
+	if got := lab.MustNode(50); got != itrs.Base().MustNode(50) {
 		t.Fatalf("node 50 drifted under an override of node 70")
 	}
 	// The base laboratory must never be mutated by a scenario resolve.
@@ -61,8 +61,8 @@ func TestResolveExtensionNode(t *testing.T) {
 		t.Fatalf("extension overrides not applied: %+v", n)
 	}
 	// Unset fields seed from the nearest base node (70 nm).
-	if n.ThetaJA != itrs.MustNode(70).ThetaJA {
-		t.Fatalf("ThetaJA = %g, want seeded %g", n.ThetaJA, itrs.MustNode(70).ThetaJA)
+	if n.ThetaJA != itrs.Base().MustNode(70).ThetaJA {
+		t.Fatalf("ThetaJA = %g, want seeded %g", n.ThetaJA, itrs.Base().MustNode(70).ThetaJA)
 	}
 	// The extension node's devices calibrate, with model anchors seeded
 	// from the nearest base node.
@@ -129,7 +129,7 @@ func TestVariantsExpandSweep(t *testing.T) {
 	if len(vs) != 9 {
 		t.Fatalf("got %d variants, want 9", len(vs))
 	}
-	baseVdd := itrs.MustNode(70).Vdd
+	baseVdd := itrs.Base().MustNode(70).Vdd
 	for i, v := range vs {
 		factor := 0.8 + 0.4*float64(i)/8
 		wantName := fmt.Sprintf("vddsweep/vdd=%.3f", factor)
@@ -155,7 +155,7 @@ func TestVariantsExpandSweep(t *testing.T) {
 			t.Fatalf("variant %d lost the junction-temp override", i)
 		}
 		// The unswept node is untouched.
-		if lab.MustNode(180).Vdd != itrs.MustNode(180).Vdd {
+		if lab.MustNode(180).Vdd != itrs.Base().MustNode(180).Vdd {
 			t.Fatalf("variant %d scaled node 180, which is outside the sweep", i)
 		}
 	}

@@ -3,6 +3,7 @@ package signaling_test
 import (
 	"fmt"
 
+	"nanometer/internal/itrs"
 	"nanometer/internal/signaling"
 	"nanometer/internal/wire"
 )
@@ -10,7 +11,10 @@ import (
 // The Alpha-21264-style comparison of §2.2: a differential 10 %-swing link
 // against full-swing repeated CMOS on the same global route.
 func ExampleCompare() {
-	line := wire.MustForNode(50, wire.Global)
+	line, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		panic(err)
+	}
 	cmp, err := signaling.Compare(line, 6e-3, 0.6, 0.10, signaling.DifferentialLowSwing)
 	if err != nil {
 		panic(err)
@@ -24,7 +28,10 @@ func ExampleCompare() {
 // The tolerable-swing study the paper calls for: the minimum swing that
 // closes SNR 2 on a shielded differential route undercuts the Alpha's 10 %.
 func ExampleStudySwing() {
-	line := wire.MustForNode(50, wire.Global)
+	line, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		panic(err)
+	}
 	st, err := signaling.StudySwing(line, 6e-3, 0.6, signaling.DifferentialLowSwing, true, 2)
 	if err != nil {
 		panic(err)

@@ -8,10 +8,10 @@ import (
 	"nanometer/internal/wire"
 )
 
-func testLink(scheme Scheme, swing float64) Link {
+func testLink(t testing.TB, scheme Scheme, swing float64) Link {
 	return Link{
 		Scheme:  scheme,
-		Line:    wire.MustForNode(50, wire.Global),
+		Line:    mustGlobal(t, 50),
 		LengthM: 6e-3,
 		Vdd:     0.6,
 		SwingV:  swing,
@@ -19,7 +19,7 @@ func testLink(scheme Scheme, swing float64) Link {
 }
 
 func TestValidate(t *testing.T) {
-	good := testLink(DifferentialLowSwing, 0.06)
+	good := testLink(t, DifferentialLowSwing, 0.06)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	// Full swing ignores SwingV.
-	fs := testLink(FullSwingRepeated, 0)
+	fs := testLink(t, FullSwingRepeated, 0)
 	if err := fs.Validate(); err != nil {
 		t.Fatalf("full swing with zero SwingV must validate: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestValidate(t *testing.T) {
 func TestEnergyRatioAlphaStyle(t *testing.T) {
 	// Differential at 10 % swing: two wires × 10 % swing = 20 % of the
 	// full-swing single wire energy, plus a small receiver term.
-	cmp, err := Compare(wire.MustForNode(50, wire.Global), 6e-3, 0.6, 0.10, DifferentialLowSwing)
+	cmp, err := Compare(mustGlobal(t, 50), 6e-3, 0.6, 0.10, DifferentialLowSwing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEnergyRatioAlphaStyle(t *testing.T) {
 		t.Fatalf("differential 10%% swing energy ratio = %.2f, want ≈0.2", cmp.EnergyRatio)
 	}
 	// Single-ended low swing halves that again (one wire).
-	cmpSE, err := Compare(wire.MustForNode(50, wire.Global), 6e-3, 0.6, 0.10, LowSwing)
+	cmpSE, err := Compare(mustGlobal(t, 50), 6e-3, 0.6, 0.10, LowSwing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestEnergyRatioAlphaStyle(t *testing.T) {
 }
 
 func TestEnergyScalesWithSwing(t *testing.T) {
-	l5 := testLink(LowSwing, 0.05)
-	l10 := testLink(LowSwing, 0.10)
+	l5 := testLink(t, LowSwing, 0.05)
+	l10 := testLink(t, LowSwing, 0.10)
 	e5 := l5.EnergyPerTransition() - l5.receiverEnergy()
 	e10 := l10.EnergyPerTransition() - l10.receiverEnergy()
 	if !units.ApproxEqual(e10, 2*e5, 1e-9, 0) {
@@ -72,7 +72,7 @@ func TestEnergyScalesWithSwing(t *testing.T) {
 }
 
 func TestPowerIncludesReceiverStatic(t *testing.T) {
-	l := testLink(DifferentialLowSwing, 0.06)
+	l := testLink(t, DifferentialLowSwing, 0.06)
 	if got := l.Power(0); got != l.receiverStatic() {
 		t.Fatalf("zero-toggle power must equal the sense-amp bias, got %g", got)
 	}
@@ -84,8 +84,8 @@ func TestPowerIncludesReceiverStatic(t *testing.T) {
 func TestDelayLowSwingBeatsFullSwingUnrepeated(t *testing.T) {
 	// On the same unrepeated line, a low-swing receiver fires earlier on
 	// the RC diffusion than a full-rail CMOS threshold.
-	fs := testLink(FullSwingRepeated, 0)
-	ls := testLink(LowSwing, 0.06)
+	fs := testLink(t, FullSwingRepeated, 0)
+	ls := testLink(t, LowSwing, 0.06)
 	ls.DriverCurrentA = 5e-3
 	fs.DriverCurrentA = 5e-3
 	if ls.Delay() >= fs.Delay() {
@@ -95,8 +95,8 @@ func TestDelayLowSwingBeatsFullSwingUnrepeated(t *testing.T) {
 }
 
 func TestPeakCurrentRelief(t *testing.T) {
-	fs := testLink(FullSwingRepeated, 0)
-	diff := testLink(DifferentialLowSwing, 0.06)
+	fs := testLink(t, FullSwingRepeated, 0)
+	diff := testLink(t, DifferentialLowSwing, 0.06)
 	if diff.PeakSupplyCurrent(0) >= fs.PeakSupplyCurrent(0) {
 		t.Fatalf("low-swing drivers must draw smaller peak currents")
 	}
@@ -105,8 +105,8 @@ func TestPeakCurrentRelief(t *testing.T) {
 func TestNoiseClosure(t *testing.T) {
 	// Differential + shielding must close where unshielded single-ended
 	// low swing cannot.
-	diff := testLink(DifferentialLowSwing, 0.06)
-	se := testLink(LowSwing, 0.06)
+	diff := testLink(t, DifferentialLowSwing, 0.06)
+	se := testLink(t, LowSwing, 0.06)
 	nDiff := diff.Noise(true)
 	nSE := se.Noise(false)
 	if nDiff.SNR <= nSE.SNR {
@@ -125,8 +125,8 @@ func TestNoiseClosure(t *testing.T) {
 }
 
 func TestRoutingTracks(t *testing.T) {
-	diff := testLink(DifferentialLowSwing, 0.06)
-	se := testLink(LowSwing, 0.06)
+	diff := testLink(t, DifferentialLowSwing, 0.06)
+	se := testLink(t, LowSwing, 0.06)
 	if diff.RoutingTracks(false) != 2 || se.RoutingTracks(false) != 1 {
 		t.Fatalf("bare track counts wrong")
 	}
@@ -136,7 +136,7 @@ func TestRoutingTracks(t *testing.T) {
 }
 
 func TestCompareTrackRatioBelowTwo(t *testing.T) {
-	cmp, err := Compare(wire.MustForNode(35, wire.Global), 5e-3, 0.6, 0.10, DifferentialLowSwing)
+	cmp, err := Compare(mustGlobal(t, 35), 5e-3, 0.6, 0.10, DifferentialLowSwing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +149,19 @@ func TestCompareTrackRatioBelowTwo(t *testing.T) {
 }
 
 func TestCompareValidates(t *testing.T) {
-	if _, err := Compare(wire.MustForNode(50, wire.Global), -1, 0.6, 0.1, LowSwing); err == nil {
+	if _, err := Compare(mustGlobal(t, 50), -1, 0.6, 0.1, LowSwing); err == nil {
 		t.Fatalf("invalid length must error")
 	}
-	if _, err := Compare(wire.MustForNode(50, wire.Global), 1e-3, 0.6, 1.5, LowSwing); err == nil {
+	if _, err := Compare(mustGlobal(t, 50), 1e-3, 0.6, 1.5, LowSwing); err == nil {
 		t.Fatalf("swing above Vdd must error")
 	}
 }
 
 func TestAcrossRoadmapEnergyRatioStable(t *testing.T) {
 	// The relative benefit of 10 % swing holds at every node.
-	for _, nm := range itrs.Nodes() {
-		node := itrs.MustNode(nm)
-		cmp, err := Compare(wire.MustForNode(nm, wire.Global), 5e-3, node.Vdd, 0.10, DifferentialLowSwing)
+	for _, nm := range itrs.Base().NodesNM() {
+		node := itrs.Base().MustNode(nm)
+		cmp, err := Compare(mustGlobal(t, nm), 5e-3, node.Vdd, 0.10, DifferentialLowSwing)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
@@ -177,4 +177,15 @@ func TestSchemeString(t *testing.T) {
 			t.Fatalf("empty scheme name")
 		}
 	}
+}
+
+// mustGlobal returns the global-tier wire of a base-roadmap node, failing
+// the test on error.
+func mustGlobal(t testing.TB, nodeNM int) wire.Line {
+	t.Helper()
+	l, err := wire.ForNodeIn(itrs.Base(), nodeNM, wire.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"nanometer/internal/itrs"
-	"nanometer/internal/wire"
 )
 
 func TestMinTolerableSwingOrdering(t *testing.T) {
-	line := wire.MustForNode(35, wire.Global)
+	line := mustGlobal(t, 35)
 	const vdd = 0.6
 	const snr = 2.0
 	// Differential (common-mode rejection) tolerates a smaller swing than
@@ -38,7 +37,7 @@ func TestMinTolerableSwingOrdering(t *testing.T) {
 }
 
 func TestMinTolerableSwingInfeasible(t *testing.T) {
-	line := wire.MustForNode(35, wire.Global)
+	line := mustGlobal(t, 35)
 	// An absurd SNR target on an unshielded single-ended line cannot close.
 	if _, err := MinTolerableSwing(line, 0.6, LowSwing, false, 50); err == nil {
 		t.Fatalf("impossible target must error")
@@ -52,8 +51,8 @@ func TestStudySwingAlphaDesignPoint(t *testing.T) {
 	// The study the paper calls for: is the Alpha's 10 % swing tolerable?
 	// On a shielded differential bus it is; unshielded single-ended it is
 	// not.
-	line := wire.MustForNode(50, wire.Global)
-	node := itrs.MustNode(50)
+	line := mustGlobal(t, 50)
+	node := itrs.Base().MustNode(50)
 	stDiff, err := StudySwing(line, 6e-3, node.Vdd, DifferentialLowSwing, true, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +86,9 @@ func TestStudySwingAlphaDesignPoint(t *testing.T) {
 func TestStudySwingAcrossNodes(t *testing.T) {
 	// The tolerable swing is set by the coupling fraction, which we hold
 	// constant across nodes — the study should be stable on every node.
-	for _, nm := range itrs.Nodes() {
-		node := itrs.MustNode(nm)
-		st, err := StudySwing(wire.MustForNode(nm, wire.Global), 5e-3, node.Vdd, DifferentialLowSwing, true, 2)
+	for _, nm := range itrs.Base().NodesNM() {
+		node := itrs.Base().MustNode(nm)
+		st, err := StudySwing(mustGlobal(t, nm), 5e-3, node.Vdd, DifferentialLowSwing, true, 2)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}

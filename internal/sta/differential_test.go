@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nanometer/internal/cvs"
+	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
 	"nanometer/internal/libopt"
 	"nanometer/internal/netlist"
@@ -234,7 +235,10 @@ func dualVthLoop(c *netlist.Circuit, e engine, order dualvth.Order) []move {
 
 func testCircuit(t *testing.T, gates int, seed int64, size, guard float64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = gates
 	p.Levels = 30

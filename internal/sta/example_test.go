@@ -3,6 +3,7 @@ package sta_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/netlist"
 	"nanometer/internal/sta"
 )
@@ -10,7 +11,10 @@ import (
 // Analyze timing on a generated block and read the slack-distribution
 // statistic the paper's multi-Vdd discussion rests on.
 func ExampleAnalyze() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 1000
 	p.Levels = 30
@@ -33,7 +37,10 @@ func ExampleAnalyze() {
 // The incremental engine accepts edits that fit the period and rolls back
 // ones that do not — the machinery under every optimization loop here.
 func ExampleIncremental() {
-	tech := netlist.MustNewTech(100, 0.65)
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		panic(err)
+	}
 	p := netlist.DefaultGenParams()
 	p.Gates = 500
 	p.Seed = 3

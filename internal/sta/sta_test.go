@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/gate"
 	"nanometer/internal/netlist"
 )
@@ -11,7 +12,7 @@ import (
 // chain builds a hand-analyzable linear chain of n inverters.
 func chain(t *testing.T, n int) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 1, PIActivity: 0.1}
 	for i := 0; i < n; i++ {
 		in := netlist.PI(0)
@@ -31,7 +32,7 @@ func chain(t *testing.T, n int) *netlist.Circuit {
 
 func genCircuit(t *testing.T, gates int, seed int64) *netlist.Circuit {
 	t.Helper()
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	p := netlist.DefaultGenParams()
 	p.Gates = gates
 	p.Seed = seed
@@ -167,7 +168,7 @@ func TestSlackHistogram(t *testing.T) {
 func TestIncrementalDuplicateFanins(t *testing.T) {
 	// A driver feeding two pins of the same gate: duplicate seeds must not
 	// corrupt the rollback (regression for the flow-violation bug).
-	tech := netlist.MustNewTech(100, 0.65)
+	tech := mustTech(t, 100, 0.65)
 	c := &netlist.Circuit{Tech: tech, NumPIs: 1}
 	c.Gates = []netlist.Gate{
 		{ID: 0, Kind: gate.Inv, Inputs: []int{netlist.PI(0)}, Size: 2, WireCapF: 1e-15},
@@ -240,4 +241,15 @@ func TestIncrementalMetAndWorstArrival(t *testing.T) {
 	if s := inc.Slack(0); math.Abs(s-full.SlackS[0]) > 1e-15 {
 		t.Fatalf("incremental slack mismatch")
 	}
+}
+
+// mustTech builds a technology on the base roadmap, failing the test on
+// error.
+func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), nodeNM, lowRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech
 }

@@ -20,15 +20,10 @@ type Assignment struct {
 	LeakageSaving, DelayPenalty float64
 }
 
-// Explore evaluates every 2^n mixed assignment of {vthLow, vthHigh} for an
+// ExploreIn evaluates every 2^n mixed assignment of {vthLow, vthHigh} for an
 // n-high stack at the node, sorted as generated (bit k of the index = high
 // Vth at position k, bottom first). The first entry is the all-low
 // reference.
-func Explore(nodeNM, n int, widthM, vthLow, vthHigh, loadF float64) ([]Assignment, error) {
-	return ExploreIn(device.BaseLab(), nodeNM, n, widthM, vthLow, vthHigh, loadF)
-}
-
-// ExploreIn is Explore against an explicit laboratory.
 func ExploreIn(lab *device.Lab, nodeNM, n int, widthM, vthLow, vthHigh, loadF float64) ([]Assignment, error) {
 	if vthHigh <= vthLow {
 		return nil, fmt.Errorf("stackvth: vthHigh %g must exceed vthLow %g", vthHigh, vthLow)

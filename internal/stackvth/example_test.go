@@ -9,9 +9,9 @@ import (
 
 // The §3.3 intra-cell idea: mixing one high-Vth transistor into a 2-high
 // stack buys a large leakage cut for a small delay cost.
-func ExampleExplore() {
-	d := device.MustForNode(70)
-	as, err := stackvth.Explore(70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
+func ExampleExploreIn() {
+	d := device.BaseLab().MustForNode(70)
+	as, err := stackvth.ExploreIn(device.BaseLab(), 70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
 	if err != nil {
 		panic(err)
 	}
@@ -28,8 +28,8 @@ func ExampleExplore() {
 // Input-vector control: park an idle stack in its all-off state and the
 // stack effect does the work of a sleep transistor.
 func ExampleStack_MinLeakageVector() {
-	d := device.MustForNode(70)
-	st, err := stackvth.NewStack(70, 2, 4*d.LeffM, []float64{d.Vth0, d.Vth0})
+	d := device.BaseLab().MustForNode(70)
+	st, err := stackvth.NewStackIn(device.BaseLab(), 70, 2, 4*d.LeffM, []float64{d.Vth0, d.Vth0})
 	if err != nil {
 		panic(err)
 	}

@@ -34,13 +34,8 @@ type Stack struct {
 	Vdd, TemperatureK float64
 }
 
-// NewStack builds an n-high stack for a node with the given per-position
+// NewStackIn builds an n-high stack for a node with the given per-position
 // thresholds (bottom first).
-func NewStack(nodeNM int, n int, widthM float64, vths []float64) (*Stack, error) {
-	return NewStackIn(device.BaseLab(), nodeNM, n, widthM, vths)
-}
-
-// NewStackIn is NewStack against an explicit laboratory.
 func NewStackIn(lab *device.Lab, nodeNM int, n int, widthM float64, vths []float64) (*Stack, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("stackvth: need at least one device, got %d", n)

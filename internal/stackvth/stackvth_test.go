@@ -10,8 +10,8 @@ import (
 
 func twoStack(t *testing.T, vths []float64) *Stack {
 	t.Helper()
-	d := device.MustForNode(70)
-	st, err := NewStack(70, len(vths), 4*d.LeffM, vths)
+	d := device.BaseLab().MustForNode(70)
+	st, err := NewStackIn(device.BaseLab(), 70, len(vths), 4*d.LeffM, vths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,19 +19,19 @@ func twoStack(t *testing.T, vths []float64) *Stack {
 }
 
 func TestNewStackErrors(t *testing.T) {
-	if _, err := NewStack(70, 0, 1e-7, nil); err == nil {
+	if _, err := NewStackIn(device.BaseLab(), 70, 0, 1e-7, nil); err == nil {
 		t.Fatalf("empty stack must error")
 	}
-	if _, err := NewStack(70, 2, 1e-7, []float64{0.1}); err == nil {
+	if _, err := NewStackIn(device.BaseLab(), 70, 2, 1e-7, []float64{0.1}); err == nil {
 		t.Fatalf("threshold-count mismatch must error")
 	}
-	if _, err := NewStack(65, 1, 1e-7, []float64{0.1}); err == nil {
+	if _, err := NewStackIn(device.BaseLab(), 65, 1, 1e-7, []float64{0.1}); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 func TestStackEffect(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	st := twoStack(t, []float64{d.Vth0, d.Vth0})
 	// A single off device (the other on) leaks like a bare transistor;
 	// both off (stack) leaks several times less.
@@ -58,7 +58,7 @@ func TestStackEffect(t *testing.T) {
 }
 
 func TestAllOnLeaksZeroPullDown(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	st := twoStack(t, []float64{d.Vth0, d.Vth0})
 	l, err := st.LeakageForState([]bool{true, true})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestAllOnLeaksZeroPullDown(t *testing.T) {
 }
 
 func TestLeakageForStateErrors(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	st := twoStack(t, []float64{d.Vth0, d.Vth0})
 	if _, err := st.LeakageForState([]bool{false}); err == nil {
 		t.Fatalf("input-count mismatch must error")
@@ -78,7 +78,7 @@ func TestLeakageForStateErrors(t *testing.T) {
 }
 
 func TestMinLeakageVectorIsAllOff(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	st := twoStack(t, []float64{d.Vth0, d.Vth0})
 	vec, best, err := st.MinLeakageVector()
 	if err != nil {
@@ -99,7 +99,7 @@ func TestMinLeakageVectorIsAllOff(t *testing.T) {
 }
 
 func TestHighVthPositionMatters(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	lo, hi := d.Vth0, d.Vth0+0.1
 	bottomHigh := twoStack(t, []float64{hi, lo})
 	topHigh := twoStack(t, []float64{lo, hi})
@@ -123,7 +123,7 @@ func TestHighVthPositionMatters(t *testing.T) {
 }
 
 func TestDelayMonotoneInVthAndStackHeight(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	lo, hi := d.Vth0, d.Vth0+0.1
 	load := 5e-15
 	allLow := twoStack(t, []float64{lo, lo})
@@ -141,8 +141,8 @@ func TestDelayMonotoneInVthAndStackHeight(t *testing.T) {
 func TestExploreHeadline(t *testing.T) {
 	// The §3.3 claim: mixed stacks give "fairly substantial leakage
 	// savings with minimal delay penalties".
-	d := device.MustForNode(70)
-	as, err := Explore(70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
+	d := device.BaseLab().MustForNode(70)
+	as, err := ExploreIn(device.BaseLab(), 70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestExploreHeadline(t *testing.T) {
 }
 
 func TestBestUnderPenaltyInfeasible(t *testing.T) {
-	d := device.MustForNode(70)
-	as, err := Explore(70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
+	d := device.BaseLab().MustForNode(70)
+	as, err := ExploreIn(device.BaseLab(), 70, 2, 4*d.LeffM, d.Vth0, d.Vth0+0.1, 5e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +185,18 @@ func TestBestUnderPenaltyInfeasible(t *testing.T) {
 }
 
 func TestExploreErrors(t *testing.T) {
-	if _, err := Explore(70, 2, 1e-7, 0.3, 0.2, 1e-15); err == nil {
+	if _, err := ExploreIn(device.BaseLab(), 70, 2, 1e-7, 0.3, 0.2, 1e-15); err == nil {
 		t.Fatalf("inverted threshold pair must error")
 	}
 }
 
 func TestLeakageScalesWithWidth(t *testing.T) {
-	d := device.MustForNode(70)
-	narrow, err := NewStack(70, 2, 2*d.LeffM, []float64{d.Vth0, d.Vth0})
+	d := device.BaseLab().MustForNode(70)
+	narrow, err := NewStackIn(device.BaseLab(), 70, 2, 2*d.LeffM, []float64{d.Vth0, d.Vth0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := NewStack(70, 2, 4*d.LeffM, []float64{d.Vth0, d.Vth0})
+	wide, err := NewStackIn(device.BaseLab(), 70, 2, 4*d.LeffM, []float64{d.Vth0, d.Vth0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestLeakageScalesWithWidth(t *testing.T) {
 }
 
 func TestTallerStacksLeakLess(t *testing.T) {
-	d := device.MustForNode(70)
+	d := device.BaseLab().MustForNode(70)
 	two := twoStack(t, []float64{d.Vth0, d.Vth0})
 	three := twoStack(t, []float64{d.Vth0, d.Vth0, d.Vth0})
 	l2, err := two.LeakageForState([]bool{false, false})

@@ -3,17 +3,18 @@ package standby_test
 import (
 	"fmt"
 
+	"nanometer/internal/device"
 	"nanometer/internal/standby"
 )
 
 // The §3.2.1 scalability verdict: reverse body bias loses its lever in
 // scaled devices while the sleep transistor holds.
-func ExampleEvaluate() {
-	body35, err := standby.Evaluate(standby.ReverseBodyBias, 35, 1e-3)
+func ExampleEvaluateIn() {
+	body35, err := standby.EvaluateIn(device.BaseLab(), standby.ReverseBodyBias, 35, 1e-3)
 	if err != nil {
 		panic(err)
 	}
-	mtcmos35, err := standby.Evaluate(standby.MTCMOSGating, 35, 1e-3)
+	mtcmos35, err := standby.EvaluateIn(device.BaseLab(), standby.MTCMOSGating, 35, 1e-3)
 	if err != nil {
 		panic(err)
 	}

@@ -94,15 +94,10 @@ func bodyEffectMV(nodeNM int) float64 {
 	return 0.05
 }
 
-// Evaluate scores a technique for a logic block at a node. The block is
+// EvaluateIn scores a technique for a logic block at a node. The block is
 // characterized by its total NMOS width (m); the scalability flag compares
-// the benefit against the same technique at the 180 nm reference node.
-func Evaluate(t Technique, nodeNM int, logicWidthM float64) (Result, error) {
-	return EvaluateIn(device.BaseLab(), t, nodeNM, logicWidthM)
-}
-
-// EvaluateIn is Evaluate against an explicit laboratory. The scalability
-// reference stays the 180 nm node of the same laboratory.
+// the benefit against the same technique at the 180 nm reference node of
+// the same laboratory.
 func EvaluateIn(lab *device.Lab, t Technique, nodeNM int, logicWidthM float64) (Result, error) {
 	res, err := rawEvaluate(lab, t, nodeNM, logicWidthM)
 	if err != nil {
@@ -196,12 +191,7 @@ func rawEvaluate(lab *device.Lab, t Technique, nodeNM int, logicWidthM float64) 
 	return res, nil
 }
 
-// Compare evaluates all techniques at a node.
-func Compare(nodeNM int, logicWidthM float64) ([]Result, error) {
-	return CompareIn(device.BaseLab(), nodeNM, logicWidthM)
-}
-
-// CompareIn is Compare against an explicit laboratory.
+// CompareIn evaluates all techniques at a node.
 func CompareIn(lab *device.Lab, nodeNM int, logicWidthM float64) ([]Result, error) {
 	out := make([]Result, 0, len(Techniques()))
 	for _, t := range Techniques() {
@@ -214,13 +204,8 @@ func CompareIn(lab *device.Lab, nodeNM int, logicWidthM float64) ([]Result, erro
 	return out, nil
 }
 
-// ScalingTrend evaluates one technique across the roadmap, exposing how its
+// ScalingTrendIn evaluates one technique across the roadmap, exposing how its
 // benefit holds up (body bias decays; the others hold).
-func ScalingTrend(t Technique, logicWidthM float64) ([]Result, error) {
-	return ScalingTrendIn(device.BaseLab(), t, logicWidthM)
-}
-
-// ScalingTrendIn is ScalingTrend against an explicit laboratory.
 func ScalingTrendIn(lab *device.Lab, t Technique, logicWidthM float64) ([]Result, error) {
 	var out []Result
 	for _, nm := range lab.NodesNM() {

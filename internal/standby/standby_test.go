@@ -3,13 +3,14 @@ package standby
 import (
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/itrs"
 )
 
 const blockWidth = 1e-3 // 1 mm of gated NMOS width
 
 func TestCompareAllTechniques(t *testing.T) {
-	rows, err := Compare(35, blockWidth)
+	rows, err := CompareIn(device.BaseLab(), 35, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestCompareAllTechniques(t *testing.T) {
 }
 
 func TestMTCMOSEliminatesStandbyLeakage(t *testing.T) {
-	r, err := Evaluate(MTCMOSGating, 35, blockWidth)
+	r, err := EvaluateIn(device.BaseLab(), MTCMOSGating, 35, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestMTCMOSEliminatesStandbyLeakage(t *testing.T) {
 func TestBodyBiasLosesEffectivenessWithScaling(t *testing.T) {
 	// The paper: "body bias is less effective at controlling Vth in scaled
 	// devices".
-	trend, err := ScalingTrend(ReverseBodyBias, blockWidth)
+	trend, err := ScalingTrendIn(device.BaseLab(), ReverseBodyBias, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestBodyBiasLosesEffectivenessWithScaling(t *testing.T) {
 
 func TestOtherTechniquesRemainScalable(t *testing.T) {
 	for _, tech := range []Technique{MTCMOSGating, NegativeGateDrive, InputVectorControl, DualVthStatic} {
-		r, err := Evaluate(tech, 35, blockWidth)
+		r, err := EvaluateIn(device.BaseLab(), tech, 35, blockWidth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestOtherTechniquesRemainScalable(t *testing.T) {
 }
 
 func TestDualVthIsTheOnlyActiveModeTechnique(t *testing.T) {
-	rows, err := Compare(35, blockWidth)
+	rows, err := CompareIn(device.BaseLab(), 35, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestDualVthIsTheOnlyActiveModeTechnique(t *testing.T) {
 func TestNegativeGateDriveIsSwingExact(t *testing.T) {
 	// 150 mV of underdrive on a 101 mV/decade swing (85 °C) cuts leakage
 	// by 10^(−0.15/S).
-	r, err := Evaluate(NegativeGateDrive, 50, blockWidth)
+	r, err := EvaluateIn(device.BaseLab(), NegativeGateDrive, 50, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,20 +112,20 @@ func TestNegativeGateDriveIsSwingExact(t *testing.T) {
 }
 
 func TestEvaluateUnknowns(t *testing.T) {
-	if _, err := Evaluate(Technique(99), 35, blockWidth); err == nil {
+	if _, err := EvaluateIn(device.BaseLab(), Technique(99), 35, blockWidth); err == nil {
 		t.Fatalf("unknown technique must error")
 	}
-	if _, err := Evaluate(MTCMOSGating, 65, blockWidth); err == nil {
+	if _, err := EvaluateIn(device.BaseLab(), MTCMOSGating, 65, blockWidth); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
 
 func TestScalingTrendCoversRoadmap(t *testing.T) {
-	trend, err := ScalingTrend(MTCMOSGating, blockWidth)
+	trend, err := ScalingTrendIn(device.BaseLab(), MTCMOSGating, blockWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trend) != len(itrs.Nodes()) {
-		t.Fatalf("trend covers %d nodes, want %d", len(trend), len(itrs.Nodes()))
+	if len(trend) != len(itrs.Base().NodesNM()) {
+		t.Fatalf("trend covers %d nodes, want %d", len(trend), len(itrs.Base().NodesNM()))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"nanometer/internal/device"
 	"nanometer/internal/dvfs"
 	"nanometer/internal/itrs"
 	"nanometer/internal/result"
@@ -137,7 +138,7 @@ func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result
 	if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", t.Name, err)
 	}
-	table, err := dvfs.NewTable(node.DrawnNM, 8, 0.5, 0)
+	table, err := dvfs.NewTableIn(device.BaseLab(), node.DrawnNM, 8, 0.5, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trace %s: building DVFS table: %w", t.Name, err)
 	}

@@ -67,9 +67,6 @@ func ThermalVoltage(tKelvin float64) float64 {
 // CelsiusToKelvin converts a temperature in °C to kelvin.
 func CelsiusToKelvin(c float64) float64 { return c + CelsiusOffset }
 
-// KelvinToCelsius converts a temperature in kelvin to °C.
-func KelvinToCelsius(k float64) float64 { return k - CelsiusOffset }
-
 // OxideCapacitance returns the parallel-plate gate capacitance per unit area
 // (F/m²) for an SiO2 dielectric of the given thickness in meters.
 func OxideCapacitance(thicknessM float64) float64 {
@@ -79,28 +76,9 @@ func OxideCapacitance(thicknessM float64) float64 {
 	return SiO2RelativePermittivity * VacuumPermittivity / thicknessM
 }
 
-// Current-per-width conversions. The device literature quotes drive and
-// leakage currents per micron of gate width.
-
-// AmpsPerMeterFromUAPerUM converts µA/µm to A/m. (1 µA/µm = 1 A/m... not
-// quite: 1 µA/µm = 1e-6 A / 1e-6 m = 1 A/m.)
-func AmpsPerMeterFromUAPerUM(uaPerUM float64) float64 { return uaPerUM }
-
-// UAPerUMFromAmpsPerMeter converts A/m to µA/µm.
-func UAPerUMFromAmpsPerMeter(aPerM float64) float64 { return aPerM }
-
-// AmpsPerMeterFromNAPerUM converts nA/µm to A/m.
-func AmpsPerMeterFromNAPerUM(naPerUM float64) float64 { return naPerUM * 1e-3 }
-
-// NAPerUMFromAmpsPerMeter converts A/m to nA/µm.
+// NAPerUMFromAmpsPerMeter converts A/m to nA/µm, the per-micron-of-width
+// unit the device literature quotes leakage in.
 func NAPerUMFromAmpsPerMeter(aPerM float64) float64 { return aPerM * 1e3 }
-
-// OhmMetersFromOhmMicrons converts the customary Ω·µm parasitic-resistance
-// quote (resistance × width) to Ω·m.
-func OhmMetersFromOhmMicrons(ohmUM float64) float64 { return ohmUM * Micro }
-
-// Percent formats a fraction (0.42 → "42.0%").
-func Percent(frac float64) string { return fmt.Sprintf("%.1f%%", frac*100) }
 
 // ApproxEqual reports whether a and b agree within relative tolerance rel
 // (falling back to absolute tolerance abs near zero).

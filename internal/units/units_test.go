@@ -1,10 +1,6 @@
 package units
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestThermalVoltage(t *testing.T) {
 	got := ThermalVoltage(300)
@@ -20,18 +16,8 @@ func TestTemperatureConversions(t *testing.T) {
 	if got := CelsiusToKelvin(85); got != 358.15 {
 		t.Fatalf("85 °C = %g K, want 358.15", got)
 	}
-	if got := KelvinToCelsius(300); !ApproxEqual(got, 26.85, 1e-9, 0) {
-		t.Fatalf("300 K = %g °C, want 26.85", got)
-	}
-	// Round trip property.
-	f := func(c float64) bool {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return true
-		}
-		return ApproxEqual(KelvinToCelsius(CelsiusToKelvin(c)), c, 1e-12, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if got := CelsiusToKelvin(-CelsiusOffset); got != 0 {
+		t.Fatalf("absolute zero = %g K, want 0", got)
 	}
 }
 
@@ -57,24 +43,8 @@ func TestOxideCapacitancePanics(t *testing.T) {
 }
 
 func TestCurrentConversions(t *testing.T) {
-	// 1 µA/µm is numerically 1 A/m.
-	if got := AmpsPerMeterFromUAPerUM(750); got != 750 {
-		t.Fatalf("750 µA/µm = %g A/m, want 750", got)
-	}
-	if got := AmpsPerMeterFromNAPerUM(456); !ApproxEqual(got, 0.456, 1e-12, 0) {
-		t.Fatalf("456 nA/µm = %g A/m, want 0.456", got)
-	}
 	if got := NAPerUMFromAmpsPerMeter(0.456); !ApproxEqual(got, 456, 1e-12, 0) {
 		t.Fatalf("0.456 A/m = %g nA/µm, want 456", got)
-	}
-	if got := OhmMetersFromOhmMicrons(190); !ApproxEqual(got, 190e-6, 1e-12, 0) {
-		t.Fatalf("190 Ω·µm = %g Ω·m", got)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(0.456); got != "45.6%" {
-		t.Fatalf("Percent(0.456) = %q", got)
 	}
 }
 

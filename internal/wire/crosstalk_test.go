@@ -7,7 +7,7 @@ import (
 )
 
 func TestMillerEffectiveCapacitance(t *testing.T) {
-	l := MustForNode(50, Global)
+	l := mustLine(t, 50, Global)
 	quiet := l.CEffectivePerM(AggressorsQuiet, false)
 	same := l.CEffectivePerM(AggressorsSameDirection, false)
 	opp := l.CEffectivePerM(AggressorsOpposite, false)
@@ -32,7 +32,7 @@ func TestMillerEffectiveCapacitance(t *testing.T) {
 }
 
 func TestDynamicDelayRange(t *testing.T) {
-	l := MustForNode(50, Global)
+	l := mustLine(t, 50, Global)
 	const length, rdrv, cload = 5e-3, 500.0, 10e-15
 	best, worst := l.DynamicDelayRange(length, rdrv, cload, false)
 	if best >= worst {
@@ -51,13 +51,13 @@ func TestDynamicDelayRange(t *testing.T) {
 func TestDelayUncertaintySubstantialOnDenseTiers(t *testing.T) {
 	// Coupling dominates on dense tiers, so alignment moves the delay by a
 	// large fraction — the §2.2 signal-integrity concern.
-	global := MustForNode(35, Global)
+	global := mustLine(t, 35, Global)
 	u := global.DelayUncertainty(5e-3, 500, 10e-15)
 	if u < 0.3 {
 		t.Fatalf("global-tier delay uncertainty = %g, expected substantial", u)
 	}
 	// More coupling → more uncertainty.
-	local := MustForNode(35, Local)
+	local := mustLine(t, 35, Local)
 	if local.CouplingFraction <= global.CouplingFraction {
 		t.Skip("tier coupling ordering changed")
 	}

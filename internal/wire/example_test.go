@@ -3,14 +3,18 @@ package wire_test
 import (
 	"fmt"
 
+	"nanometer/internal/itrs"
 	"nanometer/internal/wire"
 )
 
 // The §2.2 premise in one number: a cross-chip wire's unrepeated RC
 // diffusion at the 50 nm node dwarfs the clock period.
 func ExampleLine_ElmoreDelay() {
-	l := wire.MustForNode(50, wire.Global)
-	length, err := wire.CrossChipLength(50)
+	l, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
+	if err != nil {
+		panic(err)
+	}
+	length, err := wire.CrossChipLengthIn(itrs.Base(), 50)
 	if err != nil {
 		panic(err)
 	}
@@ -23,7 +27,10 @@ func ExampleLine_ElmoreDelay() {
 // Crosstalk: aggressor alignment swings a long unshielded line's delay by a
 // large fraction; shielding collapses the range.
 func ExampleLine_DynamicDelayRange() {
-	l := wire.MustForNode(35, wire.Global)
+	l, err := wire.ForNodeIn(itrs.Base(), 35, wire.Global)
+	if err != nil {
+		panic(err)
+	}
 	best, worst := l.DynamicDelayRange(5e-3, 500, 10e-15, false)
 	sBest, sWorst := l.DynamicDelayRange(5e-3, 500, 10e-15, true)
 	fmt.Printf("unshielded spread exists: %v; shielded spread collapses: %v\n",

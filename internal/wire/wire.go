@@ -67,13 +67,8 @@ func defaultCouplingFraction(t Tier) float64 {
 	}
 }
 
-// ForNode returns the wire model for a tier of a base-roadmap node.
-func ForNode(nodeNM int, tier Tier) (Line, error) {
-	return ForNodeIn(itrs.Base(), nodeNM, tier)
-}
-
-// ForNodeIn is ForNode against an explicit roadmap table (scenario wire
-// geometry threads through here).
+// ForNodeIn returns the wire model for a tier of a node of table t (scenario
+// wire geometry threads through here).
 func ForNodeIn(t *itrs.Table, nodeNM int, tier Tier) (Line, error) {
 	n, err := t.ByNode(nodeNM)
 	if err != nil {
@@ -120,15 +115,6 @@ func UnscaledGlobal() Line {
 	}
 }
 
-// MustForNode is ForNode for known-good literals.
-func MustForNode(nodeNM int, tier Tier) Line {
-	l, err := ForNode(nodeNM, tier)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // RPerM returns the wire resistance per meter.
 func (l Line) RPerM() float64 {
 	return l.ResistivityOhmM / (l.WidthM * l.ThicknessM)
@@ -170,14 +156,9 @@ func (l Line) TimeOfFlightBound(lengthM float64) float64 {
 	return l.ElmoreDelay(lengthM)
 }
 
-// CrossChipLength returns the die-edge length (m) for a node — the canonical
+// CrossChipLengthIn returns the die-edge length (m) for a node — the canonical
 // "corner-to-corner-ish" global wire the paper's cross-chip communication
 // concerns: the die is modeled square.
-func CrossChipLength(nodeNM int) (float64, error) {
-	return CrossChipLengthIn(itrs.Base(), nodeNM)
-}
-
-// CrossChipLengthIn is CrossChipLength against an explicit roadmap table.
 func CrossChipLengthIn(t *itrs.Table, nodeNM int) (float64, error) {
 	n, err := t.ByNode(nodeNM)
 	if err != nil {

@@ -10,16 +10,16 @@ import (
 )
 
 func TestForNodeTiers(t *testing.T) {
-	for _, nm := range itrs.Nodes() {
-		local := MustForNode(nm, Local)
-		global := MustForNode(nm, Global)
+	for _, nm := range itrs.Base().NodesNM() {
+		local := mustLine(t, nm, Local)
+		global := mustLine(t, nm, Global)
 		if local.RPerM() <= global.RPerM() {
 			t.Errorf("%d nm: local wire must be more resistive than global", nm)
 		}
 		if local.WidthM <= 0 || global.ThicknessM <= 0 {
 			t.Errorf("%d nm: non-positive geometry", nm)
 		}
-		inter := MustForNode(nm, Intermediate)
+		inter := mustLine(t, nm, Intermediate)
 		if inter.RPerM() >= local.RPerM() || inter.RPerM() <= global.RPerM() {
 			t.Errorf("%d nm: intermediate tier must fall between local and global", nm)
 		}
@@ -27,18 +27,18 @@ func TestForNodeTiers(t *testing.T) {
 }
 
 func TestForNodeErrors(t *testing.T) {
-	if _, err := ForNode(65, Global); err == nil {
+	if _, err := ForNodeIn(itrs.Base(), 65, Global); err == nil {
 		t.Fatalf("unknown node must error")
 	}
-	if _, err := ForNode(100, Tier(9)); err == nil {
+	if _, err := ForNodeIn(itrs.Base(), 100, Tier(9)); err == nil {
 		t.Fatalf("unknown tier must error")
 	}
 }
 
 func TestGlobalResistanceRisesWithScaling(t *testing.T) {
 	prev := 0.0
-	for _, nm := range itrs.Nodes() {
-		r := MustForNode(nm, Global).RPerM()
+	for _, nm := range itrs.Base().NodesNM() {
+		r := mustLine(t, nm, Global).RPerM()
 		if r <= prev {
 			t.Fatalf("%d nm: scaled global wire resistance must rise with scaling", nm)
 		}
@@ -50,7 +50,7 @@ func TestUnscaledGlobal(t *testing.T) {
 	u := UnscaledGlobal()
 	// The unscaled top-level wire is the escape hatch of [9]: much less
 	// resistive than the scaled 50 nm global tier.
-	scaled := MustForNode(50, Global)
+	scaled := mustLine(t, 50, Global)
 	if u.RPerM() >= scaled.RPerM()/3 {
 		t.Fatalf("unscaled global wire must be far less resistive (%g vs %g)", u.RPerM(), scaled.RPerM())
 	}
@@ -62,7 +62,7 @@ func TestUnscaledGlobal(t *testing.T) {
 
 func TestCapacitancePerLength(t *testing.T) {
 	// The ~0.2 fF/µm invariant.
-	l := MustForNode(100, Global)
+	l := mustLine(t, 100, Global)
 	if !units.ApproxEqual(l.CPerM(), 2e-10, 1e-12, 0) {
 		t.Fatalf("C = %g F/m, want 2e-10", l.CPerM())
 	}
@@ -72,7 +72,7 @@ func TestCapacitancePerLength(t *testing.T) {
 }
 
 func TestElmoreQuadratic(t *testing.T) {
-	l := MustForNode(70, Global)
+	l := mustLine(t, 70, Global)
 	f := func(seed uint8) bool {
 		x := 1e-4 * (1 + float64(seed)) // 0.1–25.6 mm
 		return units.ApproxEqual(l.ElmoreDelay(2*x), 4*l.ElmoreDelay(x), 1e-9, 0)
@@ -83,7 +83,7 @@ func TestElmoreQuadratic(t *testing.T) {
 }
 
 func TestDrivenDelayLimits(t *testing.T) {
-	l := MustForNode(70, Global)
+	l := mustLine(t, 70, Global)
 	const length = 1e-3
 	// With an ideal driver and no load the driven delay reduces to the
 	// distributed Elmore term.
@@ -100,7 +100,7 @@ func TestDrivenDelayLimits(t *testing.T) {
 }
 
 func TestEnergy(t *testing.T) {
-	l := MustForNode(50, Global)
+	l := mustLine(t, 50, Global)
 	// 1 mm at 0.6 V: C = 0.2 pF → E = CV² = 72 fJ.
 	if got := l.Energy(1e-3, 0.6); !units.ApproxEqual(got, 72e-15, 1e-9, 0) {
 		t.Fatalf("wire energy = %g, want 72 fJ", got)
@@ -108,15 +108,15 @@ func TestEnergy(t *testing.T) {
 }
 
 func TestCrossChipLength(t *testing.T) {
-	got, err := CrossChipLength(35)
+	got, err := CrossChipLengthIn(itrs.Base(), 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := math.Sqrt(itrs.MustNode(35).DieAreaM2)
+	want := math.Sqrt(itrs.Base().MustNode(35).DieAreaM2)
 	if !units.ApproxEqual(got, want, 1e-12, 0) {
 		t.Fatalf("cross-chip length = %g, want %g", got, want)
 	}
-	if _, err := CrossChipLength(65); err == nil {
+	if _, err := CrossChipLengthIn(itrs.Base(), 65); err == nil {
 		t.Fatalf("unknown node must error")
 	}
 }
@@ -125,4 +125,14 @@ func TestTierString(t *testing.T) {
 	if Local.String() != "local" || Intermediate.String() != "intermediate" || Global.String() != "global" {
 		t.Fatalf("tier strings broken")
 	}
+}
+
+// mustLine returns a tier of a base-roadmap node, failing the test on error.
+func mustLine(t testing.TB, nodeNM int, tier Tier) Line {
+	t.Helper()
+	l, err := ForNodeIn(itrs.Base(), nodeNM, tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
