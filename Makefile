@@ -4,36 +4,21 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff bench-report serve bench-serve
+.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff serve
 
 all: verify
 
-# The PR's committed benchmark evidence: run the solver/report benchmarks
-# and write machine-readable numbers (ns/op, allocs/op, solver iterations,
-# GOMAXPROCS) with the seed baseline embedded for before/after diffing.
-# BENCH_CPU repeats the selection at each GOMAXPROCS so the serial and
-# parallel numbers land as separate rows of one document. The HTTP load
-# run then prints the serving-layer numbers (throughput, latency
-# percentiles, cache counters) to stdout; they are not written to
-# BENCH_OUT.
-BENCH_OUT ?= BENCH_8.json
-BENCH_BASELINE ?= bench_seed.json
-BENCH_CPU ?= 1,4
-
+# The repository benchmark (cmd/nanobench, declared in BENCHMARK.json):
+# every workload once, end-to-end metrics per run. Pass flags through
+# run.sh directly for anything else, e.g. one traced workload:
+#   sh cmd/nanobench/run.sh --workload report --trace 1
 bench:
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASELINE) -cpu $(BENCH_CPU)
-	$(MAKE) bench-serve
+	sh cmd/nanobench/run.sh
 
 # The HTTP daemon on :8077 (override: make serve ADDR=:9000).
 ADDR ?= :8077
 serve:
 	$(GO) run ./cmd/nanoreprod -addr $(ADDR)
-
-# Serving-layer load run: an in-process daemon, 200 requests across 8
-# clients over the whole registry — prints throughput, latency
-# percentiles, and the server's cache/gate counters.
-bench-serve:
-	$(GO) run ./cmd/nanoreprod -loadgen -requests 200 -concurrency 8
 
 build:
 	$(GO) build ./...
@@ -62,8 +47,9 @@ race:
 
 verify: vet build lint race
 
-# All benchmarks: every artifact end to end + ablations + solver kernels +
-# the parallel full-report speedup (bench_test.go), raw text output.
+# All go-test benchmarks: every artifact end to end (BenchmarkArtifact/<id>)
+# + solver and optimizer kernels + the parallel full-report speedup
+# (bench_test.go), raw text output; pprof entry points, not the ledger.
 bench-all:
 	$(GO) test -bench=. -run='^$$' -benchmem .
 
@@ -77,7 +63,3 @@ bench-mesh:
 # vs parForBlocks across the cutoff, at GOMAXPROCS 1 and 4.
 bench-cutoff:
 	$(GO) test -bench='BenchmarkParCutoff' -run='^$$' -cpu 1,4 ./internal/mathx
-
-# Full-report wall clock at -jobs=1 vs -jobs=NumCPU.
-bench-report:
-	$(GO) test -bench='BenchmarkFullReport' -run='^$$' .

@@ -1,8 +1,9 @@
-// Benchmarks: one per reproduced table, figure, and quantified claim (the
-// experiment index of DESIGN.md §4), plus the design-choice ablations of
-// DESIGN.md §5. Each benchmark regenerates its artifact end to end, so
-// `go test -bench=. -benchmem` doubles as the full reproduction run with
-// per-artifact cost accounting.
+// Benchmarks: one sub-benchmark per reproduced table, figure, and
+// quantified claim (the experiment index of DESIGN.md §4), plus the solver
+// and optimizer kernels as pprof entry points. The design-choice ablations
+// of DESIGN.md §13 are pinned by ordinary tests in the model packages, so
+// tier-1 `go test ./...` checks them. The repository benchmark itself is
+// cmd/nanobench.
 package nanometer_test
 
 import (
@@ -13,18 +14,14 @@ import (
 	"testing"
 
 	"nanometer/internal/core"
-	"nanometer/internal/cvs"
 	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
-	"nanometer/internal/experiments"
-	"nanometer/internal/gate"
 	"nanometer/internal/itrs"
 	"nanometer/internal/logicsim"
 	"nanometer/internal/mathx"
 	"nanometer/internal/netlist"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/rcsim"
-	"nanometer/internal/repeater"
 	"nanometer/internal/repro"
 	"nanometer/internal/resize"
 	"nanometer/internal/runner"
@@ -33,194 +30,23 @@ import (
 	"nanometer/internal/wire"
 )
 
-// --- Tables -------------------------------------------------------------------
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1In(device.BaseLab()); len(rows) != 9 {
-			b.Fatalf("bad row count %d", len(rows))
-		}
+// BenchmarkArtifact regenerates each registry artifact end to end, cache
+// bypassed, one sub-benchmark per id — the same ids as nanobench's
+// repro.compute_ms.<id> rows. Profile one with -bench 'Artifact/c3'.
+func BenchmarkArtifact(b *testing.B) {
+	for _, a := range repro.Artifacts() {
+		b.Run(a.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := a.ComputeCached(repro.Options{NoCache: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2In(device.BaseLab())
-		if err != nil || len(rows) != 7 {
-			b.Fatalf("table2: %v (%d rows)", err, len(rows))
-		}
-	}
-}
-
-// --- Figures ------------------------------------------------------------------
-
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1In(device.BaseLab(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2In(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4In(device.BaseLab(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	// Figure 4 shares the sweep with Figure 3; benchmarked separately at a
-	// finer supply grid to expose the policy-solver cost.
-	grid := make([]float64, 41)
-	for i := range grid {
-		grid[i] = 0.2 + 0.01*float64(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figure3And4In(device.BaseLab(), grid); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5In(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Claims -------------------------------------------------------------------
-
-func BenchmarkClaimDTM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DTMIn(device.BaseLab(), 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimSignaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SignalingIn(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimLibopt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunLibraryIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimCVS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunCVSIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimDualVth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunDualVthIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimResize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunResizeVsVddIn(device.BaseLab(), experiments.DefaultCircuitSetup()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimVddFloor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunVddFloorIn(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimBumps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBumpsNIn(device.BaseLab(), experiments.DefaultMeshN); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimTransients(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTransientsIn(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §5) ---------------------------------------------------
-
-// Ablation 1: electrical vs physical oxide thickness in the Vth solve.
-func BenchmarkAblationMetalGate(b *testing.B) {
-	d := device.BaseLab().MustForNode(35)
-	node := itrs.Base().MustNode(35)
-	for i := 0; i < b.N; i++ {
-		if _, err := d.SolveVthForIon(node.IonTargetAPerM, node.Vdd, units.RoomTemperature); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.MetalGate().SolveVthForIon(node.IonTargetAPerM, node.Vdd, units.RoomTemperature); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation 2: DIBL on/off in the leakage model.
-func BenchmarkAblationDIBL(b *testing.B) {
-	d := device.BaseLab().MustForNode(35)
-	noDIBL := *d
-	noDIBL.DIBL = 0
-	for i := 0; i < b.N; i++ {
-		withD := d.IoffPerWidth(0.3, units.RoomTemperature)
-		without := noDIBL.IoffPerWidth(0.3, units.RoomTemperature)
-		if withD >= without {
-			b.Fatalf("DIBL must reduce Ioff at reduced drain bias: %g vs %g", withD, without)
-		}
-	}
-}
-
-// Ablation 3: subthreshold-swing temperature scaling in Figure 1.
-func BenchmarkAblationSwingTemperature(b *testing.B) {
-	g, err := gate.ReferenceInverterIn(device.BaseLab(), 50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := itrs.Base().MustNode(50)
-	for i := 0; i < b.N; i++ {
-		hot := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.CelsiusToKelvin(85))
-		cold := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.RoomTemperature)
-		if hot <= cold {
-			b.Fatalf("85 °C must worsen the static share: %g vs %g", hot, cold)
-		}
-	}
-}
-
+// freshCircuit generates the 2000-gate, 30-level netlist the kernel
+// benchmarks share, clocked at guard × its critical path.
 func freshCircuit(b *testing.B, guard float64) *netlist.Circuit {
 	b.Helper()
 	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
@@ -240,80 +66,6 @@ func freshCircuit(b *testing.B, guard float64) *netlist.Circuit {
 		b.Fatal(err)
 	}
 	return c
-}
-
-// Ablation 4/5: level-converter cost and clustering in CVS.
-func BenchmarkAblationCVSClustering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		clustered := freshCircuit(b, 1.15)
-		if _, err := cvs.Assign(clustered, cvs.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-		unclustered := freshCircuit(b, 1.15)
-		opts := cvs.DefaultOptions()
-		opts.Clustering = false
-		if _, err := cvs.Assign(unclustered, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation 6: hot-spot factor in Figure 5.
-func BenchmarkAblationHotspot(b *testing.B) {
-	node := itrs.Base().MustNode(35)
-	for i := 0; i < b.N; i++ {
-		uniform := powergrid.DefaultSpec(node, node.BumpPitchMinM)
-		uniform.HotspotFactor = 1
-		hot := powergrid.DefaultSpec(node, node.BumpPitchMinM)
-		su, err := uniform.SizeRails()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sh, err := hot.SizeRails()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sh.RailWidthM <= su.RailWidthM {
-			b.Fatalf("hot spots must widen the rails")
-		}
-	}
-}
-
-// Ablation 7: analytic rail model vs numerical solvers.
-func BenchmarkAblationGridSolvers(b *testing.B) {
-	node := itrs.Base().MustNode(35)
-	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
-	for i := 0; i < b.N; i++ {
-		if _, err := powergrid.ValidateAnalytic(spec, 128); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := powergrid.PessimisticRatio(spec, 31); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation 8: optimal vs ad-hoc repeater sizing.
-func BenchmarkAblationRepeaterSizing(b *testing.B) {
-	drv, err := repeater.UnitDriverIn(device.BaseLab(), 50, units.CelsiusToKelvin(85))
-	if err != nil {
-		b.Fatal(err)
-	}
-	line, err := wire.ForNodeIn(itrs.Base(), 50, wire.Global)
-	if err != nil {
-		b.Fatal(err)
-	}
-	length, err := wire.CrossChipLengthIn(itrs.Base(), 50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		best := repeater.Optimize(drv, line, length)
-		adhoc := repeater.WithRepeaters(drv, line, length, best.Count/2, best.Size/2)
-		if adhoc.Delay <= best.Delay {
-			b.Fatalf("ad-hoc sizing should lose")
-		}
-	}
 }
 
 // --- Core engines under load (library performance benchmarks) -------------------
@@ -387,38 +139,6 @@ func BenchmarkDeviceIonSolve(b *testing.B) {
 	d := device.BaseLab().MustForNode(35)
 	for i := 0; i < b.N; i++ {
 		if _, err := d.SolveVthForIon(750, 0.6, units.RoomTemperature); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimStackVth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStackVthIn(device.BaseLab(), 70); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimStandby(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStandbyIn(device.BaseLab()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimSwingStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSwingStudyIn(device.BaseLab(), 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClaimBusPlan(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunBusPlanIn(device.BaseLab(), 50); err != nil {
 			b.Fatal(err)
 		}
 	}

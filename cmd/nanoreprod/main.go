@@ -24,18 +24,10 @@
 // If-None-Match with the returned ETag answers 304 without computing at
 // all.
 //
-// The -loadgen mode turns the binary into its own load generator for
-// `make bench`: it fires a concurrent request mix at a daemon (its own
-// in-process instance by default, or -base URL) and reports throughput,
-// latency percentiles, and the server's cache counters.
-//
 // Usage:
 //
 //	nanoreprod                        # serve on :8077
 //	nanoreprod -addr :9000 -gate 16 -timeout 10s
-//	nanoreprod -loadgen               # self-contained load run
-//	nanoreprod -loadgen -base http://host:8077 -requests 500 -concurrency 32
-//	nanoreprod -loadgen -scenario-mix 0.1      # 1 in 10 requests POSTs a scenario sweep
 package main
 
 import (
@@ -65,27 +57,10 @@ var (
 	traceWk = flag.Int("trace-workers", 0, "concurrently running trace-simulation jobs (0 = 2)")
 
 	storeDir = flag.String("store", "", "directory for the disk-backed result store (empty = memory-only; share it between replicas to warm each other)")
-
-	loadgen      = flag.Bool("loadgen", false, "run as a load generator instead of a server")
-	base         = flag.String("base", "", "loadgen: base URL of a running daemon (empty = start one in-process)")
-	requests     = flag.Int("requests", 200, "loadgen: total requests")
-	concurrency  = flag.Int("concurrency", 8, "loadgen: concurrent clients")
-	targets      = flag.String("targets", "", "loadgen: comma-separated artifact ids to cycle (empty = whole registry)")
-	lgFormat     = flag.String("format", "text", "loadgen: format query parameter")
-	lgMeshN      = flag.Int("mesh-n", 0, "loadgen: mesh-n query parameter (0 = omit)")
-	scenarioMix  = flag.Float64("scenario-mix", 0, "loadgen: fraction of requests that POST a scenario to /api/v1/scenarios instead of GETting an artifact (0 = none)")
-	scenarioFile = flag.String("scenario-file", "", "loadgen: scenario JSON to post for the -scenario-mix fraction (empty = a built-in 3-step Vdd sweep)")
 )
 
 func main() {
 	flag.Parse()
-	if *loadgen {
-		if err := runLoadgen(); err != nil {
-			fmt.Fprintln(os.Stderr, "nanoreprod:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := runServer(); err != nil {
 		fmt.Fprintln(os.Stderr, "nanoreprod:", err)
 		os.Exit(1)
@@ -123,7 +98,7 @@ func runServer() error {
 		return err
 	}
 	logger.Printf("serving on http://%s (gate=%d units, timeout=%s, store=%q)",
-		ln.Addr(), *gate, *timeout, *storeDir)
+		ln.Addr(), s.GateUnits(), *timeout, *storeDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -100,6 +100,13 @@ func TestIoffDIBL(t *testing.T) {
 	if !units.ApproxEqual(hi/lo, want, 1e-6, 0) {
 		t.Fatalf("DIBL ratio = %g, want %g", hi/lo, want)
 	}
+	// The DIBL on/off ablation (DESIGN.md §13 item 2): switching DIBL off
+	// must raise Ioff at the reduced drain bias.
+	noDIBL := *d
+	noDIBL.DIBL = 0
+	if without := noDIBL.IoffPerWidth(0.3, units.RoomTemperature); lo >= without {
+		t.Fatalf("DIBL must reduce Ioff at reduced drain bias: %g vs %g", lo, without)
+	}
 }
 
 func TestSubthresholdSwingTemperature(t *testing.T) {

@@ -118,6 +118,19 @@ func TestLeakageRisesWithTemperature(t *testing.T) {
 	}
 }
 
+// The subthreshold-swing temperature ablation at gate level (DESIGN.md §13
+// item 3): Figure 1's 85 °C operating point must worsen the static share
+// over room temperature.
+func TestStaticOverDynamicRisesWithTemperature(t *testing.T) {
+	g := refInv(t, 50)
+	node := itrs.Base().MustNode(50)
+	hot := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.CelsiusToKelvin(85))
+	cold := g.StaticOverDynamic(0.1, node.ClockHz, 0.6, units.RoomTemperature)
+	if hot <= cold {
+		t.Fatalf("85 °C must worsen the static share: %g vs %g", hot, cold)
+	}
+}
+
 func TestStaticOverDynamicInverseInActivity(t *testing.T) {
 	g := refInv(t, 50)
 	node := itrs.Base().MustNode(50)

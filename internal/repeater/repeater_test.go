@@ -83,6 +83,26 @@ func TestOptimizedIsMinimum(t *testing.T) {
 	}
 }
 
+// The repeater-sizing ablation (DESIGN.md §13 item 8): on a cross-chip
+// global line, an ad-hoc insertion at half the optimal count and half the
+// optimal size must lose to the optimum.
+func TestAdhocSizingLoses(t *testing.T) {
+	d, err := UnitDriverIn(device.BaseLab(), 50, t85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mustGlobal(t, 50)
+	length, err := wire.CrossChipLengthIn(itrs.Base(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := Optimize(d, l, length)
+	adhoc := WithRepeaters(d, l, length, best.Count/2, best.Size/2)
+	if adhoc.Delay <= best.Delay {
+		t.Fatalf("ad-hoc sizing should lose: %g vs optimal %g", adhoc.Delay, best.Delay)
+	}
+}
+
 func TestRepeatedDelayIsLinearInLength(t *testing.T) {
 	// The whole point of repeaters: delay grows ~linearly, not
 	// quadratically, with length.

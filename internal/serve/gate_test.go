@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,5 +222,32 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDefaultGateUnits pins the capacity a zero Config.GateUnits selects,
+// max(8, 4·GOMAXPROCS), and that GateUnits reports the value /metrics
+// exports.
+func TestDefaultGateUnits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs      int
+		cfg, units int64
+	}{
+		{procs: 1, units: 8},
+		{procs: 2, units: 8},
+		{procs: 4, units: 16},
+		{procs: 4, cfg: 3, units: 3},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		s := New(Config{GateUnits: tc.cfg})
+		if got := s.GateUnits(); got != tc.units {
+			t.Errorf("GOMAXPROCS %d, GateUnits %d: capacity %d, want %d", tc.procs, tc.cfg, got, tc.units)
+		}
+		body := get(t, s.Handler(), "/metrics", nil).Body.String()
+		if want := fmt.Sprintf("\nnanoreprod_gate_capacity_units %d\n", tc.units); !strings.Contains(body, want) {
+			t.Errorf("GOMAXPROCS %d, GateUnits %d: /metrics lacks %q", tc.procs, tc.cfg, strings.TrimSpace(want))
+		}
+		s.Close()
 	}
 }

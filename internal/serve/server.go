@@ -155,6 +155,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// GateUnits returns the admission-gate capacity in effect: Config.GateUnits,
+// or the default it selects. /metrics exports the same value as
+// nanoreprod_gate_capacity_units.
+func (s *Server) GateUnits() int64 { return s.gate.cap }
+
 // Close cancels every trace job and waits for the workers to drain. Call
 // after the HTTP server has shut down.
 func (s *Server) Close() { s.jobq.Close() }
