@@ -22,6 +22,7 @@ import (
 	"nanometer/internal/netlist"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/rcsim"
+	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/resize"
 	"nanometer/internal/runner"
@@ -323,7 +324,8 @@ func BenchmarkMeshSolveGrid(b *testing.B) {
 }
 
 // BenchmarkFullReport regenerates the entire nanorepro report (tables,
-// figures, claims) through the runner pool at several worker counts. The
+// figures, claims) the way the CLI does: compute on the runner pool at
+// several worker counts, then encode the text report. The
 // jobs=1 case is the serial baseline; speedup at jobs>1 scales with
 // available cores (GOMAXPROCS) since the artifacts are independent.
 func BenchmarkFullReport(b *testing.B) {
@@ -335,14 +337,17 @@ func BenchmarkFullReport(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", workers), func(b *testing.B) {
 			// NoCache: this benchmark measures the model stack, not the
 			// memoized path (BenchmarkArtifactCache covers that).
-			jobs := repro.Jobs(repro.Artifacts(), repro.Options{NoCache: true})
+			text, err := render.NewEncoding("text", render.Text{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			pool := runner.Pool{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				results, err := pool.RunToContext(context.Background(), io.Discard, jobs)
+				results, err := repro.ComputeAllCtx(context.Background(), pool, repro.Artifacts(), repro.Options{NoCache: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := runner.Errs(results); err != nil {
+				if err := text.EncodeReport(io.Discard, results); err != nil {
 					b.Fatal(err)
 				}
 			}

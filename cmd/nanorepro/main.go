@@ -2,18 +2,17 @@
 // Performance Challenges in Nanometer Design" (DAC 2001) from the model
 // stack, plus the paper's quantified in-text claims (C1–C13 of DESIGN.md).
 //
-// Each artifact computes into a typed result (internal/result) and is then
-// encoded (internal/render) in the format -format selects: the classic
-// terminal text, a single JSON document, or CSV blocks. Computation is
-// memoized process-wide, so every format of one run computes each artifact
-// exactly once.
+// Every run has one path, whatever the format: compute the selected
+// artifacts into typed results (internal/result), then encode the results
+// in registry order (internal/render) in the format -format selects: the
+// classic terminal text, a single JSON document, or CSV blocks.
 //
-// Artifacts are independent, so they run concurrently on a bounded worker
-// pool (internal/runner). Output order — and every output byte — is
-// identical for any -jobs value: each artifact renders into its own buffer
-// and buffers are emitted in canonical order. A failed artifact does not
-// abort the run; all per-artifact errors are aggregated and reported at the
-// end, and the exit status reflects them.
+// Artifacts are independent, so they compute concurrently on a bounded
+// worker pool (internal/runner). Output order — and every output byte — is
+// identical for any -jobs value, because encoding starts only when every
+// result is in, and the output is printed when the run finishes. A failed
+// artifact does not abort the run; all per-artifact errors are aggregated
+// and reported at the end, and the exit status reflects them.
 //
 // Usage:
 //
@@ -30,18 +29,19 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
-	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 	"nanometer/internal/trace"
@@ -77,12 +77,11 @@ func main() {
 	if err := repro.ValidateMeshN(*meshN); err != nil {
 		fatal(err)
 	}
-	if *format != "text" && (*csvDir != "" || *plot || *verbose) {
+	enc, err := render.NewEncoding(*format, render.Text{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose})
+	if errors.Is(err, render.ErrTextOnly) {
 		fatal(fmt.Errorf("-csv, -plot, and -v only apply to -format text"))
 	}
-	switch *format {
-	case "text", "csv", "json":
-	default:
+	if err != nil {
 		fatal(fmt.Errorf("unknown -format %q (want text, json, or csv)", *format))
 	}
 	if *trcPath != "" && (*only != "" || *scnPath != "") {
@@ -95,7 +94,7 @@ func main() {
 		}
 	}
 	if *trcPath != "" {
-		runTrace(*trcPath)
+		runTrace(*trcPath, enc)
 		return
 	}
 	// The nil scenario (no -scenario flag) is the base roadmap and the
@@ -111,44 +110,18 @@ func main() {
 			fatal(err)
 		}
 	}
-	pool := runner.Pool{Workers: *jobs}
-	opts := repro.Options{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose, MeshN: *meshN}
-	// The one-shot report runs to completion by design; there is no
+	// All variants compute in ONE pool run and encode in grid order. The
+	// one-shot report runs to completion by design; there is no
 	// cancellation signal to thread.
-	ctx := context.Background()
-
-	// All variants flatten into ONE pool run (variant-major, so output is
-	// byte-identical to the historical per-variant loop at any -jobs):
-	// workers stay busy across variant boundaries, and the sweep's mesh
-	// solves are batch-primed through one shared pattern traversal before
-	// the jobs start.
-	failed := false
-	rep := &result.Report{}
-	switch *format {
-	case "text":
-		failed = stream(ctx, pool, repro.VariantJobs(arts, opts, variants, nil))
-	case "csv":
-		failed = stream(ctx, pool, repro.VariantJobs(arts, opts, variants, render.CSV{}))
-	case "json":
-		grouped, aggErr := repro.ComputeAllVariants(ctx, pool, arts, opts, variants)
-		for _, results := range grouped {
-			for _, r := range results {
-				if r != nil {
-					rep.Artifacts = append(rep.Artifacts, r)
-				}
-			}
-		}
-		if aggErr != nil {
-			printFailures(aggErr)
-			failed = true
-		}
+	grouped, computeErr := repro.ComputeAllVariants(context.Background(), runner.Pool{Workers: *jobs},
+		arts, repro.Options{MeshN: *meshN}, variants)
+	out := bufio.NewWriter(os.Stdout)
+	encodeErr := enc.EncodeReport(out, slices.Concat(grouped...))
+	if err := out.Flush(); err != nil {
+		fatal(err)
 	}
-	if *format == "json" {
-		if err := (render.JSON{Indent: "  "}).EncodeReport(os.Stdout, rep); err != nil {
-			fatal(err)
-		}
-	}
-	if failed {
+	if err := errors.Join(computeErr, encodeErr); err != nil {
+		printFailures(err)
 		os.Exit(1)
 	}
 }
@@ -157,7 +130,7 @@ func main() {
 // document POST /api/v1/jobs accepts) and print its findings in the
 // selected format. Ctrl-C cancels the simulation mid-trace; a trace whose
 // assertions fail exits non-zero after printing each failed check.
-func runTrace(path string) {
+func runTrace(path string, enc render.Encoding) {
 	tr, err := trace.Load(path)
 	if err != nil {
 		fatal(err)
@@ -167,17 +140,6 @@ func runTrace(path string) {
 	res, err := tr.Run(ctx, nil)
 	if err != nil {
 		fatal(err)
-	}
-	var enc interface {
-		Encode(io.Writer, *result.Result) error
-	}
-	switch *format {
-	case "json":
-		enc = render.JSON{Indent: "  "}
-	case "csv":
-		enc = render.CSV{}
-	default:
-		enc = render.Text{CSVDir: *csvDir, Plot: *plot, Verbose: *verbose}
 	}
 	if err := enc.Encode(os.Stdout, res); err != nil {
 		fatal(err)
@@ -190,22 +152,6 @@ func runTrace(path string) {
 		}
 		os.Exit(1)
 	}
-}
-
-// stream runs encode jobs on the pool, emitting each artifact's bytes in
-// canonical order. It reports per-artifact failures and returns whether any
-// occurred, so a sweep finishes its remaining variants before the non-zero
-// exit.
-func stream(ctx context.Context, pool runner.Pool, jobs []runner.Job) bool {
-	results, sinkErr := pool.RunToContext(ctx, os.Stdout, jobs)
-	if sinkErr != nil {
-		fatal(sinkErr)
-	}
-	if agg := runner.Errs(results); agg != nil {
-		printFailures(agg)
-		return true
-	}
-	return false
 }
 
 func printFailures(agg error) {

@@ -95,3 +95,35 @@ func TestTraceCSVCreatesDir(t *testing.T) {
 		t.Fatalf("no .csv file in %s (err %v)", dir, err)
 	}
 }
+
+// TestReportMatchesGoldens runs the command's own report path — no flags,
+// -format json and -format csv, serial and on four workers — and compares
+// each output byte for byte with the golden files internal/repro pins.
+func TestReportMatchesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report compute is slow; run without -short")
+	}
+	for _, tc := range []struct {
+		args   []string
+		golden string
+	}{
+		{nil, "report.golden"},
+		{[]string{"-format", "json"}, "report.golden.json"},
+		{[]string{"-format", "csv"}, "report.golden.csv"},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "repro", "testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []string{"1", "4"} {
+			args := append([]string{"-jobs", jobs}, tc.args...)
+			code, stdout, stderr := nanorepro(t, args...)
+			if code != 0 || stderr != "" {
+				t.Errorf("%v: exit status %d, stderr %q", args, code, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("%v: output differs from %s (%d vs %d bytes)", args, tc.golden, len(stdout), len(want))
+			}
+		}
+	}
+}

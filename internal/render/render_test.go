@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -185,5 +186,89 @@ func TestTextUnknownClaim(t *testing.T) {
 	res.AddClaim(&result.Claim{})
 	if err := (render.Text{}).Encode(io.Discard, res); err == nil {
 		t.Fatal("unknown claim ID must error")
+	}
+}
+
+// TestScenarioCSVsDoNotCollide: two results with different scenario labels
+// (two variants of one sweep) encoded into one CSV directory each write
+// their own figure file, at the path their text announces, holding their
+// own data — not one file the second variant overwrote.
+func TestScenarioCSVsDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	for _, v := range []struct {
+		scenario string
+		y        float64
+	}{{"sweep/vdd=0.900", 1}, {"sweep/vdd=1.100", 2}} {
+		res := &result.Result{ID: "f9", Title: "fake", Scenario: v.scenario}
+		res.AddFigure(&result.Figure{Name: "figure9", Title: "fake", XLabel: "x",
+			Series: []result.Series{{Name: "s", X: []float64{0}, Y: []float64{v.y}}}})
+		if err := (render.Text{CSVDir: dir}).Encode(&out, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var paths []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if p, ok := strings.CutPrefix(line, "  wrote "); ok {
+			paths = append(paths, p)
+		}
+	}
+	if len(paths) != 2 || paths[0] == paths[1] {
+		t.Fatalf("announced CSV paths %q, want two distinct files", paths)
+	}
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("x,s\n0,%d\n", i+1); string(data) != want {
+			t.Errorf("%s holds %q, want %q", p, data, want)
+		}
+	}
+}
+
+// TestEncodeReportSkipsNilSlots: a run's failed computes leave nil slots;
+// the report encodes the results around them, and a run with no results
+// at all is the JSON document {"artifacts": null}.
+func TestEncodeReportSkipsNilSlots(t *testing.T) {
+	table := func(id string) *result.Result {
+		res := &result.Result{ID: id}
+		res.AddTable(&result.Table{Title: "table-" + id, Headers: []string{"h"}})
+		return res
+	}
+	results := []*result.Result{table("a"), nil, table("c")}
+	for format, want := range map[string][]string{
+		"text": {"table-a", "table-c"},
+		"csv":  {"# a table: table-a", "# c table: table-c"},
+		"json": {`"id": "a"`, `"id": "c"`},
+	} {
+		enc, err := render.NewEncoding(format, render.Text{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := enc.EncodeReport(&out, results); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		for _, w := range want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s report lacks %q:\n%s", format, w, out.String())
+			}
+		}
+		var rep result.Report
+		if format == "json" && (json.Unmarshal(out.Bytes(), &rep) != nil || len(rep.Artifacts) != 2) {
+			t.Errorf("json report is not the two results:\n%s", out.String())
+		}
+	}
+	enc, err := render.NewEncoding("json", render.Text{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := enc.EncodeReport(&out, []*result.Result{nil}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"artifacts\": null\n}\n"; out.String() != want {
+		t.Errorf("empty run = %q, want %q", out.String(), want)
 	}
 }

@@ -43,7 +43,7 @@ func (t Text) Encode(w io.Writer, res *result.Result) error {
 		case it.Table != nil:
 			err = writeTable(w, it.Table)
 		case it.Figure != nil:
-			err = t.encodeFigure(w, it.Figure)
+			err = t.encodeFigure(w, res.Scenario, it.Figure)
 		case it.Claim != nil:
 			err = t.encodeClaim(w, res.ID, it.Claim)
 		default:
@@ -57,10 +57,12 @@ func (t Text) Encode(w io.Writer, res *result.Result) error {
 }
 
 // encodeFigure writes the figure (plot or compact endpoint summary) and,
-// when requested, its CSV. A CSV failure is returned after the textual
-// output so the artifact still shows its data; the caller's error
-// aggregation reports the broken file.
-func (t Text) encodeFigure(w io.Writer, f *result.Figure) error {
+// when requested, its CSV: into CSVDir for the base roadmap, into
+// CSVDir/<scenario> otherwise, so a sweep's variants do not overwrite each
+// other. A CSV failure is returned after the textual output so the
+// artifact still shows its data; the caller's error aggregation reports
+// the broken file.
+func (t Text) encodeFigure(w io.Writer, scenario string, f *result.Figure) error {
 	if t.Plot {
 		plotASCII(w, f, 72, 18)
 		fmt.Fprintln(w)
@@ -80,7 +82,11 @@ func (t Text) encodeFigure(w io.Writer, f *result.Figure) error {
 	if t.CSVDir == "" {
 		return nil
 	}
-	path := filepath.Join(t.CSVDir, f.Name+".csv")
+	dir := filepath.Join(t.CSVDir, filepath.FromSlash(scenario))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("writing %s: %w", dir, err)
+	}
+	path := filepath.Join(dir, f.Name+".csv")
 	file, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)

@@ -34,14 +34,6 @@ func TestComputeCachedReturnsSameResult(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("second ComputeCached recomputed instead of serving the cache")
 	}
-	// Encode-only options must share the compute entry.
-	r3, err := a.ComputeCached(Options{Plot: true, Verbose: true, CSVDir: "zzz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r3 {
-		t.Fatal("encode-only options must not fork the compute cache")
-	}
 	r4, err := a.ComputeCached(Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -2,15 +2,12 @@ package repro
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"nanometer/internal/render"
-	"nanometer/internal/result"
-	"nanometer/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden from the current engine")
@@ -24,18 +21,7 @@ func TestGoldenFullReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report render is slow; run without -short")
 	}
-	render := func(workers int) []byte {
-		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &buf, Jobs(Artifacts(), Options{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.Errs(results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := render(1)
+	got := goldenReport(t, "text", 1)
 	path := filepath.Join("testdata", "report.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -51,7 +37,7 @@ func TestGoldenFullReport(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -args -update): %v", err)
 	}
 	compareGolden(t, "jobs=1", got, want)
-	compareGolden(t, "jobs=8", render(8), want)
+	compareGolden(t, "jobs=8", goldenReport(t, "text", 8), want)
 }
 
 // TestGoldenJSONReport pins the default `-format json` document byte for
@@ -62,22 +48,7 @@ func TestGoldenJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report compute is slow; run without -short")
 	}
-	renderJSON := func(workers int) []byte {
-		results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: workers}, Artifacts(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := &result.Report{}
-		for _, r := range results {
-			rep.Artifacts = append(rep.Artifacts, r)
-		}
-		var buf bytes.Buffer
-		if err := (render.JSON{Indent: "  "}).EncodeReport(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := renderJSON(1)
+	got := goldenReport(t, "json", 1)
 	path := filepath.Join("testdata", "report.golden.json")
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -90,7 +61,7 @@ func TestGoldenJSONReport(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -args -update): %v", err)
 	}
 	compareGolden(t, "json jobs=1", got, want)
-	compareGolden(t, "json jobs=8", renderJSON(8), want)
+	compareGolden(t, "json jobs=8", goldenReport(t, "json", 8), want)
 }
 
 // TestGoldenCSVReport pins the default `-format csv` stream byte for byte
@@ -99,18 +70,7 @@ func TestGoldenCSVReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report compute is slow; run without -short")
 	}
-	renderCSV := func(workers int) []byte {
-		var buf bytes.Buffer
-		results, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &buf, EncodeJobs(Artifacts(), Options{}, render.CSV{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.Errs(results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := renderCSV(1)
+	got := goldenReport(t, "csv", 1)
 	path := filepath.Join("testdata", "report.golden.csv")
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -123,7 +83,18 @@ func TestGoldenCSVReport(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -args -update): %v", err)
 	}
 	compareGolden(t, "csv jobs=1", got, want)
-	compareGolden(t, "csv jobs=8", renderCSV(8), want)
+	compareGolden(t, "csv jobs=8", goldenReport(t, "csv", 8), want)
+}
+
+// goldenReport renders the default full report in format through the
+// CLI's report path at the given worker count.
+func goldenReport(t *testing.T, format string, workers int) []byte {
+	t.Helper()
+	out, err := report(workers, Artifacts(), Options{}, mustEncoding(t, format, render.Text{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // compareGolden reports the first differing line, not just "differs" — the

@@ -16,9 +16,6 @@ var (
 		"Scenario": true,
 	}
 	encodeOnlyFields = map[string]bool{
-		"CSVDir":  true,
-		"Plot":    true,
-		"Verbose": true,
 		"NoCache": true,
 	}
 )

@@ -1,15 +1,16 @@
 // Package repro is the artifact registry of the reproduction harness: one
-// entry per table, figure, and quantified claim of the paper. Each artifact
-// is split into two layers: Compute produces a typed, JSON-serializable
-// result (internal/result) from the model stack, and the encoders of
-// internal/render turn that result into terminal text, JSON, or CSV.
+// entry per table, figure, and quantified claim of the paper. The package
+// only computes: Compute produces a typed, JSON-serializable result
+// (internal/result) from the model stack, and callers hand the results to
+// an internal/render encoding to become terminal text, JSON, or CSV.
 // Compute is pure and deterministic, so results are memoized in a
 // process-wide cache (artifact ID + compute-options hash) — repeated
-// renders in one process, the shape a serving layer produces, compute each
-// artifact once. Artifacts are independent of each other and safe to run
-// concurrently on the runner pool with deterministic, serially-identical
-// output. cmd/nanorepro is a thin flag-parsing shell around this package;
-// bench_test.go drives the same registry for the full-report speedup
+// requests in one process, the shape a serving layer produces, compute each
+// artifact once. Artifacts are independent of each other: ComputeAllCtx
+// and ComputeAllVariants run them concurrently on the runner pool and
+// return the results in registry order, so the encoded report is the same
+// for any worker count. cmd/nanorepro is a thin flag-parsing shell around
+// this package; bench_test.go drives the same registry for the full-report
 // measurement.
 package repro
 
@@ -28,16 +29,9 @@ import (
 	"nanometer/internal/scenario"
 )
 
-// Options configures a run. The zero value reproduces the plain
-// `nanorepro` output: compact figure dumps, no CSVs, cached compute.
+// Options configures a run's compute; how results are written is
+// render.Text's business. The zero value computes the base roadmap.
 type Options struct {
-	// CSVDir, when non-empty, is the directory figure CSVs are written to
-	// by the text encoder.
-	CSVDir string
-	// Plot renders terminal plots instead of compact figure summaries.
-	Plot bool
-	// Verbose appends each claim's paper checks to the text output.
-	Verbose bool
 	// NoCache bypasses the process-wide result cache, forcing every
 	// render to recompute (benchmarks, freshness-critical callers).
 	NoCache bool
@@ -76,9 +70,6 @@ func ValidateMeshN(n int) error {
 	}
 	return nil
 }
-
-// Validate checks an Options value assembled from untrusted input.
-func (o Options) Validate() error { return ValidateMeshN(o.MeshN) }
 
 // lab resolves the roadmap the options select: the base laboratory for the
 // nil scenario, the scenario's resolved laboratory otherwise. Resolution is
@@ -150,23 +141,13 @@ func applyScenarioChecks(res *result.Result, s *scenario.Scenario) error {
 }
 
 // Render computes the artifact (through the cache unless opts.NoCache) and
-// encodes it as terminal text — the legacy single-call path.
+// encodes it as default terminal text.
 func (a Artifact) Render(w io.Writer, opts Options) error {
 	res, err := a.ComputeCached(opts)
 	if err != nil {
 		return err
 	}
-	return textEncoder(opts).Encode(w, res)
-}
-
-func textEncoder(opts Options) render.Text {
-	return render.Text{CSVDir: opts.CSVDir, Plot: opts.Plot, Verbose: opts.Verbose}
-}
-
-// Encoder turns one typed artifact result into bytes. internal/render
-// provides the implementations (Text, JSON, CSV).
-type Encoder interface {
-	Encode(w io.Writer, res *result.Result) error
+	return render.Text{}.Encode(w, res)
 }
 
 // Artifacts returns the full registry in canonical emission order.
@@ -230,48 +211,13 @@ func Select(ids []string) ([]Artifact, error) {
 	return sel, nil
 }
 
-// Jobs adapts artifacts to runner jobs rendering the legacy text report
-// with opts bound in.
-func Jobs(arts []Artifact, opts Options) []runner.Job {
-	return EncodeJobs(arts, opts, textEncoder(opts))
-}
-
-// EncodeJobs adapts artifacts to runner jobs that compute (through the
-// cache unless opts.NoCache) and encode with enc.
-func EncodeJobs(arts []Artifact, opts Options, enc Encoder) []runner.Job {
-	jobs := make([]runner.Job, len(arts))
-	for i, a := range arts {
-		a := a
-		jobs[i] = runner.Job{ID: a.ID, Run: func(w io.Writer) error {
-			res, err := a.ComputeCached(opts)
-			if err != nil {
-				return err
-			}
-			return enc.Encode(w, res)
-		}}
-	}
-	return jobs
-}
-
-// ComputeAllCtx computes the artifacts on the pool without encoding
-// anything, returning the results in registry order. A failed artifact
-// leaves a nil slot; the per-artifact failures are aggregated in the
-// returned error and the healthy results are still usable. Artifacts that
-// have not started when ctx is canceled are skipped (their slots stay nil
-// and the aggregate error carries ctx's error per skipped artifact).
-// In-flight computes finish normally so the cache is never poisoned by a
-// partial result.
+// ComputeAllCtx computes the artifacts on the pool — ComputeAllVariants
+// over the one variant opts.Scenario — and returns the results in registry
+// order. A failed artifact leaves a nil slot and its error in the returned
+// aggregate; the healthy results are still usable. Artifacts that have not
+// started when ctx is canceled are skipped the same way, while in-flight
+// computes finish, so the cache is never poisoned by a partial result.
 func ComputeAllCtx(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options) ([]*result.Result, error) {
-	out := make([]*result.Result, len(arts))
-	jobs := make([]runner.Job, len(arts))
-	for i, a := range arts {
-		i, a := i, a
-		jobs[i] = runner.Job{ID: a.ID, Run: func(io.Writer) error {
-			res, err := a.ComputeCached(opts)
-			out[i] = res
-			return err
-		}}
-	}
-	results, _ := pool.RunToContext(ctx, nil, jobs)
-	return out, runner.Errs(results)
+	grouped, err := ComputeAllVariants(ctx, pool, arts, opts, []*scenario.Scenario{opts.Scenario})
+	return grouped[0], err
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"nanometer/internal/render"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
 )
@@ -24,20 +25,40 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		}
 		arts = sel
 	}
-	var opts Options
-	var serial, parallel bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &serial, Jobs(arts, opts)); err != nil {
+	text := mustEncoding(t, "text", render.Text{})
+	serial, err := report(1, arts, Options{}, text)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (runner.Pool{Workers: 8}).RunToContext(context.Background(), &parallel, Jobs(arts, opts)); err != nil {
+	parallel, err := report(8, arts, Options{}, text)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Len() == 0 {
+	if len(serial) == 0 {
 		t.Fatal("report rendered no output")
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("parallel report differs from serial (%d vs %d bytes)", parallel.Len(), serial.Len())
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("parallel report differs from serial (%d vs %d bytes)", len(parallel), len(serial))
 	}
+}
+
+// report runs the CLI's report path: compute the artifacts on a pool of
+// workers, then encode the results in registry order. The error joins the
+// compute and encode failures, as the CLI prints them.
+func report(workers int, arts []Artifact, opts Options, enc render.Encoding) ([]byte, error) {
+	results, computeErr := ComputeAllCtx(context.Background(), runner.Pool{Workers: workers}, arts, opts)
+	var buf bytes.Buffer
+	encodeErr := enc.EncodeReport(&buf, results)
+	return buf.Bytes(), errors.Join(computeErr, encodeErr)
+}
+
+func mustEncoding(tb testing.TB, format string, text render.Text) render.Encoding {
+	tb.Helper()
+	enc, err := render.NewEncoding(format, text)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
 }
 
 func TestSelect(t *testing.T) {
@@ -75,30 +96,20 @@ func TestCSVFailureIsAggregatedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{CSVDir: filepath.Join(blocker, "sub")} // Create() must fail
-	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{Workers: 4}).RunToContext(context.Background(), &out, Jobs(arts, opts))
-	if sinkErr != nil {
-		t.Fatal(sinkErr)
-	}
-	agg := runner.Errs(results)
+	enc := mustEncoding(t, "text", render.Text{CSVDir: filepath.Join(blocker, "sub")}) // under a file: writes must fail
+	out, agg := report(4, arts, Options{}, enc)
 	if agg == nil {
 		t.Fatal("CSV failure must surface in the aggregate")
 	}
-	if !strings.Contains(agg.Error(), "f2:") {
-		t.Fatalf("aggregate %q does not name the broken artifact", agg.Error())
+	// t1 and c7 write no CSVs and must succeed, so f2 is the only failure;
+	// its table text precedes the CSV step and is still emitted.
+	if msg := agg.Error(); !strings.HasPrefix(msg, "f2: ") || strings.Contains(msg, "\n") {
+		t.Fatalf("aggregate %q, want exactly one failure, naming f2", msg)
 	}
-	// t1 and c7 write no CSVs and must succeed; f2's table text precedes the
-	// CSV step and is still emitted.
-	for _, r := range results {
-		if r.ID != "f2" && r.Err != nil {
-			t.Fatalf("artifact %s failed: %v", r.ID, r.Err)
-		}
-	}
-	if !strings.Contains(out.String(), "Figure 2 (as data)") {
+	if !strings.Contains(string(out), "Figure 2 (as data)") {
 		t.Fatal("partial output of the failed artifact was dropped")
 	}
-	if !strings.Contains(out.String(), "C7. Vdd floor") {
+	if !strings.Contains(string(out), "C7. Vdd floor") {
 		t.Fatal("healthy artifacts after the failure were dropped")
 	}
 }
@@ -111,12 +122,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	results, sinkErr := (runner.Pool{}).RunToContext(context.Background(), &out, Jobs(arts, Options{CSVDir: dir}))
-	if sinkErr != nil {
-		t.Fatal(sinkErr)
-	}
-	if err := runner.Errs(results); err != nil {
+	out, err := report(0, arts, Options{}, mustEncoding(t, "text", render.Text{CSVDir: dir}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	csv, err := os.ReadFile(filepath.Join(dir, "figure2.csv"))
@@ -126,7 +133,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if len(csv) == 0 {
 		t.Fatal("empty CSV")
 	}
-	if !strings.Contains(out.String(), "wrote "+filepath.Join(dir, "figure2.csv")) {
+	if !strings.Contains(string(out), "wrote "+filepath.Join(dir, "figure2.csv")) {
 		t.Fatal("CSV write not announced in the report")
 	}
 }
@@ -168,19 +175,20 @@ func fakeArtifact(id, marker string, err error) Artifact {
 	}}
 }
 
-// TestJobsBindOptions: Jobs must close over each artifact independently (the
-// classic range-variable trap would render the last artifact N times), and
-// per-artifact compute errors must reach the job results.
+// TestJobsBindOptions: the compute jobs must close over each artifact
+// independently (the classic range-variable trap would compute the last
+// artifact N times), and a per-artifact compute error must reach the
+// aggregate, named by its artifact, with a nil slot in its place.
 func TestJobsBindOptions(t *testing.T) {
 	arts := []Artifact{
 		fakeArtifact("fake-a", "marker-A", nil),
 		fakeArtifact("fake-b", "marker-B", errSentinel),
 	}
-	results, _ := (runner.Pool{Workers: 2}).RunToContext(context.Background(), nil, Jobs(arts, Options{}))
-	if !strings.Contains(string(results[0].Output), "marker-A") || len(results[1].Output) != 0 {
-		t.Fatalf("outputs %q, %q", results[0].Output, results[1].Output)
+	results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: 2}, arts, Options{})
+	if results[0] == nil || results[0].Items[0].Table.Title != "marker-A" || results[1] != nil {
+		t.Fatalf("results %v, %v", results[0], results[1])
 	}
-	if results[0].Err != nil || !errors.Is(results[1].Err, errSentinel) {
-		t.Fatalf("errors %v, %v", results[0].Err, results[1].Err)
+	if !errors.Is(err, errSentinel) || !strings.HasPrefix(err.Error(), "fake-b: ") {
+		t.Fatalf("aggregate %v, want fake-b's sentinel", err)
 	}
 }

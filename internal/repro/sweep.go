@@ -75,39 +75,11 @@ func (a Artifact) cachedInMemory(opts Options) bool {
 	return ok
 }
 
-// VariantJobs flattens a sweep into ONE job list — every variant × artifact
-// in variant-major order — so a single pool run keeps all workers busy
-// across variant boundaries instead of draining between sequential
-// per-variant runs. Emission order (and every output byte) is identical to
-// the historical sequential loop for any worker count; job IDs are
-// qualified with the variant name when a sweep has several, so aggregated
-// errors say which variant's artifact failed. A nil enc selects the text
-// encoder for opts. Primes the sweep's mesh solves first (PrimeVariants).
-func VariantJobs(arts []Artifact, opts Options, variants []*scenario.Scenario, enc Encoder) []runner.Job {
-	PrimeVariants(arts, opts, variants)
-	jobs := make([]runner.Job, 0, len(arts)*len(variants))
-	for _, v := range variants {
-		vo := opts
-		vo.Scenario = v
-		e := enc
-		if e == nil {
-			e = textEncoder(vo)
-		}
-		vjobs := EncodeJobs(arts, vo, e)
-		if v != nil && len(variants) > 1 {
-			for i := range vjobs {
-				vjobs[i].ID = arts[i].ID + "@" + v.Name
-			}
-		}
-		jobs = append(jobs, vjobs...)
-	}
-	return jobs
-}
-
-// ComputeAllVariants is ComputeAllCtx across a sweep: one flattened pool
-// run (primed like VariantJobs), results grouped per variant in
-// variant-major order with nil slots for failed artifacts, failures
-// aggregated with variant-qualified IDs.
+// ComputeAllVariants computes a sweep in ONE pool run over every variant ×
+// artifact, primed by PrimeVariants, so workers stay busy across variant
+// boundaries. Results come back grouped per variant, in grid order, with
+// nil slots for failed artifacts; when a sweep has several variants the
+// aggregated failures name each as artifact@variant.
 func ComputeAllVariants(ctx context.Context, pool runner.Pool, arts []Artifact, opts Options, variants []*scenario.Scenario) ([][]*result.Result, error) {
 	PrimeVariants(arts, opts, variants)
 	out := make([][]*result.Result, len(variants))

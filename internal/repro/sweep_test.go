@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nanometer/internal/powergrid"
+	"nanometer/internal/render"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 )
@@ -33,37 +34,42 @@ func itoa(n int) string {
 	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }
 
-// TestVariantJobsMatchSequentialBytes pins the CLI contract the flattening
-// must preserve: one flattened pool run over variants × artifacts emits
-// the exact bytes of the historical run-each-variant-sequentially loop,
-// at any worker count.
-func TestVariantJobsMatchSequentialBytes(t *testing.T) {
+// TestSweepMatchesSequentialBytes pins the CLI contract the flattening
+// must preserve: one flattened pool run over variants × artifacts encodes
+// to the exact bytes of a run-each-variant-sequentially loop, at any
+// worker count.
+func TestSweepMatchesSequentialBytes(t *testing.T) {
 	ResetCache()
 	variants := sweepVariants(t, 3)
 	arts, err := Select([]string{"t1", "c8"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{}
-	var sequential bytes.Buffer
+	text := mustEncoding(t, "text", render.Text{})
+	var sequential []byte
 	for _, v := range variants {
-		vo := opts
-		vo.Scenario = v
-		if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &sequential, Jobs(arts, vo)); err != nil {
+		out, err := report(1, arts, Options{Scenario: v}, text)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sequential = append(sequential, out...)
 	}
 	for _, workers := range []int{1, 8} {
 		ResetCache()
-		var flat bytes.Buffer
-		jobs := VariantJobs(arts, opts, variants, nil)
-		if len(jobs) != len(arts)*len(variants) {
-			t.Fatalf("got %d jobs, want %d", len(jobs), len(arts)*len(variants))
-		}
-		if _, err := (runner.Pool{Workers: workers}).RunToContext(context.Background(), &flat, jobs); err != nil {
+		grouped, err := ComputeAllVariants(context.Background(), runner.Pool{Workers: workers}, arts, Options{}, variants)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(flat.Bytes(), sequential.Bytes()) {
+		if len(grouped) != len(variants) {
+			t.Fatalf("got %d variant groups, want %d", len(grouped), len(variants))
+		}
+		var flat bytes.Buffer
+		for _, results := range grouped {
+			if err := text.EncodeReport(&flat, results); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(flat.Bytes(), sequential) {
 			t.Fatalf("workers=%d: flattened sweep output diverges from the sequential loop", workers)
 		}
 	}

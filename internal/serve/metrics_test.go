@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	jobsvc "nanometer/internal/jobs"
+	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
 )
@@ -58,7 +59,11 @@ func TestEncodeReportHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, format := range []string{"json", "text", "csv"} {
-		if _, err := s.encodeReport(ctx, repro.Options{}, format); err == nil {
+		enc, err := render.NewEncoding(format, render.Text{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.encodeReport(ctx, repro.Options{}, enc); err == nil {
 			t.Errorf("encodeReport(%s) with canceled ctx succeeded, want error", format)
 		} else if !strings.Contains(err.Error(), "context canceled") {
 			t.Errorf("encodeReport(%s) error = %v, want context cancellation", format, err)

@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -230,37 +231,33 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // requestOptions parses and validates the query parameters shared by the
-// artifact and report endpoints. mesh-n arrives from untrusted clients and
-// goes through the same ValidateMeshN the CLI flag uses.
-func requestOptions(r *http.Request) (opts repro.Options, format string, err error) {
+// artifact and report endpoints: the compute options, and the encoding with
+// its text settings. mesh-n arrives from untrusted clients and goes through
+// the same ValidateMeshN the CLI flag uses.
+func requestOptions(r *http.Request) (opts repro.Options, enc render.Encoding, err error) {
 	q := r.URL.Query()
-	format = q.Get("format")
+	format := q.Get("format")
 	if format == "" {
 		format = "text"
 	}
-	switch format {
-	case "text", "json", "csv":
-	default:
-		return opts, "", fmt.Errorf("unknown format %q (want text, json, or csv)", format)
+	enc, err = render.NewEncoding(format, render.Text{Verbose: boolParam(q.Get("verbose")), Plot: boolParam(q.Get("plot"))})
+	if errors.Is(err, render.ErrTextOnly) {
+		return opts, enc, fmt.Errorf("verbose and plot only apply to format=text")
+	}
+	if err != nil {
+		return opts, enc, fmt.Errorf("unknown format %q (want text, json, or csv)", format)
 	}
 	if v := q.Get("mesh-n"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil {
-			return opts, "", fmt.Errorf("mesh-n %q is not an integer", v)
+			return opts, enc, fmt.Errorf("mesh-n %q is not an integer", v)
 		}
 		if verr := repro.ValidateMeshN(n); verr != nil {
-			return opts, "", verr
+			return opts, enc, verr
 		}
 		opts.MeshN = n
 	}
-	// Encode-only toggles of the text format (same semantics as the CLI's
-	// -v and -plot).
-	opts.Verbose = boolParam(q.Get("verbose"))
-	opts.Plot = boolParam(q.Get("plot"))
-	if format != "text" && (opts.Verbose || opts.Plot) {
-		return opts, "", fmt.Errorf("verbose and plot only apply to format=text")
-	}
-	return opts, format, nil
+	return opts, enc, nil
 }
 
 func boolParam(v string) bool { return v == "1" || v == "true" }
@@ -271,15 +268,15 @@ func boolParam(v string) bool { return v == "1" || v == "true" }
 // change its serialization). Compute is deterministic, so equal ETags mean
 // byte-identical bodies — which is also why the ETag can be issued without
 // encoding anything.
-func etagFor(id string, opts repro.Options, format string) string {
-	enc := format
-	if opts.Verbose {
-		enc += "v"
+func etagFor(id string, opts repro.Options, enc render.Encoding) string {
+	tag := enc.Format()
+	if enc.Text.Verbose {
+		tag += "v"
 	}
-	if opts.Plot {
-		enc += "p"
+	if enc.Text.Plot {
+		tag += "p"
 	}
-	return `"` + id + "-" + opts.CacheKey() + "-" + enc + `"`
+	return `"` + id + "-" + opts.CacheKey() + "-" + tag + `"`
 }
 
 // etagMatches implements the If-None-Match comparison for strong ETags.
@@ -362,10 +359,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for _, a := range s.order {
 		index.Artifacts = append(index.Artifacts, entry{a.ID, a.Title, "/api/v1/artifacts/" + a.ID})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(index)
+	writeJSON(w, http.StatusOK, index)
 }
 
 // handleArtifact serves one artifact in the requested representation.
@@ -377,12 +371,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.artifactTotal.With(artifactLabel(a)).Inc()
-	opts, format, err := requestOptions(r)
+	opts, enc, err := requestOptions(r)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := etagFor(id, opts, format)
+	etag := etagFor(id, opts, enc)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		s.met.notModified.Inc()
 		w.Header().Set("ETag", etag)
@@ -395,8 +389,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := encodeOne(res, opts, format)
-	if err != nil {
+	// The body is the one-artifact report: `nanorepro -only <id>`'s bytes.
+	var body bytes.Buffer
+	if err := enc.EncodeReport(&body, []*result.Result{res}); err != nil {
 		apiError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
 		return
 	}
@@ -405,7 +400,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	// could have it revalidated into a 304 forever.
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	writeBody(w, format, body)
+	writeBody(w, enc, body.Bytes())
 }
 
 // produceResult runs the singleflight-collapsed compute of one artifact
@@ -480,7 +475,7 @@ func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.A
 // handleReport serves the full run — the exact bytes `nanorepro
 // -format=<f>` prints for the same options.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	opts, format, err := requestOptions(r)
+	opts, enc, err := requestOptions(r)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -500,7 +495,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer release()
-		body, err := s.encodeReport(ctx, opts, format)
+		body, err := s.encodeReport(ctx, opts, enc)
 		ch <- outcome{body, err}
 	}()
 	out, ok := await(ctx, s, w, ch)
@@ -511,7 +506,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusInternalServerError, "report: %v", out.err)
 		return
 	}
-	writeBody(w, format, out.body)
+	writeBody(w, enc, out.body)
 }
 
 // handleFlush drops every memoized result (ResetCache is safe under load —
@@ -523,67 +518,23 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{"flushed": true, "entries_dropped": before})
 }
 
-// encodeOne renders a computed result exactly as the CLI would: render.Text
-// for format=text, a single-artifact {"artifacts":[…]} document for json,
-// and render.CSV blocks for csv.
-func encodeOne(res *result.Result, opts repro.Options, format string) ([]byte, error) {
-	var buf bytes.Buffer
-	var err error
-	switch format {
-	case "json":
-		err = render.JSON{Indent: "  "}.EncodeReport(&buf, &result.Report{Artifacts: []*result.Result{res}})
-	case "csv":
-		err = render.CSV{}.Encode(&buf, res)
-	default:
-		err = render.Text{Plot: opts.Plot, Verbose: opts.Verbose}.Encode(&buf, res)
-	}
+// encodeReport computes the whole registry and encodes it the way the CLI
+// does, so the bytes match `nanorepro` for the same options. ctx is the
+// request's: a report whose client has gone away stops launching artifacts
+// (the ones already solving run to completion and still land in the
+// compute cache, exactly like the single-artifact path).
+func (s *Server) encodeReport(ctx context.Context, opts repro.Options, enc render.Encoding) ([]byte, error) {
+	results, err := repro.ComputeAllCtx(ctx, runner.Pool{Workers: s.jobs}, s.order, opts)
 	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// encodeReport renders the whole registry through the same pool paths the
-// CLI uses, so the bytes match `nanorepro` for the same options and worker
-// non-determinism stays impossible. ctx is the request's: a report whose
-// client has gone away stops launching artifacts (the ones already solving
-// run to completion and still land in the compute cache, exactly like the
-// single-artifact path).
-func (s *Server) encodeReport(ctx context.Context, opts repro.Options, format string) ([]byte, error) {
-	pool := runner.Pool{Workers: s.jobs}
 	var buf bytes.Buffer
-	switch format {
-	case "json":
-		results, aggErr := repro.ComputeAllCtx(ctx, pool, s.order, opts)
-		if aggErr != nil {
-			return nil, aggErr
-		}
-		rep := &result.Report{Artifacts: results}
-		if err := (render.JSON{Indent: "  "}).EncodeReport(&buf, rep); err != nil {
-			return nil, err
-		}
-	case "csv":
-		results, sinkErr := pool.RunToContext(ctx, &buf, repro.EncodeJobs(s.order, opts, render.CSV{}))
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		if agg := runner.Errs(results); agg != nil {
-			return nil, agg
-		}
-	default:
-		results, sinkErr := pool.RunToContext(ctx, &buf, repro.Jobs(s.order, opts))
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		if agg := runner.Errs(results); agg != nil {
-			return nil, agg
-		}
-	}
-	return buf.Bytes(), nil
+	err = enc.EncodeReport(&buf, results)
+	return buf.Bytes(), err
 }
 
-func writeBody(w http.ResponseWriter, format string, body []byte) {
-	w.Header().Set("Content-Type", contentType(format))
+func writeBody(w http.ResponseWriter, enc render.Encoding, body []byte) {
+	w.Header().Set("Content-Type", contentType(enc.Format()))
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }

@@ -131,40 +131,41 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	repro.ResetCache()
 }
 
+// cliReport renders the artifacts through the CLI's report path: compute
+// on a one-worker pool, then encode in format.
+func cliReport(t *testing.T, arts []repro.Artifact, format string) []byte {
+	t.Helper()
+	enc, err := render.NewEncoding(format, render.Text{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := repro.ComputeAllCtx(context.Background(), runner.Pool{Workers: 1}, arts, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := enc.EncodeReport(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestServerMatchesCLI: for every artifact and every format, the HTTP body
 // is byte-identical to what cmd/nanorepro emits for the same options (both
 // funnel through repro.ComputeCached and internal/render, and this test
 // pins that they stay funneled).
 func TestServerMatchesCLI(t *testing.T) {
 	h := New(Config{}).Handler()
-	pool := runner.Pool{Workers: 1}
 	for _, a := range repro.Artifacts() {
-		sel := []repro.Artifact{a}
 		for _, format := range []string{"text", "json", "csv"} {
-			var want bytes.Buffer
-			var err error
-			switch format {
-			case "text":
-				_, err = pool.RunToContext(context.Background(), &want, repro.Jobs(sel, repro.Options{}))
-			case "csv":
-				_, err = pool.RunToContext(context.Background(), &want, repro.EncodeJobs(sel, repro.Options{}, render.CSV{}))
-			case "json":
-				var results []*result.Result
-				results, err = repro.ComputeAllCtx(context.Background(), pool, sel, repro.Options{})
-				if err == nil {
-					err = render.JSON{Indent: "  "}.EncodeReport(&want, &result.Report{Artifacts: results})
-				}
-			}
-			if err != nil {
-				t.Fatalf("%s %s: CLI-path encode: %v", a.ID, format, err)
-			}
+			want := cliReport(t, []repro.Artifact{a}, format)
 			rec := get(t, h, "/api/v1/artifacts/"+a.ID+"?format="+format, nil)
 			if rec.Code != 200 {
 				t.Fatalf("%s %s: HTTP %d", a.ID, format, rec.Code)
 			}
-			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			if !bytes.Equal(rec.Body.Bytes(), want) {
 				t.Errorf("%s %s: HTTP body differs from CLI bytes (%d vs %d bytes)",
-					a.ID, format, rec.Body.Len(), want.Len())
+					a.ID, format, rec.Body.Len(), len(want))
 			}
 		}
 	}
@@ -174,15 +175,12 @@ func TestServerMatchesCLI(t *testing.T) {
 // report bytes.
 func TestReportMatchesCLI(t *testing.T) {
 	h := New(Config{}).Handler()
-	var want bytes.Buffer
-	if _, err := (runner.Pool{Workers: 1}).RunToContext(context.Background(), &want, repro.Jobs(repro.Artifacts(), repro.Options{})); err != nil {
-		t.Fatal(err)
-	}
+	want := cliReport(t, repro.Artifacts(), "text")
 	rec := get(t, h, "/api/v1/report", nil)
 	if rec.Code != 200 {
 		t.Fatalf("report = %d", rec.Code)
 	}
-	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+	if !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Error("report body differs from CLI full-report bytes")
 	}
 }
