@@ -27,6 +27,7 @@ import (
 	"nanometer/internal/resize"
 	"nanometer/internal/runner"
 	"nanometer/internal/sta"
+	"nanometer/internal/trace"
 	"nanometer/internal/units"
 	"nanometer/internal/wire"
 )
@@ -348,6 +349,29 @@ func BenchmarkFullReport(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := text.EncodeReport(io.Discard, results); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTraceRun simulates one 2 M-interval trace in the document shape
+// nanobench's trace_jobs submits (50 nm node, dt 10 ms): a power virus and
+// a seeded ≈75 % workload. The thermal/DTM/DVFS interval loop is the whole
+// cost; profile it with -bench 'TraceRun/workload' -cpuprofile.
+func BenchmarkTraceRun(b *testing.B) {
+	for _, tc := range []struct{ name, gen string }{
+		{"virus", `{"kind":"virus","intervals":2000000}`},
+		{"workload", `{"kind":"workload","intervals":2000000,"typical_fraction":0.75,"seed":7}`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr, err := trace.Parse([]byte(`{"name":"bench","dt_seconds":0.01,"node_nm":50,"generator":` + tc.gen + `}`))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Run(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

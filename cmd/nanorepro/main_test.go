@@ -127,3 +127,22 @@ func TestReportMatchesGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceMatchesGoldens runs both committed traces through -trace
+// -format json and compares each output byte for byte with its golden
+// file, so a change to the simulator's numbers cannot pass unnoticed.
+func TestTraceMatchesGoldens(t *testing.T) {
+	for _, name := range []string{"virus", "hungry75"} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "traces", "testdata", name+".golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := nanorepro(t, "-trace", filepath.Join("..", "..", "traces", name+".json"), "-format", "json")
+		if code != 0 || stderr != "" {
+			t.Errorf("%s: exit status %d, stderr %q", name, code, stderr)
+		}
+		if stdout != string(want) {
+			t.Errorf("%s: output differs from traces/testdata/%s.golden.json (%d vs %d bytes)", name, name, len(stdout), len(want))
+		}
+	}
+}

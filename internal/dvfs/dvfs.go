@@ -32,7 +32,9 @@ type OperatingPoint struct {
 // Table is a DVFS operating-point table for a node.
 type Table struct {
 	NodeNM int
-	Points []OperatingPoint // descending Vdd; Points[0] is the top point
+	// Points run in descending Vdd and strictly descending RelSpeed;
+	// Points[0] is the top point.
+	Points []OperatingPoint
 	// LogicDepth is the FO4 depths per cycle used to map gate delay to
 	// clock frequency.
 	LogicDepth float64
@@ -85,19 +87,36 @@ func NewTableIn(lab *device.Lab, nodeNM, n int, loFrac, logicDepth float64) (*Ta
 		p.RelPower = (p.FreqHz * p.Vdd * p.Vdd) / (top.FreqHz * top.Vdd * top.Vdd)
 		p.EnergyPerWork = (p.Vdd * p.Vdd) / (top.Vdd * top.Vdd)
 	}
+	// PointForUtilization's binary search relies on this ordering.
+	for i := 1; i < n; i++ {
+		if !(t.Points[i].RelSpeed < t.Points[i-1].RelSpeed) {
+			return nil, fmt.Errorf("dvfs: relative speed %g at %g V does not fall below %g at %g V",
+				t.Points[i].RelSpeed, t.Points[i].Vdd, t.Points[i-1].RelSpeed, t.Points[i-1].Vdd)
+		}
+	}
 	return t, nil
 }
 
 // PointForUtilization returns the lowest-power point whose speed covers the
-// demanded utilization (fraction of full-speed work per interval).
+// demanded utilization (fraction of full-speed work per interval): the last
+// point with RelSpeed ≥ u − 1e-12, or the top point when none covers it.
+// RelSpeed strictly descends, so the covering points are a prefix of the
+// table and a binary search finds its end.
 func (t *Table) PointForUtilization(u float64) OperatingPoint {
-	best := t.Points[0]
-	for _, p := range t.Points {
-		if p.RelSpeed >= u-1e-12 {
-			best = p
+	need := u - 1e-12
+	lo, hi := 0, len(t.Points)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.Points[m].RelSpeed >= need {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return best
+	if lo == 0 {
+		return t.Points[0]
+	}
+	return t.Points[lo-1]
 }
 
 // EnergyVsThrottling compares the two §2.1 responses delivering the same

@@ -3,6 +3,7 @@ package dvfs
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nanometer/internal/device"
@@ -27,6 +28,11 @@ func TestNewTableErrors(t *testing.T) {
 	}
 	if _, err := NewTableIn(device.BaseLab(), 65, 4, 0.5, 0); err == nil {
 		t.Fatalf("unknown node must error")
+	}
+	// Supplies 1e-13 apart give the same clock: speed no longer strictly
+	// descends, which PointForUtilization's search cannot accept.
+	if _, err := NewTableIn(device.BaseLab(), 100, 1000, 1-1e-13, 0); err == nil || !strings.Contains(err.Error(), "does not fall below") {
+		t.Fatalf("flat speed must error, got %v", err)
 	}
 }
 
@@ -90,6 +96,65 @@ func TestPointForUtilization(t *testing.T) {
 		p := tb.PointForUtilization(u)
 		if p.RelSpeed < u-1e-12 {
 			t.Fatalf("point at %g V cannot cover utilization %g", p.Vdd, u)
+		}
+	}
+}
+
+// TestTablesDescendInSpeed: every base node's table (the shape the trace
+// simulator builds) is strictly descending in RelSpeed, the invariant the
+// binary search in PointForUtilization relies on and NewTableIn checks.
+func TestTablesDescendInSpeed(t *testing.T) {
+	lab := device.BaseLab()
+	for _, nm := range lab.NodesNM() {
+		for _, n := range []int{2, 8, 32} {
+			tb, err := NewTableIn(lab, nm, n, 0.5, 0)
+			if err != nil {
+				t.Fatalf("%d nm, %d points: %v", nm, n, err)
+			}
+			for i := 1; i < len(tb.Points); i++ {
+				if !(tb.Points[i].RelSpeed < tb.Points[i-1].RelSpeed) {
+					t.Fatalf("%d nm, %d points: RelSpeed %g at point %d does not fall below %g",
+						nm, n, tb.Points[i].RelSpeed, i, tb.Points[i-1].RelSpeed)
+				}
+			}
+		}
+	}
+}
+
+// TestPointForUtilizationMatchesScan pins the binary search to the linear
+// scan it replaced (the last point with RelSpeed ≥ u − 1e-12, else the top
+// point) on a dense grid of u that hits every RelSpeed exactly, ±1e-12
+// around it, and u outside [0, 1].
+func TestPointForUtilizationMatchesScan(t *testing.T) {
+	scan := func(tb *Table, u float64) OperatingPoint {
+		best := tb.Points[0]
+		for _, p := range tb.Points {
+			if p.RelSpeed >= u-1e-12 {
+				best = p
+			}
+		}
+		return best
+	}
+	lab := device.BaseLab()
+	for _, nm := range lab.NodesNM() {
+		tb, err := NewTableIn(lab, nm, 8, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		us := []float64{-1, -1e-12, 0, 1, 1 + 1e-13, 1 + 1e-12, 1 + 2e-12, 1.5, math.Inf(1), math.Inf(-1), math.NaN()}
+		for i := -100; i <= 1100; i++ {
+			us = append(us, float64(i)/1000)
+		}
+		for _, p := range tb.Points {
+			for _, d := range []float64{-2e-12, -1e-12, -5e-13, 0, 5e-13, 1e-12, 2e-12} {
+				us = append(us, p.RelSpeed+d)
+			}
+			us = append(us, math.Nextafter(p.RelSpeed+1e-12, 0), math.Nextafter(p.RelSpeed+1e-12, 2))
+		}
+		for _, u := range us {
+			if got, want := tb.PointForUtilization(u), scan(tb, u); got != want {
+				t.Fatalf("%d nm, u = %v: point at %g V, scan picks %g V", nm, u, got.Vdd, want.Vdd)
+			}
 		}
 	}
 }

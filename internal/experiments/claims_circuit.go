@@ -107,11 +107,8 @@ func RunDualVthIn(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	c2 := c1.Clone()
 	out.Sensitivity, err = dualvth.Assign(c1, dualvth.Options{})
-	if err != nil {
-		return nil, err
-	}
-	c2, err := buildCircuitIn(lab, s)
 	if err != nil {
 		return nil, err
 	}

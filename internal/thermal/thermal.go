@@ -130,6 +130,10 @@ type Plant struct {
 	CthJPerC float64
 	// TempC is the current junction temperature.
 	TempC float64
+
+	// decay caches exp(−dt/τ) for the (dt, τ) pair of the last step, so a
+	// fixed-step simulation pays for one math.Exp per run, not per step.
+	decayDt, decayTau, decay float64
 }
 
 // NewPlant returns a plant initialized to ambient.
@@ -139,7 +143,8 @@ func NewPlant(pkg Package, cth float64) *Plant {
 
 // Step advances the plant by dt seconds while dissipating powerW, using the
 // exact exponential solution of the first-order ODE
-// Cth·dT/dt = P − (T − Tamb)/θja.
+// Cth·dT/dt = P − (T − Tamb)/θja. τ is re-derived from the exported fields
+// on every call, so changing θja, Cth or dt between steps is exact.
 func (p *Plant) Step(powerW, dt float64) {
 	tInf := p.AmbientC + p.ThetaJA*powerW
 	tau := p.ThetaJA * p.CthJPerC
@@ -147,7 +152,11 @@ func (p *Plant) Step(powerW, dt float64) {
 		p.TempC = tInf
 		return
 	}
-	p.TempC = tInf + (p.TempC-tInf)*math.Exp(-dt/tau)
+	// The zero Plant never hits the cache: τ > 0 here and decayTau starts 0.
+	if dt != p.decayDt || tau != p.decayTau {
+		p.decayDt, p.decayTau, p.decay = dt, tau, math.Exp(-dt/tau)
+	}
+	p.TempC = tInf + (p.TempC-tInf)*p.decay
 }
 
 // TimeConstant returns the plant's thermal time constant θja·Cth (s).

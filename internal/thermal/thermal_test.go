@@ -132,6 +132,40 @@ func TestPlantStepComposition(t *testing.T) {
 	}
 }
 
+// TestPlantStepMemoExact: Step caches exp(−dt/τ), yet every step equals
+// the closed form bit for bit when dt, θja or Cth change between steps,
+// and τ ≤ 0 still jumps straight to the steady state.
+func TestPlantStepMemoExact(t *testing.T) {
+	plant := NewPlant(Package{ThetaJA: 0.4, AmbientC: 45}, 30)
+	closed := plant.TempC
+	for i, s := range []struct {
+		theta, cth, p, dt float64
+	}{
+		{0.4, 30, 120, 0.01},
+		{0.4, 30, 120, 0.01}, // cache hit
+		{0.4, 30, 80, 0.5},   // new dt
+		{0.25, 30, 80, 0.5},  // new θja
+		{0.25, 12, 80, 0.5},  // new Cth
+		{0.25, 12, 80, 0.01},
+		{0.4, 30, 120, 0.01}, // back to the first pair
+		{0.3, 0, 100, 0.01},  // τ = 0
+		{0.3, -5, 150, 0.01}, // τ < 0
+		{0.3, 20, 150, 0.01},
+	} {
+		plant.ThetaJA, plant.CthJPerC = s.theta, s.cth
+		plant.Step(s.p, s.dt)
+		tInf := plant.AmbientC + s.theta*s.p
+		if tau := s.theta * s.cth; tau <= 0 {
+			closed = tInf
+		} else {
+			closed = tInf + (closed-tInf)*math.Exp(-s.dt/tau)
+		}
+		if math.Float64bits(plant.TempC) != math.Float64bits(closed) {
+			t.Fatalf("step %d: %v, closed form %v", i, plant.TempC, closed)
+		}
+	}
+}
+
 func TestSensorHysteresis(t *testing.T) {
 	s := &Sensor{TripC: 85, HysteresisC: 3}
 	if s.Read(80) {

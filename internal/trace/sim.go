@@ -121,6 +121,94 @@ func (t *Trace) source(node itrs.Node) (next func() float64, maxW float64) {
 	return next, maxW
 }
 
+// sim is one run's fixed set-up: the models the interval loop drives and
+// the constants it reads. The models are held by value so that they stay
+// on the run's stack.
+type sim struct {
+	node   itrs.Node
+	table  *dvfs.Table
+	gov    dvfs.Governor
+	plant  thermal.Plant
+	sensor thermal.Sensor
+	ctrl   thermal.Controller
+	next   func() float64
+	maxW   float64
+	total  int
+	dt     float64
+	// stride is the number of intervals per progress chunk.
+	stride int
+}
+
+// setup resolves the trace into a fresh simulation.
+func (t *Trace) setup() (sim, error) {
+	node, err := t.node()
+	if err != nil {
+		return sim{}, fmt.Errorf("trace %s: %w", t.Name, err)
+	}
+	table, err := dvfs.NewTableIn(device.BaseLab(), node.DrawnNM, 8, 0.5, 0)
+	if err != nil {
+		return sim{}, fmt.Errorf("trace %s: building DVFS table: %w", t.Name, err)
+	}
+	cth, trip, hyst := 40.0, node.JunctionTempC-1, 2.0
+	if t.Sim != nil {
+		if t.Sim.CthJPerC != nil {
+			cth = *t.Sim.CthJPerC
+		}
+		if t.Sim.SensorTripC != nil {
+			trip = *t.Sim.SensorTripC
+		}
+		if t.Sim.HysteresisC != nil {
+			hyst = *t.Sim.HysteresisC
+		}
+	}
+	s := sim{
+		node:   node,
+		table:  table,
+		gov:    *dvfs.NewGovernor(table),
+		plant:  *thermal.NewPlant(thermal.Package{ThetaJA: node.ThetaJA, AmbientC: node.AmbientTempC}, cth),
+		sensor: thermal.Sensor{TripC: trip, HysteresisC: hyst},
+		ctrl:   t.controller(),
+		total:  t.Intervals(),
+		dt:     t.DtSeconds,
+	}
+	s.next, s.maxW = t.source(node)
+	s.stride = max(1, (s.total+MaxChunks-1)/MaxChunks)
+	return s, nil
+}
+
+// tally is what the interval loop accumulates: the running aggregates and
+// the decimated figure series.
+type tally struct {
+	peakTempC, peakPowerW, sumPowerW float64
+	workDone                         float64
+	throttled                        int
+	govBacklog                       float64
+	dvfsE, gateE                     float64
+	figT, figTemp, figPower          []float64
+}
+
+// emit records the progress snapshot after interval i, whose derated
+// power was p, and hands it to onChunk.
+func (s *sim) emit(a *tally, i int, p float64, onChunk func(Progress)) {
+	pr := Progress{
+		Done:             i + 1,
+		Total:            s.total,
+		TimeS:            float64(i+1) * s.dt,
+		TempC:            s.plant.TempC,
+		PowerW:           p,
+		PeakTempC:        a.peakTempC,
+		MeanPowerW:       a.sumPowerW / float64(i+1),
+		BacklogIntervals: a.govBacklog,
+	}
+	pr.ThrottledFraction = float64(a.throttled) / float64(i+1)
+	a.figT = append(a.figT, pr.TimeS)
+	a.figTemp = append(a.figTemp, pr.TempC)
+	a.figPower = append(a.figPower, pr.PowerW)
+	if onChunk != nil {
+		onChunk(pr)
+	}
+}
+
 // Run simulates the trace: the thermal plant + sensor + DTM controller
 // consume the power series interval by interval, while a dvfs.Governor
 // side-accounts delivered work, backlog, and the DVFS-vs-clock-gating
@@ -134,139 +222,110 @@ func (t *Trace) source(node itrs.Node) (next func() float64, maxW float64) {
 // not error: they become pass/fail checks on the result's claim findings
 // (FailedChecks surfaces them).
 func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result, error) {
-	node, err := t.node()
+	s, err := t.setup()
 	if err != nil {
-		return nil, fmt.Errorf("trace %s: %w", t.Name, err)
+		return nil, err
 	}
-	table, err := dvfs.NewTableIn(device.BaseLab(), node.DrawnNM, 8, 0.5, 0)
+	a, err := s.run(ctx, onChunk)
 	if err != nil {
-		return nil, fmt.Errorf("trace %s: building DVFS table: %w", t.Name, err)
+		return nil, err
 	}
-	gov := dvfs.NewGovernor(table)
+	return t.toResult(&s, &a), nil
+}
 
-	cth, trip, hyst := 40.0, node.JunctionTempC-1, 2.0
-	if t.Sim != nil {
-		if t.Sim.CthJPerC != nil {
-			cth = *t.Sim.CthJPerC
-		}
-		if t.Sim.SensorTripC != nil {
-			trip = *t.Sim.SensorTripC
-		}
-		if t.Sim.HysteresisC != nil {
-			hyst = *t.Sim.HysteresisC
-		}
-	}
-	plant := thermal.NewPlant(thermal.Package{ThetaJA: node.ThetaJA, AmbientC: node.AmbientTempC}, cth)
-	sensor := &thermal.Sensor{TripC: trip, HysteresisC: hyst}
-	ctrl := t.controller()
-	next, maxW := t.source(node)
-
-	total := t.Intervals()
-	dt := t.DtSeconds
-	stride := (total + MaxChunks - 1) / MaxChunks
-	if stride < 1 {
-		stride = 1
-	}
-
+// run is the interval loop. Everything fixed for the run is evaluated
+// once, outside it: the controller's two answers (every controller that
+// Trace.controller builds is pure in the sensor bit), the plant's decay
+// factor (memoized by Plant.Step) and ctx's done channel. Each interval
+// still polls that channel and repeats the arithmetic in the same order,
+// so the result is bit-identical to evaluating everything per interval.
+func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 	var (
-		peakTempC, peakPowerW, sumPowerW float64
-		workDone                         float64
-		throttled                        int
-		govCur                           = gov.Step(1) // start at the top point
-		govWork, govBacklog              float64
-		dvfsE, gateE                     float64
-		figT, figTemp, figPower          []float64
+		a                    tally
+		plant, sensor, table = &s.plant, &s.sensor, s.table
+		next, maxW, dt       = s.next, s.maxW, s.dt
+		govCur               = s.gov.Step(1) // start at the top point
+		fsOver, vsOver       = s.ctrl.Act(true)
+		fsCool, vsCool       = s.ctrl.Act(false)
+		cancel               = ctx.Done()
+		countdown            = s.stride
 	)
-	emit := func(i int, p float64) {
-		pr := Progress{
-			Done:             i + 1,
-			Total:            total,
-			TimeS:            float64(i+1) * dt,
-			TempC:            plant.TempC,
-			PowerW:           p,
-			PeakTempC:        peakTempC,
-			MeanPowerW:       sumPowerW / float64(i+1),
-			BacklogIntervals: govBacklog,
-		}
-		pr.ThrottledFraction = float64(throttled) / float64(i+1)
-		figT = append(figT, pr.TimeS)
-		figTemp = append(figTemp, pr.TempC)
-		figPower = append(figPower, pr.PowerW)
-		if onChunk != nil {
-			onChunk(pr)
-		}
-	}
-	for i := 0; i < total; i++ {
+	for i := 0; i < s.total; i++ {
 		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-cancel:
+			return tally{}, ctx.Err()
 		default:
 		}
 		d := next()
-		over := sensor.Read(plant.TempC)
-		fs, vs := ctrl.Act(over)
+		fs, vs := fsCool, vsCool
+		if sensor.Read(plant.TempC) {
+			fs, vs = fsOver, vsOver
+		}
 		p := d * fs * vs * vs
 		plant.Step(p, dt)
-		if plant.TempC > peakTempC {
-			peakTempC = plant.TempC
+		if plant.TempC > a.peakTempC {
+			a.peakTempC = plant.TempC
 		}
-		if p > peakPowerW {
-			peakPowerW = p
+		if p > a.peakPowerW {
+			a.peakPowerW = p
 		}
-		sumPowerW += p
-		workDone += fs
+		a.sumPowerW += p
+		a.workDone += fs
 		if fs < 1 || vs < 1 {
-			throttled++
+			a.throttled++
 		}
 		// Governor side-accounting: demand in full-speed work units.
-		u := d / maxW
-		u = math.Max(0, math.Min(1, u))
-		pending := u + govBacklog
-		done := math.Min(pending, govCur.RelSpeed)
-		govBacklog = pending - done
-		govWork += done
+		u := max(0, min(1, d/maxW))
+		pending := u + a.govBacklog
+		done := min(pending, govCur.RelSpeed)
+		a.govBacklog = pending - done
 		active := 0.0
 		if govCur.RelSpeed > 0 {
 			active = done / govCur.RelSpeed
 		}
-		govCur = gov.Step(active)
+		govCur = s.gov.Step(active)
 		// Energy comparison at the demanded utilization (§2.1: voltage
 		// scaling vs full-voltage clock gating for the same work).
-		pt := table.PointForUtilization(u)
-		dvfsE += u * pt.EnergyPerWork
-		gateE += u
-		if (i+1)%stride == 0 || i == total-1 {
-			emit(i, p)
+		a.dvfsE += u * table.PointForUtilization(u).EnergyPerWork
+		a.gateE += u
+		if countdown--; countdown == 0 || i == s.total-1 {
+			countdown = s.stride
+			s.emit(&a, i, p, onChunk)
 		}
 	}
+	return a, nil
+}
 
+// toResult turns a finished run's tally into the trace's typed result.
+func (t *Trace) toResult(s *sim, a *tally) *result.Result {
 	energyRatio := 0.0
-	if gateE > 0 {
-		energyRatio = dvfsE / gateE
+	if a.gateE > 0 {
+		energyRatio = a.dvfsE / a.gateE
 	}
+	total := s.total
 	res := &result.Result{ID: t.ArtifactID(), Title: t.title()}
 	claim := &result.Claim{}
 	claim.Num("intervals", float64(total), "").
-		Num("dt_seconds", dt, "s").
-		Num("node_nm", float64(node.DrawnNM), "nm").
-		Str("controller", ctrl.Name()).
-		Num("theoretical_max_w", maxW, "W")
+		Num("dt_seconds", s.dt, "s").
+		Num("node_nm", float64(s.node.DrawnNM), "nm").
+		Str("controller", s.ctrl.Name()).
+		Num("theoretical_max_w", s.maxW, "W")
 	type metric struct {
 		key  string
 		v    float64
 		unit string
 	}
 	for _, m := range []metric{
-		{"peak_temp_c", peakTempC, "C"},
-		{"peak_power_w", peakPowerW, "W"},
-		{"mean_power_w", sumPowerW / math.Max(1, float64(total)), "W"},
-		{"throttled_fraction", float64(throttled) / math.Max(1, float64(total)), ""},
-		{"throughput", workDone / math.Max(1, float64(total)), ""},
-		{"backlog_intervals", govBacklog, "intervals"},
+		{"peak_temp_c", a.peakTempC, "C"},
+		{"peak_power_w", a.peakPowerW, "W"},
+		{"mean_power_w", a.sumPowerW / math.Max(1, float64(total)), "W"},
+		{"throttled_fraction", float64(a.throttled) / math.Max(1, float64(total)), ""},
+		{"throughput", a.workDone / math.Max(1, float64(total)), ""},
+		{"backlog_intervals", a.govBacklog, "intervals"},
 		{"dvfs_energy_ratio", energyRatio, ""},
 	} {
-		if a := t.assertFor(m.key); a != nil {
-			claim.Checked(m.key, m.v, m.unit, a.Value, a.RelTol)
+		if as := t.assertFor(m.key); as != nil {
+			claim.Checked(m.key, m.v, m.unit, as.Value, as.RelTol)
 		} else {
 			claim.Num(m.key, m.v, m.unit)
 		}
@@ -277,11 +336,11 @@ func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result
 		Title:  "junction temperature and derated power over the trace",
 		XLabel: "time (s)",
 		Series: []result.Series{
-			{Name: "junction_temp_c", X: figT, Y: figTemp},
-			{Name: "power_w", X: figT, Y: figPower},
+			{Name: "junction_temp_c", X: a.figT, Y: a.figTemp},
+			{Name: "power_w", X: a.figT, Y: a.figPower},
 		},
 	})
-	return res, nil
+	return res
 }
 
 func (t *Trace) title() string {
