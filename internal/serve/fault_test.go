@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -18,6 +19,9 @@ import (
 // then requires the daemon to be back where it started: no gate units held
 // or queued, no singleflight entry left behind, no leaked goroutine, and a
 // retry of the same request answering 200 (the fault poisoned nothing).
+// The retry must miss the body memo — no failed or abandoned response was
+// memoized — and a third identical request must hit it without taking gate
+// units or leaving a goroutine behind.
 func TestFaultPathsReturnToBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -162,8 +166,27 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if rec := get(t, s.Handler(), tc.retry, nil); rec.Code != 200 {
-				t.Fatalf("retry %s = %d, want 200 (body: %s)", tc.retry, rec.Code, rec.Body.String())
+			hits := s.met.bodyCacheHits.Value()
+			retry := get(t, s.Handler(), tc.retry, nil)
+			if retry.Code != 200 {
+				t.Fatalf("retry %s = %d, want 200 (body: %s)", tc.retry, retry.Code, retry.Body.String())
+			}
+			if s.met.bodyCacheHits.Value() != hits {
+				t.Fatalf("retry %s was a body memo hit: the faulted response was memoized", tc.retry)
+			}
+			goroutines := runtime.NumGoroutine()
+			third := get(t, s.Handler(), tc.retry, nil)
+			if third.Code != 200 || !bytes.Equal(third.Body.Bytes(), retry.Body.Bytes()) {
+				t.Fatalf("third %s = %d, or its body differs from the retry's", tc.retry, third.Code)
+			}
+			if s.met.bodyCacheHits.Value() != hits+1 {
+				t.Errorf("third %s was not a body memo hit", tc.retry)
+			}
+			if got := s.gate.InFlight(); got != 0 {
+				t.Errorf("gate in-flight = %d after a memo hit, want 0", got)
+			}
+			if got := runtime.NumGoroutine(); got > goroutines {
+				t.Errorf("goroutines %d → %d across a memo hit", goroutines, got)
 			}
 		})
 	}

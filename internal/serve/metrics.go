@@ -26,6 +26,7 @@ type metrics struct {
 	rejected       *obs.Counter    // nanoreprod_gate_rejections_total
 
 	singleflightShared *obs.Counter    // nanoreprod_singleflight_shared_total
+	bodyCacheHits      *obs.Counter    // nanoreprod_body_cache_hits_total
 	scenarioComputes   *obs.CounterVec // nanoreprod_scenario_computes_total{scenario}
 
 	jobsSubmitted *obs.Counter    // nanoreprod_jobs_submitted_total
@@ -33,7 +34,7 @@ type metrics struct {
 	jobsCached    *obs.Counter    // nanoreprod_jobs_cached_total
 }
 
-func newMetrics(g *gate, st *store.Store, q *jobs.Queue) *metrics {
+func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyMemo) *metrics {
 	reg := &obs.Registry{}
 	m := &metrics{
 		reg:      reg,
@@ -53,6 +54,8 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue) *metrics {
 			"Requests whose admission-gate wait was cut short (timeout or client gone)."),
 		singleflightShared: reg.Counter("nanoreprod_singleflight_shared_total",
 			"Requests collapsed onto another request's in-flight compute (no gate weight acquired)."),
+		bodyCacheHits: reg.Counter("nanoreprod_body_cache_hits_total",
+			"Artifact and report requests answered from the ETag-keyed body memo (no gate, compute or encode)."),
 		scenarioComputes: reg.CounterVec("nanoreprod_scenario_computes_total",
 			"Scenario-variant computes by base scenario name (sweep suffixes folded into the parent; names past the cardinality cap land in \"other\").", "scenario"),
 		jobsSubmitted: reg.Counter("nanoreprod_jobs_submitted_total",
@@ -85,6 +88,9 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue) *metrics {
 	reg.GaugeFunc("nanoreprod_cache_entries",
 		"Memoized results currently held by the compute cache.",
 		func() float64 { return float64(repro.ReadCacheStats().Entries) })
+	reg.GaugeFunc("nanoreprod_body_cache_entries",
+		"Encoded response bodies currently held by the body memo.",
+		func() float64 { return float64(bodies.entries()) })
 	// The second-level result store: the hit/put counters live in the
 	// compute cache (they move even when the store was installed outside
 	// this server), the footprint gauges come from the store handle.

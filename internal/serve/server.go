@@ -16,9 +16,12 @@
 //     hit rather than a second solve. The gate units stay held until the
 //     model work actually finishes — the gate bounds real solver
 //     concurrency, not merely live handlers.
+//   - A bounded memo from strong ETag to encoded body, so a warm repeat
+//     of one representation is a map lookup and a write: no singleflight,
+//     gate units, compute goroutine or re-encode.
 //   - Prometheus metrics (internal/obs) for latency, admission, per-
-//     artifact compute time, and the compute cache's hit/miss/bypass
-//     counters, plus /debug/pprof.
+//     artifact compute time, the compute cache's hit/miss/bypass counters
+//     and the body memo, plus /debug/pprof.
 //
 // Handlers produce bytes identical to cmd/nanorepro for the same options:
 // both sit on repro.ComputeCached and the internal/render encoders.
@@ -80,6 +83,7 @@ type Server struct {
 	order   []repro.Artifact
 	gate    *gate
 	flights *flightGroup
+	bodies  *bodyMemo
 	store   *store.Store
 	jobq    *jobsvc.Queue
 	timeout time.Duration
@@ -119,6 +123,7 @@ func New(cfg Config) *Server {
 		order:         arts,
 		gate:          newGate(units),
 		flights:       newFlightGroup(),
+		bodies:        newBodyMemo(),
 		timeout:       timeout,
 		jobs:          jobs,
 		scenarioNames: make(map[string]bool),
@@ -144,7 +149,7 @@ func New(cfg Config) *Server {
 		jcfg.Store = cfg.Store
 	}
 	s.jobq = jobsvc.New(jcfg)
-	s.met = newMetrics(s.gate, s.store, s.jobq)
+	s.met = newMetrics(s.gate, s.store, s.jobq, s.bodies)
 	s.jobq.OnFinish = func(state jobsvc.State, cached bool) {
 		s.met.jobsFinished.With(stateLabel(state)).Inc()
 		if cached {
@@ -279,10 +284,12 @@ func etagFor(id string, opts repro.Options, enc render.Encoding) string {
 	return `"` + id + "-" + opts.CacheKey() + "-" + tag + `"`
 }
 
-// etagMatches implements the If-None-Match comparison for strong ETags.
+// etagMatches implements If-None-Match's weak comparison (RFC 9110
+// §13.1.2): a W/ prefix on a candidate is ignored, so a tag that a
+// compressing proxy weakened still revalidates.
 func etagMatches(header, etag string) bool {
 	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
+		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
 		if cand == "*" || cand == etag {
 			return true
 		}
@@ -384,6 +391,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	if body, ok := s.bodies.get(etag); ok {
+		s.met.bodyCacheHits.Inc()
+		writeArtifact(w, etag, enc, body)
+		return
+	}
 
 	res, ok := s.produceResult(w, r, a, opts)
 	if !ok {
@@ -395,12 +407,18 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
 		return
 	}
-	// The validator headers ride only on the success path: a 504/500 must
-	// never carry a strong ETag, or a client that cached the error body
-	// could have it revalidated into a 304 forever.
+	s.bodies.put(etag, body.Bytes())
+	writeArtifact(w, etag, enc, body.Bytes())
+}
+
+// writeArtifact answers 200 with an artifact body and its validators. They
+// ride only on the success path: a 504/500 must never carry a strong ETag,
+// or a client that cached the error body could have it revalidated into a
+// 304 forever.
+func writeArtifact(w http.ResponseWriter, etag string, enc render.Encoding, body []byte) {
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	writeBody(w, enc, body.Bytes())
+	writeBody(w, enc, body)
 }
 
 // produceResult runs the singleflight-collapsed compute of one artifact
@@ -480,6 +498,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Reports carry no ETag. Their memo key reuses etagFor's
+	// discriminators behind a prefix, so it never equals a quoted
+	// artifact ETag.
+	key := "report:" + etagFor("", opts, enc)
+	if body, ok := s.bodies.get(key); ok {
+		s.met.bodyCacheHits.Inc()
+		writeBody(w, enc, body)
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 	// A report computes every artifact: price it as the sum of its parts
@@ -506,14 +533,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusInternalServerError, "report: %v", out.err)
 		return
 	}
+	s.bodies.put(key, out.body)
 	writeBody(w, enc, out.body)
 }
 
-// handleFlush drops every memoized result (ResetCache is safe under load —
-// in-flight computes finish against the old generation).
+// handleFlush drops every memoized result and body (ResetCache is safe
+// under load — in-flight computes finish against the old generation).
 func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	before := repro.ReadCacheStats().Entries
 	repro.ResetCache()
+	s.bodies.reset()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"flushed": true, "entries_dropped": before})
 }

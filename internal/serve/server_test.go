@@ -92,9 +92,12 @@ func TestETagRoundTrip(t *testing.T) {
 	if got := second.Header().Get("ETag"); got != etag {
 		t.Fatalf("304 ETag %q != %q", got, etag)
 	}
-	// A multi-candidate header and the wildcard both match.
-	if rec := get(t, h, "/api/v1/artifacts/t2", map[string]string{"If-None-Match": `"zzz", ` + etag}); rec.Code != 304 {
-		t.Fatalf("multi-candidate If-None-Match = %d, want 304", rec.Code)
+	// A multi-candidate header matches, and so does the weak form of the
+	// tag (If-None-Match compares weakly), alone or inside a list.
+	for _, inm := range []string{`"zzz", ` + etag, "W/" + etag, `"zzz", W/` + etag + `, "yyy"`} {
+		if rec := get(t, h, "/api/v1/artifacts/t2", map[string]string{"If-None-Match": inm}); rec.Code != 304 {
+			t.Fatalf("If-None-Match %s = %d, want 304", inm, rec.Code)
+		}
 	}
 	// Different representation or compute options ⇒ different ETag ⇒ 200.
 	for _, target := range []string{
@@ -132,10 +135,10 @@ func TestCacheHitOnRepeat(t *testing.T) {
 }
 
 // cliReport renders the artifacts through the CLI's report path: compute
-// on a one-worker pool, then encode in format.
-func cliReport(t *testing.T, arts []repro.Artifact, format string) []byte {
+// on a one-worker pool, then encode in format with the text settings txt.
+func cliReport(t *testing.T, arts []repro.Artifact, format string, txt render.Text) []byte {
 	t.Helper()
-	enc, err := render.NewEncoding(format, render.Text{})
+	enc, err := render.NewEncoding(format, txt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,39 +153,77 @@ func cliReport(t *testing.T, arts []repro.Artifact, format string) []byte {
 	return buf.Bytes()
 }
 
-// TestServerMatchesCLI: for every artifact and every format, the HTTP body
-// is byte-identical to what cmd/nanorepro emits for the same options (both
-// funnel through repro.ComputeCached and internal/render, and this test
-// pins that they stay funneled).
-func TestServerMatchesCLI(t *testing.T) {
-	h := New(Config{}).Handler()
-	for _, a := range repro.Artifacts() {
-		for _, format := range []string{"text", "json", "csv"} {
-			want := cliReport(t, []repro.Artifact{a}, format)
-			rec := get(t, h, "/api/v1/artifacts/"+a.ID+"?format="+format, nil)
+// cliRepr is one HTTP representation and the CLI options that render the
+// same bytes.
+type cliRepr struct {
+	target string
+	arts   []repro.Artifact
+	format string
+	txt    render.Text
+}
+
+// checkMatchesCLI requests each representation twice and checks that both
+// bodies equal the CLI's bytes, that the second answer comes from the body
+// memo with the same ETag, and that reports carry no ETag while artifacts
+// always do.
+func checkMatchesCLI(t *testing.T, s *Server, reprs []cliRepr) {
+	t.Helper()
+	h := s.Handler()
+	for _, r := range reprs {
+		want := cliReport(t, r.arts, r.format, r.txt)
+		var etags [2]string
+		for i := range etags {
+			hits := s.met.bodyCacheHits.Value()
+			rec := get(t, h, r.target, nil)
 			if rec.Code != 200 {
-				t.Fatalf("%s %s: HTTP %d", a.ID, format, rec.Code)
+				t.Fatalf("%s #%d: HTTP %d", r.target, i+1, rec.Code)
 			}
 			if !bytes.Equal(rec.Body.Bytes(), want) {
-				t.Errorf("%s %s: HTTP body differs from CLI bytes (%d vs %d bytes)",
-					a.ID, format, rec.Body.Len(), len(want))
+				t.Errorf("%s #%d: HTTP body differs from CLI bytes (%d vs %d bytes)",
+					r.target, i+1, rec.Body.Len(), len(want))
 			}
+			if got, wantHit := s.met.bodyCacheHits.Value()-hits, float64(i); got != wantHit {
+				t.Errorf("%s #%d: body memo hits moved by %v, want %v", r.target, i+1, got, wantHit)
+			}
+			etags[i] = rec.Header().Get("ETag")
+		}
+		if etags[0] != etags[1] {
+			t.Errorf("%s: ETag %q on the repeat, %q first", r.target, etags[1], etags[0])
+		}
+		if isReport := strings.HasPrefix(r.target, "/api/v1/report"); isReport != (etags[0] == "") {
+			t.Errorf("%s: ETag %q (reports carry none, artifacts always do)", r.target, etags[0])
 		}
 	}
 }
 
+// TestServerMatchesCLI: for every artifact and every format, the HTTP body
+// is byte-identical to what cmd/nanorepro emits for the same options (both
+// funnel through repro.ComputeCached and internal/render, and this test
+// pins that they stay funneled). Each representation is requested twice:
+// the second answer comes from the body memo.
+func TestServerMatchesCLI(t *testing.T) {
+	s := New(Config{})
+	var reprs []cliRepr
+	for _, a := range repro.Artifacts() {
+		for _, format := range []string{"text", "json", "csv"} {
+			reprs = append(reprs, cliRepr{"/api/v1/artifacts/" + a.ID + "?format=" + format, []repro.Artifact{a}, format, render.Text{}})
+		}
+	}
+	t2 := []repro.Artifact{s.byID["t2"]}
+	reprs = append(reprs,
+		cliRepr{"/api/v1/artifacts/t2?verbose=1", t2, "text", render.Text{Verbose: true}},
+		cliRepr{"/api/v1/artifacts/t2?plot=1", t2, "text", render.Text{Plot: true}})
+	checkMatchesCLI(t, s, reprs)
+}
+
 // TestReportMatchesCLI: the full-report endpoint returns the CLI's exact
-// report bytes.
+// report bytes in every format, and a repeat is a body-memo hit.
 func TestReportMatchesCLI(t *testing.T) {
-	h := New(Config{}).Handler()
-	want := cliReport(t, repro.Artifacts(), "text")
-	rec := get(t, h, "/api/v1/report", nil)
-	if rec.Code != 200 {
-		t.Fatalf("report = %d", rec.Code)
+	var reprs []cliRepr
+	for _, format := range []string{"text", "json", "csv"} {
+		reprs = append(reprs, cliRepr{"/api/v1/report?format=" + format, repro.Artifacts(), format, render.Text{}})
 	}
-	if !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Error("report body differs from CLI full-report bytes")
-	}
+	checkMatchesCLI(t, New(Config{}), reprs)
 }
 
 // counting builds a fake artifact whose compute bumps n, sleeps, and
@@ -346,15 +387,33 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestFlushEndpoint: POST /api/v1/cache/flush empties the compute cache.
+// metricValue scrapes /metrics and returns the value of the label-free
+// sample name.
+func metricValue(t *testing.T, h http.Handler, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(get(t, h, "/metrics", nil).Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return ""
+}
+
+// TestFlushEndpoint: POST /api/v1/cache/flush empties the compute cache
+// and the body memo, and the next GET recomputes the same bytes.
 func TestFlushEndpoint(t *testing.T) {
 	repro.ResetCache()
 	h := New(Config{}).Handler()
-	if rec := get(t, h, "/api/v1/artifacts/t2", nil); rec.Code != 200 {
+	first := get(t, h, "/api/v1/artifacts/t2", nil)
+	if first.Code != 200 {
 		t.Fatal("seed request failed")
 	}
 	if repro.ReadCacheStats().Entries == 0 {
 		t.Fatal("expected a cache entry before flush")
+	}
+	if got := metricValue(t, h, "nanoreprod_body_cache_entries"); got != "1" {
+		t.Fatalf("body memo entries before flush = %s, want 1", got)
 	}
 	req := httptest.NewRequest("POST", "/api/v1/cache/flush", nil)
 	rec := httptest.NewRecorder()
@@ -365,20 +424,33 @@ func TestFlushEndpoint(t *testing.T) {
 	if got := repro.ReadCacheStats().Entries; got != 0 {
 		t.Fatalf("entries after flush = %d", got)
 	}
+	if got := metricValue(t, h, "nanoreprod_body_cache_entries"); got != "0" {
+		t.Fatalf("body memo entries after flush = %s, want 0", got)
+	}
+	again := get(t, h, "/api/v1/artifacts/t2", nil)
+	if again.Code != 200 || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatalf("GET after flush = %d, or its body differs from the first", again.Code)
+	}
 }
 
 // TestMetricsExposition: the daemon's metric families show up on /metrics
 // and move with traffic — in particular a repeated artifact GET registers
-// as a cache hit.
+// as a body-memo hit, and the same artifact in another format as a
+// compute-cache hit (every encoding shares one compute entry).
 func TestMetricsExposition(t *testing.T) {
 	repro.ResetCache()
-	h := New(Config{}).Handler()
+	s := New(Config{})
+	h := s.Handler()
+	get(t, h, "/api/v1/artifacts/f2", nil)
+	memoHits := s.met.bodyCacheHits.Value()
+	get(t, h, "/api/v1/artifacts/f2", nil)
+	if s.met.bodyCacheHits.Value() <= memoHits {
+		t.Error("repeated GET did not count as a body memo hit")
+	}
 	before := repro.ReadCacheStats()
-	get(t, h, "/api/v1/artifacts/f2", nil)
-	get(t, h, "/api/v1/artifacts/f2", nil)
-	after := repro.ReadCacheStats()
-	if after.Hits <= before.Hits {
-		t.Error("second GET did not count as a cache hit")
+	get(t, h, "/api/v1/artifacts/f2?format=json", nil)
+	if repro.ReadCacheStats().Hits <= before.Hits {
+		t.Error("GET in another format did not count as a compute-cache hit")
 	}
 	body := get(t, h, "/metrics", nil).Body.String()
 	for _, want := range []string{
@@ -390,6 +462,8 @@ func TestMetricsExposition(t *testing.T) {
 		"nanoreprod_cache_hits_total",
 		"nanoreprod_cache_misses_total",
 		"nanoreprod_cache_entries",
+		"nanoreprod_body_cache_hits_total",
+		"nanoreprod_body_cache_entries",
 		"nanoreprod_gate_capacity_units",
 		"nanoreprod_gate_in_flight_units",
 	} {
