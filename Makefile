@@ -30,14 +30,11 @@ vet:
 	$(GO) vet ./...
 
 # The project-specific static-analysis gate (internal/analyzers via
-# cmd/nanolint): determinism of output-producing packages (detrange),
-# the solver-error contract (solvecheck), compute-cache key coverage
-# (cachekey), pooled-workspace discipline (poolescape), and the
+# cmd/nanolint): determinism of output-producing packages (detrange), the
 # concurrency contracts of the serving era — lock-guarded fields
 # (lockguard), context threading past blocking APIs (ctxflow), provable
-# goroutine exits (goexit), strict bounded JSON decoding at API
-# boundaries (strictjson), and bounded metric-label sets (metriclabel);
-# plus the base laboratory kept at the scenario edge (baselab).
+# goroutine exits (goexit) — bounded metric-label sets (metriclabel), and
+# the base laboratory kept at the scenario edge (baselab).
 # Exit 1 on any finding, with the analyzer name in every line.
 lint:
 	$(GO) run ./cmd/nanolint ./...

@@ -1,8 +1,8 @@
 // nanolint is the repo's custom static-analysis gate: a multichecker over
 // the project-specific analyzers in internal/analyzers, which turn the
 // invariants the test suite enforces dynamically — golden-byte
-// determinism, the solver-error contract, compute-cache key coverage,
-// pooled-workspace discipline — into compile-time checks.
+// determinism, the concurrency contracts, bounded metric labels, the base
+// laboratory kept at the scenario edge — into compile-time checks.
 //
 // Usage:
 //

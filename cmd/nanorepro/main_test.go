@@ -82,6 +82,25 @@ func TestListSucceeds(t *testing.T) {
 	}
 }
 
+// TestComputeFailureExits: an artifact that fails to compute makes the
+// run exit 1 and names the artifact and its error, so a compute error can
+// never pass as a successful report. At 0.2 V the 70 nm device cannot be
+// calibrated, which fails f1.
+func TestComputeFailureExits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lowv.json")
+	doc := `{"name":"lowv","nodes":[{"node_nm":70,"vdd_v":0.2}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := nanorepro(t, "-only", "f1", "-scenario", path)
+	if code != 1 {
+		t.Errorf("exit status %d, want 1 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "f1: ") || !strings.Contains(stderr, "Ion target") || !strings.Contains(stderr, "unreachable") {
+		t.Errorf("stderr %q, want f1's Ion-target-unreachable error", stderr)
+	}
+}
+
 // TestTraceCSVCreatesDir: -trace with -csv creates a missing directory,
 // as the report path does, and writes the trace's figure CSV into it.
 func TestTraceCSVCreatesDir(t *testing.T) {

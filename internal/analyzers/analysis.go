@@ -1,8 +1,9 @@
 // Package analyzers is the repo's custom lint layer: project-specific
 // static analyzers that turn invariants the test suite enforces dynamically
-// (golden-byte determinism, never-dropped solver errors, cache-key
-// coverage, pooled-workspace discipline, the base laboratory kept at the
-// scenario edge, and the concurrency contracts) into compile-time gates. The
+// (golden-byte determinism, the concurrency contracts, bounded metric
+// labels, and the base laboratory kept at the scenario edge) into
+// compile-time gates. An invariant with only a handful of sites is a
+// direct test instead (DESIGN.md §8 names them). The
 // analyzers run from cmd/nanolint (wired into `make lint`, `make verify`,
 // and CI) and are modeled on golang.org/x/tools/go/analysis — Analyzer,
 // Pass, Reportf — but implemented on the standard library alone
@@ -38,8 +39,7 @@ type Analyzer struct {
 // All returns the full nanolint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrange, Solvecheck, Cachekey, Poolescape,
-		Lockguard, Ctxflow, Goexit, Strictjson, Metriclabel, Baselab,
+		Detrange, Lockguard, Ctxflow, Goexit, Metriclabel, Baselab,
 	}
 }
 

@@ -21,18 +21,6 @@ func TestDetrangeFixture(t *testing.T) {
 	atest.Run(t, analyzers.Detrange, "testdata/detrange", "nanometer/internal/render")
 }
 
-func TestSolvecheckFixture(t *testing.T) {
-	atest.Run(t, analyzers.Solvecheck, "testdata/solvecheck", "nanometer/internal/fixture")
-}
-
-func TestCachekeyFixture(t *testing.T) {
-	atest.Run(t, analyzers.Cachekey, "testdata/cachekey", "nanometer/internal/fixture")
-}
-
-func TestPoolescapeFixture(t *testing.T) {
-	atest.Run(t, analyzers.Poolescape, "testdata/poolescape", "nanometer/internal/fixture")
-}
-
 func TestLockguardFixture(t *testing.T) {
 	atest.Run(t, analyzers.Lockguard, "testdata/lockguard", "nanometer/internal/fixture")
 }
@@ -45,12 +33,6 @@ func TestCtxflowFixture(t *testing.T) {
 
 func TestGoexitFixture(t *testing.T) {
 	atest.Run(t, analyzers.Goexit, "testdata/goexit", "nanometer/internal/fixture")
-}
-
-func TestStrictjsonFixture(t *testing.T) {
-	// Checked under an in-scope import path; strictjson is scoped to the
-	// API-boundary packages.
-	atest.Run(t, analyzers.Strictjson, "testdata/strictjson", "nanometer/internal/serve")
 }
 
 func TestMetriclabelFixture(t *testing.T) {
@@ -80,7 +62,7 @@ func TestAnalyzerScopes(t *testing.T) {
 			t.Errorf("%s should not apply to nanometer/internal/mathx (solver package, outside its boundary scope)", a.Name)
 		}
 	}
-	for _, want := range []string{"detrange", "ctxflow", "strictjson"} {
+	for _, want := range []string{"detrange", "ctxflow"} {
 		if !scoped[want] {
 			t.Errorf("%s should be a scoped analyzer", want)
 		}
@@ -128,13 +110,6 @@ func spin() {
 	}()
 }
 `},
-		{"strictjson", "nanometer/internal/serve", `package fixture
-import "encoding/json"
-func lax(data []byte) (v map[string]int, err error) {
-	err = json.Unmarshal(data, &v)
-	return v, err
-}
-`},
 		{"metriclabel", "nanometer/internal/fixture", `package fixture
 import "nanometer/internal/obs"
 func leak(vec *obs.CounterVec, name string) { vec.With(name).Inc() }
@@ -145,7 +120,7 @@ func lab() *device.Lab { return device.BaseLab() }
 `},
 	}
 	exports, err := analyzers.LoadExports(".",
-		"./...", "sync", "context", "encoding/json")
+		"./...", "sync", "context")
 	if err != nil {
 		t.Fatalf("loading export data: %v", err)
 	}

@@ -39,8 +39,7 @@ func sharedExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
 		exports, exportsErr = analyzers.LoadExports(".",
-			"./...", "sync", "sort", "slices", "strings", "fmt", "errors",
-			"context", "bytes", "io", "encoding/json", "net/http", "strconv", "time")
+			"./...", "sync", "sort", "slices", "fmt", "context", "net/http", "strconv")
 	})
 	if exportsErr != nil {
 		t.Fatalf("loading export data: %v", exportsErr)

@@ -64,7 +64,7 @@ func runDetrange(pass *Pass) error {
 			pass.Reportf(rs.For, "range over map %s in an output-producing package: "+
 				"iteration order is randomized; collect the keys, sort them, and index "+
 				"the map (or annotate //lint:allow detrange <reason> if order provably "+
-				"cannot reach any output)", exprString(rs.X))
+				"cannot reach any output)", types.ExprString(rs.X))
 			return true
 		})
 	}

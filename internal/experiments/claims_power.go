@@ -62,6 +62,21 @@ type BumpsResult struct {
 // converged at report precision, small enough to stay cheap.
 const DefaultMeshN = 41
 
+// MeshN returns the mesh dimension the C8 analysis solves when asked for
+// n: n ≤ 0 selects DefaultMeshN, and an even n ≥ powergrid.MinMeshN
+// becomes n+1, the odd grid powergrid.NewMesh builds for it. Requests
+// that map to one value solve the same mesh, so the compute-cache key
+// hashes this value rather than the raw request.
+func MeshN(n int) int {
+	switch {
+	case n <= 0:
+		return DefaultMeshN
+	case n >= powergrid.MinMeshN && n%2 == 0:
+		return n + 1
+	}
+	return n
+}
+
 // BumpMesh builds (without solving) the pessimistic validation mesh the
 // C8 analysis solves at meshN (n ≤ 0 selects DefaultMeshN) — the dominant
 // compute of a scenario sweep. Sweep priming collects these meshes across
@@ -71,15 +86,12 @@ const DefaultMeshN = 41
 // than panics on a lab without the 35 nm node, since priming must shrug
 // off exotic scenario variants instead of taking down the sweep.
 func BumpMesh(lab *device.Lab, meshN int) (*powergrid.Mesh, error) {
-	if meshN <= 0 {
-		meshN = DefaultMeshN
-	}
 	node, err := lab.Node(35)
 	if err != nil {
 		return nil, err
 	}
 	minSpec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
-	return powergrid.PessimisticMesh(minSpec, meshN)
+	return powergrid.PessimisticMesh(minSpec, MeshN(meshN))
 }
 
 // RunBumpsNIn runs the C8 analysis at 35 nm with an n×n validation mesh
@@ -87,9 +99,7 @@ func BumpMesh(lab *device.Lab, meshN int) (*powergrid.Mesh, error) {
 // keeps iteration counts near-constant in n, so refinement sweeps (129,
 // 255, ...) stay close to linear in node count.
 func RunBumpsNIn(lab *device.Lab, meshN int) (*BumpsResult, error) {
-	if meshN <= 0 {
-		meshN = DefaultMeshN
-	}
+	meshN = MeshN(meshN)
 	node := lab.MustNode(35)
 	minSpec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
 	itrsSpec := powergrid.DefaultSpec(node, node.EffectiveBumpPitchM())

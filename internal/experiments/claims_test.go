@@ -245,6 +245,33 @@ func TestClaimVddFloor(t *testing.T) {
 
 // --- C8: bump plans -----------------------------------------------------------------
 
+// TestMeshNSolvesTheSameMesh: every request MeshN folds together builds
+// the identical mesh, so a compute key that hashes MeshN(n) can never
+// merge two different results; a different MeshN is a different mesh.
+func TestMeshNSolvesTheSameMesh(t *testing.T) {
+	want, err := BumpMesh(device.BaseLab(), DefaultMeshN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -3, 40} {
+		if MeshN(n) != DefaultMeshN {
+			t.Errorf("MeshN(%d) = %d, want %d", n, MeshN(n), DefaultMeshN)
+		}
+		m, err := BumpMesh(device.BaseLab(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *m != *want {
+			t.Errorf("mesh-n %d builds %+v, mesh-n %d builds %+v", n, *m, DefaultMeshN, *want)
+		}
+	}
+	for _, n := range []int{4, 5, 43} {
+		if MeshN(n) != n {
+			t.Errorf("MeshN(%d) = %d, want %d unchanged", n, MeshN(n), n)
+		}
+	}
+}
+
 func TestClaimBumps(t *testing.T) {
 	r, err := RunBumpsNIn(device.BaseLab(), DefaultMeshN)
 	if err != nil {

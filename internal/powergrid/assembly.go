@@ -129,9 +129,9 @@ func capAssemblies(keep int) {
 
 // solver draws pooled per-solve state, building the multigrid hierarchy on
 // a pool miss. This is an acquire-helper: ownership of the pooled solver
-// transfers to the caller, and Mesh.Solve defers the a.pool.Put.
+// transfers to the caller, and Mesh.Solve and solveMeshChunk defer the
+// a.pool.Put (TestPooledSolvesReuseWorkspace pins both).
 func (a *meshAssembly) solver() (*meshSolver, error) {
-	//lint:allow poolescape acquire-helper; Mesh.Solve defers asm.pool.Put(sv)
 	if v := a.pool.Get(); v != nil {
 		return v.(*meshSolver), nil
 	}

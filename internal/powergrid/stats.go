@@ -2,9 +2,9 @@ package powergrid
 
 import "sync/atomic"
 
-// Cumulative mesh-solve telemetry. The solvecheck analyzer forbids
-// dropping the iteration count a solver reports, and for good reason: the
-// MG-PCG path is fast precisely because its iteration count stays flat
+// Cumulative mesh-solve telemetry. No solve may drop the iteration count
+// its solver reports (TestSolveRecordsIterations pins it). The MG-PCG
+// path is fast precisely because its iteration count stays flat
 // (≤ 25 through n = 255), and a regression there — a broken prolongation,
 // a bad smoother weight — shows up as iteration creep long before results
 // go wrong. Every Mesh.Solve accounts its count here; the daemon exports

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nanometer/internal/experiments"
 	"nanometer/internal/result"
 )
 
@@ -224,7 +225,8 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // Scenario) must be written into this hash or the cache will serve stale
 // results — TestComputeKeyCoversOptions enforces the classification by
 // reflection, so adding a field to Options without teaching it to that
-// test fails the suite.
+// test fails the suite. MeshN enters as the dimension C8 actually solves
+// (experiments.MeshN), so mesh-n 0, 40 and 41 share one entry.
 //
 // The nil scenario contributes nothing, so every pre-scenario cache key —
 // and with it every ETag and result-store file — is unchanged. A non-nil
@@ -235,7 +237,7 @@ func (o Options) computeKey() string {
 	h := fnv.New64a()
 	io.WriteString(h, "compute-v1")
 	io.WriteString(h, "\x00mesh-n=")
-	io.WriteString(h, strconv.Itoa(o.MeshN))
+	io.WriteString(h, strconv.Itoa(experiments.MeshN(o.MeshN)))
 	if o.Scenario != nil {
 		io.WriteString(h, "\x00scenario=")
 		io.WriteString(h, o.Scenario.Key())

@@ -5,13 +5,24 @@ import (
 	"testing"
 )
 
+// Every Options field must be explicitly classified. computeSide fields
+// reach the models and MUST be hashed by computeKey; encodeOnly fields
+// affect encoding or cache policy only and MUST NOT be. Whoever adds an
+// Options field decides its class here in the same change.
+var (
+	computeSideFields = map[string]bool{
+		"MeshN":    true,
+		"Scenario": true,
+	}
+	encodeOnlyFields = map[string]bool{
+		"NoCache": true,
+	}
+)
+
 // TestComputeKeyCoversOptions is the reflection guard: it fails when
 // Options gains an unclassified field, when the classification lists drift
 // from the struct, and — the part that keeps the classification honest —
-// when computeKey's actual behavior disagrees with a field's class. The
-// classification itself (computeSideFields / encodeOnlyFields) lives in
-// options_class.go so the static cachekey analyzer reads the same source
-// of truth; this test remains the behavioral half of the gate.
+// when computeKey's actual behavior disagrees with a field's class.
 func TestComputeKeyCoversOptions(t *testing.T) {
 	rt := reflect.TypeOf(Options{})
 	seen := map[string]bool{}
@@ -83,6 +94,21 @@ type unsupportedKindError struct{ kind string }
 
 func (e *unsupportedKindError) Error() string {
 	return "field kind " + e.kind + " not supported by the guard — teach perturb() about it"
+}
+
+// TestComputeKeyMeshN: mesh-n requests that solve the same mesh share one
+// compute key, so the default and an explicit 41 (or its even neighbour
+// 40) never splinter the compute cache, the store or the body memo.
+func TestComputeKeyMeshN(t *testing.T) {
+	key := Options{}.computeKey()
+	for _, n := range []int{40, 41} {
+		if got := (Options{MeshN: n}).computeKey(); got != key {
+			t.Errorf("mesh-n %d key %s, want the default's %s", n, got, key)
+		}
+	}
+	if (Options{MeshN: 43}).computeKey() == key {
+		t.Error("mesh-n 43 shares the default's key")
+	}
 }
 
 // TestValidateMeshN pins the boundary validation the CLI flag and the

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,15 +84,7 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 		{
 			name: "compute-error-500",
 			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
-				var calls atomic.Int64
-				arts := []repro.Artifact{{ID: "flaky", Title: "flaky", Compute: func(repro.Options) (*result.Result, error) {
-					if calls.Add(1) == 1 {
-						return nil, errors.New("transient solver failure")
-					}
-					r := &result.Result{}
-					r.AddTable(&result.Table{Title: "flaky", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
-					return r, nil
-				}}}
+				arts := []repro.Artifact{flakyArtifact()}
 				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
 					if rec := get(t, s.Handler(), "/api/v1/artifacts/flaky", nil); rec.Code != http.StatusInternalServerError {
 						t.Fatalf("failing compute = %d, want 500", rec.Code)
@@ -99,6 +92,19 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				}
 			},
 			retry: "/api/v1/artifacts/flaky",
+		},
+		{
+			name: "report-compute-error-500",
+			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
+				arts := []repro.Artifact{flakyArtifact()}
+				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
+					rec := get(t, s.Handler(), "/api/v1/report", nil)
+					if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "transient solver failure") {
+						t.Fatalf("report with a failing compute = %d (%s), want 500 naming the error", rec.Code, rec.Body.String())
+					}
+				}
+			},
+			retry: "/api/v1/report",
 		},
 		{
 			name: "client-disconnect-mid-report",
@@ -174,6 +180,10 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 			if s.met.bodyCacheHits.Value() != hits {
 				t.Fatalf("retry %s was a body memo hit: the faulted response was memoized", tc.retry)
 			}
+			// The retry's compute goroutine releases its gate units just
+			// after it hands over the result; wait for that, so the memo
+			// hit below is measured against an idle gate.
+			waitFor(t, func() bool { return s.gate.InFlight() == 0 })
 			goroutines := runtime.NumGoroutine()
 			third := get(t, s.Handler(), tc.retry, nil)
 			if third.Code != 200 || !bytes.Equal(third.Body.Bytes(), retry.Body.Bytes()) {
@@ -190,4 +200,17 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flakyArtifact fails its first compute and succeeds from then on.
+func flakyArtifact() repro.Artifact {
+	var calls atomic.Int64
+	return repro.Artifact{ID: "flaky", Title: "flaky", Compute: func(repro.Options) (*result.Result, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("transient solver failure")
+		}
+		r := &result.Result{}
+		r.AddTable(&result.Table{Title: "flaky", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+		return r, nil
+	}}
 }

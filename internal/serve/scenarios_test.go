@@ -260,6 +260,31 @@ func TestScenariosCommittedFileOverHTTP(t *testing.T) {
 	}
 }
 
+// TestScenariosReportComputeError: an artifact that fails to compute
+// under a scenario puts its error on the variant's line, and the
+// artifacts that did compute still stream. At 0.2 V the 70 nm device
+// cannot be calibrated, which fails f1 but not t1.
+func TestScenariosReportComputeError(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	srv := New(Config{})
+	doc := `{"name":"lowv","nodes":[{"node_nm":70,"vdd_v":0.2}]}`
+	rec := postScenario(t, srv, "/api/v1/scenarios?only=f1,t1", doc)
+	if rec.Code != 200 {
+		t.Fatalf("POST = %d (%s)", rec.Code, rec.Body.String())
+	}
+	lines := decodeLines(t, rec.Body)
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1", len(lines))
+	}
+	if !strings.Contains(lines[0].Error, "f1") || !strings.Contains(lines[0].Error, "Ion target") {
+		t.Errorf("line error %q, want f1's Ion-target error", lines[0].Error)
+	}
+	if len(lines[0].Artifacts) != 1 || lines[0].Artifacts[0].ID != "t1" {
+		t.Errorf("line artifacts %+v, want t1 alone", lines[0].Artifacts)
+	}
+}
+
 // grepLines filters s to lines containing sub (test-failure readability).
 func grepLines(s, sub string) string {
 	var out []string
