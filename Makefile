@@ -51,8 +51,8 @@ bench-all:
 	$(GO) test -bench=. -run='^$$' -benchmem .
 
 # The hot IR-drop kernel: seed-style allocating CG vs the
-# multigrid-preconditioned production path at n = 63 and 255, and the
-# 9-variant batched sweep vs independent solves.
+# multigrid-preconditioned production path at n = 63 and 255, and a
+# 9-variant sweep solved independently vs through sweep priming.
 bench-mesh:
 	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSweepBatch' -run='^$$' -benchmem .
 

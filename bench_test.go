@@ -233,24 +233,22 @@ func BenchmarkMeshSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepBatch pins the batched sweep-solve claims at the two
+// BenchmarkSweepBatch pins the sweep-priming claims at the two
 // production grid sizes, for a 9-variant same-grid scenario sweep:
 //
-//   - varied-solo / varied-batch: 9 distinct same-pattern systems
-//     (conductance and draw perturbed per variant) as 9 independent
-//     Mesh.Solve calls vs one SolveMeshBatch lockstep call. The batch
-//     shares the CSR pattern traversal and fuses its Krylov reductions,
-//     with bit-identical drops; the V-cycle (the dominant cost) is
-//     per-variant either way, so these two track closely — the batch must
-//     simply never lose.
+//   - varied-solo: 9 distinct systems (conductance and draw perturbed per
+//     variant, as a Vdd sweep perturbs them) as 9 independent Mesh.Solve
+//     calls. Priming dedupes nothing here and solves each one on this
+//     same solo path, so this row is also the cost of priming such a
+//     sweep.
 //   - sweep-independent / sweep-primed: the shape a real sweep has when
-//     the swept parameter leaves the 35 nm grid untouched (the common
-//     case — e.g. the default vdd sweeps at other nodes): every variant
-//     assembles the SAME system. Pre-batch, the per-variant computes ran
-//     9 full identical solves (sweep-independent); the priming path
-//     (repro.PrimeVariants → powergrid.PrimeSolves) now solves once and
-//     parks a counted drop for all 9 consumers (sweep-primed). This row
-//     is the sweep fast path's headline: ~9× fewer real solves.
+//     the swept parameter leaves the 35 nm grid untouched (e.g. a θja
+//     sweep): every variant assembles the SAME system. Unprimed, the
+//     per-variant computes run 9 full identical solves
+//     (sweep-independent); the priming path (repro.PrimeVariants →
+//     powergrid.PrimeSolves) solves once and parks a counted drop for all
+//     9 consumers (sweep-primed). This row is the sweep fast path's
+//     headline: ~9× fewer real solves.
 func BenchmarkSweepBatch(b *testing.B) {
 	const variants = 9
 	for _, n := range []int{127, 255} {
@@ -277,14 +275,6 @@ func BenchmarkSweepBatch(b *testing.B) {
 					if _, err := m.Solve(); err != nil {
 						b.Fatal(err)
 					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/varied-batch", n), func(b *testing.B) {
-			meshes := build(true)
-			for i := 0; i < b.N; i++ {
-				if _, err := powergrid.SolveMeshBatch(meshes); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

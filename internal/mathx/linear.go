@@ -227,8 +227,8 @@ func (s *SparseMatrix) residualNorm(b, x, scratch []float64) float64 {
 // to use; it grows on demand and is NOT safe for concurrent use — each
 // goroutine needs its own (or take one from a sync.Pool).
 //
-// The solution slice returned by SolveMGW and SolveMGBatchW aliases the
-// workspace and is only valid until the next solve that reuses it.
+// The solution slice returned by SolveMGW aliases the workspace and is
+// only valid until the next solve that reuses it.
 type Workspace struct {
 	x, r, p, z, ap []float64
 }

@@ -160,9 +160,6 @@ func (mg *MeshMG) SetConductance(g float64) error {
 	return nil
 }
 
-// N returns the fine-grid dimension (nodes per side).
-func (mg *MeshMG) N() int { return mg.n }
-
 // Unknowns returns the eliminated-system size n²−1 Apply expects.
 func (mg *MeshMG) Unknowns() int { return mg.n*mg.n - 1 }
 

@@ -129,8 +129,9 @@ func capAssemblies(keep int) {
 
 // solver draws pooled per-solve state, building the multigrid hierarchy on
 // a pool miss. This is an acquire-helper: ownership of the pooled solver
-// transfers to the caller, and Mesh.Solve and solveMeshChunk defer the
-// a.pool.Put (TestPooledSolvesReuseWorkspace pins both).
+// transfers to the caller, and Mesh.solve defers the a.pool.Put
+// (TestPooledSolvesReuseWorkspace pins it through Solve and
+// SolveMeshBatch).
 func (a *meshAssembly) solver() (*meshSolver, error) {
 	if v := a.pool.Get(); v != nil {
 		return v.(*meshSolver), nil

@@ -1,107 +1,27 @@
 package powergrid
 
-import (
-	"fmt"
-	"math"
-	"sync"
+import "sync"
 
-	"nanometer/internal/mathx"
-)
-
-// SolveMeshBatch solves k same-dimension meshes through the lockstep
-// multi-RHS kernel (mathx.SolveMGBatchW): one shared CSR pattern traversal
-// per Krylov iteration instead of k. This is the scenario-sweep fast path —
-// sweep variants perturb conductance and current draw but never the grid,
-// so their systems share the cached assembly pattern by construction. Each
-// returned drop is bit-identical to what meshes[i].Solve() would produce
-// (the batch kernel guarantees per-variant float sequences match solo),
-// which is what lets sweep priming feed caches solo solves must later match
-// byte for byte. Any variant failing fails the whole batch — callers fall
-// back to solo solves, where the same error will surface attributably.
+// SolveMeshBatch solves each mesh in turn on the solo path and returns
+// the max IR drops in order, so every drop is bit-identical to what
+// meshes[i].Solve() would produce. Sweep priming (PrimeSolves) runs its
+// distinct meshes through it; each solve counts on the Batched counter as
+// well as Solves. The first solver error fails the whole call — callers
+// fall back to solo solves, where the same error surfaces attributably.
 func SolveMeshBatch(meshes []*Mesh) ([]float64, error) {
-	k := len(meshes)
-	if k == 0 {
+	if len(meshes) == 0 {
 		return nil, nil
 	}
-	n := meshes[0].N
-	for _, m := range meshes[1:] {
-		if m.N != n {
-			return nil, fmt.Errorf("powergrid: batch mixes mesh dimensions %d and %d", n, m.N)
-		}
-	}
-	drops := make([]float64, k)
-	// Chunk so a wide sweep cannot hold unbounded solver state at once:
-	// each variant pins ~22 n²-sized float arrays (CSR values, RHS, Krylov
-	// workspace, multigrid hierarchy) ≈ 176·n² bytes, and the pool only
-	// amortizes what a chunk acquires. 256 MB covers a 33-variant sweep in
-	// one chunk at n = 255 and degrades to smaller chunks at larger grids.
-	const maxBatchBytes = 48 << 20
-	chunk := maxBatchBytes / (176 * n * n)
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < k; lo += chunk {
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if err := solveMeshChunk(meshes[lo:hi], drops[lo:hi]); err != nil {
+	drops := make([]float64, len(meshes))
+	for i, m := range meshes {
+		drop, iters, err := m.solve()
+		if err != nil {
 			return nil, err
 		}
+		recordBatchedSolve(iters)
+		drops[i] = drop
 	}
 	return drops, nil
-}
-
-// solveMeshChunk runs one pooled lockstep solve over meshes, writing the
-// max IR drop per variant into drops (same length).
-func solveMeshChunk(meshes []*Mesh, drops []float64) (err error) {
-	k := len(meshes)
-	asm := assemblyFor(meshes[0].N)
-	svs := make([]*meshSolver, 0, k)
-	defer func() {
-		for _, sv := range svs {
-			asm.pool.Put(sv)
-		}
-	}()
-	wss := make([]*mathx.Workspace, k)
-	mgs := make([]*mathx.MeshMG, k)
-	mats := make([]*mathx.SparseMatrix, k)
-	bs := make([][]float64, k)
-	for v, m := range meshes {
-		sv, err := asm.solver()
-		if err != nil {
-			return err
-		}
-		svs = append(svs, sv)
-		g := 1 / m.EdgeOhms
-		sv.refill(asm, g, m.NodeCurrentA)
-		mat, err := mathx.NewFrozenCSR(asm.cnt, asm.rowPtr, asm.cols, sv.vals, sv.diag)
-		if err != nil {
-			return fmt.Errorf("powergrid: mesh assembly: %w", err)
-		}
-		if err := sv.mg.SetConductance(g); err != nil {
-			return fmt.Errorf("powergrid: mesh solve: %w", err)
-		}
-		wss[v], mgs[v], mats[v], bs[v] = &sv.ws, sv.mg, mat, sv.rhs
-	}
-	// Same per-artifact cancellation-granularity decision as Mesh.Solve:
-	// one batch is bounded work, ctx checks live upstream.
-	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
-	sols, iters, errs := mathx.SolveMGBatchW(wss, mgs, mats, bs, 1e-10, 20*asm.cnt)
-	for v, e := range errs {
-		if e != nil {
-			return fmt.Errorf("powergrid: mesh solve: %w", e)
-		}
-		recordBatchedSolve(iters[v])
-		maxDrop := 0.0
-		for _, x := range sols[v] {
-			if d := math.Abs(x); d > maxDrop {
-				maxDrop = d
-			}
-		}
-		drops[v] = maxDrop
-	}
-	return nil
 }
 
 // primeKey identifies a mesh solve by the exact float bits that determine
@@ -115,15 +35,15 @@ type primeKey struct {
 
 // primedEntry is one parked result with the number of consumers it still
 // owes. A sweep whose swept parameter doesn't touch the 35 nm grid (the
-// common case) builds the SAME mesh for every variant; one batch solve
-// then feeds all of them, so entries carry a count instead of
+// common case) builds the SAME mesh for every variant; one solve then
+// feeds all of them, so entries carry a count instead of
 // delete-on-first-read.
 type primedEntry struct {
 	drop  float64
 	count int
 }
 
-// primedDrops parks batch-computed results for counted consumption.
+// primedDrops parks primed results for counted consumption.
 // maxPrimedDrops bounds the key count (a sweep primes at most its variant
 // count, but the map must not grow without bound if a caller primes and
 // never consumes); counts drain to zero and delete their entry, so stale
@@ -135,18 +55,19 @@ var primedDrops struct {
 
 const maxPrimedDrops = 1024
 
-// PrimeSolves batch-solves the given meshes and parks each drop for the
-// next len(meshes) Mesh.Solve calls with matching parameters to consume.
-// Duplicate parameter sets solve once and park a consumption count — they
-// would produce identical bits anyway. Priming is strictly best-effort: on
-// any solver error it parks nothing and returns, and per-variant solo
-// solves re-hit the error where it can be attributed.
+// PrimeSolves solves the distinct meshes among the given ones
+// (SolveMeshBatch) and parks each drop for the next len(meshes) Mesh.Solve
+// calls with matching parameters to consume. Duplicate parameter sets
+// solve once and park a consumption count — they would produce identical
+// bits anyway. Priming is strictly best-effort: on any solver error it
+// parks nothing and returns, and per-variant solo solves re-hit the error
+// where it can be attributed.
 //
 // Solve telemetry is recorded here per REQUESTED mesh (duplicates
-// included), not at consumption: the pre-batch world ran one real solve
+// included), not at consumption: the unprimed world runs one real solve
 // per variant, so counting one solve (with its iteration cost) per primed
 // variant keeps solves_total, iterations_total, and the iters/solve health
-// ratio exactly what dashboards saw before batching existed.
+// ratio exactly what dashboards see without priming.
 func PrimeSolves(meshes []*Mesh) {
 	if len(meshes) < 2 {
 		return // a lone solve has nobody to share with — leave it solo
@@ -179,7 +100,7 @@ func PrimeSolves(meshes []*Mesh) {
 			}
 			primedDrops.m[key] = &primedEntry{drop: drops[i], count: counts[key]}
 		}
-		// The batch recorded the one real solve of this system; account
+		// SolveMeshBatch recorded the one real solve of this system; account
 		// the remaining consumers so counters match the solo world where
 		// each variant would have solved.
 		for extra := counts[key] - 1; extra > 0; extra-- {
@@ -189,7 +110,7 @@ func PrimeSolves(meshes []*Mesh) {
 }
 
 // consumePrimed returns (and counts down) a parked drop for this mesh's
-// exact parameters, if a prior PrimeSolves batch computed one.
+// exact parameters, if a prior PrimeSolves call computed one.
 func consumePrimed(m *Mesh) (float64, bool) {
 	primedDrops.mu.Lock()
 	defer primedDrops.mu.Unlock()

@@ -1,8 +1,11 @@
 package powergrid
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"nanometer/internal/mathx"
 )
 
 // sweepMeshes builds k same-grid meshes with conductance and draw varied
@@ -21,11 +24,13 @@ func sweepMeshes(k, n int) []*Mesh {
 	return meshes
 }
 
-// TestSolveMeshBatchMatchesSolo pins the sweep fast path's whole value
-// proposition: batched drops carry the exact float bits of solo solves, so
-// routing a sweep through the batch can never change what any variant
-// reports.
+// TestSolveMeshBatchMatchesSolo pins what sweep priming relies on:
+// batched drops carry the exact float bits of solo solves, so routing a
+// sweep through priming can never change what any variant reports.
 func TestSolveMeshBatchMatchesSolo(t *testing.T) {
+	if drops, err := SolveMeshBatch(nil); err != nil || drops != nil {
+		t.Fatalf("empty batch: drops=%v err=%v", drops, err)
+	}
 	meshes := sweepMeshes(5, 41)
 	before := ReadSolveStats()
 	drops, err := SolveMeshBatch(meshes)
@@ -51,16 +56,40 @@ func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSolveMeshBatchRejectsMixedGrids: mixed dimensions cannot share a
-// pattern traversal and must fail loudly (callers fall back to solo).
-func TestSolveMeshBatchRejectsMixedGrids(t *testing.T) {
-	meshes := sweepMeshes(2, 41)
-	meshes[1].N = 21
-	if _, err := SolveMeshBatch(meshes); err == nil {
-		t.Fatal("mixed-dimension batch did not fail")
+// TestPrimeSolvesParksNothingOnError pins priming's failure contract: a
+// solver error anywhere in the sweep parks nothing, not even the drops of
+// the meshes solved before it. Each good mesh's later Solve is then a
+// real solo solve with the solo bits, and the bad mesh's Solve reports
+// the solver's own error where it can be attributed.
+func TestPrimeSolvesParksNothingOnError(t *testing.T) {
+	meshes := sweepMeshes(3, 41)
+	meshes[2].EdgeOhms = 0
+	refs := make([]float64, 2)
+	for i, m := range meshes[:2] {
+		cp := *m
+		d, err := cp.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = d
 	}
-	if drops, err := SolveMeshBatch(nil); err != nil || drops != nil {
-		t.Fatalf("empty batch: drops=%v err=%v", drops, err)
+	PrimeSolves(meshes)
+	for i, m := range meshes[:2] {
+		before := ReadSolveStats()
+		d, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ReadSolveStats().Solves - before.Solves; got != 1 {
+			t.Errorf("mesh %d: Solve after failed priming recorded %d solves, want 1 (nothing parked)", i, got)
+		}
+		if math.Float64bits(d) != math.Float64bits(refs[i]) {
+			t.Errorf("mesh %d: drop %x after failed priming, solo drop %x",
+				i, math.Float64bits(d), math.Float64bits(refs[i]))
+		}
+	}
+	if d, err := meshes[2].Solve(); !errors.Is(err, mathx.ErrNotSPD) {
+		t.Errorf("bad mesh Solve after priming = (%g, %v), want an ErrNotSPD error", d, err)
 	}
 }
 

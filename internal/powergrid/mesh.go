@@ -71,12 +71,24 @@ func NewMesh(s GridSpec, railWidthM, railPitchM float64, n int) (*Mesh, error) {
 // the net. The same drop occurs on the ground net, so the supply-loop drop
 // is twice the returned value.
 func (m *Mesh) Solve() (maxDropV float64, err error) {
-	// A sweep may have batch-solved this exact system already
-	// (PrimeSolves); the parked drop is bit-identical to what the solve
-	// below would produce, and its telemetry was recorded at prime time.
+	// A sweep may have primed this exact system already (PrimeSolves);
+	// the parked drop is bit-identical to what the solve below would
+	// produce, and its telemetry was recorded at prime time.
 	if d, ok := consumePrimed(m); ok {
 		return d, nil
 	}
+	drop, iters, err := m.solve()
+	if err != nil {
+		return 0, err
+	}
+	recordSolve(iters)
+	return drop, nil
+}
+
+// solve runs one pooled MG-PCG solve of the mesh and returns its maximum
+// IR drop with the iterations spent. It records no telemetry: Solve and
+// SolveMeshBatch each account the solve on their own counter.
+func (m *Mesh) solve() (maxDropV float64, iters int, err error) {
 	// The sparsity pattern depends only on the grid dimension; the cached
 	// assembly is refilled for this mesh's conductance and wrapped as a
 	// frozen CSR without copying (assemblyFor documents the bit-identity
@@ -84,17 +96,17 @@ func (m *Mesh) Solve() (maxDropV float64, err error) {
 	asm := assemblyFor(m.N)
 	sv, err := asm.solver()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer asm.pool.Put(sv)
 	g := 1 / m.EdgeOhms
 	sv.refill(asm, g, m.NodeCurrentA)
 	mat, err := mathx.NewFrozenCSR(asm.cnt, asm.rowPtr, asm.cols, sv.vals, sv.diag)
 	if err != nil {
-		return 0, fmt.Errorf("powergrid: mesh assembly: %w", err)
+		return 0, 0, fmt.Errorf("powergrid: mesh assembly: %w", err)
 	}
 	if err := sv.mg.SetConductance(g); err != nil {
-		return 0, fmt.Errorf("powergrid: mesh solve: %w", err)
+		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
 	}
 	// Multigrid-preconditioned CG: plain CG needs O(n) iterations on the
 	// mesh Laplacian (and Jacobi buys nothing — the diagonal is
@@ -110,16 +122,15 @@ func (m *Mesh) Solve() (maxDropV float64, err error) {
 	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
 	sol, iters, err := mat.SolveMGW(&sv.ws, sv.mg, sv.rhs, 1e-10, 20*asm.cnt)
 	if err != nil {
-		return 0, fmt.Errorf("powergrid: mesh solve: %w", err)
+		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
 	}
-	recordSolve(iters)
 	for _, v := range sol {
 		// Drops are positive (current flows into the pinned bump).
 		if d := math.Abs(v); d > maxDropV {
 			maxDropV = d
 		}
 	}
-	return maxDropV, nil
+	return maxDropV, iters, nil
 }
 
 // PessimisticRatio solves the 2-D smeared mesh for a sized grid and returns
@@ -141,9 +152,9 @@ func PessimisticRatio(s GridSpec, n int) (ratio float64, err error) {
 
 // PessimisticMesh builds (without solving) the mesh PessimisticRatio
 // solves: the sized grid's top-level sheet carrying all current. Split out
-// so sweep batching can collect the meshes of many scenario variants and
-// solve them together before each variant's PessimisticRatio consumes its
-// primed result.
+// so sweep priming can collect the meshes of many scenario variants and
+// solve each distinct one before each variant's PessimisticRatio consumes
+// its primed result.
 func PessimisticMesh(s GridSpec, n int) (*Mesh, error) {
 	sz, err := s.SizeRails()
 	if err != nil {

@@ -15,14 +15,16 @@ var meshSolves, meshSolveIters, meshBatchedSolves atomic.Uint64
 // SolveStats is a point-in-time snapshot of the mesh-solve counters.
 type SolveStats struct {
 	// Solves is the number of completed mesh solves (solo Mesh.Solve calls
-	// plus every variant a batch solved); Iterations is the total MG-PCG
-	// iterations they spent. Iterations/Solves is the health number:
+	// plus every mesh sweep priming solved or fed); Iterations is the total
+	// MG-PCG iterations they spent. Iterations/Solves is the health number:
 	// near-constant per mesh size by construction.
 	Solves, Iterations uint64
-	// Batched counts the subset of Solves that ran through the lockstep
-	// multi-RHS kernel (SolveMeshBatch). Sweeps should push it toward
-	// Solves; a sweep-heavy deployment with Batched ≈ 0 means the priming
-	// wiring regressed and every variant pays a full pattern traversal.
+	// Batched counts the subset of Solves run by SolveMeshBatch, that is
+	// by sweep priming (PrimeSolves), plus the duplicate variants a primed
+	// solve fed. It is not a separate kernel: each one is a solo MG-PCG
+	// solve. Sweeps should push it toward Solves; a sweep-heavy deployment
+	// with Batched ≈ 0 means the priming wiring regressed and every
+	// variant solves its mesh again.
 	Batched uint64
 }
 
@@ -40,9 +42,9 @@ func recordSolve(iters int) {
 	meshSolveIters.Add(uint64(iters))
 }
 
-// recordBatchedSolve accounts one variant of a lockstep batch: a mesh
-// solve like any other (the Solves/Iterations contract is per system
-// solved, not per kernel invocation) plus the batched-path counter.
+// recordBatchedSolve accounts one mesh of sweep priming: a mesh solve like
+// any other (the Solves/Iterations contract is per system solved) plus
+// the batched-path counter.
 func recordBatchedSolve(iters int) {
 	recordSolve(iters)
 	meshBatchedSolves.Add(1)

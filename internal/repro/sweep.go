@@ -12,12 +12,12 @@ import (
 	"nanometer/internal/scenario"
 )
 
-// PrimeVariants batch-solves the dominant compute of a multi-variant sweep
+// PrimeVariants solves the dominant compute of a multi-variant sweep
 // before the per-variant runs start: the c8 power-grid mesh (~39 of 40
-// gate-weight units at n = 255) is structurally identical across variants —
-// sweeps perturb conductance and current, never the grid — so all variants'
-// meshes solve in one lockstep pattern traversal (powergrid.SolveMeshBatch)
-// and each variant's later solo solve consumes its parked, bit-identical
+// gate-weight units at n = 255). Priming (powergrid.PrimeSolves) dedupes
+// the variants' meshes — a sweep whose parameter leaves the 35 nm grid
+// alone builds the same mesh for every variant — solves each distinct one
+// solo, and each variant's later solve consumes its parked, bit-identical
 // drop. Strictly best-effort and semantically invisible: cache and
 // singleflight behavior per variant is unchanged (priming probes only
 // in-memory presence, never through ComputeCached, so hit/miss counters
@@ -46,7 +46,7 @@ func PrimeVariants(arts []Artifact, opts Options, variants []*scenario.Scenario)
 		vo.Scenario = v
 		// Memory-presence probe only: a cached (or in-flight) cell means
 		// this variant's solve will not run, so priming it would waste a
-		// batch slot. NoCache recomputes regardless, so it always primes.
+		// solve. NoCache recomputes regardless, so it always primes.
 		if !vo.NoCache && heavy.cachedInMemory(vo) {
 			continue
 		}
@@ -69,7 +69,7 @@ func PrimeVariants(arts []Artifact, opts Options, variants []*scenario.Scenario)
 // counts a hit or a miss, and priming must not distort the hit/miss
 // telemetry the smokes assert exactly. The second-level result
 // store is deliberately not probed — a store-warmed variant wastes its
-// batch slot, which costs a little shared work, not correctness.
+// primed solve, which costs a little work, not correctness.
 func (a Artifact) cachedInMemory(opts Options) bool {
 	_, ok := cache.Load().m.Load(a.ID + "\x00" + opts.computeKey())
 	return ok

@@ -125,7 +125,7 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyMemo) *metr
 		"Total MG-PCG iterations spent in mesh solves.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Iterations) })
 	reg.CounterFunc("nanoreprod_mesh_solves_batched_total",
-		"Subset of mesh solves that ran through the lockstep multi-RHS sweep kernel (scenario sweeps should push this toward solves_total).",
+		"Subset of mesh solves run by sweep priming, duplicate variants fed by one primed solve included (scenario sweeps should push this toward solves_total).",
 		func() float64 { return float64(powergrid.ReadSolveStats().Batched) })
 	// Admission-gate visibility: how loaded the compute pool is and how
 	// deep the queue behind it runs.

@@ -135,14 +135,14 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	chans := make([]chan outcome, len(variants))
 	wt := int64(len(arts)) * weight(meshN)
-	// Batch-prime the sweep's mesh solves before the variants fan out: all
-	// variants share one grid size, so their dominant solves run in one
-	// lockstep pattern traversal and each variant's compute consumes its
-	// parked, bit-identical drop. Priming is real solver work, so it must
-	// hold gate capacity like any variant would — one variant's weight
-	// covers it (the batch replaces the variants' individual solves, it
-	// does not add to them). Best-effort: an admission timeout just skips
-	// priming, and the variants solve solo as before.
+	// Prime the sweep's mesh solves before the variants fan out: priming
+	// dedupes identical meshes and solves the distinct ones solo, and each
+	// variant's compute consumes its parked, bit-identical drop. Priming is
+	// real solver work, so it must hold gate capacity like any variant
+	// would — one variant's weight covers it (priming replaces the
+	// variants' individual solves, it does not add to them). Best-effort:
+	// an admission timeout just skips priming, and the variants solve solo
+	// as before.
 	if len(variants) > 1 {
 		if release, aerr := s.gate.Acquire(ctx, wt); aerr == nil {
 			repro.PrimeVariants(arts, repro.Options{MeshN: meshN}, variants)
