@@ -264,15 +264,6 @@ func (g *Gate) StaticOverDynamic(alpha, fHz, vdd, tKelvin float64) float64 {
 	return g.LeakagePower(vdd, tKelvin) / pd
 }
 
-// WithVth returns a copy of the gate with both devices' thresholds moved by
-// the same absolute shift (V).
-func (g *Gate) WithVthShift(shift float64) *Gate {
-	c := *g
-	c.N = g.N.WithVth(g.N.Vth0 + shift)
-	c.P = g.P.WithVth(g.P.Vth0 + shift)
-	return &c
-}
-
 // WithVth returns a copy of the gate with both devices' thresholds set to
 // the given magnitude.
 func (g *Gate) WithVth(vth float64) *Gate {

@@ -145,7 +145,10 @@ func TestStaticOverDynamicInverseInActivity(t *testing.T) {
 func TestWithVthShiftLowersLeakageRaisesDelay(t *testing.T) {
 	g := refInv(t, 70)
 	T := units.RoomTemperature
-	hi := g.WithVthShift(+0.1)
+	// Shift each device from its own Vth0: NMOS and PMOS need not share one.
+	hi := *g
+	hi.N = g.N.WithVth(g.N.Vth0 + 0.1)
+	hi.P = g.P.WithVth(g.P.Vth0 + 0.1)
 	if hi.LeakagePower(0.9, T) >= g.LeakagePower(0.9, T) {
 		t.Fatalf("raising Vth must cut leakage")
 	}

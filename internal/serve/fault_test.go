@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,17 +13,19 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
 )
 
 // TestFaultPathsReturnToBaseline drives each request fault path once and
 // then requires the daemon to be back where it started: no gate units held
-// or queued, no singleflight entry left behind, no leaked goroutine, and a
+// or queued, no body record left in flight, no leaked goroutine, and a
 // retry of the same request answering 200 (the fault poisoned nothing).
-// The retry must miss the body memo — no failed or abandoned response was
-// memoized — and a third identical request must hit it without taking gate
-// units or leaving a goroutine behind.
+// A failed response is never kept, so its retry misses the body memo. An
+// abandoned leader whose work still succeeded keeps its body, so that
+// retry hits, with the bytes of a fresh encode. A third identical request
+// must hit without taking gate units or leaving a goroutine behind.
 func TestFaultPathsReturnToBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -31,8 +34,9 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 		// setup builds the registry; the returned fault drives the failing
 		// request against s (and srv, a loopback server over s) and checks
 		// its status. retry is the request that must then answer 200.
-		setup func(t *testing.T) ([]repro.Artifact, func(t *testing.T, s *Server, srv *httptest.Server))
-		retry string
+		setup   func(t *testing.T) ([]repro.Artifact, func(t *testing.T, s *Server, srv *httptest.Server))
+		retry   string
+		wantHit bool // the abandoned work succeeded, so the retry hits
 	}{
 		{
 			name:    "leader-timeout-504",
@@ -46,7 +50,8 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 					}
 				}
 			},
-			retry: "/api/v1/artifacts/slow",
+			retry:   "/api/v1/artifacts/slow",
+			wantHit: true,
 		},
 		{
 			name:  "gate-waiter-canceled-503",
@@ -138,7 +143,8 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 					close(unblock)
 				}
 			},
-			retry: "/api/v1/report",
+			retry:   "/api/v1/report",
+			wantHit: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,28 +163,24 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 
 			fault(t, s, srv)
 
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				s.flights.mu.Lock()
-				flights := len(s.flights.m)
-				s.flights.mu.Unlock()
-				inFlight, waiting, goroutines := s.gate.InFlight(), s.gate.Waiting(), runtime.NumGoroutine()
-				if inFlight == 0 && waiting == 0 && flights == 0 && goroutines <= baseline {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("not back to baseline: gate in-flight=%d waiting=%d, flights=%d, goroutines=%d (baseline %d)",
-						inFlight, waiting, flights, goroutines, baseline)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitBaseline(t, s, baseline)
 			hits := s.met.bodyCacheHits.Value()
 			retry := get(t, s.Handler(), tc.retry, nil)
 			if retry.Code != 200 {
 				t.Fatalf("retry %s = %d, want 200 (body: %s)", tc.retry, retry.Code, retry.Body.String())
 			}
-			if s.met.bodyCacheHits.Value() != hits {
-				t.Fatalf("retry %s was a body memo hit: the faulted response was memoized", tc.retry)
+			if hit := s.met.bodyCacheHits.Value() != hits; hit != tc.wantHit {
+				t.Fatalf("retry %s body memo hit = %v, want %v", tc.retry, hit, tc.wantHit)
+			}
+			fresh := arts
+			if id, ok := strings.CutPrefix(tc.retry, "/api/v1/artifacts/"); ok {
+				fresh = []repro.Artifact{s.byID[id]}
+			}
+			if want := cliReport(t, fresh, "text", render.Text{}); !bytes.Equal(retry.Body.Bytes(), want) {
+				t.Fatalf("retry %s body differs from a fresh encode", tc.retry)
+			}
+			if tc.wantHit {
+				hits++
 			}
 			// The retry's compute goroutine releases its gate units just
 			// after it hands over the result; wait for that, so the memo
@@ -199,6 +201,95 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				t.Errorf("goroutines %d → %d across a memo hit", goroutines, got)
 			}
 		})
+	}
+}
+
+// TestScenariosDisconnectReturnsToBaseline: a client that hangs up after
+// the first NDJSON line of a 3-variant sweep, while the other variants
+// still compute, leaves the daemon at baseline once they finish, and the
+// identical retry streams one clean line per variant.
+func TestScenariosDisconnectReturnsToBaseline(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	var blocked atomic.Int64
+	unblock := make(chan struct{})
+	// The first grid corner answers at once; the others block, so the
+	// stream stops after exactly one line.
+	arts := []repro.Artifact{{ID: "sd", Title: "sd", Compute: func(o repro.Options) (*result.Result, error) {
+		if !strings.HasSuffix(o.Scenario.Name, "vdd=0.800") {
+			blocked.Add(1)
+			<-unblock
+		}
+		r := &result.Result{}
+		r.AddTable(&result.Table{Title: "sd", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+		return r, nil
+	}}}
+	s := New(Config{Artifacts: arts, Timeout: 5 * time.Second})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	baseline := runtime.NumGoroutine()
+
+	const sweep = `{"name":"dc","sweep":{"param":"vdd","steps":3,"span_pct":20,"nodes":[70]}}`
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", srv.URL+"/api/v1/scenarios", strings.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first variantLine
+	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil || first.Scenario != "dc/vdd=0.800" || first.Error != "" {
+		t.Fatalf("first NDJSON line = %+v, %v; want the first grid corner, computed", first, err)
+	}
+	if s.met.timeouts.Value() != 0 {
+		t.Fatal("the first line arrived only after the request deadline: the stream was not flushed line by line")
+	}
+	waitFor(t, func() bool { return blocked.Load() == 2 })
+	cancel()
+	resp.Body.Close()
+	// The handler notices the hang-up and stops collecting; the variants
+	// still computing finish afterwards and release their gate units.
+	waitFor(t, func() bool { return s.met.timeouts.Value() == 1 })
+	close(unblock)
+	waitBaseline(t, s, baseline)
+
+	rec := postScenario(t, s, "/api/v1/scenarios", sweep)
+	if rec.Code != 200 {
+		t.Fatalf("retry = %d (body: %s)", rec.Code, rec.Body.String())
+	}
+	lines := decodeLines(t, rec.Body)
+	if len(lines) != 3 {
+		t.Fatalf("retry streamed %d lines, want 3", len(lines))
+	}
+	for _, line := range lines {
+		if line.Error != "" || len(line.Artifacts) != 1 {
+			t.Errorf("retry line %s: %d artifacts, error %q", line.Scenario, len(line.Artifacts), line.Error)
+		}
+	}
+}
+
+// waitBaseline waits until s holds no gate units, has no gate waiter and
+// no body record in flight, and runs no more goroutines than baseline.
+func waitBaseline(t *testing.T, s *Server, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.bodies.mu.Lock()
+		records := len(s.bodies.m) - s.bodies.kept
+		s.bodies.mu.Unlock()
+		inFlight, waiting, goroutines := s.gate.InFlight(), s.gate.Waiting(), runtime.NumGoroutine()
+		if inFlight == 0 && waiting == 0 && records == 0 && goroutines <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not back to baseline: gate in-flight=%d waiting=%d, records in flight=%d, goroutines=%d (baseline %d)",
+				inFlight, waiting, records, goroutines, baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -38,7 +39,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // the done-from-store job; otherwise the job queues and the response is
 // 202 with its status URL.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, trace.MaxFileBytes)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, trace.MaxFileBytes))
 	if err != nil {
 		apiError(w, bodyErrStatus(err), "reading trace body: %v", err)
 		return
@@ -61,8 +62,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := j.Snapshot()
 	w.Header().Set("Location", "/api/v1/jobs/"+j.ID)
+	// 200 only for a store answer: a short job may already be done by the
+	// time the snapshot is taken, and it was still accepted, not answered.
 	code := http.StatusAccepted
-	if snap.State.Terminal() {
+	if snap.Cached {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, snap)

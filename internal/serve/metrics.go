@@ -34,7 +34,7 @@ type metrics struct {
 	jobsCached    *obs.Counter    // nanoreprod_jobs_cached_total
 }
 
-func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyMemo) *metrics {
+func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *metrics {
 	reg := &obs.Registry{}
 	m := &metrics{
 		reg:      reg,
@@ -89,7 +89,7 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyMemo) *metr
 		"Memoized results currently held by the compute cache.",
 		func() float64 { return float64(repro.ReadCacheStats().Entries) })
 	reg.GaugeFunc("nanoreprod_body_cache_entries",
-		"Encoded response bodies currently held by the body memo.",
+		"Encoded response bodies currently kept by the body memo.",
 		func() float64 { return float64(bodies.entries()) })
 	// The second-level result store: the hit/put counters live in the
 	// compute cache (they move even when the store was installed outside

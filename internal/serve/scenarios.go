@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"nanometer/internal/repro"
@@ -16,15 +15,10 @@ import (
 	"nanometer/internal/scenario"
 )
 
-// readBody reads a request body through MaxBytesReader with limit maxBytes.
-// Use bodyErrStatus to map a failure to its status code.
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
-}
-
-// bodyErrStatus maps a body-read failure to its HTTP status: 413 only for
-// the MaxBytesReader limit; every other failure (client hung up mid-body,
-// malformed chunking) is the client's bad request, not an oversize one.
+// bodyErrStatus maps a failure to read a request body through
+// http.MaxBytesReader to its HTTP status: 413 only for the reader's limit;
+// every other failure (client hung up mid-body, malformed chunking) is the
+// client's bad request, not an oversize one.
 func bodyErrStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -98,20 +92,12 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			arts = append(arts, a)
 		}
 	}
-	meshN := 0
-	if v := q.Get("mesh-n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "mesh-n %q is not an integer", v)
-			return
-		}
-		if err := repro.ValidateMeshN(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		meshN = n
+	meshN, err := meshNParam(q)
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	body, err := readBody(w, r, scenario.MaxFileBytes)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scenario.MaxFileBytes))
 	if err != nil {
 		apiError(w, bodyErrStatus(err), "reading scenario body: %v", err)
 		return

@@ -16,9 +16,10 @@
 //     hit rather than a second solve. The gate units stay held until the
 //     model work actually finishes — the gate bounds real solver
 //     concurrency, not merely live handlers.
-//   - A bounded memo from strong ETag to encoded body, so a warm repeat
-//     of one representation is a map lookup and a write: no singleflight,
-//     gate units, compute goroutine or re-encode.
+//   - One bounded map from body key (the strong ETag) to response body:
+//     identical requests in flight wait on one leader's compute and
+//     encode, and a warm repeat of one representation is a map lookup and
+//     a write, with no gate units, compute goroutine or re-encode.
 //   - Prometheus metrics (internal/obs) for latency, admission, per-
 //     artifact compute time, the compute cache's hit/miss/bypass counters
 //     and the body memo, plus /debug/pprof.
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -82,8 +84,7 @@ type Server struct {
 	byID    map[string]repro.Artifact
 	order   []repro.Artifact
 	gate    *gate
-	flights *flightGroup
-	bodies  *bodyMemo
+	bodies  *bodyTable
 	store   *store.Store
 	jobq    *jobsvc.Queue
 	timeout time.Duration
@@ -122,8 +123,7 @@ func New(cfg Config) *Server {
 		byID:          make(map[string]repro.Artifact, len(arts)),
 		order:         arts,
 		gate:          newGate(units),
-		flights:       newFlightGroup(),
-		bodies:        newBodyMemo(),
+		bodies:        newBodyTable(),
 		timeout:       timeout,
 		jobs:          jobs,
 		scenarioNames: make(map[string]bool),
@@ -222,6 +222,14 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Flush passes through, so the NDJSON streams (scenarios, job progress)
+// reach the client line by line rather than when the handler returns.
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // apiError answers a failed API request with a JSON body (the API speaks
 // JSON even when the requested representation was text or CSV). Validator
 // headers are scrubbed defensively: an error body must never ship a strong
@@ -237,8 +245,7 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // requestOptions parses and validates the query parameters shared by the
 // artifact and report endpoints: the compute options, and the encoding with
-// its text settings. mesh-n arrives from untrusted clients and goes through
-// the same ValidateMeshN the CLI flag uses.
+// its text settings.
 func requestOptions(r *http.Request) (opts repro.Options, enc render.Encoding, err error) {
 	q := r.URL.Query()
 	format := q.Get("format")
@@ -252,17 +259,23 @@ func requestOptions(r *http.Request) (opts repro.Options, enc render.Encoding, e
 	if err != nil {
 		return opts, enc, fmt.Errorf("unknown format %q (want text, json, or csv)", format)
 	}
-	if v := q.Get("mesh-n"); v != "" {
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			return opts, enc, fmt.Errorf("mesh-n %q is not an integer", v)
-		}
-		if verr := repro.ValidateMeshN(n); verr != nil {
-			return opts, enc, verr
-		}
-		opts.MeshN = n
+	opts.MeshN, err = meshNParam(q)
+	return opts, enc, err
+}
+
+// meshNParam parses the mesh-n query parameter, 0 when absent. It arrives
+// from untrusted clients and goes through the same ValidateMeshN the CLI
+// flag uses.
+func meshNParam(q url.Values) (int, error) {
+	v := q.Get("mesh-n")
+	if v == "" {
+		return 0, nil
 	}
-	return opts, enc, nil
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("mesh-n %q is not an integer", v)
+	}
+	return n, repro.ValidateMeshN(n)
 }
 
 func boolParam(v string) bool { return v == "1" || v == "true" }
@@ -322,36 +335,6 @@ func weight(meshN int) int64 {
 	return (n + d - 1) / d
 }
 
-// admit acquires wt gate units under the request deadline. The returned
-// release must be handed to exactly one finisher (a compute goroutine);
-// a nil release means admission failed and the response was written.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, wt int64) func() {
-	release, err := s.gate.Acquire(ctx, wt)
-	if err != nil {
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		apiError(w, http.StatusServiceUnavailable, "admission gate wait canceled: %v", err)
-		return nil
-	}
-	return release
-}
-
-// finish waits for a background produce goroutine under the deadline. On
-// timeout the handler answers 504 and walks away; the goroutine keeps
-// running to completion (its result lands in the compute cache, so the
-// client's retry is a hit) and releases its gate units when done.
-func await[T any](ctx context.Context, s *Server, w http.ResponseWriter, ch <-chan T) (T, bool) {
-	select {
-	case v := <-ch:
-		return v, true
-	case <-ctx.Done():
-		s.met.timeouts.Inc()
-		var zero T
-		apiError(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", ctx.Err())
-		return zero, false
-	}
-}
-
 // handleIndex lists the registry.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
@@ -391,103 +374,24 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if body, ok := s.bodies.get(etag); ok {
-		s.met.bodyCacheHits.Inc()
-		writeArtifact(w, etag, enc, body)
-		return
-	}
-
-	res, ok := s.produceResult(w, r, a, opts)
-	if !ok {
+	rec, leader := s.bodies.join(etag)
+	if s.writeKept(w, rec, etag, enc) {
 		return
 	}
 	// The body is the one-artifact report: `nanorepro -only <id>`'s bytes.
-	var body bytes.Buffer
-	if err := enc.EncodeReport(&body, []*result.Result{res}); err != nil {
-		apiError(w, http.StatusInternalServerError, "encoding %s: %v", id, err)
-		return
-	}
-	s.bodies.put(etag, body.Bytes())
-	writeArtifact(w, etag, enc, body.Bytes())
-}
-
-// writeArtifact answers 200 with an artifact body and its validators. They
-// ride only on the success path: a 504/500 must never carry a strong ETag,
-// or a client that cached the error body could have it revalidated into a
-// 304 forever.
-func writeArtifact(w http.ResponseWriter, etag string, enc render.Encoding, body []byte) {
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	writeBody(w, enc, body)
-}
-
-// produceResult runs the singleflight-collapsed compute of one artifact
-// and either returns its shared result or writes the failure response
-// (503/504/500) itself. The first concurrent request for an (artifact,
-// compute key) pair becomes the leader: it alone acquires gate weight and
-// computes (memory cache, then the shared store, then the models).
-// Followers wait on the leader's flight under their own deadline without
-// touching the gate — N identical concurrent requests cost one admission,
-// not N.
-func (s *Server) produceResult(w http.ResponseWriter, r *http.Request, a repro.Artifact, opts repro.Options) (*result.Result, bool) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	key := a.ID + "\x00" + opts.CacheKey()
-	f, leader := s.flights.join(key)
-	if !leader {
-		s.met.singleflightShared.Inc()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			s.met.timeouts.Inc()
-			apiError(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", ctx.Err())
-			return nil, false
-		}
-		if f.err != nil {
-			if f.rejected {
-				s.met.rejected.Inc()
-				w.Header().Set("Retry-After", "1")
-				apiError(w, http.StatusServiceUnavailable, "admission gate wait canceled: %v", f.err)
-			} else {
-				apiError(w, http.StatusInternalServerError, "computing %s: %v", a.ID, f.err)
-			}
-			return nil, false
-		}
-		return f.res, true
-	}
-
-	release, aerr := s.gate.Acquire(ctx, weight(opts.MeshN))
-	if aerr != nil {
-		// Propagate the rejection to any followers before answering, so
-		// they 503 promptly instead of waiting out their deadlines.
-		s.flights.finish(key, f, nil, aerr, true)
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		apiError(w, http.StatusServiceUnavailable, "admission gate wait canceled: %v", aerr)
-		return nil, false
-	}
-	type outcome struct {
-		res *result.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
+	s.serveRecord(w, r, etag, etag, enc, rec, leader, weight(opts.MeshN), func(context.Context) ([]byte, error) {
 		start := time.Now()
-		res, err := a.ComputeCached(opts)
+		res, cerr := a.ComputeCached(opts)
 		s.met.computeSeconds.With(artifactLabel(a)).Add(time.Since(start).Seconds())
-		s.flights.finish(key, f, res, err, false)
-		ch <- outcome{res, err}
-	}()
-	out, ok := await(ctx, s, w, ch)
-	if !ok {
-		return nil, false
-	}
-	if out.err != nil {
-		apiError(w, http.StatusInternalServerError, "computing %s: %v", a.ID, out.err)
-		return nil, false
-	}
-	return out.res, true
+		if cerr != nil {
+			return nil, fmt.Errorf("computing %s: %w", id, cerr)
+		}
+		var body bytes.Buffer
+		if eerr := enc.EncodeReport(&body, []*result.Result{res}); eerr != nil {
+			return nil, fmt.Errorf("encoding %s: %w", id, eerr)
+		}
+		return body.Bytes(), nil
+	})
 }
 
 // handleReport serves the full run — the exact bytes `nanorepro
@@ -498,47 +402,93 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Reports carry no ETag. Their memo key reuses etagFor's
+	// Reports carry no ETag. Their body key reuses etagFor's
 	// discriminators behind a prefix, so it never equals a quoted
 	// artifact ETag.
 	key := "report:" + etagFor("", opts, enc)
-	if body, ok := s.bodies.get(key); ok {
-		s.met.bodyCacheHits.Inc()
-		writeBody(w, enc, body)
+	rec, leader := s.bodies.join(key)
+	if s.writeKept(w, rec, "", enc) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
 	// A report computes every artifact: price it as the sum of its parts
 	// (clamped to capacity inside the gate).
-	release := s.admit(ctx, w, int64(len(s.order))*weight(opts.MeshN))
-	if release == nil {
-		return
-	}
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
-		body, err := s.encodeReport(ctx, opts, enc)
-		ch <- outcome{body, err}
-	}()
-	out, ok := await(ctx, s, w, ch)
-	if !ok {
-		return
-	}
-	if out.err != nil {
-		apiError(w, http.StatusInternalServerError, "report: %v", out.err)
-		return
-	}
-	s.bodies.put(key, out.body)
-	writeBody(w, enc, out.body)
+	s.serveRecord(w, r, key, "", enc, rec, leader, int64(len(s.order))*weight(opts.MeshN), func(ctx context.Context) ([]byte, error) {
+		body, rerr := s.encodeReport(ctx, opts, enc)
+		if rerr != nil {
+			return nil, fmt.Errorf("report: %w", rerr)
+		}
+		return body, nil
+	})
 }
 
-// handleFlush drops every memoized result and body (ResetCache is safe
-// under load — in-flight computes finish against the old generation).
+// writeKept answers from rec if it already holds a kept body: no gate
+// units, goroutine, context or encode.
+func (s *Server) writeKept(w http.ResponseWriter, rec *bodyRecord, etag string, enc render.Encoding) bool {
+	body, ok := rec.ready()
+	if ok {
+		s.met.bodyCacheHits.Inc()
+		writeBody(w, etag, enc, body)
+	}
+	return ok
+}
+
+// serveRecord answers from rec, which is still in flight. A follower
+// (leader false) waits on the leader's record without touching the gate,
+// so N identical concurrent requests cost one admission, not N. The leader
+// acquires wt gate units and starts one goroutine that produces the body,
+// finishes rec and then releases the units. Either waits under its own
+// deadline: on expiry it answers 504 and walks away, while the goroutine
+// still finishes rec (kept, so the retry is a hit) and the compute lands
+// in the compute cache. The gate units stay held until the work is done,
+// so the gate bounds real solver concurrency, not merely live handlers.
+func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag string, enc render.Encoding, rec *bodyRecord, leader bool,
+	wt int64, produce func(context.Context) ([]byte, error)) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	defer cancel()
+	if leader {
+		release, err := s.gate.Acquire(ctx, wt)
+		if err != nil {
+			// Finish before answering, so followers 503 at once instead of
+			// waiting out their deadlines.
+			s.met.rejected.Inc()
+			s.bodies.finish(key, rec, nil, fmt.Errorf("admission gate wait canceled: %w", err))
+			writeRecord(w, etag, enc, rec)
+			return
+		}
+		go func() {
+			defer release()
+			body, perr := produce(ctx)
+			s.bodies.finish(key, rec, body, perr)
+		}()
+	} else {
+		s.met.singleflightShared.Inc()
+	}
+	select {
+	case <-rec.done:
+		writeRecord(w, etag, enc, rec)
+	case <-ctx.Done():
+		s.met.timeouts.Inc()
+		apiError(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", ctx.Err())
+	}
+}
+
+// writeRecord answers with a finished record: its body, or 503 with
+// Retry-After when a context cut the work short (the leader's gate wait,
+// or a report whose leader went away), or 500 for any other failure.
+func writeRecord(w http.ResponseWriter, etag string, enc render.Encoding, rec *bodyRecord) {
+	switch {
+	case rec.err == nil:
+		writeBody(w, etag, enc, rec.body)
+	case errors.Is(rec.err, context.Canceled) || errors.Is(rec.err, context.DeadlineExceeded):
+		w.Header().Set("Retry-After", "1")
+		apiError(w, http.StatusServiceUnavailable, "%v", rec.err)
+	default:
+		apiError(w, http.StatusInternalServerError, "%v", rec.err)
+	}
+}
+
+// handleFlush drops every memoized result and kept body (ResetCache is
+// safe under load — in-flight computes finish against the old generation).
 func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	before := repro.ReadCacheStats().Entries
 	repro.ResetCache()
@@ -562,7 +512,15 @@ func (s *Server) encodeReport(ctx context.Context, opts repro.Options, enc rende
 	return buf.Bytes(), err
 }
 
-func writeBody(w http.ResponseWriter, enc render.Encoding, body []byte) {
+// writeBody answers 200 with body. An artifact's validators ride only on
+// this path: a 5xx must never carry a strong ETag, or a client that cached
+// the error body could have it revalidated into a 304 forever. Reports
+// (etag "") carry none.
+func writeBody(w http.ResponseWriter, etag string, enc render.Encoding, body []byte) {
+	if etag != "" {
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Cache-Control", "no-cache")
+	}
 	w.Header().Set("Content-Type", contentType(enc.Format()))
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)

@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
 	"nanometer/internal/store"
@@ -90,6 +94,91 @@ func TestSingleflightHeavyGateWeight(t *testing.T) {
 	}
 }
 
+// TestSingleflightReportCollapse: K identical concurrent reports hold one
+// report-weight admission, the other K−1 wait on the leader's record, and
+// every request gets the same 200 body, the CLI's bytes.
+func TestSingleflightReportCollapse(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	var computes atomic.Int64
+	blocker := make(chan struct{})
+	arts := []repro.Artifact{counting("ra", &computes, 0, blocker), counting("rb", &computes, 0, blocker)}
+	s := New(Config{Artifacts: arts, GateUnits: 100, Timeout: 30 * time.Second})
+	defer s.Close()
+	h := s.Handler()
+
+	const k = 4
+	var wg sync.WaitGroup
+	recs := make([]*httptest.ResponseRecorder, k)
+	for i := range recs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			recs[i] = get(t, h, "/api/v1/report", nil)
+		}(i)
+	}
+	waitFor(t, func() bool { return computes.Load() >= 1 })
+	waitFor(t, func() bool { return s.met.singleflightShared.Value() == k-1 })
+	want := int64(len(arts)) * weight(0)
+	if got := s.gate.InFlight(); got != want {
+		t.Errorf("gate in-flight = %d units for %d identical reports, want %d (one report)", got, k, want)
+	}
+	close(blocker)
+	wg.Wait()
+	body := cliReport(t, arts, "text", render.Text{})
+	for i, rec := range recs {
+		if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), body) {
+			t.Errorf("report %d = %d, or its body differs from the CLI's", i, rec.Code)
+		}
+	}
+	if n := computes.Load(); n != int64(len(arts)) {
+		t.Fatalf("%d computes for %d identical reports of %d artifacts, want %d", n, k, len(arts), len(arts))
+	}
+}
+
+// TestSingleflightReportLeaderGone: a report follower whose leader
+// disconnected mid-compute answers 503 with Retry-After (the leader's
+// canceled report launched no further artifacts), and its retry leads
+// afresh and answers 200.
+func TestSingleflightReportLeaderGone(t *testing.T) {
+	repro.ResetCache()
+	defer repro.ResetCache()
+	var computes atomic.Int64
+	unblock := make(chan struct{})
+	arts := []repro.Artifact{counting("la", &computes, 0, unblock), counting("lb", &computes, 0, unblock)}
+	// One report worker: one artifact runs, the other waits for a slot
+	// and is skipped once the leader's context is canceled.
+	s := New(Config{Artifacts: arts, Jobs: 1, Timeout: 30 * time.Second})
+	defer s.Close()
+	h := s.Handler()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/report", nil).WithContext(ctx))
+		leader <- rec.Code
+	}()
+	waitFor(t, func() bool { return computes.Load() == 1 })
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- get(t, h, "/api/v1/report", nil) }()
+	waitFor(t, func() bool { return s.met.singleflightShared.Value() == 1 })
+	cancel()
+	if code := <-leader; code != http.StatusGatewayTimeout {
+		t.Errorf("disconnected leader = %d, want 504", code)
+	}
+	close(unblock)
+	rec := <-follower
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("follower of a gone leader = %d (Retry-After %q), want 503 with Retry-After: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	retry := get(t, h, "/api/v1/report", nil)
+	if retry.Code != 200 || !bytes.Equal(retry.Body.Bytes(), cliReport(t, arts, "text", render.Text{})) {
+		t.Fatalf("retry = %d, or its body differs from the CLI's: %s", retry.Code, retry.Body.String())
+	}
+}
+
 // TestSingleflightErrorPropagates: a failing compute answers 500 to the
 // leader and every collapsed follower alike — no follower hangs waiting
 // for a result that will never come.
@@ -158,8 +247,8 @@ func TestErrorResponsesCarryNoValidators(t *testing.T) {
 
 // TestRetryAfterTimeoutHitsStore: a request that 504s still completes its
 // compute into the shared store, so a cold replica (simulated by flushing
-// the in-memory cache, as a restart would) serves the retry from the store
-// without running a solver.
+// the in-memory compute cache and kept bodies, as a restart would) serves
+// the retry from the store without running a solver.
 func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
@@ -170,7 +259,8 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	}
 	var computes atomic.Int64
 	arts := []repro.Artifact{counting("slowstore", &computes, 150*time.Millisecond, nil)}
-	h := New(Config{Artifacts: arts, Store: st, Timeout: 30 * time.Millisecond}).Handler()
+	s := New(Config{Artifacts: arts, Store: st, Timeout: 30 * time.Millisecond})
+	h := s.Handler()
 
 	if rec := get(t, h, "/api/v1/artifacts/slowstore", nil); rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("slow compute = %d, want 504", rec.Code)
@@ -179,6 +269,7 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	waitFor(t, func() bool { return st.Stats().Puts == 1 })
 	// Restart: memory gone, store persists.
 	repro.ResetCache()
+	s.bodies.reset()
 	rec := get(t, h, "/api/v1/artifacts/slowstore", nil)
 	if rec.Code != 200 {
 		t.Fatalf("retry on warm store = %d, want 200", rec.Code)
