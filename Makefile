@@ -30,11 +30,9 @@ vet:
 	$(GO) vet ./...
 
 # The project-specific static-analysis gate (internal/analyzers via
-# cmd/nanolint): determinism of output-producing packages (detrange), the
-# concurrency contracts of the serving era — lock-guarded fields
-# (lockguard), context threading past blocking APIs (ctxflow), provable
-# goroutine exits (goexit) — bounded metric-label sets (metriclabel), and
-# the base laboratory kept at the scenario edge (baselab).
+# cmd/nanolint): the concurrency contracts of the serving era —
+# lock-guarded fields (lockguard), context threading past blocking APIs
+# (ctxflow) — and bounded metric-label sets (metriclabel).
 # Exit 1 on any finding, with the analyzer name in every line.
 lint:
 	$(GO) run ./cmd/nanolint ./...

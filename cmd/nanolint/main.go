@@ -1,8 +1,8 @@
 // nanolint is the repo's custom static-analysis gate: a multichecker over
 // the project-specific analyzers in internal/analyzers, which turn the
-// invariants the test suite enforces dynamically — golden-byte
-// determinism, the concurrency contracts, bounded metric labels, the base
-// laboratory kept at the scenario edge — into compile-time checks.
+// invariants the test suite enforces dynamically — the locking contract
+// (lockguard), context flow to blocking calls (ctxflow) and bounded metric
+// labels (metriclabel) — into compile-time checks.
 //
 // Usage:
 //

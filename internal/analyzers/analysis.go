@@ -1,14 +1,13 @@
 // Package analyzers is the repo's custom lint layer: project-specific
 // static analyzers that turn invariants the test suite enforces dynamically
-// (golden-byte determinism, the concurrency contracts, bounded metric
-// labels, and the base laboratory kept at the scenario edge) into
+// (the locking and context-flow contracts and bounded metric labels) into
 // compile-time gates. An invariant with only a handful of sites is a
-// direct test instead (DESIGN.md §8 names them). The
-// analyzers run from cmd/nanolint (wired into `make lint`, `make verify`,
-// and CI) and are modeled on golang.org/x/tools/go/analysis — Analyzer,
-// Pass, Reportf — but implemented on the standard library alone
-// (go/ast + go/types + export data from `go list -export`), because this
-// module deliberately has no external dependencies.
+// direct test instead (DESIGN.md §8 names them). The analyzers run from
+// cmd/nanolint (wired into `make lint`, `make verify`, and CI) and are
+// modeled on golang.org/x/tools/go/analysis — Analyzer, Pass, Reportf —
+// but implemented on the standard library alone (go/ast + go/types +
+// export data from `go list -export`), because this module deliberately
+// has no external dependencies.
 //
 // Suppression: a finding can be silenced with a `//lint:allow <name>
 // <reason>` comment on the flagged line or the line directly above it. The
@@ -39,7 +38,7 @@ type Analyzer struct {
 // All returns the full nanolint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrange, Lockguard, Ctxflow, Goexit, Metriclabel, Baselab,
+		Lockguard, Ctxflow, Metriclabel,
 	}
 }
 

@@ -15,12 +15,6 @@ import (
 // fixture wants a diagnostic, and an over-eager one reports on the clean
 // (idiomatic or annotated) shapes.
 
-func TestDetrangeFixture(t *testing.T) {
-	// The fixture is checked under an in-scope import path; detrange is
-	// scoped to output-producing packages.
-	atest.Run(t, analyzers.Detrange, "testdata/detrange", "nanometer/internal/render")
-}
-
 func TestLockguardFixture(t *testing.T) {
 	atest.Run(t, analyzers.Lockguard, "testdata/lockguard", "nanometer/internal/fixture")
 }
@@ -31,21 +25,13 @@ func TestCtxflowFixture(t *testing.T) {
 	atest.Run(t, analyzers.Ctxflow, "testdata/ctxflow", "nanometer/internal/serve")
 }
 
-func TestGoexitFixture(t *testing.T) {
-	atest.Run(t, analyzers.Goexit, "testdata/goexit", "nanometer/internal/fixture")
-}
-
 func TestMetriclabelFixture(t *testing.T) {
 	atest.Run(t, analyzers.Metriclabel, "testdata/metriclabel", "nanometer/internal/fixture")
 }
 
-func TestBaselabFixture(t *testing.T) {
-	atest.Run(t, analyzers.Baselab, "testdata/baselab", "nanometer/internal/fixture")
-}
-
 // TestAnalyzerScopes pins the scoped-analyzer contract the nanolint driver
-// relies on: each scoped analyzer applies exactly to its listed packages,
-// the unscoped ones everywhere.
+// relies on: ctxflow applies exactly to its listed packages, the unscoped
+// analyzers everywhere.
 func TestAnalyzerScopes(t *testing.T) {
 	scoped := map[string]bool{}
 	for _, a := range analyzers.All() {
@@ -62,10 +48,8 @@ func TestAnalyzerScopes(t *testing.T) {
 			t.Errorf("%s should not apply to nanometer/internal/mathx (solver package, outside its boundary scope)", a.Name)
 		}
 	}
-	for _, want := range []string{"detrange", "ctxflow"} {
-		if !scoped[want] {
-			t.Errorf("%s should be a scoped analyzer", want)
-		}
+	if len(scoped) != 1 || !scoped["ctxflow"] {
+		t.Errorf("scoped analyzers = %v, want exactly ctxflow", scoped)
 	}
 	for _, a := range analyzers.All() {
 		if scoped[a.Name] {
@@ -77,11 +61,10 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 }
 
-// TestViolationClassesFailLint is the meta-test for the concurrency-era
-// analyzers and baselab: for each violation class, a minimal source
-// file reintroducing it is run through the FULL suite — the same
-// analyzer set `make lint` executes — and must produce at least one
-// finding from the expected analyzer. This pins the wiring, not just the
+// TestViolationClassesFailLint is the meta-test for the analyzers: for
+// each violation class, a minimal source file reintroducing it is run
+// through the FULL suite — the same analyzer set `make lint` executes —
+// and must produce at least one finding from the expected analyzer. This pins the wiring, not just the
 // analyzers: an analyzer dropped from All() fails here even though its
 // own fixture test still passes.
 func TestViolationClassesFailLint(t *testing.T) {
@@ -102,21 +85,9 @@ func (b *box) peek() int { return b.n }
 import "context"
 func root() context.Context { return context.Background() }
 `},
-		{"goexit", "nanometer/internal/fixture", `package fixture
-func spin() {
-	go func() {
-		for {
-		}
-	}()
-}
-`},
 		{"metriclabel", "nanometer/internal/fixture", `package fixture
 import "nanometer/internal/obs"
 func leak(vec *obs.CounterVec, name string) { vec.With(name).Inc() }
-`},
-		{"baselab", "nanometer/internal/fixture", `package fixture
-import "nanometer/internal/device"
-func lab() *device.Lab { return device.BaseLab() }
 `},
 	}
 	exports, err := analyzers.LoadExports(".",

@@ -39,7 +39,7 @@ func sharedExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
 		exports, exportsErr = analyzers.LoadExports(".",
-			"./...", "sync", "sort", "slices", "fmt", "context", "net/http", "strconv")
+			"./...", "sync", "context", "net/http", "strconv")
 	})
 	if exportsErr != nil {
 		t.Fatalf("loading export data: %v", exportsErr)
@@ -50,7 +50,7 @@ func sharedExports(t *testing.T) map[string]string {
 var wantRe = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 
 // Run type-checks every .go file in dir as one package under the given
-// import path (the path matters for scoped analyzers like detrange) and
+// import path (the path matters for scoped analyzers like ctxflow) and
 // checks the analyzer's diagnostics against the fixture's want
 // annotations.
 func Run(t *testing.T, a *analyzers.Analyzer, dir, pkgPath string) {

@@ -19,7 +19,7 @@ import (
 //     unaddressable.
 func FuzzAllowDirective(f *testing.F) {
 	f.Add("//lint:allow ctxflow queue is a lifecycle root")
-	f.Add("// lint:allow lockguard,goexit reason text")
+	f.Add("// lint:allow lockguard,ctxflow reason text")
 	f.Add("//lint:allow ,,,")
 	f.Add("// guarded by mu")
 	f.Add("//guarded by labelMu.")

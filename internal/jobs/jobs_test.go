@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,11 +36,24 @@ func (s *memStore) Get(artifactID, key string) (*result.Result, bool) {
 	return res, ok
 }
 
-func (s *memStore) Put(artifactID, key string, res *result.Result) {
+func (s *memStore) Put(artifactID, key string, res *result.Result) bool {
 	s.puts.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[artifactID+"\x00"+key] = res
+	return true
+}
+
+// waitGoroutines polls until at most want goroutines run.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func shortTrace(name string) *trace.Trace {
@@ -228,11 +242,34 @@ func TestAdmitRejectionFails(t *testing.T) {
 	}
 }
 
+// TestCloseCancelsEverything: Close with one job running and one queued
+// cancels both and returns only once both run goroutines have finished
+// (each job's OnFinish has run), leaving no goroutine behind.
 func TestCloseCancelsEverything(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	q := New(Config{Workers: 1})
+	var finished atomic.Int64
+	q.OnFinish = func(State, bool) {
+		// A slow last step: a Close that does not wait returns before it.
+		time.Sleep(20 * time.Millisecond)
+		finished.Add(1)
+	}
 	running, _ := q.Submit(longTrace("r"))
+	for running.State() != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
 	queued, _ := q.Submit(longTrace("q"))
-	q.Close()
+	closed := make(chan struct{})
+	go func() { q.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if n := finished.Load(); n != 2 {
+		t.Fatalf("Close returned with %d of 2 jobs finished", n)
+	}
+	waitGoroutines(t, baseline)
 	if s := running.State(); s != StateCanceled {
 		t.Fatalf("running job %s after Close", s)
 	}

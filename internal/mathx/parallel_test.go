@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withProcs runs f under a forced GOMAXPROCS, restoring the ambient value.
@@ -122,4 +123,43 @@ func TestParForBlocksCoversRange(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestParForBlocksWaitsForItsGoroutines: a split over n ≥ parCutoff at
+// GOMAXPROCS 4 returns only after every block has finished, and leaves no
+// goroutine behind.
+func TestParForBlocksWaitsForItsGoroutines(t *testing.T) {
+	withProcs(4, func() {
+		baseline := runtime.NumGoroutine()
+		var started atomic.Int32
+		hold, returned := make(chan struct{}), make(chan struct{})
+		go func() {
+			parForBlocks(parCutoff, func(lo, hi int) {
+				started.Add(1)
+				<-hold
+			})
+			close(returned)
+		}()
+		for started.Load() < 4 {
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case <-returned:
+			t.Fatal("parForBlocks returned while its blocks were still running")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(hold)
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatal("parForBlocks did not return after its blocks finished")
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after parForBlocks, baseline %d", runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

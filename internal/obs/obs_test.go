@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,28 @@ latency_seconds_count 3
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Children live in a map, so only the sort makes their order stable:
+	// 16 children inserted out of order render sorted, every time.
+	want = "# HELP many_total many children\n# TYPE many_total counter\n"
+	for i := 0; i < 16; i++ {
+		want += fmt.Sprintf("many_total{k=\"k%02d\"} %d\n", i, i)
+	}
+	for rep := 0; rep < 20; rep++ {
+		r := &Registry{}
+		v := r.CounterVec("many_total", "many children", "k")
+		for i := 0; i < 16; i++ {
+			k := i * 7 % 16
+			v.With(fmt.Sprintf("k%02d", k)).Add(float64(k))
+		}
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); got != want {
+			t.Fatalf("vec children out of order (run %d):\n%s", rep, got)
+		}
 	}
 }
 

@@ -92,11 +92,6 @@ func (t TransientSpec) Step(deltaI, rampS float64) (TransientResult, error) {
 	return res, nil
 }
 
-// WakeupTransient is a legacy alias of Step.
-func (t TransientSpec) WakeupTransient(deltaI, rampS float64) (TransientResult, error) {
-	return t.Step(deltaI, rampS)
-}
-
 // MinSafeRampS returns the slowest ramp time at which a deltaI step stays
 // within the budget fraction of Vdd: zero when the decap absorbs even an
 // instant step (ΔI·√(L/C) ≤ budget), otherwise L·ΔI/budget — the point at

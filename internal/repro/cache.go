@@ -43,8 +43,8 @@ const MaxCacheEntries = 256
 // counters must be). hits = served from an existing entry, misses = filled
 // a new entry (from the result store or a fresh compute), bypassed =
 // computed uncached because the bound was reached or NoCache was set.
-// storeHits/storePuts track the second-level result store.
-var cacheHits, cacheMisses, cacheBypassed, storeHits, storePuts atomic.Uint64
+// storeHits/storePuts/storePutErrors track the second-level result store.
+var cacheHits, cacheMisses, cacheBypassed, storeHits, storePuts, storePutErrors atomic.Uint64
 
 // CacheStats is a point-in-time snapshot of the compute cache counters.
 type CacheStats struct {
@@ -54,9 +54,10 @@ type CacheStats struct {
 	// process, surviving ResetCache.
 	Hits, Misses, Bypassed uint64
 	// StoreHits counts results served from the second-level result store
-	// instead of the solvers; StorePuts counts successful results
-	// persisted into it. Both are zero when no store is configured.
-	StoreHits, StorePuts uint64
+	// instead of the solvers; StorePuts counts results whose write landed
+	// in it, StorePutErrors those whose write failed. All three are zero
+	// when no store is configured.
+	StoreHits, StorePuts, StorePutErrors uint64
 	// Entries is the current number of memoized results.
 	Entries int
 }
@@ -64,12 +65,13 @@ type CacheStats struct {
 // ReadCacheStats snapshots the cache counters for /metrics.
 func ReadCacheStats() CacheStats {
 	return CacheStats{
-		Hits:      cacheHits.Load(),
-		Misses:    cacheMisses.Load(),
-		Bypassed:  cacheBypassed.Load(),
-		StoreHits: storeHits.Load(),
-		StorePuts: storePuts.Load(),
-		Entries:   int(cache.Load().n.Load()),
+		Hits:           cacheHits.Load(),
+		Misses:         cacheMisses.Load(),
+		Bypassed:       cacheBypassed.Load(),
+		StoreHits:      storeHits.Load(),
+		StorePuts:      storePuts.Load(),
+		StorePutErrors: storePutErrors.Load(),
+		Entries:        int(cache.Load().n.Load()),
 	}
 }
 
@@ -79,12 +81,13 @@ func ReadCacheStats() CacheStats {
 // or reports a miss; Put persists a freshly computed result. Both must be
 // safe for concurrent use, and both are best-effort — a store failure must
 // degrade to a miss / no-op, never an error, because the compute path can
-// always fall back to solving. Error results are never stored: ComputeCached
-// only calls Put with a successful compute, so a transient failure can
-// never be replayed out of the store.
+// always fall back to solving. Put reports whether the result landed, so
+// only landed writes are counted. Error results are never stored:
+// ComputeCached only calls Put with a successful compute, so a transient
+// failure can never be replayed out of the store.
 type ResultStore interface {
 	Get(artifactID, computeKey string) (*result.Result, bool)
-	Put(artifactID, computeKey string, res *result.Result)
+	Put(artifactID, computeKey string, res *result.Result) bool
 }
 
 // storeBox wraps the configured ResultStore so the atomic pointer swap
@@ -214,8 +217,11 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 	if s == nil {
 		return
 	}
-	s.Put(a.ID, opts.computeKey(), res)
-	storePuts.Add(1)
+	if s.Put(a.ID, opts.computeKey(), res) {
+		storePuts.Add(1)
+	} else {
+		storePutErrors.Add(1)
+	}
 }
 
 // computeKey hashes the options that reach the models. CSVDir, Plot,

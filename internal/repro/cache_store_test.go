@@ -26,11 +26,12 @@ func (s *memStore) Get(artifactID, computeKey string) (*result.Result, bool) {
 	return res, ok
 }
 
-func (s *memStore) Put(artifactID, computeKey string, res *result.Result) {
+func (s *memStore) Put(artifactID, computeKey string, res *result.Result) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[artifactID+"/"+computeKey] = res
 	s.puts++
+	return true
 }
 
 // flaky builds an artifact that fails its first failN computes and then

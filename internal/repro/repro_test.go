@@ -79,8 +79,14 @@ func TestSelect(t *testing.T) {
 	if strings.Join(ids, ",") != "t1,f3,c8" {
 		t.Fatalf("selection order %v, want canonical t1,f3,c8", ids)
 	}
-	if _, err := Select([]string{"t1", "nope"}); err == nil {
-		t.Fatal("unknown id must error")
+	// The unknown IDs pass through a map; the error names them sorted,
+	// every time.
+	unknown := []string{"zz", "nope", "x9", "bogus", "f99", "a0", "qq", "m1", "t1"}
+	for rep := 0; rep < 20; rep++ {
+		_, err := Select(unknown)
+		if want := "repro: unknown artifact id(s) [a0 bogus f99 m1 nope qq x9 zz] (use -list)"; err == nil || err.Error() != want {
+			t.Fatalf("Select(%v) error = %v, want %q", unknown, err, want)
+		}
 	}
 }
 

@@ -1,10 +1,17 @@
 package repro
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"nanometer/internal/itrs"
 	"nanometer/internal/result"
+	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 )
 
@@ -123,4 +130,64 @@ func TestCommittedScenarios(t *testing.T) {
 			seen[v] = name
 		}
 	}
+}
+
+// TestEveryArtifactReadsTheScenario: under a scenario that nudges every
+// base node (Vdd ×1.02, junction temperature +1 °C), every registry
+// artifact computes data that differs from base. An artifact whose model
+// reached for device.BaseLab or itrs.Base instead of its options' lab
+// would come out identical, so no scenario can be computed silently at
+// base parameters. The scenario stamp and the checks differ by
+// construction and are ignored.
+func TestEveryArtifactReadsTheScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes the full registry twice; run without -short")
+	}
+	var nodes []string
+	for _, n := range itrs.Base().All() {
+		nodes = append(nodes, fmt.Sprintf(`{"node_nm":%d,"vdd_v":%g,"junction_temp_c":%g}`,
+			n.DrawnNM, n.Vdd*1.02, n.JunctionTempC+1))
+	}
+	nudge := scenario.MustParse(`{"name":"nudge","nodes":[` + strings.Join(nodes, ",") + `]}`)
+	arts := Artifacts()
+	base, err := ComputeAllCtx(context.Background(), runner.Pool{}, arts, Options{})
+	if err != nil {
+		t.Fatalf("base: %v", err)
+	}
+	nudged, err := ComputeAllCtx(context.Background(), runner.Pool{}, arts, Options{Scenario: nudge})
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	for i, a := range arts {
+		if bytes.Equal(resultData(t, base[i]), resultData(t, nudged[i])) {
+			t.Errorf("%s computes the same data under an all-node scenario as at base: it does not read the scenario's lab", a.ID)
+		}
+	}
+}
+
+// resultData is res's JSON without the scenario stamp and the checks. It
+// works on a decoded copy, because cached results are shared.
+func resultData(t *testing.T, res *result.Result) []byte {
+	t.Helper()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c result.Result
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatal(err)
+	}
+	c.Scenario = ""
+	for _, it := range c.Items {
+		if it.Claim != nil {
+			for i := range it.Claim.Findings {
+				it.Claim.Findings[i].Check = nil
+			}
+		}
+	}
+	data, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

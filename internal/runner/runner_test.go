@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // spinJobs builds n jobs whose completion order is scrambled by busy work so
@@ -139,5 +141,81 @@ func TestSinkErrorReported(t *testing.T) {
 	_, err := Pool{Workers: 2}.RunToContext(context.Background(), &failWriter{after: 1}, jobs)
 	if err == nil || !strings.Contains(err.Error(), "sink closed") {
 		t.Fatalf("sink failure not reported: %v", err)
+	}
+}
+
+// TestRunToContextReturnsToBaseline: RunToContext starts one goroutine per
+// job, and every one of them exits — after a normal run, after a job that
+// panics, and after a cancel that lands while jobs are still queued for a
+// worker slot. A worker that kept its slot would hang the run; a queued
+// job that ignored the cancel would outlive it.
+func TestRunToContextReturnsToBaseline(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	start := func(ctx context.Context, jobs []Job) <-chan []Result {
+		ch := make(chan []Result, 1)
+		go func() {
+			res, _ := Pool{Workers: 1}.RunToContext(ctx, nil, jobs)
+			ch <- res
+		}()
+		return ch
+	}
+	await := func(ch <-chan []Result) []Result {
+		t.Helper()
+		select {
+		case res := <-ch:
+			return res
+		case <-time.After(10 * time.Second):
+			t.Fatal("RunToContext did not return")
+			return nil
+		}
+	}
+
+	if err := Errs(await(start(context.Background(), spinJobs(4)))); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, baseline)
+
+	ok := Job{ID: "ok", Run: func(io.Writer) error { return nil }}
+	res := await(start(context.Background(), []Job{{ID: "panics", Run: func(io.Writer) error { panic("kaboom") }}, ok, ok}))
+	if res[0].Err == nil || res[1].Err != nil || res[2].Err != nil {
+		t.Fatalf("panic run errors = %v, %v, %v; want only the first", res[0].Err, res[1].Err, res[2].Err)
+	}
+	waitGoroutines(t, baseline)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var running atomic.Int64
+	hold := make(chan struct{})
+	held := Job{ID: "held", Run: func(io.Writer) error { running.Add(1); <-hold; return nil }}
+	ch := start(ctx, []Job{held, held, held})
+	for running.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	// The two queued jobs give up their wait for the slot; only the caller
+	// and the running job remain.
+	waitGoroutines(t, baseline+2)
+	close(hold)
+	canceled := 0
+	for _, r := range await(ch) {
+		if errors.Is(r.Err, context.Canceled) {
+			canceled++
+		}
+	}
+	if canceled != 2 || running.Load() != 1 {
+		t.Fatalf("%d jobs ran and %d were canceled, want 1 and 2", running.Load(), canceled)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines polls until at most want goroutines run.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

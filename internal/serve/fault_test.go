@@ -7,7 +7,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
+	"nanometer/internal/store"
 )
 
 // TestFaultPathsReturnToBaseline drives each request fault path once and
@@ -37,6 +41,9 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 		setup   func(t *testing.T) ([]repro.Artifact, func(t *testing.T, s *Server, srv *httptest.Server))
 		retry   string
 		wantHit bool // the abandoned work succeeded, so the retry hits
+		// brokenStore runs the case with a result store whose directory
+		// is removed after Open, so every write to it fails.
+		brokenStore bool
 	}{
 		{
 			name:    "leader-timeout-504",
@@ -47,6 +54,9 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
 					if rec := get(t, s.Handler(), "/api/v1/artifacts/slow", nil); rec.Code != http.StatusGatewayTimeout {
 						t.Fatalf("slow compute = %d, want 504", rec.Code)
+					}
+					if got := s.met.timeouts.Value(); got != 1 {
+						t.Errorf("timeouts = %v after a deadline, want 1", got)
 					}
 				}
 			},
@@ -139,11 +149,42 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 					if err := <-done; err == nil {
 						t.Error("disconnected client got a response")
 					}
-					waitFor(t, func() bool { return s.met.timeouts.Value() == 1 })
+					// A hang-up is recorded as 499, not as a timeout.
+					waitFor(t, func() bool { return s.met.requests.With("499").Value() == 1 })
+					if got := s.met.timeouts.Value(); got != 0 {
+						t.Errorf("timeouts = %v after a disconnect, want 0", got)
+					}
 					close(unblock)
 				}
 			},
 			retry:   "/api/v1/report",
+			wantHit: true,
+		},
+		{
+			name:        "store-write-failure",
+			brokenStore: true,
+			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
+				var n atomic.Int64
+				arts := []repro.Artifact{counting("unstored", &n, 0, nil)}
+				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
+					// Both counters are process-wide: compare against a scrape
+					// taken just before the request.
+					h := s.Handler()
+					counters := func() (puts, errs float64) {
+						p, _ := strconv.ParseFloat(metricValue(t, h, "nanoreprod_store_puts_total"), 64)
+						e, _ := strconv.ParseFloat(metricValue(t, h, "nanoreprod_store_put_errors_total"), 64)
+						return p, e
+					}
+					puts, errs := counters()
+					if rec := get(t, h, "/api/v1/artifacts/unstored", nil); rec.Code != 200 {
+						t.Fatalf("artifact over a failing store = %d, want 200", rec.Code)
+					}
+					if p, e := counters(); p != puts || e != errs+1 {
+						t.Errorf("store puts %v → %v and put errors %v → %v, want puts unchanged and errors +1", puts, p, errs, e)
+					}
+				}
+			},
+			retry:   "/api/v1/artifacts/unstored",
 			wantHit: true,
 		},
 	} {
@@ -155,7 +196,20 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				timeout = 30 * time.Second
 			}
 			arts, fault := tc.setup(t)
-			s := New(Config{Artifacts: arts, GateUnits: tc.units, Timeout: timeout})
+			var st *store.Store
+			if tc.brokenStore {
+				dir := filepath.Join(t.TempDir(), "store")
+				var err error
+				if st, err = store.Open(store.Config{Dir: dir}); err != nil {
+					t.Fatal(err)
+				}
+				// Removal, not chmod: root ignores permission bits.
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+				defer repro.SetResultStore(nil)
+			}
+			s := New(Config{Artifacts: arts, GateUnits: tc.units, Timeout: timeout, Store: st})
 			defer s.Close()
 			srv := httptest.NewServer(s.Handler())
 			defer srv.Close()
@@ -251,9 +305,13 @@ func TestScenariosDisconnectReturnsToBaseline(t *testing.T) {
 	waitFor(t, func() bool { return blocked.Load() == 2 })
 	cancel()
 	resp.Body.Close()
-	// The handler notices the hang-up and stops collecting; the variants
-	// still computing finish afterwards and release their gate units.
-	waitFor(t, func() bool { return s.met.timeouts.Value() == 1 })
+	// The handler notices the hang-up and returns (its request is counted)
+	// without counting a timeout; the variants still computing finish
+	// afterwards and release their gate units.
+	waitFor(t, func() bool { return s.met.requests.With("200").Value() == 1 })
+	if got := s.met.timeouts.Value(); got != 0 {
+		t.Errorf("timeouts = %v after a disconnect, want 0", got)
+	}
 	close(unblock)
 	waitBaseline(t, s, baseline)
 

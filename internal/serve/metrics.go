@@ -98,8 +98,11 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *met
 		"ComputeCached fills served from the result store instead of the solvers.",
 		func() float64 { return float64(repro.ReadCacheStats().StoreHits) })
 	reg.CounterFunc("nanoreprod_store_puts_total",
-		"Successful results persisted into the result store.",
+		"Computed results whose write landed in the result store.",
 		func() float64 { return float64(repro.ReadCacheStats().StorePuts) })
+	reg.CounterFunc("nanoreprod_store_put_errors_total",
+		"Computed results whose write to the result store failed (not persisted).",
+		func() float64 { return float64(repro.ReadCacheStats().StorePutErrors) })
 	if st != nil {
 		reg.GaugeFunc("nanoreprod_store_entries",
 			"Result files currently in the store directory (shared across replicas).",

@@ -180,9 +180,14 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 					line.Error = out.err.Error()
 				}
 			case <-ctx.Done():
-				// Stop waiting but keep emitting one line per variant so the
-				// stream stays parseable and complete. The abandoned computes
-				// finish into the cache and release their gate units.
+				// A client that hung up gets nothing more. On the deadline,
+				// stop waiting but keep emitting one line per variant so the
+				// stream stays parseable and complete. Either way the
+				// abandoned computes finish into the cache and release their
+				// gate units.
+				if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+					return
+				}
 				s.met.timeouts.Inc()
 				timedOut = true
 				line.Error = "request deadline exceeded before this variant was collected"

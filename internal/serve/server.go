@@ -437,9 +437,10 @@ func (s *Server) writeKept(w http.ResponseWriter, rec *bodyRecord, etag string, 
 // so N identical concurrent requests cost one admission, not N. The leader
 // acquires wt gate units and starts one goroutine that produces the body,
 // finishes rec and then releases the units. Either waits under its own
-// deadline: on expiry it answers 504 and walks away, while the goroutine
-// still finishes rec (kept, so the retry is a hit) and the compute lands
-// in the compute cache. The gate units stay held until the work is done,
+// deadline: on expiry it answers 504 and walks away (a client that hung up
+// first gets nothing and is recorded as 499), while the goroutine still
+// finishes rec (kept, so the retry is a hit) and the compute lands in the
+// compute cache. The gate units stay held until the work is done,
 // so the gate bounds real solver concurrency, not merely live handlers.
 func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag string, enc render.Encoding, rec *bodyRecord, leader bool,
 	wt int64, produce func(context.Context) ([]byte, error)) {
@@ -467,8 +468,22 @@ func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag s
 	case <-rec.done:
 		writeRecord(w, etag, enc, rec)
 	case <-ctx.Done():
+		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			// The client hung up first: nothing to answer, no timeout.
+			clientGone(w)
+			return
+		}
 		s.met.timeouts.Inc()
 		apiError(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", ctx.Err())
+	}
+}
+
+// clientGone records status 499 (nginx's "client closed request") for a
+// request whose client hung up, without writing anything to the
+// connection.
+func clientGone(w http.ResponseWriter) {
+	if sr, ok := w.(*statusRecorder); ok {
+		sr.code = 499
 	}
 }
 

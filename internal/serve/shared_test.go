@@ -136,10 +136,11 @@ func TestSingleflightReportCollapse(t *testing.T) {
 	}
 }
 
-// TestSingleflightReportLeaderGone: a report follower whose leader
-// disconnected mid-compute answers 503 with Retry-After (the leader's
-// canceled report launched no further artifacts), and its retry leads
-// afresh and answers 200.
+// TestSingleflightReportLeaderGone: a report leader that disconnected
+// mid-compute is answered nothing and recorded as 499; its follower
+// answers 503 with Retry-After (the leader's canceled report launched no
+// further artifacts), and the follower's retry leads afresh and answers
+// 200.
 func TestSingleflightReportLeaderGone(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
@@ -153,19 +154,20 @@ func TestSingleflightReportLeaderGone(t *testing.T) {
 	h := s.Handler()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	leader := make(chan int, 1)
+	leader := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/report", nil).WithContext(ctx))
-		leader <- rec.Code
+		leader <- rec
 	}()
 	waitFor(t, func() bool { return computes.Load() == 1 })
 	follower := make(chan *httptest.ResponseRecorder, 1)
 	go func() { follower <- get(t, h, "/api/v1/report", nil) }()
 	waitFor(t, func() bool { return s.met.singleflightShared.Value() == 1 })
 	cancel()
-	if code := <-leader; code != http.StatusGatewayTimeout {
-		t.Errorf("disconnected leader = %d, want 504", code)
+	if rec := <-leader; rec.Body.Len() != 0 || s.met.requests.With("499").Value() != 1 || s.met.timeouts.Value() != 0 {
+		t.Errorf("disconnected leader got %q, %v requests recorded 499 and %v timeouts; want nothing, 1 and 0",
+			rec.Body.String(), s.met.requests.With("499").Value(), s.met.timeouts.Value())
 	}
 	close(unblock)
 	rec := <-follower

@@ -147,12 +147,13 @@ func (s *Store) Get(artifactID, computeKey string) (*result.Result, bool) {
 }
 
 // Put persists a result under the key: temp file, fsync-free write, atomic
-// rename, then bound enforcement. Failures are counted and swallowed.
-func (s *Store) Put(artifactID, computeKey string, res *result.Result) {
+// rename, then bound enforcement. It reports whether the file landed;
+// failures are counted in Stats and otherwise swallowed.
+func (s *Store) Put(artifactID, computeKey string, res *result.Result) bool {
 	payload, err := json.Marshal(res)
 	if err != nil {
 		s.putErrors.Add(1)
-		return
+		return false
 	}
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s %s %d\n", header, checksum(payload), len(payload))
@@ -163,22 +164,23 @@ func (s *Store) Put(artifactID, computeKey string, res *result.Result) {
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		s.putErrors.Add(1)
-		return
+		return false
 	}
 	_, werr := tmp.Write(buf.Bytes())
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		s.putErrors.Add(1)
-		return
+		return false
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, fileName(artifactID, computeKey))); err != nil {
 		os.Remove(tmp.Name())
 		s.putErrors.Add(1)
-		return
+		return false
 	}
 	s.puts.Add(1)
 	s.enforceBoundsLocked()
+	return true
 }
 
 func checksum(payload []byte) string {

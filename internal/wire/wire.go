@@ -150,12 +150,6 @@ func (l Line) Energy(lengthM, vdd float64) float64 {
 	return l.CPerM() * lengthM * vdd * vdd
 }
 
-// TimeOfFlightBound returns a loose lower bound on propagation delay from
-// the RC diffusion: the delay of the same line with an ideal driver.
-func (l Line) TimeOfFlightBound(lengthM float64) float64 {
-	return l.ElmoreDelay(lengthM)
-}
-
 // CrossChipLengthIn returns the die-edge length (m) for a node — the canonical
 // "corner-to-corner-ish" global wire the paper's cross-chip communication
 // concerns: the die is modeled square.
