@@ -63,7 +63,8 @@ type Circuit struct {
 }
 
 // Validate checks structural invariants: topological order, valid fanin
-// references, valid class indices, positive sizes.
+// references, cell flavors the tech's table holds, valid class indices,
+// positive sizes.
 func (c *Circuit) Validate() error {
 	if c.Tech == nil {
 		return fmt.Errorf("netlist: circuit has no tech")
@@ -84,6 +85,9 @@ func (c *Circuit) Validate() error {
 		}
 		if len(g.Inputs) == 0 {
 			return fmt.Errorf("netlist: gate %d has no inputs", i)
+		}
+		if flavorOf(g.Kind, len(g.Inputs)) < 0 {
+			return fmt.Errorf("netlist: gate %d is a %d-input %v, a flavor outside the cell table", i, len(g.Inputs), g.Kind)
 		}
 		for _, in := range g.Inputs {
 			if pi, ok := IsPI(in); ok {

@@ -1,11 +1,14 @@
 package netlist
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"nanometer/internal/device"
 	"nanometer/internal/gate"
+	"nanometer/internal/itrs"
 	"nanometer/internal/units"
 )
 
@@ -137,6 +140,23 @@ func TestValidateCatchesViolations(t *testing.T) {
 			t.Errorf("violation %d not caught", i)
 		}
 	}
+	// A flavor outside the cell table is rejected by name, not left to
+	// panic inside the timing loop.
+	for _, f := range []struct {
+		kind   gate.Kind
+		inputs []int
+	}{
+		{gate.Nand, []int{PI(0), PI(1), PI(2), PI(3)}},
+		{gate.Inv, []int{PI(0), PI(1)}},
+		{gate.Kind(7), []int{PI(0)}},
+	} {
+		c := base.Clone()
+		c.Gates[5].Kind, c.Gates[5].Inputs = f.kind, f.inputs
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "gate 5 ") {
+			t.Errorf("%d-input %v: got %v, want an error naming gate 5", len(f.inputs), f.kind, err)
+		}
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -257,6 +277,84 @@ func TestGateDelayIncludesLCPenalty(t *testing.T) {
 	after := c.GateDelay(g)
 	if after <= before+c.Tech.LevelConverterDelayS*0.99 {
 		t.Fatalf("LC delay penalty missing: %g vs %g", after, before)
+	}
+}
+
+// lazyUnit characterizes one flavor the way the cell table was filled on
+// first use before NewTechIn built it whole: fresh devices at the
+// threshold, the gate constructors, then the drive and leakage model.
+func lazyUnit(t *Tech, kind gate.Kind, inputs, vddClass, vthClass int) unitCell {
+	n := t.nmos.WithVth(t.VthLevels[vthClass])
+	p := t.pmos.WithVth(t.VthLevels[vthClass])
+	var g *gate.Gate
+	switch kind {
+	case gate.Inv:
+		g = gate.NewInverter(n, p, t.UnitWnM/t.nmos.LeffM, t.UnitWpM/t.nmos.LeffM)
+	case gate.Nand:
+		g = gate.NewNand(n, p, inputs, t.UnitWnM*float64(inputs), t.UnitWpM)
+	case gate.Nor:
+		g = gate.NewNor(n, p, inputs, t.UnitWnM, t.UnitWpM*float64(inputs))
+	}
+	vdd := t.VddLevels[vddClass]
+	inA := g.N.IonPerWidth(vdd, t.TemperatureK)
+	ipA := g.P.IonPerWidth(vdd, t.TemperatureK)
+	var pd, pu float64
+	switch kind {
+	case gate.Nand:
+		pd = inA * g.WnM / float64(inputs)
+		pu = ipA * g.WpM
+	case gate.Nor:
+		pd = inA * g.WnM
+		pu = ipA * g.WpM / float64(inputs)
+	default:
+		pd = inA * g.WnM
+		pu = ipA * g.WpM
+	}
+	return unitCell{
+		cinF:     g.InputCapacitance(),
+		cselfF:   g.SelfCapacitance(),
+		driveA:   2 * pd * pu / (pd + pu),
+		leakW:    g.LeakagePower(vdd, t.TemperatureK),
+		vdd:      vdd,
+		delayFit: gate.DefaultDelayFit,
+	}
+}
+
+// The table NewTechIn builds must hold, bit for bit, what characterizing
+// each flavor on first use gave, on the base roadmap and on a scenario
+// lab with other device anchors, with one supply and with two.
+func TestUnitTableMatchesLazyCharacterization(t *testing.T) {
+	scen, err := device.NewLab(itrs.Base(), map[int]device.Params{100: {VthAnchor: 0.27, DIBL: 0.07}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flavors := []struct {
+		kind   gate.Kind
+		inputs int
+	}{{gate.Inv, 1}, {gate.Nand, 2}, {gate.Nand, 3}, {gate.Nor, 2}, {gate.Nor, 3}}
+	for _, lab := range []*device.Lab{device.BaseLab(), scen} {
+		for _, low := range []float64{0.65, 0} {
+			tech, err := NewTechIn(lab, 100, low)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range flavors {
+				for vdd := range tech.VddLevels {
+					for vth := range tech.VthLevels {
+						got, want := *tech.unit(f.kind, f.inputs, vdd, vth), lazyUnit(tech, f.kind, f.inputs, vdd, vth)
+						for k, v := range [][2]float64{
+							{got.cinF, want.cinF}, {got.cselfF, want.cselfF}, {got.driveA, want.driveA},
+							{got.leakW, want.leakW}, {got.vdd, want.vdd}, {got.delayFit, want.delayFit},
+						} {
+							if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+								t.Errorf("low %g, %d-input %v, vdd %d, vth %d: field %d is %g, lazy fill %g",
+									low, f.inputs, f.kind, vdd, vth, k, v[0], v[1])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

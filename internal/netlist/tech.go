@@ -35,9 +35,13 @@ type Tech struct {
 	LevelConverterEnergyJ float64
 
 	nmos, pmos *device.Device
-	// units caches the unit cells densely by unitIndex; every delay and
-	// load evaluation in the STA inner loop reads it.
-	units []unitCell
+	// units holds every cell flavor's unit-size characteristics by
+	// [flavor][Vdd class][Vth class], built once by NewTechIn and
+	// read-only after. Every delay and load evaluation in the STA inner
+	// loop reads it, and clones sharing the Tech read it concurrently.
+	// Slots past the tech's levels stay zero (a zero drive reads as an
+	// infinite delay); Circuit.Validate rejects gates that would use them.
+	units [numFlavors][maxLevels][maxLevels]unitCell
 }
 
 // unitCell holds the unit-size characteristics of a cell flavor.
@@ -48,22 +52,31 @@ type unitCell struct {
 	leakW    float64 // state-averaged leakage power, unit size
 	vdd      float64
 	delayFit float64
-	built    bool
 }
 
-// maxLevels bounds the gate kinds and the supply and threshold class
-// indices the dense unit-cell cache lays out; NewTechIn builds two levels
-// of each class.
-const maxLevels = 4
+// numFlavors counts the cell flavors the table holds, the ones Generate
+// emits: Inv/1, Nand/2, Nand/3, Nor/2 and Nor/3.
+const numFlavors = 5
 
-// unitIndex packs a flavor into its units slot: the input count is the
-// outermost stride, so the cache grows by appending.
-func unitIndex(kind gate.Kind, inputs, vddClass, vthClass int) int {
-	if uint(kind) >= maxLevels || uint(vddClass) >= maxLevels || uint(vthClass) >= maxLevels || inputs < 0 {
-		panic(fmt.Sprintf("netlist: cell flavor (%v, %d inputs, vdd %d, vth %d) outside the tech's %d-level cache",
-			kind, inputs, vddClass, vthClass, maxLevels))
+// maxLevels bounds the supply and threshold levels the table holds;
+// NewTechIn builds at most two of each.
+const maxLevels = 2
+
+// flavorAt numbers the flavors in the table by [kind][inputs]; -1 marks a
+// flavor the table does not hold.
+var flavorAt = [3][4]int8{
+	gate.Inv:  {-1, 0, -1, -1},
+	gate.Nand: {-1, -1, 1, 2},
+	gate.Nor:  {-1, -1, 3, 4},
+}
+
+// flavorOf numbers a (kind, input count) pair in the table, or returns -1
+// for a flavor the table does not hold.
+func flavorOf(kind gate.Kind, inputs int) int {
+	if uint(kind) >= uint(len(flavorAt)) || uint(inputs) >= uint(len(flavorAt[0])) {
+		return -1
 	}
-	return ((inputs*maxLevels+int(kind))*maxLevels+vddClass)*maxLevels + vthClass
+	return int(flavorAt[kind][inputs])
 }
 
 // VthOffsetHigh is the default high-Vth offset above nominal (the dual-Vth
@@ -109,6 +122,7 @@ func NewTechIn(lab *device.Lab, nodeNM int, lowRatio float64) (*Tech, error) {
 	ref := gate.NewInverter(n, p, 4, 8)
 	t.LevelConverterDelayS = 1.5 * ref.FO4Delay(node.Vdd, t.TemperatureK)
 	t.LevelConverterEnergyJ = 2 * ref.SwitchingEnergy(node.Vdd, ref.InputCapacitance())
+	t.buildUnits()
 	return t, nil
 }
 
@@ -118,62 +132,62 @@ func (t *Tech) VddH() float64 { return t.VddLevels[0] }
 // HasLowVdd reports whether a second, lower supply exists.
 func (t *Tech) HasLowVdd() bool { return len(t.VddLevels) > 1 }
 
-// buildGate constructs the gate-model for a flavor at unit size.
-func (t *Tech) buildGate(kind gate.Kind, inputs, vth int) *gate.Gate {
-	n := t.nmos.WithVth(t.VthLevels[vth])
-	p := t.pmos.WithVth(t.VthLevels[vth])
-	switch kind {
-	case gate.Inv:
-		return gate.NewInverter(n, p, t.UnitWnM/t.nmos.LeffM, t.UnitWpM/t.nmos.LeffM)
-	case gate.Nand:
-		// Series NMOS stacks are upsized by the stack depth to keep the
-		// worst-case pull-down comparable to the inverter.
-		return gate.NewNand(n, p, inputs, t.UnitWnM*float64(inputs), t.UnitWpM)
-	case gate.Nor:
-		return gate.NewNor(n, p, inputs, t.UnitWnM, t.UnitWpM*float64(inputs))
+// buildUnits characterizes every flavor at every supply and threshold
+// level into the unit-cell table.
+func (t *Tech) buildUnits() {
+	for vth, v := range t.VthLevels {
+		n, p := *t.nmos, *t.pmos
+		n.Vth0, p.Vth0 = v, v
+		for kind, row := range flavorAt {
+			for inputs, f := range row {
+				if f < 0 {
+					continue
+				}
+				g := gate.Gate{Kind: gate.Kind(kind), Inputs: inputs, N: &n, P: &p, WnM: t.UnitWnM, WpM: t.UnitWpM}
+				// Series stacks are upsized by the stack depth to keep
+				// the worst-case drive comparable to the inverter's.
+				switch g.Kind {
+				case gate.Nand:
+					g.WnM *= float64(inputs)
+				case gate.Nor:
+					g.WpM *= float64(inputs)
+				}
+				for vdd := range t.VddLevels {
+					t.units[f][vdd][vth] = t.characterize(&g, vdd)
+				}
+			}
+		}
 	}
-	panic(fmt.Sprintf("netlist: unknown kind %v", kind))
 }
 
-// unit returns (building and caching as needed) the unit-cell data for a
-// flavor.
-func (t *Tech) unit(kind gate.Kind, inputs, vddClass, vthClass int) unitCell {
-	k := unitIndex(kind, inputs, vddClass, vthClass)
-	if k < len(t.units) && t.units[k].built {
-		return t.units[k]
-	}
-	g := t.buildGate(kind, inputs, vthClass)
+// characterize computes a unit-size gate's cell data at a supply level.
+func (t *Tech) characterize(g *gate.Gate, vddClass int) unitCell {
 	vdd := t.VddLevels[vddClass]
 	// Effective average drive current for the delay model.
-	inA := g.N.IonPerWidth(vdd, t.TemperatureK)
-	ipA := g.P.IonPerWidth(vdd, t.TemperatureK)
-	var pd, pu float64
-	switch kind {
+	pd := g.N.IonPerWidth(vdd, t.TemperatureK) * g.WnM
+	pu := g.P.IonPerWidth(vdd, t.TemperatureK) * g.WpM
+	switch g.Kind {
 	case gate.Nand:
-		pd = inA * g.WnM / float64(inputs)
-		pu = ipA * g.WpM
+		pd /= float64(g.Inputs)
 	case gate.Nor:
-		pd = inA * g.WnM
-		pu = ipA * g.WpM / float64(inputs)
-	default:
-		pd = inA * g.WnM
-		pu = ipA * g.WpM
+		pu /= float64(g.Inputs)
 	}
 	drive := 2 * pd * pu / (pd + pu) // harmonic mean ≈ average transition
-	u := unitCell{
+	return unitCell{
 		cinF:     g.InputCapacitance(),
 		cselfF:   g.SelfCapacitance(),
 		driveA:   drive,
 		leakW:    g.LeakagePower(vdd, t.TemperatureK),
 		vdd:      vdd,
 		delayFit: gate.DefaultDelayFit,
-		built:    true,
 	}
-	if k >= len(t.units) {
-		t.units = append(t.units, make([]unitCell, k+1-len(t.units))...)
-	}
-	t.units[k] = u
-	return u
+}
+
+// unit returns the table entry of a flavor. A kind, input count or class
+// beyond the table's bounds panics on the index; Circuit.Validate checks
+// every gate's flavor and classes up front.
+func (t *Tech) unit(kind gate.Kind, inputs, vddClass, vthClass int) *unitCell {
+	return &t.units[flavorAt[kind][inputs]][vddClass][vthClass]
 }
 
 // PinCapacitance returns the input capacitance of one pin of a cell flavor

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"nanometer/internal/jobs"
 	"nanometer/internal/obs"
@@ -104,18 +105,28 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *met
 		"Computed results whose write to the result store failed (not persisted).",
 		func() float64 { return float64(repro.ReadCacheStats().StorePutErrors) })
 	if st != nil {
+		// One directory scan per scrape: the registry renders families in
+		// registration order, so the entries gauge scans and leaves the
+		// byte total for the bytes gauge right after it. Concurrent
+		// scrapes may pair one scan's count with another's bytes, both
+		// current readings of the same directory.
+		var scannedBytes atomic.Int64
 		reg.GaugeFunc("nanoreprod_store_entries",
 			"Result files currently in the store directory (shared across replicas).",
-			func() float64 { return float64(st.Stats().Entries) })
+			func() float64 {
+				entries, bytes := st.Footprint()
+				scannedBytes.Store(bytes)
+				return float64(entries)
+			})
 		reg.GaugeFunc("nanoreprod_store_bytes",
 			"Total bytes of result files in the store directory.",
-			func() float64 { return float64(st.Stats().Bytes) })
+			func() float64 { return float64(scannedBytes.Load()) })
 		reg.CounterFunc("nanoreprod_store_evictions_total",
 			"Store files evicted by the entry/byte bounds.",
-			func() float64 { return float64(st.Stats().Evictions) })
+			func() float64 { return float64(st.Counters().Evictions) })
 		reg.CounterFunc("nanoreprod_store_corrupt_total",
 			"Store files dropped on checksum or decode failure.",
-			func() float64 { return float64(st.Stats().Corrupt) })
+			func() float64 { return float64(st.Counters().Corrupt) })
 	}
 	// Mesh-solver health: the MG-PCG iteration count is near-constant per
 	// mesh size by construction, so iterations_total/solves_total drifting

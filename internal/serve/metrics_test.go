@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
+	"nanometer/internal/store"
 )
 
 // TestLabelHelpersBound pins the cardinality guards metriclabel steers
@@ -71,5 +75,53 @@ func TestEncodeReportHonorsCancel(t *testing.T) {
 	}
 	if computes != 0 {
 		t.Errorf("canceled report launched %d computes, want 0", computes)
+	}
+}
+
+// TestScrapeScansStoreOnce: one /metrics scrape lists and stats the store
+// directory once. Every scan allocates per file, so the allocations a
+// scrape gains when the store grows from 0 to 20 files must be those of
+// one Footprint scan, and the exported count and bytes must be its.
+func TestScrapeScansStoreOnce(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := jobsvc.New(jobsvc.Config{})
+	defer q.Close()
+	m := newMetrics(newGate(8), st, q, newBodyTable())
+	scrape := func() float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := m.reg.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	scan := func() float64 { return testing.AllocsPerRun(20, func() { st.Footprint() }) }
+	scrape0, scan0 := scrape(), scan()
+	for i := 0; i < 20; i++ {
+		st.Put("t2", fmt.Sprintf("k%02d", i), &result.Result{ID: "t2", Title: "stored"})
+	}
+	perScrape, perScan := scrape()-scrape0, scan()-scan0
+	if perScan < 20 {
+		t.Fatalf("a 20-file scan allocates %v more than an empty one; the bound cannot see scans", perScan)
+	}
+	if perScrape < 0.5*perScan || perScrape > 1.5*perScan {
+		t.Fatalf("20 store files add %v allocations to a scrape, one scan adds %v: want exactly one scan", perScrape, perScan)
+	}
+	var body bytes.Buffer
+	if err := m.reg.WritePrometheus(&body); err != nil {
+		t.Fatal(err)
+	}
+	entries, size := st.Footprint()
+	for _, want := range []string{
+		fmt.Sprintf("nanoreprod_store_entries %d\n", entries),
+		fmt.Sprintf("nanoreprod_store_bytes %d\n", size),
+		"nanoreprod_store_evictions_total 0\n",
+		"nanoreprod_store_corrupt_total 0\n",
+	} {
+		if entries != 20 || !strings.Contains(body.String(), want) {
+			t.Errorf("scrape of a %d-file store lacks %q", entries, want)
+		}
 	}
 }

@@ -268,7 +268,7 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 		t.Fatalf("slow compute = %d, want 504", rec.Code)
 	}
 	// The abandoned compute lands in memory AND on disk.
-	waitFor(t, func() bool { return st.Stats().Puts == 1 })
+	waitFor(t, func() bool { return st.Counters().Puts == 1 })
 	// Restart: memory gone, store persists.
 	repro.ResetCache()
 	s.bodies.reset()
@@ -279,7 +279,7 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("model ran %d times, want 1 (retry must hit the store)", n)
 	}
-	if st.Stats().Hits == 0 {
+	if st.Counters().Hits == 0 {
 		t.Fatal("retry did not read the store")
 	}
 }

@@ -2,6 +2,7 @@ package sta_test
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"nanometer/internal/cvs"
 	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
+	"nanometer/internal/experiments"
+	"nanometer/internal/gate"
 	"nanometer/internal/libopt"
 	"nanometer/internal/netlist"
 	"nanometer/internal/resize"
@@ -421,4 +424,175 @@ func TestIncrementalMatchesFullSTA(t *testing.T) {
 			t.Fatalf("seed %d: edit mix should include accepts and rejects (%d/%d)", seed, accepted, rejected)
 		}
 	}
+}
+
+// handCircuit builds a netlist from explicit gates (unit wire load on
+// every net) and clocks it at guard × its critical delay.
+func handCircuit(t *testing.T, numPIs int, gates []netlist.Gate, guard float64) *netlist.Circuit {
+	t.Helper()
+	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &netlist.Circuit{Tech: tech, NumPIs: numPIs, PIActivity: 0.1, Gates: gates}
+	for i := range c.Gates {
+		c.Gates[i].ID, c.Gates[i].Size, c.Gates[i].WireCapF = i, 2, 1e-15
+	}
+	c.Rebuild()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sta.SetPeriodFromCritical(c, guard); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// sameTiming fails unless the engine's arrivals and delays equal a fresh
+// Analyze's bit for bit.
+func sameTiming(t *testing.T, label string, c *netlist.Circuit, inc *sta.Incremental) {
+	t.Helper()
+	full := sta.Analyze(c)
+	for i := range full.ArrivalS {
+		if math.Float64bits(inc.ArrivalS[i]) != math.Float64bits(full.ArrivalS[i]) ||
+			math.Float64bits(inc.DelayS[i]) != math.Float64bits(full.DelayS[i]) {
+			t.Fatalf("%s: gate %d tracked arrival %g delay %g, fresh Analyze %g, %g", label, i,
+				inc.ArrivalS[i], inc.DelayS[i], full.ArrivalS[i], full.DelayS[i])
+		}
+	}
+}
+
+// The fanout pruning must hold where a fanin max is tied or its argmax
+// moves: a Nand fed twice by one driver, a Nand fed by two equal drivers,
+// the argmax driver speeding up below the other, and a reject at a
+// primary output in the middle of a cone, after which the rolled-back
+// state must keep pruning correctly. Each trial is replayed on the
+// reference engine and checked against a fresh Analyze.
+func TestIncrementalPruningEdgeCases(t *testing.T) {
+	c := handCircuit(t, 2, []netlist.Gate{
+		{Kind: gate.Inv, Inputs: []int{netlist.PI(0)}}, // 0: driver A
+		{Kind: gate.Inv, Inputs: []int{netlist.PI(0)}}, // 1: driver B, tied with A
+		{Kind: gate.Nand, Inputs: []int{0, 1}},         // 2: two equal drivers
+		{Kind: gate.Inv, Inputs: []int{netlist.PI(1)}}, // 3: driver C
+		{Kind: gate.Nand, Inputs: []int{3, 3}},         // 4: one driver on both pins
+		{Kind: gate.Nor, Inputs: []int{2, 4}},          // 5: primary output mid-cone
+		{Kind: gate.Inv, Inputs: []int{5}},             // 6
+		{Kind: gate.Inv, Inputs: []int{6}},             // 7
+	}, 1.02)
+	c.Gates[5].IsPO = true
+	refC := c.Clone()
+	inc, ref := sta.NewIncremental(c), newRefEngine(refC)
+	if inc.ArrivalS[0] != inc.ArrivalS[1] {
+		t.Fatalf("drivers A and B should tie: %g vs %g", inc.ArrivalS[0], inc.ArrivalS[1])
+	}
+	steps := []struct {
+		what   string
+		gate   int
+		size   float64
+		accept bool
+	}{
+		{"speed A, breaking the tie below B", 0, 4, true},
+		{"speed B, the argmax moving down", 1, 4, true},
+		{"slow A back above B", 0, 3, true},
+		{"speed the doubled driver", 3, 3, true},
+		{"slow the doubled Nand, duplicate seeds", 4, 1.5, true},
+		{"slow the mid-cone output past the period", 5, 0.25, false},
+		{"slow the two-driver Nand past the period", 2, 0.25, false},
+		{"slow the doubled Nand after the reject", 4, 1.2, true},
+		{"speed A after the reject", 0, 6, true},
+		{"slow B to the argmax again", 1, 2.5, true},
+		{"slow the doubled driver past the period", 3, 0.25, false},
+		{"grow the tail, loading its driver past the period", 7, 4, false},
+		{"speed the doubled driver further", 3, 4, true},
+	}
+	for k, s := range steps {
+		label := fmt.Sprintf("step %d (%s)", k, s.what)
+		old := c.Gates[s.gate].Size
+		c.Gates[s.gate].Size, refC.Gates[s.gate].Size = s.size, s.size
+		ok, refOK := inc.TryResize(s.gate), ref.TryResize(s.gate)
+		if ok != refOK || ok != s.accept {
+			t.Fatalf("%s: accepted %v, reference %v, want %v", label, ok, refOK, s.accept)
+		}
+		if !ok {
+			c.Gates[s.gate].Size, refC.Gates[s.gate].Size = old, old
+		}
+		sameTiming(t, label, c, inc)
+		for i := range ref.arrival {
+			if math.Float64bits(ref.arrival[i]) != math.Float64bits(inc.ArrivalS[i]) {
+				t.Fatalf("%s: gate %d arrival %g, reference %g", label, i, inc.ArrivalS[i], ref.arrival[i])
+			}
+		}
+	}
+}
+
+// c3's three library loops on the default circuit profile, replayed
+// through the sizing greedy, must make exactly the trials and accepts the
+// report has always made, and land where libopt.SizeWithLibrary lands.
+func TestLibraryLoopsTrialCount(t *testing.T) {
+	s := experiments.DefaultCircuitSetup()
+	base := testCircuit(t, s.Gates, s.Seed, 8, s.PeriodGuard)
+	trials, accepts := 0, 0
+	for _, lib := range []libopt.Library{
+		libopt.Geometric("coarse legacy (min 4, ratio 2)", 4, 64, 2),
+		libopt.Geometric("rich modern (min 1, ratio 1.3)", 1, 64, 1.3),
+		libopt.Continuous(0.25),
+	} {
+		c, prodC := base.Clone(), base.Clone()
+		if !lib.IsContinuous() {
+			for i := range c.Gates {
+				c.Gates[i].Size = lib.Sizes[sort.SearchFloat64s(lib.Sizes, c.Gates[i].Size)]
+			}
+		}
+		for _, m := range sizeLoop(c, sta.NewIncremental(c), 64, lib.NextBelow) {
+			trials++
+			if m.ok {
+				accepts++
+			}
+		}
+		if _, err := libopt.SizeWithLibrary(prodC, lib, 0); err != nil {
+			t.Fatal(err)
+		}
+		sameGates(t, lib.Name, c, prodC)
+	}
+	if trials != 103159 || accepts != 70972 {
+		t.Fatalf("%d trials, %d accepted; want 103159, 70972", trials, accepts)
+	}
+}
+
+// A fanin can move by less than the rounding of its fanout's sum, so the
+// fanout keeps its arrival while its fanin max changes. The engine must
+// still record the new max: when that fanin later drops, the fanout has to
+// be revisited.
+func TestIncrementalFaninMaxTracksRoundedArrivals(t *testing.T) {
+	c := handCircuit(t, 2, []netlist.Gate{
+		{Kind: gate.Inv, Inputs: []int{netlist.PI(0)}}, // 0: the argmax driver
+		{Kind: gate.Inv, Inputs: []int{netlist.PI(1)}}, // 1
+		{Kind: gate.Nand, Inputs: []int{0, 1}},         // 2
+		{Kind: gate.Inv, Inputs: []int{2}},             // 3
+	}, 1.5)
+	c.Gates[1].Size = 8
+	if _, err := sta.SetPeriodFromCritical(c, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	inc := sta.NewIncremental(c)
+	// Nudge driver 0's wire load an ulp at a time until its arrival moves
+	// and gate 2's does not.
+	found := false
+	for k := 0; k < 64 && !found; k++ {
+		before0, before2 := inc.ArrivalS[0], inc.ArrivalS[2]
+		c.Gates[0].WireCapF = math.Nextafter(c.Gates[0].WireCapF, 1)
+		if !inc.TryUpdate(0) {
+			t.Fatalf("nudge %d rejected", k)
+		}
+		sameTiming(t, fmt.Sprintf("nudge %d", k), c, inc)
+		found = inc.ArrivalS[0] != before0 && inc.ArrivalS[2] == before2
+	}
+	if !found {
+		t.Fatal("no nudge moved driver 0 without moving gate 2; the case exercises nothing")
+	}
+	c.Gates[0].Size = 8
+	if !inc.TryResize(0) {
+		t.Fatal("speeding the argmax driver rejected")
+	}
+	sameTiming(t, "argmax driver sped up", c, inc)
 }

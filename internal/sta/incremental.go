@@ -20,12 +20,17 @@ import (
 // A trial allocates nothing once the engine's buffers have grown. The
 // pending set is a bitset over gate IDs scanned in ID order: gates are
 // stored topologically, so ID order is a valid propagation order and each
-// gate is visited at most once per trial. The rollback state is a pair of
-// dense undo logs truncated at the start of every trial.
+// gate is visited at most once per trial. A fanout is queued only when the
+// moved arrival can change its fanin max (see TryUpdate). The rollback
+// state is a pair of dense undo logs truncated at the start of every
+// trial.
 type Incremental struct {
 	c *netlist.Circuit
 	// ArrivalS and DelayS mirror the Result fields and stay current.
 	ArrivalS, DelayS []float64
+	// inArr[i] is gate i's max gate-driven fanin arrival (0 with none),
+	// the value Analyze adds gate i's delay to.
+	inArr []float64
 	// PeriodS is the constraint.
 	PeriodS float64
 
@@ -40,9 +45,10 @@ type Incremental struct {
 	// pending marks the gates queued for repropagation in the current
 	// trial; it is all zero between trials.
 	pending []uint64
-	// delLog and arrLog hold the pre-trial value of every delay and
-	// arrival the current trial overwrote.
-	delLog, arrLog []undo
+	// delLog holds the pre-trial value of every delay the current trial
+	// overwrote, arrLog that of every arrival and its fanin max.
+	delLog []undo
+	arrLog []arrUndo
 	// seeds and ranked are scratch for TryResize and SlackOrder; required
 	// and order are SlackOrder's buffers.
 	seeds    []int
@@ -57,6 +63,12 @@ type undo struct {
 	v float64
 }
 
+// arrUndo is one gate's overwritten arrival and fanin max.
+type arrUndo struct {
+	i       int
+	arr, in float64
+}
+
 // rankedGate pairs a gate with its slack so the sort reads both from one
 // place.
 type rankedGate struct {
@@ -69,14 +81,27 @@ type rankedGate struct {
 func NewIncremental(c *netlist.Circuit) *Incremental {
 	r := Analyze(c)
 	n := len(c.Gates)
+	nIn, nOut := 0, 0
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		for _, ref := range g.Inputs {
+			if _, isPI := netlist.IsPI(ref); !isPI {
+				nIn++
+			}
+		}
+		nOut += len(g.Fanouts)
+	}
 	inc := &Incremental{
 		c:        c,
 		ArrivalS: r.ArrivalS,
 		DelayS:   r.DelayS,
 		PeriodS:  r.PeriodS,
 		eps:      r.PeriodS * 1e-12,
+		inArr:    make([]float64, n),
 		faninAt:  make([]int32, n+1),
+		fanin:    make([]int32, 0, nIn),
 		fanoutAt: make([]int32, n+1),
+		fanout:   make([]int32, 0, nOut),
 		po:       make([]bool, n),
 		pending:  make([]uint64, (n+63)/64),
 	}
@@ -85,6 +110,7 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		for _, ref := range g.Inputs {
 			if _, isPI := netlist.IsPI(ref); !isPI {
 				inc.fanin = append(inc.fanin, int32(ref))
+				inc.inArr[i] = max(inc.inArr[i], r.ArrivalS[ref])
 			}
 		}
 		for _, fo := range g.Fanouts {
@@ -97,18 +123,16 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 	return inc
 }
 
-// Slack returns gate i's slack against the period using a fresh backward
-// pass. It is O(n); optimization loops should prefer SlackOrder snapshots
-// and TryUpdate for exactness.
-func (inc *Incremental) Slack(i int) float64 {
-	r := Analyze(inc.c)
-	return r.SlackS[i]
-}
-
 // TryUpdate repropagates timing after the caller mutated the given gates.
 // It returns ok = true when every primary output still meets the period; in
 // that case the edit is committed. When ok = false the engine has already
 // restored its arrays and the caller must revert its own field mutations.
+//
+// When gate i's arrival moves from old to new, fanout f is queued only if
+// new > inArr[f] or old == inArr[f]. The test is exact: f lies above i, so
+// inArr[f] still holds its pre-trial value, and a fanin that fails both
+// tests was strictly below f's max and stays at or below it, so f would
+// recompute the arrival it already has.
 func (inc *Incremental) TryUpdate(changed ...int) bool {
 	inc.delLog, inc.arrLog = inc.delLog[:0], inc.arrLog[:0]
 	lo, hi := len(inc.c.Gates), -1
@@ -128,18 +152,21 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 	for i := inc.nextPending(lo, hi); i >= 0; i = inc.nextPending(i+1, hi) {
 		inc.pending[i>>6] &^= 1 << (i & 63)
 		// Max over the gate-driven fanins (primary inputs arrive at 0).
+		// Arrivals are finite and never -0, so max picks what a > in
+		// would.
 		in := 0.0
 		for _, ref := range inc.fanin[inc.faninAt[i]:inc.faninAt[i+1]] {
-			if a := inc.ArrivalS[ref]; a > in {
-				in = a
-			}
+			in = max(in, inc.ArrivalS[ref])
 		}
-		newArr := in + inc.DelayS[i]
-		if newArr == inc.ArrivalS[i] {
+		oldArr, newArr := inc.ArrivalS[i], in+inc.DelayS[i]
+		if newArr == oldArr && in == inc.inArr[i] {
 			continue
 		}
-		inc.arrLog = append(inc.arrLog, undo{i, inc.ArrivalS[i]})
-		inc.ArrivalS[i] = newArr
+		inc.arrLog = append(inc.arrLog, arrUndo{i, oldArr, inc.inArr[i]})
+		inc.ArrivalS[i], inc.inArr[i] = newArr, in
+		if newArr == oldArr {
+			continue
+		}
 		if inc.po[i] && newArr > inc.PeriodS+inc.eps {
 			ok = false
 			// Drop the rest of the queue: every pending gate lies in
@@ -148,13 +175,15 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 			break
 		}
 		for _, fo := range inc.fanout[inc.fanoutAt[i]:inc.fanoutAt[i+1]] {
-			inc.setPending(int(fo))
-			hi = max(hi, int(fo))
+			if f := inc.inArr[fo]; newArr > f || oldArr == f {
+				inc.setPending(int(fo))
+				hi = max(hi, int(fo))
+			}
 		}
 	}
 	if !ok {
 		for _, u := range inc.arrLog {
-			inc.ArrivalS[u.i] = u.v
+			inc.ArrivalS[u.i], inc.inArr[u.i] = u.arr, u.in
 		}
 		for _, u := range inc.delLog {
 			inc.DelayS[u.i] = u.v

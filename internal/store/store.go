@@ -74,18 +74,14 @@ type Store struct {
 	hits, misses, puts, putErrors, evictions, corrupt atomic.Uint64
 }
 
-// Stats is a point-in-time snapshot of one store handle's counters plus
-// the directory's current footprint.
-type Stats struct {
+// Counters are one store handle's event counts. The directory's
+// footprint, shared across replicas, is Footprint's.
+type Counters struct {
 	// Hits/Misses count Get outcomes; Puts counts completed writes,
 	// PutErrors writes dropped on error; Evictions counts files removed
 	// by the bounds; Corrupt counts files dropped on checksum/decode
 	// failure.
 	Hits, Misses, Puts, PutErrors, Evictions, Corrupt uint64
-	// Entries and Bytes describe the directory right now (shared across
-	// replicas, so they can move without this handle doing anything).
-	Entries int
-	Bytes   int64
 }
 
 // Open creates (if needed) and validates the store directory.
@@ -281,17 +277,22 @@ func (s *Store) enforceBoundsLocked() {
 	}
 }
 
-// Stats snapshots the counters and the directory footprint.
-func (s *Store) Stats() Stats {
-	entries, total := s.scan()
-	return Stats{
+// Counters reads the handle's counters without touching the directory.
+func (s *Store) Counters() Counters {
+	return Counters{
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
 		Puts:      s.puts.Load(),
 		PutErrors: s.putErrors.Load(),
 		Evictions: s.evictions.Load(),
 		Corrupt:   s.corrupt.Load(),
-		Entries:   len(entries),
-		Bytes:     total,
 	}
+}
+
+// Footprint scans the directory once and returns its result-file count
+// and total bytes. Replicas share the directory, so both can move without
+// this handle doing anything.
+func (s *Store) Footprint() (entries int, bytes int64) {
+	list, total := s.scan()
+	return len(list), total
 }

@@ -61,9 +61,10 @@ func TestRoundTrip(t *testing.T) {
 	if _, ok := s.Get("t2", "beef"); ok {
 		t.Fatal("Get hit under the wrong compute key")
 	}
-	st := s.Stats()
-	if st.Puts != 1 || st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want puts=1 hits=1 misses=1 entries=1", st)
+	st := s.Counters()
+	entries, _ := s.Footprint()
+	if st.Puts != 1 || st.Hits != 1 || st.Misses != 1 || entries != 1 {
+		t.Fatalf("counters = %+v, entries = %d, want puts=1 hits=1 misses=1 entries=1", st, entries)
 	}
 }
 
@@ -126,7 +127,7 @@ func TestCorruptFallThrough(t *testing.T) {
 			if _, ok := s.Get("t2", "cafe"); ok {
 				t.Fatal("Get served a corrupt file")
 			}
-			if st := s.Stats(); st.Corrupt != 1 {
+			if st := s.Counters(); st.Corrupt != 1 {
 				t.Fatalf("corrupt count = %d, want 1", st.Corrupt)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -158,11 +159,10 @@ func TestEntryBound(t *testing.T) {
 	}
 	// Trigger one more enforcement pass with a fresh (newest) write.
 	s.Put("t2", "k5", sample("t2"))
-	st := s.Stats()
-	if st.Entries > 3 {
-		t.Fatalf("entries = %d, bound is 3", st.Entries)
+	if entries, _ := s.Footprint(); entries > 3 {
+		t.Fatalf("entries = %d, bound is 3", entries)
 	}
-	if st.Evictions == 0 {
+	if s.Counters().Evictions == 0 {
 		t.Fatal("no evictions counted past the bound")
 	}
 	if _, ok := s.Get("t2", "k5"); !ok {
@@ -177,7 +177,7 @@ func TestEntryBound(t *testing.T) {
 func TestByteBound(t *testing.T) {
 	probe := open(t, Config{})
 	probe.Put("t2", "probe", sample("t2"))
-	size := probe.Stats().Bytes
+	_, size := probe.Footprint()
 
 	s := open(t, Config{MaxBytes: 2*size + size/2})
 	for i, k := range []string{"b0", "b1", "b2", "b3"} {
@@ -189,9 +189,8 @@ func TestByteBound(t *testing.T) {
 		}
 	}
 	s.Put("t2", "b4", sample("t2"))
-	st := s.Stats()
-	if st.Bytes > 2*size+size/2 {
-		t.Fatalf("bytes = %d, bound is %d", st.Bytes, 2*size+size/2)
+	if _, total := s.Footprint(); total > 2*size+size/2 {
+		t.Fatalf("bytes = %d, bound is %d", total, 2*size+size/2)
 	}
 	if _, ok := s.Get("t2", "b4"); !ok {
 		t.Fatal("newest entry was evicted by the byte bound")
