@@ -50,9 +50,10 @@ bench-all:
 
 # The hot IR-drop kernel: seed-style allocating CG vs the
 # multigrid-preconditioned production path at n = 63 and 255, and a
-# 9-variant sweep solved independently vs through sweep priming.
+# 9-variant Vdd-shaped sweep at n = 127 and 255: the one unit solve the
+# first mesh of a size pays, and the warm sweep that scales its drop.
 bench-mesh:
-	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSweepBatch' -run='^$$' -benchmem .
+	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSweepBatch' -run='^$$' -benchmem . ./internal/powergrid
 
 # The parallel-cutoff micro-benchmark behind mathx.parCutoff: serial axpy
 # vs parForBlocks across the cutoff, at GOMAXPROCS 1 and 4.

@@ -275,77 +275,9 @@ func BenchmarkMeshSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepBatch pins the sweep-priming claims at the two
-// production grid sizes, for a 9-variant same-grid scenario sweep:
-//
-//   - varied-solo: 9 distinct systems (conductance and draw perturbed per
-//     variant, as a Vdd sweep perturbs them) as 9 independent Mesh.Solve
-//     calls. Priming dedupes nothing here and solves each one on this
-//     same solo path, so this row is also the cost of priming such a
-//     sweep.
-//   - sweep-independent / sweep-primed: the shape a real sweep has when
-//     the swept parameter leaves the 35 nm grid untouched (e.g. a θja
-//     sweep): every variant assembles the SAME system. Unprimed, the
-//     per-variant computes run 9 full identical solves
-//     (sweep-independent); the priming path (repro.PrimeVariants →
-//     powergrid.PrimeSolves) solves once and parks a counted drop for all
-//     9 consumers (sweep-primed). This row is the sweep fast path's
-//     headline: ~9× fewer real solves.
-func BenchmarkSweepBatch(b *testing.B) {
-	const variants = 9
-	for _, n := range []int{127, 255} {
-		build := func(varied bool) []*powergrid.Mesh {
-			meshes := make([]*powergrid.Mesh, variants)
-			for i := range meshes {
-				f := 1.0
-				if varied {
-					f = 0.9 + 0.2*float64(i)/float64(variants-1)
-				}
-				meshes[i] = &powergrid.Mesh{
-					N:            n,
-					PitchM:       80e-6,
-					EdgeOhms:     0.04 * f,
-					NodeCurrentA: 1.2e-4 / f,
-				}
-			}
-			return meshes
-		}
-		b.Run(fmt.Sprintf("n=%d/varied-solo", n), func(b *testing.B) {
-			meshes := build(true)
-			for i := 0; i < b.N; i++ {
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/sweep-independent", n), func(b *testing.B) {
-			meshes := build(false)
-			for i := 0; i < b.N; i++ {
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/sweep-primed", n), func(b *testing.B) {
-			meshes := build(false)
-			for i := 0; i < b.N; i++ {
-				powergrid.PrimeSolves(meshes)
-				for _, m := range meshes {
-					if _, err := m.Solve(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMeshSolveGrid runs the full powergrid path (assembly + pooled
-// workspace + PCG) exactly as Figure 5 does.
+// BenchmarkMeshSolveGrid runs the full powergrid path as c8 does: rail
+// sizing, mesh discretization and Mesh.Solve, which after the first
+// iteration scales the stored unit drop for n = 63 instead of solving.
 func BenchmarkMeshSolveGrid(b *testing.B) {
 	node := itrs.Base().MustNode(35)
 	spec := powergrid.DefaultSpec(node, node.BumpPitchMinM)

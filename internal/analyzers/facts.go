@@ -9,7 +9,7 @@ import (
 // analyzer builds on: a statement walker that tracks, at every expression
 // it visits, which mutexes are provably held. "Provably" is deliberately
 // syntactic — a lock is identified by the source spelling of its receiver
-// chain (`j.mu`, `primedDrops.mu`), held from a `x.Lock()` / `x.RLock()`
+// chain (`j.mu`, `g.mu`), held from a `x.Lock()` / `x.RLock()`
 // statement until a non-deferred `x.Unlock()` / `x.RUnlock()`, with
 // `defer x.Unlock()` keeping it held to function exit. Control flow is
 // handled conservatively:

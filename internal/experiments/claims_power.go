@@ -78,14 +78,10 @@ func MeshN(n int) int {
 }
 
 // BumpMesh builds (without solving) the pessimistic validation mesh the
-// C8 analysis solves at meshN (n ≤ 0 selects DefaultMeshN) — the dominant
-// compute of a scenario sweep. Sweep priming collects these meshes across
-// variants, dedupes identical ones and solves the distinct ones solo
-// (powergrid.PrimeSolves) before the per-variant runs; results are
-// unchanged because primed drops are bit-identical to solo solves. Unlike
-// RunBumpsNIn this returns rather than panics on a lab without the 35 nm
-// node, since priming must shrug off exotic scenario variants instead of
-// taking down the sweep.
+// C8 analysis solves at meshN (n ≤ 0 selects DefaultMeshN). It serves the
+// benchmark harness's mesh probes; the report itself goes through
+// RunBumpsNIn. Unlike RunBumpsNIn this returns rather than panics on a
+// lab without the 35 nm node.
 func BumpMesh(lab *device.Lab, meshN int) (*powergrid.Mesh, error) {
 	node, err := lab.Node(35)
 	if err != nil {

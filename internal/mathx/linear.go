@@ -104,9 +104,8 @@ func NewSparseMatrix(n int) *SparseMatrix {
 
 // NewFrozenCSR wraps pre-built CSR arrays as an already-frozen matrix
 // without copying: rowPtr has length n+1, cols/vals length rowPtr[n] hold
-// the off-diagonals, diag length n the diagonal. Callers that cache a
-// sparsity pattern (the power-grid mesh) share rowPtr/cols across instances
-// and refill only vals/diag.
+// the off-diagonals, diag length n the diagonal. The power-grid mesh
+// assembles straight into these arrays.
 func NewFrozenCSR(n int, rowPtr, cols []int32, vals, diag []float64) (*SparseMatrix, error) {
 	switch {
 	case n < 0 || len(rowPtr) != n+1 || len(diag) != n:

@@ -44,7 +44,7 @@ const (
 // the coarsest pinned system is solved by a Cholesky factorization computed
 // once at construction. MeshMG also computes the full-multigrid start
 // SolveMGW seeds its iteration with (FMGStart). All level storage is
-// preallocated: Apply performs no allocations, so a pooled MeshMG keeps
+// preallocated: Apply performs no allocations, so a reused MeshMG keeps
 // the whole solve on the zero-alloc warm path.
 type MeshMG struct {
 	n      int

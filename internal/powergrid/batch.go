@@ -1,126 +1,33 @@
 package powergrid
 
-import "sync"
-
-// SolveMeshBatch solves each mesh in turn on the solo path and returns
-// the max IR drops in order, so every drop is bit-identical to what
-// meshes[i].Solve() would produce. Sweep priming (PrimeSolves) runs its
-// distinct meshes through it; each solve counts on the Batched counter as
-// well as Solves. The first solver error fails the whole call — callers
-// fall back to solo solves, where the same error surfaces attributably.
+// SolveMeshBatch returns the max IR drop of each mesh in order: a loop of
+// Mesh.Solve, so every drop is bit-identical to what meshes[i].Solve()
+// returns. The first error fails the whole call. It stays only because the
+// benchmark harness calls it.
 func SolveMeshBatch(meshes []*Mesh) ([]float64, error) {
 	if len(meshes) == 0 {
 		return nil, nil
 	}
 	drops := make([]float64, len(meshes))
 	for i, m := range meshes {
-		drop, iters, err := m.solve()
+		drop, err := m.Solve()
 		if err != nil {
 			return nil, err
 		}
-		recordBatchedSolve(iters)
 		drops[i] = drop
 	}
 	return drops, nil
 }
 
-// primeKey identifies a mesh solve by the exact float bits that determine
-// its result. Meshes built from the same spec through the same deterministic
-// pipeline reproduce these bits exactly, so a primed entry parked by a sweep
-// is found by the later per-variant Mesh.Solve with no tolerance games.
-type primeKey struct {
-	n                      int
-	edgeOhms, nodeCurrentA float64
-}
-
-// primedEntry is one parked result with the number of consumers it still
-// owes. A sweep whose swept parameter doesn't touch the 35 nm grid (the
-// common case) builds the SAME mesh for every variant; one solve then
-// feeds all of them, so entries carry a count instead of
-// delete-on-first-read.
-type primedEntry struct {
-	drop  float64
-	count int
-}
-
-// primedDrops parks primed results for counted consumption.
-// maxPrimedDrops bounds the key count (a sweep primes at most its variant
-// count, but the map must not grow without bound if a caller primes and
-// never consumes); counts drain to zero and delete their entry, so stale
-// values cannot shadow a future model change indefinitely.
-var primedDrops struct {
-	mu sync.Mutex
-	m  map[primeKey]*primedEntry // guarded by mu
-}
-
-const maxPrimedDrops = 1024
-
-// PrimeSolves solves the distinct meshes among the given ones
-// (SolveMeshBatch) and parks each drop for the next len(meshes) Mesh.Solve
-// calls with matching parameters to consume. Duplicate parameter sets
-// solve once and park a consumption count — they would produce identical
-// bits anyway. Priming is strictly best-effort: on any solver error it
-// parks nothing and returns, and per-variant solo solves re-hit the error
-// where it can be attributed.
-//
-// Solve telemetry is recorded here per REQUESTED mesh (duplicates
-// included), not at consumption: the unprimed world runs one real solve
-// per variant, so counting one solve (with its iteration cost) per primed
-// variant keeps solves_total, iterations_total, and the iters/solve health
-// ratio exactly what dashboards see without priming.
+// PrimeSolves solves the unit system of each distinct grid size among the
+// meshes that is not solved yet, so their later Solve calls only scale
+// it. Meshes of an invalid size are skipped, and a failed unit solve is
+// left for the later Solve to report. It stays only because the benchmark
+// harness calls it.
 func PrimeSolves(meshes []*Mesh) {
-	if len(meshes) < 2 {
-		return // a lone solve has nobody to share with — leave it solo
-	}
-	uniq := make([]*Mesh, 0, len(meshes))
-	counts := make(map[primeKey]int, len(meshes))
 	for _, m := range meshes {
-		key := primeKey{m.N, m.EdgeOhms, m.NodeCurrentA}
-		if counts[key] == 0 {
-			uniq = append(uniq, m)
-		}
-		counts[key]++
-	}
-	drops, err := SolveMeshBatch(uniq)
-	if err != nil {
-		return
-	}
-	primedDrops.mu.Lock()
-	defer primedDrops.mu.Unlock()
-	if primedDrops.m == nil {
-		primedDrops.m = make(map[primeKey]*primedEntry, len(uniq))
-	}
-	for i, m := range uniq {
-		key := primeKey{m.N, m.EdgeOhms, m.NodeCurrentA}
-		if e, ok := primedDrops.m[key]; ok {
-			e.drop, e.count = drops[i], e.count+counts[key]
-		} else {
-			if len(primedDrops.m) >= maxPrimedDrops {
-				continue
-			}
-			primedDrops.m[key] = &primedEntry{drop: drops[i], count: counts[key]}
-		}
-		// SolveMeshBatch recorded the one real solve of this system; account
-		// the remaining consumers so counters match the solo world where
-		// each variant would have solved.
-		for extra := counts[key] - 1; extra > 0; extra-- {
-			recordBatchedSolve(0)
+		if validMeshN(m.N) {
+			_, _ = unitDrops.drop(m.N) // the error stays in the cell for Solve
 		}
 	}
-}
-
-// consumePrimed returns (and counts down) a parked drop for this mesh's
-// exact parameters, if a prior PrimeSolves call computed one.
-func consumePrimed(m *Mesh) (float64, bool) {
-	primedDrops.mu.Lock()
-	defer primedDrops.mu.Unlock()
-	key := primeKey{m.N, m.EdgeOhms, m.NodeCurrentA}
-	e, ok := primedDrops.m[key]
-	if !ok {
-		return 0, false
-	}
-	if e.count--; e.count <= 0 {
-		delete(primedDrops.m, key)
-	}
-	return e.drop, true
 }

@@ -2,6 +2,7 @@ package powergrid
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,13 +25,19 @@ func sweepMeshes(k, n int) []*Mesh {
 	return meshes
 }
 
-// TestSolveMeshBatchMatchesSolo pins what sweep priming relies on:
-// batched drops carry the exact float bits of solo solves, so routing a
-// sweep through priming can never change what any variant reports.
+// freshUnitTable empties the process-wide unit table, so a test can count
+// the unit solves its own calls trigger (the table is otherwise warm from
+// earlier tests, and from earlier runs under -count or a -cpu list).
+func freshUnitTable() { unitDrops = unitTable{} }
+
+// TestSolveMeshBatchMatchesSolo: the batch shim is a loop of Solve, so
+// every drop carries the exact bits of the solo call, and 5 variants of
+// one grid size run one unit solve.
 func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 	if drops, err := SolveMeshBatch(nil); err != nil || drops != nil {
 		t.Fatalf("empty batch: drops=%v err=%v", drops, err)
 	}
+	freshUnitTable()
 	meshes := sweepMeshes(5, 41)
 	before := ReadSolveStats()
 	drops, err := SolveMeshBatch(meshes)
@@ -38,11 +45,8 @@ func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := ReadSolveStats()
-	if got := after.Batched - before.Batched; got != 5 {
-		t.Errorf("batched counter moved by %d, want 5", got)
-	}
-	if got := after.Solves - before.Solves; got != 5 {
-		t.Errorf("solves counter moved by %d, want 5 (batch variants are solves)", got)
+	if got := after.Solves - before.Solves; got != 1 {
+		t.Errorf("solves counter moved by %d, want 1 (one unit solve per grid size)", got)
 	}
 	for i, m := range meshes {
 		solo, err := m.Solve()
@@ -54,37 +58,35 @@ func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 				i, math.Float64bits(drops[i]), math.Float64bits(solo))
 		}
 	}
+	if got := ReadSolveStats().Solves - after.Solves; got != 0 {
+		t.Errorf("solo solves after the batch ran %d more unit solves, want 0", got)
+	}
 }
 
-// TestPrimeSolvesParksNothingOnError pins priming's failure contract: a
-// solver error anywhere in the sweep parks nothing, not even the drops of
-// the meshes solved before it. Each good mesh's later Solve is then a
-// real solo solve with the solo bits, and the bad mesh's Solve reports
-// the solver's own error where it can be attributed.
+// TestPrimeSolvesParksNothingOnError: priming keeps only unit drops, never
+// a per-mesh result, so a bad variant among the primed meshes changes
+// nothing for the others. Each good mesh's Solve returns the bits it
+// returns without priming, and the bad mesh's Solve reports ErrNotSPD.
 func TestPrimeSolvesParksNothingOnError(t *testing.T) {
 	meshes := sweepMeshes(3, 41)
 	meshes[2].EdgeOhms = 0
 	refs := make([]float64, 2)
 	for i, m := range meshes[:2] {
-		cp := *m
-		d, err := cp.Solve()
+		d, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs[i] = d
 	}
+	freshUnitTable()
 	PrimeSolves(meshes)
 	for i, m := range meshes[:2] {
-		before := ReadSolveStats()
 		d, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ReadSolveStats().Solves - before.Solves; got != 1 {
-			t.Errorf("mesh %d: Solve after failed priming recorded %d solves, want 1 (nothing parked)", i, got)
-		}
 		if math.Float64bits(d) != math.Float64bits(refs[i]) {
-			t.Errorf("mesh %d: drop %x after failed priming, solo drop %x",
+			t.Errorf("mesh %d: drop %x after priming, unprimed drop %x",
 				i, math.Float64bits(d), math.Float64bits(refs[i]))
 		}
 	}
@@ -93,84 +95,87 @@ func TestPrimeSolvesParksNothingOnError(t *testing.T) {
 	}
 }
 
-// TestPrimeSolvesFeedsSolve checks the park-and-consume contract: a primed
-// mesh's Solve returns the parked (bit-identical) drop without recording a
-// second solve, duplicate parameter sets solve once but feed (and count)
-// one consumer each, and drained entries fall back to solo solving.
+// TestPrimeSolvesFeedsSolve: priming solves each distinct grid size once,
+// duplicates and other-(R, I) variants included, and the primed meshes'
+// Solve calls then run no solve and return |I|·R·φ(n) exactly.
 func TestPrimeSolvesFeedsSolve(t *testing.T) {
-	meshes := sweepMeshes(3, 41)
-	// Reference drops from plain solo solves on copies.
-	refs := make([]float64, len(meshes))
-	for i, m := range meshes {
-		cp := *m
-		d, err := cp.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = d
-	}
-	withDup := append(append([]*Mesh{}, meshes...), meshes[1]) // duplicate params
+	freshUnitTable()
+	meshes := append(sweepMeshes(3, 41), sweepMeshes(2, 21)...)
+	withDup := append(append([]*Mesh{}, meshes...), meshes[1])
 	before := ReadSolveStats()
 	PrimeSolves(withDup)
 	primed := ReadSolveStats()
-	if got := primed.Solves - before.Solves; got != 4 {
-		t.Errorf("priming recorded %d solves, want 4 (one per requested variant, duplicates included)", got)
+	if got := primed.Solves - before.Solves; got != 2 {
+		t.Errorf("priming recorded %d solves, want 2 (one per grid size)", got)
 	}
-	for i, m := range meshes {
+	for i, m := range withDup {
 		d, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(d) != math.Float64bits(refs[i]) {
-			t.Fatalf("variant %d: primed drop differs from solo bits", i)
+		phi, _, err := solveMesh(m.N, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := math.Abs(m.NodeCurrentA) * m.EdgeOhms * phi; math.Float64bits(d) != math.Float64bits(want) {
+			t.Fatalf("mesh %d: drop %x, want |I|·R·φ = %x", i, math.Float64bits(d), math.Float64bits(want))
 		}
 	}
-	// The duplicated parameter set owes one more consumer.
-	if _, err := meshes[1].Solve(); err != nil {
-		t.Fatal(err)
-	}
-	consumed := ReadSolveStats()
-	if got := consumed.Solves - primed.Solves; got != 0 {
-		t.Errorf("consuming primed drops recorded %d extra solves, want 0", got)
-	}
-	// Entries are drained: the same meshes now solve solo again.
-	if _, err := meshes[0].Solve(); err != nil {
-		t.Fatal(err)
-	}
-	reSolved := ReadSolveStats()
-	if got := reSolved.Solves - consumed.Solves; got != 1 {
-		t.Errorf("re-solve after drain recorded %d solves, want 1", got)
+	if got := ReadSolveStats().Solves - primed.Solves; got != 0 {
+		t.Errorf("solving primed meshes recorded %d extra solves, want 0", got)
 	}
 }
 
-// TestPrimeSolvesSingleRequestNoop: one requested solve has nobody to
-// share with, so priming must not run (the solo path's singleflight and
-// telemetry own that solve). Two requests of the SAME parameters, by
-// contrast, do share: one real solve feeds both consumers while the
-// counters still see one solve per request.
+// TestPrimeSolvesSingleRequestNoop: priming a size that is already solved
+// runs nothing, whether one mesh or an identical pair asks, and meshes of
+// a size Solve rejects are skipped rather than solved.
 func TestPrimeSolvesSingleRequestNoop(t *testing.T) {
+	freshUnitTable()
 	meshes := sweepMeshes(1, 41)
+	if _, err := meshes[0].Solve(); err != nil {
+		t.Fatal(err)
+	}
 	before := ReadSolveStats()
 	PrimeSolves(meshes[:1])
-	after := ReadSolveStats()
-	if got := after.Solves - before.Solves; got != 0 {
-		t.Errorf("single-request priming recorded %d solves, want 0", got)
-	}
 	PrimeSolves([]*Mesh{meshes[0], meshes[0]})
-	shared := ReadSolveStats()
-	if got := shared.Solves - after.Solves; got != 2 {
-		t.Errorf("identical-pair priming recorded %d solves, want 2", got)
+	bad := []*Mesh{{N: 4, EdgeOhms: 1, NodeCurrentA: 1}, {N: 0, EdgeOhms: 1, NodeCurrentA: 1}, {N: MaxMeshN + 2, EdgeOhms: 1, NodeCurrentA: 1}}
+	PrimeSolves(bad)
+	if after := ReadSolveStats(); after != before {
+		t.Errorf("priming solved sizes or invalid meshes moved the counters: %+v → %+v", before, after)
 	}
-	if got := shared.Batched - after.Batched; got != 2 {
-		t.Errorf("identical-pair priming batched %d, want 2", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := meshes[0].Solve(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drained := ReadSolveStats()
-	if got := drained.Solves - shared.Solves; got != 0 {
-		t.Errorf("consuming the shared pair recorded %d extra solves, want 0", got)
+}
+
+// BenchmarkSweepBatch prices a 9-variant Vdd-shaped sweep (conductance and
+// draw perturbed per variant) at two grid sizes:
+//
+//   - first-solve: the one MG-PCG solve of the unit system, assembly
+//     included, that the first mesh at a new grid size pays;
+//   - warm-sweep9: the 9 variants through Mesh.Solve once that size is
+//     solved, which is what every later mesh of the size costs.
+func BenchmarkSweepBatch(b *testing.B) {
+	for _, n := range []int{127, 255} {
+		b.Run(fmt.Sprintf("n=%d/first-solve", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := solveMesh(n, 1, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/warm-sweep9", n), func(b *testing.B) {
+			meshes := sweepMeshes(9, n)
+			if _, err := meshes[0].Solve(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, m := range meshes {
+					if _, err := m.Solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

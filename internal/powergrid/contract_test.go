@@ -31,11 +31,13 @@ func TestSolveErrorsReachCaller(t *testing.T) {
 	}
 }
 
-// TestSolveRecordsIterations: a successful solo solve accounts exactly
-// one solve and the MG-PCG iterations it spent, so the iterations/solve
-// health ratio on /metrics sees iteration creep. The iteration count is
-// near-constant in n, at most 25 through n = 255.
+// TestSolveRecordsIterations: the first solve at a grid size accounts
+// exactly one solve and the MG-PCG iterations it spent, so the
+// iterations/solve health ratio on /metrics sees iteration creep. The
+// iteration count is near-constant in n, at most 25 through n = 255. A
+// second mesh of the same size, at another R and I, solves nothing.
 func TestSolveRecordsIterations(t *testing.T) {
+	freshUnitTable()
 	m := &Mesh{N: 41, PitchM: 80e-6, EdgeOhms: 0.029, NodeCurrentA: 1.3e-4}
 	before := ReadSolveStats()
 	if _, err := m.Solve(); err != nil {
@@ -47,5 +49,12 @@ func TestSolveRecordsIterations(t *testing.T) {
 	}
 	if got := after.Iterations - before.Iterations; got < 1 || got > 25 {
 		t.Errorf("Iterations moved by %d, want 1..25", got)
+	}
+	again := &Mesh{N: 41, PitchM: 80e-6, EdgeOhms: 0.035, NodeCurrentA: 1.1e-4}
+	if _, err := again.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ReadSolveStats(); got != after {
+		t.Errorf("a second mesh at n = 41 moved the counters: %+v → %+v", after, got)
 	}
 }

@@ -35,6 +35,10 @@ const (
 	MaxMeshN = 1023
 )
 
+// validMeshN reports whether n is a grid side Solve accepts: odd, so a
+// center bump node exists, and within [MinMeshN, MaxMeshN].
+func validMeshN(n int) bool { return n >= MinMeshN && n <= MaxMeshN && n%2 == 1 }
+
 // NewMesh discretizes a grid spec with rails of width railWidthM at rail
 // pitch railPitchM into an n×n mesh (n forced odd so a center bump node
 // exists; n outside [MinMeshN, MaxMeshN] is rejected rather than clamped,
@@ -66,71 +70,38 @@ func NewMesh(s GridSpec, railWidthM, railPitchM float64, n int) (*Mesh, error) {
 	}, nil
 }
 
-// Solve computes the node drops with the center node pinned at 0 V and
-// reflective (Neumann) cell boundaries, returning the maximum IR drop on
-// the net. The same drop occurs on the ground net, so the supply-loop drop
-// is twice the returned value.
+// Solve returns the maximum IR drop on the net with the center node
+// pinned at 0 V and reflective (Neumann) cell boundaries. The same drop
+// occurs on the ground net, so the supply-loop drop is twice the returned
+// value. The drop is |NodeCurrentA|·EdgeOhms·φ(N), where φ(N) is the
+// maximum drop of the unit system for grid side N, solved once per N on
+// the MG-PCG path and kept for the life of the process (unitTable).
+//
+// The error classes are the ones a direct solve of the same system
+// reports: an infinite conductance (R = 0) or a non-finite draw wraps
+// mathx.ErrNotSPD, and any other R outside (0, ∞) is rejected as a
+// non-positive conductance would be. Inputs are checked before the table
+// is touched.
 func (m *Mesh) Solve() (maxDropV float64, err error) {
-	// A sweep may have primed this exact system already (PrimeSolves);
-	// the parked drop is bit-identical to what the solve below would
-	// produce, and its telemetry was recorded at prime time.
-	if d, ok := consumePrimed(m); ok {
-		return d, nil
+	switch {
+	case !validMeshN(m.N):
+		return 0, fmt.Errorf("powergrid: mesh dimension %d is not an odd size in [%d, %d]", m.N, MinMeshN, MaxMeshN)
+	case m.EdgeOhms == 0:
+		return 0, fmt.Errorf("powergrid: mesh solve: zero edge resistance (infinite conductance): %w", mathx.ErrNotSPD)
+	case !(m.EdgeOhms > 0) || math.IsInf(m.EdgeOhms, 1):
+		return 0, fmt.Errorf("powergrid: mesh solve: edge resistance %g outside (0, ∞)", m.EdgeOhms)
+	case math.IsNaN(m.NodeCurrentA) || math.IsInf(m.NodeCurrentA, 0):
+		return 0, fmt.Errorf("powergrid: mesh solve: non-finite node current %g: %w", m.NodeCurrentA, mathx.ErrNotSPD)
 	}
-	drop, iters, err := m.solve()
+	phi, err := unitDrops.drop(m.N)
 	if err != nil {
 		return 0, err
 	}
-	recordSolve(iters)
+	drop := math.Abs(m.NodeCurrentA) * m.EdgeOhms * phi
+	if math.IsInf(drop, 0) {
+		return 0, fmt.Errorf("powergrid: mesh solve: drop overflows (I=%g A, R=%g Ω)", m.NodeCurrentA, m.EdgeOhms)
+	}
 	return drop, nil
-}
-
-// solve runs one pooled MG-PCG solve of the mesh and returns its maximum
-// IR drop with the iterations spent. It records no telemetry: Solve and
-// SolveMeshBatch each account the solve on their own counter.
-func (m *Mesh) solve() (maxDropV float64, iters int, err error) {
-	// The sparsity pattern depends only on the grid dimension; the cached
-	// assembly is refilled for this mesh's conductance and wrapped as a
-	// frozen CSR without copying (assemblyFor documents the bit-identity
-	// contract with the original in-line assembly).
-	asm := assemblyFor(m.N)
-	sv, err := asm.solver()
-	if err != nil {
-		return 0, 0, err
-	}
-	defer asm.pool.Put(sv)
-	g := 1 / m.EdgeOhms
-	sv.refill(asm, g, m.NodeCurrentA)
-	mat, err := mathx.NewFrozenCSR(asm.cnt, asm.rowPtr, asm.cols, sv.vals, sv.diag)
-	if err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh assembly: %w", err)
-	}
-	if err := sv.mg.SetConductance(g); err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
-	}
-	// Multigrid-preconditioned CG: plain CG needs O(n) iterations on the
-	// mesh Laplacian (and Jacobi buys nothing — the diagonal is
-	// near-constant), while one geometric V-cycle per iteration holds the
-	// count near-constant as the grid refines (BenchmarkMeshSolve; the
-	// mathx iteration-count test pins ≤ 25 through n = 255). The solution
-	// aliases the pooled workspace, so the max-drop reduction below must
-	// happen before the solver is pooled.
-	// Cancellation granularity is deliberately per-artifact: the runner and
-	// jobs layers check ctx between computes, and a single mesh solve is
-	// bounded (≤ 25 MG-CG iterations by the mathx pin), so threading ctx
-	// into the kernel would buy nothing but signature churn.
-	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
-	sol, iters, err := mat.SolveMGW(&sv.ws, sv.mg, sv.rhs, 1e-10, 20*asm.cnt)
-	if err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
-	}
-	for _, v := range sol {
-		// Drops are positive (current flows into the pinned bump).
-		if d := math.Abs(v); d > maxDropV {
-			maxDropV = d
-		}
-	}
-	return maxDropV, iters, nil
 }
 
 // PessimisticRatio solves the 2-D smeared mesh for a sized grid and returns
@@ -151,10 +122,7 @@ func PessimisticRatio(s GridSpec, n int) (ratio float64, err error) {
 }
 
 // PessimisticMesh builds (without solving) the mesh PessimisticRatio
-// solves: the sized grid's top-level sheet carrying all current. Split out
-// so sweep priming can collect the meshes of many scenario variants and
-// solve each distinct one before each variant's PessimisticRatio consumes
-// its primed result.
+// solves: the sized grid's top-level sheet carrying all current.
 func PessimisticMesh(s GridSpec, n int) (*Mesh, error) {
 	sz, err := s.SizeRails()
 	if err != nil {

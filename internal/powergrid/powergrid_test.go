@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nanometer/internal/itrs"
 	"nanometer/internal/units"
@@ -155,29 +156,28 @@ func TestMeshErrors(t *testing.T) {
 	}
 }
 
-// TestAssemblyCacheBounded: solving at many distinct mesh sizes (the shape
-// of a hostile mesh-n scan through the daemon) must not accumulate one
-// O(n²) pattern per size forever.
-func TestAssemblyCacheBounded(t *testing.T) {
-	sz, err := spec35(80e-6).SizeRails()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 5; n <= 5+2*(3*maxCachedAssemblies); n += 2 {
-		m, err := NewMesh(spec35(80e-6), sz.RailWidthM, 80e-6, n)
-		if err != nil {
-			t.Fatal(err)
+// TestUnitDropTableBounded: a scan across every mesh size a client may
+// ask for (the shape of a hostile mesh-n scan through the daemon) keeps at
+// most one float per size. The table is a fixed array, every size
+// validMeshN admits has its own cell inside it, and the whole table stays
+// small.
+func TestUnitDropTableBounded(t *testing.T) {
+	seen := make(map[int]bool)
+	for n := -1; n <= MaxMeshN+2; n++ {
+		if !validMeshN(n) {
+			continue
 		}
-		if _, err := m.Solve(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		i := (n - MinMeshN) / 2
+		if i < 0 || i >= len(unitDrops) || seen[i] {
+			t.Fatalf("n = %d maps to cell %d (table has %d, seen before: %v)", n, i, len(unitDrops), seen[i])
 		}
+		seen[i] = true
 	}
-	count := 0
-	meshAssemblies.Range(func(_, _ any) bool { count++; return true })
-	// Transient over-admission by racing inserts is tolerated; unbounded
-	// growth is not.
-	if count > maxCachedAssemblies+1 {
-		t.Fatalf("%d assemblies cached, bound is %d", count, maxCachedAssemblies)
+	if len(seen) != len(unitDrops) {
+		t.Errorf("%d admissible sizes for %d cells", len(seen), len(unitDrops))
+	}
+	if size := unsafe.Sizeof(unitDrops); size > 32<<10 {
+		t.Errorf("unit table takes %d bytes, want ≤ 32 KiB", size)
 	}
 }
 

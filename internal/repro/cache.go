@@ -234,14 +234,18 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // test fails the suite. MeshN enters as the dimension C8 actually solves
 // (experiments.MeshN), so mesh-n 0, 40 and 41 share one entry.
 //
-// The nil scenario contributes nothing, so every pre-scenario cache key —
-// and with it every ETag and result-store file — is unchanged. A non-nil
+// The version prefix moves whenever a model change alters a stored
+// result's bits, so a store written by an older binary reads as misses
+// instead of serving the old bits. v2: c8's mesh drop is the unit drop
+// scaled by |I|·R, which moved its pessimistic ratio in the last digits.
+//
+// The nil scenario contributes nothing to the hash. A non-nil
 // scenario folds in the digest of its full canonical content: two
 // scenarios differing in any override get distinct keys, and the same
 // scenario document hashes identically across replicas.
 func (o Options) computeKey() string {
 	h := fnv.New64a()
-	io.WriteString(h, "compute-v1")
+	io.WriteString(h, "compute-v2")
 	io.WriteString(h, "\x00mesh-n=")
 	io.WriteString(h, strconv.Itoa(experiments.MeshN(o.MeshN)))
 	if o.Scenario != nil {

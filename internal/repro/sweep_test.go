@@ -75,56 +75,49 @@ func TestSweepMatchesSequentialBytes(t *testing.T) {
 	}
 }
 
-// TestPrimeVariantsTelemetryNeutral is the guard the CI scenario smoke
-// depends on: priming must not move the compute-cache hit/miss counters
-// (it probes map presence, never ComputeCached), and must batch exactly
-// the sweep's mesh solves so the per-variant computes consume them.
-func TestPrimeVariantsTelemetryNeutral(t *testing.T) {
-	ResetCache()
-	variants := sweepVariants(t, 3)
-	arts, err := Select([]string{"c8"})
+// TestSweepSolvesEachMeshSizeOnce: a Vdd sweep at 35 nm gives each c8
+// variant a different mesh of one size, and they share one unit solve,
+// which outlives a cache flush, so recomputing the whole sweep after
+// ResetCache runs no solve at all; a sweep without c8 solves nothing. The
+// unit table may already be warm from earlier runs under -count or a -cpu
+// list, hence "at most one" for the first sweep.
+func TestSweepSolvesEachMeshSizeOnce(t *testing.T) {
+	s, err := scenario.Parse([]byte(`{"name": "meshsweep", "sweep": {"param": "vdd", "steps": 3, "span_pct": 20, "nodes": [35]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheBefore := ReadCacheStats()
-	solvesBefore := powergrid.ReadSolveStats()
-	PrimeVariants(arts, Options{}, variants)
-	cacheAfter := ReadCacheStats()
-	solvesAfter := powergrid.ReadSolveStats()
-	if cacheAfter.Hits != cacheBefore.Hits || cacheAfter.Misses != cacheBefore.Misses {
-		t.Errorf("priming moved cache counters: hits %d→%d misses %d→%d",
-			cacheBefore.Hits, cacheAfter.Hits, cacheBefore.Misses, cacheAfter.Misses)
+	variants, err := s.Variants()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := solvesAfter.Batched - solvesBefore.Batched; got != 3 {
-		t.Errorf("priming batched %d solves, want 3", got)
+	c8, err := Select([]string{"c8"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The primed variants' computes consume the parked drops: no further
-	// mesh solves run.
-	for _, v := range variants {
-		if _, err := arts[0].ComputeCached(Options{Scenario: v}); err != nil {
+	t1, err := Select([]string{"t1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MeshN: 45}
+	for round := 0; round < 2; round++ {
+		ResetCache()
+		before := powergrid.ReadSolveStats()
+		if _, err := ComputeAllVariants(context.Background(), runner.Pool{Workers: 2}, c8, opts, variants); err != nil {
 			t.Fatal(err)
 		}
-	}
-	consumed := powergrid.ReadSolveStats()
-	if got := consumed.Solves - solvesAfter.Solves; got != 0 {
-		t.Errorf("computes after priming ran %d extra mesh solves, want 0", got)
-	}
-}
-
-// TestPrimeVariantsNoopWithoutHeavyArtifact: selections without c8 have no
-// mesh-bound compute to share, so priming must not solve anything (the CI
-// scenario smoke posts only=t1 sweeps and asserts exact solve counts).
-func TestPrimeVariantsNoopWithoutHeavyArtifact(t *testing.T) {
-	ResetCache()
-	variants := sweepVariants(t, 3)
-	arts, err := Select([]string{"t1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := powergrid.ReadSolveStats()
-	PrimeVariants(arts, Options{}, variants)
-	after := powergrid.ReadSolveStats()
-	if after.Solves != before.Solves {
-		t.Errorf("priming without c8 ran %d mesh solves", after.Solves-before.Solves)
+		after := powergrid.ReadSolveStats()
+		want := uint64(1)
+		if round > 0 {
+			want = 0
+		}
+		if got := after.Solves - before.Solves; got > want {
+			t.Errorf("round %d: a 3-variant c8 sweep ran %d mesh solves, want ≤ %d", round, got, want)
+		}
+		if _, err := ComputeAllVariants(context.Background(), runner.Pool{Workers: 2}, t1, opts, variants); err != nil {
+			t.Fatal(err)
+		}
+		if got := powergrid.ReadSolveStats(); got != after {
+			t.Errorf("round %d: a t1-only sweep moved the solve counters: %+v → %+v", round, after, got)
+		}
 	}
 }

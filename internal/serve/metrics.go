@@ -133,13 +133,13 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *met
 	// upward flags a numerical regression (smoother, prolongation, coarse
 	// solve) from a dashboard instead of a benchmark run.
 	reg.CounterFunc("nanoreprod_mesh_solves_total",
-		"Completed power-grid mesh solves.",
+		"Completed MG-PCG mesh solves: one unit solve per grid size per process, however many meshes of that size were answered.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Solves) })
 	reg.CounterFunc("nanoreprod_mesh_solve_iterations_total",
 		"Total MG-PCG iterations spent in mesh solves.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Iterations) })
 	reg.CounterFunc("nanoreprod_mesh_solves_batched_total",
-		"Subset of mesh solves run by sweep priming, duplicate variants fed by one primed solve included (scenario sweeps should push this toward solves_total).",
+		"Always 0: sweeps no longer batch or prime mesh solves, because each grid size is solved once per process.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Batched) })
 	// Admission-gate visibility: how loaded the compute pool is and how
 	// deep the queue behind it runs.

@@ -76,7 +76,10 @@ type variantLine struct {
 // strict scenario.Parse; a sweep expands into its grid. Every variant is
 // priced and admitted through the weighted FIFO gate independently — the
 // grid fans onto the compute pool as capacity allows — and results stream
-// back as NDJSON in grid order regardless of completion order.
+// back as NDJSON in grid order regardless of completion order. No variant
+// re-solves c8's mesh: every mesh of one size scales the same unit drop,
+// solved once per process (powergrid.Mesh.Solve), so a sweep at a new
+// mesh-n pays for one solve and the rest of its variants for none.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	arts := s.order
@@ -121,20 +124,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	chans := make([]chan outcome, len(variants))
 	wt := int64(len(arts)) * weight(meshN)
-	// Prime the sweep's mesh solves before the variants fan out: priming
-	// dedupes identical meshes and solves the distinct ones solo, and each
-	// variant's compute consumes its parked, bit-identical drop. Priming is
-	// real solver work, so it must hold gate capacity like any variant
-	// would — one variant's weight covers it (priming replaces the
-	// variants' individual solves, it does not add to them). Best-effort:
-	// an admission timeout just skips priming, and the variants solve solo
-	// as before.
-	if len(variants) > 1 {
-		if release, aerr := s.gate.Acquire(ctx, wt); aerr == nil {
-			repro.PrimeVariants(arts, repro.Options{MeshN: meshN}, variants)
-			release()
-		}
-	}
 	for i, v := range variants {
 		ch := make(chan outcome, 1)
 		chans[i] = ch

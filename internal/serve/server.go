@@ -326,6 +326,9 @@ func contentType(format string) string {
 // everything cheaper) costs 1, larger meshes cost proportionally to their
 // node count — mesh-n=255 weighs ~39 units, so it drains the gate and runs
 // exclusively rather than stacking up alongside a burst of cheap requests.
+// The price is the first request's at a new mesh-n: the mesh is solved
+// once per grid size per process, so a repeat of that mesh-n costs about
+// what the default does while still paying the full weight.
 func weight(meshN int) int64 {
 	if meshN <= 0 {
 		meshN = experiments.DefaultMeshN
