@@ -322,8 +322,11 @@ func BenchmarkFullReport(b *testing.B) {
 
 // BenchmarkTraceRun simulates one 2 M-interval trace in the document shape
 // nanobench's trace_jobs submits (50 nm node, dt 10 ms): a power virus and
-// a seeded ≈75 % workload. The thermal/DTM/DVFS interval loop is the whole
-// cost; profile it with -bench 'TraceRun/workload' -cpuprofile.
+// a seeded ≈75 % workload. The thermal/DTM/DVFS interval loop and the
+// power series it consumes are the whole cost. The series is filled one
+// block ahead on a second goroutine, so a run may use two cores and its
+// time depends on -cpu; profile it with -bench 'TraceRun/workload'
+// -cpuprofile.
 func BenchmarkTraceRun(b *testing.B) {
 	for _, tc := range []struct{ name, gen string }{
 		{"virus", `{"kind":"virus","intervals":2000000}`},

@@ -16,7 +16,9 @@ func exp(x float64) float64 { return math.Exp(x) }
 var ErrNotSPD = fmt.Errorf("mathx: matrix is not positive definite")
 
 // SolveDense solves the n×n linear system A·x = b by Gaussian elimination
-// with partial pivoting. A is row-major and is not modified.
+// with partial pivoting. A is row-major and is not modified. No production
+// path calls it: it is the reference the tests hold faster special-purpose
+// solvers to (powergrid's tridiagonal ladder matches it bit for bit).
 func SolveDense(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 || len(b) != n {

@@ -14,7 +14,7 @@ import (
 // solver's own error instead of returning a drop computed from garbage.
 // A zero edge resistance makes the mesh conductance infinite, which the
 // MG-PCG kernels report as not positive definite; an infinite ladder
-// segment resistance leaves the dense system singular.
+// segment resistance leaves the ladder system singular.
 func TestSolveErrorsReachCaller(t *testing.T) {
 	short := &Mesh{N: 41, PitchM: 80e-6, EdgeOhms: 0, NodeCurrentA: 1.2e-4}
 	if d, err := short.Solve(); !errors.Is(err, mathx.ErrNotSPD) {

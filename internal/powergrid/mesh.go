@@ -158,33 +158,36 @@ func NewLadder(s GridSpec, railWidthM float64, n int) (*Ladder, error) {
 	}, nil
 }
 
-// Solve returns the peak drop along the span (both ends grounded).
+// Solve returns the peak drop along the span (both ends grounded). The
+// interior nodes 1..N-1 form a tridiagonal system (diagonal 2g,
+// off-diagonals −g), eliminated in place in mathx.SolveDense's operation
+// order. The matrix is diagonally dominant, so SolveDense's partial pivot
+// never swaps rows and the answer is bit-identical to the dense solve.
 func (l *Ladder) Solve() (float64, error) {
-	// Interior nodes 1..N-1; tridiagonal system solved directly.
 	n := l.N - 1
 	if n < 1 {
 		return 0, fmt.Errorf("powergrid: ladder too short")
 	}
 	g := 1 / l.SegOhms
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		a[i][i] = 2 * g
-		if i > 0 {
-			a[i][i-1] = -g
-		}
-		if i < n-1 {
-			a[i][i+1] = -g
-		}
-		b[i] = l.TapCurrentA
+	d := make([]float64, n)
+	v := make([]float64, n)
+	for i := range d {
+		d[i], v[i] = 2*g, l.TapCurrentA
 	}
-	// Tridiagonal n≤1024 system solved in microseconds; see Mesh.Solve for
-	// the per-artifact cancellation-granularity decision.
-	//lint:allow ctxflow bounded analytic ladder solve; cancel is upstream
-	v, err := mathx.SolveDense(a, b)
-	if err != nil {
-		return 0, err
+	for i := 0; i < n; i++ {
+		if d[i] == 0 {
+			return 0, fmt.Errorf("powergrid: singular matrix at row %d", i)
+		}
+		if i+1 < n {
+			inv := 1 / d[i]
+			f := -g * inv
+			d[i+1] -= f * (-g)
+			v[i+1] -= f * v[i]
+		}
+	}
+	v[n-1] /= d[n-1]
+	for i := n - 2; i >= 0; i-- {
+		v[i] = (v[i] - (-g)*v[i+1]) / d[i]
 	}
 	peak := 0.0
 	for _, x := range v {

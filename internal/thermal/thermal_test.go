@@ -365,6 +365,52 @@ func TestWorkloadBurstStatistics(t *testing.T) {
 	}
 }
 
+// referenceStream is the generator as a one-interval-at-a-time step,
+// reading every parameter from the stream on each call.
+func referenceStream(s *Stream) float64 {
+	if r := s.rng.Float64(); s.inBurst {
+		s.inBurst = r >= s.exit
+	} else {
+		s.inBurst = r < s.enter
+	}
+	level := s.base
+	if s.inBurst {
+		level = s.p.BurstLevel * s.p.TheoreticalMaxW
+	}
+	level *= 1 + s.p.NoiseFraction*(2*s.rng.Float64()-1)
+	if level > s.p.TheoreticalMaxW {
+		level = s.p.TheoreticalMaxW
+	}
+	if level < 0 {
+		level = 0
+	}
+	return level
+}
+
+// TestStreamFillMatchesReference pins Fill bit for bit to the
+// per-interval step, whatever the block lengths a caller splits the trace
+// into (empty blocks included), across burst regimes that include the
+// always-bursting and never-bursting edges.
+func TestStreamFillMatchesReference(t *testing.T) {
+	for _, bf := range []float64{0, 0.15, 0.6, 1} {
+		p := DefaultWorkload(174)
+		p.BurstFraction, p.NoiseFraction, p.Seed = bf, 0.3, 42
+		ref, got := p.Stream(), p.Stream()
+		buf := make([]float64, 700)
+		done := 0
+		for k := 0; done < 20000; k++ {
+			blk := buf[:(k*k*37)%len(buf)]
+			got.Fill(blk)
+			for i, v := range blk {
+				if want := referenceStream(ref); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("burst fraction %g: interval %d = %v, reference %v", bf, done+i, v, want)
+				}
+			}
+			done += len(blk)
+		}
+	}
+}
+
 func TestPowerVirus(t *testing.T) {
 	v := PowerVirus(174, 10)
 	for _, x := range v {

@@ -47,17 +47,15 @@ const BurstMeanLength = 20.0
 // consumed per interval (state, then noise), so the trace is deterministic
 // per Seed and a prefix of a longer trace from the same seed.
 func (p WorkloadParams) Generate(n int) []float64 {
-	s := p.Stream()
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Next()
-	}
+	p.Stream().Fill(out)
 	return out
 }
 
-// Stream generates the same trace as Generate one interval at a time, so
+// Stream generates the same trace as Generate block by block, so
 // arbitrarily long workloads never materialize as a slice. Generate(n)
-// equals the first n values of a fresh Stream (prefix property).
+// equals the first n values of a fresh Stream (prefix property), however
+// they are split between Fill calls.
 type Stream struct {
 	p           WorkloadParams
 	rng         *rand.Rand
@@ -86,28 +84,35 @@ func (p WorkloadParams) Stream() *Stream {
 	return s
 }
 
-// Next returns the next interval's power level.
-func (s *Stream) Next() float64 {
-	// One state draw per interval: a burst that ends cannot re-arm in
-	// the same interval, and an interval is in-burst from its first
-	// tick, so a length-L burst occupies exactly L intervals.
-	if r := s.rng.Float64(); s.inBurst {
-		s.inBurst = r >= s.exit
-	} else {
-		s.inBurst = r < s.enter
+// Fill writes the next len(buf) intervals of the trace into buf.
+func (s *Stream) Fill(buf []float64) {
+	rng, inBurst := s.rng, s.inBurst
+	enter, exit := s.enter, s.exit
+	base, burst := s.base, s.p.BurstLevel*s.p.TheoreticalMaxW
+	noise, maxW := s.p.NoiseFraction, s.p.TheoreticalMaxW
+	for i := range buf {
+		// One state draw per interval: a burst that ends cannot re-arm in
+		// the same interval, and an interval is in-burst from its first
+		// tick, so a length-L burst occupies exactly L intervals.
+		if r := rng.Float64(); inBurst {
+			inBurst = r >= exit
+		} else {
+			inBurst = r < enter
+		}
+		level := base
+		if inBurst {
+			level = burst
+		}
+		level *= 1 + noise*(2*rng.Float64()-1)
+		if level > maxW {
+			level = maxW
+		}
+		if level < 0 {
+			level = 0
+		}
+		buf[i] = level
 	}
-	level := s.base
-	if s.inBurst {
-		level = s.p.BurstLevel * s.p.TheoreticalMaxW
-	}
-	level *= 1 + s.p.NoiseFraction*(2*s.rng.Float64()-1)
-	if level > s.p.TheoreticalMaxW {
-		level = s.p.TheoreticalMaxW
-	}
-	if level < 0 {
-		level = 0
-	}
-	return level
+	s.inBurst = inBurst
 }
 
 // PowerVirus returns a flat trace at the theoretical worst case — the

@@ -71,6 +71,14 @@ func referenceRun(ctx context.Context, t *Trace, onChunk func(Progress)) (*resul
 	return t.toResult(&s, &a), nil
 }
 
+// next draws the series one interval at a time through the run's filler,
+// the way referenceRun consumes it.
+func (s *sim) next() float64 {
+	var v [1]float64
+	s.fill(v[:])
+	return v[0]
+}
+
 // linearPointForUtilization is the table lookup as a linear scan: the last
 // point whose speed covers u, else the top point.
 func linearPointForUtilization(t *dvfs.Table, u float64) dvfs.OperatingPoint {
@@ -105,8 +113,9 @@ func spikySeries(n int) []float64 {
 
 // TestRunMatchesReference pins Run to referenceRun bit for bit: every
 // claim finding, both figure series and every progress chunk, over four
-// power sources × three controllers × two control intervals, plus one
-// document carrying assertions.
+// power sources × three controllers × two control intervals, traces whose
+// lengths sit on and around the producer's block edges, and one document
+// carrying assertions.
 func TestRunMatchesReference(t *testing.T) {
 	series, err := json.Marshal(spikySeries(20000))
 	if err != nil {
@@ -133,6 +142,16 @@ func TestRunMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Lengths around the producer's block, so that chunk strides fall
+	// across block edges, and an explicit series shorter than one block.
+	for _, n := range []int{1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 1} {
+		docs = append(docs, fmt.Sprintf(`{"name":"edge-%d","dt_seconds":0.5,"node_nm":50,"generator":{"kind":"workload","intervals":%d,"seed":5}}`, n, n))
+	}
+	short, err := json.Marshal(spikySeries(blockLen / 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, `{"name":"short-series","dt_seconds":0.5,"node_nm":50,"power_w":`+string(short)+`}`)
 	docs = append(docs, `{"name":"asserted","dt_seconds":0.01,"node_nm":50,
 		"generator":{"kind":"workload","intervals":30000,"seed":3},
 		"assert":[{"check":"peak_temp_c","value":80,"rel_tol":0.05},{"check":"dvfs_energy_ratio","value":0.4,"rel_tol":0.001}]}`)

@@ -84,20 +84,25 @@ func (t *Trace) controller() thermal.Controller {
 	}
 }
 
-// source returns the series iterator and the theoretical-maximum reference
-// power (the utilization denominator and the virus level).
-func (t *Trace) source(node itrs.Node) (next func() float64, maxW float64) {
+// source returns the power series as a block filler, each call continuing
+// where the last one stopped, and the theoretical-maximum reference power
+// (the utilization denominator and the virus level).
+func (t *Trace) source(node itrs.Node) (fill func([]float64), maxW float64) {
 	maxW = node.MaxPowerW
 	if t.Generator != nil && t.Generator.TheoreticalMaxW != nil {
 		maxW = *t.Generator.TheoreticalMaxW
 	}
 	switch {
 	case len(t.PowerW) > 0:
-		i := 0
-		next = func() float64 { v := t.PowerW[i]; i++; return v }
+		rest := t.PowerW
+		fill = func(buf []float64) { rest = rest[copy(buf, rest):] }
 	case t.Generator.Kind == "virus":
 		v := maxW
-		next = func() float64 { return v }
+		fill = func(buf []float64) {
+			for i := range buf {
+				buf[i] = v
+			}
+		}
 	default:
 		p := thermal.DefaultWorkload(maxW)
 		g := t.Generator
@@ -116,9 +121,9 @@ func (t *Trace) source(node itrs.Node) (next func() float64, maxW float64) {
 		if g.Seed != nil {
 			p.Seed = *g.Seed
 		}
-		next = p.Stream().Next
+		fill = p.Stream().Fill
 	}
-	return next, maxW
+	return fill, maxW
 }
 
 // sim is one run's fixed set-up: the models the interval loop drives and
@@ -131,7 +136,7 @@ type sim struct {
 	plant  thermal.Plant
 	sensor thermal.Sensor
 	ctrl   thermal.Controller
-	next   func() float64
+	fill   func([]float64)
 	maxW   float64
 	total  int
 	dt     float64
@@ -171,7 +176,7 @@ func (t *Trace) setup() (sim, error) {
 		total:  t.Intervals(),
 		dt:     t.DtSeconds,
 	}
-	s.next, s.maxW = t.source(node)
+	s.fill, s.maxW = t.source(node)
 	s.stride = max(1, (s.total+MaxChunks-1)/MaxChunks)
 	return s, nil
 }
@@ -216,6 +221,11 @@ func (s *sim) emit(a *tally, i int, p float64, onChunk func(Progress)) {
 // MaxChunks incremental snapshots, the last one always covering the final
 // interval.
 //
+// The power series is produced on a second goroutine, one block of
+// blockLen intervals ahead of the loop that consumes it, so a run may
+// briefly use two cores. Run stops that goroutine and waits for it to
+// exit before it returns, on every path.
+//
 // ctx is checked every control interval, so cancellation (a job DELETE, a
 // dropped stream) stops the simulation within one interval of simulated
 // work. A canceled run returns ctx's error and no result. Assertions do
@@ -233,65 +243,144 @@ func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result
 	return t.toResult(&s, &a), nil
 }
 
+// blockLen is the number of intervals the producer fills per block: large
+// enough that the channel hand-off costs nothing per interval, small
+// enough that the three buffers stay in cache.
+const blockLen = 4096
+
+// produce starts the goroutine that fills the power series. Three buffers
+// circulate: the producer takes one from free, fills it and sends it on
+// full, and the consumer returns it to free once the loop has read it. Both
+// channels hold all three buffers, so no send blocks, and the producer runs
+// at most two blocks ahead. stop ends the goroutine and returns once it has
+// exited; the producer watches for it while it waits for a free buffer.
+func (s *sim) produce() (full <-chan []float64, free chan<- []float64, stop func()) {
+	n := min(blockLen, s.total)
+	bufs := make([]float64, 3*n)
+	fullc, freec := make(chan []float64, 3), make(chan []float64, 3)
+	for k := 0; k < 3; k++ {
+		freec <- bufs[k*n : (k+1)*n : (k+1)*n]
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	fill, total := s.fill, s.total
+	go func() {
+		defer close(done)
+		for left := total; left > 0; {
+			select {
+			case <-quit:
+				return
+			case buf := <-freec:
+				buf = buf[:min(left, len(buf))]
+				fill(buf)
+				fullc <- buf
+				left -= len(buf)
+			}
+		}
+	}()
+	return fullc, freec, func() { close(quit); <-done }
+}
+
 // run is the interval loop. Everything fixed for the run is evaluated
 // once, outside it: the controller's two answers (every controller that
 // Trace.controller builds is pure in the sensor bit), the plant's decay
-// factor (memoized by Plant.Step) and ctx's done channel. Each interval
-// still polls that channel and repeats the arithmetic in the same order,
-// so the result is bit-identical to evaluating everything per interval.
+// factor, the governor's thresholds and ctx's done channel. The plant
+// temperature and the governor's operating point live in locals, and the
+// energy term is memoized on the last utilization (the virus's is
+// constant). Each interval still polls the done channel and repeats the
+// arithmetic in the same order, so the result is bit-identical to
+// evaluating everything per interval.
 func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
+	full, free, stop := s.produce()
+	defer stop()
 	var (
 		a                    tally
 		plant, sensor, table = &s.plant, &s.sensor, s.table
-		next, maxW, dt       = s.next, s.maxW, s.dt
-		govCur               = s.gov.Step(1) // start at the top point
+		maxW, dt             = s.maxW, s.dt
 		fsOver, vsOver       = s.ctrl.Act(true)
 		fsCool, vsCool       = s.ctrl.Act(false)
 		cancel               = ctx.Done()
 		countdown            = s.stride
+		// The plant: Plant.Step with its memoized decay factor.
+		temp, decay = plant.TempC, 0.0
+		amb, theta  = plant.AmbientC, plant.ThetaJA
+		tau         = plant.ThetaJA * plant.CthJPerC
+		// The governor: Governor.Step from the top point, where a fresh
+		// governor starts and its first Step(1) leaves it.
+		points   = s.gov.Table.Points
+		up, down = s.gov.UpThreshold, s.gov.DownThreshold
+		gi       = 0
+		relSpeed = points[gi].RelSpeed
+		// The energy term for lastU; NaN so that the first u misses.
+		lastU, lastE = math.NaN(), 0.0
 	)
-	for i := 0; i < s.total; i++ {
+	if tau > 0 {
+		decay = math.Exp(-dt / tau)
+	}
+	for i := 0; i < s.total; {
+		var blk []float64
 		select {
 		case <-cancel:
 			return tally{}, ctx.Err()
-		default:
+		case blk = <-full:
 		}
-		d := next()
-		fs, vs := fsCool, vsCool
-		if sensor.Read(plant.TempC) {
-			fs, vs = fsOver, vsOver
+		for _, d := range blk {
+			select {
+			case <-cancel:
+				return tally{}, ctx.Err()
+			default:
+			}
+			fs, vs := fsCool, vsCool
+			if sensor.Read(temp) {
+				fs, vs = fsOver, vsOver
+			}
+			p := d * fs * vs * vs
+			tInf := amb + theta*p
+			if tau <= 0 {
+				temp = tInf
+			} else {
+				temp = tInf + (temp-tInf)*decay
+			}
+			if temp > a.peakTempC {
+				a.peakTempC = temp
+			}
+			if p > a.peakPowerW {
+				a.peakPowerW = p
+			}
+			a.sumPowerW += p
+			a.workDone += fs
+			if fs < 1 || vs < 1 {
+				a.throttled++
+			}
+			// Governor side-accounting: demand in full-speed work units.
+			u := max(0, min(1, d/maxW))
+			pending := u + a.govBacklog
+			done := min(pending, relSpeed)
+			a.govBacklog = pending - done
+			active := 0.0
+			if relSpeed > 0 {
+				active = done / relSpeed
+			}
+			if active > up && gi > 0 {
+				gi--
+			} else if active < down && gi < len(points)-1 {
+				gi++
+			}
+			relSpeed = points[gi].RelSpeed
+			// Energy comparison at the demanded utilization (§2.1: voltage
+			// scaling vs full-voltage clock gating for the same work).
+			if u != lastU {
+				lastU, lastE = u, u*table.PointForUtilization(u).EnergyPerWork
+			}
+			a.dvfsE += lastE
+			a.gateE += u
+			if countdown--; countdown == 0 || i == s.total-1 {
+				countdown = s.stride
+				plant.TempC = temp
+				s.emit(&a, i, p, onChunk)
+			}
+			i++
 		}
-		p := d * fs * vs * vs
-		plant.Step(p, dt)
-		if plant.TempC > a.peakTempC {
-			a.peakTempC = plant.TempC
-		}
-		if p > a.peakPowerW {
-			a.peakPowerW = p
-		}
-		a.sumPowerW += p
-		a.workDone += fs
-		if fs < 1 || vs < 1 {
-			a.throttled++
-		}
-		// Governor side-accounting: demand in full-speed work units.
-		u := max(0, min(1, d/maxW))
-		pending := u + a.govBacklog
-		done := min(pending, govCur.RelSpeed)
-		a.govBacklog = pending - done
-		active := 0.0
-		if govCur.RelSpeed > 0 {
-			active = done / govCur.RelSpeed
-		}
-		govCur = s.gov.Step(active)
-		// Energy comparison at the demanded utilization (§2.1: voltage
-		// scaling vs full-voltage clock gating for the same work).
-		a.dvfsE += u * table.PointForUtilization(u).EnergyPerWork
-		a.gateE += u
-		if countdown--; countdown == 0 || i == s.total-1 {
-			countdown = s.stride
-			s.emit(&a, i, p, onChunk)
-		}
+		free <- blk
 	}
 	return a, nil
 }

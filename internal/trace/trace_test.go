@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nanometer/internal/result"
 )
@@ -217,6 +221,85 @@ func TestRunCancel(t *testing.T) {
 	}
 	if last.Done >= last.Total {
 		t.Fatalf("run completed (%d/%d) despite cancellation", last.Done, last.Total)
+	}
+}
+
+// TestRunJoinsProducer pins that a run's series producer never outlives
+// it, after a completed run, a cancel inside the first block and a cancel
+// mid-run. The filler is wrapped so that every block after the first
+// takes a millisecond: a run that returned without waiting for its
+// producer would leave a fill in progress. When the run returns, no fill
+// is in progress, and none starts afterwards. The goroutine count then
+// returns to its value before the run; it is given a moment, because a
+// joined goroutine is still counted until the runtime finishes its exit,
+// just after its last statement.
+func TestRunJoinsProducer(t *testing.T) {
+	cases := []struct {
+		name, gen string
+		// cancelAt is the progress chunk whose callback cancels; 0 runs
+		// to completion.
+		cancelAt int
+	}{
+		{"completed", `{"kind":"virus","intervals":20000}`, 0},
+		// 40 000 intervals chunk every 79: the first chunk is inside the
+		// first block.
+		{"first block", `{"kind":"workload","intervals":40000}`, 1},
+		{"mid-run", `{"kind":"workload","intervals":40000000}`, 2},
+	}
+	for _, tc := range cases {
+		s, err := MustParse(`{"name":"join","dt_seconds":0.01,"generator":` + tc.gen + `}`).setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			inFill, lateFills atomic.Int32
+			returned          atomic.Bool
+			blocks            int // touched by the producer only
+			fill              = s.fill
+		)
+		s.fill = func(buf []float64) {
+			if returned.Load() {
+				lateFills.Add(1)
+			}
+			inFill.Add(1)
+			defer inFill.Add(-1)
+			if blocks++; blocks > 1 {
+				time.Sleep(time.Millisecond)
+			}
+			fill(buf)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		var last Progress
+		before := runtime.NumGoroutine()
+		_, err = s.run(ctx, func(p Progress) {
+			last = p
+			if seen++; seen == tc.cancelAt {
+				cancel()
+			}
+		})
+		returned.Store(true)
+		if n := inFill.Load(); n != 0 {
+			t.Errorf("%s: %d fills in progress when the run returned", tc.name, n)
+		}
+		cancel()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, after, before)
+		}
+		if n := lateFills.Load(); n != 0 {
+			t.Errorf("%s: %d fills started after the run returned", tc.name, n)
+		}
+		switch {
+		case tc.cancelAt == 0 && err != nil:
+			t.Errorf("%s: run failed: %v", tc.name, err)
+		case tc.cancelAt > 0 && (!errors.Is(err, context.Canceled) || last.Done >= last.Total):
+			t.Errorf("%s: canceled run returned %v at %d/%d", tc.name, err, last.Done, last.Total)
+		case tc.name == "first block" && last.Done >= blockLen:
+			t.Errorf("%s: canceled at interval %d, past the first block", tc.name, last.Done)
+		}
 	}
 }
 
