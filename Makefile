@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify bench bench-all bench-mesh bench-cutoff serve
+.PHONY: all build test race vet lint verify bench bench-all bench-mesh serve
 
 all: verify
 
@@ -48,14 +48,10 @@ verify: vet build lint race
 bench-all:
 	$(GO) test -bench=. -run='^$$' -benchmem .
 
-# The hot IR-drop kernel: seed-style allocating CG vs the
-# multigrid-preconditioned production path at n = 63 and 255, and a
-# 9-variant Vdd-shaped sweep at n = 127 and 255: the one unit solve the
-# first mesh of a size pays, and the warm sweep that scales its drop.
+# The IR-drop unit drop φ(n): a CG solve of the assembled mesh against
+# the closed-form spectral sum at n = 63 and 255 (and the closed form
+# alone at 1023), the full c8 mesh path, and a 9-variant Vdd-shaped sweep
+# at n = 127 and 255: the one evaluation the first mesh of a size pays,
+# and the warm sweep that scales its drop.
 bench-mesh:
 	$(GO) test -bench='BenchmarkMeshSolve|BenchmarkSweepBatch' -run='^$$' -benchmem . ./internal/powergrid
-
-# The parallel-cutoff micro-benchmark behind mathx.parCutoff: serial axpy
-# vs parForBlocks across the cutoff, at GOMAXPROCS 1 and 4.
-bench-cutoff:
-	$(GO) test -bench='BenchmarkParCutoff' -run='^$$' -cpu 1,4 ./internal/mathx

@@ -20,7 +20,6 @@ import (
 	"nanometer/internal/itrs"
 	"nanometer/internal/libopt"
 	"nanometer/internal/logicsim"
-	"nanometer/internal/mathx"
 	"nanometer/internal/netlist"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/rcsim"
@@ -189,91 +188,6 @@ func BenchmarkDeviceIonSolve(b *testing.B) {
 }
 
 // --- Parallel harness & solver kernels ------------------------------------------
-
-// meshLaplacian builds the n×n 5-point mesh system Mesh.Solve assembles —
-// reflective boundaries, the center node pinned (removed) as the bump,
-// uniform current injection — the hot inner kernel of Figure 5 / C8,
-// isolated for solver comparisons.
-func meshLaplacian(n int) (*mathx.SparseMatrix, []float64) {
-	center := (n/2)*n + n/2
-	idx := make([]int, n*n)
-	cnt := 0
-	for i := range idx {
-		if i == center {
-			idx[i] = -1
-			continue
-		}
-		idx[i] = cnt
-		cnt++
-	}
-	m := mathx.NewSparseMatrix(cnt)
-	b := make([]float64, cnt)
-	at := func(r, c int) int { return r*n + c }
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			u := at(r, c)
-			if idx[u] < 0 {
-				continue
-			}
-			row := idx[u]
-			b[row] = 1e-4
-			deg := 0.0
-			for _, nb := range [][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
-				if nb[0] < 0 || nb[0] >= n || nb[1] < 0 || nb[1] >= n {
-					continue // reflective boundary
-				}
-				v := at(nb[0], nb[1])
-				deg++
-				if idx[v] >= 0 {
-					m.Add(row, idx[v], -1)
-				}
-			}
-			m.Add(row, row, deg)
-		}
-	}
-	return m, b
-}
-
-// BenchmarkMeshSolve compares the IR-drop kernel at two grid sizes:
-// allocating CG (the seed behaviour and the differential-test reference)
-// against the production path — frozen CSR with a multigrid V-cycle
-// preconditioner (near-constant iterations in n, zero allocations warm).
-// Iterations are reported per row; CG grows O(n) while MG-workspace stays
-// flat, which is what makes n = 255 affordable.
-func BenchmarkMeshSolve(b *testing.B) {
-	for _, n := range []int{63, 255} {
-		m, rhs := meshLaplacian(n)
-		frozen, _ := meshLaplacian(n)
-		frozen.Freeze()
-		mg, err := mathx.NewMeshMG(n, (n/2)*n+n/2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run := func(name string, solve func(b *testing.B) (int, error)) {
-			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
-				b.ReportAllocs()
-				iters := 0
-				for i := 0; i < b.N; i++ {
-					it, err := solve(b)
-					if err != nil {
-						b.Fatal(err)
-					}
-					iters = it
-				}
-				b.ReportMetric(float64(iters), "iters")
-			})
-		}
-		run("CG", func(b *testing.B) (int, error) {
-			_, it, err := m.SolveCG(rhs, 1e-10, 20*m.N)
-			return it, err
-		})
-		var wsMG mathx.Workspace
-		run("MG-workspace", func(b *testing.B) (int, error) {
-			_, it, err := frozen.SolveMGW(&wsMG, mg, rhs, 1e-10, 20*frozen.N)
-			return it, err
-		})
-	}
-}
 
 // BenchmarkMeshSolveGrid runs the full powergrid path as c8 does: rail
 // sizing, mesh discretization and Mesh.Solve, which after the first

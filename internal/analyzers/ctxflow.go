@@ -47,7 +47,7 @@ var Ctxflow = &Analyzer{
 
 // ctxflowBlocking classifies a called function as a blocking API,
 // returning a printable name. Matching is by defining package + name
-// prefix, so methods (SparseMatrix.SolveMGW, Store.Get) and interface
+// prefix, so methods (SparseMatrix.SolveCG, Store.Get) and interface
 // methods (repro.ResultStore.Get) all count.
 func ctxflowBlocking(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()

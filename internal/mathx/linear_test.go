@@ -287,41 +287,6 @@ func TestNonSPDReturnsError(t *testing.T) {
 	}
 }
 
-// TestWorkspaceSolverReuse: repeated MG-PCG solves on one Workspace stay
-// correct across two mesh sizes (each with its own MeshMG, so no state
-// leaks between solves when the workspace shrinks and regrows) and
-// allocate nothing once warm — the production power-grid contract.
-func TestWorkspaceSolverReuse(t *testing.T) {
-	var ws Workspace
-	big, bigMG, bigB := buildMesh(t, 15, 1.5, 3)
-	small, smallMG, smallB := buildMesh(t, 7, 0.8, 4)
-	systems := []struct {
-		m  *SparseMatrix
-		mg *MeshMG
-		b  []float64
-	}{{big, bigMG, bigB}, {small, smallMG, smallB}}
-	for round := 0; round < 3; round++ {
-		for si, sys := range systems {
-			x, _, err := sys.m.SolveMGW(&ws, sys.mg, sys.b, 1e-12, 200)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch := make([]float64, sys.m.N)
-			if rel := sys.m.residualNorm(sys.b, x, scratch) / math.Sqrt(dot(sys.b, sys.b)); rel > 1e-10 {
-				t.Fatalf("round %d system %d: residual %g", round, si, rel)
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := big.SolveMGW(&ws, bigMG, bigB, 1e-12, 200); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm workspace MG-PCG solve allocates %.0f objects, want 0", allocs)
-	}
-}
-
 func TestCGZeroRHS(t *testing.T) {
 	m, _ := buildLaplacian(5)
 	x, iters, err := m.SolveCG(make([]float64, 5), 1e-12, 100)

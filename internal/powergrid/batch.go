@@ -19,15 +19,14 @@ func SolveMeshBatch(meshes []*Mesh) ([]float64, error) {
 	return drops, nil
 }
 
-// PrimeSolves solves the unit system of each distinct grid size among the
-// meshes that is not solved yet, so their later Solve calls only scale
-// it. Meshes of an invalid size are skipped, and a failed unit solve is
-// left for the later Solve to report. It stays only because the benchmark
-// harness calls it.
+// PrimeSolves evaluates the unit drop of each distinct grid size among the
+// meshes that is not evaluated yet, so their later Solve calls only scale
+// it. Meshes of an invalid size are skipped. It stays only because the
+// benchmark harness calls it.
 func PrimeSolves(meshes []*Mesh) {
 	for _, m := range meshes {
 		if validMeshN(m.N) {
-			_, _ = unitDrops.drop(m.N) // the error stays in the cell for Solve
+			unitDrops.drop(m.N)
 		}
 	}
 }

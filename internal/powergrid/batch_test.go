@@ -26,13 +26,13 @@ func sweepMeshes(k, n int) []*Mesh {
 }
 
 // freshUnitTable empties the process-wide unit table, so a test can count
-// the unit solves its own calls trigger (the table is otherwise warm from
+// the evaluations its own calls trigger (the table is otherwise warm from
 // earlier tests, and from earlier runs under -count or a -cpu list).
 func freshUnitTable() { unitDrops = unitTable{} }
 
 // TestSolveMeshBatchMatchesSolo: the batch shim is a loop of Solve, so
 // every drop carries the exact bits of the solo call, and 5 variants of
-// one grid size run one unit solve.
+// one grid size run one unit-drop evaluation.
 func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 	if drops, err := SolveMeshBatch(nil); err != nil || drops != nil {
 		t.Fatalf("empty batch: drops=%v err=%v", drops, err)
@@ -46,7 +46,7 @@ func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 	}
 	after := ReadSolveStats()
 	if got := after.Solves - before.Solves; got != 1 {
-		t.Errorf("solves counter moved by %d, want 1 (one unit solve per grid size)", got)
+		t.Errorf("solves counter moved by %d, want 1 (one evaluation per grid size)", got)
 	}
 	for i, m := range meshes {
 		solo, err := m.Solve()
@@ -59,7 +59,7 @@ func TestSolveMeshBatchMatchesSolo(t *testing.T) {
 		}
 	}
 	if got := ReadSolveStats().Solves - after.Solves; got != 0 {
-		t.Errorf("solo solves after the batch ran %d more unit solves, want 0", got)
+		t.Errorf("solo solves after the batch ran %d more evaluations, want 0", got)
 	}
 }
 
@@ -95,9 +95,11 @@ func TestPrimeSolvesParksNothingOnError(t *testing.T) {
 	}
 }
 
-// TestPrimeSolvesFeedsSolve: priming solves each distinct grid size once,
-// duplicates and other-(R, I) variants included, and the primed meshes'
-// Solve calls then run no solve and return |I|·R·φ(n) exactly.
+// TestPrimeSolvesFeedsSolve: priming evaluates each distinct grid size
+// once, duplicates and other-(R, I) variants included, and the primed
+// meshes' Solve calls then evaluate nothing and return |I|·R·φ(n): the
+// stored φ's exact bits, within 1e-12 of a CG solve of the assembled unit
+// mesh.
 func TestPrimeSolvesFeedsSolve(t *testing.T) {
 	freshUnitTable()
 	meshes := append(sweepMeshes(3, 41), sweepMeshes(2, 21)...)
@@ -106,23 +108,26 @@ func TestPrimeSolvesFeedsSolve(t *testing.T) {
 	PrimeSolves(withDup)
 	primed := ReadSolveStats()
 	if got := primed.Solves - before.Solves; got != 2 {
-		t.Errorf("priming recorded %d solves, want 2 (one per grid size)", got)
+		t.Errorf("priming recorded %d evaluations, want 2 (one per grid size)", got)
 	}
+	ref := map[int]float64{}
 	for i, m := range withDup {
 		d, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		phi, _, err := solveMesh(m.N, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := math.Abs(m.NodeCurrentA) * m.EdgeOhms * phi; math.Float64bits(d) != math.Float64bits(want) {
+		if want := math.Abs(m.NodeCurrentA) * m.EdgeOhms * unitDrop(m.N); math.Float64bits(d) != math.Float64bits(want) {
 			t.Fatalf("mesh %d: drop %x, want |I|·R·φ = %x", i, math.Float64bits(d), math.Float64bits(want))
+		}
+		if _, ok := ref[m.N]; !ok {
+			ref[m.N] = cgDrop(t, m.N, 1, 1)
+		}
+		if want := math.Abs(m.NodeCurrentA) * m.EdgeOhms * ref[m.N]; !(math.Abs(d-want)/want <= 1e-12) {
+			t.Errorf("mesh %d: drop %.17g, reference %.17g", i, d, want)
 		}
 	}
 	if got := ReadSolveStats().Solves - primed.Solves; got != 0 {
-		t.Errorf("solving primed meshes recorded %d extra solves, want 0", got)
+		t.Errorf("solving primed meshes recorded %d extra evaluations, want 0", got)
 	}
 }
 
@@ -148,17 +153,17 @@ func TestPrimeSolvesSingleRequestNoop(t *testing.T) {
 // BenchmarkSweepBatch prices a 9-variant Vdd-shaped sweep (conductance and
 // draw perturbed per variant) at two grid sizes:
 //
-//   - first-solve: the one MG-PCG solve of the unit system, assembly
-//     included, that the first mesh at a new grid size pays;
+//   - first-solve: the one unit-drop evaluation that the first mesh at a
+//     new grid size pays;
 //   - warm-sweep9: the 9 variants through Mesh.Solve once that size is
-//     solved, which is what every later mesh of the size costs.
+//     evaluated, which is what every later mesh of the size costs.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, n := range []int{127, 255} {
 		b.Run(fmt.Sprintf("n=%d/first-solve", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := solveMesh(n, 1, 1); err != nil {
-					b.Fatal(err)
+				if phi := unitDrop(n); !(phi > 0) {
+					b.Fatalf("φ(%d) = %g", n, phi)
 				}
 			}
 		})

@@ -27,9 +27,9 @@ type Mesh struct {
 // Mesh dimension limits, enforced here (not just at the CLI/HTTP
 // boundaries) because the serving layer exposes the dimension to untrusted
 // query strings: MinMeshN is the smallest grid that still has an interior
-// ring around the pinned center bump, and MaxMeshN caps the unknown count
-// (n²−1 ≈ 10⁶ at 1023) so one request cannot allocate unbounded solver and
-// multigrid state.
+// ring around the pinned center bump, and MaxMeshN is input validation
+// that also bounds the unit table (one cell per odd n up to it) and the
+// cost of one φ evaluation ((n+1)²/4 terms, under 1 ms at 1023).
 const (
 	MinMeshN = 5
 	MaxMeshN = 1023
@@ -74,8 +74,9 @@ func NewMesh(s GridSpec, railWidthM, railPitchM float64, n int) (*Mesh, error) {
 // pinned at 0 V and reflective (Neumann) cell boundaries. The same drop
 // occurs on the ground net, so the supply-loop drop is twice the returned
 // value. The drop is |NodeCurrentA|·EdgeOhms·φ(N), where φ(N) is the
-// maximum drop of the unit system for grid side N, solved once per N on
-// the MG-PCG path and kept for the life of the process (unitTable).
+// maximum drop of the unit system for grid side N, evaluated once per N
+// as a closed-form spectral sum and kept for the life of the process
+// (unitTable).
 //
 // The error classes are the ones a direct solve of the same system
 // reports: an infinite conductance (R = 0) or a non-finite draw wraps
@@ -93,11 +94,7 @@ func (m *Mesh) Solve() (maxDropV float64, err error) {
 	case math.IsNaN(m.NodeCurrentA) || math.IsInf(m.NodeCurrentA, 0):
 		return 0, fmt.Errorf("powergrid: mesh solve: non-finite node current %g: %w", m.NodeCurrentA, mathx.ErrNotSPD)
 	}
-	phi, err := unitDrops.drop(m.N)
-	if err != nil {
-		return 0, err
-	}
-	drop := math.Abs(m.NodeCurrentA) * m.EdgeOhms * phi
+	drop := math.Abs(m.NodeCurrentA) * m.EdgeOhms * unitDrops.drop(m.N)
 	if math.IsInf(drop, 0) {
 		return 0, fmt.Errorf("powergrid: mesh solve: drop overflows (I=%g A, R=%g Ω)", m.NodeCurrentA, m.EdgeOhms)
 	}

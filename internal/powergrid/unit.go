@@ -1,11 +1,8 @@
 package powergrid
 
 import (
-	"fmt"
 	"math"
 	"sync"
-
-	"nanometer/internal/mathx"
 )
 
 // unitTable holds φ(n), the maximum drop of the unit mesh system (edge
@@ -21,104 +18,72 @@ type unitTable [(MaxMeshN-MinMeshN)/2 + 1]unitCell
 type unitCell struct {
 	once sync.Once
 	phi  float64
-	err  error
 }
 
 // unitDrops is the process-lifetime table Mesh.Solve reads.
 var unitDrops unitTable
 
 // drop returns φ(n) for an odd n in [MinMeshN, MaxMeshN] (the caller
-// validates n), solving the unit system on first use. Concurrent first
-// callers for one n wait on the single solve.
-func (t *unitTable) drop(n int) (float64, error) {
+// validates n), evaluating it on first use. Concurrent first callers for
+// one n wait on the single evaluation.
+func (t *unitTable) drop(n int) float64 {
 	c := &t[(n-MinMeshN)/2]
 	c.once.Do(func() {
-		// A solve that panics still marks the cell done; this error keeps
-		// later callers from reading φ = 0 as an answer.
-		c.err = fmt.Errorf("powergrid: unit mesh solve at n = %d did not complete", n)
-		phi, iters, err := solveMesh(n, 1, 1)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.phi, c.err = phi, nil
+		c.phi = unitDrop(n)
 		meshSolves.Add(1)
-		meshSolveIters.Add(uint64(iters))
 	})
-	return c.phi, c.err
+	return c.phi
 }
 
-// solveMesh assembles the n×n pinned mesh with edge resistance edgeOhms
-// and draw nodeCurrentA per node and runs one MG-PCG solve of it,
-// returning the maximum IR drop and the iterations spent. Mesh.Solve
-// reaches it only through the unit table; tests call it with real
-// (R, I) as the direct reference the scaled drop must match.
-func solveMesh(n int, edgeOhms, nodeCurrentA float64) (maxDropV float64, iters int, err error) {
-	g := 1 / edgeOhms
-	center := (n/2)*n + n/2
-	cnt := n*n - 1 // unknowns: the center node is the pinned bump
-	unknown := func(u int) int32 {
-		if u > center {
-			return int32(u - 1)
+// unitDrop returns φ(n), the maximum drop of the unit n×n mesh (n odd)
+// whose centre node is pinned at 0 V, as an exact spectral sum.
+//
+// The unit system is the n×n Neumann (reflective-boundary) Laplacian L
+// with every node drawing 1 A and the centre supplying all n² of it, so
+// L·v = 1 − n²·e_c up to a constant, fixed by v_c = 0. L is diagonalised
+// by the separable DCT-II basis, whose 1-D modes cos(πk(i+½)/n) have
+// eigenvalues 4 sin²(πk/2n). The right-hand side is orthogonal to every
+// non-constant mode except through its centre spike, and every odd k
+// vanishes at the centre i = (n−1)/2 of an odd grid, so only the even
+// modes k = 2a, a = 0..m with m = (n−1)/2, carry drop. At the centre they
+// read (−1)^a and at a corner cos(πa/n), so the corner drop is
+//
+//	φ(n) = Σ_{a,b=0..m, (a,b)≠(0,0)} ε_a·ε_b·(1 − t_a·t_b) / (4 sin²(πa/n) + 4 sin²(πb/n))
+//
+// with t_a = (−1)^a·cos(πa/n), ε₀ = 1 and ε_a = 2 for a > 0. The corner is
+// where the drop peaks: the unit tests hold φ to the maximum over every
+// node of a dense and a conjugate-gradient solve of the assembled mesh.
+// Every term is positive (|t_a·t_b| < 1 off the origin), so nothing
+// cancels; Neumaier-compensated summation keeps the result independent of
+// the summation order to round-off.
+func unitDrop(n int) float64 {
+	m := (n - 1) / 2
+	s := make([]float64, m+1)   // 4 sin²(πa/n)
+	tw := make([]float64, m+1)  // t_a
+	eps := make([]float64, m+1) // ε_a
+	for a := range s {
+		sin, cos := math.Sincos(math.Pi * float64(a) / float64(n))
+		s[a], tw[a], eps[a] = 4*sin*sin, cos, 2
+		if a%2 == 1 {
+			tw[a] = -cos
 		}
-		return int32(u)
 	}
-	rowPtr := make([]int32, cnt+1)
-	cols := make([]int32, 0, 4*cnt)
-	vals := make([]float64, 0, 4*cnt)
-	diag := make([]float64, cnt)
-	rhs := make([]float64, cnt)
-	for u := 0; u < n*n; u++ {
-		if u == center {
-			continue
-		}
-		r, c, row := u/n, u%n, unknown(u)
-		for _, nb := range [4][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
-			if nb[0] < 0 || nb[0] >= n || nb[1] < 0 || nb[1] >= n {
-				continue // reflective boundary: no conductance out
+	eps[0] = 1
+	sum, comp := 0.0, 0.0
+	for a := range s {
+		for b := range s {
+			if a == 0 && b == 0 {
+				continue
 			}
-			diag[row] += g
-			if v := nb[0]*n + nb[1]; v != center {
-				cols = append(cols, unknown(v))
-				vals = append(vals, -g)
+			x := eps[a] * eps[b] * (1 - tw[a]*tw[b]) / (s[a] + s[b])
+			t := sum + x
+			if sum >= x { // both are positive
+				comp += (sum - t) + x
+			} else {
+				comp += (x - t) + sum
 			}
-			// Pinned neighbour: counts toward the diagonal, no column.
-		}
-		rhs[row] = nodeCurrentA
-		rowPtr[row+1] = int32(len(cols))
-	}
-	mat, err := mathx.NewFrozenCSR(cnt, rowPtr, cols, vals, diag)
-	if err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh assembly: %w", err)
-	}
-	mg, err := mathx.NewMeshMG(n, center)
-	if err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh multigrid: %w", err)
-	}
-	if err := mg.SetConductance(g); err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
-	}
-	// Multigrid-preconditioned CG: plain CG needs O(n) iterations on the
-	// mesh Laplacian (and Jacobi buys nothing — the diagonal is
-	// near-constant), while one geometric V-cycle per iteration holds the
-	// count near-constant as the grid refines (BenchmarkMeshSolve; the
-	// mathx iteration-count test pins ≤ 25 through n = 255).
-	// Cancellation granularity is deliberately per-artifact: the runner and
-	// jobs layers check ctx between computes, and a single mesh solve is
-	// bounded (≤ 25 MG-CG iterations by the mathx pin) and runs once per
-	// grid size, so threading ctx into the kernel would buy nothing but
-	// signature churn.
-	var ws mathx.Workspace
-	//lint:allow ctxflow solver kernel; cancellation is per-artifact upstream
-	sol, iters, err := mat.SolveMGW(&ws, mg, rhs, 1e-10, 20*cnt)
-	if err != nil {
-		return 0, 0, fmt.Errorf("powergrid: mesh solve: %w", err)
-	}
-	for _, v := range sol {
-		// Drops are positive (current flows into the pinned bump).
-		if d := math.Abs(v); d > maxDropV {
-			maxDropV = d
+			sum = t
 		}
 	}
-	return maxDropV, iters, nil
+	return sum + comp
 }

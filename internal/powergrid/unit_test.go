@@ -2,6 +2,7 @@ package powergrid
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,10 +11,9 @@ import (
 )
 
 // TestSolveMatchesDirectSolve pins the scaling argument: the drop Solve
-// derives from the unit system agrees with a direct MG-PCG solve of the
-// same (n, R, I) system to 1e-12 relative (measured ≤ 2e-13), far below
-// the solver's 1e-10 residual tolerance, at every size the report, the
-// sweeps and the refinement checks use, including ±20 % current variants.
+// derives from the unit drop agrees to 1e-12 relative with a dense
+// elimination of the same (n, R, I) system assembled directly, including
+// ±20 % current variants and a negative draw.
 func TestSolveMatchesDirectSolve(t *testing.T) {
 	cases := []struct{ r, i float64 }{
 		{0.029, 1.3e-4},
@@ -21,21 +21,13 @@ func TestSolveMatchesDirectSolve(t *testing.T) {
 		{0.04, 1.2e-4 * 1.2},
 		{3.7, -2.5e-3},
 	}
-	for _, n := range []int{5, 21, 41, 129, 255} {
-		cs := cases
-		if n == 255 {
-			cs = cases[1:3] // the ±20 % variants; direct solves at 255 are slow under -race
-		}
-		for _, c := range cs {
-			m := &Mesh{N: n, EdgeOhms: c.r, NodeCurrentA: c.i}
-			got, err := m.Solve()
+	for _, n := range []int{5, 9, 15} {
+		for _, c := range cases {
+			got, err := (&Mesh{N: n, EdgeOhms: c.r, NodeCurrentA: c.i}).Solve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := solveMesh(n, c.r, c.i)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := denseDrop(t, n, 1/c.r, c.i)
 			if rel := math.Abs(got-want) / want; !(rel <= 1e-12) {
 				t.Errorf("n=%d R=%g I=%g: scaled drop %.17g, direct %.17g (rel %.2g)", n, c.r, c.i, got, want, rel)
 			}
@@ -43,29 +35,92 @@ func TestSolveMatchesDirectSolve(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesCGReference checks the scaled drop against an
-// independently assembled system solved by plain CG to a tight tolerance
-// (measured agreement ≤ 4e-13 relative).
+// TestSolveMatchesCGReference checks the scaled drop against the same
+// system solved by plain CG to a tight tolerance, up to the report's
+// default grid side.
 func TestSolveMatchesCGReference(t *testing.T) {
-	for _, n := range []int{5, 11, 21} {
+	for _, n := range []int{5, 11, 21, 41} {
 		const r, cur = 0.031, 1.1e-4
-		a, b := referenceMesh(n, 1/r, cur)
-		x, _, err := a.SolveCG(b, 1e-14, 100*a.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		for _, v := range x {
-			want = math.Max(want, math.Abs(v))
-		}
+		want := cgDrop(t, n, 1/r, cur)
 		got, err := (&Mesh{N: n, EdgeOhms: r, NodeCurrentA: cur}).Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(got-want) / want; !(rel <= 1e-11) {
+		if rel := math.Abs(got-want) / want; !(rel <= 1e-12) {
 			t.Errorf("n=%d: drop %.17g, CG reference %.17g (rel %.2g)", n, got, want, rel)
 		}
 	}
+}
+
+// TestUnitDropMatchesDenseAndCG holds the closed form to the maximum
+// drop over every node of the assembled unit mesh, solved by dense
+// elimination at the smallest sizes and by CG at tolerance 1e-14 at every
+// odd n up to 63. Taking the maximum over all nodes also pins that the
+// drop peaks at the corner the formula evaluates.
+func TestUnitDropMatchesDenseAndCG(t *testing.T) {
+	check := func(n int, method string, want float64) {
+		if got := unitDrop(n); !(math.Abs(got-want)/want <= 1e-12) {
+			t.Errorf("n=%d: φ %.17g, %s maximum %.17g (rel %.2g)", n, got, method, want, math.Abs(got-want)/want)
+		}
+	}
+	for _, n := range []int{5, 7, 9, 11} {
+		check(n, "dense", denseDrop(t, n, 1, 1))
+	}
+	for n := MinMeshN; n <= 63; n += 2 {
+		check(n, "CG", cgDrop(t, n, 1, 1))
+	}
+}
+
+// TestUnitDropIncreasing: φ is finite, positive and strictly increasing
+// over every admissible grid side.
+func TestUnitDropIncreasing(t *testing.T) {
+	prev := 0.0
+	for n := MinMeshN; n <= MaxMeshN; n += 2 {
+		phi := unitDrop(n)
+		if math.IsNaN(phi) || math.IsInf(phi, 0) || !(phi > prev) {
+			t.Fatalf("φ(%d) = %g after φ(%d) = %g, want finite and increasing", n, phi, n-2, prev)
+		}
+		prev = phi
+	}
+}
+
+// cgDrop solves the pinned n×n mesh with edge conductance g and draw cur
+// per node by CG at tolerance 1e-14 and returns its largest |drop| over
+// all nodes.
+func cgDrop(t *testing.T, n int, g, cur float64) float64 {
+	t.Helper()
+	a, b := referenceMesh(n, g, cur)
+	x, _, err := a.SolveCG(b, 1e-14, 100*a.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return maxAbs(x)
+}
+
+// denseDrop is cgDrop by dense elimination.
+func denseDrop(t *testing.T, n int, g, cur float64) float64 {
+	t.Helper()
+	a, b := referenceMesh(n, g, cur)
+	dense := make([][]float64, a.N)
+	for i := range dense {
+		dense[i] = make([]float64, a.N)
+		unit := make([]float64, a.N)
+		unit[i] = 1
+		a.MulVec(unit, dense[i]) // column i of A = row i (symmetric)
+	}
+	x, err := mathx.SolveDense(dense, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return maxAbs(x)
+}
+
+func maxAbs(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
 }
 
 // referenceMesh assembles the pinned n×n mesh with edge conductance g and
@@ -104,7 +159,7 @@ func referenceMesh(n int, g, cur float64) (*mathx.SparseMatrix, []float64) {
 
 // TestSolveDegenerateInputs: inputs a direct solve cannot handle fail with
 // the same error class it reports, and they fail before the unit table is
-// touched, so no solve is recorded for them.
+// touched, so no evaluation is recorded for them.
 func TestSolveDegenerateInputs(t *testing.T) {
 	const n, r, cur = 9, 0.05, 2e-4
 	freshUnitTable()
@@ -153,7 +208,7 @@ func TestSolveDegenerateInputs(t *testing.T) {
 }
 
 // TestUnitTableConcurrentFirstUse: concurrent first solves at one size
-// share a single unit solve, and every caller gets the same bits.
+// share a single unit-drop evaluation, and every caller gets the same bits.
 func TestUnitTableConcurrentFirstUse(t *testing.T) {
 	freshUnitTable()
 	sizes := []int{7, 13, 25}
@@ -178,10 +233,10 @@ func TestUnitTableConcurrentFirstUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Each size needs at least one unit solve, so a total of len(sizes)
+	// Each size needs at least one evaluation, so a total of len(sizes)
 	// means exactly one each.
 	if got := ReadSolveStats().Solves - before.Solves; got != uint64(len(sizes)) {
-		t.Errorf("%d goroutines over %d sizes ran %d unit solves, want %d", workers, len(sizes), got, len(sizes))
+		t.Errorf("%d goroutines over %d sizes ran %d unit-drop evaluations, want %d", workers, len(sizes), got, len(sizes))
 	}
 	for w := 1; w < workers; w++ {
 		for i := range sizes {
@@ -190,5 +245,38 @@ func TestUnitTableConcurrentFirstUse(t *testing.T) {
 					math.Float64bits(drops[w][i]), math.Float64bits(drops[0][i]))
 			}
 		}
+	}
+}
+
+// BenchmarkMeshSolve compares the two ways to get φ(n): a CG solve of the
+// assembled unit mesh (the test reference, O(n) iterations of an n²
+// system) against the closed-form spectral sum Mesh.Solve evaluates once
+// per grid size, at n = 63 and 255, and the closed form alone at the
+// largest admissible size.
+func BenchmarkMeshSolve(b *testing.B) {
+	for _, n := range []int{63, 255, MaxMeshN} {
+		if n < MaxMeshN {
+			a, rhs := referenceMesh(n, 1, 1)
+			b.Run(fmt.Sprintf("n=%d/CG", n), func(b *testing.B) {
+				b.ReportAllocs()
+				iters := 0
+				for i := 0; i < b.N; i++ {
+					_, it, err := a.SolveCG(rhs, 1e-10, 20*a.N)
+					if err != nil {
+						b.Fatal(err)
+					}
+					iters = it
+				}
+				b.ReportMetric(float64(iters), "iters")
+			})
+		}
+		b.Run(fmt.Sprintf("n=%d/closed-form", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if phi := unitDrop(n); !(phi > 0) {
+					b.Fatalf("φ(%d) = %g", n, phi)
+				}
+			}
+		})
 	}
 }

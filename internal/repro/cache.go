@@ -238,6 +238,8 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // result's bits, so a store written by an older binary reads as misses
 // instead of serving the old bits. v2: c8's mesh drop is the unit drop
 // scaled by |I|·R, which moved its pessimistic ratio in the last digits.
+// v3: the unit drop is a closed-form spectral sum instead of an iterative
+// solve, which moved it again in the last digits.
 //
 // The nil scenario contributes nothing to the hash. A non-nil
 // scenario folds in the digest of its full canonical content: two
@@ -245,7 +247,7 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // scenario document hashes identically across replicas.
 func (o Options) computeKey() string {
 	h := fnv.New64a()
-	io.WriteString(h, "compute-v2")
+	io.WriteString(h, "compute-v3")
 	io.WriteString(h, "\x00mesh-n=")
 	io.WriteString(h, strconv.Itoa(experiments.MeshN(o.MeshN)))
 	if o.Scenario != nil {

@@ -8,9 +8,10 @@ import (
 
 // gate is a weighted, FIFO admission semaphore: every request acquires a
 // number of units proportional to its compute cost before touching the
-// model stack, so a burst of cheap requests runs concurrently up to the
-// capacity while one expensive refinement (mesh-n 255 weighs ~38 default
-// requests) drains the gate, runs alone, and releases it — it can neither
+// model stack (an artifact costs 1, a report or sweep variant one per
+// artifact, a trace job more the longer it runs), so a burst of cheap
+// requests runs concurrently up to the capacity while one expensive
+// request drains the gate, runs alone, and releases it — it can neither
 // starve the pool nor be starved forever, because waiters are served
 // strictly in arrival order.
 type gate struct {

@@ -13,8 +13,7 @@ import (
 
 // jobWeight prices a trace job in gate units: a simulation is cheap per
 // interval but long, so weight grows with trace length — a maximal
-// 2×10⁸-interval job drains a default gate and runs alone, exactly like a
-// mesh-n=255 refinement does.
+// 2×10⁸-interval job drains a default gate and runs alone.
 func jobWeight(tr *trace.Trace) int64 {
 	return 1 + int64(tr.Intervals())/5_000_000
 }

@@ -128,19 +128,9 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *met
 			"Store files dropped on checksum or decode failure.",
 			func() float64 { return float64(st.Counters().Corrupt) })
 	}
-	// Mesh-solver health: the MG-PCG iteration count is near-constant per
-	// mesh size by construction, so iterations_total/solves_total drifting
-	// upward flags a numerical regression (smoother, prolongation, coarse
-	// solve) from a dashboard instead of a benchmark run.
 	reg.CounterFunc("nanoreprod_mesh_solves_total",
-		"Completed MG-PCG mesh solves: one unit solve per grid size per process, however many meshes of that size were answered.",
+		"Unit drops evaluated: one per grid size per process, however many meshes of that size were answered.",
 		func() float64 { return float64(powergrid.ReadSolveStats().Solves) })
-	reg.CounterFunc("nanoreprod_mesh_solve_iterations_total",
-		"Total MG-PCG iterations spent in mesh solves.",
-		func() float64 { return float64(powergrid.ReadSolveStats().Iterations) })
-	reg.CounterFunc("nanoreprod_mesh_solves_batched_total",
-		"Always 0: sweeps no longer batch or prime mesh solves, because each grid size is solved once per process.",
-		func() float64 { return float64(powergrid.ReadSolveStats().Batched) })
 	// Admission-gate visibility: how loaded the compute pool is and how
 	// deep the queue behind it runs.
 	reg.GaugeFunc("nanoreprod_gate_in_flight_units",

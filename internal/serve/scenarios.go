@@ -123,7 +123,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		err     error
 	}
 	chans := make([]chan outcome, len(variants))
-	wt := int64(len(arts)) * weight(meshN)
+	wt := int64(len(arts)) // one unit per artifact, as a report
 	for i, v := range variants {
 		ch := make(chan outcome, 1)
 		chans[i] = ch

@@ -7,10 +7,10 @@
 //     If-None-Match revalidation answers 304 without touching the models,
 //     and an ETag match guarantees byte-identical data (the same guarantee
 //     the compute cache gives in-process).
-//   - A weighted FIFO admission gate: every request costs compute units
-//     proportional to its mesh size, cheap requests run concurrently up to
-//     the configured capacity, and an expensive mesh-n=255 refinement
-//     drains the gate and runs alone instead of starving the pool.
+//   - A weighted FIFO admission gate: an artifact costs one compute unit
+//     and a report one per artifact, requests run concurrently up to the
+//     configured capacity, and a long trace job drains the gate and runs
+//     alone instead of starving the pool.
 //   - Per-request timeouts that cut the handler loose (503/504) while the
 //     abandoned compute still completes into the cache, so a retry is a
 //     hit rather than a second solve. The gate units stay held until the
@@ -43,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"nanometer/internal/experiments"
 	jobsvc "nanometer/internal/jobs"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
@@ -322,22 +321,6 @@ func contentType(format string) string {
 	}
 }
 
-// weight prices a request in gate units: the default 41-node mesh (and
-// everything cheaper) costs 1, larger meshes cost proportionally to their
-// node count — mesh-n=255 weighs ~39 units, so it drains the gate and runs
-// exclusively rather than stacking up alongside a burst of cheap requests.
-// The price is the first request's at a new mesh-n: the mesh is solved
-// once per grid size per process, so a repeat of that mesh-n costs about
-// what the default does while still paying the full weight.
-func weight(meshN int) int64 {
-	if meshN <= 0 {
-		meshN = experiments.DefaultMeshN
-	}
-	d := int64(experiments.DefaultMeshN) * int64(experiments.DefaultMeshN)
-	n := int64(meshN) * int64(meshN)
-	return (n + d - 1) / d
-}
-
 // handleIndex lists the registry.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
@@ -382,7 +365,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is the one-artifact report: `nanorepro -only <id>`'s bytes.
-	s.serveRecord(w, r, etag, etag, enc, rec, leader, weight(opts.MeshN), func(context.Context) ([]byte, error) {
+	// One artifact costs one gate unit at any mesh-n: c8's mesh drop is a
+	// closed form evaluated once per grid size, so no mesh size is dear.
+	s.serveRecord(w, r, etag, etag, enc, rec, leader, 1, func(context.Context) ([]byte, error) {
 		start := time.Now()
 		res, cerr := a.ComputeCached(opts)
 		s.met.computeSeconds.With(artifactLabel(a)).Add(time.Since(start).Seconds())
@@ -415,7 +400,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// A report computes every artifact: price it as the sum of its parts
 	// (clamped to capacity inside the gate).
-	s.serveRecord(w, r, key, "", enc, rec, leader, int64(len(s.order))*weight(opts.MeshN), func(ctx context.Context) ([]byte, error) {
+	s.serveRecord(w, r, key, "", enc, rec, leader, int64(len(s.order)), func(ctx context.Context) ([]byte, error) {
 		body, rerr := s.encodeReport(ctx, opts, enc)
 		if rerr != nil {
 			return nil, fmt.Errorf("report: %w", rerr)

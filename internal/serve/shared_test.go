@@ -60,9 +60,9 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// TestSingleflightHeavyGateWeight: duplicates of a heavy request
-// (mesh-n=255 ≈ 39 units) must not multiply its admission cost — the
-// burst holds one leader's weight, not K×39.
+// TestSingleflightHeavyGateWeight: duplicates of a refinement request
+// (mesh-n=255, one unit like any artifact) must not multiply its
+// admission cost — the burst holds one leader's unit, not K.
 func TestSingleflightHeavyGateWeight(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
@@ -83,7 +83,7 @@ func TestSingleflightHeavyGateWeight(t *testing.T) {
 	}
 	waitFor(t, func() bool { return computes.Load() == 1 })
 	waitFor(t, func() bool { return s.met.singleflightShared.Value() == k-1 })
-	want := weight(255)
+	const want = 1
 	if got := s.gate.InFlight(); got != want {
 		t.Errorf("gate in-flight = %d units for %d duplicate heavy requests, want %d (one leader)", got, k, want)
 	}
@@ -119,7 +119,7 @@ func TestSingleflightReportCollapse(t *testing.T) {
 	}
 	waitFor(t, func() bool { return computes.Load() >= 1 })
 	waitFor(t, func() bool { return s.met.singleflightShared.Value() == k-1 })
-	want := int64(len(arts)) * weight(0)
+	want := int64(len(arts))
 	if got := s.gate.InFlight(); got != want {
 		t.Errorf("gate in-flight = %d units for %d identical reports, want %d (one report)", got, k, want)
 	}
