@@ -1,10 +1,11 @@
 # Verify/bench entry points. `make verify` is the PR gate: vet + build +
 # the full test suite under the race detector (the parallel reproduction
-# engine makes -race mandatory, not optional).
+# engine makes -race mandatory, not optional). The suite includes the
+# lockguard lint (TestRepoIsClean in internal/analyzers).
 
 GO ?= go
 
-.PHONY: all build test race vet lint verify bench bench-all bench-mesh serve
+.PHONY: all build test race vet verify bench bench-all bench-mesh serve
 
 all: verify
 
@@ -29,18 +30,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The project-specific static-analysis gate (internal/analyzers via
-# cmd/nanolint): the concurrency contracts of the serving era —
-# lock-guarded fields (lockguard), context threading past blocking APIs
-# (ctxflow) — and bounded metric-label sets (metriclabel).
-# Exit 1 on any finding, with the analyzer name in every line.
-lint:
-	$(GO) run ./cmd/nanolint ./...
-
 race:
 	$(GO) test -race ./...
 
-verify: vet build lint race
+verify: vet build race
 
 # All go-test benchmarks: every artifact end to end (BenchmarkArtifact/<id>)
 # + solver and optimizer kernels + the parallel full-report speedup

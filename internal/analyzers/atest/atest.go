@@ -27,8 +27,7 @@ import (
 )
 
 // exports is the shared import-path → export-data index, built once per
-// test binary. The closure of ./... plus the handful of std packages
-// fixtures are allowed to import.
+// test binary. The closure of ./... plus sync, which the fixture imports.
 var (
 	exportsOnce sync.Once
 	exports     map[string]string
@@ -38,8 +37,7 @@ var (
 func sharedExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
-		exports, exportsErr = analyzers.LoadExports(".",
-			"./...", "sync", "context", "net/http", "strconv")
+		exports, exportsErr = analyzers.LoadExports(".", "./...", "sync")
 	})
 	if exportsErr != nil {
 		t.Fatalf("loading export data: %v", exportsErr)
@@ -50,9 +48,8 @@ func sharedExports(t *testing.T) map[string]string {
 var wantRe = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 
 // Run type-checks every .go file in dir as one package under the given
-// import path (the path matters for scoped analyzers like ctxflow) and
-// checks the analyzer's diagnostics against the fixture's want
-// annotations.
+// import path and checks the analyzer's diagnostics against the fixture's
+// want annotations.
 func Run(t *testing.T, a *analyzers.Analyzer, dir, pkgPath string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)

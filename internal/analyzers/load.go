@@ -21,7 +21,6 @@ type Package struct {
 	Path      string
 	Fset      *token.FileSet
 	Syntax    []*ast.File
-	Types     *types.Package
 	TypesInfo *types.Info
 }
 
@@ -64,7 +63,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	var targets []listedPackage
 	for _, p := range listed {
 		if p.Error != nil {
-			return nil, fmt.Errorf("nanolint: load %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("analyzers: load %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -99,7 +98,7 @@ func goListTargets(root string, patterns []string) (map[string]bool, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("nanolint: go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("analyzers: go list: %v\n%s", err, stderr.String())
 	}
 	wanted := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSpace(out), []byte("\n")) {
@@ -116,7 +115,7 @@ func NewExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("nanolint: no export data for %q", path)
+			return nil, fmt.Errorf("analyzers: no export data for %q", path)
 		}
 		return os.Open(f)
 	})
@@ -154,7 +153,7 @@ func goList(root string, patterns []string) ([]listedPackage, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("nanolint: go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("analyzers: go list: %v\n%s", err, stderr.String())
 	}
 	var listed []listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -163,7 +162,7 @@ func goList(root string, patterns []string) ([]listedPackage, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("nanolint: decode go list output: %w", err)
+			return nil, fmt.Errorf("analyzers: decode go list output: %w", err)
 		}
 		listed = append(listed, p)
 	}
@@ -181,7 +180,7 @@ func moduleRoot(dir string) (string, error) {
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
-			return "", errors.New("nanolint: no go.mod found above " + abs)
+			return "", errors.New("analyzers: no go.mod found above " + abs)
 		}
 		d = parent
 	}
@@ -192,7 +191,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, p listedPackage) (*Pa
 	for _, name := range p.GoFiles {
 		af, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("nanolint: parse %s: %w", name, err)
+			return nil, fmt.Errorf("analyzers: parse %s: %w", name, err)
 		}
 		files = append(files, af)
 	}
@@ -209,9 +208,8 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []*a
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("nanolint: typecheck %s: %w", path, err)
+	if _, err := conf.Check(path, fset, files, info); err != nil {
+		return nil, fmt.Errorf("analyzers: typecheck %s: %w", path, err)
 	}
-	return &Package{Path: path, Fset: fset, Syntax: files, Types: tpkg, TypesInfo: info}, nil
+	return &Package{Path: path, Fset: fset, Syntax: files, TypesInfo: info}, nil
 }

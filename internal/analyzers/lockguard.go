@@ -16,15 +16,12 @@ import (
 // contract says the caller already locked.
 //
 // Composite-literal field keys (`&Job{state: StateQueued}`) are not
-// accesses: construction happens before the value is shared. Accesses the
-// analyzer cannot prove but a human can (publication via another mutex's
-// happens-before edge, single-goroutine setup) take a
-// `//lint:allow lockguard <reason>`.
+// accesses: construction happens before the value is shared. There is no
+// suppression: an access the analyzer cannot prove is restructured until
+// it can (take the lock, or move the access into a *Locked function).
 var Lockguard = &Analyzer{
 	Name: "lockguard",
-	Doc: "flags reads/writes of `// guarded by <mu>` struct fields outside " +
-		"a region that holds the lock (or a *Locked caller-holds function)",
-	Run: runLockguard,
+	Run:  runLockguard,
 }
 
 // guardedField records the guard declared for one struct field.
@@ -136,7 +133,7 @@ func checkFuncLocks(pass *Pass, guards map[types.Object]guardedField, fn *ast.Fu
 			}
 			pass.Reportf(sel.Pos(),
 				"%s.%s is guarded by %s.%s, which is not held here "+
-					"(lock it, use a *Locked caller-holds function, or annotate //lint:allow lockguard <reason>)",
+					"(lock it, or use a *Locked caller-holds function)",
 				base, sel.Sel.Name, base, gf.guard)
 		},
 	}

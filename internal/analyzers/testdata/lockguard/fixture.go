@@ -1,6 +1,6 @@
 // The lockguard fixture: `// guarded by <mu>` fields must only be
 // touched while the named mutex is held (or from a *Locked caller-holds
-// function, or under an explicit allow).
+// function).
 package fixture
 
 import "sync"
@@ -44,12 +44,6 @@ func (c *counter) Drain() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.drainLocked()
-}
-
-// PeekRacy documents an intentionally racy read with an allow directive.
-func (c *counter) PeekRacy() int {
-	//lint:allow lockguard monitoring read; staleness is acceptable
-	return c.n
 }
 
 // branches exercises the early-return shape: the fast path unlocks and

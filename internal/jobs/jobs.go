@@ -232,7 +232,6 @@ func New(cfg Config) *Queue {
 	}
 	// The queue is a lifecycle root: it owns its jobs' base context and
 	// Close cancels it, so there is no caller ctx to thread.
-	//lint:allow ctxflow queue is a lifecycle root; Close cancels this ctx
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Queue{
 		cfg:        cfg,
@@ -253,7 +252,6 @@ func (q *Queue) Submit(tr *trace.Trace) (*Job, error) {
 	if q.cfg.Store != nil {
 		// One bounded local file read; the job's own cancelable context
 		// does not exist yet (it is created under the queue lock below).
-		//lint:allow ctxflow store probe is one bounded local read, pre-ctx
 		if res, ok := q.cfg.Store.Get(tr.ArtifactID(), tr.Key()); ok {
 			cachedRes = res
 		}

@@ -147,6 +147,12 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	}})
 }
 
+// MaxLabelValues caps the distinct label values one CounterVec admits.
+// Every child lives in the registry for good, and some label values come
+// from untrusted input (scenario names in POST bodies), so without a cap a
+// client could mint one time series per request.
+const MaxLabelValues = 64
+
 // CounterVec is a family of counters distinguished by one label.
 type CounterVec struct {
 	key      string
@@ -155,11 +161,17 @@ type CounterVec struct {
 }
 
 // With returns (creating on first use) the child counter for the label
-// value.
+// value. Once the vec holds MaxLabelValues children, a value it has not
+// seen counts under the extra child "other"; values admitted earlier keep
+// their own series.
 func (v *CounterVec) With(labelValue string) *Counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	c, ok := v.children[labelValue]
+	if !ok && len(v.children) >= MaxLabelValues {
+		labelValue = "other"
+		c, ok = v.children[labelValue]
+	}
 	if !ok {
 		c = &Counter{}
 		v.children[labelValue] = c

@@ -148,3 +148,41 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Errorf("histogram lost updates: got %d want %d", got, workers*each)
 	}
 }
+
+// TestCounterVecCapsLabelValues: a vec admits MaxLabelValues distinct
+// values; later new values count under "other", values admitted before
+// the cap keep their own series, and a warm child costs no allocation.
+func TestCounterVecCapsLabelValues(t *testing.T) {
+	r := &Registry{}
+	v := r.CounterVec("cap_total", "capped", "k")
+	const extra = 10
+	for i := 0; i < MaxLabelValues+extra; i++ {
+		v.With(fmt.Sprintf("v%03d", i)).Inc()
+	}
+	v.With("v000").Inc()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	if n := strings.Count(got, "cap_total{"); n != MaxLabelValues+1 {
+		t.Errorf("%d children after %d distinct values, want %d (the cap plus other)", n, MaxLabelValues+extra, MaxLabelValues+1)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("cap_total{k=\"other\"} %d\n", extra),
+		"cap_total{k=\"v000\"} 2\n",
+		fmt.Sprintf("cap_total{k=\"v%03d\"} 1\n", MaxLabelValues-1),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, fmt.Sprintf("\"v%03d\"", MaxLabelValues)) {
+		t.Errorf("a value past the cap got its own series")
+	}
+	for _, label := range []string{"v001", "past-the-cap"} {
+		if allocs := testing.AllocsPerRun(100, func() { v.With(label).Inc() }); allocs != 0 {
+			t.Errorf("warm With(%q).Inc() allocates %v times, want 0", label, allocs)
+		}
+	}
+}

@@ -40,9 +40,11 @@ func (rec *bodyRecord) ready() ([]byte, bool) {
 // grow the table. reset (the flush endpoint) empties it: a record in
 // flight at the flush still finishes for its waiters but is not kept.
 type bodyTable struct {
-	mu   sync.Mutex
-	m    map[string]*bodyRecord // guarded by mu
-	kept int                    // guarded by mu; finished records in m
+	mu sync.Mutex
+	m  map[string]*bodyRecord // guarded by mu
+	// kept counts the finished records in m.
+	// guarded by mu
+	kept int
 }
 
 func newBodyTable() *bodyTable { return &bodyTable{m: make(map[string]*bodyRecord)} }

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +159,49 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				}
 			},
 			retry:   "/api/v1/report",
+			wantHit: true,
+		},
+		{
+			name: "client-disconnect-during-store-put",
+			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
+				var n atomic.Int64
+				st := &blockingPutStore{putting: make(chan struct{}), release: make(chan struct{})}
+				repro.SetResultStore(st)
+				t.Cleanup(func() { repro.SetResultStore(nil) })
+				arts := []repro.Artifact{counting("stored", &n, 0, nil)}
+				return arts, func(t *testing.T, s *Server, srv *httptest.Server) {
+					client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+					ctx, cancel := context.WithCancel(context.Background())
+					req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/api/v1/artifacts/stored", nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					done := make(chan error, 1)
+					go func() {
+						resp, err := client.Do(req)
+						if err == nil {
+							resp.Body.Close()
+						}
+						done <- err
+					}()
+					// Disconnect while the leader's result is being written to
+					// the store, and let the write land only once the handler
+					// has given up.
+					<-st.putting
+					cancel()
+					if err := <-done; err == nil {
+						t.Error("disconnected client got a response")
+					}
+					waitFor(t, func() bool { return s.met.requests.With("499").Value() == 1 })
+					close(st.release)
+					// The compute cache holds the result, not an error: a
+					// direct call waits out the put and does not recompute.
+					if _, err := arts[0].ComputeCached(repro.Options{}); err != nil || n.Load() != 1 {
+						t.Errorf("after the put: ComputeCached error %v, %d computes; want a cached result of 1", err, n.Load())
+					}
+				}
+			},
+			retry:   "/api/v1/artifacts/stored",
 			wantHit: true,
 		},
 		{
@@ -330,6 +374,70 @@ func TestScenariosDisconnectReturnsToBaseline(t *testing.T) {
 	}
 }
 
+// TestScenariosCancelStopsQueuedWork: a client that hangs up on a
+// scenarios request takes its queued work with it. Variants waiting at a
+// full gate leave the queue at once and never compute, and a variant whose
+// pool is busy launches none of its remaining artifacts.
+func TestScenariosCancelStopsQueuedWork(t *testing.T) {
+	post := func(s *Server, ctx context.Context, body string) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			req := httptest.NewRequest("POST", "/api/v1/scenarios", strings.NewReader(body)).WithContext(ctx)
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			close(done)
+		}()
+		return done
+	}
+	t.Run("gate-wait", func(t *testing.T) {
+		repro.ResetCache()
+		defer repro.ResetCache()
+		var n atomic.Int64
+		s := New(Config{Artifacts: []repro.Artifact{counting("gw", &n, 0, nil)}, GateUnits: 1, Timeout: 5 * time.Second})
+		defer s.Close()
+		baseline := runtime.NumGoroutine()
+		release, err := s.gate.Acquire(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := post(s, ctx, `{"name":"gw","sweep":{"param":"vdd","steps":3,"span_pct":20,"nodes":[70]}}`)
+		waitFor(t, func() bool { return s.gate.Waiting() == 3 })
+		cancel()
+		<-done
+		// The gate is still full: only the cancel can empty its queue.
+		waitFor(t, func() bool { return s.gate.Waiting() == 0 })
+		release()
+		waitBaseline(t, s, baseline)
+		if got := n.Load(); got != 0 {
+			t.Errorf("%d variants computed after their client hung up at the gate, want 0", got)
+		}
+		if got := s.met.rejected.Value(); got != 3 {
+			t.Errorf("gate rejections = %v, want 3", got)
+		}
+	})
+	t.Run("pool", func(t *testing.T) {
+		repro.ResetCache()
+		defer repro.ResetCache()
+		// One worker: whichever artifact starts first blocks the other.
+		var n atomic.Int64
+		unblock := make(chan struct{})
+		arts := []repro.Artifact{counting("p1", &n, 0, unblock), counting("p2", &n, 0, unblock)}
+		s := New(Config{Artifacts: arts, Jobs: 1, Timeout: 5 * time.Second})
+		defer s.Close()
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := post(s, ctx, `{"name":"p"}`)
+		waitFor(t, func() bool { return n.Load() == 1 })
+		cancel()
+		<-done
+		close(unblock)
+		waitBaseline(t, s, baseline)
+		if got := n.Load(); got != 1 {
+			t.Errorf("%d artifacts computed, want 1: the pool launched work after the client hung up", got)
+		}
+	})
+}
+
 // waitBaseline waits until s holds no gate units, has no gate waiter and
 // no body record in flight, and runs no more goroutines than baseline.
 func waitBaseline(t *testing.T, s *Server, baseline int) {
@@ -349,6 +457,21 @@ func waitBaseline(t *testing.T, s *Server, baseline int) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// blockingPutStore is a result store that misses every Get and holds its
+// first Put until release closes; putting closes when that Put begins.
+type blockingPutStore struct {
+	putting, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingPutStore) Get(string, string) (*result.Result, bool) { return nil, false }
+
+func (b *blockingPutStore) Put(string, string, *result.Result) bool {
+	b.once.Do(func() { close(b.putting) })
+	<-b.release
+	return true
 }
 
 // flakyArtifact fails its first compute and succeeds from then on.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -236,6 +237,39 @@ func TestJobsCancelReleasesGate(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || again.State != jobs.StateCanceled {
 		t.Fatalf("second DELETE = %d, state %s", resp.StatusCode, again.State)
+	}
+}
+
+// TestJobsCancelWhileAdmitting: a job waiting at a full gate goes
+// canceled on DELETE without ever holding units, and leaves the gate queue
+// at once, while the gate is still full.
+func TestJobsCancelWhileAdmitting(t *testing.T) {
+	srv := New(Config{JobWorkers: 1, GateUnits: 8})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	release, err := srv.gate.Acquire(context.Background(), srv.GateUnits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	resp := postTrace(t, ts.URL, shortTraceDoc)
+	snap := decodeSnapshot(t, resp.Body)
+	resp.Body.Close()
+	waitFor(t, func() bool { return srv.gate.Waiting() == 1 })
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+snap.ID, nil)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := decodeSnapshot(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || settled.State != jobs.StateCanceled || settled.Progress != nil {
+		t.Fatalf("DELETE of an admitting job = %d, state %s, progress %+v; want 200, canceled, no progress", resp.StatusCode, settled.State, settled.Progress)
+	}
+	if w, in := srv.gate.Waiting(), srv.gate.InFlight(); w != 0 || in != srv.GateUnits() {
+		t.Errorf("gate waiting=%d in-flight=%d after the cancel, want 0 and %d (the holder alone)", w, in, srv.GateUnits())
 	}
 }
 

@@ -27,29 +27,12 @@ func bodyErrStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// maxScenarioLabels bounds the cardinality of the scenario metrics label.
-// Scenario names come from untrusted POST bodies, so without a cap a client
-// could mint one time series per request; past the cap new names fold into
-// the "other" child and /metrics stays scrape-sized.
-const maxScenarioLabels = 64
-
-// scenarioLabel maps a variant name to its metrics label: the base scenario
-// name (sweep suffixes like "/vdd=0.800" fold into their parent), admitted
-// into the label set until the cardinality cap, then "other".
-func (s *Server) scenarioLabel(name string) string {
-	base := name
-	if i := strings.IndexByte(base, '/'); i >= 0 {
-		base = base[:i]
-	}
-	s.labelMu.Lock()
-	defer s.labelMu.Unlock()
-	if s.scenarioNames[base] {
-		return base
-	}
-	if len(s.scenarioNames) >= maxScenarioLabels {
-		return "other"
-	}
-	s.scenarioNames[base] = true
+// scenarioLabel maps a variant name to its metrics label, the base
+// scenario name: sweep suffixes like "/vdd=0.800" fold into their parent.
+// The names come from untrusted POST bodies; the vec's own cap
+// (obs.MaxLabelValues) counts names past the 64th under "other".
+func scenarioLabel(name string) string {
+	base, _, _ := strings.Cut(name, "/")
 	return base
 }
 
@@ -135,7 +118,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer release()
-			s.met.scenarioComputes.With(s.scenarioLabel(v.Name)).Inc()
+			s.met.scenarioComputes.With(scenarioLabel(v.Name)).Inc()
 			opts := repro.Options{MeshN: meshN, Scenario: v}
 			// ctx carries both the request deadline and the client
 			// disconnect: a hung-up stream stops fanning new artifact

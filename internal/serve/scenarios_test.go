@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nanometer/internal/obs"
 	"nanometer/internal/repro"
 )
 
@@ -190,22 +191,35 @@ func TestScenariosBodyErrorMapping(t *testing.T) {
 	}
 }
 
-// TestScenarioLabelCardinality: the metrics label folds sweep suffixes into
-// the base name and caps distinct names at maxScenarioLabels.
+// TestScenarioLabelCardinality: the scenario computes counter folds sweep
+// suffixes into the base name, and a /metrics scrape shows at most
+// obs.MaxLabelValues names plus "other", whatever names clients post.
 func TestScenarioLabelCardinality(t *testing.T) {
 	srv := New(Config{Artifacts: []repro.Artifact{}})
-	if got := srv.scenarioLabel("mix/vdd=0.800"); got != "mix" {
-		t.Errorf("variant label = %q, want mix", got)
+	defer srv.Close()
+	count := func(name string) { srv.met.scenarioComputes.With(scenarioLabel(name)).Inc() }
+	count("mix/vdd=0.800")
+	count("mix/vdd=1.200")
+	const extra = 10
+	for i := 0; i < obs.MaxLabelValues+extra; i++ {
+		count(fmt.Sprintf("hostile-%03d/vdd=1.000", i))
 	}
-	for i := 0; i < maxScenarioLabels+10; i++ {
-		srv.scenarioLabel(fmt.Sprintf("hostile-%03d", i))
+	count("mix")
+	rec := get(t, srv.Handler(), "/metrics", nil)
+	series := grepLines(rec.Body.String(), "nanoreprod_scenario_computes_total{") + "\n"
+	if n := strings.Count(series, "\n"); n != obs.MaxLabelValues+1 {
+		t.Errorf("%d scenario series, want %d (the cap plus other):\n%s", n, obs.MaxLabelValues+1, series)
 	}
-	if got := srv.scenarioLabel("one-more"); got != "other" {
-		t.Errorf("past the cap, label = %q, want other", got)
-	}
-	// Already-admitted names keep their own series.
-	if got := srv.scenarioLabel("mix"); got != "mix" {
-		t.Errorf("admitted name folded to %q", got)
+	// The first 63 hostile names fill the cap behind mix; the other 11
+	// count under "other", and the admitted mix keeps its own series.
+	for _, want := range []string{
+		`nanoreprod_scenario_computes_total{scenario="mix"} 3`,
+		`nanoreprod_scenario_computes_total{scenario="hostile-062"} 1`,
+		fmt.Sprintf(`nanoreprod_scenario_computes_total{scenario="other"} %d`, extra+1),
+	} {
+		if !strings.Contains(series, want+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", want, series)
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	jobsvc "nanometer/internal/jobs"
@@ -90,11 +89,6 @@ type Server struct {
 	jobs    int
 	met     *metrics
 	mux     *http.ServeMux
-
-	// scenarioNames is the admitted metrics-label set for scenario names
-	// (bounded; see scenarioLabel).
-	labelMu       sync.Mutex
-	scenarioNames map[string]bool // guarded by labelMu
 }
 
 // New builds a Server from cfg.
@@ -119,13 +113,12 @@ func New(cfg Config) *Server {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		byID:          make(map[string]repro.Artifact, len(arts)),
-		order:         arts,
-		gate:          newGate(units),
-		bodies:        newBodyTable(),
-		timeout:       timeout,
-		jobs:          jobs,
-		scenarioNames: make(map[string]bool),
+		byID:    make(map[string]repro.Artifact, len(arts)),
+		order:   arts,
+		gate:    newGate(units),
+		bodies:  newBodyTable(),
+		timeout: timeout,
+		jobs:    jobs,
 	}
 	for _, a := range arts {
 		s.byID[a.ID] = a
@@ -150,7 +143,7 @@ func New(cfg Config) *Server {
 	s.jobq = jobsvc.New(jcfg)
 	s.met = newMetrics(s.gate, s.store, s.jobq, s.bodies)
 	s.jobq.OnFinish = func(state jobsvc.State, cached bool) {
-		s.met.jobsFinished.With(stateLabel(state)).Inc()
+		s.met.jobsFinished.With(string(state)).Inc()
 		if cached {
 			s.met.jobsCached.Inc()
 		}
@@ -346,7 +339,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "unknown artifact %q (GET /api/v1/artifacts for the index)", id)
 		return
 	}
-	s.met.artifactTotal.With(artifactLabel(a)).Inc()
+	s.met.artifactTotal.With(a.ID).Inc()
 	opts, enc, err := requestOptions(r)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
@@ -370,7 +363,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	s.serveRecord(w, r, etag, etag, enc, rec, leader, 1, func(context.Context) ([]byte, error) {
 		start := time.Now()
 		res, cerr := a.ComputeCached(opts)
-		s.met.computeSeconds.With(artifactLabel(a)).Add(time.Since(start).Seconds())
+		s.met.computeSeconds.With(a.ID).Add(time.Since(start).Seconds())
 		if cerr != nil {
 			return nil, fmt.Errorf("computing %s: %w", id, cerr)
 		}

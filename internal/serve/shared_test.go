@@ -19,78 +19,55 @@ import (
 
 // TestSingleflightCollapse: K identical concurrent requests run exactly
 // one compute; the other K−1 collapse onto the leader's flight without
-// acquiring gate weight, and every request still gets 200.
+// acquiring gate weight, and every request still gets 200. A mesh-n=255
+// request costs one unit like any artifact, so its duplicates hold one
+// leader's unit too.
 func TestSingleflightCollapse(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	const k = 16
-	var computes atomic.Int64
-	blocker := make(chan struct{})
-	arts := []repro.Artifact{counting("collapse", &computes, 0, blocker)}
-	s := New(Config{Artifacts: arts, GateUnits: 100, Timeout: 30 * time.Second})
-	h := s.Handler()
+	for _, tc := range []struct {
+		name, query string
+		k           int
+	}{
+		{"default", "", 16},
+		{"mesh-n=255", "?mesh-n=255", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repro.ResetCache()
+			defer repro.ResetCache()
+			var computes atomic.Int64
+			blocker := make(chan struct{})
+			arts := []repro.Artifact{counting("collapse", &computes, 0, blocker)}
+			s := New(Config{Artifacts: arts, GateUnits: 100, Timeout: 30 * time.Second})
+			defer s.Close()
+			h := s.Handler()
 
-	var wg sync.WaitGroup
-	codes := make([]int, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec := get(t, h, "/api/v1/artifacts/collapse", nil)
-			codes[i] = rec.Code
-		}(i)
-	}
-	// One leader computes; the 15 followers register as shared before any
-	// result exists.
-	waitFor(t, func() bool { return computes.Load() == 1 })
-	waitFor(t, func() bool { return s.met.singleflightShared.Value() == k-1 })
-	// Only the leader holds gate weight: 16 in-flight requests, 1 unit.
-	if got := s.gate.InFlight(); got != 1 {
-		t.Errorf("gate in-flight = %d units during a collapsed burst, want 1 (the leader)", got)
-	}
-	close(blocker)
-	wg.Wait()
-	for i, c := range codes {
-		if c != 200 {
-			t.Errorf("request %d got %d", i, c)
-		}
-	}
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("model ran %d times for %d identical requests, want 1", n, k)
-	}
-}
-
-// TestSingleflightHeavyGateWeight: duplicates of a refinement request
-// (mesh-n=255, one unit like any artifact) must not multiply its
-// admission cost — the burst holds one leader's unit, not K.
-func TestSingleflightHeavyGateWeight(t *testing.T) {
-	repro.ResetCache()
-	defer repro.ResetCache()
-	var computes atomic.Int64
-	blocker := make(chan struct{})
-	arts := []repro.Artifact{counting("heavy", &computes, 0, blocker)}
-	s := New(Config{Artifacts: arts, GateUnits: 1000, Timeout: 30 * time.Second})
-	h := s.Handler()
-
-	const k = 4
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			get(t, h, "/api/v1/artifacts/heavy?mesh-n=255", nil)
-		}()
-	}
-	waitFor(t, func() bool { return computes.Load() == 1 })
-	waitFor(t, func() bool { return s.met.singleflightShared.Value() == k-1 })
-	const want = 1
-	if got := s.gate.InFlight(); got != want {
-		t.Errorf("gate in-flight = %d units for %d duplicate heavy requests, want %d (one leader)", got, k, want)
-	}
-	close(blocker)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("model ran %d times, want 1", n)
+			var wg sync.WaitGroup
+			codes := make([]int, tc.k)
+			for i := range codes {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i] = get(t, h, "/api/v1/artifacts/collapse"+tc.query, nil).Code
+				}(i)
+			}
+			// One leader computes; the followers register as shared before
+			// any result exists.
+			waitFor(t, func() bool { return computes.Load() == 1 })
+			waitFor(t, func() bool { return s.met.singleflightShared.Value() == float64(tc.k-1) })
+			// Only the leader holds gate weight: k in-flight requests, 1 unit.
+			if got := s.gate.InFlight(); got != 1 {
+				t.Errorf("gate in-flight = %d units during a collapsed burst of %d, want 1 (the leader)", got, tc.k)
+			}
+			close(blocker)
+			wg.Wait()
+			for i, c := range codes {
+				if c != 200 {
+					t.Errorf("request %d got %d", i, c)
+				}
+			}
+			if n := computes.Load(); n != 1 {
+				t.Fatalf("model ran %d times for %d identical requests, want 1", n, tc.k)
+			}
+		})
 	}
 }
 
