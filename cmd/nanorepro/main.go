@@ -12,7 +12,9 @@
 // identical for any -jobs value, because encoding starts only when every
 // result is in, and the output is printed when the run finishes. A failed
 // artifact does not abort the run; all per-artifact errors are aggregated
-// and reported at the end, and the exit status reflects them.
+// and reported at the end, and the exit status reflects them. So does every
+// failed check the paper table does not list as a known deviation: a
+// scenario's failed expectation or a trace's failed assertion exits 1 too.
 //
 // Usage:
 //
@@ -42,6 +44,7 @@ import (
 
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
+	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
 	"nanometer/internal/trace"
@@ -115,13 +118,13 @@ func main() {
 	// cancellation signal to thread.
 	grouped, computeErr := repro.ComputeAllVariants(context.Background(), runner.Pool{Workers: *jobs},
 		arts, repro.Options{MeshN: *meshN}, variants)
+	results := slices.Concat(grouped...)
 	out := bufio.NewWriter(os.Stdout)
-	encodeErr := enc.EncodeReport(out, slices.Concat(grouped...))
+	encodeErr := enc.EncodeReport(out, results)
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
-	if err := errors.Join(computeErr, encodeErr); err != nil {
-		printFailures(err)
+	if printFailures(results, errors.Join(computeErr, encodeErr)) {
 		os.Exit(1)
 	}
 }
@@ -144,21 +147,34 @@ func runTrace(path string, enc render.Encoding) {
 	if err := enc.Encode(os.Stdout, res); err != nil {
 		fatal(err)
 	}
-	if failed := trace.FailedChecks(res); len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "nanorepro: trace %s: %d assertion(s) failed:\n", tr.Name, len(failed))
-		for _, f := range failed {
-			fmt.Fprintf(os.Stderr, "  %s = %.6g, want %.6g ±%.3g rel\n",
-				f.Key, f.Value, f.Check.Paper, f.Check.RelTol)
-		}
+	if printFailures([]*result.Result{res}, nil) {
 		os.Exit(1)
 	}
 }
 
-func printFailures(agg error) {
-	fmt.Fprintln(os.Stderr, "nanorepro: some artifacts failed:")
-	for _, line := range strings.Split(agg.Error(), "\n") {
-		fmt.Fprintln(os.Stderr, "  "+line)
+// printFailures is the failure printer of both modes: the run's joined
+// artifact errors, then, as artifact/key, each failed check the paper
+// table does not list as a known deviation. It reports whether it printed
+// anything. Failed computes leave nil slots in results, which it skips.
+func printFailures(results []*result.Result, agg error) bool {
+	failed := agg != nil
+	if failed {
+		fmt.Fprintln(os.Stderr, "nanorepro: some artifacts failed:")
+		for _, line := range strings.Split(agg.Error(), "\n") {
+			fmt.Fprintln(os.Stderr, "  "+line)
+		}
 	}
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		for _, f := range repro.Regressions(res) {
+			failed = true
+			fmt.Fprintf(os.Stderr, "nanorepro: failed check %s/%s = %.6g, want %.6g ±%.3g rel\n",
+				res.ID, f.Key, f.Value, f.Check.Paper, f.Check.RelTol)
+		}
+	}
+	return failed
 }
 
 func fatal(err error) {

@@ -101,6 +101,43 @@ func TestComputeFailureExits(t *testing.T) {
 	}
 }
 
+// TestCheckExitStatus: a failed check that the paper table does not list
+// as a known deviation exits 1 after the full output, naming artifact/key
+// on stderr, in report, scenario and trace mode alike. The base report's
+// three listed deviations (c3, c4, c5) exit 0 with nothing on stderr.
+func TestCheckExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		args     []string
+		code     int
+		stdout   string
+		stderr   string
+		failures int
+	}{
+		{"known deviations", []string{"-only", "c3,c4,c5", "-v"}, 0, "→ FAIL", "", 3},
+		{"wrong scenario expectation", []string{"-scenario", "testdata/wrong-expect.json", "-only", "c7", "-v"}, 1,
+			"[scenario wrong-expect]", "c7/vdd_floor = ", 1},
+		{"wrong trace assertion", []string{"-trace", "testdata/wrong-assert.json", "-v"}, 1,
+			"junction peak", "trace:wrong-assert/throughput = ", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := nanorepro(t, tc.args...)
+			if code != tc.code {
+				t.Errorf("exit status %d, want %d (stderr %q)", code, tc.code, stderr)
+			}
+			if !strings.Contains(stdout, tc.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.stdout, stdout)
+			}
+			if tc.stderr == "" && stderr != "" || !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q, want it to contain %q", stderr, tc.stderr)
+			}
+			if n := strings.Count(stdout, "→ FAIL"); n != tc.failures {
+				t.Errorf("%d failed checks printed, want %d", n, tc.failures)
+			}
+		})
+	}
+}
+
 // TestTraceCSVCreatesDir: -trace with -csv creates a missing directory,
 // as the report path does, and writes the trace's figure CSV into it.
 func TestTraceCSVCreatesDir(t *testing.T) {

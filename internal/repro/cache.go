@@ -241,13 +241,29 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // v3: the unit drop is a closed-form spectral sum instead of an iterative
 // solve, which moved it again in the last digits.
 //
-// The nil scenario contributes nothing to the hash. A non-nil
-// scenario folds in the digest of its full canonical content: two
-// scenarios differing in any override get distinct keys, and the same
-// scenario document hashes identically across replicas.
-func (o Options) computeKey() string {
+// The nil scenario folds in the digest of the paper table, whose checks
+// it carries, so editing a quoted value invalidates stored base results. A
+// non-nil scenario folds in the digest of its full canonical content,
+// expectations included: two scenarios differing in any override get
+// distinct keys, and the same scenario document hashes identically across
+// replicas.
+func (o Options) computeKey() string { return o.keyWith(baseKeyPrefix) }
+
+// keyVersion opens every compute key. baseKeyPrefix joins it once with the
+// paper table's digest, so folding the digest in hashes no extra string:
+// each hashed string costs an allocation on every key.
+const keyVersion = "compute-v3"
+
+var baseKeyPrefix = keyVersion + "\x00paper=" + paperKey
+
+// keyWith is computeKey with the base roadmap's key prefix as a parameter.
+func (o Options) keyWith(basePrefix string) string {
 	h := fnv.New64a()
-	io.WriteString(h, "compute-v3")
+	if o.Scenario == nil {
+		io.WriteString(h, basePrefix)
+	} else {
+		io.WriteString(h, keyVersion)
+	}
 	io.WriteString(h, "\x00mesh-n=")
 	io.WriteString(h, strconv.Itoa(experiments.MeshN(o.MeshN)))
 	if o.Scenario != nil {

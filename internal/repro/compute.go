@@ -177,8 +177,8 @@ func computeC1(opts Options) (*result.Result, error) {
 	c.Num("node_nm", float64(r.NodeNM), "nm").
 		Num("theoretical_worst_w", r.TheoreticalWorstW, "W").
 		Num("effective_worst_w", r.EffectiveWorstW, "W").
-		Checked("effective_fraction", r.EffectiveFraction, "", 0.75, 0.15).
-		Checked("theta_ja_headroom", r.ThetaJAHeadroom, "", 0.33, 0.25).
+		Num("effective_fraction", r.EffectiveFraction, "").
+		Num("theta_ja_headroom", r.ThetaJAHeadroom, "").
 		Str("cooling_theoretical_class", fmt.Sprint(r.CostTheoretical.Class)).
 		Num("cooling_theoretical_cost_usd", r.CostTheoretical.CostUSD, "USD").
 		Str("cooling_effective_class", fmt.Sprint(r.CostEffective.Class)).
@@ -186,7 +186,7 @@ func computeC1(opts Options) (*result.Result, error) {
 		Num("cooling_cost_ratio", r.CostRatio, "").
 		Num("virus_peak_temp_c", r.VirusPeakTempC, "°C").
 		Num("virus_throughput", r.VirusThroughput, "").
-		Checked("intel_65_to_75", r.Intel65to75, "", 3, 0.5)
+		Num("intel_65_to_75", r.Intel65to75, "")
 	return claimResult(c), nil
 }
 
@@ -243,7 +243,7 @@ func computeC3(opts Options) (*result.Result, error) {
 			Num(k+"size", res.TotalSize, "").
 			Bool(k+"timing_met", res.TimingMet)
 	}
-	c.Checked("continuous_vs_coarse", r.ContinuousVsCoarse, "", 0.185, 0.25).
+	c.Num("continuous_vs_coarse", r.ContinuousVsCoarse, "").
 		Num("continuous_vs_rich", r.ContinuousVsRich, "")
 	return claimResult(c), nil
 }
@@ -260,10 +260,10 @@ func computeC4(opts Options) (*result.Result, error) {
 	c := &result.Claim{}
 	c.Num("low_vdd_ratio", r.Setup.LowVddRatio, "").
 		Num("path_utilization", r.PathUtilization, "").
-		Checked("clustered_assigned_fraction", r.Clustered.AssignedFraction, "", 0.75, 0.2).
-		Checked("clustered_dynamic_saving", r.Clustered.DynamicSaving, "", 0.475, 0.2).
-		Checked("clustered_lc_overhead", r.Clustered.LCOverheadFraction, "", 0.09, 0.5).
-		Checked("clustered_area_overhead", r.Clustered.AreaOverhead, "", 0.15, 0.5).
+		Num("clustered_assigned_fraction", r.Clustered.AssignedFraction, "").
+		Num("clustered_dynamic_saving", r.Clustered.DynamicSaving, "").
+		Num("clustered_lc_overhead", r.Clustered.LCOverheadFraction, "").
+		Num("clustered_area_overhead", r.Clustered.AreaOverhead, "").
 		Num("clustered_level_converters", float64(r.Clustered.LevelConverters), "").
 		Bool("clustered_timing_met", r.Clustered.TimingMet).
 		Num("unclustered_assigned_fraction", r.Unclustered.AssignedFraction, "").
@@ -284,7 +284,7 @@ func computeC5(opts Options) (*result.Result, error) {
 	}
 	c := &result.Claim{}
 	c.Num("sensitivity_high_vth_fraction", r.Sensitivity.HighVthFraction, "").
-		Checked("sensitivity_leakage_saving", r.Sensitivity.LeakageSaving, "", 0.6, 0.34).
+		Num("sensitivity_leakage_saving", r.Sensitivity.LeakageSaving, "").
 		Num("sensitivity_delay_penalty", r.Sensitivity.DelayPenalty, "").
 		Bool("sensitivity_timing_met", r.Sensitivity.TimingMet).
 		Num("slack_high_vth_fraction", r.SlackOrdered.HighVthFraction, "").
@@ -325,10 +325,10 @@ func computeC7(opts Options) (*result.Result, error) {
 		return nil, err
 	}
 	c := &result.Claim{}
-	c.Checked("vdd_floor", r.Vdd, "V", 0.44, 0.1).
-		Checked("dynamic_saving", r.Savings, "", 0.46, 0.15).
+	c.Num("vdd_floor", r.Vdd, "V").
+		Num("dynamic_saving", r.Savings, "").
 		Num("at02_delay_norm", r.At02V.DelayNorm, "").
-		Checked("at02_pdyn_norm", r.At02V.PdynNorm, "", 0.11, 0.3).
+		Num("at02_pdyn_norm", r.At02V.PdynNorm, "").
 		Num("at02_vth", r.At02V.Vth, "V")
 	return claimResult(c), nil
 }
@@ -343,11 +343,11 @@ func computeC8(opts Options) (*result.Result, error) {
 		return nil, err
 	}
 	c := &result.Claim{}
-	c.Checked("effective_pitch_m", r.EffectivePitchM, "m", 356e-6, 0.1).
+	c.Num("effective_pitch_m", r.EffectivePitchM, "m").
 		Num("min_pitch_m", r.MinPitchM, "m").
 		Num("itrs_width_over_min", r.ITRSWidthOverMin, "").
 		Bool("itrs_feasible", r.ITRSFeasible).
-		Checked("min_width_over_min", r.MinWidthOverMin, "", 16, 0.5).
+		Num("min_width_over_min", r.MinWidthOverMin, "").
 		Num("supply_current_a", r.Current.SupplyCurrentA, "A").
 		Num("vdd_bumps", float64(r.Current.VddBumps), "").
 		Num("per_bump_a", r.Current.PerBumpA, "A").

@@ -2,44 +2,128 @@ package repro
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"nanometer/internal/result"
 	"nanometer/internal/runner"
+	"nanometer/internal/scenario"
 )
 
-// knownDeviations lists every paper check the base reproduction fails, as
-// "<artifact>/<finding>", sorted, each with its measured value against the
-// paper's and its cause. A deviation stays listed until the model or the
-// check is fixed; no tolerance is widened to turn it into a pass.
-var knownDeviations = []string{
-	"c3/continuous_vs_coarse",       // 0.514 vs 0.185: wrong pair; the paper's 15–22 % is on-the-fly vs the rich library (11 % here)
-	"c4/clustered_dynamic_saving",   // 0.303 vs 0.475 ± 20 %: clustered CVS saves less than the paper's circuits; cause not yet found
-	"c5/sensitivity_leakage_saving", // 0.885 vs 0.6 ± 0.34: hypothesis: the device model has no gate-oxide tunnelling leakage, which dual-Vth cannot cut
-}
-
-// TestKnownDeviations computes the base registry and checks that the set
-// of failing paper checks is exactly knownDeviations: a new failure fails
-// this test, and so does a silent fix of a listed one.
-func TestKnownDeviations(t *testing.T) {
+// baseResults computes the base registry, keyed by artifact ID.
+func baseResults(t *testing.T) map[string]*result.Result {
+	t.Helper()
 	results, err := ComputeAllCtx(context.Background(), runner.Pool{}, Artifacts(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failing []string
+	byID := map[string]*result.Result{}
 	for _, res := range results {
+		byID[res.ID] = res
+	}
+	return byID
+}
+
+// TestKnownDeviations computes the base registry and checks that the set
+// of failing paper checks is exactly the paper table's rows that carry a
+// deviation: a new failure fails this test, and so does a silent fix of a
+// listed one.
+func TestKnownDeviations(t *testing.T) {
+	var failing, known []string
+	for id, res := range baseResults(t) {
+		for _, f := range res.FailedChecks() {
+			failing = append(failing, id+"/"+f.Key)
+		}
+	}
+	for _, r := range paperChecks {
+		if r.deviation != "" {
+			known = append(known, r.artifact+"/"+r.Check)
+		}
+	}
+	sort.Strings(failing)
+	sort.Strings(known)
+	if got, want := strings.Join(failing, " "), strings.Join(known, " "); got != want {
+		t.Errorf("failing paper checks [%s], want exactly the known deviations [%s]", got, want)
+	}
+}
+
+// TestPaperTableNamesFindings: every row of the paper table lands as a
+// check on a finding its artifact produces, and within each checked
+// artifact finding keys are unique, so matching by key attaches each row
+// to exactly one finding. A row whose key matches no finding fails the
+// artifact's compute (pinned on c7 with a misspelt key).
+func TestPaperTableNamesFindings(t *testing.T) {
+	byID := baseResults(t)
+	for _, r := range paperChecks {
+		res := byID[r.artifact]
+		if res == nil {
+			t.Errorf("paper table row %s/%s names no artifact", r.artifact, r.Check)
+			continue
+		}
+		var checked []result.Finding
 		for _, it := range res.Items {
 			if it.Claim == nil {
 				continue
 			}
-			for _, f := range it.Claim.FailedChecks() {
-				failing = append(failing, res.ID+"/"+f.Key)
+			for _, f := range it.Claim.Findings {
+				if f.Key == r.Check {
+					checked = append(checked, f)
+				}
 			}
 		}
+		if len(checked) != 1 || checked[0].Check == nil ||
+			checked[0].Check.Paper != r.Value || checked[0].Check.RelTol != r.RelTol {
+			t.Errorf("row %s/%s: findings %+v, want one carrying the row's check", r.artifact, r.Check, checked)
+		}
 	}
-	sort.Strings(failing)
-	if got, want := strings.Join(failing, " "), strings.Join(knownDeviations, " "); got != want {
-		t.Errorf("failing paper checks [%s], want exactly the known deviations [%s]", got, want)
+	for id := range paperExpect {
+		var keys []string
+		for _, it := range byID[id].Items {
+			if it.Claim != nil {
+				for _, f := range it.Claim.Findings {
+					keys = append(keys, f.Key)
+				}
+			}
+		}
+		sort.Strings(keys)
+		if n := len(slices.Compact(keys)); n != len(keys) {
+			t.Errorf("%s: %d findings share a key with another", id, len(keys)-n)
+		}
+	}
+	arts, err := Select([]string{"c7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := arts[0].Compute(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.ApplyChecks([]result.Expect{{Check: "vdd_flor", Value: 0.44, RelTol: 0.1}}); err == nil {
+		t.Error("a check naming no finding applied without error")
+	}
+}
+
+// TestBaseKeyCoversPaperTable: the base compute key folds in the paper
+// table, so two tables differing in one value key apart, while a
+// scenario's key is its own document's and ignores the table.
+func TestBaseKeyCoversPaperTable(t *testing.T) {
+	edited := slices.Clone(paperChecks)
+	edited[0].Value *= 1.01
+	prefix := func(rows []paperCheck) string {
+		_, digest := groupPaper(rows)
+		return keyVersion + "\x00paper=" + digest
+	}
+	var base Options
+	if base.keyWith(prefix(edited)) == base.computeKey() {
+		t.Error("editing a paper value left the base compute key unchanged")
+	}
+	if base.keyWith(prefix(slices.Clone(paperChecks))) != base.computeKey() {
+		t.Error("the base compute key is not the paper table's")
+	}
+	s := Options{Scenario: scenario.MustParse(`{"name":"a"}`)}
+	if s.keyWith(prefix(edited)) != s.computeKey() {
+		t.Error("a scenario's compute key depends on the paper table")
 	}
 }

@@ -17,8 +17,11 @@ package repro
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nanometer/internal/device"
@@ -87,57 +90,27 @@ type Artifact struct {
 
 // compute runs the artifact's compute function and stamps the registry
 // identity onto the result, so compute functions stay ignorant of their
-// registration. Under a scenario it also stamps the scenario name and
-// swaps the paper's quoted-value checks for the scenario's expectations.
+// registration. It checks the result against the paper's table on the base
+// roadmap, and against the scenario's own expectations under a scenario,
+// whose roadmap the paper's numbers do not describe.
 func (a Artifact) compute(opts Options) (*result.Result, error) {
 	res, err := a.Compute(opts)
 	if err != nil {
 		return nil, err
 	}
 	res.ID, res.Title = a.ID, a.Title
+	expect := paperExpect[a.ID]
 	if opts.Scenario != nil {
 		res.Scenario = opts.Scenario.Name
-		if err := applyScenarioChecks(res, opts.Scenario); err != nil {
-			return nil, err
-		}
+		expect = opts.Scenario.ExpectFor(a.ID)
+	}
+	if err := res.ApplyChecks(expect); err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// applyScenarioChecks relaxes a result computed under a non-base roadmap:
-// the paper's quoted numbers describe the ITRS-2000 table, so their checks
-// are dropped, and the scenario's own expectations (scenario-appropriate
-// values with their own tolerances) are installed in their place. An
-// expectation naming a finding the artifact doesn't produce is an error —
-// a typo in an expectation must fail loudly, not silently always-pass.
-func applyScenarioChecks(res *result.Result, s *scenario.Scenario) error {
-	expect := s.ExpectFor(res.ID)
-	matched := make([]bool, len(expect))
-	for _, it := range res.Items {
-		if it.Claim == nil {
-			continue
-		}
-		for i := range it.Claim.Findings {
-			f := &it.Claim.Findings[i]
-			f.Check = nil
-			for j, e := range expect {
-				if f.Key == e.Check {
-					f.Check = result.NewCheck(f.Value, e.Value, e.RelTol)
-					matched[j] = true
-				}
-			}
-		}
-	}
-	for j, e := range expect {
-		if !matched[j] {
-			return fmt.Errorf("repro: scenario %s expects %s/%s, but artifact %s has no such finding",
-				s.Name, e.Artifact, e.Check, res.ID)
-		}
-	}
-	return nil
 }
 
 // Render computes the artifact (through the cache unless opts.NoCache) and
@@ -174,6 +147,62 @@ func Artifacts() []Artifact {
 		{"c12", "tolerable-swing study (the §2.2 open question)", computeC12},
 		{"c13", "signaling-primitive planner (conclusion #2's EDA tool)", computeC13},
 	}
+}
+
+// paperCheck is one number the paper quotes for a finding of an artifact.
+// Deviation gives the cause where the base reproduction is known to miss
+// the number; a row stays a deviation until the model or the check is
+// fixed, and no tolerance is widened to turn it into a pass.
+type paperCheck struct {
+	artifact string
+	result.Expect
+	deviation string
+}
+
+// paperChecks is the paper's quoted numbers, checked on the base roadmap.
+var paperChecks = []paperCheck{
+	{artifact: "c1", Expect: result.Expect{Check: "effective_fraction", Value: 0.75, RelTol: 0.15}},
+	{artifact: "c1", Expect: result.Expect{Check: "theta_ja_headroom", Value: 0.33, RelTol: 0.25}},
+	{artifact: "c1", Expect: result.Expect{Check: "intel_65_to_75", Value: 3, RelTol: 0.5}},
+	{artifact: "c3", Expect: result.Expect{Check: "continuous_vs_coarse", Value: 0.185, RelTol: 0.25},
+		deviation: "0.514 vs 0.185: wrong pair; the paper's 15–22 % is on-the-fly vs the rich library (11 % here)"},
+	{artifact: "c4", Expect: result.Expect{Check: "clustered_assigned_fraction", Value: 0.75, RelTol: 0.2}},
+	{artifact: "c4", Expect: result.Expect{Check: "clustered_dynamic_saving", Value: 0.475, RelTol: 0.2},
+		deviation: "0.303 vs 0.475 ± 20 %: clustered CVS saves less than the paper's circuits; cause not yet found"},
+	{artifact: "c4", Expect: result.Expect{Check: "clustered_lc_overhead", Value: 0.09, RelTol: 0.5}},
+	{artifact: "c4", Expect: result.Expect{Check: "clustered_area_overhead", Value: 0.15, RelTol: 0.5}},
+	{artifact: "c5", Expect: result.Expect{Check: "sensitivity_leakage_saving", Value: 0.6, RelTol: 0.34},
+		deviation: "0.885 vs 0.6 ± 0.34: hypothesis: the device model has no gate-oxide tunnelling leakage, which dual-Vth cannot cut"},
+	{artifact: "c7", Expect: result.Expect{Check: "vdd_floor", Value: 0.44, RelTol: 0.1}},
+	{artifact: "c7", Expect: result.Expect{Check: "dynamic_saving", Value: 0.46, RelTol: 0.15}},
+	{artifact: "c7", Expect: result.Expect{Check: "at02_pdyn_norm", Value: 0.11, RelTol: 0.3}},
+	{artifact: "c8", Expect: result.Expect{Check: "effective_pitch_m", Value: 356e-6, RelTol: 0.1}},
+	{artifact: "c8", Expect: result.Expect{Check: "min_width_over_min", Value: 16, RelTol: 0.5}},
+}
+
+// paperExpect is paperChecks grouped by artifact ID, and paperKey the
+// table's digest, which the base compute key folds in.
+var paperExpect, paperKey = groupPaper(paperChecks)
+
+func groupPaper(rows []paperCheck) (map[string][]result.Expect, string) {
+	m := map[string][]result.Expect{}
+	for _, r := range rows {
+		m[r.artifact] = append(m[r.artifact], r.Expect)
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, rows)
+	return m, strconv.FormatUint(h.Sum64(), 16)
+}
+
+// Regressions returns the failed checks of res that the paper table does
+// not list as known deviations. Under a scenario every failed check
+// counts: scenario expectations carry no deviation column.
+func Regressions(res *result.Result) []result.Finding {
+	return slices.DeleteFunc(res.FailedChecks(), func(f result.Finding) bool {
+		return res.Scenario == "" && slices.ContainsFunc(paperChecks, func(r paperCheck) bool {
+			return r.artifact == res.ID && r.Check == f.Key && r.deviation != ""
+		})
+	})
 }
 
 // Select filters the registry by artifact ID (case-insensitive; empty or nil

@@ -101,13 +101,8 @@ func TestCommittedScenarios(t *testing.T) {
 				t.Fatalf("%s: result %s stamped scenario %q", s.Name, id, res.Scenario)
 			}
 			// Scenario expectations replaced the paper checks; all must hold.
-			for _, it := range res.Items {
-				if it.Claim == nil {
-					continue
-				}
-				for _, f := range it.Claim.FailedChecks() {
-					t.Errorf("%s: %s/%s = %g fails its scenario check", s.Name, id, f.Key, f.Value)
-				}
+			for _, f := range res.FailedChecks() {
+				t.Errorf("%s: %s/%s = %g fails its scenario check", s.Name, id, f.Key, f.Value)
 			}
 			again, err := arts[0].ComputeCached(opts)
 			if err != nil {

@@ -154,8 +154,8 @@ type Claim struct {
 
 // Finding is one measured quantity of a claim. Numeric findings carry
 // Value (+Unit); non-numeric ones (technique names, cooling classes,
-// booleans) carry Text. Findings the paper quotes a number for carry a
-// Check recording the quoted value and whether the reproduction hits it.
+// booleans) carry Text. Findings an Expect names carry a Check recording
+// the expected value and whether the reproduction hits it.
 type Finding struct {
 	Key   string  `json:"key"`
 	Value float64 `json:"value"`
@@ -164,10 +164,10 @@ type Finding struct {
 	Check *Check  `json:"check,omitempty"`
 }
 
-// Check is a pass/fail comparison of a computed value against the paper's
-// quoted number.
+// Check is a pass/fail comparison of a computed value against an Expect's
+// value: the paper's quoted number, a scenario's or a trace's.
 type Check struct {
-	// Paper is the value the paper quotes, in the finding's unit.
+	// Paper is the expected value, in the finding's unit.
 	Paper float64 `json:"paper"`
 	// RelTol is the allowed relative deviation (the paper's numbers are
 	// "≈" and ranges, not five-digit constants).
@@ -176,7 +176,7 @@ type Check struct {
 	Pass bool `json:"pass"`
 }
 
-// NewCheck evaluates value against the paper's quoted number.
+// NewCheck evaluates value against an expected one.
 func NewCheck(value, paper, relTol float64) *Check {
 	return &Check{Paper: paper, RelTol: relTol, Pass: math.Abs(value-paper) <= relTol*math.Abs(paper)}
 }
@@ -203,13 +203,6 @@ func (c *Claim) Bool(key string, b bool) *Claim {
 	return c
 }
 
-// Checked appends a numeric finding with a pass/fail check against the
-// paper's quoted number.
-func (c *Claim) Checked(key string, v float64, unit string, paper, relTol float64) *Claim {
-	c.Findings = append(c.Findings, Finding{Key: key, Value: v, Unit: unit, Check: NewCheck(v, paper, relTol)})
-	return c
-}
-
 // Find returns the finding for key.
 func (c *Claim) Find(key string) (Finding, bool) {
 	for _, f := range c.Findings {
@@ -220,13 +213,68 @@ func (c *Claim) Find(key string) (Finding, bool) {
 	return Finding{}, false
 }
 
-// FailedChecks lists the findings whose paper check does not pass — the
-// regression surface a CI gate watches.
-func (c *Claim) FailedChecks() []Finding {
+// Expect is one check on a claim finding: the finding keyed Check must land
+// within RelTol of Value, in the finding's unit. The paper's quoted numbers,
+// a scenario's expectations and a trace's assertions are all Expects, and
+// ApplyChecks is the one place any of them becomes a Check.
+type Expect struct {
+	Check  string  `json:"check"`
+	Value  float64 `json:"value"`
+	RelTol float64 `json:"rel_tol"`
+}
+
+// Validate checks an Expect read from outside the program: a key is set,
+// RelTol lies in (0, 10] and Value is finite.
+func (e Expect) Validate() error {
+	if e.Check == "" {
+		return fmt.Errorf("check key missing")
+	}
+	if !(e.RelTol > 0) || e.RelTol > 10 {
+		return fmt.Errorf("check %s: rel_tol %g outside (0, 10]", e.Check, e.RelTol)
+	}
+	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+		return fmt.Errorf("check %s: value must be finite", e.Check)
+	}
+	return nil
+}
+
+// ApplyChecks attaches a Check for each expectation to every claim
+// finding with its key; where two expectations name one key, the later
+// wins. An expectation that matches no finding is an error, so a typo in
+// a key fails loudly instead of never checking anything.
+func (r *Result) ApplyChecks(expect []Expect) error {
+	for _, e := range expect {
+		matched := false
+		for _, it := range r.Items {
+			if it.Claim == nil {
+				continue
+			}
+			for i := range it.Claim.Findings {
+				if f := &it.Claim.Findings[i]; f.Key == e.Check {
+					f.Check = NewCheck(f.Value, e.Value, e.RelTol)
+					matched = true
+				}
+			}
+		}
+		if !matched {
+			return fmt.Errorf("result %s: check %s names no finding", r.ID, e.Check)
+		}
+	}
+	return nil
+}
+
+// FailedChecks lists the claim findings whose check does not pass, in item
+// order — the regression surface the CLI's exit status watches.
+func (r *Result) FailedChecks() []Finding {
 	var out []Finding
-	for _, f := range c.Findings {
-		if f.Check != nil && !f.Check.Pass {
-			out = append(out, f)
+	for _, it := range r.Items {
+		if it.Claim == nil {
+			continue
+		}
+		for _, f := range it.Claim.Findings {
+			if f.Check != nil && !f.Check.Pass {
+				out = append(out, f)
+			}
 		}
 	}
 	return out

@@ -2,7 +2,9 @@ package result
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,8 +35,13 @@ func TestClaimBuilderAndLookup(t *testing.T) {
 	c.Num("vdd", 0.44, "V").
 		Str("class", "fan").
 		Bool("met", true).
-		Checked("saving", 0.46, "", 0.46, 0.1).
-		Checked("broken", 0.46, "", 99, 0.1)
+		Num("saving", 0.46, "").
+		Num("broken", 0.46, "")
+	res := &Result{ID: "x"}
+	res.AddClaim(c)
+	if err := res.ApplyChecks([]Expect{{"saving", 0.46, 0.1}, {"broken", 99, 0.1}}); err != nil {
+		t.Fatal(err)
+	}
 	if f, ok := c.Find("vdd"); !ok || f.Value != 0.44 || f.Unit != "V" {
 		t.Fatalf("Find(vdd) = %+v, %v", f, ok)
 	}
@@ -44,9 +51,49 @@ func TestClaimBuilderAndLookup(t *testing.T) {
 	if _, ok := c.Find("absent"); ok {
 		t.Fatal("Find must report missing keys")
 	}
-	failed := c.FailedChecks()
+	failed := res.FailedChecks()
 	if len(failed) != 1 || failed[0].Key != "broken" {
 		t.Fatalf("FailedChecks = %+v, want just the deliberately wrong one", failed)
+	}
+}
+
+// TestApplyChecks pins the one apply path: a later expectation on a key
+// replaces an earlier one, findings no expectation names stay unchecked,
+// and an expectation naming no finding is an error.
+func TestApplyChecks(t *testing.T) {
+	res := &Result{ID: "x"}
+	res.AddTable(&Table{})
+	res.AddClaim((&Claim{}).Num("a", 1, "").Num("b", 2, ""))
+	if err := res.ApplyChecks([]Expect{{"a", 5, 0.1}, {"a", 1, 0.1}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := res.Items[1].Claim.Find("a"); f.Check == nil || f.Check.Paper != 1 || !f.Check.Pass {
+		t.Errorf("a's check = %+v, want the later expectation's passing one", f.Check)
+	}
+	if f, _ := res.Items[1].Claim.Find("b"); f.Check != nil {
+		t.Errorf("b carries check %+v, but no expectation names it", f.Check)
+	}
+	if err := res.ApplyChecks([]Expect{{"typo", 1, 0.1}}); err == nil || !strings.Contains(err.Error(), "typo") {
+		t.Errorf("unmatched expectation: err %v, want one naming the key", err)
+	}
+}
+
+func TestExpectValidate(t *testing.T) {
+	if err := (Expect{"a", 0, 0.5}).Validate(); err != nil {
+		t.Errorf("valid expectation rejected: %v", err)
+	}
+	for name, e := range map[string]Expect{
+		"no key":       {"", 1, 0.1},
+		"zero tol":     {"a", 1, 0},
+		"huge tol":     {"a", 1, 11},
+		"nan tol":      {"a", 1, math.NaN()},
+		"inf value":    {"a", math.Inf(1), 0.1},
+		"nan value":    {"a", math.NaN(), 0.1},
+		"negative tol": {"a", 1, -0.1},
+	} {
+		if err := e.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", name, e)
+		}
 	}
 }
 
@@ -66,8 +113,11 @@ func TestJSONRoundTrip(t *testing.T) {
 		Series: []Series{{Name: "s1", X: []float64{1, 2}, Y: []float64{3, 4}}},
 	})
 	c := &Claim{}
-	c.Num("power", 1.5, "W").Str("class", "fan").Bool("ok", false).Checked("pitch", 356, "µm", 356, 0.1)
+	c.Num("power", 1.5, "W").Str("class", "fan").Bool("ok", false).Num("pitch", 356, "µm")
 	res.AddClaim(c)
+	if err := res.ApplyChecks([]Expect{{"pitch", 356, 0.1}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Job is one independent unit of work. Run writes the job's complete output
@@ -47,8 +48,9 @@ func (p Pool) workers() int {
 }
 
 // RunToContext executes every job and returns the results in submission
-// order. Job panics are recovered into errors so a crashing artifact cannot
-// take down the remaining jobs.
+// order. min(Workers, len(jobs)) goroutines run the jobs, each taking the
+// next one in submission order. Job panics are recovered into errors so a
+// crashing artifact cannot take down the remaining jobs.
 //
 // Emission streams: each job's output is copied to sink as soon as the job
 // and all jobs before it have finished, so the sink sees the exact byte
@@ -69,31 +71,27 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 		done[i] = make(chan struct{})
 	}
 
-	sem := make(chan struct{}, p.workers())
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for w := min(p.workers(), n); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer close(done[i])
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i] = Result{ID: jobs[i].ID, Err: ctx.Err()}
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					results[i] = Result{ID: jobs[i].ID, Err: err}
+				} else {
+					var buf bytes.Buffer
+					err := runJob(jobs[i], &buf)
+					results[i] = Result{ID: jobs[i].ID, Output: buf.Bytes(), Err: err}
+				}
+				close(done[i])
 			}
-			defer func() { <-sem }()
-			// A cancel that lands between acquiring the slot and starting
-			// the job also skips it: the slot was free, but the work is
-			// unwanted.
-			if err := ctx.Err(); err != nil {
-				results[i] = Result{ID: jobs[i].ID, Err: err}
-				return
-			}
-			var buf bytes.Buffer
-			err := runJob(jobs[i], &buf)
-			results[i] = Result{ID: jobs[i].ID, Output: buf.Bytes(), Err: err}
-		}(i)
+		}()
 	}
 
 	var sinkErr error
@@ -103,7 +101,7 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 			continue
 		}
 		if _, err := sink.Write(results[i].Output); err != nil {
-			// Keep draining the remaining jobs (they are already running)
+			// Keep draining the remaining jobs (the workers run them all)
 			// but stop writing to a broken sink.
 			sinkErr = fmt.Errorf("runner: writing output of %s: %w", results[i].ID, err)
 		}

@@ -55,19 +55,26 @@ func TestRunToPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestBoundedConcurrency: a 180-job run (a 9-variant sweep of the 20
+// artifacts) never has more than Workers jobs in flight, nor more than
+// Workers goroutines beyond the caller's.
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
-	var inFlight, peak atomic.Int64
-	jobs := make([]Job, 24)
+	baseline := int64(runtime.NumGoroutine())
+	var inFlight, peak, peakGoroutines atomic.Int64
+	raise := func(v *atomic.Int64, cur int64) {
+		for {
+			p := v.Load()
+			if cur <= p || v.CompareAndSwap(p, cur) {
+				return
+			}
+		}
+	}
+	jobs := make([]Job, 180)
 	for i := range jobs {
 		jobs[i] = Job{ID: fmt.Sprintf("j%d", i), Run: func(io.Writer) error {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
+			raise(&peak, inFlight.Add(1))
+			raise(&peakGoroutines, int64(runtime.NumGoroutine()))
 			s := 0.0
 			for k := 0; k < 50000; k++ {
 				s += float64(k)
@@ -80,6 +87,33 @@ func TestBoundedConcurrency(t *testing.T) {
 	_, _ = Pool{Workers: workers}.RunToContext(context.Background(), nil, jobs)
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs, pool bound is %d", p, workers)
+	}
+	if g := peakGoroutines.Load() - baseline; g > workers {
+		t.Fatalf("observed %d goroutines beyond the caller's, pool bound is %d", g, workers)
+	}
+}
+
+// TestOneWorkerRunsInSubmissionOrder: workers take jobs in submission
+// order, so a one-worker pool starts them exactly in that order.
+func TestOneWorkerRunsInSubmissionOrder(t *testing.T) {
+	var started []int
+	jobs := make([]Job, 32)
+	for i := range jobs {
+		jobs[i] = Job{ID: fmt.Sprintf("j%d", i), Run: func(io.Writer) error {
+			started = append(started, i)
+			return nil
+		}}
+	}
+	if _, err := (Pool{Workers: 1}).RunToContext(context.Background(), nil, jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range started {
+		if got != i {
+			t.Fatalf("job %d started at position %d: order %v", got, i, started)
+		}
+	}
+	if len(started) != len(jobs) {
+		t.Fatalf("%d of %d jobs ran", len(started), len(jobs))
 	}
 }
 
@@ -144,11 +178,11 @@ func TestSinkErrorReported(t *testing.T) {
 	}
 }
 
-// TestRunToContextReturnsToBaseline: RunToContext starts one goroutine per
-// job, and every one of them exits — after a normal run, after a job that
-// panics, and after a cancel that lands while jobs are still queued for a
-// worker slot. A worker that kept its slot would hang the run; a queued
-// job that ignored the cancel would outlive it.
+// TestRunToContextReturnsToBaseline: every worker RunToContext starts
+// exits — after a normal run, after a job that panics, and after a cancel
+// that lands while jobs are still queued for a worker. A worker that
+// stopped taking jobs would hang the run; a queued job that ignored the
+// cancel would run after it.
 func TestRunToContextReturnsToBaseline(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	start := func(ctx context.Context, jobs []Job) <-chan []Result {
@@ -192,8 +226,7 @@ func TestRunToContextReturnsToBaseline(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	// The two queued jobs give up their wait for the slot; only the caller
-	// and the running job remain.
+	// Only the caller and the one worker, running the held job, remain.
 	waitGoroutines(t, baseline+2)
 	close(hold)
 	canceled := 0

@@ -24,6 +24,7 @@ import (
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
+	"nanometer/internal/result"
 )
 
 // MaxFileBytes bounds a scenario document; anything larger is hostile.
@@ -61,8 +62,8 @@ type Scenario struct {
 	// Sweep, when set, expands the scenario into a grid of variants.
 	Sweep *Sweep `json:"sweep,omitempty"`
 	// Expect carries scenario-appropriate claim checks: under a non-base
-	// roadmap the paper's quoted numbers no longer apply, so artifacts drop
-	// their paper checks and apply these instead.
+	// roadmap the paper's quoted numbers no longer apply, so artifacts are
+	// checked against these instead of the paper's table.
 	Expect []Expectation `json:"expect,omitempty"`
 
 	resolveOnce sync.Once
@@ -152,17 +153,11 @@ func SweepParamNames() []string {
 	return []string{"clock", "max_power", "theta_ja", "tox", "vdd"}
 }
 
-// Expectation is one scenario-appropriate claim check: artifact's claim
-// finding Check must land within RelTol of Value.
+// Expectation is one scenario-appropriate claim check on one artifact.
 type Expectation struct {
 	// Artifact is the artifact ID the check applies to (e.g. "c7").
 	Artifact string `json:"artifact"`
-	// Check is the finding key within the artifact's claims.
-	Check string `json:"check"`
-	// Value is the expected value in the finding's unit; RelTol the allowed
-	// relative deviation.
-	Value  float64 `json:"value"`
-	RelTol float64 `json:"rel_tol"`
+	result.Expect
 }
 
 // Parse decodes and validates one scenario document. It is strict: unknown
@@ -250,14 +245,11 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: %d expectations, limit %d", s.Name, len(s.Expect), MaxExpectations)
 	}
 	for _, e := range s.Expect {
-		if e.Artifact == "" || e.Check == "" {
-			return fmt.Errorf("scenario %s: expectation needs artifact and check keys", s.Name)
+		if e.Artifact == "" {
+			return fmt.Errorf("scenario %s: expectation needs an artifact key", s.Name)
 		}
-		if !(e.RelTol > 0) || e.RelTol > 10 || math.IsInf(e.RelTol, 0) {
-			return fmt.Errorf("scenario %s: expectation %s/%s rel_tol %g outside (0, 10]", s.Name, e.Artifact, e.Check, e.RelTol)
-		}
-		if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-			return fmt.Errorf("scenario %s: expectation %s/%s value must be finite", s.Name, e.Artifact, e.Check)
+		if err := e.Validate(); err != nil {
+			return fmt.Errorf("scenario %s: expectation for %s: %w", s.Name, e.Artifact, err)
 		}
 	}
 	return nil
@@ -471,14 +463,14 @@ func ptr(v float64) *float64 { return &v }
 
 // ExpectFor returns the scenario's expectations for one artifact, in
 // declaration order. A nil receiver has none.
-func (s *Scenario) ExpectFor(artifactID string) []Expectation {
+func (s *Scenario) ExpectFor(artifactID string) []result.Expect {
 	if s == nil {
 		return nil
 	}
-	var out []Expectation
+	var out []result.Expect
 	for _, e := range s.Expect {
 		if e.Artifact == artifactID {
-			out = append(out, e)
+			out = append(out, e.Expect)
 		}
 	}
 	return out

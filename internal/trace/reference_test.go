@@ -68,7 +68,7 @@ func referenceRun(ctx context.Context, t *Trace, onChunk func(Progress)) (*resul
 			s.emit(&a, i, p, onChunk)
 		}
 	}
-	return t.toResult(&s, &a), nil
+	return t.toResult(&s, &a)
 }
 
 // next draws the series one interval at a time through the run's filler,

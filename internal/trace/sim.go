@@ -228,9 +228,9 @@ func (s *sim) emit(a *tally, i int, p float64, onChunk func(Progress)) {
 //
 // ctx is checked every control interval, so cancellation (a job DELETE, a
 // dropped stream) stops the simulation within one interval of simulated
-// work. A canceled run returns ctx's error and no result. Assertions do
-// not error: they become pass/fail checks on the result's claim findings
-// (FailedChecks surfaces them).
+// work. A canceled run returns ctx's error and no result. A failed
+// assertion is not an error: it becomes a failed check on the result's
+// claim findings (Result.FailedChecks surfaces them).
 func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result, error) {
 	s, err := t.setup()
 	if err != nil {
@@ -240,7 +240,7 @@ func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result
 	if err != nil {
 		return nil, err
 	}
-	return t.toResult(&s, &a), nil
+	return t.toResult(&s, &a)
 }
 
 // blockLen is the number of intervals the producer fills per block: large
@@ -385,8 +385,9 @@ func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 	return a, nil
 }
 
-// toResult turns a finished run's tally into the trace's typed result.
-func (t *Trace) toResult(s *sim, a *tally) *result.Result {
+// toResult turns a finished run's tally into the trace's typed result,
+// with the trace's assertions applied as checks.
+func (t *Trace) toResult(s *sim, a *tally) (*result.Result, error) {
 	energyRatio := 0.0
 	if a.gateE > 0 {
 		energyRatio = a.dvfsE / a.gateE
@@ -398,27 +399,14 @@ func (t *Trace) toResult(s *sim, a *tally) *result.Result {
 		Num("dt_seconds", s.dt, "s").
 		Num("node_nm", float64(s.node.DrawnNM), "nm").
 		Str("controller", s.ctrl.Name()).
-		Num("theoretical_max_w", s.maxW, "W")
-	type metric struct {
-		key  string
-		v    float64
-		unit string
-	}
-	for _, m := range []metric{
-		{"peak_temp_c", a.peakTempC, "C"},
-		{"peak_power_w", a.peakPowerW, "W"},
-		{"mean_power_w", a.sumPowerW / math.Max(1, float64(total)), "W"},
-		{"throttled_fraction", float64(a.throttled) / math.Max(1, float64(total)), ""},
-		{"throughput", a.workDone / math.Max(1, float64(total)), ""},
-		{"backlog_intervals", a.govBacklog, "intervals"},
-		{"dvfs_energy_ratio", energyRatio, ""},
-	} {
-		if as := t.assertFor(m.key); as != nil {
-			claim.Checked(m.key, m.v, m.unit, as.Value, as.RelTol)
-		} else {
-			claim.Num(m.key, m.v, m.unit)
-		}
-	}
+		Num("theoretical_max_w", s.maxW, "W").
+		Num("peak_temp_c", a.peakTempC, "C").
+		Num("peak_power_w", a.peakPowerW, "W").
+		Num("mean_power_w", a.sumPowerW/math.Max(1, float64(total)), "W").
+		Num("throttled_fraction", float64(a.throttled)/math.Max(1, float64(total)), "").
+		Num("throughput", a.workDone/math.Max(1, float64(total)), "").
+		Num("backlog_intervals", a.govBacklog, "intervals").
+		Num("dvfs_energy_ratio", energyRatio, "")
 	res.AddClaim(claim)
 	res.AddFigure(&result.Figure{
 		Name:   "trace_" + t.Name,
@@ -429,7 +417,10 @@ func (t *Trace) toResult(s *sim, a *tally) *result.Result {
 			{Name: "power_w", X: a.figT, Y: a.figPower},
 		},
 	})
-	return res
+	if err := res.ApplyChecks(t.Assert); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func (t *Trace) title() string {
@@ -437,25 +428,4 @@ func (t *Trace) title() string {
 		return t.Title
 	}
 	return "trace simulation: " + t.Name
-}
-
-func (t *Trace) assertFor(key string) *Assertion {
-	for i := range t.Assert {
-		if t.Assert[i].Check == key {
-			return &t.Assert[i]
-		}
-	}
-	return nil
-}
-
-// FailedChecks lists the failed assertion checks of a trace result — the
-// exit-code surface of the CLI and the CI smoke.
-func FailedChecks(res *result.Result) []result.Finding {
-	var out []result.Finding
-	for _, it := range res.Items {
-		if it.Claim != nil {
-			out = append(out, it.Claim.FailedChecks()...)
-		}
-	}
-	return out
 }

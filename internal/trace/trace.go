@@ -20,8 +20,10 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 
 	"nanometer/internal/itrs"
+	"nanometer/internal/result"
 )
 
 // MaxFileBytes bounds a trace document; anything larger is hostile.
@@ -71,9 +73,11 @@ type Trace struct {
 	// Sim overrides the simulation parameters (controller, sensor, mass).
 	Sim *SimSpec `json:"sim,omitempty"`
 	// Assert lists checks evaluated against the simulation's summary
-	// metrics; a failed check fails the trace the way a failed paper check
-	// fails an artifact.
-	Assert []Assertion `json:"assert,omitempty"`
+	// metrics, each Check one of CheckNames. A RelTol with Value 0 demands
+	// an exact 0 (the |v−0| ≤ tol·0 degenerate case), which is what
+	// asserting "no backlog" wants. A failed check fails the trace the way
+	// a failed paper check fails an artifact.
+	Assert []result.Expect `json:"assert,omitempty"`
 }
 
 // Generator is a synthetic-series spec. Kind "workload" drives
@@ -114,22 +118,9 @@ type SimSpec struct {
 	HysteresisC *float64 `json:"hysteresis_c,omitempty"`
 }
 
-// Assertion is one check over the simulation summary: the metric named by
-// Check must land within RelTol of Value. A RelTol with Value 0 demands an
-// exact 0 (the |v−0| ≤ tol·0 degenerate case), which is what asserting "no
-// backlog" wants.
-type Assertion struct {
-	// Check is one of CheckNames.
-	Check string `json:"check"`
-	// Value is the expected value in the metric's unit; RelTol the allowed
-	// relative deviation.
-	Value  float64 `json:"value"`
-	RelTol float64 `json:"rel_tol"`
-}
-
 // CheckNames lists the metrics assertions may target, sorted. They are the
-// finding keys of the result claim, so an assertion simply attaches a
-// Check to the matching finding.
+// finding keys of the result claim, so ApplyChecks attaches each
+// assertion's Check to the matching finding.
 func CheckNames() []string {
 	return []string{
 		"backlog_intervals",
@@ -140,15 +131,6 @@ func CheckNames() []string {
 		"throttled_fraction",
 		"throughput",
 	}
-}
-
-func validCheck(name string) bool {
-	for _, c := range CheckNames() {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Parse decodes and validates one trace document. It is strict: unknown
@@ -236,14 +218,11 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace %s: %d assertions, limit %d", t.Name, len(t.Assert), MaxAssertions)
 	}
 	for _, a := range t.Assert {
-		if !validCheck(a.Check) {
+		if !slices.Contains(CheckNames(), a.Check) {
 			return fmt.Errorf("trace %s: assertion check %q not one of %v", t.Name, a.Check, CheckNames())
 		}
-		if !(a.RelTol > 0) || a.RelTol > 10 || math.IsInf(a.RelTol, 0) {
-			return fmt.Errorf("trace %s: assertion %s rel_tol %g outside (0, 10]", t.Name, a.Check, a.RelTol)
-		}
-		if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
-			return fmt.Errorf("trace %s: assertion %s value must be finite", t.Name, a.Check)
+		if err := a.Validate(); err != nil {
+			return fmt.Errorf("trace %s: assertion: %w", t.Name, err)
 		}
 	}
 	return nil
@@ -264,28 +243,13 @@ func (g *Generator) validate() error {
 			return fmt.Errorf("generator kind virus admits only intervals and theoretical_max_w")
 		}
 	}
-	type rng struct {
-		field string
-		v     *float64
-		lo    float64
-		hi    float64
-	}
-	checks := []rng{
+	return checkRanges("generator", []optRange{
 		{"theoretical_max_w", g.TheoreticalMaxW, 0.001, 10e3},
 		{"typical_fraction", g.TypicalFraction, 0, 1},
 		{"burst_fraction", g.BurstFraction, 0, 1},
 		{"burst_level", g.BurstLevel, 0, 1},
 		{"noise_fraction", g.NoiseFraction, 0, 0.5},
-	}
-	for _, c := range checks {
-		if c.v == nil {
-			continue
-		}
-		if v := *c.v; math.IsNaN(v) || v < c.lo || v > c.hi {
-			return fmt.Errorf("generator %s = %g outside [%g, %g]", c.field, v, c.lo, c.hi)
-		}
-	}
-	return nil
+	})
 }
 
 func (s *SimSpec) validate() error {
@@ -300,26 +264,31 @@ func (s *SimSpec) validate() error {
 	if (s.FreqScale != nil || s.VddScale != nil) && s.Controller != "dvs" {
 		return fmt.Errorf("sim freq_scale/vdd_scale only apply to controller dvs")
 	}
-	type rng struct {
-		field string
-		v     *float64
-		lo    float64
-		hi    float64
-	}
-	checks := []rng{
+	return checkRanges("sim", []optRange{
 		{"duty_cycle", s.DutyCycle, 0.01, 1},
 		{"freq_scale", s.FreqScale, 0.01, 1},
 		{"vdd_scale", s.VddScale, 0.01, 1},
 		{"cth_j_per_c", s.CthJPerC, 0.01, 1e5},
 		{"sensor_trip_c", s.SensorTripC, 25, 250},
 		{"hysteresis_c", s.HysteresisC, 0, 50},
-	}
-	for _, c := range checks {
+	})
+}
+
+// optRange is an optional field of a document and its allowed range.
+type optRange struct {
+	field  string
+	v      *float64
+	lo, hi float64
+}
+
+// checkRanges reports the first set field outside its range or NaN.
+func checkRanges(prefix string, fields []optRange) error {
+	for _, c := range fields {
 		if c.v == nil {
 			continue
 		}
 		if v := *c.v; math.IsNaN(v) || v < c.lo || v > c.hi {
-			return fmt.Errorf("sim %s = %g outside [%g, %g]", c.field, v, c.lo, c.hi)
+			return fmt.Errorf("%s %s = %g outside [%g, %g]", prefix, c.field, v, c.lo, c.hi)
 		}
 	}
 	return nil

@@ -178,7 +178,7 @@ func TestRunVirusThrottles(t *testing.T) {
 
 // TestRunAssertions pins the assertion plumbing: a passing check and a
 // failing one both land on the claim, and only the failing one surfaces in
-// FailedChecks.
+// Result.FailedChecks.
 func TestRunAssertions(t *testing.T) {
 	tr := MustParse(`{
 		"name": "asserted", "dt_seconds": 0.01,
@@ -192,7 +192,7 @@ func TestRunAssertions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	failed := FailedChecks(res)
+	failed := res.FailedChecks()
 	if len(failed) != 1 || failed[0].Key != "throughput" {
 		t.Fatalf("failed checks %v, want exactly the absurd throughput assertion", failed)
 	}
