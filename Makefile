@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet verify bench bench-all bench-mesh serve
+.PHONY: all build test race vet verify loc bench bench-all bench-mesh serve
 
 all: verify
 
@@ -34,6 +34,11 @@ race:
 	$(GO) test -race ./...
 
 verify: vet build race
+
+# Non-test Go lines outside cmd/nanobench, testdata fixtures counted: the
+# size each change reports in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/nanobench/*' -exec cat {} + | wc -l
 
 # All go-test benchmarks: every artifact end to end (BenchmarkArtifact/<id>)
 # + solver and optimizer kernels + the parallel full-report speedup

@@ -109,6 +109,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if err := repro.CheckExpectations(s, repro.Artifacts()); err != nil {
+			fatal(err)
+		}
 		if variants, err = s.Variants(); err != nil {
 			fatal(err)
 		}

@@ -57,6 +57,7 @@ func TestInputChecks(t *testing.T) {
 		{"unknown artifact", []string{"-only", "t1,bogus"}, "unknown artifact id(s) [bogus]"},
 		{"mesh-n too small", []string{"-only", "c8", "-mesh-n", "2"}, "mesh-n 2 too small"},
 		{"mesh-n too large", []string{"-only", "c8", "-mesh-n", "5000"}, "mesh-n 5000 too large"},
+		{"expectation on unknown artifact", []string{"-scenario", "testdata/unknown-artifact.json"}, `unknown artifact "c77"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := nanorepro(t, tc.args...)

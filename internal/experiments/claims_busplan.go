@@ -6,22 +6,39 @@ import (
 	"nanometer/internal/busplan"
 	"nanometer/internal/device"
 	"nanometer/internal/repeater"
+	"nanometer/internal/result"
 	"nanometer/internal/signaling"
 )
 
-// BusPlanResult is the C13 experiment: the conclusion-#2 EDA tool — a
-// signaling-primitive planner over a realistic global-route mix, showing the
-// power a repeater-only flow leaves on the table.
-type BusPlanResult struct {
-	NodeNM int
-	Plan   *busplan.Plan
-	// Counts tallies the primitive mix.
-	Repeated, LowSwing, Differential int
+// BusPlan is the C13 experiment: the conclusion-#2 EDA tool — a
+// signaling-primitive planner over a realistic 50 nm global-route mix,
+// showing the power a repeater-only flow leaves on the table.
+func BusPlan(lab *device.Lab, _ int) (*result.Result, error) {
+	const nodeNM = 50
+	plan, err := planBusesAt(lab, nodeNM)
+	if err != nil {
+		return nil, err
+	}
+	counts := plan.SchemeCounts()
+	c := &result.Claim{}
+	c.Num("node_nm", nodeNM, "nm").
+		Num("routes", float64(len(plan.Choices)), "").
+		Num("repeated", float64(counts[signaling.FullSwingRepeated]), "").
+		Num("low_swing", float64(counts[signaling.LowSwing]), "").
+		Num("differential", float64(counts[signaling.DifferentialLowSwing]), "").
+		Num("total_power_w", plan.TotalPowerW, "W").
+		Num("baseline_power_w", plan.BaselinePowerW, "W").
+		Num("saving", plan.Saving, "").
+		Num("total_tracks", plan.TotalTracks, "")
+	res := &result.Result{}
+	res.AddClaim(c)
+	return res, nil
 }
 
-// RunBusPlanIn plans a representative 50 nm global-route population: latency-
-// critical hops, relaxed cross-chip buses, and high-activity datapath links.
-func RunBusPlanIn(lab *device.Lab, nodeNM int) (*BusPlanResult, error) {
+// planBusesAt plans a representative global-route population at a node:
+// latency-critical hops, relaxed cross-chip buses, and high-activity
+// datapath links.
+func planBusesAt(lab *device.Lab, nodeNM int) (*busplan.Plan, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {
 		return nil, err
@@ -58,16 +75,5 @@ func RunBusPlanIn(lab *device.Lab, nodeNM int) (*BusPlanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := p.Assign(routes)
-	if err != nil {
-		return nil, err
-	}
-	counts := plan.SchemeCounts()
-	return &BusPlanResult{
-		NodeNM:       nodeNM,
-		Plan:         plan,
-		Repeated:     counts[signaling.FullSwingRepeated],
-		LowSwing:     counts[signaling.LowSwing],
-		Differential: counts[signaling.DifferentialLowSwing],
-	}, nil
+	return p.Assign(routes)
 }

@@ -10,6 +10,7 @@ import (
 	"nanometer/internal/libopt"
 	"nanometer/internal/netlist"
 	"nanometer/internal/resize"
+	"nanometer/internal/result"
 	"nanometer/internal/sta"
 )
 
@@ -56,133 +57,11 @@ func buildCircuitIn(lab *device.Lab, s CircuitSetup) (*netlist.Circuit, error) {
 	return c, nil
 }
 
-// CVSResult is the C4 experiment output.
-type CVSResult struct {
-	Setup CircuitSetup
-	// PathUtilization is the fraction of POs arriving before half the
-	// period (the paper: over half in high-end MPUs).
-	PathUtilization float64
-	// Clustered is the CVS run; Unclustered the no-clustering ablation.
-	Clustered, Unclustered *cvs.Result
-}
-
-// RunCVSIn runs clustered voltage scaling and its clustering ablation.
-func RunCVSIn(lab *device.Lab, s CircuitSetup) (*CVSResult, error) {
-	c, err := buildCircuitIn(lab, s)
-	if err != nil {
-		return nil, err
-	}
-	r := sta.Analyze(c)
-	out := &CVSResult{Setup: s, PathUtilization: r.PathUtilization(c, 0.5)}
-	clustered := c.Clone()
-	out.Clustered, err = cvs.Assign(clustered, cvs.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: clustered CVS: %w", err)
-	}
-	opts := cvs.DefaultOptions()
-	opts.Clustering = false
-	unclustered := c.Clone()
-	out.Unclustered, err = cvs.Assign(unclustered, opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: unclustered CVS: %w", err)
-	}
-	return out, nil
-}
-
-// DualVthResult is the C5 experiment output.
-type DualVthResult struct {
-	Setup CircuitSetup
-	// Sensitivity is the default ordering; SlackOrdered the ablation.
-	Sensitivity, SlackOrdered *dualvth.Result
-}
-
-// RunDualVthIn runs dual-threshold assignment and its ordering ablation. The
-// netlist is clocked at its critical delay (guard 1.0): the dual-Vth
-// literature's results are for timing-tight designs where the low threshold
-// is what makes the clock.
-func RunDualVthIn(lab *device.Lab, s CircuitSetup) (*DualVthResult, error) {
-	s.PeriodGuard = 1.0
-	out := &DualVthResult{Setup: s}
-	c1, err := buildCircuitIn(lab, s)
-	if err != nil {
-		return nil, err
-	}
-	c2 := c1.Clone()
-	out.Sensitivity, err = dualvth.Assign(c1, dualvth.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out.SlackOrdered, err = dualvth.Assign(c2, dualvth.Options{Order: dualvth.BySlack})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ResizeVsVddResult is the C6 experiment: the paper's §3.3 argument that
-// downsizing returns sublinear power (wire capacitance persists) while a
-// lower supply returns quadratic.
-type ResizeVsVddResult struct {
-	Setup CircuitSetup
-	// Resize is the downsizing run on an oversized netlist.
-	Resize *resize.Result
-	// CVSOnSame is CVS applied to a clone of the same starting netlist:
-	// the combined flow's first stage.
-	CVSOnSame *cvs.Result
-	// Combined is the full pipeline on a third clone.
-	Combined *core.FlowResult
-	// ResizeAfterCVS captures the paper's interaction warning: after
-	// re-sizing, fewer cells tolerate Vdd,l. AssignedAfterResize is the
-	// CVS fraction when re-sizing runs first.
-	AssignedAfterResize float64
-}
-
-// RunResizeVsVddIn runs the C6 comparison.
-func RunResizeVsVddIn(lab *device.Lab, s CircuitSetup) (*ResizeVsVddResult, error) {
-	base, err := buildCircuitIn(lab, s)
-	if err != nil {
-		return nil, err
-	}
-	out := &ResizeVsVddResult{Setup: s}
-
-	rzC := base.Clone()
-	out.Resize, err = resize.Downsize(rzC, resize.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	combC := base.Clone()
-	out.Combined, err = core.RunFlow(combC, core.DefaultFlowOptions())
-	if err != nil {
-		return nil, err
-	}
-	// The flow's first stage is CVS with default options at 1/period on a
-	// clean clone, which is exactly the stand-alone CVS observation.
-	out.CVSOnSame = out.Combined.CVS
-	// Resize first, then CVS: the paper's sub-optimality observation. The
-	// downsized netlist is rzC's; sizing is deterministic, so a second run
-	// on a fresh clone would only repeat it.
-	afterCVS, err := cvs.Assign(rzC.Clone(), cvs.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	out.AssignedAfterResize = afterCVS.AssignedFraction
-	return out, nil
-}
-
-// LibraryResult is the C3 experiment output.
-type LibraryResult struct {
-	Setup CircuitSetup
-	// Results are per-library, in the order coarse, rich, continuous.
-	Results []*libopt.Result
-	// ContinuousVsCoarse is the power saving of on-the-fly cells over the
-	// coarse legacy library (paper: 15–22 %).
-	ContinuousVsCoarse float64
-	// ContinuousVsRich is the saving over the modern rich library.
-	ContinuousVsRich float64
-}
-
-// RunLibraryIn runs the library-granularity comparison.
-func RunLibraryIn(lab *device.Lab, s CircuitSetup) (*LibraryResult, error) {
+// Library is the C3 experiment: the power at fixed timing of three
+// drive-strength libraries (coarse legacy, rich modern, on-the-fly
+// continuous) sizing the same oversized netlist.
+func Library(lab *device.Lab, _ int) (*result.Result, error) {
+	s := DefaultCircuitSetup()
 	c, err := buildCircuitIn(lab, s)
 	if err != nil {
 		return nil, err
@@ -203,15 +82,147 @@ func RunLibraryIn(lab *device.Lab, s CircuitSetup) (*LibraryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &LibraryResult{Setup: s, Results: results}
+	cl := &result.Claim{}
+	cl.Num("gates", float64(s.Gates), "").
+		Num("node_nm", float64(s.NodeNM), "nm").
+		Num("n_libraries", float64(len(results)), "")
+	for i, r := range results {
+		k := fmt.Sprintf("lib%d_", i)
+		cl.Str(k+"name", r.Library.Name).
+			Num(k+"power_w", r.Power.TotalW(), "W").
+			Num(k+"size", r.TotalSize, "").
+			Bool(k+"timing_met", r.TimingMet)
+	}
+	// The power savings of on-the-fly cells over the coarse legacy library
+	// (paper: 15–22 %) and over the modern rich one.
+	var vsCoarse, vsRich float64
 	coarse := results[0].Power.TotalW()
 	rich := results[1].Power.TotalW()
 	cont := results[2].Power.TotalW()
 	if coarse > 0 {
-		out.ContinuousVsCoarse = 1 - cont/coarse
+		vsCoarse = 1 - cont/coarse
 	}
 	if rich > 0 {
-		out.ContinuousVsRich = 1 - cont/rich
+		vsRich = 1 - cont/rich
 	}
-	return out, nil
+	cl.Num("continuous_vs_coarse", vsCoarse, "").
+		Num("continuous_vs_rich", vsRich, "")
+	res := &result.Result{}
+	res.AddClaim(cl)
+	return res, nil
+}
+
+// CVS is the C4 experiment: clustered voltage scaling and its
+// no-clustering ablation.
+func CVS(lab *device.Lab, _ int) (*result.Result, error) {
+	s := DefaultCircuitSetup()
+	c, err := buildCircuitIn(lab, s)
+	if err != nil {
+		return nil, err
+	}
+	// path_utilization is the fraction of POs arriving before half the
+	// period (the paper: over half in high-end MPUs).
+	util := sta.Analyze(c).PathUtilization(c, 0.5)
+	clustered, err := cvs.Assign(c.Clone(), cvs.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: clustered CVS: %w", err)
+	}
+	opts := cvs.DefaultOptions()
+	opts.Clustering = false
+	unclustered, err := cvs.Assign(c.Clone(), opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: unclustered CVS: %w", err)
+	}
+	cl := &result.Claim{}
+	cl.Num("low_vdd_ratio", s.LowVddRatio, "").
+		Num("path_utilization", util, "").
+		Num("clustered_assigned_fraction", clustered.AssignedFraction, "").
+		Num("clustered_dynamic_saving", clustered.DynamicSaving, "").
+		Num("clustered_lc_overhead", clustered.LCOverheadFraction, "").
+		Num("clustered_area_overhead", clustered.AreaOverhead, "").
+		Num("clustered_level_converters", float64(clustered.LevelConverters), "").
+		Bool("clustered_timing_met", clustered.TimingMet).
+		Num("unclustered_assigned_fraction", unclustered.AssignedFraction, "").
+		Num("unclustered_dynamic_saving", unclustered.DynamicSaving, "").
+		Num("unclustered_lc_overhead", unclustered.LCOverheadFraction, "").
+		Num("unclustered_level_converters", float64(unclustered.LevelConverters), "")
+	res := &result.Result{}
+	res.AddClaim(cl)
+	return res, nil
+}
+
+// DualVth is the C5 experiment: dual-threshold assignment in sensitivity
+// order and its slack-ordered ablation. The netlist is clocked at its
+// critical delay (guard 1.0): the dual-Vth literature's results are for
+// timing-tight designs where the low threshold is what makes the clock.
+func DualVth(lab *device.Lab, _ int) (*result.Result, error) {
+	s := DefaultCircuitSetup()
+	s.PeriodGuard = 1.0
+	c1, err := buildCircuitIn(lab, s)
+	if err != nil {
+		return nil, err
+	}
+	c2 := c1.Clone()
+	sens, err := dualvth.Assign(c1, dualvth.Options{})
+	if err != nil {
+		return nil, err
+	}
+	slack, err := dualvth.Assign(c2, dualvth.Options{Order: dualvth.BySlack})
+	if err != nil {
+		return nil, err
+	}
+	cl := &result.Claim{}
+	cl.Num("sensitivity_high_vth_fraction", sens.HighVthFraction, "").
+		Num("sensitivity_leakage_saving", sens.LeakageSaving, "").
+		Num("sensitivity_delay_penalty", sens.DelayPenalty, "").
+		Bool("sensitivity_timing_met", sens.TimingMet).
+		Num("slack_high_vth_fraction", slack.HighVthFraction, "").
+		Num("slack_leakage_saving", slack.LeakageSaving, "")
+	res := &result.Result{}
+	res.AddClaim(cl)
+	return res, nil
+}
+
+// ResizeVsVdd is the C6 experiment: the paper's §3.3 argument that
+// downsizing returns sublinear power (wire capacitance persists) while a
+// lower supply returns quadratic, the combined flow, and the paper's
+// interaction warning that after re-sizing fewer cells tolerate Vdd,l.
+func ResizeVsVdd(lab *device.Lab, _ int) (*result.Result, error) {
+	base, err := buildCircuitIn(lab, DefaultCircuitSetup())
+	if err != nil {
+		return nil, err
+	}
+	rzC := base.Clone()
+	rz, err := resize.Downsize(rzC, resize.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	comb, err := core.RunFlow(base.Clone(), core.DefaultFlowOptions())
+	if err != nil {
+		return nil, err
+	}
+	// The flow's first stage is CVS with default options at 1/period on a
+	// clean clone, which is exactly the stand-alone CVS observation.
+	cvsOnSame := comb.CVS
+	// Resize first, then CVS: the paper's sub-optimality observation. The
+	// downsized netlist is rzC's; sizing is deterministic, so a second run
+	// on a fresh clone would only repeat it.
+	afterResize, err := cvs.Assign(rzC.Clone(), cvs.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	cl := &result.Claim{}
+	cl.Num("resize_size_reduction", rz.SizeReduction, "").
+		Num("resize_dynamic_saving", rz.DynamicSaving, "").
+		Num("resize_sublinearity", rz.Sublinearity, "").
+		Num("cvs_assigned_fraction", cvsOnSame.AssignedFraction, "").
+		Num("cvs_dynamic_saving", cvsOnSame.DynamicSaving, "").
+		Num("combined_total_saving", comb.TotalSaving, "").
+		Num("combined_dynamic_saving", comb.DynamicSaving, "").
+		Num("combined_leakage_saving", comb.LeakageSaving, "").
+		Bool("combined_timing_met", comb.TimingMet).
+		Num("assigned_after_resize", afterResize.AssignedFraction, "")
+	res := &result.Result{}
+	res.AddClaim(cl)
+	return res, nil
 }

@@ -4,31 +4,19 @@ import (
 	"fmt"
 
 	"nanometer/internal/device"
+	"nanometer/internal/result"
 	"nanometer/internal/stackvth"
 	"nanometer/internal/standby"
 )
 
-// StackVthResult is the C10 experiment: the §3.3 intra-cell multi-Vth idea
-// — different thresholds inside one stacked cell buy substantial leakage
-// savings at small delay cost, leveraging the state dependence of leakage
-// without sleep transistors.
-type StackVthResult struct {
-	NodeNM int
-	// Assignments holds every 2-stack mix (all-low, bottom-high, top-high,
-	// all-high).
-	Assignments []stackvth.Assignment
-	// Best is the largest-saving assignment within a 10 % delay budget.
-	Best stackvth.Assignment
-	// StackFactor is the all-off/single-off leakage ratio of the all-low
-	// stack (the classic stack effect).
-	StackFactor float64
-	// ParkedSaving is the input-vector-control win: best state vs the
-	// state average.
-	ParkedSaving float64
-}
-
-// RunStackVthIn evaluates the intra-cell assignment space for a node.
-func RunStackVthIn(lab *device.Lab, nodeNM int) (*StackVthResult, error) {
+// StackVth is the C10 experiment at 70 nm: the §3.3 intra-cell multi-Vth
+// idea — different thresholds inside one stacked cell buy substantial
+// leakage savings at small delay cost, leveraging the state dependence of
+// leakage without sleep transistors. It explores every 2-stack mix
+// (all-low, bottom-high, top-high, all-high) and picks the largest saving
+// within a 10 % delay budget.
+func StackVth(lab *device.Lab, _ int) (*result.Result, error) {
+	const nodeNM = 70
 	d, err := lab.ForNode(nodeNM)
 	if err != nil {
 		return nil, err
@@ -62,28 +50,37 @@ func RunStackVthIn(lab *device.Lab, nodeNM int) (*StackVthResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &StackVthResult{NodeNM: nodeNM, Assignments: as, Best: best}
+	// stack_factor is the all-off/single-off leakage ratio of the all-low
+	// stack (the classic stack effect); parked_saving the input-vector-
+	// control win: best state vs the state average.
+	var stackFactor, parkedSaving float64
 	if singleOff > 0 {
-		res.StackFactor = bothOff / singleOff
+		stackFactor = bothOff / singleOff
 	}
 	if avg > 0 {
-		res.ParkedSaving = 1 - parked/avg
+		parkedSaving = 1 - parked/avg
 	}
+	c := &result.Claim{}
+	c.Num("node_nm", nodeNM, "nm").
+		Num("n_assignments", float64(len(as)), "")
+	for i, a := range as {
+		k := fmt.Sprintf("a%d_", i)
+		c.Num(k+"leakage_saving", a.LeakageSaving, "").
+			Num(k+"delay_penalty", a.DelayPenalty, "")
+	}
+	c.Num("best_high_count", float64(best.HighCount()), "").
+		Num("best_leakage_saving", best.LeakageSaving, "").
+		Num("stack_factor", stackFactor, "").
+		Num("parked_saving", parkedSaving, "")
+	res := &result.Result{}
+	res.AddClaim(c)
 	return res, nil
 }
 
-// StandbyResult is the C11 experiment: the §3.2.1 technique comparison with
+// Standby is the C11 experiment: the §3.2.1 standby-leakage technique
+// comparison at the start (180 nm) and end (35 nm) of the roadmap, with
 // the paper's scalability judgments.
-type StandbyResult struct {
-	// At35 compares all techniques at the end of the roadmap; At180 at its
-	// start.
-	At180, At35 []standby.Result
-	// BodyBiasTrend carries the reverse-body-bias decay across nodes.
-	BodyBiasTrend []standby.Result
-}
-
-// RunStandbyIn evaluates the standby-technique comparison.
-func RunStandbyIn(lab *device.Lab) (*StandbyResult, error) {
+func Standby(lab *device.Lab, _ int) (*result.Result, error) {
 	const width = 1e-3
 	at180, err := standby.CompareIn(lab, 180, width)
 	if err != nil {
@@ -93,22 +90,33 @@ func RunStandbyIn(lab *device.Lab) (*StandbyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trend, err := standby.ScalingTrendIn(lab, standby.ReverseBodyBias, width)
-	if err != nil {
-		return nil, err
+	t := &result.Table{
+		Title:   "C11. Standby-leakage techniques (§3.2.1), 180 nm vs 35 nm",
+		Headers: []string{"technique", "standby@180", "standby@35", "active", "delay", "area", "scales?"},
 	}
-	return &StandbyResult{At180: at180, At35: at35, BodyBiasTrend: trend}, nil
-}
-
-// NonScalableAt35 lists the techniques the model flags as not scaling —
-// the paper's list is substrate-bias-controlled Vth (and domino styles,
-// which are outside this model).
-func (r *StandbyResult) NonScalableAt35() []string {
-	var out []string
-	for _, res := range r.At35 {
-		if !res.Scalable {
-			out = append(out, fmt.Sprint(res.Technique))
+	// The techniques the model flags as not scaling — the paper's list is
+	// substrate-bias-controlled Vth (and domino styles, which are outside
+	// this model).
+	var nonScalable []string
+	for i, a := range at35 {
+		b := at180[i]
+		scal := "yes"
+		if !a.Scalable {
+			scal = "NO"
+			nonScalable = append(nonScalable, fmt.Sprint(a.Technique))
 		}
+		t.AddRow(a.Technique.String(),
+			fmt.Sprintf("-%.1f%%", b.StandbyReduction*100),
+			fmt.Sprintf("-%.1f%%", a.StandbyReduction*100),
+			fmt.Sprintf("-%.1f%%", a.ActiveReduction*100),
+			fmt.Sprintf("+%.1f%%", a.DelayPenalty*100),
+			fmt.Sprintf("+%.1f%%", a.AreaOverhead*100),
+			scal)
 	}
-	return out
+	t.Notes = append(t.Notes,
+		"paper: body-bias-controlled Vth \"does not scale well\"; dual-Vth is the only technique in current high-end MPUs",
+		fmt.Sprintf("non-scalable at 35 nm: %v", nonScalable))
+	res := &result.Result{}
+	res.AddTable(t)
+	return res, nil
 }

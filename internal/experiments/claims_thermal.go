@@ -1,43 +1,27 @@
 package experiments
 
 import (
+	"fmt"
+
 	"nanometer/internal/device"
+	"nanometer/internal/result"
 	"nanometer/internal/thermal"
 )
 
-// DTMResult is the C1 experiment: dynamic thermal management lets the
+// DTM is the C1 experiment at 50 nm: dynamic thermal management lets the
 // package be designed for the effective worst case instead of the
 // theoretical worst case.
-type DTMResult struct {
-	NodeNM int
-	// TheoreticalWorstW is the power-virus dissipation; EffectiveWorstW
-	// the highest sustained power real workloads reach under the DTM
-	// controller.
-	TheoreticalWorstW, EffectiveWorstW float64
-	// EffectiveFraction is their ratio (the paper's ≈75 %).
-	EffectiveFraction float64
-	// ThetaJAHeadroom is the allowable θja relief (the paper's ≈33 %).
-	ThetaJAHeadroom float64
-	// CostTheoretical and CostEffective are the cooling-solution costs for
-	// the two design points; CostRatio their ratio.
-	CostTheoretical, CostEffective thermal.CoolingSolution
-	CostRatio                      float64
-	// VirusThrottled shows the controller containing a power virus: peak
-	// temperature with DTM stays at the limit while throughput degrades
-	// gracefully.
-	VirusPeakTempC, VirusThroughput float64
-	// Intel65to75 reproduces the cited cost step: cooling-cost ratio of a
-	// 75 W design over a 65 W design at the 1999 junction/ambient point.
-	Intel65to75 float64
-}
+func DTM(lab *device.Lab, _ int) (*result.Result, error) { return dtmAt(lab, 50) }
 
-// DTMIn runs the C1 experiment for a node.
-func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
+// dtmAt runs the C1 experiment for a node.
+func dtmAt(lab *device.Lab, nodeNM int) (*result.Result, error) {
 	node, err := lab.Node(nodeNM)
 	if err != nil {
 		return nil, err
 	}
-	res := &DTMResult{NodeNM: nodeNM, TheoreticalWorstW: node.MaxPowerW}
+	// theoWorst is the power-virus dissipation; effWorst the highest
+	// sustained power real workloads reach under the DTM controller.
+	theoWorst := node.MaxPowerW
 
 	// Package sized for the theoretical worst case.
 	pkgTheo := thermal.Package{ThetaJA: node.ThetaJA, AmbientC: node.AmbientTempC}
@@ -52,25 +36,26 @@ func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
 		p.Seed = seed
 		traces = append(traces, p.Generate(4000))
 	}
-	res.EffectiveWorstW = thermal.EffectiveWorstCase(pkgTheo, cth, node.JunctionTempC, ctrl, traces, dt)
-	res.EffectiveFraction = res.EffectiveWorstW / res.TheoreticalWorstW
-	res.ThetaJAHeadroom = thermal.ThetaJAHeadroom(res.TheoreticalWorstW, res.EffectiveWorstW)
+	effWorst := thermal.EffectiveWorstCase(pkgTheo, cth, node.JunctionTempC, ctrl, traces, dt)
 
-	res.CostTheoretical, err = thermal.SelectCooling(res.TheoreticalWorstW, node.JunctionTempC, node.AmbientTempC)
+	// Cooling-solution costs for the two design points.
+	costTheo, err := thermal.SelectCooling(theoWorst, node.JunctionTempC, node.AmbientTempC)
 	if err != nil {
 		return nil, err
 	}
-	res.CostEffective, err = thermal.SelectCooling(res.EffectiveWorstW, node.JunctionTempC, node.AmbientTempC)
+	costEff, err := thermal.SelectCooling(effWorst, node.JunctionTempC, node.AmbientTempC)
 	if err != nil {
 		return nil, err
 	}
-	if res.CostEffective.CostUSD > 0 {
-		res.CostRatio = res.CostTheoretical.CostUSD / res.CostEffective.CostUSD
+	var costRatio float64
+	if costEff.CostUSD > 0 {
+		costRatio = costTheo.CostUSD / costEff.CostUSD
 	}
 
 	// Power virus through a package sized only for the effective worst
-	// case: DTM must hold the junction.
-	thetaEff, err := thermal.RequiredThetaJA(res.EffectiveWorstW, node.JunctionTempC, node.AmbientTempC)
+	// case: DTM must hold the junction at the limit while throughput
+	// degrades gracefully.
+	thetaEff, err := thermal.RequiredThetaJA(effWorst, node.JunctionTempC, node.AmbientTempC)
 	if err != nil {
 		return nil, err
 	}
@@ -78,10 +63,9 @@ func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
 	sensor := &thermal.Sensor{TripC: node.JunctionTempC - 1, HysteresisC: 2}
 	virus := thermal.PowerVirus(node.MaxPowerW, 8000)
 	vr := thermal.Simulate(plant, sensor, ctrl, virus, dt)
-	res.VirusPeakTempC = vr.PeakTempC
-	res.VirusThroughput = vr.Throughput
 
-	// The Intel 65→75 W observation at the 1999 design point.
+	// The Intel 65→75 W observation at the 1999 design point: cooling-cost
+	// ratio of a 75 W design over a 65 W design.
 	c65, err := thermal.SelectCooling(65, 100, 45)
 	if err != nil {
 		return nil, err
@@ -90,8 +74,28 @@ func DTMIn(lab *device.Lab, nodeNM int) (*DTMResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	var intel65to75 float64
 	if c65.CostUSD > 0 {
-		res.Intel65to75 = c75.CostUSD / c65.CostUSD
+		intel65to75 = c75.CostUSD / c65.CostUSD
 	}
+
+	// effective_fraction is the paper's ≈75 %, theta_ja_headroom the
+	// allowable θja relief (≈33 %).
+	c := &result.Claim{}
+	c.Num("node_nm", float64(nodeNM), "nm").
+		Num("theoretical_worst_w", theoWorst, "W").
+		Num("effective_worst_w", effWorst, "W").
+		Num("effective_fraction", effWorst/theoWorst, "").
+		Num("theta_ja_headroom", thermal.ThetaJAHeadroom(theoWorst, effWorst), "").
+		Str("cooling_theoretical_class", fmt.Sprint(costTheo.Class)).
+		Num("cooling_theoretical_cost_usd", costTheo.CostUSD, "USD").
+		Str("cooling_effective_class", fmt.Sprint(costEff.Class)).
+		Num("cooling_effective_cost_usd", costEff.CostUSD, "USD").
+		Num("cooling_cost_ratio", costRatio, "").
+		Num("virus_peak_temp_c", vr.PeakTempC, "°C").
+		Num("virus_throughput", vr.Throughput, "").
+		Num("intel_65_to_75", intel65to75, "")
+	res := &result.Result{}
+	res.AddClaim(c)
 	return res, nil
 }

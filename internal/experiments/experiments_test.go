@@ -5,103 +5,167 @@ package experiments
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
+	"nanometer/internal/result"
 )
+
+// run computes an artifact on the base laboratory at the default mesh.
+func run(t *testing.T, artifact func(*device.Lab, int) (*result.Result, error)) *result.Result {
+	t.Helper()
+	res, err := artifact(device.BaseLab(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// findings, table and figure return the first item of their kind in res.
+func findings(t *testing.T, res *result.Result) *result.Claim {
+	t.Helper()
+	for _, it := range res.Items {
+		if it.Claim != nil {
+			return it.Claim
+		}
+	}
+	t.Fatal("result carries no claim")
+	return nil
+}
+
+func table(t *testing.T, res *result.Result) *result.Table {
+	t.Helper()
+	for _, it := range res.Items {
+		if it.Table != nil {
+			return it.Table
+		}
+	}
+	t.Fatal("result carries no table")
+	return nil
+}
+
+func figure(t *testing.T, res *result.Result) *result.Figure {
+	t.Helper()
+	for _, it := range res.Items {
+		if it.Figure != nil {
+			return it.Figure
+		}
+	}
+	t.Fatal("result carries no figure")
+	return nil
+}
+
+// num reads a numeric finding by key, flag a boolean one.
+func num(t *testing.T, c *result.Claim, key string) float64 {
+	t.Helper()
+	f, ok := c.Find(key)
+	if !ok {
+		t.Fatalf("no finding %q", key)
+	}
+	return f.Value
+}
+
+func flag(t *testing.T, c *result.Claim, key string) bool { return num(t, c, key) == 1 }
+
+// cell parses the number in a table cell, without a leading "+" or a
+// trailing "%".
+func cell(t *testing.T, tab *result.Table, row, col int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.Trim(tab.Rows[row][col], "+%"), 64)
+	if err != nil {
+		t.Fatalf("%s row %d column %q: %v", tab.Title, row, tab.Headers[col], err)
+	}
+	return v
+}
 
 // --- Table 1 -----------------------------------------------------------------
 
 func TestTable1Shape(t *testing.T) {
-	rows := Table1In(device.BaseLab())
-	if len(rows) != 9 {
-		t.Fatalf("Table 1 has %d rows, want 6 published + 3 ITRS", len(rows))
+	tab := table(t, run(t, Table1))
+	if len(tab.Rows) != 9 {
+		t.Fatalf("Table 1 has %d rows, want 6 published + 3 ITRS", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.IsITRS {
-			continue
-		}
-		if r.MeetsSub1V {
-			t.Errorf("%s: the paper's take-away is that no sub-1 V device meets the Ion target", r.Ref)
+	// Column 6 flags a published device meeting the sub-1 V Ion target
+	// ("-" on the ITRS rows), column 7 the dynamic-power penalty.
+	for _, row := range tab.Rows {
+		if row[6] == "YES" {
+			t.Errorf("%s: the paper's take-away is that no sub-1 V device meets the Ion target", row[0])
 		}
 	}
 	// The two 70 nm-class devices reported at 1.2 V carry the +78 % flag.
 	flagged := 0
-	for _, r := range rows {
-		if r.PowerPenalty > 0.7 && r.PowerPenalty < 0.85 {
+	for i, row := range tab.Rows {
+		if row[7] == "-" {
+			continue
+		}
+		if p := cell(t, tab, i, 7) / 100; p > 0.7 && p < 0.85 {
 			flagged++
 		}
 	}
 	if flagged != 2 {
 		t.Fatalf("expected 2 devices with the +78%% dynamic-power penalty, got %d", flagged)
 	}
-	if Table1ReportIn(device.BaseLab()) == nil {
-		t.Fatalf("report rendering failed")
-	}
 }
 
 // --- Table 2 -----------------------------------------------------------------
 
 func TestTable2AgainstPaper(t *testing.T) {
-	rows, err := Table2In(device.BaseLab())
-	if err != nil {
-		t.Fatal(err)
+	tab := table(t, run(t, Table2))
+	if len(tab.Rows) != 7 {
+		t.Fatalf("Table 2 has %d rows, want 6 nodes + the 0.7 V variant", len(tab.Rows))
 	}
-	if len(rows) != 7 {
-		t.Fatalf("Table 2 has %d rows, want 6 nodes + the 0.7 V variant", len(rows))
-	}
-	for _, r := range rows {
-		if r.PaperVth == 0 {
-			t.Fatalf("%d nm @%g V: missing paper anchor", r.NodeNM, r.Vdd)
+	// Columns: node, Vdd, Coxe, Cox, Vth, paper, Ioff, paper, Ioff MG,
+	// paper, ITRS Ioff. The paper's values come from their source, not
+	// from the cells that round them.
+	const colVth, colIoff, colIoffMG, colITRS = 4, 6, 8, 10
+	for i, row := range tab.Rows {
+		paper, ok := paperTable2[row[0]+"@"+row[1]]
+		if !ok {
+			t.Fatalf("%s nm @%s V: missing paper anchor", row[0], row[1])
 		}
 		tolVth := 0.005
 		tolIoff := 1.6 // ×
-		if r.Vdd != itrs.Base().MustNode(r.NodeNM).Vdd {
+		if cell(t, tab, i, 1) != itrs.Base().MustNode(int(cell(t, tab, i, 0))).Vdd {
 			// The 0.7 V row is a pure prediction (not a calibration
 			// anchor); allow a wider band.
 			tolVth, tolIoff = 0.04, 2.5
 		}
-		if math.Abs(r.VthRequired-r.PaperVth) > tolVth {
-			t.Errorf("%d nm @%g V: Vth %.3f vs paper %.2f", r.NodeNM, r.Vdd, r.VthRequired, r.PaperVth)
+		if vth := cell(t, tab, i, colVth); math.Abs(vth-paper[0]) > tolVth {
+			t.Errorf("%s nm @%s V: Vth %.3f vs paper %.2f", row[0], row[1], vth, paper[0])
 		}
-		ratio := r.IoffNAPerUM / r.PaperIoff
+		ioff := cell(t, tab, i, colIoff)
+		ratio := ioff / paper[1]
 		if ratio > tolIoff || ratio < 1/tolIoff {
-			t.Errorf("%d nm @%g V: Ioff %.0f vs paper %.0f (×%.2f)", r.NodeNM, r.Vdd, r.IoffNAPerUM, r.PaperIoff, ratio)
+			t.Errorf("%s nm @%s V: Ioff %.0f vs paper %.0f (×%.2f)", row[0], row[1], ioff, paper[1], ratio)
 		}
-		if r.IoffMetalGateNAPerUM >= r.IoffNAPerUM {
-			t.Errorf("%d nm: metal gate must reduce Ioff", r.NodeNM)
+		if cell(t, tab, i, colIoffMG) >= ioff {
+			t.Errorf("%s nm: metal gate must reduce Ioff", row[0])
 		}
 	}
 	// The roadmap-wide Ioff growth: paper reports 152× (vs ITRS 23×).
-	growth := rows[len(rows)-1].IoffNAPerUM / rows[0].IoffNAPerUM
+	last := len(tab.Rows) - 1
+	growth := cell(t, tab, last, colIoff) / cell(t, tab, 0, colIoff)
 	if growth < 100 || growth > 260 {
 		t.Errorf("Ioff growth across the roadmap = %.0f×, paper says 152×", growth)
 	}
 	// Coxe normalization grows but much more slowly than physical Cox.
-	last := rows[len(rows)-1]
-	if last.CoxeNorm >= last.CoxPhysNorm {
-		t.Errorf("electrical capacitance (%g) must lag physical (%g) — the paper's point 1",
-			last.CoxeNorm, last.CoxPhysNorm)
+	if coxe, cox := cell(t, tab, last, 2), cell(t, tab, last, 3); coxe >= cox {
+		t.Errorf("electrical capacitance (%g) must lag physical (%g) — the paper's point 1", coxe, cox)
 	}
 	// Model Ioff exceeds the ITRS projection at the nanometer nodes
 	// ("additional static power reduction required by circuit design").
-	if last.IoffNAPerUM < 2*last.ITRSIoffNAPerUM {
-		t.Errorf("35 nm model Ioff %.0f should exceed the ITRS %.0f by ~3×",
-			last.IoffNAPerUM, last.ITRSIoffNAPerUM)
-	}
-	if _, err := Table2ReportIn(device.BaseLab()); err != nil {
-		t.Fatal(err)
+	if ioff, itrsIoff := cell(t, tab, last, colIoff), cell(t, tab, last, colITRS); ioff < 2*itrsIoff {
+		t.Errorf("35 nm model Ioff %.0f should exceed the ITRS %.0f by ~3×", ioff, itrsIoff)
 	}
 }
 
 // --- Figure 1 ----------------------------------------------------------------
 
 func TestFigure1Shape(t *testing.T) {
-	fig, err := Figure1In(device.BaseLab(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, run(t, Figure1))
 	if len(fig.Series) != 3 {
 		t.Fatalf("Figure 1 needs 3 curves")
 	}
@@ -138,7 +202,7 @@ func TestFigure1Shape(t *testing.T) {
 // --- Figure 2 ----------------------------------------------------------------
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2In(device.BaseLab())
+	rows, err := figure2Rows(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,33 +210,33 @@ func TestFigure2Shape(t *testing.T) {
 		t.Fatalf("Figure 2 needs all 6 nodes")
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].IonGainPct <= rows[i-1].IonGainPct {
+		if rows[i].ionGainPct <= rows[i-1].ionGainPct {
 			t.Fatalf("Ion gain per 100 mV must grow with scaling")
 		}
-		if rows[i].IoffXFor20PctIon >= rows[i-1].IoffXFor20PctIon {
+		if rows[i].ioffXFor20PctIon >= rows[i-1].ioffXFor20PctIon {
 			t.Fatalf("the Ioff penalty for +20%% Ion must shrink with scaling")
 		}
 	}
 	// 100 mV always costs ≈15× Ioff (Eq. 4 with 85 mV/decade).
 	for _, r := range rows {
-		if !approx(r.IoffX100mV, math.Pow(10, 0.1/0.085), 1e-3) {
-			t.Fatalf("%d nm: 100 mV Ioff multiplier = %g, want ≈15", r.NodeNM, r.IoffX100mV)
+		if !approx(r.ioffX100mV, math.Pow(10, 0.1/0.085), 1e-3) {
+			t.Fatalf("%d nm: 100 mV Ioff multiplier = %g, want ≈15", r.nodeNM, r.ioffX100mV)
 		}
 	}
 	// At 35 nm the penalty approaches the paper's 7×.
 	last := rows[len(rows)-1]
-	if last.NodeNM != 35 || last.IoffXFor20PctIon > 20 {
-		t.Fatalf("35 nm penalty = %.1f×, paper says 7×", last.IoffXFor20PctIon)
+	if last.nodeNM != 35 || last.ioffXFor20PctIon > 20 {
+		t.Fatalf("35 nm penalty = %.1f×, paper says 7×", last.ioffXFor20PctIon)
 	}
-	if Figure2Figure(rows) == nil {
-		t.Fatalf("figure conversion failed")
+	if fig := figure(t, run(t, Figure2)); len(fig.Series) != 2 || len(fig.Series[1].Y) != len(rows) {
+		t.Fatalf("Figure 2 wants 2 series of one point per node")
 	}
 }
 
 // --- Figures 3 and 4 ---------------------------------------------------------
 
 func TestFigure3And4Shape(t *testing.T) {
-	fig3, fig4, err := Figure3And4In(device.BaseLab(), nil)
+	fig3, fig4, err := figures3And4(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +276,7 @@ func TestFigure3And4Shape(t *testing.T) {
 // --- Figure 5 ----------------------------------------------------------------
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := Figure5In(device.BaseLab())
+	rows, err := figure5Rows(device.BaseLab())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,41 +284,39 @@ func TestFigure5Shape(t *testing.T) {
 		t.Fatalf("Figure 5 needs all 6 nodes")
 	}
 	for _, r := range rows {
-		if r.ITRSWidthOverMin <= r.MinWidthOverMin {
-			t.Fatalf("%d nm: the ITRS bump plan must always be worse", r.NodeNM)
+		if r.itrsWidthOverMin <= r.minWidthOverMin {
+			t.Fatalf("%d nm: the ITRS bump plan must always be worse", r.nodeNM)
 		}
 	}
 	// Paper anchors at 35 nm.
 	last := rows[len(rows)-1]
-	if last.NodeNM != 35 {
+	if last.nodeNM != 35 {
 		t.Fatalf("rows must end at 35 nm")
 	}
-	if last.MinWidthOverMin < 8 || last.MinWidthOverMin > 25 {
-		t.Fatalf("35 nm min-pitch width = %.1f×, paper says 16×", last.MinWidthOverMin)
+	if last.minWidthOverMin < 8 || last.minWidthOverMin > 25 {
+		t.Fatalf("35 nm min-pitch width = %.1f×, paper says 16×", last.minWidthOverMin)
 	}
-	if last.ITRSWidthOverMin < 500 {
-		t.Fatalf("35 nm ITRS width = %.0f×, paper says >2000× (same order)", last.ITRSWidthOverMin)
+	if last.itrsWidthOverMin < 500 {
+		t.Fatalf("35 nm ITRS width = %.0f×, paper says >2000× (same order)", last.itrsWidthOverMin)
 	}
-	if last.MinRoutingFraction < 0.16 || last.MinRoutingFraction > 0.22 {
-		t.Fatalf("35 nm routing share = %.3f, paper says 17-20%%", last.MinRoutingFraction)
+	if last.minRoutingFraction < 0.16 || last.minRoutingFraction > 0.22 {
+		t.Fatalf("35 nm routing share = %.3f, paper says 17-20%%", last.minRoutingFraction)
 	}
 	// 50 nm is more restricted than 35 nm (the power-density dip).
-	var r50, r35 Figure5Row
+	var r50, r35 figure5Row
 	for _, r := range rows {
-		if r.NodeNM == 50 {
+		if r.nodeNM == 50 {
 			r50 = r
 		}
-		if r.NodeNM == 35 {
+		if r.nodeNM == 35 {
 			r35 = r
 		}
 	}
-	if r50.MinWidthOverMin <= r35.MinWidthOverMin {
+	if r50.minWidthOverMin <= r35.minWidthOverMin {
 		t.Fatalf("50 nm (%.1f) should be more restricted than 35 nm (%.1f)",
-			r50.MinWidthOverMin, r35.MinWidthOverMin)
+			r50.minWidthOverMin, r35.minWidthOverMin)
 	}
-	if Figure5Figure(rows) == nil {
-		t.Fatalf("figure conversion failed")
-	}
+	figure(t, run(t, Figure5)) // fails unless the artifact carries its figure
 }
 
 func approx(got, want, rel float64) bool {

@@ -12,73 +12,66 @@ import (
 	"nanometer/internal/units"
 )
 
-// Figure1Case identifies one curve of Figure 1.
-type Figure1Case struct {
-	NodeNM int
-	Vdd    float64
-}
-
-// Figure1Cases returns the paper's three curves: 70 nm @0.9 V, 50 nm @0.7 V,
-// 50 nm @0.6 V.
-func Figure1Cases() []Figure1Case {
-	return []Figure1Case{{70, 0.9}, {50, 0.7}, {50, 0.6}}
-}
-
-// Figure1In reproduces the Pstatic/Pdynamic ratio of a fan-out-of-4 inverter
-// with average wiring load at 85 °C, swept over switching activity. The
+// Figure1 reproduces the Pstatic/Pdynamic ratio of a fan-out-of-4 inverter
+// with average wiring load at 85 °C, swept over switching activity, for the
+// paper's three curves: 70 nm @0.9 V, 50 nm @0.7 V, 50 nm @0.6 V. The
 // threshold at each (node, Vdd) point is the Table 2 solution (Ion target
 // met at that supply), as in the paper's §3.1 setup.
-func Figure1In(lab *device.Lab, activities []float64) (*result.Figure, error) {
-	if len(activities) == 0 {
-		activities = mathx.Logspace(0.005, 0.5, 25)
-	}
+func Figure1(lab *device.Lab, _ int) (*result.Result, error) {
+	activities := mathx.Logspace(0.005, 0.5, 25)
 	T := units.CelsiusToKelvin(85)
 	fig := &result.Figure{
+		Name:   "figure1",
 		Title:  "Figure 1. Pstatic/Pdynamic for an FO4 inverter with average wiring load (85 °C)",
 		XLabel: "switching activity factor",
 		YLabel: "Pstatic / Pdynamic",
 		LogX:   true, LogY: true,
 	}
-	for _, cs := range Figure1Cases() {
-		inv, err := gate.ReferenceInverterIn(lab, cs.NodeNM)
+	for _, cs := range []struct {
+		nodeNM int
+		vdd    float64
+	}{{70, 0.9}, {50, 0.7}, {50, 0.6}} {
+		inv, err := gate.ReferenceInverterIn(lab, cs.nodeNM)
 		if err != nil {
 			return nil, err
 		}
-		node := lab.MustNode(cs.NodeNM)
+		node := lab.MustNode(cs.nodeNM)
 		// Threshold re-solved for the case's supply (300 K convention).
-		vth, err := inv.N.SolveVthForIon(node.IonTargetAPerM, cs.Vdd, units.RoomTemperature)
+		vth, err := inv.N.SolveVthForIon(node.IonTargetAPerM, cs.vdd, units.RoomTemperature)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: figure1 %dnm@%gV: %w", cs.NodeNM, cs.Vdd, err)
+			return nil, fmt.Errorf("experiments: figure1 %dnm@%gV: %w", cs.nodeNM, cs.vdd, err)
 		}
 		g := inv.WithVth(vth)
-		s := result.Series{Name: fmt.Sprintf("%dnm, Vdd=%.1fV", cs.NodeNM, cs.Vdd)}
+		s := result.Series{Name: fmt.Sprintf("%dnm, Vdd=%.1fV", cs.nodeNM, cs.vdd)}
 		for _, a := range activities {
-			s.Add(a, g.StaticOverDynamic(a, node.ClockHz, cs.Vdd, T))
+			s.Add(a, g.StaticOverDynamic(a, node.ClockHz, cs.vdd, T))
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return fig, nil
+	res := &result.Result{}
+	res.AddFigure(fig)
+	return res, nil
 }
 
-// Figure2Row is one node of the dual-Vth scaling analysis.
-type Figure2Row struct {
-	NodeNM int
-	// IonGainPct is the drive-current increase from a 100 mV threshold
+// figure2Row is one node of the dual-Vth scaling analysis; it feeds both
+// Figure 2's table and its plot.
+type figure2Row struct {
+	nodeNM int
+	// ionGainPct is the drive-current increase from a 100 mV threshold
 	// reduction.
-	IonGainPct float64
-	// IoffX100mV is the off-current multiplier of that reduction
+	ionGainPct float64
+	// ioffX100mV is the off-current multiplier of that reduction
 	// (≈15× throughout, set by the subthreshold swing).
-	IoffX100mV float64
-	// IoffXFor20PctIon is the off-current multiplier required for a 20 %
+	ioffX100mV float64
+	// ioffXFor20PctIon is the off-current multiplier required for a 20 %
 	// drive gain (the paper: 54× "today" falling to 7× at 35 nm).
-	IoffXFor20PctIon float64
-	// DeltaVthFor20Pct is the corresponding threshold reduction (V).
-	DeltaVthFor20Pct float64
+	ioffXFor20PctIon float64
+	// deltaVthFor20Pct is the corresponding threshold reduction (V).
+	deltaVthFor20Pct float64
 }
 
-// Figure2In reproduces the dual-Vth scaling figure.
-func Figure2In(lab *device.Lab) ([]Figure2Row, error) {
-	var rows []Figure2Row
+func figure2Rows(lab *device.Lab) ([]figure2Row, error) {
+	var rows []figure2Row
 	T := units.RoomTemperature
 	for _, nm := range lab.NodesNM() {
 		d, err := lab.ForNode(nm)
@@ -95,50 +88,70 @@ func Figure2In(lab *device.Lab) ([]Figure2Row, error) {
 			return nil, fmt.Errorf("experiments: figure2 node %d: %w", nm, err)
 		}
 		ioffX20 := d.WithVth(vth20).IoffPerWidth(node.Vdd, T) / d.IoffPerWidth(node.Vdd, T)
-		rows = append(rows, Figure2Row{
-			NodeNM:           nm,
-			IonGainPct:       gain * 100,
-			IoffX100mV:       ioffX,
-			IoffXFor20PctIon: ioffX20,
-			DeltaVthFor20Pct: d.Vth0 - vth20,
+		rows = append(rows, figure2Row{
+			nodeNM:           nm,
+			ionGainPct:       gain * 100,
+			ioffX100mV:       ioffX,
+			ioffXFor20PctIon: ioffX20,
+			deltaVthFor20Pct: d.Vth0 - vth20,
 		})
 	}
 	return rows, nil
 }
 
-// Figure2Figure converts the rows to plotting series.
-func Figure2Figure(rows []Figure2Row) *result.Figure {
+// Figure2 reproduces the dual-Vth scaling figure, as a table and as
+// plotting series.
+func Figure2(lab *device.Lab, _ int) (*result.Result, error) {
+	rows, err := figure2Rows(lab)
+	if err != nil {
+		return nil, err
+	}
+	t := &result.Table{
+		Title:   "Figure 2 (as data). Dual-Vth scaling",
+		Headers: []string{"node (nm)", "Ion gain @ -100mV Vth", "Ioff × @ -100mV", "Ioff × for +20% Ion", "ΔVth for +20% (mV)"},
+	}
 	gainS := result.Series{Name: "Ion increase with 100 mV Vth reduction (%)"}
 	penS := result.Series{Name: "Ioff increase for +20% Ion (×, log)"}
 	for _, r := range rows {
-		gainS.Add(float64(r.NodeNM), r.IonGainPct)
-		penS.Add(float64(r.NodeNM), r.IoffXFor20PctIon)
+		t.AddRow(fmt.Sprintf("%d", r.nodeNM),
+			fmt.Sprintf("%.1f%%", r.ionGainPct),
+			fmt.Sprintf("%.1f", r.ioffX100mV),
+			fmt.Sprintf("%.1f", r.ioffXFor20PctIon),
+			fmt.Sprintf("%.0f", r.deltaVthFor20Pct*1e3))
+		gainS.Add(float64(r.nodeNM), r.ionGainPct)
+		penS.Add(float64(r.nodeNM), r.ioffXFor20PctIon)
 	}
-	return &result.Figure{
+	t.Notes = append(t.Notes, "paper: Ioff penalty for +20% Ion falls from 54× \"today\" to 7× at 35 nm; 100 mV ⇒ ~15× Ioff throughout")
+	res := &result.Result{}
+	res.AddTable(t)
+	res.AddFigure(&result.Figure{
+		Name:   "figure2",
 		Title:  "Figure 2. Dual-Vth scaling: drive gain and leakage penalty vs node",
 		XLabel: "technology node (nm)",
 		YLabel: "see series",
 		Series: []result.Series{gainS, penS},
-	}
+	})
+	return res, nil
 }
 
-// Figure3And4In evaluates the Vth-scaling policies at 35 nm across supplies:
+// figures3And4 evaluates the Vth-scaling policies at 35 nm across supplies:
 // normalized delay (Figure 3) and Pdynamic/Pstatic at activity 0.1
-// (Figure 4).
-func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *result.Figure, err error) {
-	if len(vdds) == 0 {
-		vdds = mathx.Linspace(0.2, 0.6, 17)
-	}
+// (Figure 4). Each figure's artifact re-runs the sweep (cheap), so neither
+// depends on the other's completion.
+func figures3And4(lab *device.Lab) (fig3, fig4 *result.Figure, err error) {
+	vdds := mathx.Linspace(0.2, 0.6, 17)
 	node := lab.MustNode(35)
 	ex, err := core.NewExplorerIn(lab, 35, units.RoomTemperature, 0.1, node.ClockHz)
 	if err != nil {
 		return nil, nil, err
 	}
 	fig3 = &result.Figure{
+		Name:   "figure3",
 		Title:  "Figure 3. Delay vs Vdd under Vth-scaling policies (35 nm, nominal Vdd = 0.6 V)",
 		XLabel: "Vdd (V)", YLabel: "delay (normalized)",
 	}
 	fig4 = &result.Figure{
+		Name:   "figure4",
 		Title:  "Figure 4. Pdynamic/Pstatic vs Vdd (35 nm, switching activity 0.1)",
 		XLabel: "Vdd (V)", YLabel: "Pdynamic / Pstatic", LogY: true,
 	}
@@ -159,22 +172,44 @@ func Figure3And4In(lab *device.Lab, vdds []float64) (fig3, fig4 *result.Figure, 
 	return fig3, fig4, nil
 }
 
-// Figure5Row is one node of the IR-drop scaling analysis, under both bump
-// plans.
-type Figure5Row struct {
-	NodeNM int
-	// MinPitch and ITRSPitch are the two bump plans (m).
-	MinPitchM, ITRSPitchM float64
-	// WidthOverMin are the required rail widths normalized to minimum
-	// top-metal width under each plan (Figure 5's left axis).
-	MinWidthOverMin, ITRSWidthOverMin float64
-	// RoutingFraction are the total top-level routing shares (right axis).
-	MinRoutingFraction, ITRSRoutingFraction float64
+// Figure3 is delay vs Vdd under the Vth-scaling policies.
+func Figure3(lab *device.Lab, _ int) (*result.Result, error) {
+	fig3, _, err := figures3And4(lab)
+	if err != nil {
+		return nil, err
+	}
+	res := &result.Result{}
+	res.AddFigure(fig3)
+	return res, nil
 }
 
-// Figure5In reproduces the power-distribution scaling analysis.
-func Figure5In(lab *device.Lab) ([]Figure5Row, error) {
-	var rows []Figure5Row
+// Figure4 is Pdynamic/Pstatic vs Vdd under the Vth-scaling policies.
+func Figure4(lab *device.Lab, _ int) (*result.Result, error) {
+	_, fig4, err := figures3And4(lab)
+	if err != nil {
+		return nil, err
+	}
+	res := &result.Result{}
+	res.AddFigure(fig4)
+	return res, nil
+}
+
+// figure5Row is one node of the IR-drop scaling analysis, under both bump
+// plans; it feeds both Figure 5's table and its plot.
+type figure5Row struct {
+	nodeNM int
+	// minPitchM and itrsPitchM are the two bump plans (m).
+	minPitchM, itrsPitchM float64
+	// The width-over-min fields are the required rail widths normalized to
+	// minimum top-metal width under each plan (Figure 5's left axis).
+	minWidthOverMin, itrsWidthOverMin float64
+	// The routing fractions are the total top-level routing shares (right
+	// axis).
+	minRoutingFraction, itrsRoutingFraction float64
+}
+
+func figure5Rows(lab *device.Lab) ([]figure5Row, error) {
+	var rows []figure5Row
 	for _, nm := range lab.NodesNM() {
 		node := lab.MustNode(nm)
 		minSpec := powergrid.DefaultSpec(node, node.BumpPitchMinM)
@@ -187,34 +222,55 @@ func Figure5In(lab *device.Lab) ([]Figure5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Figure5Row{
-			NodeNM:              nm,
-			MinPitchM:           node.BumpPitchMinM,
-			ITRSPitchM:          node.EffectiveBumpPitchM(),
-			MinWidthOverMin:     szMin.WidthOverMin,
-			ITRSWidthOverMin:    szITRS.WidthOverMin,
-			MinRoutingFraction:  szMin.TotalRoutingFraction,
-			ITRSRoutingFraction: szITRS.TotalRoutingFraction,
+		rows = append(rows, figure5Row{
+			nodeNM:              nm,
+			minPitchM:           node.BumpPitchMinM,
+			itrsPitchM:          node.EffectiveBumpPitchM(),
+			minWidthOverMin:     szMin.WidthOverMin,
+			itrsWidthOverMin:    szITRS.WidthOverMin,
+			minRoutingFraction:  szMin.TotalRoutingFraction,
+			itrsRoutingFraction: szITRS.TotalRoutingFraction,
 		})
 	}
 	return rows, nil
 }
 
-// Figure5Figure converts the rows to plotting series.
-func Figure5Figure(rows []Figure5Row) *result.Figure {
+// Figure5 reproduces the power-distribution scaling analysis, as a table
+// and as plotting series.
+func Figure5(lab *device.Lab, _ int) (*result.Result, error) {
+	rows, err := figure5Rows(lab)
+	if err != nil {
+		return nil, err
+	}
+	t := &result.Table{
+		Title:   "Figure 5 (as data). IR-drop scaling",
+		Headers: []string{"node (nm)", "min pitch (µm)", "W/Wmin", "%routing", "ITRS pitch (µm)", "W/Wmin", "%routing"},
+	}
 	minW := result.Series{Name: "min bump pitch: rail width / Wmin"}
 	itrsW := result.Series{Name: "ITRS bump count: rail width / Wmin"}
 	minR := result.Series{Name: "min pitch: % routing used"}
 	for _, r := range rows {
-		minW.Add(float64(r.NodeNM), r.MinWidthOverMin)
-		itrsW.Add(float64(r.NodeNM), r.ITRSWidthOverMin)
-		minR.Add(float64(r.NodeNM), r.MinRoutingFraction*100)
+		t.AddRow(fmt.Sprintf("%d", r.nodeNM),
+			fmt.Sprintf("%.0f", r.minPitchM*1e6),
+			fmt.Sprintf("%.1f", r.minWidthOverMin),
+			fmt.Sprintf("%.1f%%", r.minRoutingFraction*100),
+			fmt.Sprintf("%.0f", r.itrsPitchM*1e6),
+			fmt.Sprintf("%.0f", r.itrsWidthOverMin),
+			fmt.Sprintf("%.1f%%", r.itrsRoutingFraction*100))
+		minW.Add(float64(r.nodeNM), r.minWidthOverMin)
+		itrsW.Add(float64(r.nodeNM), r.itrsWidthOverMin)
+		minR.Add(float64(r.nodeNM), r.minRoutingFraction*100)
 	}
-	return &result.Figure{
+	t.Notes = append(t.Notes, "paper: 16× Wmin (<4% routing + 16% pads) at 35 nm minimum pitch; >2000× under ITRS bump counts")
+	res := &result.Result{}
+	res.AddTable(t)
+	res.AddFigure(&result.Figure{
+		Name:   "figure5",
 		Title:  "Figure 5. IR-drop scaling: required rail width and routing resources",
 		XLabel: "technology node (nm)",
 		YLabel: "rail width / Wmin (log) ; % routing",
 		LogY:   true,
 		Series: []result.Series{minW, itrsW, minR},
-	}
+	})
+	return res, nil
 }

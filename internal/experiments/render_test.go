@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/result"
 )
@@ -27,7 +26,7 @@ func encode(t *testing.T, enc interface {
 }
 
 func TestTable1ReportRenders(t *testing.T) {
-	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: Table1ReportIn(device.BaseLab())})
+	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: table(t, run(t, Table1))})
 	for _, want := range []string{"[24]", "[29]", "ITRS", "Ioff (nA/µm)", "+78%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 report missing %q:\n%s", want, out)
@@ -36,11 +35,7 @@ func TestTable1ReportRenders(t *testing.T) {
 }
 
 func TestTable2ReportRenders(t *testing.T) {
-	tab, err := Table2ReportIn(device.BaseLab())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: tab})
+	out := encode(t, render.Text{}, result.Item{Kind: result.KindTable, Table: table(t, run(t, Table2))})
 	for _, want := range []string{"Vth req", "paper", "Ioff MG", "ITRS Ioff", "152×"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 2 report missing %q:\n%s", want, out)
@@ -55,10 +50,7 @@ func TestTable2ReportRenders(t *testing.T) {
 }
 
 func TestFigureCSVWellFormed(t *testing.T) {
-	fig, err := Figure1In(device.BaseLab(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, run(t, Figure1))
 	out := encode(t, render.CSV{}, result.Item{Kind: result.KindFigure, Figure: fig})
 	// Past its "#" block header the output must parse as CSV (series names
 	// contain commas and rely on quoting) in the aligned wide format:
@@ -80,11 +72,7 @@ func TestFigureCSVWellFormed(t *testing.T) {
 }
 
 func TestFigure5FigureSeries(t *testing.T) {
-	rows, err := Figure5In(device.BaseLab())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig := Figure5Figure(rows)
+	fig := figure(t, run(t, Figure5))
 	if len(fig.Series) != 3 {
 		t.Fatalf("Figure 5 wants 3 series, got %d", len(fig.Series))
 	}

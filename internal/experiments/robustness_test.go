@@ -11,6 +11,7 @@ import (
 	"nanometer/internal/netlist"
 	"nanometer/internal/power"
 	"nanometer/internal/resize"
+	"nanometer/internal/signaling"
 	"nanometer/internal/sta"
 )
 
@@ -160,18 +161,19 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 	// The DTM pipeline (plant + sensor + throttle + cooling selection)
 	// must close at every nanometer node, not just the 50 nm headline.
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := DTMIn(device.BaseLab(), nm)
+		res, err := dtmAt(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
-		if r.EffectiveFraction < 0.6 || r.EffectiveFraction > 0.9 {
-			t.Errorf("%d nm: effective worst case %.2f out of band", nm, r.EffectiveFraction)
+		c := findings(t, res)
+		if f := num(t, c, "effective_fraction"); f < 0.6 || f > 0.9 {
+			t.Errorf("%d nm: effective worst case %.2f out of band", nm, f)
 		}
-		if r.CostTheoretical.CostUSD < r.CostEffective.CostUSD {
+		if num(t, c, "cooling_theoretical_cost_usd") < num(t, c, "cooling_effective_cost_usd") {
 			t.Errorf("%d nm: DTM cannot make cooling more expensive", nm)
 		}
 		node := itrs.Base().MustNode(nm)
-		if r.VirusPeakTempC > node.JunctionTempC+0.5 {
+		if num(t, c, "virus_peak_temp_c") > node.JunctionTempC+0.5 {
 			t.Errorf("%d nm: virus breached the junction limit", nm)
 		}
 	}
@@ -179,14 +181,15 @@ func TestDTMRobustAcrossNodes(t *testing.T) {
 
 func TestBusPlanRobustAcrossNodes(t *testing.T) {
 	for _, nm := range []int{100, 70, 50, 35} {
-		r, err := RunBusPlanIn(device.BaseLab(), nm)
+		plan, err := planBusesAt(device.BaseLab(), nm)
 		if err != nil {
 			t.Fatalf("%d nm: %v", nm, err)
 		}
-		if !(r.Plan.Saving > 0) {
+		if !(plan.Saving > 0) {
 			t.Errorf("%d nm: no saving from mixed primitives", nm)
 		}
-		if r.Repeated+r.LowSwing+r.Differential != len(r.Plan.Choices) {
+		counts := plan.SchemeCounts()
+		if counts[signaling.FullSwingRepeated]+counts[signaling.LowSwing]+counts[signaling.DifferentialLowSwing] != len(plan.Choices) {
 			t.Errorf("%d nm: scheme counts inconsistent", nm)
 		}
 	}

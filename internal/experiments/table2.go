@@ -8,27 +8,6 @@ import (
 	"nanometer/internal/units"
 )
 
-// Table2Row is one analytical-model column of Table 2 (the paper lays nodes
-// out as columns; we emit one row per node).
-type Table2Row struct {
-	NodeNM int
-	Vdd    float64
-	// CoxeNorm is the electrical oxide capacitance normalized to 180 nm;
-	// CoxPhysNorm the physical-oxide value.
-	CoxeNorm, CoxPhysNorm float64
-	// VthRequired is the threshold meeting Ion = 750 µA/µm at Vdd, 300 K.
-	VthRequired float64
-	// IoffNAPerUM is the resulting off current; MetalGate the variant with
-	// gate depletion removed.
-	IoffNAPerUM          float64
-	IoffMetalGateNAPerUM float64
-	// ITRSIoffNAPerUM is the roadmap projection for comparison.
-	ITRSIoffNAPerUM float64
-	// PaperVth and PaperIoff are the values the paper reports (for the
-	// paper-vs-measured audit); zero when the paper gives none.
-	PaperVth, PaperIoff, PaperIoffMG float64
-}
-
 // paperTable2 holds the published Table 2 values keyed by node and supply.
 var paperTable2 = map[string][3]float64{ // {Vth, Ioff nA/µm, Ioff metal gate}
 	"180@1.8": {0.30, 3, 1},
@@ -40,28 +19,25 @@ var paperTable2 = map[string][3]float64{ // {Vth, Ioff nA/µm, Ioff metal gate}
 	"35@0.6":  {0.11, 456, 103},
 }
 
-// PaperTable2 exposes the published values for tests and the audit report.
-func PaperTable2(nodeNM int, vdd float64) (vth, ioff, ioffMG float64, ok bool) {
-	v, found := paperTable2[fmt.Sprintf("%d@%.1f", nodeNM, vdd)]
-	if !found {
-		return 0, 0, 0, false
-	}
-	return v[0], v[1], v[2], true
-}
-
-// Table2In reproduces the Ioff-scaling analysis: for every node (and the
-// 50 nm node again at 0.7 V), solve the threshold that meets the 750 µA/µm
-// drive target from Eqs. 2–3, then evaluate Eq. 4 leakage for the poly-gate
-// (electrical-oxide) and metal-gate device variants.
-func Table2In(lab *device.Lab) ([]Table2Row, error) {
+// Table2 reproduces the Ioff-scaling analysis with paper-vs-measured
+// columns: for every node (and the 50 nm node again at 0.7 V), solve the
+// threshold that meets the 750 µA/µm drive target from Eqs. 2–3, then
+// evaluate Eq. 4 leakage for the poly-gate (electrical-oxide) and
+// metal-gate device variants.
+func Table2(lab *device.Lab, _ int) (*result.Result, error) {
 	ref, err := lab.ForNode(180)
 	if err != nil {
 		return nil, err
 	}
 	coxeRef := ref.CoxElectrical()
 	coxPhysRef := ref.CoxPhysical()
-
-	var rows []Table2Row
+	t := &result.Table{
+		Title: "Table 2. Analytical model results for Ioff scaling (Ion target 750 µA/µm, 300 K)",
+		Headers: []string{"node", "Vdd", "Coxe(norm)", "Cox(phys)", "Vth req", "paper",
+			"Ioff nA/µm", "paper", "Ioff MG", "paper", "ITRS Ioff"},
+	}
+	// firstIoff and lastIoff span the roadmap for the growth note.
+	var firstIoff, lastIoff float64
 	addRow := func(nodeNM int, vdd float64) error {
 		d, err := lab.ForNode(nodeNM)
 		if err != nil {
@@ -78,20 +54,25 @@ func Table2In(lab *device.Lab) ([]Table2Row, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: table2 metal-gate node %d: %w", nodeNM, err)
 		}
-		row := Table2Row{
-			NodeNM:               nodeNM,
-			Vdd:                  vdd,
-			CoxeNorm:             d.CoxElectrical() / coxeRef,
-			CoxPhysNorm:          d.CoxPhysical() / coxPhysRef,
-			VthRequired:          vth,
-			IoffNAPerUM:          units.NAPerUMFromAmpsPerMeter(d.WithVth(vth).IoffPerWidth(vdd, T)),
-			IoffMetalGateNAPerUM: units.NAPerUMFromAmpsPerMeter(mg.WithVth(vthMG).IoffPerWidth(vdd, T)),
-			ITRSIoffNAPerUM:      units.NAPerUMFromAmpsPerMeter(node.IoffITRSAPerM),
+		ioff := units.NAPerUMFromAmpsPerMeter(d.WithVth(vth).IoffPerWidth(vdd, T))
+		if len(t.Rows) == 0 {
+			firstIoff = ioff
 		}
-		if pv, pi, pmg, ok := PaperTable2(nodeNM, vdd); ok {
-			row.PaperVth, row.PaperIoff, row.PaperIoffMG = pv, pi, pmg
-		}
-		rows = append(rows, row)
+		lastIoff = ioff
+		paper := paperTable2[fmt.Sprintf("%d@%.1f", nodeNM, vdd)]
+		t.AddRow(
+			fmt.Sprintf("%d", nodeNM),
+			fmt.Sprintf("%.1f", vdd),
+			fmt.Sprintf("%.2f", d.CoxElectrical()/coxeRef),
+			fmt.Sprintf("%.2f", d.CoxPhysical()/coxPhysRef),
+			fmt.Sprintf("%.3f", vth),
+			paperCell(paper[0], "%.2f"),
+			fmt.Sprintf("%.3g", ioff),
+			paperCell(paper[1], "%.3g"),
+			fmt.Sprintf("%.3g", units.NAPerUMFromAmpsPerMeter(mg.WithVth(vthMG).IoffPerWidth(vdd, T))),
+			paperCell(paper[2], "%.3g"),
+			fmt.Sprintf("%.0f", units.NAPerUMFromAmpsPerMeter(node.IoffITRSAPerM)),
+		)
 		return nil
 	}
 	for _, nm := range lab.NodesNM() {
@@ -105,40 +86,12 @@ func Table2In(lab *device.Lab) ([]Table2Row, error) {
 			}
 		}
 	}
-	return rows, nil
-}
-
-// Table2ReportIn renders the reproduction with paper-vs-measured columns.
-func Table2ReportIn(lab *device.Lab) (*result.Table, error) {
-	rows, err := Table2In(lab)
-	if err != nil {
-		return nil, err
-	}
-	t := &result.Table{
-		Title: "Table 2. Analytical model results for Ioff scaling (Ion target 750 µA/µm, 300 K)",
-		Headers: []string{"node", "Vdd", "Coxe(norm)", "Cox(phys)", "Vth req", "paper",
-			"Ioff nA/µm", "paper", "Ioff MG", "paper", "ITRS Ioff"},
-	}
-	for _, r := range rows {
-		t.AddRow(
-			fmt.Sprintf("%d", r.NodeNM),
-			fmt.Sprintf("%.1f", r.Vdd),
-			fmt.Sprintf("%.2f", r.CoxeNorm),
-			fmt.Sprintf("%.2f", r.CoxPhysNorm),
-			fmt.Sprintf("%.3f", r.VthRequired),
-			paperCell(r.PaperVth, "%.2f"),
-			fmt.Sprintf("%.3g", r.IoffNAPerUM),
-			paperCell(r.PaperIoff, "%.3g"),
-			fmt.Sprintf("%.3g", r.IoffMetalGateNAPerUM),
-			paperCell(r.PaperIoffMG, "%.3g"),
-			fmt.Sprintf("%.0f", r.ITRSIoffNAPerUM),
-		)
-	}
-	first, last := rows[0], rows[len(rows)-1]
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("model Ioff rises %.0f× across the roadmap (paper: 152×; ITRS: 23×)", last.IoffNAPerUM/first.IoffNAPerUM),
+		fmt.Sprintf("model Ioff rises %.0f× across the roadmap (paper: 152×; ITRS: 23×)", lastIoff/firstIoff),
 		"metal-gate analysis removes gate depletion: thinner electrical oxide → higher Vth at equal Ion → lower Ioff")
-	return t, nil
+	res := &result.Result{}
+	res.AddTable(t)
+	return res, nil
 }
 
 func paperCell(v float64, format string) string {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/device"
 	"nanometer/internal/result"
 )
 
@@ -37,7 +38,7 @@ func (s *memStore) Put(artifactID, computeKey string, res *result.Result) bool {
 // flaky builds an artifact that fails its first failN computes and then
 // succeeds, counting every compute.
 func flaky(id string, failN int, computes *atomic.Int64) Artifact {
-	return Artifact{ID: id, Title: "flaky " + id, Compute: func(Options) (*result.Result, error) {
+	return Artifact{ID: id, Title: "flaky " + id, Compute: func(*device.Lab, int) (*result.Result, error) {
 		n := computes.Add(1)
 		if n <= int64(failN) {
 			return nil, errors.New("transient failure")
@@ -92,7 +93,7 @@ func TestConcurrentFailuresKeepExactEntryCount(t *testing.T) {
 	defer ResetCache()
 	var computes atomic.Int64
 	blocker := make(chan struct{})
-	a := Artifact{ID: "sharedfail", Title: "shared fail", Compute: func(Options) (*result.Result, error) {
+	a := Artifact{ID: "sharedfail", Title: "shared fail", Compute: func(*device.Lab, int) (*result.Result, error) {
 		computes.Add(1)
 		<-blocker
 		return nil, errors.New("boom")

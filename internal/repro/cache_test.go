@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/result"
 )
 
@@ -117,7 +118,7 @@ func TestCacheEntryBound(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	calls := 0
-	a := Artifact{ID: "boundprobe", Title: "bound probe", Compute: func(Options) (*result.Result, error) {
+	a := Artifact{ID: "boundprobe", Title: "bound probe", Compute: func(*device.Lab, int) (*result.Result, error) {
 		calls++
 		r := &result.Result{}
 		r.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})

@@ -2,11 +2,14 @@ package repro
 
 import (
 	"context"
+	"os"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
 	"nanometer/internal/scenario"
@@ -49,12 +52,63 @@ func TestKnownDeviations(t *testing.T) {
 	}
 }
 
-// TestPaperTableNamesFindings: every row of the paper table lands as a
-// check on a finding its artifact produces, and within each checked
+// TestExperimentsVerdictsMatchPaperTable: the artifact sections of
+// EXPERIMENTS.md that hold a **fail** verdict are exactly the artifacts of
+// the paper table's deviation rows, so a fixed deviation left marked fail
+// breaks it, and so does a new fail the table does not list.
+func TestExperimentsVerdictsMatchPaperTable(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Artifact sections open "## Table 1", "## Figure 3" or "## C8".
+	heading := regexp.MustCompile(`^## (?:(T)able |(F)igure |(C))(\d+)\b`)
+	var failing []string
+	id := ""
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			id = ""
+			if m := heading.FindStringSubmatch(line); m != nil {
+				id = strings.ToLower(m[1]+m[2]+m[3]) + m[4]
+				if _, err := Select([]string{id}); err != nil {
+					t.Errorf("EXPERIMENTS.md section %q names no artifact: %v", line, err)
+				}
+			}
+		}
+		if id != "" && strings.Contains(line, "**fail**") && !slices.Contains(failing, id) {
+			failing = append(failing, id)
+		}
+	}
+	var deviations []string
+	for _, r := range paperChecks {
+		if r.deviation != "" && !slices.Contains(deviations, r.artifact) {
+			deviations = append(deviations, r.artifact)
+		}
+	}
+	sort.Strings(failing)
+	sort.Strings(deviations)
+	if !slices.Equal(failing, deviations) {
+		t.Errorf("EXPERIMENTS.md marks %v fail, the paper table lists deviations on %v", failing, deviations)
+	}
+}
+
+// TestPaperTableNamesFindings: the paper table checks each finding at most
+// once, every row lands as a check on a finding its artifact produces, and
+// within each checked
 // artifact finding keys are unique, so matching by key attaches each row
 // to exactly one finding. A row whose key matches no finding fails the
 // artifact's compute (pinned on c7 with a misspelt key).
 func TestPaperTableNamesFindings(t *testing.T) {
+	// No (artifact, check) pair is listed twice: a second row would
+	// silently override the first.
+	rows := map[[2]string]bool{}
+	for _, r := range paperChecks {
+		k := [2]string{r.artifact, r.Check}
+		if rows[k] {
+			t.Errorf("paper table lists %s/%s twice", r.artifact, r.Check)
+		}
+		rows[k] = true
+	}
 	byID := baseResults(t)
 	for _, r := range paperChecks {
 		res := byID[r.artifact]
@@ -96,7 +150,7 @@ func TestPaperTableNamesFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := arts[0].Compute(Options{})
+	res, err := arts[0].Compute(device.BaseLab(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

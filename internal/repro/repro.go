@@ -1,8 +1,9 @@
 // Package repro is the artifact registry of the reproduction harness: one
-// entry per table, figure, and quantified claim of the paper. The package
-// only computes: Compute produces a typed, JSON-serializable result
-// (internal/result) from the model stack, and callers hand the results to
-// an internal/render encoding to become terminal text, JSON, or CSV.
+// entry per table, figure, and quantified claim of the paper, each naming
+// the internal/experiments function that builds its typed,
+// JSON-serializable result (internal/result) from the model stack. The
+// package only computes: callers hand the results to an internal/render
+// encoding to become terminal text, JSON, or CSV.
 // Compute is pure and deterministic, so results are memoized in a
 // process-wide cache (artifact ID + compute-options hash) — repeated
 // requests in one process, the shape a serving layer produces, compute each
@@ -25,6 +26,7 @@ import (
 	"strings"
 
 	"nanometer/internal/device"
+	"nanometer/internal/experiments"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/render"
 	"nanometer/internal/result"
@@ -81,20 +83,27 @@ func ValidateMeshN(n int) error {
 func (o Options) lab() (*device.Lab, error) { return o.Scenario.Resolve() }
 
 // Artifact is one reproducible unit: a stable ID (t1, f3, c8, ...), a title
-// for listings, and a compute function producing its typed result.
+// for listings, and the function building its typed result. Compute
+// receives the laboratory the options resolve to and the options' MeshN,
+// which only c8 reads.
 type Artifact struct {
 	ID      string
 	Title   string
-	Compute func(opts Options) (*result.Result, error)
+	Compute func(lab *device.Lab, meshN int) (*result.Result, error)
 }
 
-// compute runs the artifact's compute function and stamps the registry
-// identity onto the result, so compute functions stay ignorant of their
-// registration. It checks the result against the paper's table on the base
-// roadmap, and against the scenario's own expectations under a scenario,
-// whose roadmap the paper's numbers do not describe.
+// compute resolves the options' roadmap, runs the artifact's compute
+// function and stamps the registry identity onto the result, so compute
+// functions stay ignorant of their registration. It checks the result
+// against the paper's table on the base roadmap, and against the
+// scenario's own expectations under a scenario, whose roadmap the paper's
+// numbers do not describe.
 func (a Artifact) compute(opts Options) (*result.Result, error) {
-	res, err := a.Compute(opts)
+	lab, err := opts.lab()
+	if err != nil {
+		return nil, err
+	}
+	res, err := a.Compute(lab, opts.MeshN)
 	if err != nil {
 		return nil, err
 	}
@@ -126,26 +135,26 @@ func (a Artifact) Render(w io.Writer, opts Options) error {
 // Artifacts returns the full registry in canonical emission order.
 func Artifacts() []Artifact {
 	return []Artifact{
-		{"t1", "Table 1: published NMOS devices vs ITRS projections", computeTable1},
-		{"t2", "Table 2: analytical Ioff scaling", computeTable2},
-		{"f1", "Figure 1: Pstatic/Pdynamic vs switching activity", computeFigure1},
-		{"f2", "Figure 2: dual-Vth scaling", computeFigure2},
-		{"f3", "Figure 3: delay vs Vdd under Vth policies", computeFigure3},
-		{"f4", "Figure 4: Pdynamic/Pstatic vs Vdd", computeFigure4},
-		{"f5", "Figure 5: IR-drop scaling", computeFigure5},
-		{"c1", "dynamic thermal management (§2.1)", computeC1},
-		{"c2", "global signaling census and low-swing alternative (§2.2)", computeC2},
-		{"c3", "library optimization at fixed timing (§2.3)", computeC3},
-		{"c4", "clustered voltage scaling (§2.4)", computeC4},
-		{"c5", "dual-Vth assignment (§3.2.2)", computeC5},
-		{"c6", "re-sizing vs multi-Vdd (§3.3)", computeC6},
-		{"c7", "Vdd floor under the ITRS static constraint (§3.3)", computeC7},
-		{"c8", "ITRS bump plan at 35 nm (§4)", computeC8},
-		{"c9", "wakeup transients and MCML (§4)", computeC9},
-		{"c10", "intra-cell multi-Vth stacks (§3.3 close)", computeC10},
-		{"c11", "standby-technique comparison and scalability (§3.2.1)", computeC11},
-		{"c12", "tolerable-swing study (the §2.2 open question)", computeC12},
-		{"c13", "signaling-primitive planner (conclusion #2's EDA tool)", computeC13},
+		{"t1", "Table 1: published NMOS devices vs ITRS projections", experiments.Table1},
+		{"t2", "Table 2: analytical Ioff scaling", experiments.Table2},
+		{"f1", "Figure 1: Pstatic/Pdynamic vs switching activity", experiments.Figure1},
+		{"f2", "Figure 2: dual-Vth scaling", experiments.Figure2},
+		{"f3", "Figure 3: delay vs Vdd under Vth policies", experiments.Figure3},
+		{"f4", "Figure 4: Pdynamic/Pstatic vs Vdd", experiments.Figure4},
+		{"f5", "Figure 5: IR-drop scaling", experiments.Figure5},
+		{"c1", "dynamic thermal management (§2.1)", experiments.DTM},
+		{"c2", "global signaling census and low-swing alternative (§2.2)", experiments.Signaling},
+		{"c3", "library optimization at fixed timing (§2.3)", experiments.Library},
+		{"c4", "clustered voltage scaling (§2.4)", experiments.CVS},
+		{"c5", "dual-Vth assignment (§3.2.2)", experiments.DualVth},
+		{"c6", "re-sizing vs multi-Vdd (§3.3)", experiments.ResizeVsVdd},
+		{"c7", "Vdd floor under the ITRS static constraint (§3.3)", experiments.VddFloor},
+		{"c8", "ITRS bump plan at 35 nm (§4)", experiments.Bumps},
+		{"c9", "wakeup transients and MCML (§4)", experiments.Transients},
+		{"c10", "intra-cell multi-Vth stacks (§3.3 close)", experiments.StackVth},
+		{"c11", "standby-technique comparison and scalability (§3.2.1)", experiments.Standby},
+		{"c12", "tolerable-swing study (the §2.2 open question)", experiments.SwingStudy},
+		{"c13", "signaling-primitive planner (conclusion #2's EDA tool)", experiments.BusPlan},
 	}
 }
 
@@ -203,6 +212,19 @@ func Regressions(res *result.Result) []result.Finding {
 			return r.artifact == res.ID && r.Check == f.Key && r.deviation != ""
 		})
 	})
+}
+
+// CheckExpectations rejects a scenario with an expectation on an artifact
+// outside arts, which would never be applied. Every entry point that
+// accepts a scenario calls it with the artifacts it serves: the registry is
+// the one list of artifact IDs, so scenario.Validate cannot make this check.
+func CheckExpectations(s *scenario.Scenario, arts []Artifact) error {
+	for _, e := range s.Expect {
+		if !slices.ContainsFunc(arts, func(a Artifact) bool { return a.ID == e.Artifact }) {
+			return fmt.Errorf("scenario %s: expectation %s names unknown artifact %q", s.Name, e.Check, e.Artifact)
+		}
+	}
+	return nil
 }
 
 // Select filters the registry by artifact ID (case-insensitive; empty or nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
@@ -171,7 +172,7 @@ var errSentinel = errors.New("sentinel")
 // fakeArtifact computes a one-table result whose title is the artifact's
 // payload marker, failing with err when set.
 func fakeArtifact(id, marker string, err error) Artifact {
-	return Artifact{ID: id, Title: id, Compute: func(Options) (*result.Result, error) {
+	return Artifact{ID: id, Title: id, Compute: func(*device.Lab, int) (*result.Result, error) {
 		if err != nil {
 			return nil, err
 		}

@@ -239,9 +239,11 @@ func (e Expect) Validate() error {
 }
 
 // ApplyChecks attaches a Check for each expectation to every claim
-// finding with its key; where two expectations name one key, the later
-// wins. An expectation that matches no finding is an error, so a typo in
-// a key fails loudly instead of never checking anything.
+// finding with its key. No source of expectations names one key twice
+// (scenario and trace validation reject it, and a test pins the paper
+// table), since the later check would silently replace the earlier. An
+// expectation that matches no finding is an error, so a typo in a key
+// fails loudly instead of never checking anything.
 func (r *Result) ApplyChecks(expect []Expect) error {
 	for _, e := range expect {
 		matched := false

@@ -7,8 +7,9 @@ import (
 
 // FuzzScenarioParse fuzzes the scenario trust boundary (files on disk, POST
 // bodies). Properties: hostile input errors, never panics; any accepted
-// scenario is internally valid (Validate agrees), and its canonical encoding
-// is a fixed point — Parse(Canonical(s)) succeeds and re-encodes to the same
+// scenario is internally valid (Validate agrees) and checks each
+// (artifact, check) pair at most once, and its canonical encoding is a
+// fixed point — Parse(Canonical(s)) succeeds and re-encodes to the same
 // bytes, so cache keys derived from Canonical are stable across a store/load
 // round trip.
 func FuzzScenarioParse(f *testing.F) {
@@ -30,6 +31,8 @@ func FuzzScenarioParse(f *testing.F) {
 		`{"name":"x","nodes":[{"node_nm":-70}]}`,
 		`[{"name":"x"}]`,
 		`{"name":"x","nodes":[{"node_nm":70,"dibl_v_per_v":0.6}]}`,
+		`{"name":"d","expect":[{"artifact":"c7","check":"vdd_floor","value":0.5,"rel_tol":0.2},{"artifact":"c7","check":"vdd_floor","value":0.4,"rel_tol":0.2}]}`,
+		`{"name":"d","expect":[{"artifact":"c7","check":"vdd_floor","value":0.5,"rel_tol":0.2},{"artifact":"c1","check":"vdd_floor","value":0.4,"rel_tol":0.2}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -44,6 +47,14 @@ func FuzzScenarioParse(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Parse accepted a scenario its own Validate rejects: %v", err)
+		}
+		pairs := map[[2]string]bool{}
+		for _, e := range s.Expect {
+			k := [2]string{e.Artifact, e.Check}
+			if pairs[k] {
+				t.Fatalf("Parse accepted a second check %s/%s", e.Artifact, e.Check)
+			}
+			pairs[k] = true
 		}
 		canon := s.Canonical()
 		s2, err := Parse(canon)

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sync"
 
 	"nanometer/internal/device"
@@ -244,12 +245,16 @@ func (s *Scenario) Validate() error {
 	if len(s.Expect) > MaxExpectations {
 		return fmt.Errorf("scenario %s: %d expectations, limit %d", s.Name, len(s.Expect), MaxExpectations)
 	}
-	for _, e := range s.Expect {
+	for i, e := range s.Expect {
 		if e.Artifact == "" {
 			return fmt.Errorf("scenario %s: expectation needs an artifact key", s.Name)
 		}
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("scenario %s: expectation for %s: %w", s.Name, e.Artifact, err)
+		}
+		// A second check on one finding would silently override the first.
+		if slices.ContainsFunc(s.Expect[:i], func(d Expectation) bool { return d.Artifact == e.Artifact && d.Check == e.Check }) {
+			return fmt.Errorf("scenario %s: expectation %s/%s listed twice", s.Name, e.Artifact, e.Check)
 		}
 	}
 	return nil

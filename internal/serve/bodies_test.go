@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -18,10 +19,10 @@ import (
 // meshEcho is a fake artifact whose body names the mesh size it was
 // computed for, so a body served under the wrong key cannot pass.
 func meshEcho(id string, computes *atomic.Int64) repro.Artifact {
-	return repro.Artifact{ID: id, Title: id, Compute: func(o repro.Options) (*result.Result, error) {
+	return repro.Artifact{ID: id, Title: id, Compute: func(_ *device.Lab, meshN int) (*result.Result, error) {
 		computes.Add(1)
 		r := &result.Result{}
-		r.AddTable(&result.Table{Title: id, Headers: []string{"mesh-n"}, Rows: [][]string{{strconv.Itoa(o.MeshN)}}})
+		r.AddTable(&result.Table{Title: id, Headers: []string{"mesh-n"}, Rows: [][]string{{strconv.Itoa(meshN)}}})
 		return r, nil
 	}}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -311,10 +312,10 @@ func TestScenariosDisconnectReturnsToBaseline(t *testing.T) {
 	defer repro.ResetCache()
 	var blocked atomic.Int64
 	unblock := make(chan struct{})
-	// The first grid corner answers at once; the others block, so the
-	// stream stops after exactly one line.
-	arts := []repro.Artifact{{ID: "sd", Title: "sd", Compute: func(o repro.Options) (*result.Result, error) {
-		if !strings.HasSuffix(o.Scenario.Name, "vdd=0.800") {
+	// The first grid corner (70 nm at 0.8 × its 0.9 V supply) answers at
+	// once; the others block, so the stream stops after exactly one line.
+	arts := []repro.Artifact{{ID: "sd", Title: "sd", Compute: func(lab *device.Lab, _ int) (*result.Result, error) {
+		if lab.MustNode(70).Vdd > 0.8*0.9+1e-9 {
 			blocked.Add(1)
 			<-unblock
 		}
@@ -477,7 +478,7 @@ func (b *blockingPutStore) Put(string, string, *result.Result) bool {
 // flakyArtifact fails its first compute and succeeds from then on.
 func flakyArtifact() repro.Artifact {
 	var calls atomic.Int64
-	return repro.Artifact{ID: "flaky", Title: "flaky", Compute: func(repro.Options) (*result.Result, error) {
+	return repro.Artifact{ID: "flaky", Title: "flaky", Compute: func(*device.Lab, int) (*result.Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("transient solver failure")
 		}

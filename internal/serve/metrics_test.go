@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nanometer/internal/device"
 	jobsvc "nanometer/internal/jobs"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
@@ -36,7 +37,7 @@ func TestEncodeReportHonorsCancel(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
 	computes := 0
-	arts := []repro.Artifact{{ID: "a1", Title: "a1", Compute: func(repro.Options) (*result.Result, error) {
+	arts := []repro.Artifact{{ID: "a1", Title: "a1", Compute: func(*device.Lab, int) (*result.Result, error) {
 		computes++
 		r := &result.Result{ID: "a1", Title: "a1"}
 		r.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})

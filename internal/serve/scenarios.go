@@ -89,6 +89,9 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc, err := scenario.Parse(body)
+	if err == nil {
+		err = repro.CheckExpectations(sc, s.order)
+	}
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return

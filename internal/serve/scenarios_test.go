@@ -142,11 +142,21 @@ func TestScenariosValidation(t *testing.T) {
 		{"/api/v1/scenarios?mesh-n=abc", `{"name":"x"}`, 400},
 		{"/api/v1/scenarios?mesh-n=3", `{"name":"x"}`, 400},
 		{"/api/v1/scenarios?only=v1", `{"name":"x"}`, 200},
+		{"/api/v1/scenarios", `{"name":"x","expect":[{"artifact":"v1","check":"k","value":1,"rel_tol":0.1},{"artifact":"v1","check":"k","value":2,"rel_tol":0.1}]}`, 400},
 	} {
 		rec := postScenario(t, srv, tc.target, tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("POST %s body=%q = %d, want %d (%s)", tc.target, tc.body, rec.Code, tc.want, rec.Body.String())
 		}
+	}
+	// An expectation on an artifact the server does not serve would never
+	// be applied: refused, naming the artifact.
+	stray := `{"name":"x","expect":[{"artifact":"c77","check":"vdd_floor","value":0.44,"rel_tol":0.1}]}`
+	if rec := postScenario(t, srv, "/api/v1/scenarios", stray); rec.Code != 400 || !strings.Contains(rec.Body.String(), `unknown artifact \"c77\"`) {
+		t.Errorf("POST with an expectation on c77 = %d (%s), want 400 naming c77", rec.Code, rec.Body.String())
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("%d computes, want 1: only the valid request computes", n)
 	}
 	// Oversized bodies stop at the byte reader, not in the parser.
 	big := `{"name":"x","notes":["` + strings.Repeat("a", 1<<20) + `"]}`

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -229,7 +230,7 @@ func TestReportMatchesCLI(t *testing.T) {
 // counting builds a fake artifact whose compute bumps n, sleeps, and
 // (optionally) blocks on gateCh — the instrument for concurrency tests.
 func counting(id string, n *atomic.Int64, sleep time.Duration, gateCh chan struct{}) repro.Artifact {
-	return repro.Artifact{ID: id, Title: "fake " + id, Compute: func(repro.Options) (*result.Result, error) {
+	return repro.Artifact{ID: id, Title: "fake " + id, Compute: func(*device.Lab, int) (*result.Result, error) {
 		n.Add(1)
 		if gateCh != nil {
 			<-gateCh
@@ -252,7 +253,7 @@ func TestAdmissionGateCapsConcurrency(t *testing.T) {
 	arts := make([]repro.Artifact, clients)
 	for i := range arts {
 		id := fmt.Sprintf("burst%02d", i)
-		arts[i] = repro.Artifact{ID: id, Title: id, Compute: func(repro.Options) (*result.Result, error) {
+		arts[i] = repro.Artifact{ID: id, Title: id, Compute: func(*device.Lab, int) (*result.Result, error) {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nanometer/internal/device"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -165,7 +166,7 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
 	arts := []repro.Artifact{
-		{ID: "failing", Title: "failing", Compute: func(repro.Options) (*result.Result, error) {
+		{ID: "failing", Title: "failing", Compute: func(*device.Lab, int) (*result.Result, error) {
 			return nil, errors.New("solver exploded")
 		}},
 	}
@@ -196,7 +197,7 @@ func TestErrorResponsesCarryNoValidators(t *testing.T) {
 	defer repro.ResetCache()
 	var computes atomic.Int64
 	arts := []repro.Artifact{
-		{ID: "alwaysfails", Title: "always fails", Compute: func(repro.Options) (*result.Result, error) {
+		{ID: "alwaysfails", Title: "always fails", Compute: func(*device.Lab, int) (*result.Result, error) {
 			return nil, errors.New("boom")
 		}},
 		counting("tooSlow", &computes, 200*time.Millisecond, nil),

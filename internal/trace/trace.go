@@ -217,12 +217,16 @@ func (t *Trace) Validate() error {
 	if len(t.Assert) > MaxAssertions {
 		return fmt.Errorf("trace %s: %d assertions, limit %d", t.Name, len(t.Assert), MaxAssertions)
 	}
-	for _, a := range t.Assert {
+	for i, a := range t.Assert {
 		if !slices.Contains(CheckNames(), a.Check) {
 			return fmt.Errorf("trace %s: assertion check %q not one of %v", t.Name, a.Check, CheckNames())
 		}
 		if err := a.Validate(); err != nil {
 			return fmt.Errorf("trace %s: assertion: %w", t.Name, err)
+		}
+		// A second assertion on one finding would silently override the first.
+		if slices.ContainsFunc(t.Assert[:i], func(b result.Expect) bool { return b.Check == a.Check }) {
+			return fmt.Errorf("trace %s: assertion check %q listed twice", t.Name, a.Check)
 		}
 	}
 	return nil

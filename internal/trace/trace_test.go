@@ -92,10 +92,19 @@ func FuzzTraceParse(f *testing.F) {
 	f.Add([]byte(hungryDoc))
 	f.Add([]byte(`{"name":"v","dt_seconds":0.01,"generator":{"kind":"virus","intervals":10}}`))
 	f.Add([]byte(`{"name":"x","dt_seconds":0.5,"power_w":[0,1,2],"sim":{"controller":"dvs","freq_scale":0.5,"vdd_scale":0.8},"assert":[{"check":"peak_temp_c","value":50,"rel_tol":0.2}]}`))
+	f.Add([]byte(`{"name":"d","dt_seconds":0.5,"power_w":[1],"assert":[{"check":"peak_temp_c","value":50,"rel_tol":0.2},{"check":"peak_temp_c","value":60,"rel_tol":0.2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Parse(data)
 		if err != nil {
 			return
+		}
+		// An accepted trace asserts each check at most once.
+		seen := map[string]bool{}
+		for _, a := range tr.Assert {
+			if seen[a.Check] {
+				t.Fatalf("Parse accepted a second assertion on %s", a.Check)
+			}
+			seen[a.Check] = true
 		}
 		canon := tr.Canonical()
 		tr2, err := Parse(canon)
