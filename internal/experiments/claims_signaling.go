@@ -7,7 +7,6 @@ import (
 	"nanometer/internal/repeater"
 	"nanometer/internal/result"
 	"nanometer/internal/signaling"
-	"nanometer/internal/units"
 	"nanometer/internal/wire"
 )
 
@@ -21,12 +20,6 @@ type signalingRow struct {
 	signalingPowerW float64
 	// repeaterAreaFraction is the silicon the repeaters occupy.
 	repeaterAreaFraction float64
-	// clusterDensityWPerCm2 is the repeater-cluster power density
-	// (footnote 2: "can exceed 100 W/cm²").
-	clusterDensityWPerCm2 float64
-	// cyclesPerCrossing is the optimally repeated die-edge wire delay in
-	// global clock periods (global wires become multi-cycle).
-	cyclesPerCrossing float64
 	// diffEnergyRatio is differential-low-swing energy over full-swing on
 	// the same route (the Alpha-style 10 % swing); diffPowerW the census
 	// power if all repeated global wiring switched at that ratio.
@@ -53,11 +46,6 @@ func signalingRows(lab *device.Lab) ([]signalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		T := units.CelsiusToKelvin(85)
-		drv, err := repeater.UnitDriverIn(lab, nm, T)
-		if err != nil {
-			return nil, err
-		}
 		line, err := wire.ForNodeIn(lab.Table(), nm, wire.Global)
 		if err != nil {
 			return nil, err
@@ -66,7 +54,6 @@ func signalingRows(lab *device.Lab) ([]signalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ins := repeater.Optimize(drv, line, length)
 		cmp, err := signaling.Compare(line, length, node.Vdd, 0.10, signaling.DifferentialLowSwing)
 		if err != nil {
 			return nil, err
@@ -76,19 +63,17 @@ func signalingRows(lab *device.Lab) ([]signalingRow, error) {
 			return nil, err
 		}
 		rows = append(rows, signalingRow{
-			nodeNM:                nm,
-			repeaters:             census.Repeaters,
-			signalingPowerW:       census.SignalingPowerW,
-			repeaterAreaFraction:  census.RepeaterAreaFraction,
-			clusterDensityWPerCm2: census.ClusterPowerDensityWPerM2 / 1e4,
-			cyclesPerCrossing:     ins.Delay * node.ClockHz,
-			diffEnergyRatio:       cmp.EnergyRatio,
-			diffPowerW:            census.SignalingPowerW * cmp.EnergyRatio,
-			diffTrackRatio:        cmp.TrackRatio,
-			diffSNR:               cmp.AltSNR,
-			peakCurrentRatio:      cmp.PeakCurrentRatio,
-			scaledCycles:          cf.ScaledCycles,
-			unscaledCycles:        cf.UnscaledCycles,
+			nodeNM:               nm,
+			repeaters:            census.Repeaters,
+			signalingPowerW:      census.SignalingPowerW,
+			repeaterAreaFraction: census.RepeaterAreaFraction,
+			diffEnergyRatio:      cmp.EnergyRatio,
+			diffPowerW:           census.SignalingPowerW * cmp.EnergyRatio,
+			diffTrackRatio:       cmp.TrackRatio,
+			diffSNR:              cmp.AltSNR,
+			peakCurrentRatio:     cmp.PeakCurrentRatio,
+			scaledCycles:         cf.ScaledCycles,
+			unscaledCycles:       cf.UnscaledCycles,
 		})
 	}
 	return rows, nil

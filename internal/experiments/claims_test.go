@@ -6,7 +6,10 @@ import (
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
+	"nanometer/internal/repeater"
 	"nanometer/internal/resize"
+	"nanometer/internal/units"
+	"nanometer/internal/wire"
 )
 
 // --- C1: dynamic thermal management -------------------------------------------
@@ -42,6 +45,26 @@ func TestClaimDTM(t *testing.T) {
 
 // --- C2: global signaling ------------------------------------------------------
 
+// cyclesPerCrossing is the optimally repeated die-edge wire delay at a
+// node in global clock periods (global wires become multi-cycle).
+func cyclesPerCrossing(t *testing.T, nm int) float64 {
+	t.Helper()
+	lab := device.BaseLab()
+	drv, err := repeater.UnitDriverIn(lab, nm, units.CelsiusToKelvin(85))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := wire.ForNodeIn(lab.Table(), nm, wire.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	length, err := wire.CrossChipLengthIn(lab.Table(), nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repeater.Optimize(drv, line, length).Delay * lab.MustNode(nm).ClockHz
+}
+
 func TestClaimSignaling(t *testing.T) {
 	rows, err := signalingRows(device.BaseLab())
 	if err != nil {
@@ -61,9 +84,12 @@ func TestClaimSignaling(t *testing.T) {
 	if byNode[50].signalingPowerW < 50 {
 		t.Fatalf("50 nm signaling power = %.0f W, paper says >50 W", byNode[50].signalingPowerW)
 	}
-	if byNode[50].clusterDensityWPerCm2 < 100 {
-		t.Fatalf("50 nm repeater-cluster density = %.0f W/cm², footnote 2 says it can exceed 100",
-			byNode[50].clusterDensityWPerCm2)
+	census, err := repeater.TakeCensusIn(device.BaseLab(), 50, repeater.CensusParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := census.ClusterPowerDensityWPerM2 / 1e4; d < 100 {
+		t.Fatalf("50 nm repeater-cluster density = %.0f W/cm², footnote 2 says it can exceed 100", d)
 	}
 	for _, r := range rows {
 		// Differential low swing at 10 % cuts energy to ≈20 % and slashes
@@ -85,10 +111,10 @@ func TestClaimSignaling(t *testing.T) {
 		}
 	}
 	// Global crossings become multi-cycle in the nanometer regime.
-	if byNode[50].cyclesPerCrossing < 2 {
-		t.Fatalf("50 nm cross-chip = %.1f cycles, the paper's premise is multi-cycle", byNode[50].cyclesPerCrossing)
+	if c := cyclesPerCrossing(t, 50); c < 2 {
+		t.Fatalf("50 nm cross-chip = %.1f cycles, the paper's premise is multi-cycle", c)
 	}
-	if byNode[180].cyclesPerCrossing >= byNode[50].cyclesPerCrossing {
+	if cyclesPerCrossing(t, 180) >= cyclesPerCrossing(t, 50) {
 		t.Fatalf("cycle count must grow with scaling")
 	}
 	// The [9] premise: unscaled top-level wiring keeps the die reachable in

@@ -2,16 +2,17 @@ package scenario
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzScenarioParse fuzzes the scenario trust boundary (files on disk, POST
 // bodies). Properties: hostile input errors, never panics; any accepted
-// scenario is internally valid (Validate agrees) and checks each
-// (artifact, check) pair at most once, and its canonical encoding is a
-// fixed point — Parse(Canonical(s)) succeeds and re-encodes to the same
-// bytes, so cache keys derived from Canonical are stable across a store/load
-// round trip.
+// scenario is internally valid (Validate agrees), checks each (artifact,
+// check) pair at most once and sweeps each node at most once, and its
+// canonical encoding is a fixed point — Parse(Canonical(s)) succeeds and
+// re-encodes to the same bytes, so cache keys derived from Canonical are
+// stable across a store/load round trip.
 func FuzzScenarioParse(f *testing.F) {
 	seeds := []string{
 		``,
@@ -22,6 +23,7 @@ func FuzzScenarioParse(f *testing.F) {
 		`{"name":"ext","nodes":[{"node_nm":65,"year":2007,"vdd_v":0.85,"tox_nm":0.95,"leff_nm":32}]}`,
 		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20}}`,
 		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70]}}`,
+		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70,70]}}`,
 		`{"name":"e","expect":[{"artifact":"c7","check":"vdd_floor","value":0.5,"rel_tol":0.2}]}`,
 		`{"name":"x","nodes":[{"node_nm":70,"vdd_v":1e308}]}`,
 		`{"name":"x","nodes":[{"node_nm":70,"vdd_v":null}]}`,
@@ -55,6 +57,13 @@ func FuzzScenarioParse(f *testing.F) {
 				t.Fatalf("Parse accepted a second check %s/%s", e.Artifact, e.Check)
 			}
 			pairs[k] = true
+		}
+		if s.Sweep != nil {
+			for i, nm := range s.Sweep.Nodes {
+				if slices.Contains(s.Sweep.Nodes[:i], nm) {
+					t.Fatalf("Parse accepted sweep node %d twice", nm)
+				}
+			}
 		}
 		canon := s.Canonical()
 		s2, err := Parse(canon)

@@ -7,29 +7,26 @@
 // Scenario means the base roadmap and reproduces today's bytes exactly.
 //
 // Scenarios cross a trust boundary (files on disk, POST bodies), so Parse
-// is strict: unknown fields are rejected, every override is bounds-checked,
-// sizes are capped, and a parsed scenario round-trips through encode/decode
-// byte-identically (FuzzScenarioParse pins all of this).
+// takes internal/doc's strict path: unknown fields are rejected, sizes are
+// capped, and a parsed scenario round-trips through encode/decode
+// byte-identically. Every override is bounds-checked against its row of
+// the field table (FuzzScenarioParse pins all of this).
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"os"
-	"regexp"
 	"slices"
 	"sync"
 
 	"nanometer/internal/device"
+	"nanometer/internal/doc"
 	"nanometer/internal/itrs"
 	"nanometer/internal/result"
 )
 
 // MaxFileBytes bounds a scenario document; anything larger is hostile.
-const MaxFileBytes = 1 << 20
+const MaxFileBytes = doc.MaxBytes
 
 // MaxNodes bounds the override/extension list of one scenario.
 const MaxNodes = 32
@@ -40,17 +37,14 @@ const MaxSweepSteps = 33
 // MaxExpectations bounds the scenario-supplied claim checks.
 const MaxExpectations = 64
 
-// nameRE admits DNS-label-ish scenario names: bounded, metrics-safe,
-// filename-safe. Sweep variants append "/<param>=<factor>" internally.
-var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]{0,47}$`)
-
 // Scenario is a named roadmap variation. The zero field set (no node specs,
 // no sweep) is valid and resolves to the base table under the scenario's
 // name; a nil *Scenario everywhere in the repo means "base roadmap,
 // unlabeled" and is the byte-identity case.
 type Scenario struct {
 	// Name identifies the scenario in cache keys, metrics labels, and
-	// output; lowercase [a-z0-9._-], ≤ 48 chars.
+	// output; lowercase [a-z0-9._-], ≤ 48 chars. Sweep variants append
+	// "/<param>=<factor>" internally.
 	Name string `json:"name"`
 	// Title is an optional human headline.
 	Title string `json:"title,omitempty"`
@@ -70,12 +64,13 @@ type Scenario struct {
 	resolveOnce sync.Once
 	resolveLab  *device.Lab
 	resolveErr  error
+	key         doc.Key
 }
 
 // NodeSpec overrides or extends one technology node. All fields except
 // NodeNM are optional pointers — nil keeps the base (or seeded) value.
 // Units are the human-friendly ones of the paper's tables, converted to SI
-// during resolution.
+// during resolution. Each float roadmap override has one row in fields.
 type NodeSpec struct {
 	// NodeNM names the node: drawn feature size in nanometers.
 	NodeNM int `json:"node_nm"`
@@ -134,19 +129,61 @@ type Sweep struct {
 	Nodes []int `json:"nodes,omitempty"`
 }
 
-// sweepParams maps a sweep parameter to the node fields it scales.
-var sweepParams = map[string]func(n *itrs.Node, factor float64){
-	"vdd": func(n *itrs.Node, f float64) {
-		n.Vdd *= f
-		n.VddAlt *= f
-	},
-	"tox":      func(n *itrs.Node, f float64) { n.ToxPhysicalM *= f },
-	"theta_ja": func(n *itrs.Node, f float64) { n.ThetaJA *= f },
-	"clock": func(n *itrs.Node, f float64) {
-		n.ClockHz *= f
-		n.LocalClockHz *= f
-	},
-	"max_power": func(n *itrs.Node, f float64) { n.MaxPowerW *= f },
+// field is one float roadmap override of NodeSpec: its JSON key, its
+// allowed range in spec units, the multipliers from spec to SI units and
+// back, and the NodeSpec and itrs.Node fields it links.
+type field struct {
+	key          string
+	lo, hi       float64
+	toSI, toSpec float64
+	spec         func(*NodeSpec) **float64
+	node         func(*itrs.Node) *float64
+}
+
+// fields lists NodeSpec's float roadmap overrides in validation order;
+// Validate, resolution and sweep expansion loop over it. The ranges mirror
+// itrs.Node.Validate in spec units (resolution re-validates the assembled
+// node, so these exist to give errors naming the JSON key). toSpec is
+// written out rather than derived as 1/toSI, so a swept value converts back
+// by the same multiplication, bit for bit. µA/µm is numerically A/m; nA/µm
+// is 1e-3 A/m.
+var fields = []field{
+	{"vdd_v", 0.2, 5, 1, 1, func(s *NodeSpec) **float64 { return &s.VddV }, func(n *itrs.Node) *float64 { return &n.Vdd }},
+	{"vdd_alt_v", 0.2, 5, 1, 1, func(s *NodeSpec) **float64 { return &s.VddAltV }, func(n *itrs.Node) *float64 { return &n.VddAlt }},
+	{"tox_nm", 0.2, 20, 1e-9, 1e9, func(s *NodeSpec) **float64 { return &s.ToxNM }, func(n *itrs.Node) *float64 { return &n.ToxPhysicalM }},
+	{"leff_nm", 3, 500, 1e-9, 1e9, func(s *NodeSpec) **float64 { return &s.LeffNM }, func(n *itrs.Node) *float64 { return &n.LeffM }},
+	{"rs_ohm_um", 0, 2000, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.RsOhmUM }, func(n *itrs.Node) *float64 { return &n.RsOhmM }},
+	{"ion_target_ua_per_um", 50, 5000, 1, 1, func(s *NodeSpec) **float64 { return &s.IonTargetUAPerUM }, func(n *itrs.Node) *float64 { return &n.IonTargetAPerM }},
+	{"ioff_na_per_um", 0, 1e5, 1e-3, 1e3, func(s *NodeSpec) **float64 { return &s.IoffNAPerUM }, func(n *itrs.Node) *float64 { return &n.IoffITRSAPerM }},
+	{"junction_temp_c", 25, 250, 1, 1, func(s *NodeSpec) **float64 { return &s.JunctionTempC }, func(n *itrs.Node) *float64 { return &n.JunctionTempC }},
+	{"ambient_temp_c", -60, 250, 1, 1, func(s *NodeSpec) **float64 { return &s.AmbientTempC }, func(n *itrs.Node) *float64 { return &n.AmbientTempC }},
+	{"theta_ja_c_per_w", 0.01, 100, 1, 1, func(s *NodeSpec) **float64 { return &s.ThetaJA }, func(n *itrs.Node) *float64 { return &n.ThetaJA }},
+	{"max_power_w", 0.001, 10e3, 1, 1, func(s *NodeSpec) **float64 { return &s.MaxPowerW }, func(n *itrs.Node) *float64 { return &n.MaxPowerW }},
+	{"die_area_mm2", 0.1, 10e3, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.DieAreaMM2 }, func(n *itrs.Node) *float64 { return &n.DieAreaM2 }},
+	{"clock_ghz", 0.001, 1000, 1e9, 1e-9, func(s *NodeSpec) **float64 { return &s.ClockGHz }, func(n *itrs.Node) *float64 { return &n.ClockHz }},
+	{"local_clock_ghz", 0.001, 1000, 1e9, 1e-9, func(s *NodeSpec) **float64 { return &s.LocalClockGHz }, func(n *itrs.Node) *float64 { return &n.LocalClockHz }},
+	{"power_bump_fraction", 0.01, 1, 1, 1, func(s *NodeSpec) **float64 { return &s.PowerBumpFraction }, func(n *itrs.Node) *float64 { return &n.PowerBumpFraction }},
+	{"bump_pitch_min_um", 1, 10e3, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.BumpPitchMinUM }, func(n *itrs.Node) *float64 { return &n.BumpPitchMinM }},
+	{"bump_max_current_a", 1e-4, 100, 1, 1, func(s *NodeSpec) **float64 { return &s.BumpMaxCurrentA }, func(n *itrs.Node) *float64 { return &n.BumpMaxCurrentA }},
+	{"top_metal_min_width_um", 0.005, 100, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.TopMetalMinWidthUM }, func(n *itrs.Node) *float64 { return &n.TopMetalMinWidthM }},
+	{"top_metal_thickness_um", 0.005, 100, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.TopMetalThicknessUM }, func(n *itrs.Node) *float64 { return &n.TopMetalThicknessM }},
+	{"wire_pitch_global_um", 0.01, 100, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.WirePitchGlobalUM }, func(n *itrs.Node) *float64 { return &n.WirePitchGlobalM }},
+	{"wire_pitch_local_um", 0.005, 100, 1e-6, 1e6, func(s *NodeSpec) **float64 { return &s.WirePitchLocalUM }, func(n *itrs.Node) *float64 { return &n.WirePitchLocalM }},
+	{"logic_transistors_m", 0.01, 1e6, 1, 1, func(s *NodeSpec) **float64 { return &s.LogicTransistorsM }, func(n *itrs.Node) *float64 { return &n.LogicTransistorsM }},
+}
+
+// fieldByKey returns the row of fields with the given JSON key.
+func fieldByKey(key string) *field {
+	return &fields[slices.IndexFunc(fields, func(f field) bool { return f.key == key })]
+}
+
+// sweepParams maps a sweep parameter to the keys of the rows it scales.
+var sweepParams = map[string][]string{
+	"vdd":       {"vdd_v", "vdd_alt_v"},
+	"tox":       {"tox_nm"},
+	"theta_ja":  {"theta_ja_c_per_w"},
+	"clock":     {"clock_ghz", "local_clock_ghz"},
+	"max_power": {"max_power_w"},
 }
 
 // SweepParamNames lists the valid sweep parameters, sorted.
@@ -164,54 +201,20 @@ type Expectation struct {
 // Parse decodes and validates one scenario document. It is strict: unknown
 // fields, oversized documents, out-of-range values, and duplicate nodes are
 // all errors. Hostile input must error, never panic (FuzzScenarioParse).
-func Parse(data []byte) (*Scenario, error) {
-	if len(data) > MaxFileBytes {
-		return nil, fmt.Errorf("scenario: document is %d bytes, limit %d", len(data), MaxFileBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	// A second document in the same stream is malformed input, not data.
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: trailing data after document")
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
+func Parse(data []byte) (*Scenario, error) { return doc.Parse("scenario", data, (*Scenario).Validate) }
 
 // Load reads and parses a scenario file.
-func Load(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", path, err)
-	}
-	return s, nil
-}
+func Load(path string) (*Scenario, error) { return doc.Load("scenario", path, Parse) }
 
 // MustParse is Parse for known-good literals (tests, guards).
-func MustParse(data string) *Scenario {
-	s, err := Parse([]byte(data))
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func MustParse(data string) *Scenario { return doc.Must(Parse([]byte(data))) }
 
 // Validate checks structure and ranges. Resolution errors (a node set the
 // device calibration cannot hit, say) surface later from Resolve; Validate
 // rejects everything that can be rejected without building the table.
 func (s *Scenario) Validate() error {
-	if !nameRE.MatchString(s.Name) {
-		return fmt.Errorf("scenario: name %q must match %s", s.Name, nameRE)
+	if err := doc.CheckName("scenario", s.Name); err != nil {
+		return err
 	}
 	if len(s.Nodes) > MaxNodes {
 		return fmt.Errorf("scenario %s: %d node specs, limit %d", s.Name, len(s.Nodes), MaxNodes)
@@ -227,8 +230,8 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario %s: node %d nm listed twice", s.Name, spec.NodeNM)
 		}
 		seen[spec.NodeNM] = true
-		if err := spec.validateRanges(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
+		if err := spec.validate(); err != nil {
+			return fmt.Errorf("scenario %s: node %d nm: %w", s.Name, spec.NodeNM, err)
 		}
 		if _, err := base.ByNode(spec.NodeNM); err != nil {
 			// Extension node: needs enough substance to mean something.
@@ -260,56 +263,24 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// validateRanges bounds every override. The bounds mirror itrs.Node.Validate
-// in the spec's human units; resolution re-validates the assembled node, so
-// these exist to produce pointed errors naming the JSON field.
-func (spec *NodeSpec) validateRanges() error {
-	type rng struct {
-		field string
-		v     *float64
-		lo    float64
-		hi    float64
-	}
-	checks := []rng{
-		{"vdd_v", spec.VddV, 0.2, 5},
-		{"vdd_alt_v", spec.VddAltV, 0.2, 5},
-		{"tox_nm", spec.ToxNM, 0.2, 20},
-		{"leff_nm", spec.LeffNM, 3, 500},
-		{"rs_ohm_um", spec.RsOhmUM, 0, 2000},
-		{"ion_target_ua_per_um", spec.IonTargetUAPerUM, 50, 5000},
-		{"ioff_na_per_um", spec.IoffNAPerUM, 0, 1e5},
-		{"junction_temp_c", spec.JunctionTempC, 25, 250},
-		{"ambient_temp_c", spec.AmbientTempC, -60, 250},
-		{"theta_ja_c_per_w", spec.ThetaJA, 0.01, 100},
-		{"max_power_w", spec.MaxPowerW, 0.001, 10e3},
-		{"die_area_mm2", spec.DieAreaMM2, 0.1, 10e3},
-		{"clock_ghz", spec.ClockGHz, 0.001, 1000},
-		{"local_clock_ghz", spec.LocalClockGHz, 0.001, 1000},
-		{"power_bump_fraction", spec.PowerBumpFraction, 0.01, 1},
-		{"bump_pitch_min_um", spec.BumpPitchMinUM, 1, 10e3},
-		{"bump_max_current_a", spec.BumpMaxCurrentA, 1e-4, 100},
-		{"top_metal_min_width_um", spec.TopMetalMinWidthUM, 0.005, 100},
-		{"top_metal_thickness_um", spec.TopMetalThicknessUM, 0.005, 100},
-		{"wire_pitch_global_um", spec.WirePitchGlobalUM, 0.01, 100},
-		{"wire_pitch_local_um", spec.WirePitchLocalUM, 0.005, 100},
-		{"logic_transistors_m", spec.LogicTransistorsM, 0.01, 1e6},
-		{"vth_anchor_v", spec.VthAnchorV, -0.2, 1.5},
-		{"dibl_v_per_v", spec.DIBL, 0, 0.5},
-	}
-	for _, c := range checks {
-		if c.v == nil {
-			continue
+// validate bounds every override; the first error names its JSON key.
+func (spec *NodeSpec) validate() error {
+	for i := range fields {
+		f := &fields[i]
+		if err := doc.CheckRange(f.key, *f.spec(spec), f.lo, f.hi); err != nil {
+			return err
 		}
-		v := *c.v
-		if math.IsNaN(v) || v < c.lo || v > c.hi {
-			return fmt.Errorf("node %d nm: %s = %g outside [%g, %g]", spec.NodeNM, c.field, v, c.lo, c.hi)
-		}
+	}
+	if err := cmp.Or(
+		doc.CheckRange("vth_anchor_v", spec.VthAnchorV, -0.2, 1.5),
+		doc.CheckRange("dibl_v_per_v", spec.DIBL, 0, 0.5)); err != nil {
+		return err
 	}
 	if spec.Year != nil && (*spec.Year < 1990 || *spec.Year > 2100) {
-		return fmt.Errorf("node %d nm: year = %d outside [1990, 2100]", spec.NodeNM, *spec.Year)
+		return fmt.Errorf("year = %d outside [1990, 2100]", *spec.Year)
 	}
 	if spec.TotalPads != nil && (*spec.TotalPads < 4 || *spec.TotalPads > 1e6) {
-		return fmt.Errorf("node %d nm: total_pads = %d outside [4, 1000000]", spec.NodeNM, *spec.TotalPads)
+		return fmt.Errorf("total_pads = %d outside [4, 1000000]", *spec.TotalPads)
 	}
 	return nil
 }
@@ -330,30 +301,25 @@ func (sw *Sweep) validate(specNodes map[int]bool) error {
 			return fmt.Errorf("sweep node %d nm is neither a base node nor defined by the scenario", nm)
 		}
 	}
+	// Every entry above is a base or spec node, so the prefix a repeat is
+	// looked for in holds at most MaxNodes+6 distinct entries.
+	for i, nm := range sw.Nodes {
+		if slices.Contains(sw.Nodes[:i], nm) {
+			return fmt.Errorf("sweep node %d nm listed twice", nm)
+		}
+	}
 	return nil
 }
 
 // Canonical returns the scenario's canonical encoding: the compact JSON of
 // the validated struct. Parse(Canonical(s)) reproduces the same canonical
 // bytes, which is the round-trip property the fuzzer pins.
-func (s *Scenario) Canonical() []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// Scenario has no unmarshalable fields; this is unreachable on a
-		// validated value.
-		panic(err)
-	}
-	return b
-}
+func (s *Scenario) Canonical() []byte { return doc.Canonical(s) }
 
 // Key returns a short stable digest of the scenario's full content, used to
 // thread scenario identity through the compute-cache key (and with it the
-// disk store, singleflight, and ETags).
-func (s *Scenario) Key() string {
-	h := fnv.New64a()
-	h.Write(s.Canonical())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// disk store, singleflight, and ETags). It is computed once per value.
+func (s *Scenario) Key() string { return s.key.Of(s) }
 
 // Variants expands the sweep into concrete scenarios, one per multiplier
 // step: each variant carries the swept parameter as explicit node overrides
@@ -365,7 +331,7 @@ func (s *Scenario) Variants() ([]*Scenario, error) {
 	if s.Sweep == nil {
 		return []*Scenario{s}, nil
 	}
-	apply, ok := sweepParams[s.Sweep.Param]
+	keys, ok := sweepParams[s.Sweep.Param]
 	if !ok {
 		return nil, fmt.Errorf("scenario %s: unknown sweep param %q", s.Name, s.Sweep.Param)
 	}
@@ -397,71 +363,23 @@ func (s *Scenario) Variants() ([]*Scenario, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 			}
-			scaled := node
-			apply(&scaled, factor)
-			v.Nodes = mergeSpec(v.Nodes, overrideFor(s.Sweep.Param, scaled))
+			j := slices.IndexFunc(v.Nodes, func(spec NodeSpec) bool { return spec.NodeNM == nm })
+			if j < 0 {
+				v.Nodes = append(v.Nodes, NodeSpec{NodeNM: nm})
+				j = len(v.Nodes) - 1
+			}
+			for _, key := range keys {
+				f := fieldByKey(key)
+				// A zero SI value is an unset optional field (VddAlt off
+				// the 50 nm node) and stays unset.
+				if si := *f.node(&node); si != 0 {
+					*f.spec(&v.Nodes[j]) = ptr(si * factor * f.toSpec)
+				}
+			}
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// overrideFor captures the swept parameter's scaled value as a NodeSpec
-// override in spec units.
-func overrideFor(param string, n itrs.Node) NodeSpec {
-	spec := NodeSpec{NodeNM: n.DrawnNM}
-	switch param {
-	case "vdd":
-		spec.VddV = ptr(n.Vdd)
-		if n.VddAlt != 0 {
-			spec.VddAltV = ptr(n.VddAlt)
-		}
-	case "tox":
-		spec.ToxNM = ptr(n.ToxPhysicalM * 1e9)
-	case "theta_ja":
-		spec.ThetaJA = ptr(n.ThetaJA)
-	case "clock":
-		spec.ClockGHz = ptr(n.ClockHz * 1e-9)
-		spec.LocalClockGHz = ptr(n.LocalClockHz * 1e-9)
-	case "max_power":
-		spec.MaxPowerW = ptr(n.MaxPowerW)
-	}
-	return spec
-}
-
-// mergeSpec folds the override into an existing spec for the same node, or
-// appends a new one.
-func mergeSpec(specs []NodeSpec, add NodeSpec) []NodeSpec {
-	for i := range specs {
-		if specs[i].NodeNM != add.NodeNM {
-			continue
-		}
-		merged := specs[i]
-		if add.VddV != nil {
-			merged.VddV = add.VddV
-		}
-		if add.VddAltV != nil {
-			merged.VddAltV = add.VddAltV
-		}
-		if add.ToxNM != nil {
-			merged.ToxNM = add.ToxNM
-		}
-		if add.ThetaJA != nil {
-			merged.ThetaJA = add.ThetaJA
-		}
-		if add.ClockGHz != nil {
-			merged.ClockGHz = add.ClockGHz
-		}
-		if add.LocalClockGHz != nil {
-			merged.LocalClockGHz = add.LocalClockGHz
-		}
-		if add.MaxPowerW != nil {
-			merged.MaxPowerW = add.MaxPowerW
-		}
-		specs[i] = merged
-		return specs
-	}
-	return append(specs, add)
 }
 
 func ptr(v float64) *float64 { return &v }
@@ -496,17 +414,11 @@ func (s *Scenario) Resolve() (*device.Lab, error) {
 func (s *Scenario) build() (*device.Lab, error) {
 	base := itrs.Base()
 	nodes := base.All()
-	index := make(map[int]int, len(nodes))
-	for i, n := range nodes {
-		index[n.DrawnNM] = i
-	}
 	params := make(map[int]device.Params)
 	for i := range s.Nodes {
 		spec := &s.Nodes[i]
-		var n *itrs.Node
-		if j, ok := index[spec.NodeNM]; ok {
-			n = &nodes[j]
-		} else {
+		j := slices.IndexFunc(nodes, func(n itrs.Node) bool { return n.DrawnNM == spec.NodeNM })
+		if j < 0 {
 			// Extension: seed from the nearest transcribed node, then
 			// override. Device anchors seed the same way.
 			seed := base.Nearest(spec.NodeNM)
@@ -515,10 +427,9 @@ func (s *Scenario) build() (*device.Lab, error) {
 			}
 			seed.DrawnNM = spec.NodeNM
 			nodes = append(nodes, seed)
-			index[spec.NodeNM] = len(nodes) - 1
-			n = &nodes[len(nodes)-1]
+			j = len(nodes) - 1
 		}
-		spec.apply(n)
+		spec.apply(&nodes[j])
 		if spec.VthAnchorV != nil || spec.DIBL != nil {
 			p, ok := params[spec.NodeNM]
 			if !ok {
@@ -551,35 +462,13 @@ func (spec *NodeSpec) apply(n *itrs.Node) {
 	if spec.Year != nil {
 		n.Year = *spec.Year
 	}
-	setF := func(dst *float64, src *float64, scale float64) {
-		if src != nil {
-			*dst = *src * scale
-		}
-	}
-	setF(&n.Vdd, spec.VddV, 1)
-	setF(&n.VddAlt, spec.VddAltV, 1)
-	setF(&n.ToxPhysicalM, spec.ToxNM, 1e-9)
-	setF(&n.LeffM, spec.LeffNM, 1e-9)
-	setF(&n.RsOhmM, spec.RsOhmUM, 1e-6)
-	// µA/µm is numerically A/m; nA/µm is 1e-3 A/m.
-	setF(&n.IonTargetAPerM, spec.IonTargetUAPerUM, 1)
-	setF(&n.IoffITRSAPerM, spec.IoffNAPerUM, 1e-3)
-	setF(&n.JunctionTempC, spec.JunctionTempC, 1)
-	setF(&n.AmbientTempC, spec.AmbientTempC, 1)
-	setF(&n.ThetaJA, spec.ThetaJA, 1)
-	setF(&n.MaxPowerW, spec.MaxPowerW, 1)
-	setF(&n.DieAreaM2, spec.DieAreaMM2, 1e-6)
-	setF(&n.ClockHz, spec.ClockGHz, 1e9)
-	setF(&n.LocalClockHz, spec.LocalClockGHz, 1e9)
 	if spec.TotalPads != nil {
 		n.TotalPads = *spec.TotalPads
 	}
-	setF(&n.PowerBumpFraction, spec.PowerBumpFraction, 1)
-	setF(&n.BumpPitchMinM, spec.BumpPitchMinUM, 1e-6)
-	setF(&n.BumpMaxCurrentA, spec.BumpMaxCurrentA, 1)
-	setF(&n.TopMetalMinWidthM, spec.TopMetalMinWidthUM, 1e-6)
-	setF(&n.TopMetalThicknessM, spec.TopMetalThicknessUM, 1e-6)
-	setF(&n.WirePitchGlobalM, spec.WirePitchGlobalUM, 1e-6)
-	setF(&n.WirePitchLocalM, spec.WirePitchLocalUM, 1e-6)
-	setF(&n.LogicTransistorsM, spec.LogicTransistorsM, 1)
+	for i := range fields {
+		f := &fields[i]
+		if v := *f.spec(spec); v != nil {
+			*f.node(n) = *v * f.toSI
+		}
+	}
 }

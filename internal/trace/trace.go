@@ -5,29 +5,27 @@
 // checked over the resulting time series in the Claim/Check schema.
 //
 // Traces cross the same trust boundary scenarios do (files on disk, POST
-// bodies), so Parse mirrors scenario.Parse: unknown fields rejected, sizes
-// capped, every value range-checked, and a parsed trace round-trips through
-// its canonical encoding byte-identically. Key digests the canonical bytes
-// — it is the content key the job queue and result store share, so an
-// identical resubmit is a store hit instead of a second simulation.
+// bodies), so Parse takes the same strict path, internal/doc: unknown
+// fields rejected, sizes capped, and a parsed trace round-trips through its
+// canonical encoding byte-identically; Validate range-checks every value.
+// Key digests the canonical bytes — it is the content key the job queue and
+// result store share, so an identical resubmit is a store hit instead of a
+// second simulation.
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"os"
-	"regexp"
 	"slices"
 
+	"nanometer/internal/doc"
 	"nanometer/internal/itrs"
 	"nanometer/internal/result"
 )
 
 // MaxFileBytes bounds a trace document; anything larger is hostile.
-const MaxFileBytes = 1 << 20
+const MaxFileBytes = doc.MaxBytes
 
 // MaxSeriesPoints bounds an explicit power_w series. Longer workloads must
 // use a generator spec, which never materializes the series.
@@ -44,10 +42,6 @@ const MaxAssertions = 16
 // DefaultNodeNM is the roadmap node a trace simulates against when it does
 // not name one: the 50 nm node of the paper's §2.1 thermal argument.
 const DefaultNodeNM = 50
-
-// nameRE admits the same DNS-label-ish names scenarios use: bounded,
-// metrics-safe, filename-safe.
-var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]{0,47}$`)
 
 // Trace is one workload-trace document. Exactly one of PowerW and Generator
 // supplies the series; Sim and Assert are optional.
@@ -78,6 +72,8 @@ type Trace struct {
 	// asserting "no backlog" wants. A failed check fails the trace the way
 	// a failed paper check fails an artifact.
 	Assert []result.Expect `json:"assert,omitempty"`
+
+	key doc.Key
 }
 
 // Generator is a synthetic-series spec. Kind "workload" drives
@@ -136,51 +132,18 @@ func CheckNames() []string {
 // Parse decodes and validates one trace document. It is strict: unknown
 // fields, oversized documents, out-of-range values are all errors. Hostile
 // input must error, never panic (FuzzTraceParse).
-func Parse(data []byte) (*Trace, error) {
-	if len(data) > MaxFileBytes {
-		return nil, fmt.Errorf("trace: document is %d bytes, limit %d", len(data), MaxFileBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var t Trace
-	if err := dec.Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("trace: trailing data after document")
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
+func Parse(data []byte) (*Trace, error) { return doc.Parse("trace", data, (*Trace).Validate) }
 
 // Load reads and parses a trace file.
-func Load(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	t, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return t, nil
-}
+func Load(path string) (*Trace, error) { return doc.Load("trace", path, Parse) }
 
 // MustParse is Parse for known-good literals (tests, guards).
-func MustParse(data string) *Trace {
-	t, err := Parse([]byte(data))
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
+func MustParse(data string) *Trace { return doc.Must(Parse([]byte(data))) }
 
 // Validate checks structure and ranges.
 func (t *Trace) Validate() error {
-	if !nameRE.MatchString(t.Name) {
-		return fmt.Errorf("trace: name %q must match %s", t.Name, nameRE)
+	if err := doc.CheckName("trace", t.Name); err != nil {
+		return err
 	}
 	if !(t.DtSeconds > 0) || t.DtSeconds > 10 || math.IsInf(t.DtSeconds, 0) {
 		return fmt.Errorf("trace %s: dt_seconds %g outside (0, 10]", t.Name, t.DtSeconds)
@@ -247,13 +210,15 @@ func (g *Generator) validate() error {
 			return fmt.Errorf("generator kind virus admits only intervals and theoretical_max_w")
 		}
 	}
-	return checkRanges("generator", []optRange{
-		{"theoretical_max_w", g.TheoreticalMaxW, 0.001, 10e3},
-		{"typical_fraction", g.TypicalFraction, 0, 1},
-		{"burst_fraction", g.BurstFraction, 0, 1},
-		{"burst_level", g.BurstLevel, 0, 1},
-		{"noise_fraction", g.NoiseFraction, 0, 0.5},
-	})
+	if err := cmp.Or(
+		doc.CheckRange("theoretical_max_w", g.TheoreticalMaxW, 0.001, 10e3),
+		doc.CheckRange("typical_fraction", g.TypicalFraction, 0, 1),
+		doc.CheckRange("burst_fraction", g.BurstFraction, 0, 1),
+		doc.CheckRange("burst_level", g.BurstLevel, 0, 1),
+		doc.CheckRange("noise_fraction", g.NoiseFraction, 0, 0.5)); err != nil {
+		return fmt.Errorf("generator %w", err)
+	}
+	return nil
 }
 
 func (s *SimSpec) validate() error {
@@ -268,32 +233,14 @@ func (s *SimSpec) validate() error {
 	if (s.FreqScale != nil || s.VddScale != nil) && s.Controller != "dvs" {
 		return fmt.Errorf("sim freq_scale/vdd_scale only apply to controller dvs")
 	}
-	return checkRanges("sim", []optRange{
-		{"duty_cycle", s.DutyCycle, 0.01, 1},
-		{"freq_scale", s.FreqScale, 0.01, 1},
-		{"vdd_scale", s.VddScale, 0.01, 1},
-		{"cth_j_per_c", s.CthJPerC, 0.01, 1e5},
-		{"sensor_trip_c", s.SensorTripC, 25, 250},
-		{"hysteresis_c", s.HysteresisC, 0, 50},
-	})
-}
-
-// optRange is an optional field of a document and its allowed range.
-type optRange struct {
-	field  string
-	v      *float64
-	lo, hi float64
-}
-
-// checkRanges reports the first set field outside its range or NaN.
-func checkRanges(prefix string, fields []optRange) error {
-	for _, c := range fields {
-		if c.v == nil {
-			continue
-		}
-		if v := *c.v; math.IsNaN(v) || v < c.lo || v > c.hi {
-			return fmt.Errorf("%s %s = %g outside [%g, %g]", prefix, c.field, v, c.lo, c.hi)
-		}
+	if err := cmp.Or(
+		doc.CheckRange("duty_cycle", s.DutyCycle, 0.01, 1),
+		doc.CheckRange("freq_scale", s.FreqScale, 0.01, 1),
+		doc.CheckRange("vdd_scale", s.VddScale, 0.01, 1),
+		doc.CheckRange("cth_j_per_c", s.CthJPerC, 0.01, 1e5),
+		doc.CheckRange("sensor_trip_c", s.SensorTripC, 25, 250),
+		doc.CheckRange("hysteresis_c", s.HysteresisC, 0, 50)); err != nil {
+		return fmt.Errorf("sim %w", err)
 	}
 	return nil
 }
@@ -301,25 +248,14 @@ func checkRanges(prefix string, fields []optRange) error {
 // Canonical returns the trace's canonical encoding: the compact JSON of the
 // validated struct. Parse(Canonical(t)) reproduces the same canonical
 // bytes (FuzzTraceParse pins the round trip).
-func (t *Trace) Canonical() []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		// Trace has no unmarshalable fields; unreachable on a validated
-		// value.
-		panic(err)
-	}
-	return b
-}
+func (t *Trace) Canonical() []byte { return doc.Canonical(t) }
 
 // Key returns a short stable digest of the trace's full content — series or
 // generator spec, sim parameters, assertions. It is the compute key the job
 // queue, result store, and ETags share: equal keys mean an identical
-// simulation, so a resubmit is answerable from the store.
-func (t *Trace) Key() string {
-	h := fnv.New64a()
-	h.Write(t.Canonical())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// simulation, so a resubmit is answerable from the store. It is computed
+// once per value, so a job snapshot does not re-marshal the series.
+func (t *Trace) Key() string { return t.key.Of(t) }
 
 // ArtifactID is the store/report identity of the trace's result ("trace:" +
 // name). Distinct documents sharing a name still get distinct store files —

@@ -341,3 +341,21 @@ func TestProgressInvariants(t *testing.T) {
 		t.Fatalf("result invalid: %v", err)
 	}
 }
+
+// TestCommittedKeys pins the keys of the committed traces (job and store
+// identities derive from them) and that a second Key call, which every job
+// snapshot makes, is served from the memo without allocating.
+func TestCommittedKeys(t *testing.T) {
+	for name, want := range map[string]string{"hungry75": "3d3aed4b4f3c6f0a", "virus": "9252b02be92a52b4"} {
+		tr, err := Load("../../traces/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Key(); got != want {
+			t.Errorf("%s: key %s, want %s", name, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { tr.Key() }); n != 0 {
+			t.Errorf("%s: a memoized Key allocates %v times", name, n)
+		}
+	}
+}
