@@ -11,7 +11,7 @@ package busplan
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
@@ -100,7 +100,7 @@ func NewPlannerIn(lab *device.Lab, nodeNM int) (*Planner, error) {
 // candidates evaluates every primitive on a route; infeasible options are
 // omitted.
 func (p *Planner) candidates(r Route) []Choice {
-	var out []Choice
+	out := make([]Choice, 0, 3) // one per scheme
 	// 1. Optimally repeated full-swing CMOS: the baseline. Always closes
 	// noise; feasible if the latency budget holds.
 	ins := repeater.Optimize(p.driver, p.line, r.LengthM)
@@ -164,7 +164,17 @@ func (p *Planner) Assign(routes []Route) (*Plan, error) {
 			return nil, fmt.Errorf("busplan: route %q (%.1f mm in %.0f ps) has no feasible primitive",
 				r.Name, r.LengthM*1e3, r.LatencyBudgetS*1e12)
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].PowerW < cands[b].PowerW })
+		// The pdqsort of sort.Slice, without its per-call swapper: the
+		// comparator is negative exactly where that less was true.
+		slices.SortFunc(cands, func(a, b Choice) int {
+			switch {
+			case a.PowerW < b.PowerW:
+				return -1
+			case a.PowerW > b.PowerW:
+				return 1
+			}
+			return 0
+		})
 		alts = append(alts, alt{idx: i, options: cands})
 		plan.Choices = append(plan.Choices, cands[0])
 

@@ -281,3 +281,20 @@ func mustTech(t testing.TB, nodeNM int, lowRatio float64) *netlist.Tech {
 	}
 	return tech
 }
+
+// TestVthForAllocations pins that a policy solve allocates at most once
+// per call, never per bracket or Brent step: the solvers evaluate one
+// device copy whose threshold they set.
+func TestVthForAllocations(t *testing.T) {
+	ex := newExplorer(t)
+	for _, p := range []Policy{ConstantPstatic, Conservative} {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := ex.VthFor(p, 0.3); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 1 {
+			t.Errorf("%v: VthFor allocates %.0f times per call, want ≤ 1", p, n)
+		}
+	}
+}

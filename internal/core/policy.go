@@ -112,20 +112,26 @@ func NewExplorerIn(lab *device.Lab, nodeNM int, tKelvin, activity, clockHz float
 // NominalVdd returns the node's nominal supply.
 func (e *Explorer) NominalVdd() float64 { return e.nominal.vdd }
 
-// VthFor returns the threshold a policy applies at supply vdd.
+// VthFor returns the threshold a policy applies at supply vdd. The scaled
+// policies solve for it on one copy of the inverter's NMOS device whose
+// Vth0 each evaluation sets: the device n.WithVth(vth) would return,
+// without a heap copy per bracket or Brent step.
 func (e *Explorer) VthFor(p Policy, vdd float64) (float64, error) {
 	n := e.inv.N
+	d := *n
 	switch p {
 	case ConstantVth:
 		return n.Vth0, nil
 	case ConstantPstatic:
 		target := n.IoffPerWidth(e.nominal.vdd, e.TemperatureK) * e.nominal.vdd
-		return solveVth(n, e.TemperatureK, vdd, func(d *device.Device) float64 {
+		return solveVth(func(vth float64) float64 {
+			d.Vth0 = vth
 			return d.IoffPerWidth(vdd, e.TemperatureK)*vdd - target
 		})
 	case Conservative:
 		target := n.IoffPerWidth(e.nominal.vdd, e.TemperatureK)
-		return solveVth(n, e.TemperatureK, vdd, func(d *device.Device) float64 {
+		return solveVth(func(vth float64) float64 {
+			d.Vth0 = vth
 			return d.IoffPerWidth(vdd, e.TemperatureK) - target
 		})
 	}
@@ -133,13 +139,12 @@ func (e *Explorer) VthFor(p Policy, vdd float64) (float64, error) {
 }
 
 // solveVth finds the threshold making f zero; f must be decreasing in Vth.
-func solveVth(n *device.Device, tKelvin, vdd float64, f func(*device.Device) float64) (float64, error) {
-	g := func(vth float64) float64 { return f(n.WithVth(vth)) }
-	lo, hi, err := mathx.FindBracket(g, -0.2, 0.5, 20)
+func solveVth(f func(vth float64) float64) (float64, error) {
+	lo, hi, err := mathx.FindBracket(f, -0.2, 0.5, 20)
 	if err != nil {
 		return 0, fmt.Errorf("core: no Vth solution: %w", err)
 	}
-	return mathx.Brent(g, lo, hi, 1e-9)
+	return mathx.Brent(f, lo, hi, 1e-9)
 }
 
 // At evaluates the design point for a policy at supply vdd.

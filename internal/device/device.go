@@ -243,8 +243,10 @@ func (d *Device) SolveVthForIon(target, vdd, tKelvin float64) (float64, error) {
 	if target <= 0 {
 		return 0, fmt.Errorf("device: non-positive Ion target %g", target)
 	}
+	c := *d // one copy per solve; each evaluation only sets its Vth0
 	f := func(vth float64) float64 {
-		return d.WithVth(vth).IonPerWidth(vdd, tKelvin) - target
+		c.Vth0 = vth
+		return c.IonPerWidth(vdd, tKelvin) - target
 	}
 	lo, hi := -0.3, vdd // allow slightly negative thresholds (the 50 nm @0.6 V case is 0.04 V)
 	flo, fhi := f(lo), f(hi)

@@ -278,3 +278,13 @@ func TestPolarityString(t *testing.T) {
 		t.Fatalf("polarity strings broken")
 	}
 }
+
+// TestForNodeHitAllocations pins that a calibrated node's lookup costs one
+// allocation, the caller's copy of the device.
+func TestForNodeHitAllocations(t *testing.T) {
+	lab := BaseLab()
+	lab.MustForNode(70)
+	if n := testing.AllocsPerRun(100, func() { lab.MustForNode(70) }); n > 1 {
+		t.Errorf("ForNode hit allocates %.0f times, want ≤ 1", n)
+	}
+}

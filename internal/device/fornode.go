@@ -153,7 +153,12 @@ func (l *Lab) MustForNode(drawnNM int) *Device {
 }
 
 func (l *Lab) forNode(drawnNM int, pol Polarity) (*Device, error) {
-	e, _ := l.cache.LoadOrStore(calibKey{drawnNM, pol}, &calibEntry{})
+	// A hit loads the filled cell; only a miss pays for a fresh one.
+	key := calibKey{drawnNM, pol}
+	e, ok := l.cache.Load(key)
+	if !ok {
+		e, _ = l.cache.LoadOrStore(key, &calibEntry{})
+	}
 	entry := e.(*calibEntry)
 	entry.once.Do(func() { entry.dev, entry.err = l.calibrate(drawnNM, pol) })
 	if entry.err != nil {
@@ -216,8 +221,8 @@ func (l *Lab) calibrate(drawnNM int, pol Polarity) (*Device, error) {
 // do not have (DESIGN.md §2). The device's MobilityM2PerVs field is ignored
 // and left unchanged.
 func CalibrateMobility(d *Device, ionTarget, vdd, tKelvin float64) (float64, error) {
+	c := *d // one copy per solve; each evaluation only sets its mobility
 	f := func(mob float64) float64 {
-		c := *d
 		c.MobilityM2PerVs = mob
 		return c.IonPerWidth(vdd, tKelvin) - ionTarget
 	}

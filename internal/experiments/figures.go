@@ -42,7 +42,7 @@ func Figure1(lab *device.Lab, _ int) (*result.Result, error) {
 			return nil, fmt.Errorf("experiments: figure1 %dnm@%gV: %w", cs.nodeNM, cs.vdd, err)
 		}
 		g := inv.WithVth(vth)
-		s := result.Series{Name: fmt.Sprintf("%dnm, Vdd=%.1fV", cs.nodeNM, cs.vdd)}
+		s := result.NewSeries(fmt.Sprintf("%dnm, Vdd=%.1fV", cs.nodeNM, cs.vdd), len(activities))
 		for _, a := range activities {
 			s.Add(a, g.StaticOverDynamic(a, node.ClockHz, cs.vdd, T))
 		}
@@ -110,8 +110,8 @@ func Figure2(lab *device.Lab, _ int) (*result.Result, error) {
 		Title:   "Figure 2 (as data). Dual-Vth scaling",
 		Headers: []string{"node (nm)", "Ion gain @ -100mV Vth", "Ioff × @ -100mV", "Ioff × for +20% Ion", "ΔVth for +20% (mV)"},
 	}
-	gainS := result.Series{Name: "Ion increase with 100 mV Vth reduction (%)"}
-	penS := result.Series{Name: "Ioff increase for +20% Ion (×, log)"}
+	gainS := result.NewSeries("Ion increase with 100 mV Vth reduction (%)", len(rows))
+	penS := result.NewSeries("Ioff increase for +20% Ion (×, log)", len(rows))
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.nodeNM),
 			fmt.Sprintf("%.1f%%", r.ionGainPct),
@@ -160,8 +160,8 @@ func figures3And4(lab *device.Lab) (fig3, fig4 *result.Figure, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		s3 := result.Series{Name: p.String()}
-		s4 := result.Series{Name: p.String()}
+		s3 := result.NewSeries(p.String(), len(ops))
+		s4 := result.NewSeries(p.String(), len(ops))
 		for _, op := range ops {
 			s3.Add(op.Vdd, op.DelayNorm)
 			s4.Add(op.Vdd, op.DynOverStatic)
@@ -246,9 +246,9 @@ func Figure5(lab *device.Lab, _ int) (*result.Result, error) {
 		Title:   "Figure 5 (as data). IR-drop scaling",
 		Headers: []string{"node (nm)", "min pitch (µm)", "W/Wmin", "%routing", "ITRS pitch (µm)", "W/Wmin", "%routing"},
 	}
-	minW := result.Series{Name: "min bump pitch: rail width / Wmin"}
-	itrsW := result.Series{Name: "ITRS bump count: rail width / Wmin"}
-	minR := result.Series{Name: "min pitch: % routing used"}
+	minW := result.NewSeries("min bump pitch: rail width / Wmin", len(rows))
+	itrsW := result.NewSeries("ITRS bump count: rail width / Wmin", len(rows))
+	minR := result.NewSeries("min pitch: % routing used", len(rows))
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.nodeNM),
 			fmt.Sprintf("%.0f", r.minPitchM*1e6),

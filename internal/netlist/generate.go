@@ -84,12 +84,11 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 			}
 		}
 	}
-	// Topological order = nondecreasing level.
-	sortByLevel(levels)
-
-	// Index gates by level for fanin selection; uses tracks fanout counts
-	// for the low-fanout bias.
-	byLevel := make([][]int, p.Levels+1)
+	// Topological order = nondecreasing level. The gates of level l are
+	// then the ID range [first[l], first[l+1]), complete before any gate
+	// of a later level draws from it. uses tracks fanout counts for the
+	// low-fanout bias.
+	first := sortByLevel(levels, p.Levels)
 	uses := make([]int, p.Gates)
 	kinds := []gate.Kind{gate.Inv, gate.Nand, gate.Nand, gate.Nor, gate.Nand}
 	// Every input list is carved out of one backing array (≤ 3 per gate),
@@ -125,21 +124,21 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 			// dangling outputs (real blocks have gates ≫ register sinks).
 			for attempt := 0; attempt < 4 && src < 0; attempt++ {
 				pick := loLvl + rng.Intn(lvl-loLvl)
-				cands := byLevel[pick]
-				if len(cands) == 0 {
+				lo, n := first[pick], first[pick+1]-first[pick]
+				if n == 0 {
 					continue
 				}
 				if rng.Float64() < 0.5 {
 					best, bestUses := -1, 1<<30
 					for trial := 0; trial < 4; trial++ {
-						c := cands[rng.Intn(len(cands))]
+						c := lo + rng.Intn(n)
 						if uses[c] < bestUses {
 							best, bestUses = c, uses[c]
 						}
 					}
 					src = best
 				} else {
-					src = cands[rng.Intn(len(cands))]
+					src = lo + rng.Intn(n)
 				}
 			}
 			if src < 0 {
@@ -151,7 +150,6 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 		}
 		edges = edges[:end]
 		c.Gates = append(c.Gates, g)
-		byLevel[lvl] = append(byLevel[lvl], i)
 	}
 	c.Rebuild()
 	// Wire load per net grows with fanout count.
@@ -169,23 +167,21 @@ func Generate(t *Tech, p GenParams) (*Circuit, error) {
 	return c, nil
 }
 
-func sortByLevel(levels []int) {
-	// Counting sort (levels are small).
-	maxL := 0
+// sortByLevel counting-sorts levels, each in [0, maxLevel], in place and
+// returns the start of each level's run: level l fills
+// levels[first[l]:first[l+1]].
+func sortByLevel(levels []int, maxLevel int) (first []int) {
+	first = make([]int, maxLevel+2)
 	for _, l := range levels {
-		if l > maxL {
-			maxL = l
-		}
+		first[l+1]++
 	}
-	counts := make([]int, maxL+1)
-	for _, l := range levels {
-		counts[l]++
+	for l := 1; l < len(first); l++ {
+		first[l] += first[l-1]
 	}
-	i := 0
-	for l, n := range counts {
-		for k := 0; k < n; k++ {
+	for l := 0; l <= maxLevel; l++ {
+		for i := first[l]; i < first[l+1]; i++ {
 			levels[i] = l
-			i++
 		}
 	}
+	return first
 }

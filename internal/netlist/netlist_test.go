@@ -368,3 +368,23 @@ func mustTech(t testing.TB, nodeNM int, lowRatio float64) *Tech {
 	}
 	return tech
 }
+
+// TestGenerateAllocationsFlat pins that Generate's allocation count does
+// not grow with the gate count: every per-gate list is carved out of a
+// fixed number of backing arrays.
+func TestGenerateAllocationsFlat(t *testing.T) {
+	tech := mustTech(t, 100, 0.65)
+	allocs := func(gates int) float64 {
+		p := DefaultGenParams()
+		p.Gates = gates
+		// Twenty runs, so that a stray allocation of a GC cycle rounds away.
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Generate(tech, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(500), allocs(4000); large > small {
+		t.Errorf("Generate allocates %.0f times at 4000 gates against %.0f at 500", large, small)
+	}
+}

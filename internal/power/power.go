@@ -84,11 +84,15 @@ func Analyze(c *netlist.Circuit, fHz float64) *Report {
 	if needsActivity {
 		PropagateActivity(c)
 	}
+	// The four breakdowns share one allocation.
+	nv, nt, n := len(c.Tech.VddLevels), len(c.Tech.VthLevels), len(c.Gates)
+	buf := make([]float64, nv+nt+2*n)
+	at := nv + nt
 	r := &Report{
-		ByVddDynamicW: make([]float64, len(c.Tech.VddLevels)),
-		ByVthLeakageW: make([]float64, len(c.Tech.VthLevels)),
-		GateDynamicW:  make([]float64, len(c.Gates)),
-		GateLeakageW:  make([]float64, len(c.Gates)),
+		ByVddDynamicW: buf[:nv:nv],
+		ByVthLeakageW: buf[nv:at:at],
+		GateDynamicW:  buf[at : at+n : at+n],
+		GateLeakageW:  buf[at+n:],
 		ClockHz:       fHz,
 	}
 	for i := range c.Gates {

@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"hash/fnv"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -249,28 +247,45 @@ func (a Artifact) storePut(opts Options, res *result.Result) {
 // replicas.
 func (o Options) computeKey() string { return o.keyWith(baseKeyPrefix) }
 
-// keyVersion opens every compute key. baseKeyPrefix joins it once with the
-// paper table's digest, so folding the digest in hashes no extra string:
-// each hashed string costs an allocation on every key.
+// keyVersion opens every compute key; baseKeyPrefix joins it with the
+// paper table's digest for the base roadmap.
 const keyVersion = "compute-v3"
 
 var baseKeyPrefix = keyVersion + "\x00paper=" + paperKey
 
 // keyWith is computeKey with the base roadmap's key prefix as a parameter.
+// It hashes inline with FNV-1a, the same digest hash/fnv's New64a gives, so
+// the key costs one allocation: the returned string.
 func (o Options) keyWith(basePrefix string) string {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	if o.Scenario == nil {
-		io.WriteString(h, basePrefix)
+		h = fnv1a(h, basePrefix)
 	} else {
-		io.WriteString(h, keyVersion)
+		h = fnv1a(h, keyVersion)
 	}
-	io.WriteString(h, "\x00mesh-n=")
-	io.WriteString(h, strconv.Itoa(experiments.MeshN(o.MeshN)))
+	h = fnv1a(h, "\x00mesh-n=")
+	var buf [20]byte
+	h = fnv1a(h, strconv.AppendInt(buf[:0], int64(experiments.MeshN(o.MeshN)), 10))
 	if o.Scenario != nil {
-		io.WriteString(h, "\x00scenario=")
-		io.WriteString(h, o.Scenario.Key())
+		h = fnv1a(h, "\x00scenario=")
+		h = fnv1a(h, o.Scenario.Key())
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return string(strconv.AppendUint(buf[:0], h, 16))
+}
+
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds the bytes of s into the FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // CacheKey exposes the compute-options hash. The serving layer folds it

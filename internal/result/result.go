@@ -140,6 +140,13 @@ type Series struct {
 	Y    []float64 `json:"y"`
 }
 
+// NewSeries returns an empty series with room for n points, X and Y in
+// one allocation, so n calls to Add never regrow them.
+func NewSeries(name string, n int) Series {
+	xy := make([]float64, 2*n)
+	return Series{Name: name, X: xy[:0:n], Y: xy[n:n]}
+}
+
 // Add appends a point.
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)

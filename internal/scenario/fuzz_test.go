@@ -24,6 +24,8 @@ func FuzzScenarioParse(f *testing.F) {
 		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20}}`,
 		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70]}}`,
 		`{"name":"s","sweep":{"param":"vdd","steps":9,"span_pct":20,"nodes":[70,70]}}`,
+		`{"name":"s","sweep":{"param":"vdd","steps":3,"span_pct":0.01,"nodes":[70]}}`,
+		`{"name":"s","sweep":{"param":"clock","steps":33,"span_pct":1.6,"nodes":[70]}}`,
 		`{"name":"e","expect":[{"artifact":"c7","check":"vdd_floor","value":0.5,"rel_tol":0.2}]}`,
 		`{"name":"x","nodes":[{"node_nm":70,"vdd_v":1e308}]}`,
 		`{"name":"x","nodes":[{"node_nm":70,"vdd_v":null}]}`,
@@ -62,6 +64,17 @@ func FuzzScenarioParse(f *testing.F) {
 			for i, nm := range s.Sweep.Nodes {
 				if slices.Contains(s.Sweep.Nodes[:i], nm) {
 					t.Fatalf("Parse accepted sweep node %d twice", nm)
+				}
+			}
+			// Variants name CSV directories and NDJSON lines, so an
+			// accepted sweep must name each one differently.
+			if vs, err := s.Variants(); err == nil {
+				names := map[string]bool{}
+				for _, v := range vs {
+					if names[v.Name] {
+						t.Fatalf("Parse accepted a sweep with two variants named %s", v.Name)
+					}
+					names[v.Name] = true
 				}
 			}
 		}

@@ -295,6 +295,13 @@ func (sw *Sweep) validate(specNodes map[int]bool) error {
 	if !(sw.SpanPct > 0) || sw.SpanPct > 50 {
 		return fmt.Errorf("sweep span_pct %g outside (0, 50]", sw.SpanPct)
 	}
+	// Variants are named by their factor to three decimals, and the
+	// factors ascend, so a grid finer than that names two neighbours alike.
+	for i := 1; i < sw.Steps; i++ {
+		if l := sw.label(i); l == sw.label(i-1) {
+			return fmt.Errorf("sweep of %d steps over span_pct %g names two variants %s", sw.Steps, sw.SpanPct, l)
+		}
+	}
 	base := itrs.Base()
 	for _, nm := range sw.Nodes {
 		if _, err := base.ByNode(nm); err != nil && !specNodes[nm] {
@@ -310,6 +317,18 @@ func (sw *Sweep) validate(specNodes map[int]bool) error {
 	}
 	return nil
 }
+
+// factor returns the multiplier of grid step i.
+func (sw *Sweep) factor(i int) float64 {
+	if sw.Steps < 2 {
+		return 1
+	}
+	span := sw.SpanPct / 100
+	return 1 - span + 2*span*float64(i)/float64(sw.Steps-1)
+}
+
+// label names grid step i in its variant's name: "<param>=<factor>".
+func (sw *Sweep) label(i int) string { return fmt.Sprintf("%s=%.3f", sw.Param, sw.factor(i)) }
 
 // Canonical returns the scenario's canonical encoding: the compact JSON of
 // the validated struct. Parse(Canonical(s)) reproduces the same canonical
@@ -343,15 +362,11 @@ func (s *Scenario) Variants() ([]*Scenario, error) {
 	if len(targets) == 0 {
 		targets = lab.NodesNM()
 	}
-	span := s.Sweep.SpanPct / 100
 	out := make([]*Scenario, 0, s.Sweep.Steps)
 	for i := 0; i < s.Sweep.Steps; i++ {
-		factor := 1.0
-		if s.Sweep.Steps > 1 {
-			factor = 1 - span + 2*span*float64(i)/float64(s.Sweep.Steps-1)
-		}
+		factor := s.Sweep.factor(i)
 		v := &Scenario{
-			Name:  fmt.Sprintf("%s/%s=%.3f", s.Name, s.Sweep.Param, factor),
+			Name:  s.Name + "/" + s.Sweep.label(i),
 			Title: s.Title,
 			Notes: s.Notes,
 		}

@@ -96,6 +96,7 @@ func TestParseRejects(t *testing.T) {
 		"sweep span zero":     `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":0}}`,
 		"sweep unknown node":  `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":10,"nodes":[42]}}`,
 		"sweep dup node":      `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":10,"nodes":[70,50,70]}}`,
+		"sweep dup name":      `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":0.01,"nodes":[70]}}`,
 		"expect no artifact":  `{"name":"x","expect":[{"artifact":"","check":"v","value":1,"rel_tol":0.1}]}`,
 		"expect bad rel_tol":  `{"name":"x","expect":[{"artifact":"c7","check":"v","value":1,"rel_tol":0}]}`,
 		"expect huge rel_tol": `{"name":"x","expect":[{"artifact":"c7","check":"v","value":1,"rel_tol":99}]}`,

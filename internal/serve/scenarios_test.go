@@ -139,6 +139,7 @@ func TestScenariosValidation(t *testing.T) {
 		{"/api/v1/scenarios", `{"name":"x","wat":1}`, 400},
 		{"/api/v1/scenarios", `{"name":"x","nodes":[{"node_nm":70,"vdd_v":99}]}`, 400},
 		{"/api/v1/scenarios", `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":10,"nodes":[70,70]}}`, 400},
+		{"/api/v1/scenarios", `{"name":"x","sweep":{"param":"vdd","steps":3,"span_pct":0.01,"nodes":[70]}}`, 400},
 		{"/api/v1/scenarios?only=zz", `{"name":"x"}`, 400},
 		{"/api/v1/scenarios?mesh-n=abc", `{"name":"x"}`, 400},
 		{"/api/v1/scenarios?mesh-n=3", `{"name":"x"}`, 400},

@@ -279,14 +279,14 @@ func boolParam(v string) bool { return v == "1" || v == "true" }
 // byte-identical bodies — which is also why the ETag can be issued without
 // encoding anything.
 func etagFor(id string, opts repro.Options, enc render.Encoding) string {
-	tag := enc.Format()
+	v, p := "", ""
 	if enc.Text.Verbose {
-		tag += "v"
+		v = "v"
 	}
 	if enc.Text.Plot {
-		tag += "p"
+		p = "p"
 	}
-	return `"` + id + "-" + opts.CacheKey() + "-" + tag + `"`
+	return `"` + id + "-" + opts.CacheKey() + "-" + enc.Format() + v + p + `"`
 }
 
 // etagMatches implements If-None-Match's weak comparison (RFC 9110

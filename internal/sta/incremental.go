@@ -50,7 +50,7 @@ type Incremental struct {
 	delLog []undo
 	arrLog []arrUndo
 	// seeds and ranked are scratch for TryResize and SlackOrder; required
-	// and order are SlackOrder's buffers.
+	// (Analyze's array, reused) and order are SlackOrder's buffers.
 	seeds    []int
 	ranked   []rankedGate
 	required []float64
@@ -81,16 +81,23 @@ type rankedGate struct {
 func NewIncremental(c *netlist.Circuit) *Incremental {
 	r := Analyze(c)
 	n := len(c.Gates)
-	nIn, nOut := 0, 0
+	nIn, nOut, maxIn := 0, 0, 0
 	for i := range c.Gates {
 		g := &c.Gates[i]
+		k := 0
 		for _, ref := range g.Inputs {
 			if _, isPI := netlist.IsPI(ref); !isPI {
-				nIn++
+				k++
 			}
 		}
-		nOut += len(g.Fanouts)
+		nIn, nOut, maxIn = nIn+k, nOut+len(g.Fanouts), max(maxIn, k)
 	}
+	// The four topology arrays share one allocation. delLog and seeds hold
+	// a gate and its fanins, the most a TryResize changes. arrLog starts
+	// at an eighth of the circuit, more than the cones the sizing and
+	// assignment loops' trials reach, and grows past it only for a larger
+	// cone. SlackOrder's required times reuse Analyze's array.
+	topo := make([]int32, 2*(n+1)+nIn+nOut)
 	inc := &Incremental{
 		c:        c,
 		ArrivalS: r.ArrivalS,
@@ -98,12 +105,16 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		PeriodS:  r.PeriodS,
 		eps:      r.PeriodS * 1e-12,
 		inArr:    make([]float64, n),
-		faninAt:  make([]int32, n+1),
-		fanin:    make([]int32, 0, nIn),
-		fanoutAt: make([]int32, n+1),
-		fanout:   make([]int32, 0, nOut),
+		faninAt:  topo[: n+1 : n+1],
+		fanoutAt: topo[n+1 : 2*(n+1) : 2*(n+1)],
+		fanin:    topo[2*(n+1) : 2*(n+1) : 2*(n+1)+nIn],
+		fanout:   topo[2*(n+1)+nIn : 2*(n+1)+nIn],
 		po:       make([]bool, n),
 		pending:  make([]uint64, (n+63)/64),
+		delLog:   make([]undo, 0, 1+maxIn),
+		arrLog:   make([]arrUndo, 0, n/8),
+		seeds:    make([]int, 0, 1+maxIn),
+		required: r.RequiredS,
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
@@ -236,7 +247,6 @@ func (inc *Incremental) nextPending(from, hi int) int {
 func (inc *Incremental) SlackOrder() []int {
 	if inc.order == nil {
 		n := len(inc.c.Gates)
-		inc.required = make([]float64, n)
 		inc.ranked = make([]rankedGate, n)
 		inc.order = make([]int, n)
 	}

@@ -33,11 +33,13 @@ type Result struct {
 // period analyzes against the critical delay itself (zero worst slack).
 func Analyze(c *netlist.Circuit) *Result {
 	n := len(c.Gates)
+	// The four per-gate arrays share one allocation.
+	buf := make([]float64, 4*n)
 	r := &Result{
-		ArrivalS:  make([]float64, n),
-		RequiredS: make([]float64, n),
-		SlackS:    make([]float64, n),
-		DelayS:    make([]float64, n),
+		ArrivalS:  buf[:n:n],
+		RequiredS: buf[n : 2*n : 2*n],
+		SlackS:    buf[2*n : 3*n : 3*n],
+		DelayS:    buf[3*n:],
 	}
 	// Forward: arrival times in topological order.
 	for i := range c.Gates {
@@ -109,26 +111,32 @@ func criticalPath(c *netlist.Circuit, r *Result) []int {
 	if worst < 0 {
 		return nil
 	}
-	var rev []int
-	for g := worst; g >= 0; {
-		rev = append(rev, g)
-		next := -1
-		nextArr := 0.0
-		for _, ref := range c.Gates[g].Inputs {
-			if _, ok := netlist.IsPI(ref); ok {
-				continue
-			}
-			if r.ArrivalS[ref] >= nextArr {
-				next, nextArr = ref, r.ArrivalS[ref]
-			}
+	// Walk the path twice: once to count it, once to fill it from the back.
+	n := 0
+	for g := worst; g >= 0; g = worstFanin(c, r, g) {
+		n++
+	}
+	path := make([]int, n)
+	for g := worst; g >= 0; g = worstFanin(c, r, g) {
+		n--
+		path[n] = g
+	}
+	return path
+}
+
+// worstFanin returns gate g's latest-arriving gate-driven fanin (the last
+// of equal arrivals), or -1 when every fanin is a primary input.
+func worstFanin(c *netlist.Circuit, r *Result, g int) int {
+	next, nextArr := -1, 0.0
+	for _, ref := range c.Gates[g].Inputs {
+		if _, ok := netlist.IsPI(ref); ok {
+			continue
 		}
-		g = next
+		if r.ArrivalS[ref] >= nextArr {
+			next, nextArr = ref, r.ArrivalS[ref]
+		}
 	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return next
 }
 
 // Met reports whether the circuit meets its period (non-negative slack
