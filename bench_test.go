@@ -138,7 +138,7 @@ func BenchmarkSTAIncrementalEdit(b *testing.B) {
 func BenchmarkCombinedFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := freshCircuit(b, 1.15)
-		if _, err := core.RunFlow(c, core.DefaultFlowOptions()); err != nil {
+		if _, err := core.RunFlow(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,16 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"nanometer/internal/cvs"
 	"nanometer/internal/device"
+	"nanometer/internal/dualvth"
 	"nanometer/internal/itrs"
 	"nanometer/internal/netlist"
+	"nanometer/internal/power"
+	"nanometer/internal/resize"
 	"nanometer/internal/sta"
 	"nanometer/internal/units"
 )
@@ -203,7 +208,7 @@ func flowCircuit(t *testing.T, seed int64) *netlist.Circuit {
 
 func TestRunFlowAllStages(t *testing.T) {
 	c := flowCircuit(t, 1)
-	res, err := RunFlow(c, DefaultFlowOptions())
+	res, err := RunFlow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,21 +229,94 @@ func TestRunFlowAllStages(t *testing.T) {
 	}
 }
 
-func TestRunFlowCombinedBeatsEachAlone(t *testing.T) {
-	full, err := RunFlow(flowCircuit(t, 2), DefaultFlowOptions())
+// The flow is exactly its three stages run in order with default options:
+// its stage results, end-to-end reports, savings and timing verdict equal
+// a hand-run cvs → dualvth → resize on a clone, bit for bit.
+func TestRunFlowMatchesStages(t *testing.T) {
+	base := flowCircuit(t, 4)
+	flowC, hand := base.Clone(), base.Clone()
+	flow, err := RunFlow(flowC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, single := range []FlowOptions{
-		{CVS: true}, {DualVth: true}, {Resize: true},
+	cvsRes, err := cvs.Assign(hand, cvs.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vthRes, err := dualvth.Assign(hand, dualvth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizeRes, err := resize.Downsize(hand, resize.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flow.CVS, cvsRes) || !reflect.DeepEqual(flow.DualVth, vthRes) ||
+		!reflect.DeepEqual(flow.Resize, sizeRes) {
+		t.Fatalf("a flow stage differs from the same stage run by hand")
+	}
+	if !reflect.DeepEqual(flow.Before, cvsRes.Before) || !reflect.DeepEqual(flow.After, sizeRes.After) {
+		t.Fatalf("flow reports differ from the first stage's Before and the last stage's After")
+	}
+	before, after := cvsRes.Before, sizeRes.After
+	for _, s := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"total", flow.TotalSaving, 1 - after.TotalW()/before.TotalW()},
+		{"dynamic", flow.DynamicSaving, 1 - after.DynamicW/before.DynamicW},
+		{"leakage", flow.LeakageSaving, 1 - after.LeakageW/before.LeakageW},
 	} {
-		res, err := RunFlow(flowCircuit(t, 2), single)
+		if math.Float64bits(s.got) != math.Float64bits(s.want) {
+			t.Fatalf("%s saving %v, by hand %v", s.name, s.got, s.want)
+		}
+	}
+	if flow.TimingMet != sizeRes.TimingMet || flow.TimingMet != sta.Analyze(hand).Met() {
+		t.Fatalf("flow timing verdict %v differs from the hand-run stages'", flow.TimingMet)
+	}
+	if !reflect.DeepEqual(flowC.Gates, hand.Gates) {
+		t.Fatalf("the flow's netlist differs from the hand-run stages'")
+	}
+}
+
+func TestRunFlowCombinedBeatsEachAlone(t *testing.T) {
+	full, err := RunFlow(flowCircuit(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saving := func(before, after *power.Report) float64 { return 1 - after.TotalW()/before.TotalW() }
+	for _, stage := range []struct {
+		name string
+		run  func(c *netlist.Circuit) (float64, error)
+	}{
+		{"cvs", func(c *netlist.Circuit) (float64, error) {
+			r, err := cvs.Assign(c, cvs.DefaultOptions())
+			if err != nil {
+				return 0, err
+			}
+			return saving(r.Before, r.After), nil
+		}},
+		{"dualvth", func(c *netlist.Circuit) (float64, error) {
+			r, err := dualvth.Assign(c, dualvth.Options{})
+			if err != nil {
+				return 0, err
+			}
+			return saving(r.Before, r.After), nil
+		}},
+		{"resize", func(c *netlist.Circuit) (float64, error) {
+			r, err := resize.Downsize(c, resize.DefaultOptions())
+			if err != nil {
+				return 0, err
+			}
+			return r.PowerSaving, nil
+		}},
+	} {
+		alone, err := stage.run(flowCircuit(t, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TotalSaving >= full.TotalSaving {
-			t.Fatalf("single stage %+v (%g) should not beat the combined flow (%g)",
-				single, res.TotalSaving, full.TotalSaving)
+		if alone >= full.TotalSaving {
+			t.Fatalf("%s alone (%g) should not beat the combined flow (%g)", stage.name, alone, full.TotalSaving)
 		}
 	}
 }
@@ -246,10 +324,10 @@ func TestRunFlowCombinedBeatsEachAlone(t *testing.T) {
 func TestRunFlowErrors(t *testing.T) {
 	c := flowCircuit(t, 3)
 	c.ClockPeriodS = 0
-	if _, err := RunFlow(c, DefaultFlowOptions()); err == nil {
+	if _, err := RunFlow(c); err == nil {
 		t.Fatalf("missing period must error")
 	}
-	// CVS requested on a single-supply tech.
+	// The flow's CVS stage needs a low supply.
 	single := mustTech(t, 100, 0)
 	p := netlist.DefaultGenParams()
 	p.Gates = 100
@@ -260,14 +338,8 @@ func TestRunFlowErrors(t *testing.T) {
 	if _, err := sta.SetPeriodFromCritical(c2, 1.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFlow(c2, DefaultFlowOptions()); err == nil {
+	if _, err := RunFlow(c2); err == nil {
 		t.Fatalf("CVS without a low supply must error")
-	}
-	// But the single-supply flow with CVS disabled works.
-	opts := DefaultFlowOptions()
-	opts.CVS = false
-	if _, err := RunFlow(c2, opts); err != nil {
-		t.Fatalf("CVS-less flow on single supply: %v", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func ExampleRunFlow() {
 	if _, err := sta.SetPeriodFromCritical(c, 1.15); err != nil {
 		panic(err)
 	}
-	res, err := core.RunFlow(c, core.DefaultFlowOptions())
+	res, err := core.RunFlow(c)
 	if err != nil {
 		panic(err)
 	}

@@ -8,113 +8,57 @@ import (
 	"nanometer/internal/netlist"
 	"nanometer/internal/power"
 	"nanometer/internal/resize"
-	"nanometer/internal/sta"
 )
-
-// FlowOptions configures the combined optimization pipeline.
-type FlowOptions struct {
-	// CVS, DualVth, Resize enable the respective stages. The paper's
-	// recommended ordering is fixed: non-critical gates first move to the
-	// reduced supply, then threshold selection, then sizing mops up the
-	// remaining slack.
-	CVS, DualVth, Resize bool
-	// CVSOptions, DualVthOptions, ResizeOptions tune the stages.
-	CVSOptions     cvs.Options
-	DualVthOptions dualvth.Options
-	ResizeOptions  resize.Options
-	// ClockHz evaluates power; zero uses 1/period.
-	ClockHz float64
-}
-
-// DefaultFlowOptions enables all three stages with default tuning.
-func DefaultFlowOptions() FlowOptions {
-	return FlowOptions{
-		CVS: true, DualVth: true, Resize: true,
-		CVSOptions:     cvs.DefaultOptions(),
-		DualVthOptions: dualvth.Options{},
-		ResizeOptions:  resize.DefaultOptions(),
-	}
-}
 
 // FlowResult aggregates the pipeline outcome.
 type FlowResult struct {
-	// Before and After are the end-to-end power reports.
+	// Before and After are the end-to-end power reports at 1/period: the
+	// first stage's Before and the last stage's After.
 	Before, After *power.Report
 	// TotalSaving, DynamicSaving, LeakageSaving are 1 − after/before.
 	TotalSaving, DynamicSaving, LeakageSaving float64
-	// Stage results (nil when a stage was disabled).
+	// The stage results.
 	CVS     *cvs.Result
 	DualVth *dualvth.Result
 	Resize  *resize.Result
-	// TimingMet confirms the final circuit meets its period.
+	// TimingMet confirms the final circuit meets its period (the last
+	// stage's check).
 	TimingMet bool
 }
 
 // RunFlow executes the combined multi-Vdd + multi-Vth + re-sizing pipeline
-// on the circuit (modified in place). The circuit must meet its period.
-func RunFlow(c *netlist.Circuit, opts FlowOptions) (*FlowResult, error) {
-	if c.ClockPeriodS <= 0 {
-		return nil, fmt.Errorf("core: circuit has no clock period")
+// on the circuit (modified in place), each stage with its default options.
+// The paper's ordering is fixed: non-critical gates first move to the
+// reduced supply, then threshold selection, then sizing mops up the
+// remaining slack. The circuit needs a two-supply tech and must meet its
+// period.
+func RunFlow(c *netlist.Circuit) (*FlowResult, error) {
+	cvsRes, err := cvs.Assign(c, cvs.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("core: CVS stage: %w", err)
 	}
-	fHz := opts.ClockHz
-	if fHz == 0 {
-		fHz = 1 / c.ClockPeriodS
+	vthRes, err := dualvth.Assign(c, dualvth.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("core: dual-Vth stage: %w", err)
 	}
-	if r := sta.Analyze(c); !r.Met() {
-		return nil, fmt.Errorf("core: circuit misses period before flow (worst slack %v)", r.WorstSlackS)
+	sizeRes, err := resize.Downsize(c, resize.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("core: resize stage: %w", err)
 	}
-	power.PropagateActivity(c)
-	before := power.Analyze(c, fHz)
-	res := &FlowResult{Before: before}
-
-	if opts.CVS {
-		if !c.Tech.HasLowVdd() {
-			return nil, fmt.Errorf("core: CVS stage enabled but tech has a single supply")
-		}
-		o := opts.CVSOptions
-		if o.LCAreaUnits == 0 {
-			o = cvs.DefaultOptions()
-		}
-		o.ClockHz = fHz
-		r, err := cvs.Assign(c, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: CVS stage: %w", err)
-		}
-		res.CVS = r
+	before, after := cvsRes.Before, sizeRes.After
+	res := &FlowResult{
+		Before: before, After: after,
+		CVS: cvsRes, DualVth: vthRes, Resize: sizeRes,
+		TimingMet: sizeRes.TimingMet,
 	}
-	if opts.DualVth {
-		o := opts.DualVthOptions
-		o.ClockHz = fHz
-		r, err := dualvth.Assign(c, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: dual-Vth stage: %w", err)
-		}
-		res.DualVth = r
-	}
-	if opts.Resize {
-		o := opts.ResizeOptions
-		if o.Step == 0 {
-			o = resize.DefaultOptions()
-		}
-		o.ClockHz = fHz
-		r, err := resize.Downsize(c, o)
-		if err != nil {
-			return nil, fmt.Errorf("core: resize stage: %w", err)
-		}
-		res.Resize = r
-	}
-
-	res.After = power.Analyze(c, fHz)
-	final := sta.Analyze(c)
-	res.TimingMet = final.Met()
 	if t := before.TotalW(); t > 0 {
-		res.TotalSaving = 1 - res.After.TotalW()/t
+		res.TotalSaving = 1 - after.TotalW()/t
 	}
 	if before.DynamicW > 0 {
-		res.DynamicSaving = 1 - res.After.DynamicW/before.DynamicW
+		res.DynamicSaving = 1 - after.DynamicW/before.DynamicW
 	}
 	if before.LeakageW > 0 {
-		res.LeakageSaving = 1 - res.After.LeakageW/before.LeakageW
+		res.LeakageSaving = 1 - after.LeakageW/before.LeakageW
 	}
 	return res, nil
 }

@@ -24,17 +24,19 @@ type Options struct {
 	// output feeds a high-supply gate — the unclustered ablation with many
 	// more converters.
 	Clustering bool
-	// ClockHz evaluates power; zero uses 1/period.
-	ClockHz float64
-	// LCAreaUnits and RailAreaFraction parameterize the area model.
-	LCAreaUnits      float64
-	RailAreaFraction float64
 }
 
 // DefaultOptions returns the paper-typical configuration.
 func DefaultOptions() Options {
-	return Options{Clustering: true, LCAreaUnits: 2, RailAreaFraction: 0.06}
+	return Options{Clustering: true}
 }
+
+// The area model: a level converter's area in unit cells, and the routing
+// overhead of the second rail as a fraction of each low-supply cell.
+const (
+	lcAreaUnits      = 2
+	railAreaFraction = 0.06
+)
 
 // Result summarizes an assignment run.
 type Result struct {
@@ -42,7 +44,7 @@ type Result struct {
 	AssignedFraction float64
 	// LevelConverters is the number of converters inserted.
 	LevelConverters int
-	// Before and After are the power reports at the evaluation clock.
+	// Before and After are the power reports at 1/period.
 	Before, After *power.Report
 	// DynamicSaving is 1 − after/before dynamic power.
 	DynamicSaving float64
@@ -65,19 +67,18 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	if c.ClockPeriodS <= 0 {
 		return nil, fmt.Errorf("cvs: circuit has no clock period")
 	}
-	base := sta.Analyze(c)
-	if !base.Met() {
+	inc := sta.NewIncremental(c)
+	if !inc.Met() {
 		return nil, fmt.Errorf("cvs: circuit misses period %v by %v before assignment",
-			c.ClockPeriodS, -base.WorstSlackS)
+			c.ClockPeriodS, inc.WorstArrival()-c.ClockPeriodS)
 	}
-	fHz := opts.ClockHz
-	if fHz == 0 {
-		fHz = 1 / c.ClockPeriodS
-	}
+	fHz := 1 / c.ClockPeriodS
 	power.PropagateActivity(c)
 	before := power.Analyze(c, fHz)
+	// The all-high baseline's area is its cells alone: no converters, no
+	// second rail.
+	areaBefore := c.TotalSize()
 
-	inc := sta.NewIncremental(c)
 	assigned := 0
 	// Reverse topological order: fanouts are decided before their drivers,
 	// as the clustering rule requires.
@@ -116,12 +117,11 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	}
 
 	after := power.Analyze(c, fHz)
-	final := sta.Analyze(c)
 	res := &Result{
 		AssignedFraction: float64(assigned) / float64(len(c.Gates)),
 		Before:           before,
 		After:            after,
-		TimingMet:        final.Met(),
+		TimingMet:        sta.Analyze(c).Met(),
 	}
 	for i := range c.Gates {
 		if c.Gates[i].NeedsLC {
@@ -135,21 +135,8 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	if grossSaved > 0 {
 		res.LCOverheadFraction = after.LevelConverterW / grossSaved
 	}
-	areaBefore := power.EstimateArea(cleanCopy(c), opts.LCAreaUnits, opts.RailAreaFraction).Total()
-	areaAfter := power.EstimateArea(c, opts.LCAreaUnits, opts.RailAreaFraction).Total()
 	if areaBefore > 0 {
-		res.AreaOverhead = areaAfter/areaBefore - 1
+		res.AreaOverhead = power.EstimateArea(c, lcAreaUnits, railAreaFraction).Total()/areaBefore - 1
 	}
 	return res, nil
-}
-
-// cleanCopy returns a copy with all gates back at the high supply, for the
-// area baseline.
-func cleanCopy(c *netlist.Circuit) *netlist.Circuit {
-	cp := c.Clone()
-	for i := range cp.Gates {
-		cp.Gates[i].VddClass = 0
-		cp.Gates[i].NeedsLC = false
-	}
-	return cp
 }

@@ -17,8 +17,6 @@ import (
 
 // Options tunes the assignment.
 type Options struct {
-	// ClockHz evaluates power; zero uses 1/period.
-	ClockHz float64
 	// Order selects the candidate ordering.
 	Order Order
 }
@@ -38,7 +36,7 @@ const (
 type Result struct {
 	// HighVthFraction is the share of gates assigned the high threshold.
 	HighVthFraction float64
-	// Before and After are the power reports.
+	// Before and After are the power reports at 1/period.
 	Before, After *power.Report
 	// LeakageSaving is 1 − after/before leakage.
 	LeakageSaving float64
@@ -58,16 +56,19 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	if c.ClockPeriodS <= 0 {
 		return nil, fmt.Errorf("dualvth: circuit has no clock period")
 	}
-	base := sta.Analyze(c)
-	if !base.Met() {
-		return nil, fmt.Errorf("dualvth: circuit misses period before assignment (worst slack %v)", base.WorstSlackS)
+	inc := sta.NewIncremental(c)
+	if !inc.Met() {
+		return nil, fmt.Errorf("dualvth: circuit misses period %v by %v before assignment",
+			c.ClockPeriodS, inc.WorstArrival()-c.ClockPeriodS)
 	}
-	fHz := opts.ClockHz
-	if fHz == 0 {
-		fHz = 1 / c.ClockPeriodS
-	}
+	baseDelay := inc.WorstArrival()
+	fHz := 1 / c.ClockPeriodS
 	power.PropagateActivity(c)
 	before := power.Analyze(c, fHz)
+	var slack []float64
+	if opts.Order == BySlack {
+		slack = inc.Slacks()
+	}
 
 	type cand struct {
 		id    int
@@ -87,7 +88,7 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 		var score float64
 		switch opts.Order {
 		case BySlack:
-			score = base.SlackS[i]
+			score = slack[i]
 		default:
 			dd := dHigh - dLow
 			if dd <= 0 {
@@ -99,7 +100,6 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
 
-	inc := sta.NewIncremental(c)
 	assigned := 0
 	for _, cd := range cands {
 		g := &c.Gates[cd.id]
@@ -122,8 +122,8 @@ func Assign(c *netlist.Circuit, opts Options) (*Result, error) {
 	if before.LeakageW > 0 {
 		res.LeakageSaving = 1 - after.LeakageW/before.LeakageW
 	}
-	if base.MaxDelayS > 0 {
-		res.DelayPenalty = final.MaxDelayS/base.MaxDelayS - 1
+	if baseDelay > 0 {
+		res.DelayPenalty = final.MaxDelayS/baseDelay - 1
 	}
 	return res, nil
 }

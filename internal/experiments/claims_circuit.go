@@ -78,7 +78,7 @@ func Library(lab *device.Lab, _ int) (*result.Result, error) {
 		libopt.Geometric("rich modern (min 1, ratio 1.3)", 1, 64, 1.3),
 		libopt.Continuous(0.25),
 	}
-	results, err := libopt.CompareLibraries(c, libs, 0)
+	results, err := libopt.CompareLibraries(c, libs)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func ResizeVsVdd(lab *device.Lab, _ int) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	comb, err := core.RunFlow(base.Clone(), core.DefaultFlowOptions())
+	comb, err := core.RunFlow(base.Clone())
 	if err != nil {
 		return nil, err
 	}

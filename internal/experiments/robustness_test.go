@@ -40,7 +40,7 @@ func TestCombinedFlowRobustAcrossSeedsAndNodes(t *testing.T) {
 			t.Fatalf("%+v: %v", s, err)
 		}
 		before := power.Analyze(c.Clone(), 1/c.ClockPeriodS)
-		res, err := core.RunFlow(c, core.DefaultFlowOptions())
+		res, err := core.RunFlow(c)
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}

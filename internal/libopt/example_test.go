@@ -32,7 +32,7 @@ func ExampleCompareLibraries() {
 		libopt.Geometric("coarse", 4, 64, 2),
 		libopt.Geometric("rich", 1, 64, 1.3),
 		libopt.Continuous(0.25),
-	}, 0)
+	})
 	if err != nil {
 		panic(err)
 	}

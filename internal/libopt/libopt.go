@@ -92,9 +92,10 @@ type Result struct {
 }
 
 // SizeWithLibrary downsizes the circuit greedily under the library's
-// granularity until no move fits the period. The circuit is modified in
-// place; gates are first snapped *up* to the library floor/grid (the
-// overdrive a coarse library forces on small loads).
+// granularity until no move fits the period, and evaluates power at fHz
+// (zero uses 1/period). The circuit is modified in place; gates are first
+// snapped *up* to the library floor/grid (the overdrive a coarse library
+// forces on small loads).
 func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, error) {
 	if c.ClockPeriodS <= 0 {
 		return nil, fmt.Errorf("libopt: circuit has no clock period")
@@ -103,41 +104,21 @@ func SizeWithLibrary(c *netlist.Circuit, lib Library, fHz float64) (*Result, err
 	for i := range c.Gates {
 		c.Gates[i].Size = snapUp(lib, c.Gates[i].Size)
 	}
-	if r := sta.Analyze(c); !r.Met() {
+	inc := sta.NewIncremental(c)
+	if !inc.Met() {
 		return nil, fmt.Errorf("libopt: circuit misses period after snapping to %s", lib.Name)
 	}
 	if fHz == 0 {
 		fHz = 1 / c.ClockPeriodS
 	}
-	inc := sta.NewIncremental(c)
-	for rounds := 0; rounds < 64; rounds++ {
-		moved := 0
-		for _, i := range inc.SlackOrder() {
-			g := &c.Gates[i]
-			next, ok := lib.NextBelow(g.Size)
-			if !ok {
-				continue
-			}
-			old := g.Size
-			g.Size = next
-			if inc.TryResize(i) {
-				moved++
-			} else {
-				g.Size = old
-			}
-		}
-		if moved == 0 {
-			break
-		}
-	}
+	inc.Downsize(64, lib.NextBelow)
 	power.PropagateActivity(c)
-	rep := power.Analyze(c, fHz)
-	final := sta.Analyze(c)
-	res := &Result{Library: lib, Power: rep, TimingMet: final.Met()}
-	for i := range c.Gates {
-		res.TotalSize += c.Gates[i].Size
-	}
-	return res, nil
+	return &Result{
+		Library:   lib,
+		Power:     power.Analyze(c, fHz),
+		TotalSize: c.TotalSize(),
+		TimingMet: sta.Analyze(c).Met(),
+	}, nil
 }
 
 func snapUp(lib Library, s float64) float64 {
@@ -154,14 +135,14 @@ func snapUp(lib Library, s float64) float64 {
 	return lib.Sizes[idx]
 }
 
-// CompareLibraries runs the same base circuit through each library and
-// reports powers normalized to the first library. The base circuit is not
-// modified; each run works on a clone.
-func CompareLibraries(base *netlist.Circuit, libs []Library, fHz float64) ([]*Result, error) {
+// CompareLibraries runs the same base circuit through each library, with
+// power at 1/period. The base circuit is not modified; each run works on a
+// clone.
+func CompareLibraries(base *netlist.Circuit, libs []Library) ([]*Result, error) {
 	out := make([]*Result, 0, len(libs))
 	for _, lib := range libs {
 		c := base.Clone()
-		r, err := SizeWithLibrary(c, lib, fHz)
+		r, err := SizeWithLibrary(c, lib, 0)
 		if err != nil {
 			return nil, fmt.Errorf("libopt: %s: %w", lib.Name, err)
 		}

@@ -115,7 +115,7 @@ func TestFinerLibrariesSaveMorePower(t *testing.T) {
 		Geometric("rich", 1, 64, 1.3),
 		Continuous(0.25),
 	}
-	results, err := CompareLibraries(base, libs, 0)
+	results, err := CompareLibraries(base, libs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCompareLibrariesDoesNotMutateBase(t *testing.T) {
 	for i := range base.Gates {
 		before[i] = base.Gates[i].Size
 	}
-	if _, err := CompareLibraries(base, []Library{Continuous(0.5)}, 0); err != nil {
+	if _, err := CompareLibraries(base, []Library{Continuous(0.5)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range base.Gates {

@@ -194,6 +194,16 @@ func (c *Circuit) Clone() *Circuit {
 	return &cp
 }
 
+// TotalSize returns the summed drive strength of every gate, in gate
+// order.
+func (c *Circuit) TotalSize() float64 {
+	s := 0.0
+	for i := range c.Gates {
+		s += c.Gates[i].Size
+	}
+	return s
+}
+
 // Stats summarizes the netlist composition.
 type Stats struct {
 	Gates, PIs, POs int
@@ -203,7 +213,7 @@ type Stats struct {
 
 // Stats returns composition statistics.
 func (c *Circuit) Stats() Stats {
-	s := Stats{PIs: c.NumPIs, ByKind: map[gate.Kind]int{}}
+	s := Stats{PIs: c.NumPIs, ByKind: map[gate.Kind]int{}, TotalSize: c.TotalSize()}
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		s.Gates++
@@ -211,7 +221,6 @@ func (c *Circuit) Stats() Stats {
 			s.POs++
 		}
 		s.ByKind[g.Kind]++
-		s.TotalSize += g.Size
 	}
 	return s
 }

@@ -16,14 +16,12 @@ import (
 
 // Options tunes the downsizing pass.
 type Options struct {
-	// MinSize is the smallest allowed drive strength (unit cells).
+	// MinSize is the smallest allowed drive strength (unit cells), > 0.
 	MinSize float64
-	// Step is the multiplicative downsize step per accepted move (< 1).
+	// Step is the multiplicative downsize step per accepted move, in (0, 1).
 	Step float64
-	// Rounds bounds the number of passes over the netlist.
+	// Rounds bounds the number of passes over the netlist, > 0.
 	Rounds int
-	// ClockHz evaluates power; zero uses 1/period.
-	ClockHz float64
 }
 
 // DefaultOptions returns a conventional configuration.
@@ -35,7 +33,7 @@ func DefaultOptions() Options {
 type Result struct {
 	// SizeReduction is 1 − totalSizeAfter/totalSizeBefore.
 	SizeReduction float64
-	// Before and After are the power reports.
+	// Before and After are the power reports at 1/period.
 	Before, After *power.Report
 	// PowerSaving is 1 − after/before total power.
 	PowerSaving float64
@@ -51,60 +49,33 @@ type Result struct {
 // Downsize shrinks off-critical gates until no further move fits the period.
 // The circuit is modified in place and must meet its period on entry.
 func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
-	if opts.MinSize <= 0 {
-		opts.MinSize = 0.5
-	}
-	if opts.Step <= 0 || opts.Step >= 1 {
-		opts.Step = 0.8
-	}
-	if opts.Rounds <= 0 {
-		opts.Rounds = 8
+	if !(opts.MinSize > 0) || !(opts.Step > 0 && opts.Step < 1) || opts.Rounds <= 0 {
+		return nil, fmt.Errorf("resize: options %+v out of range (MinSize > 0, 0 < Step < 1, Rounds > 0)", opts)
 	}
 	if c.ClockPeriodS <= 0 {
 		return nil, fmt.Errorf("resize: circuit has no clock period")
 	}
-	base := sta.Analyze(c)
-	if !base.Met() {
-		return nil, fmt.Errorf("resize: circuit misses period before downsizing (worst slack %v)", base.WorstSlackS)
+	inc := sta.NewIncremental(c)
+	if !inc.Met() {
+		return nil, fmt.Errorf("resize: circuit misses period %v by %v before downsizing",
+			c.ClockPeriodS, inc.WorstArrival()-c.ClockPeriodS)
 	}
-	fHz := opts.ClockHz
-	if fHz == 0 {
-		fHz = 1 / c.ClockPeriodS
-	}
+	fHz := 1 / c.ClockPeriodS
 	power.PropagateActivity(c)
 	before := power.Analyze(c, fHz)
-	sizeBefore := totalSize(c)
+	sizeBefore := c.TotalSize()
 
-	inc := sta.NewIncremental(c)
-	for round := 0; round < opts.Rounds; round++ {
-		// Most-slack-first ordering from a fresh snapshot each round.
-		moved := 0
-		for _, i := range inc.SlackOrder() {
-			g := &c.Gates[i]
-			newSize := g.Size * opts.Step
-			if newSize < opts.MinSize {
-				continue
-			}
-			oldSize := g.Size
-			g.Size = newSize
-			if inc.TryResize(i) {
-				moved++
-			} else {
-				g.Size = oldSize
-			}
-		}
-		if moved == 0 {
-			break
-		}
-	}
+	inc.Downsize(opts.Rounds, func(s float64) (float64, bool) {
+		s *= opts.Step
+		return s, s >= opts.MinSize
+	})
 
 	after := power.Analyze(c, fHz)
-	final := sta.Analyze(c)
 	res := &Result{
-		SizeReduction: 1 - totalSize(c)/sizeBefore,
+		SizeReduction: 1 - c.TotalSize()/sizeBefore,
 		Before:        before,
 		After:         after,
-		TimingMet:     final.Met(),
+		TimingMet:     sta.Analyze(c).Met(),
 	}
 	if t := before.TotalW(); t > 0 {
 		res.PowerSaving = 1 - after.TotalW()/t
@@ -116,12 +87,4 @@ func Downsize(c *netlist.Circuit, opts Options) (*Result, error) {
 		res.Sublinearity = res.DynamicSaving / res.SizeReduction
 	}
 	return res, nil
-}
-
-func totalSize(c *netlist.Circuit) float64 {
-	s := 0.0
-	for i := range c.Gates {
-		s += c.Gates[i].Size
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package resize
 
 import (
+	"math"
 	"testing"
 
 	"nanometer/internal/device"
@@ -96,15 +97,28 @@ func TestDownsizeRespectsOptions(t *testing.T) {
 	}
 }
 
-func TestDownsizeDefaultsFill(t *testing.T) {
-	c := circuit(t, 4, 3)
-	// Zero-value options must be filled with defaults, not break.
-	res, err := Downsize(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TimingMet {
-		t.Fatalf("defaults must keep timing")
+// Out-of-range options are an error, not silently replaced by defaults,
+// and the circuit is left untouched.
+func TestDownsizeRejectsOutOfRangeOptions(t *testing.T) {
+	for _, opts := range []Options{
+		{},
+		{MinSize: 0, Step: 0.8, Rounds: 8},
+		{MinSize: -1, Step: 0.8, Rounds: 8},
+		{MinSize: 0.5, Step: 0, Rounds: 8},
+		{MinSize: 0.5, Step: 1, Rounds: 8},
+		{MinSize: 0.5, Step: 1.5, Rounds: 8},
+		{MinSize: 0.5, Step: math.NaN(), Rounds: 8},
+		{MinSize: 0.5, Step: 0.8, Rounds: 0},
+		{MinSize: 0.5, Step: 0.8, Rounds: -1},
+	} {
+		c := circuit(t, 4, 3)
+		want := c.TotalSize()
+		if _, err := Downsize(c, opts); err == nil {
+			t.Fatalf("options %+v must be rejected", opts)
+		}
+		if got := c.TotalSize(); got != want {
+			t.Fatalf("rejected options %+v still resized the circuit: %g → %g", opts, want, got)
+		}
 	}
 }
 

@@ -366,6 +366,30 @@ func TestOptimizersMatchReferenceEngine(t *testing.T) {
 	}
 }
 
+// A fresh analysis and an incremental view of one state give one timing
+// verdict, including periods a rounding step either side of the critical
+// delay.
+func TestMetVerdictsAgree(t *testing.T) {
+	c := testCircuit(t, 1200, 7, 2, 1.0)
+	c.ClockPeriodS = 0
+	critical := sta.Analyze(c).MaxDelayS
+	for _, row := range []struct {
+		factor float64
+		met    bool
+	}{
+		{1, true},
+		{1 - 1e-13, true},
+		{1 - 1e-9, false},
+	} {
+		c.ClockPeriodS = critical * row.factor
+		full, view := sta.Analyze(c).Met(), sta.NewIncremental(c).Met()
+		if full != row.met || view != row.met {
+			t.Errorf("period critical×(%v): Analyze met %v, Incremental met %v, want %v",
+				row.factor, full, view, row.met)
+		}
+	}
+}
+
 // The incremental engine must agree bit for bit with the reference engine
 // and with full re-analysis under a random edit sequence, rollbacks must
 // restore the previous state exactly, and its slack order must be the one

@@ -31,10 +31,10 @@ type Incremental struct {
 	// inArr[i] is gate i's max gate-driven fanin arrival (0 with none),
 	// the value Analyze adds gate i's delay to.
 	inArr []float64
-	// PeriodS is the constraint.
-	PeriodS float64
-
-	eps float64
+	// PeriodS is the constraint; deadline is the latest arrival that meets
+	// it (see Result.Met).
+	PeriodS  float64
+	deadline float64
 
 	// The topology, flattened once: the gate-driven fanins of gate i are
 	// fanin[faninAt[i]:faninAt[i+1]], its fanouts likewise, and po[i]
@@ -49,12 +49,13 @@ type Incremental struct {
 	// overwrote, arrLog that of every arrival and its fanin max.
 	delLog []undo
 	arrLog []arrUndo
-	// seeds and ranked are scratch for TryResize and SlackOrder; required
-	// (Analyze's array, reused) and order are SlackOrder's buffers.
-	seeds    []int
-	ranked   []rankedGate
-	required []float64
-	order    []int
+	// seeds and ranked are scratch for TryResize and SlackOrder; slack
+	// (Analyze's required-time array, reused) is Slacks' buffer and order
+	// SlackOrder's.
+	seeds  []int
+	ranked []rankedGate
+	slack  []float64
+	order  []int
 }
 
 // undo is one overwritten array slot.
@@ -96,14 +97,14 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 	// a gate and its fanins, the most a TryResize changes. arrLog starts
 	// at an eighth of the circuit, more than the cones the sizing and
 	// assignment loops' trials reach, and grows past it only for a larger
-	// cone. SlackOrder's required times reuse Analyze's array.
+	// cone. Slacks reuses Analyze's required-time array.
 	topo := make([]int32, 2*(n+1)+nIn+nOut)
 	inc := &Incremental{
 		c:        c,
 		ArrivalS: r.ArrivalS,
 		DelayS:   r.DelayS,
 		PeriodS:  r.PeriodS,
-		eps:      r.PeriodS * 1e-12,
+		deadline: deadline(r.PeriodS),
 		inArr:    make([]float64, n),
 		faninAt:  topo[: n+1 : n+1],
 		fanoutAt: topo[n+1 : 2*(n+1) : 2*(n+1)],
@@ -114,7 +115,7 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		delLog:   make([]undo, 0, 1+maxIn),
 		arrLog:   make([]arrUndo, 0, n/8),
 		seeds:    make([]int, 0, 1+maxIn),
-		required: r.RequiredS,
+		slack:    r.RequiredS,
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
@@ -178,7 +179,7 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 		if newArr == oldArr {
 			continue
 		}
-		if inc.po[i] && newArr > inc.PeriodS+inc.eps {
+		if inc.po[i] && newArr > inc.deadline {
 			ok = false
 			// Drop the rest of the queue: every pending gate lies in
 			// (i, hi], and the bits below i are already clear.
@@ -238,11 +239,20 @@ func (inc *Incremental) nextPending(from, hi int) int {
 	return w<<6 + bits.TrailingZeros64(word)
 }
 
+// Slacks returns every gate's slack from a backward required-time pass
+// over the tracked arrivals and delays. They equal a fresh Analyze's SlackS
+// bit for bit as long as every delay change went through TryUpdate. The
+// returned slice is reused by the next call.
+func (inc *Incremental) Slacks() []float64 {
+	backward(inc.c, inc.PeriodS, inc.DelayS, inc.slack)
+	for i, a := range inc.ArrivalS {
+		inc.slack[i] -= a
+	}
+	return inc.slack
+}
+
 // SlackOrder returns every gate ID ordered most-slack-first, the visiting
-// order of the sizing greedies. The slacks come from a backward
-// required-time pass over the tracked arrivals and delays, which equal a
-// fresh Analyze bit for bit as long as every delay change went through
-// TryUpdate; the order is the one sort.Slice gives over Analyze's SlackS,
+// order of Downsize. The order is the one sort.Slice gives over Slacks,
 // ties included. The returned slice is reused by the next call.
 func (inc *Incremental) SlackOrder() []int {
 	if inc.order == nil {
@@ -250,9 +260,8 @@ func (inc *Incremental) SlackOrder() []int {
 		inc.ranked = make([]rankedGate, n)
 		inc.order = make([]int, n)
 	}
-	backward(inc.c, inc.PeriodS, inc.DelayS, inc.required)
-	for i := range inc.ranked {
-		inc.ranked[i] = rankedGate{inc.required[i] - inc.ArrivalS[i], i}
+	for i, s := range inc.Slacks() {
+		inc.ranked[i] = rankedGate{s, i}
 	}
 	// slices.SortFunc runs the same pdqsort as sort.Slice, and pdqsort's
 	// moves depend only on comparison outcomes, so a comparator negative
@@ -272,6 +281,33 @@ func (inc *Incremental) SlackOrder() []int {
 	return inc.order
 }
 
+// Downsize is the sizing greedy of resize and libopt. Each of up to rounds
+// passes visits the gates in SlackOrder and moves each to the size next
+// proposes for it (next declines with false); a move TryResize rejects is
+// undone. A pass that keeps no move ends the greedy.
+func (inc *Incremental) Downsize(rounds int, next func(size float64) (float64, bool)) {
+	for r := 0; r < rounds; r++ {
+		moved := 0
+		for _, i := range inc.SlackOrder() {
+			g := &inc.c.Gates[i]
+			size, ok := next(g.Size)
+			if !ok {
+				continue
+			}
+			old := g.Size
+			g.Size = size
+			if inc.TryResize(i) {
+				moved++
+			} else {
+				g.Size = old
+			}
+		}
+		if moved == 0 {
+			return
+		}
+	}
+}
+
 // WorstArrival returns the worst PO arrival currently recorded.
 func (inc *Incremental) WorstArrival() float64 {
 	worst := 0.0
@@ -283,7 +319,8 @@ func (inc *Incremental) WorstArrival() float64 {
 	return worst
 }
 
-// Met reports whether the tracked state meets the period.
+// Met reports whether the tracked state meets the period, by the test
+// Result.Met applies.
 func (inc *Incremental) Met() bool {
-	return inc.WorstArrival() <= inc.PeriodS+inc.eps
+	return inc.WorstArrival() <= inc.deadline
 }

@@ -139,9 +139,15 @@ func worstFanin(c *netlist.Circuit, r *Result, g int) int {
 	return next
 }
 
-// Met reports whether the circuit meets its period (non-negative slack
-// within a rounding epsilon).
-func (r *Result) Met() bool { return r.WorstSlackS > -1e-15 }
+// Met reports whether the circuit meets its period: no primary output
+// arrives after deadline(PeriodS). Incremental.Met and TryUpdate apply the
+// same test to the tracked arrivals, so a view and a fresh analysis of one
+// state always agree.
+func (r *Result) Met() bool { return r.MaxDelayS <= deadline(r.PeriodS) }
+
+// deadline is the latest arrival that meets period: the period plus a
+// relative rounding tolerance of 1e-12.
+func deadline(period float64) float64 { return period + period*1e-12 }
 
 // SetPeriodFromCritical sets the circuit's clock period to guard × the
 // current critical delay (guard ≥ 1) and returns the period.
