@@ -1,6 +1,7 @@
 // The lockguard fixture: `// guarded by <mu>` fields must only be
 // touched while the named mutex is held (or from a *Locked caller-holds
-// function).
+// function), and only `mu.Lock()` then at once `defer mu.Unlock()`, at the
+// top level of a function body, holds a lock.
 package fixture
 
 import "sync"
@@ -21,9 +22,9 @@ type counter struct {
 // Inc holds the lock across both writes: clean.
 func (c *counter) Inc() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.n++
 	c.hits++
-	c.mu.Unlock()
 }
 
 // Peek reads a guarded field with no lock held: the violation class.
@@ -46,26 +47,82 @@ func (c *counter) Drain() int {
 	return c.drainLocked()
 }
 
-// branches exercises the early-return shape: the fast path unlocks and
-// returns, so its unlock must not leak into the tail where the lock is
-// still held.
+// branches takes the lock once, at the top: both paths run under it.
 func (c *counter) branches(fast bool) int {
 	c.mu.Lock()
-	if fast {
-		v := c.n
-		c.mu.Unlock()
-		return v
-	}
 	defer c.mu.Unlock()
+	if fast {
+		return c.n
+	}
 	c.n++
 	return c.n
 }
 
-// leaked shows the converse: after an unconditional Unlock the guard is
-// gone, so the tail access is a finding.
-func (c *counter) leaked() int {
+// lockLate reads before its pair: a lock is held from where its pair
+// stands, not from the top of the function.
+func (c *counter) lockLate() int {
+	v := c.n // want "c.n is guarded by c.mu, which is not held here"
 	c.mu.Lock()
-	c.n = 1
-	c.mu.Unlock()
-	return c.n // want "c.n is guarded by c.mu, which is not held here"
+	defer c.mu.Unlock()
+	return v + c.hits
+}
+
+// leaked releases its lock by hand: only the deferred pair holds a lock,
+// so both calls are findings, and so are the access they bracket and the
+// tail access after the release.
+func (c *counter) leaked() int {
+	c.mu.Lock()   // want "c.mu.Lock\(\) is outside the lock shape"
+	c.n = 1       // want "c.n is guarded by c.mu, which is not held here"
+	c.mu.Unlock() // want "c.mu.Unlock\(\) is outside the lock shape"
+	return c.n    // want "c.n is guarded by c.mu, which is not held here"
+}
+
+// pairInBranch has the shape inside a branch: a pair holds only at the top
+// level of a function body.
+func (c *counter) pairInBranch(ok bool) {
+	if ok {
+		c.mu.Lock()         // want "c.mu.Lock\(\) is outside the lock shape"
+		defer c.mu.Unlock() // want "c.mu.Unlock\(\) is outside the lock shape"
+		c.n++               // want "c.n is guarded by c.mu, which is not held here"
+	}
+}
+
+// unlockHeld releases a lock its deferred Unlock already releases.
+func (c *counter) unlockHeld() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v := c.n
+	c.mu.Unlock() // want "c.mu.Unlock\(\) is outside the lock shape"
+	return v
+}
+
+// spawn holds the lock: a plain literal inherits it, a `go` literal runs
+// concurrently and holds nothing of its caller's.
+func (c *counter) spawn() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inc := func() { c.n++ }
+	inc()
+	go func() {
+		c.hits++ // want "c.hits is guarded by c.mu, which is not held here"
+	}()
+}
+
+type table struct {
+	mu sync.RWMutex
+	m  map[string]int // guarded by mu
+}
+
+// get pairs RLock with RUnlock: clean.
+func (t *table) get(k string) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.m[k]
+}
+
+// mixed pairs RLock with Unlock, which is not the shape.
+func (t *table) mixed(k string) int {
+	t.mu.RLock()        // want "t.mu.RLock\(\) is outside the lock shape"
+	defer t.mu.Unlock() // want "t.mu.Unlock\(\) is outside the lock shape"
+	return t.m[k]       // want "t.m is guarded by t.mu, which is not held here"
 }

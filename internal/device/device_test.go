@@ -34,12 +34,17 @@ func TestForNodeUnknown(t *testing.T) {
 	}
 }
 
-func TestForNodeReturnsCopies(t *testing.T) {
-	a := BaseLab().MustForNode(100)
-	a.Vth0 = 99
-	b := BaseLab().MustForNode(100)
-	if b.Vth0 == 99 {
-		t.Fatalf("ForNode must return independent copies")
+// TestForNodeSharesCalibration: two hits return the one cached device,
+// NMOS and PMOS alike.
+func TestForNodeSharesCalibration(t *testing.T) {
+	lab := BaseLab()
+	if a, b := lab.MustForNode(100), lab.MustForNode(100); a != b {
+		t.Fatalf("two ForNode hits returned %p and %p, want one cached device", a, b)
+	}
+	a, _ := lab.ForNodePMOS(100)
+	b, _ := lab.ForNodePMOS(100)
+	if a == nil || a != b {
+		t.Fatalf("two ForNodePMOS hits returned %p and %p, want one cached device", a, b)
 	}
 }
 
@@ -279,12 +284,12 @@ func TestPolarityString(t *testing.T) {
 	}
 }
 
-// TestForNodeHitAllocations pins that a calibrated node's lookup costs one
-// allocation, the caller's copy of the device.
+// TestForNodeHitAllocations pins that a calibrated node's lookup
+// allocates nothing: it returns the cached device itself.
 func TestForNodeHitAllocations(t *testing.T) {
 	lab := BaseLab()
 	lab.MustForNode(70)
-	if n := testing.AllocsPerRun(100, func() { lab.MustForNode(70) }); n > 1 {
-		t.Errorf("ForNode hit allocates %.0f times, want ≤ 1", n)
+	if n := testing.AllocsPerRun(100, func() { lab.MustForNode(70) }); n != 0 {
+		t.Errorf("ForNode hit allocates %.0f times, want 0", n)
 	}
 }

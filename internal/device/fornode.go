@@ -134,13 +134,16 @@ func (l *Lab) MustNode(drawnNM int) itrs.Node { return l.table.MustNode(drawnNM)
 func (l *Lab) NodesNM() []int { return l.table.NodesNM() }
 
 // ForNode returns the calibrated NMOS device model for a roadmap node. The
-// returned device is a fresh copy; callers may mutate it.
+// returned device is the Lab's cached calibration, shared by every caller:
+// it is read-only. A caller that needs a variant copies first (WithVth,
+// MetalGate, or `c := *d`).
 func (l *Lab) ForNode(drawnNM int) (*Device, error) { return l.forNode(drawnNM, NMOS) }
 
 // ForNodePMOS returns the calibrated PMOS companion device: identical
 // structure with hole mobility (0.4× electron) and the same threshold
 // magnitude. All biases are expressed as magnitudes, so PMOS devices are
-// used with positive voltages throughout.
+// used with positive voltages throughout. Like ForNode's, the returned
+// device is shared and read-only.
 func (l *Lab) ForNodePMOS(drawnNM int) (*Device, error) { return l.forNode(drawnNM, PMOS) }
 
 // MustForNode is ForNode for known-good node literals.
@@ -153,7 +156,8 @@ func (l *Lab) MustForNode(drawnNM int) *Device {
 }
 
 func (l *Lab) forNode(drawnNM int, pol Polarity) (*Device, error) {
-	// A hit loads the filled cell; only a miss pays for a fresh one.
+	// A hit loads the filled cell and allocates nothing; only a miss pays
+	// for a fresh one.
 	key := calibKey{drawnNM, pol}
 	e, ok := l.cache.Load(key)
 	if !ok {
@@ -161,11 +165,7 @@ func (l *Lab) forNode(drawnNM int, pol Polarity) (*Device, error) {
 	}
 	entry := e.(*calibEntry)
 	entry.once.Do(func() { entry.dev, entry.err = l.calibrate(drawnNM, pol) })
-	if entry.err != nil {
-		return nil, entry.err
-	}
-	c := *entry.dev
-	return &c, nil
+	return entry.dev, entry.err
 }
 
 // calibrate builds and mobility-calibrates the device model for one node and

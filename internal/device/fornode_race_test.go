@@ -8,8 +8,7 @@ import (
 // TestForNodeConcurrent hammers the calibration cache from many goroutines
 // across every node and both polarities. Under `go test -race` this verifies
 // the once-cell cache: no data race on misses (first calibration) or hits,
-// every caller sees the same calibrated values, and every caller gets a
-// private copy it can mutate freely.
+// and every caller gets the same cached device.
 func TestForNodeConcurrent(t *testing.T) {
 	nodes := []int{180, 130, 100, 70, 50, 35}
 	const goroutines = 16
@@ -38,26 +37,12 @@ func TestForNodeConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// Determinism: every goroutine saw identical calibrations.
 	for g := 1; g < goroutines; g++ {
 		for i := range devs[0] {
-			if *devs[g][i] != *devs[0][i] {
-				t.Fatalf("goroutine %d device %d differs: %+v vs %+v", g, i, devs[g][i], devs[0][i])
+			if devs[g][i] != devs[0][i] {
+				t.Fatalf("goroutine %d device %d is %p, goroutine 0's is %p", g, i, devs[g][i], devs[0][i])
 			}
 		}
-	}
-	// Isolation: callers own their copies; mutating one must not leak into
-	// the cache or other callers.
-	devs[0][0].Vth0 += 1
-	fresh, err := BaseLab().ForNode(nodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *fresh == *devs[0][0] {
-		t.Fatal("mutation leaked into the calibration cache")
-	}
-	if *fresh != *devs[1][0] {
-		t.Fatal("cache returned a drifted device")
 	}
 }
 

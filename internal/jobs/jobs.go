@@ -180,10 +180,10 @@ func (j *Job) Chunks(since int) (chunks []trace.Progress, more <-chan struct{}, 
 
 func (j *Job) appendChunk(p trace.Progress) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.chunks = append(j.chunks, p)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
 }
 
 // setRunning transitions queued → running; returns false if the job was
@@ -251,59 +251,67 @@ func (q *Queue) Submit(tr *trace.Trace) (*Job, error) {
 	var cachedRes *result.Result
 	if q.cfg.Store != nil {
 		// One bounded local file read; the job's own cancelable context
-		// does not exist yet (it is created under the queue lock below).
+		// does not exist yet (enqueue creates it under the queue lock).
 		if res, ok := q.cfg.Store.Get(tr.ArtifactID(), tr.Key()); ok {
 			cachedRes = res
 		}
 	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return nil, ErrClosed
+	j, ctx, err := q.enqueue(tr, cachedRes)
+	if err != nil {
+		return nil, err
 	}
-	if cachedRes == nil && q.active >= q.cfg.MaxQueued {
-		q.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	q.seq++
-	ctx, cancel := context.WithCancel(q.baseCtx)
-	j := &Job{
-		ID:      fmt.Sprintf("j%d", q.seq),
-		Trace:   tr,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		state:   StateQueued,
-		notify:  make(chan struct{}),
-		created: time.Now(),
-	}
-	q.jobs[j.ID] = j
-	q.order = append(q.order, j.ID)
 	if cachedRes != nil {
-		// The job is already published in q.jobs, so take its own lock for
-		// the terminal-state writes: readers reach it via Get (under q.mu,
-		// which orders them after this block), but the field contract is
-		// j.mu and keeping it locally checkable costs one uncontended lock.
-		j.mu.Lock()
-		j.state = StateDone
-		j.cached = true
-		j.res = cachedRes
-		j.finished = j.created
-		j.mu.Unlock()
-		cancel()
-		close(j.done)
-		q.evictLocked()
-		q.mu.Unlock()
 		if q.OnFinish != nil {
 			q.OnFinish(StateDone, true)
 		}
 		return j, nil
 	}
-	q.active++
-	q.evictLocked()
-	q.mu.Unlock()
-	q.wg.Add(1)
 	go q.run(ctx, j)
 	return j, nil
+}
+
+// enqueue registers a job for tr under q.mu. A job answered from the store
+// (cached non-nil) is born done; any other is counted active and in q.wg
+// before q.mu is released, so a Close that follows waits for it.
+func (q *Queue) enqueue(tr *trace.Trace, cached *result.Result) (*Job, context.Context, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return nil, nil, ErrClosed
+	}
+	if cached == nil && q.active >= q.cfg.MaxQueued {
+		return nil, nil, ErrQueueFull
+	}
+	q.seq++
+	ctx, cancel := context.WithCancel(q.baseCtx)
+	now := time.Now()
+	state, finished := StateQueued, time.Time{}
+	if cached != nil {
+		state, finished = StateDone, now
+	}
+	j := &Job{
+		ID:       fmt.Sprintf("j%d", q.seq),
+		Trace:    tr,
+		cancel:   cancel,
+		done:     make(chan struct{}),
+		state:    state,
+		cached:   cached != nil,
+		res:      cached,
+		notify:   make(chan struct{}),
+		created:  now,
+		finished: finished,
+	}
+	q.jobs[j.ID] = j
+	q.order = append(q.order, j.ID)
+	if cached != nil {
+		cancel()
+		close(j.done)
+	} else {
+		q.active++
+		q.wg.Add(1)
+	}
+	q.evictLocked()
+	return j, ctx, nil
 }
 
 // Get returns a job by ID (false once it has been evicted or never was).
@@ -349,11 +357,15 @@ func (q *Queue) Cancel(id string) bool {
 // Close cancels every job and waits for the workers to drain. The queue
 // rejects further submits.
 func (q *Queue) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
+	q.markClosed()
 	q.baseCancel()
 	q.wg.Wait()
+}
+
+func (q *Queue) markClosed() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
 }
 
 // run executes one job: worker slot → admission → simulate → persist.
@@ -409,9 +421,26 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	default:
 		state = StateFailed
 	}
+	q.settle(j, state, res, err)
+	if q.OnFinish != nil {
+		q.OnFinish(state, false)
+	}
+}
+
+// settle releases j's queue slot and makes j terminal, under q.mu.
+func (q *Queue) settle(j *Job, state State, res *result.Result, err error) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.active--
+	j.terminate(state, res, err)
+	close(j.done)
+	q.evictLocked()
+}
+
+// terminate moves j to its terminal state and wakes its progress streams.
+func (j *Job) terminate(state State, res *result.Result, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = state
 	j.res = res
 	j.err = err
@@ -421,13 +450,6 @@ func (q *Queue) finish(j *Job, res *result.Result, err error) {
 	j.finished = time.Now()
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
-	close(j.done)
-	q.evictLocked()
-	q.mu.Unlock()
-	if q.OnFinish != nil {
-		q.OnFinish(state, false)
-	}
 }
 
 // evictLocked forgets the oldest terminal jobs past MaxFinished. Requires

@@ -281,6 +281,30 @@ func TestCloseCancelsEverything(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForRacingSubmit races Submit against Close on fresh
+// queues: a job Submit accepted must be counted before Close can wait, so
+// its OnFinish has run by the time Close returns. Under -race a job counted
+// after Close's wait also shows as WaitGroup.Add racing Wait.
+func TestCloseWaitsForRacingSubmit(t *testing.T) {
+	tr := shortTrace("racing")
+	for i := 0; i < 20000; i++ {
+		q := New(Config{Workers: 1})
+		var closed atomic.Bool
+		late := make(chan bool, 1)
+		q.OnFinish = func(State, bool) { late <- closed.Load() }
+		submitted := make(chan error, 1)
+		go func() {
+			_, err := q.Submit(tr)
+			submitted <- err
+		}()
+		q.Close()
+		closed.Store(true)
+		if err := <-submitted; err == nil && <-late {
+			t.Fatalf("iteration %d: an accepted job finished after Close returned", i)
+		}
+	}
+}
+
 func TestFinishedEviction(t *testing.T) {
 	q := New(Config{Workers: 2, MaxFinished: 3})
 	defer q.Close()

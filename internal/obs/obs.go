@@ -62,10 +62,7 @@ func (r *Registry) register(f *family) {
 // format (version 0.0.4): HELP and TYPE headers followed by one line per
 // sample.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
-	for _, f := range fams {
+	for _, f := range r.families() {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
@@ -76,6 +73,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// families returns a snapshot of the registered families, so collectors
+// run without the registry lock.
+func (r *Registry) families() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*family(nil), r.fams...)
 }
 
 // formatValue renders a float the way Prometheus expects: shortest exact

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nanometer/internal/device"
+	"nanometer/internal/itrs"
 	"nanometer/internal/render"
 	"nanometer/internal/result"
 	"nanometer/internal/runner"
@@ -60,6 +63,49 @@ func mustEncoding(tb testing.TB, format string, text render.Text) render.Encodin
 		tb.Fatal(err)
 	}
 	return enc
+}
+
+// TestReportLeavesCalibrationsIntact: ForNode hands every caller the
+// Lab's cached device itself, so a caller that wrote to it would corrupt
+// every later model. After a full report computed from an empty cache,
+// each of the base Lab's devices must equal a fresh calibration bit for bit.
+func TestReportLeavesCalibrationsIntact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report render is slow; run without -short")
+	}
+	ResetCache()
+	if _, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: 2}, Artifacts(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := device.NewLab(itrs.Base(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nm := range device.BaseLab().NodesNM() {
+		for _, get := range []func(*device.Lab, int) (*device.Device, error){
+			(*device.Lab).ForNode, (*device.Lab).ForNodePMOS,
+		} {
+			used, err := get(device.BaseLab(), nm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := get(fresh, nm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, w := reflect.ValueOf(used).Elem(), reflect.ValueOf(want).Elem()
+			for i := 0; i < u.NumField(); i++ {
+				same := u.Field(i).Equal(w.Field(i))
+				if u.Field(i).Kind() == reflect.Float64 {
+					same = math.Float64bits(u.Field(i).Float()) == math.Float64bits(w.Field(i).Float())
+				}
+				if !same {
+					t.Errorf("%s: %s is %v after the report, a fresh calibration gives %v",
+						used.Name, u.Type().Field(i).Name, u.Field(i), w.Field(i))
+				}
+			}
+		}
+	}
 }
 
 func TestSelect(t *testing.T) {

@@ -66,7 +66,14 @@ func (t *bodyTable) join(key string) (rec *bodyRecord, leader bool) {
 // its exact length, so the table holds no encoder slack. A failed record
 // leaves the table before done closes, so no later join can find it.
 func (t *bodyTable) finish(key string, rec *bodyRecord, body []byte, err error) {
+	t.settle(key, rec, body, err)
+	close(rec.done)
+}
+
+// settle keeps or drops rec under the table lock and publishes its outcome.
+func (t *bodyTable) settle(key string, rec *bodyRecord, body []byte, err error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	current := t.m[key] == rec
 	if current && err == nil && t.kept < repro.MaxCacheEntries {
 		body = bytes.Clone(body)
@@ -75,8 +82,6 @@ func (t *bodyTable) finish(key string, rec *bodyRecord, body []byte, err error) 
 		delete(t.m, key)
 	}
 	rec.body, rec.err = body, err
-	t.mu.Unlock()
-	close(rec.done)
 }
 
 // entries returns the number of kept bodies.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,6 +125,52 @@ func TestBodyTableFlushRule(t *testing.T) {
 	}
 	if _, leader := tb.join("k"); !leader {
 		t.Fatal("join after a failure did not lead afresh")
+	}
+}
+
+// TestBodyTableRacesReset runs joins and finishes, some failing, against
+// repeated resets under -race. Afterwards the kept count equals the
+// records the table still holds, each finished successfully.
+func TestBodyTableRacesReset(t *testing.T) {
+	tb := newBodyTable()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d", (g*7+i)%16)
+				rec, leader := tb.join(key)
+				if !leader {
+					<-rec.done
+					continue
+				}
+				var err error
+				if i%3 == 0 {
+					err = errors.New("boom")
+				}
+				tb.finish(key, rec, []byte(key), err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			tb.reset()
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	kept := 0
+	for key, rec := range tb.m {
+		if body, ok := rec.ready(); !ok || string(body) != key {
+			t.Errorf("record %s: body %q, ok %v after every finish", key, body, ok)
+		}
+		kept++
+	}
+	if n := tb.entries(); n != kept {
+		t.Fatalf("entries() = %d, the table keeps %d records", n, kept)
 	}
 }
 

@@ -53,45 +53,59 @@ func (g *gate) clamp(n int64) int64 {
 // exactly once; it is nil when Acquire fails).
 func (g *gate) Acquire(ctx context.Context, n int64) (release func(), err error) {
 	n = g.clamp(n)
-	g.mu.Lock()
-	if g.waiters.Len() == 0 && g.cur+n <= g.cap {
-		g.cur += n
-		g.mu.Unlock()
-		return func() { g.release(n) }, nil
+	release = func() { g.release(n) }
+	elem := g.enqueue(n)
+	if elem == nil {
+		return release, nil
 	}
-	w := &gateWaiter{n: n, ready: make(chan struct{})}
-	elem := g.waiters.PushBack(w)
-	g.mu.Unlock()
-
 	select {
-	case <-w.ready:
-		return func() { g.release(n) }, nil
+	case <-elem.Value.(*gateWaiter).ready:
+		return release, nil
 	case <-ctx.Done():
-		g.mu.Lock()
-		select {
-		case <-w.ready:
-			// The grant raced the cancellation; keep it and succeed, so
-			// units are never leaked nor double-counted.
-			g.mu.Unlock()
-			return func() { g.release(n) }, nil
-		default:
+		if g.abandon(elem) {
+			return release, nil
 		}
-		g.waiters.Remove(elem)
-		// Removing a waiter at the head may unblock those behind it.
-		g.notifyLocked()
-		g.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
+// enqueue grants n units at once (nil) when nobody waits and they fit, and
+// otherwise queues a waiter for them and returns its element.
+func (g *gate) enqueue(n int64) *list.Element {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.waiters.Len() == 0 && g.cur+n <= g.cap {
+		g.cur += n
+		return nil
+	}
+	return g.waiters.PushBack(&gateWaiter{n: n, ready: make(chan struct{})})
+}
+
+// abandon withdraws a canceled waiter. It reports true when the grant
+// raced the cancellation and was made first: the waiter keeps it, so units
+// are never leaked nor double-counted.
+func (g *gate) abandon(elem *list.Element) (granted bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-elem.Value.(*gateWaiter).ready:
+		return true
+	default:
+	}
+	g.waiters.Remove(elem)
+	// Removing a waiter at the head may unblock those behind it.
+	g.notifyLocked()
+	return false
+}
+
 func (g *gate) release(n int64) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.cur -= n
 	if g.cur < 0 {
 		panic("serve: gate released more than acquired")
 	}
 	g.notifyLocked()
-	g.mu.Unlock()
 }
 
 // notifyLocked grants queued waiters in FIFO order while capacity lasts.

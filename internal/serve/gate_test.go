@@ -214,6 +214,62 @@ func TestGateNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
+// TestGateCancelRacesGrants cancels queued waiters while a release grants
+// them, under -race. A canceled Acquire either keeps a grant made before it
+// withdrew (and gives it back) or leaves the queue, so held units never
+// exceed the capacity and the gate drains to zero after every round.
+func TestGateCancelRacesGrants(t *testing.T) {
+	const capacity, waiters = 4, 8
+	g := newGate(capacity)
+	var held, peak atomic.Int64
+	for round := 0; round < 100; round++ {
+		hold, err := g.Acquire(context.Background(), capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancels := make([]context.CancelFunc, waiters)
+		var wg sync.WaitGroup
+		for i := range cancels {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancels[i] = cancel
+			wt := int64(1 + i%3)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rel, err := g.Acquire(ctx, wt)
+				if err != nil {
+					return
+				}
+				h := held.Add(wt)
+				for {
+					p := peak.Load()
+					if h <= p || peak.CompareAndSwap(p, h) {
+						break
+					}
+				}
+				runtime.Gosched()
+				held.Add(-wt)
+				rel()
+			}()
+		}
+		waitFor(t, func() bool { return g.Waiting() == waiters })
+		for i := 1; i < waiters; i += 2 {
+			go cancels[i]()
+		}
+		hold()
+		wg.Wait()
+		for _, cancel := range cancels {
+			cancel()
+		}
+		if g.InFlight() != 0 || g.Waiting() != 0 {
+			t.Fatalf("round %d: gate not drained: in-flight=%d waiting=%d", round, g.InFlight(), g.Waiting())
+		}
+	}
+	if p := peak.Load(); p > capacity {
+		t.Fatalf("held units peaked at %d, capacity %d", p, capacity)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
