@@ -206,7 +206,13 @@ func (c *lockChecker) lockMethod(call *ast.CallExpr) (name, mu string) {
 
 // access reports a guarded-field access made without its guard.
 func (c *lockChecker) access(sel *ast.SelectorExpr, held lockSet) {
-	guard, ok := c.guards[c.pass.TypesInfo.Uses[sel.Sel]]
+	obj := c.pass.TypesInfo.Uses[sel.Sel]
+	if v, ok := obj.(*types.Var); ok {
+		// A field of an instantiated generic type is a copy of the
+		// declared field; the guard is recorded on the declaration.
+		obj = v.Origin()
+	}
+	guard, ok := c.guards[obj]
 	if !ok {
 		return
 	}

@@ -126,3 +126,20 @@ func (t *table) mixed(k string) int {
 	defer t.mu.Unlock() // want "t.mu.Unlock\(\) is outside the lock shape"
 	return t.m[k]       // want "t.m is guarded by t.mu, which is not held here"
 }
+
+// memo is generic: its own methods and code naming an instance reach its
+// fields through instantiated types. get is clean, peek and peekInts not.
+type memo[V any] struct {
+	mu sync.Mutex
+	m  map[string]V // guarded by mu
+}
+
+func (t *memo[V]) get(k string) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
+}
+
+func (t *memo[V]) peek(k string) V { return t.m[k] } // want "t.m is guarded by t.mu, which is not held here"
+
+func peekInts(t *memo[int]) int { return t.m["k"] } // want "t.m is guarded by t.mu, which is not held here"

@@ -2,45 +2,31 @@ package repro
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"nanometer/internal/experiments"
+	"nanometer/internal/memo"
 	"nanometer/internal/result"
 )
 
-// cacheState is one generation of the process-wide result cache: the map of
-// once-cells plus the entry count that enforces the size bound. Reset swaps
-// the whole generation atomically, so readers racing a flush either finish
-// against the old generation or start fresh on the new one — never observe
-// a torn map.
-type cacheState struct {
-	m sync.Map // string key → *computeCell
-	n atomic.Int64
-}
-
 // cache memoizes computed artifact results for the life of the process,
-// keyed by artifact ID + compute-options hash. Entries are once-cells (the
-// device.ForNode pattern): concurrent renders of the same artifact share
-// one computation, and every consumer — text, JSON, CSV encoders, the HTTP
-// serving layer — reads the same immutable result.
-var cache atomic.Pointer[cacheState]
-
-func init() { cache.Store(new(cacheState)) }
+// keyed by artifact ID + compute-options hash: concurrent renders of the
+// same artifact share one computation, and every consumer — text, JSON,
+// CSV encoders, the HTTP serving layer — reads the same immutable result.
+var cache = memo.New[*result.Result](MaxCacheEntries)
 
 // MaxCacheEntries bounds the number of distinct (artifact, compute-options)
 // entries the cache will hold. The registry has ~20 artifacts and a handful
 // of legitimate mesh sizes, so the bound is generous — it exists because
 // the serving layer feeds untrusted query strings into Options, and a scan
 // over hostile mesh-n values must not grow the cache without limit. Past
-// the bound, new keys compute uncached (correct, just unmemoized) and are
-// counted in CacheStats.Bypassed.
+// the bound, each new entry evicts the oldest one.
 const MaxCacheEntries = 256
 
 // Cumulative cache telemetry (monotonic across flushes, as scrape-friendly
 // counters must be). hits = served from an existing entry, misses = filled
 // a new entry (from the result store or a fresh compute), bypassed =
-// computed uncached because the bound was reached or NoCache was set.
+// computed uncached because NoCache was set.
 // storeHits/storePuts/storePutErrors track the second-level result store.
 var cacheHits, cacheMisses, cacheBypassed, storeHits, storePuts, storePutErrors atomic.Uint64
 
@@ -48,8 +34,8 @@ var cacheHits, cacheMisses, cacheBypassed, storeHits, storePuts, storePutErrors 
 type CacheStats struct {
 	// Hits and Misses count ComputeCached calls served from / inserted
 	// into the cache; Bypassed counts calls that computed uncached
-	// (NoCache or entry bound reached). All three are cumulative for the
-	// process, surviving ResetCache.
+	// (NoCache). All three are cumulative for the process, surviving
+	// ResetCache.
 	Hits, Misses, Bypassed uint64
 	// StoreHits counts results served from the second-level result store
 	// instead of the solvers; StorePuts counts results whose write landed
@@ -62,6 +48,7 @@ type CacheStats struct {
 
 // ReadCacheStats snapshots the cache counters for /metrics.
 func ReadCacheStats() CacheStats {
+	kept, _ := cache.Len()
 	return CacheStats{
 		Hits:           cacheHits.Load(),
 		Misses:         cacheMisses.Load(),
@@ -69,12 +56,12 @@ func ReadCacheStats() CacheStats {
 		StoreHits:      storeHits.Load(),
 		StorePuts:      storePuts.Load(),
 		StorePutErrors: storePutErrors.Load(),
-		Entries:        int(cache.Load().n.Load()),
+		Entries:        kept,
 	}
 }
 
 // ResultStore is the optional second-level result cache behind the
-// in-memory once-cells: a disk-backed (and typically replica-shared)
+// in-memory cache: a disk-backed (and typically replica-shared)
 // mapping of compute key → result. Get returns a previously stored result
 // or reports a miss; Put persists a freshly computed result. Both must be
 // safe for concurrent use, and both are best-effort — a store failure must
@@ -112,74 +99,29 @@ func loadResultStore() ResultStore {
 	return b.s
 }
 
-type computeCell struct {
-	once sync.Once
-	res  *result.Result
-	err  error
-}
-
 // ComputeCached returns the artifact's typed result, computing it at most
-// once per process for a given compute-options hash. Results are shared and
-// must be treated as immutable by callers. opts.NoCache bypasses the cache
-// entirely.
+// once per process for a given compute-options hash while its entry is
+// kept. Results are shared and must be treated as immutable by callers.
+// opts.NoCache bypasses the cache entirely.
 //
-// A failed compute is NOT memoized: the dead cell is evicted (and the
-// entry count released) as soon as the failure is observed, so concurrent
-// callers share the one failure but the next caller recomputes. This is
-// what keeps a transient error — a full disk, a cancelled dependency —
-// from poisoning the key forever, and it is why the result store can trust
+// A failed compute is NOT memoized: its entry leaves the cache before the
+// callers sharing it see the failure, so the next caller recomputes. A
+// compute that panics fails with the error "panic: <value>". This is what
+// keeps a transient error — a full disk, a cancelled dependency — from
+// poisoning the key forever, and it is why the result store can trust
 // that only successful results ever reach Put.
 func (a Artifact) ComputeCached(opts Options) (*result.Result, error) {
 	if opts.NoCache {
 		cacheBypassed.Add(1)
 		return a.compute(opts)
 	}
-	st := cache.Load()
-	key := a.ID + "\x00" + opts.computeKey()
-	e, ok := st.m.Load(key)
-	if !ok {
-		// Admit a new entry only under the bound. The check-then-store is
-		// approximate under contention (a burst of distinct keys can
-		// overshoot by the number of racing goroutines), which is fine:
-		// the bound defends against unbounded growth, not an exact count.
-		if st.n.Load() >= MaxCacheEntries {
-			// The store still answers past the bound (a restart-warmed
-			// result is cheaper than a solve), but bypassed computes are
-			// not persisted — a hostile key scan must not churn the disk
-			// store the way it cannot grow the memory cache.
-			if res, found := a.storeGet(opts); found {
-				return res, nil
-			}
-			cacheBypassed.Add(1)
-			return a.compute(opts)
-		}
-		var loaded bool
-		e, loaded = st.m.LoadOrStore(key, &computeCell{})
-		if !loaded {
-			st.n.Add(1)
-		}
-	}
-	cell := e.(*computeCell)
-	hit := true
-	cell.once.Do(func() {
-		hit = false
-		cell.res, cell.err = a.fill(opts)
-	})
-	if hit {
-		cacheHits.Add(1)
-	} else {
+	c, leader := cache.Do(a.ID+"\x00"+opts.computeKey(), func() (*result.Result, error) { return a.fill(opts) })
+	if leader {
 		cacheMisses.Add(1)
-		if cell.err != nil {
-			// Evict the dead cell so retries recompute. Only the goroutine
-			// that ran the fill evicts, and CompareAndDelete refuses if the
-			// generation was flushed meanwhile, so the count moves exactly
-			// once per admitted-then-failed entry.
-			if st.m.CompareAndDelete(key, e) {
-				st.n.Add(-1)
-			}
-		}
+	} else {
+		cacheHits.Add(1)
 	}
-	return cell.res, cell.err
+	return c.Result()
 }
 
 // fill produces the value of a fresh cache cell: the result store first
@@ -295,10 +237,10 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // hold across replicas sharing a store too.
 func (o Options) CacheKey() string { return o.computeKey() }
 
-// ResetCache atomically drops every memoized result. Safe to call while
-// computes are in flight: a reader that already holds the old generation
-// finishes against it (and its result simply becomes unreachable); new
-// calls start on the empty generation. The daemon's cache-flush endpoint
-// and benchmarks use this; cumulative hit/miss counters are preserved, and
-// the result store is untouched (it exists to survive exactly this).
-func ResetCache() { cache.Store(new(cacheState)) }
+// ResetCache drops every memoized result. Safe to call while computes are
+// in flight: a compute that started before the reset still answers the
+// callers sharing it, but its result is not kept; new calls start on the
+// empty cache. The daemon's cache-flush endpoint and benchmarks use this;
+// cumulative hit/miss counters are preserved, and the result store is
+// untouched (it exists to survive exactly this).
+func ResetCache() { cache.Reset() }

@@ -1,12 +1,14 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
 
 	"nanometer/internal/device"
 	"nanometer/internal/result"
+	"nanometer/internal/runner"
 )
 
 func mustOne(tb testing.TB, id string) Artifact {
@@ -45,7 +47,7 @@ func TestComputeCachedReturnsSameResult(t *testing.T) {
 }
 
 // TestConcurrentRendersShareOneCompute: many concurrent renders of the same
-// artifact race into the once-cell and all observe the same result.
+// artifact race into one cache entry and all observe the same result.
 func TestConcurrentRendersShareOneCompute(t *testing.T) {
 	ResetCache()
 	a := mustOne(t, "f2")
@@ -111,9 +113,10 @@ func TestResetCacheUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCacheEntryBound: distinct compute keys past MaxCacheEntries compute
-// uncached instead of growing the cache — the defense against hostile
-// mesh-n scans through the serving layer.
+// TestCacheEntryBound: MaxCacheEntries+k distinct compute keys leave the
+// cache at its bound — the defense against hostile mesh-n scans through
+// the serving layer — with the newest key a hit and the first k evicted,
+// so they recompute.
 func TestCacheEntryBound(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
@@ -124,45 +127,68 @@ func TestCacheEntryBound(t *testing.T) {
 		r.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
 		return r, nil
 	}}
-	// Fill the cache with distinct valid mesh sizes (odd, ≥ 5).
-	for i := 0; i < MaxCacheEntries; i++ {
-		if _, err := a.ComputeCached(Options{MeshN: 5 + 2*i}); err != nil {
+	const k = 3
+	// Distinct valid mesh sizes (odd, ≥ 5).
+	meshN := func(i int) int { return 5 + 2*i }
+	for i := 0; i < MaxCacheEntries+k; i++ {
+		if _, err := a.ComputeCached(Options{MeshN: meshN(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := ReadCacheStats()
-	if st.Entries != MaxCacheEntries {
-		t.Fatalf("expected %d entries, got %d", MaxCacheEntries, st.Entries)
-	}
-	// The next distinct key must bypass, not grow the cache...
-	before := calls
-	n := 5 + 2*MaxCacheEntries
-	for i := 0; i < 3; i++ {
-		if _, err := a.ComputeCached(Options{MeshN: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != before+3 {
-		t.Errorf("bypassed keys should recompute every call: %d computes for 3 calls", calls-before)
 	}
 	if got := ReadCacheStats().Entries; got != MaxCacheEntries {
-		t.Errorf("cache grew past the bound: %d entries", got)
+		t.Fatalf("%d entries after %d keys, want the bound %d", got, MaxCacheEntries+k, MaxCacheEntries)
 	}
-	// ...while existing entries still hit.
-	before = calls
-	if _, err := a.ComputeCached(Options{MeshN: 5}); err != nil {
+	before := calls
+	if _, err := a.ComputeCached(Options{MeshN: meshN(MaxCacheEntries + k - 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != before {
-		t.Error("existing entry recomputed while cache full")
+		t.Error("the newest key recomputed instead of hitting")
 	}
-	// Flushing restores admission.
+	for i := 0; i < k; i++ {
+		if _, err := a.ComputeCached(Options{MeshN: meshN(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != before+k {
+		t.Errorf("%d computes for the %d evicted keys, want %d", calls-before, k, k)
+	}
+	if got := ReadCacheStats().Entries; got != MaxCacheEntries {
+		t.Errorf("cache holds %d entries, want the bound %d", got, MaxCacheEntries)
+	}
+}
+
+// TestPanicNotMemoized: a compute that panics once fails with the panic as
+// its error, leaves no entry, and the next call recomputes; a report after
+// it carries the artifact.
+func TestPanicNotMemoized(t *testing.T) {
 	ResetCache()
-	if _, err := a.ComputeCached(Options{MeshN: n}); err != nil {
-		t.Fatal(err)
+	defer ResetCache()
+	calls := 0
+	a := Artifact{ID: "panicprobe", Title: "panic probe", Compute: func(*device.Lab, int) (*result.Result, error) {
+		calls++
+		if calls == 1 {
+			panic("boom")
+		}
+		r := &result.Result{}
+		r.AddTable(&result.Table{Title: "x", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
+		return r, nil
+	}}
+	if _, err := a.ComputeCached(Options{}); err == nil || err.Error() != "panic: boom" {
+		t.Fatalf("panicking compute returned %v, want the error \"panic: boom\"", err)
 	}
-	if got := ReadCacheStats().Entries; got != 1 {
-		t.Errorf("after flush expected 1 entry, got %d", got)
+	if got := ReadCacheStats().Entries; got != 0 {
+		t.Fatalf("panicked compute left %d cache entries, want 0", got)
+	}
+	results, err := ComputeAllCtx(context.Background(), runner.Pool{Workers: 1}, []Artifact{a}, Options{})
+	if err != nil {
+		t.Fatalf("report after the panic: %v", err)
+	}
+	if len(results) != 1 || results[0] == nil || results[0].ID != a.ID {
+		t.Fatalf("report after the panic = %v, want the artifact's result", results)
+	}
+	if calls != 2 {
+		t.Fatalf("model ran %d times, want 2 (the panic, then the recompute)", calls)
 	}
 }
 

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,9 +45,9 @@ func echoText(t *testing.T, a repro.Artifact, meshN int) string {
 	return buf.String()
 }
 
-// TestBodyMemoBounded: a mesh-n scan over more distinct ETags than
-// repro.MaxCacheEntries leaves the memo at its bound, and every response —
-// memoized, past the bound, or repeated — is the right one.
+// TestBodyMemoBounded: a mesh-n scan over repro.MaxCacheEntries+k distinct
+// ETags leaves the memo at its bound, the newest key is a hit, the first k
+// are encoded again, and every response is the right one.
 func TestBodyMemoBounded(t *testing.T) {
 	repro.ResetCache()
 	defer repro.ResetCache()
@@ -59,9 +56,10 @@ func TestBodyMemoBounded(t *testing.T) {
 	s := New(Config{Artifacts: []repro.Artifact{a}})
 	defer s.Close()
 	h := s.Handler()
-	const extra = 10
-	check := func(meshN int) {
+	const k = 10
+	check := func(meshN int) (hit bool) {
 		t.Helper()
+		hits := s.met.bodyCacheHits.Value()
 		target := fmt.Sprintf("/api/v1/artifacts/scan?mesh-n=%d", meshN)
 		rec := get(t, h, target, nil)
 		if rec.Code != 200 {
@@ -70,107 +68,26 @@ func TestBodyMemoBounded(t *testing.T) {
 		if wantBody := echoText(t, a, meshN); rec.Body.String() != wantBody {
 			t.Fatalf("%s body = %q, want %q", target, rec.Body.String(), wantBody)
 		}
+		return s.met.bodyCacheHits.Value() != hits
 	}
-	meshNs := make([]int, repro.MaxCacheEntries+extra)
+	meshNs := make([]int, repro.MaxCacheEntries+k)
 	for i := range meshNs {
 		meshNs[i] = 5 + 2*i
 		check(meshNs[i])
 	}
-	if got := s.bodies.entries(); got != repro.MaxCacheEntries {
-		t.Fatalf("body memo holds %d entries after a %d-key scan, want the bound %d", got, len(meshNs), repro.MaxCacheEntries)
+	if kept, _ := s.bodies.Len(); kept != repro.MaxCacheEntries {
+		t.Fatalf("body memo holds %d entries after a %d-key scan, want the bound %d", kept, len(meshNs), repro.MaxCacheEntries)
 	}
-	// A repeat of the scan's first key is a hit, and a repeat of a key
-	// past the bound is encoded again; both stay correct.
-	hits := s.met.bodyCacheHits.Value()
-	check(meshNs[0])
-	if s.met.bodyCacheHits.Value() != hits+1 {
-		t.Error("repeat of a memoized key was not a body memo hit")
+	if !check(meshNs[len(meshNs)-1]) {
+		t.Error("repeat of the scan's newest key was not a body memo hit")
 	}
-	check(meshNs[len(meshNs)-1])
-	if s.met.bodyCacheHits.Value() != hits+1 {
-		t.Error("repeat of a key past the bound was a body memo hit")
-	}
-	if got := s.bodies.entries(); got != repro.MaxCacheEntries {
-		t.Fatalf("body memo grew to %d entries past its bound", got)
-	}
-}
-
-// TestBodyTableFlushRule: a record in flight when the table is reset still
-// finishes for its waiters but is not kept, and the next join leads afresh.
-// A failed record is not kept either.
-func TestBodyTableFlushRule(t *testing.T) {
-	tb := newBodyTable()
-	rec, leader := tb.join("k")
-	if !leader {
-		t.Fatal("first join did not lead")
-	}
-	if _, leader := tb.join("k"); leader {
-		t.Fatal("a second join led while the first record was in flight")
-	}
-	tb.reset()
-	tb.finish("k", rec, []byte("body"), nil)
-	if body, ok := rec.ready(); !ok || string(body) != "body" {
-		t.Fatalf("waiters of a record finished after a flush got %q, %v", body, ok)
-	}
-	if n := tb.entries(); n != 0 {
-		t.Fatalf("%d bodies kept after a flush, want 0", n)
-	}
-	rec, leader = tb.join("k")
-	if !leader {
-		t.Fatal("join after the flush did not lead afresh")
-	}
-	tb.finish("k", rec, nil, errors.New("boom"))
-	if n := tb.entries(); n != 0 {
-		t.Fatalf("a failed record was kept (%d entries)", n)
-	}
-	if _, leader := tb.join("k"); !leader {
-		t.Fatal("join after a failure did not lead afresh")
-	}
-}
-
-// TestBodyTableRacesReset runs joins and finishes, some failing, against
-// repeated resets under -race. Afterwards the kept count equals the
-// records the table still holds, each finished successfully.
-func TestBodyTableRacesReset(t *testing.T) {
-	tb := newBodyTable()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", (g*7+i)%16)
-				rec, leader := tb.join(key)
-				if !leader {
-					<-rec.done
-					continue
-				}
-				var err error
-				if i%3 == 0 {
-					err = errors.New("boom")
-				}
-				tb.finish(key, rec, []byte(key), err)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			tb.reset()
-			runtime.Gosched()
+	for _, meshN := range meshNs[:k] {
+		if check(meshN) {
+			t.Errorf("repeat of evicted key mesh-n=%d was a body memo hit", meshN)
 		}
-	}()
-	wg.Wait()
-	kept := 0
-	for key, rec := range tb.m {
-		if body, ok := rec.ready(); !ok || string(body) != key {
-			t.Errorf("record %s: body %q, ok %v after every finish", key, body, ok)
-		}
-		kept++
 	}
-	if n := tb.entries(); n != kept {
-		t.Fatalf("entries() = %d, the table keeps %d records", n, kept)
+	if kept, _ := s.bodies.Len(); kept != repro.MaxCacheEntries {
+		t.Fatalf("body memo holds %d entries, want the bound %d", kept, repro.MaxCacheEntries)
 	}
 }
 

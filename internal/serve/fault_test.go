@@ -111,6 +111,19 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 			retry: "/api/v1/artifacts/flaky",
 		},
 		{
+			name: "compute-panic-500",
+			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
+				arts := []repro.Artifact{panickyArtifact()}
+				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
+					rec := get(t, s.Handler(), "/api/v1/artifacts/boom", nil)
+					if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "computing boom: panic: boom") {
+						t.Fatalf("panicking compute = %d (%s), want 500 naming the panic", rec.Code, rec.Body.String())
+					}
+				}
+			},
+			retry: "/api/v1/artifacts/boom",
+		},
+		{
 			name: "report-compute-error-500",
 			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
 				arts := []repro.Artifact{flakyArtifact()}
@@ -445,9 +458,7 @@ func waitBaseline(t *testing.T, s *Server, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.bodies.mu.Lock()
-		records := len(s.bodies.m) - s.bodies.kept
-		s.bodies.mu.Unlock()
+		_, records := s.bodies.Len()
 		inFlight, waiting, goroutines := s.gate.InFlight(), s.gate.Waiting(), runtime.NumGoroutine()
 		if inFlight == 0 && waiting == 0 && records == 0 && goroutines <= baseline {
 			return
@@ -486,4 +497,19 @@ func flakyArtifact() repro.Artifact {
 		r.AddTable(&result.Table{Title: "flaky", Headers: []string{"h"}, Rows: [][]string{{"v"}}})
 		return r, nil
 	}}
+}
+
+// panickyArtifact panics in its first compute and succeeds from then on.
+func panickyArtifact() repro.Artifact {
+	a := flakyArtifact()
+	a.ID, a.Title = "boom", "boom"
+	compute := a.Compute
+	a.Compute = func(lab *device.Lab, meshN int) (*result.Result, error) {
+		res, err := compute(lab, meshN)
+		if err != nil {
+			panic("boom")
+		}
+		return res, nil
+	}
+	return a
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"nanometer/internal/jobs"
+	"nanometer/internal/memo"
 	"nanometer/internal/obs"
 	"nanometer/internal/powergrid"
 	"nanometer/internal/repro"
@@ -35,7 +36,7 @@ type metrics struct {
 	jobsCached    *obs.Counter    // nanoreprod_jobs_cached_total
 }
 
-func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *metrics {
+func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *memo.Table[[]byte]) *metrics {
 	reg := &obs.Registry{}
 	m := &metrics{
 		reg:      reg,
@@ -84,14 +85,14 @@ func newMetrics(g *gate, st *store.Store, q *jobs.Queue, bodies *bodyTable) *met
 		"ComputeCached calls that computed and stored a new entry.",
 		func() float64 { return float64(repro.ReadCacheStats().Misses) })
 	reg.CounterFunc("nanoreprod_cache_bypass_total",
-		"ComputeCached calls that computed uncached (NoCache or entry bound).",
+		"ComputeCached calls that computed uncached (NoCache).",
 		func() float64 { return float64(repro.ReadCacheStats().Bypassed) })
 	reg.GaugeFunc("nanoreprod_cache_entries",
 		"Memoized results currently held by the compute cache.",
 		func() float64 { return float64(repro.ReadCacheStats().Entries) })
 	reg.GaugeFunc("nanoreprod_body_cache_entries",
 		"Encoded response bodies currently kept by the body memo.",
-		func() float64 { return float64(bodies.entries()) })
+		func() float64 { kept, _ := bodies.Len(); return float64(kept) })
 	// The second-level result store: the hit/put counters live in the
 	// compute cache (they move even when the store was installed outside
 	// this server), the footprint gauges come from the store handle.

@@ -10,6 +10,7 @@ import (
 
 	"nanometer/internal/device"
 	jobsvc "nanometer/internal/jobs"
+	"nanometer/internal/memo"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -74,7 +75,7 @@ func TestScrapeScansStoreOnce(t *testing.T) {
 	}
 	q := jobsvc.New(jobsvc.Config{})
 	defer q.Close()
-	m := newMetrics(newGate(8), st, q, newBodyTable())
+	m := newMetrics(newGate(8), st, q, memo.New[[]byte](1))
 	scrape := func() float64 {
 		return testing.AllocsPerRun(20, func() {
 			if err := m.reg.WritePrometheus(io.Discard); err != nil {

@@ -16,10 +16,11 @@
 //     hit rather than a second solve. The gate units stay held until the
 //     model work actually finishes — the gate bounds real solver
 //     concurrency, not merely live handlers.
-//   - One bounded map from body key (the strong ETag) to response body:
-//     identical requests in flight wait on one leader's compute and
-//     encode, and a warm repeat of one representation is a map lookup and
-//     a write, with no gate units, compute goroutine or re-encode.
+//   - One bounded table (internal/memo, the compute cache's own) from
+//     body key (the strong ETag) to response body: identical requests in
+//     flight wait on one leader's compute and encode, and a warm repeat of
+//     one representation is a map lookup and a write, with no gate units,
+//     compute goroutine or re-encode.
 //   - Prometheus metrics (internal/obs) for latency, admission, per-
 //     artifact compute time, the compute cache's hit/miss/bypass counters
 //     and the body memo, plus /debug/pprof.
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	jobsvc "nanometer/internal/jobs"
+	"nanometer/internal/memo"
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
@@ -82,7 +84,7 @@ type Server struct {
 	byID    map[string]repro.Artifact
 	order   []repro.Artifact
 	gate    *gate
-	bodies  *bodyTable
+	bodies  *memo.Table[[]byte]
 	store   *store.Store
 	jobq    *jobsvc.Queue
 	timeout time.Duration
@@ -116,7 +118,7 @@ func New(cfg Config) *Server {
 		byID:    make(map[string]repro.Artifact, len(arts)),
 		order:   arts,
 		gate:    newGate(units),
-		bodies:  newBodyTable(),
+		bodies:  memo.New[[]byte](repro.MaxCacheEntries),
 		timeout: timeout,
 		jobs:    jobs,
 	}
@@ -353,7 +355,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	rec, leader := s.bodies.join(etag)
+	rec, leader := s.bodies.Join(etag)
 	if s.writeKept(w, rec, etag, enc) {
 		return
 	}
@@ -387,7 +389,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// discriminators behind a prefix, so it never equals a quoted
 	// artifact ETag.
 	key := "report:" + etagFor("", opts, enc)
-	rec, leader := s.bodies.join(key)
+	rec, leader := s.bodies.Join(key)
 	if s.writeKept(w, rec, "", enc) {
 		return
 	}
@@ -404,8 +406,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // writeKept answers from rec if it already holds a kept body: no gate
 // units, goroutine, context or encode.
-func (s *Server) writeKept(w http.ResponseWriter, rec *bodyRecord, etag string, enc render.Encoding) bool {
-	body, ok := rec.ready()
+func (s *Server) writeKept(w http.ResponseWriter, rec *memo.Cell[[]byte], etag string, enc render.Encoding) bool {
+	body, ok := rec.Ready()
 	if ok {
 		s.met.bodyCacheHits.Inc()
 		writeBody(w, etag, enc, body)
@@ -423,7 +425,7 @@ func (s *Server) writeKept(w http.ResponseWriter, rec *bodyRecord, etag string, 
 // finishes rec (kept, so the retry is a hit) and the compute lands in the
 // compute cache. The gate units stay held until the work is done,
 // so the gate bounds real solver concurrency, not merely live handlers.
-func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag string, enc render.Encoding, rec *bodyRecord, leader bool,
+func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag string, enc render.Encoding, rec *memo.Cell[[]byte], leader bool,
 	wt int64, produce func(context.Context) ([]byte, error)) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -433,20 +435,22 @@ func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key, etag s
 			// Finish before answering, so followers 503 at once instead of
 			// waiting out their deadlines.
 			s.met.rejected.Inc()
-			s.bodies.finish(key, rec, nil, fmt.Errorf("admission gate wait canceled: %w", err))
+			s.bodies.Finish(key, rec, nil, fmt.Errorf("admission gate wait canceled: %w", err))
 			writeRecord(w, etag, enc, rec)
 			return
 		}
 		go func() {
 			defer release()
 			body, perr := produce(ctx)
-			s.bodies.finish(key, rec, body, perr)
+			// A kept body is copied to its exact length, so the memo
+			// holds no encoder slack.
+			s.bodies.Finish(key, rec, bytes.Clone(body), perr)
 		}()
 	} else {
 		s.met.singleflightShared.Inc()
 	}
 	select {
-	case <-rec.done:
+	case <-rec.Done():
 		writeRecord(w, etag, enc, rec)
 	case <-ctx.Done():
 		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -471,24 +475,25 @@ func clientGone(w http.ResponseWriter) {
 // writeRecord answers with a finished record: its body, or 503 with
 // Retry-After when a context cut the work short (the leader's gate wait,
 // or a report whose leader went away), or 500 for any other failure.
-func writeRecord(w http.ResponseWriter, etag string, enc render.Encoding, rec *bodyRecord) {
+func writeRecord(w http.ResponseWriter, etag string, enc render.Encoding, rec *memo.Cell[[]byte]) {
+	body, err := rec.Result()
 	switch {
-	case rec.err == nil:
-		writeBody(w, etag, enc, rec.body)
-	case errors.Is(rec.err, context.Canceled) || errors.Is(rec.err, context.DeadlineExceeded):
+	case err == nil:
+		writeBody(w, etag, enc, body)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
-		apiError(w, http.StatusServiceUnavailable, "%v", rec.err)
+		apiError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		apiError(w, http.StatusInternalServerError, "%v", rec.err)
+		apiError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
-// handleFlush drops every memoized result and kept body (ResetCache is
-// safe under load — in-flight computes finish against the old generation).
+// handleFlush drops every memoized result and kept body (both resets are
+// safe under load — in-flight work still answers its waiters, unkept).
 func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	before := repro.ReadCacheStats().Entries
 	repro.ResetCache()
-	s.bodies.reset()
+	s.bodies.Reset()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"flushed": true, "entries_dropped": before})
 }

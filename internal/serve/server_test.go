@@ -309,8 +309,8 @@ func TestComputeTimeout(t *testing.T) {
 		t.Fatalf("slow compute = %d, want 504", rec.Code)
 	}
 	// The abandoned compute keeps running into the cache; once it lands,
-	// retries are instant hits. Poll with retries (the once-cell blocks
-	// retries until the original compute completes).
+	// retries are instant hits. Poll with retries (a retry joins the
+	// original compute and waits under its own deadline until it completes).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rec := get(t, h, "/api/v1/artifacts/slowpoke", nil)

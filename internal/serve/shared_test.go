@@ -241,23 +241,38 @@ func TestRetryAfterTimeoutHitsStore(t *testing.T) {
 	arts := []repro.Artifact{counting("slowstore", &computes, 150*time.Millisecond, nil)}
 	s := New(Config{Artifacts: arts, Store: st, Timeout: 30 * time.Millisecond})
 	h := s.Handler()
+	enc, err := render.NewEncoding("text", render.Text{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	before := repro.ReadCacheStats()
 	if rec := get(t, h, "/api/v1/artifacts/slowstore", nil); rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("slow compute = %d, want 504", rec.Code)
 	}
-	// The abandoned compute lands in memory AND on disk.
-	waitFor(t, func() bool { return st.Counters().Puts == 1 })
+	// The abandoned compute lands in memory AND on disk: its leader
+	// persists to the store before the body record finishes.
+	rec, leader := s.bodies.Join(etagFor("slowstore", repro.Options{}, enc))
+	if leader {
+		t.Fatal("the timed-out request left no body record")
+	}
+	<-rec.Done()
+	if _, err := rec.Result(); err != nil {
+		t.Fatalf("the abandoned compute failed: %v", err)
+	}
+	if puts := repro.ReadCacheStats().StorePuts - before.StorePuts; puts != 1 {
+		t.Fatalf("%d store puts once the abandoned compute finished, want 1", puts)
+	}
 	// Restart: memory gone, store persists.
 	repro.ResetCache()
-	s.bodies.reset()
-	rec := get(t, h, "/api/v1/artifacts/slowstore", nil)
-	if rec.Code != 200 {
+	s.bodies.Reset()
+	if rec := get(t, h, "/api/v1/artifacts/slowstore", nil); rec.Code != 200 {
 		t.Fatalf("retry on warm store = %d, want 200", rec.Code)
 	}
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("model ran %d times, want 1 (retry must hit the store)", n)
 	}
-	if st.Counters().Hits == 0 {
-		t.Fatal("retry did not read the store")
+	if hits := repro.ReadCacheStats().StoreHits - before.StoreHits; hits != 1 {
+		t.Fatalf("%d store hits, want 1 (the retry)", hits)
 	}
 }

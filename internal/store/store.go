@@ -17,8 +17,10 @@
 // running forever.
 //
 // Every operation is best-effort by contract (repro.ResultStore): a
-// failure degrades to a miss or a dropped write, counted in Stats, never
-// an error — the caller can always solve locally.
+// failure degrades to a miss or a dropped write, never an error — the
+// caller can always solve locally. The caller counts hits, puts and put
+// errors from the results; the store counts only what the caller cannot
+// see, its evictions and corrupt files.
 package store
 
 import (
@@ -71,17 +73,15 @@ type Store struct {
 	// don't take it (rename atomicity protects them).
 	mu sync.Mutex
 
-	hits, misses, puts, putErrors, evictions, corrupt atomic.Uint64
+	evictions, corrupt atomic.Uint64
 }
 
 // Counters are one store handle's event counts. The directory's
 // footprint, shared across replicas, is Footprint's.
 type Counters struct {
-	// Hits/Misses count Get outcomes; Puts counts completed writes,
-	// PutErrors writes dropped on error; Evictions counts files removed
-	// by the bounds; Corrupt counts files dropped on checksum/decode
-	// failure.
-	Hits, Misses, Puts, PutErrors, Evictions, Corrupt uint64
+	// Evictions counts files removed by the bounds; Corrupt counts files
+	// dropped on checksum/decode failure.
+	Evictions, Corrupt uint64
 }
 
 // Open creates (if needed) and validates the store directory.
@@ -128,27 +128,23 @@ func (s *Store) Get(artifactID, computeKey string) (*result.Result, bool) {
 	path := filepath.Join(s.dir, fileName(artifactID, computeKey))
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		s.misses.Add(1)
 		return nil, false
 	}
 	res, err := decode(raw, artifactID)
 	if err != nil {
 		s.corrupt.Add(1)
-		s.misses.Add(1)
 		os.Remove(path)
 		return nil, false
 	}
-	s.hits.Add(1)
 	return res, true
 }
 
 // Put persists a result under the key: temp file, fsync-free write, atomic
 // rename, then bound enforcement. It reports whether the file landed;
-// failures are counted in Stats and otherwise swallowed.
+// failures are otherwise swallowed.
 func (s *Store) Put(artifactID, computeKey string, res *result.Result) bool {
 	payload, err := json.Marshal(res)
 	if err != nil {
-		s.putErrors.Add(1)
 		return false
 	}
 	var buf bytes.Buffer
@@ -159,22 +155,18 @@ func (s *Store) Put(artifactID, computeKey string, res *result.Result) bool {
 	defer s.mu.Unlock()
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
-		s.putErrors.Add(1)
 		return false
 	}
 	_, werr := tmp.Write(buf.Bytes())
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		s.putErrors.Add(1)
 		return false
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, fileName(artifactID, computeKey))); err != nil {
 		os.Remove(tmp.Name())
-		s.putErrors.Add(1)
 		return false
 	}
-	s.puts.Add(1)
 	s.enforceBoundsLocked()
 	return true
 }
@@ -279,14 +271,7 @@ func (s *Store) enforceBoundsLocked() {
 
 // Counters reads the handle's counters without touching the directory.
 func (s *Store) Counters() Counters {
-	return Counters{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Puts:      s.puts.Load(),
-		PutErrors: s.putErrors.Load(),
-		Evictions: s.evictions.Load(),
-		Corrupt:   s.corrupt.Load(),
-	}
+	return Counters{Evictions: s.evictions.Load(), Corrupt: s.corrupt.Load()}
 }
 
 // Footprint scans the directory once and returns its result-file count
