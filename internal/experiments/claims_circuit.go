@@ -11,6 +11,7 @@ import (
 	"nanometer/internal/netlist"
 	"nanometer/internal/resize"
 	"nanometer/internal/result"
+	"nanometer/internal/runner"
 	"nanometer/internal/sta"
 )
 
@@ -123,15 +124,22 @@ func CVS(lab *device.Lab, _ int) (*result.Result, error) {
 	// path_utilization is the fraction of POs arriving before half the
 	// period (the paper: over half in high-end MPUs).
 	util := sta.Analyze(c).PathUtilization(c, 0.5)
-	clustered, err := cvs.Assign(c.Clone(), cvs.DefaultOptions())
+	var clustered, unclustered *cvs.Result
+	err = runner.Parallel(func() (err error) {
+		if clustered, err = cvs.Assign(c.Clone(), cvs.DefaultOptions()); err != nil {
+			return fmt.Errorf("experiments: clustered CVS: %w", err)
+		}
+		return nil
+	}, func() (err error) {
+		opts := cvs.DefaultOptions()
+		opts.Clustering = false
+		if unclustered, err = cvs.Assign(c.Clone(), opts); err != nil {
+			return fmt.Errorf("experiments: unclustered CVS: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: clustered CVS: %w", err)
-	}
-	opts := cvs.DefaultOptions()
-	opts.Clustering = false
-	unclustered, err := cvs.Assign(c.Clone(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: unclustered CVS: %w", err)
+		return nil, err
 	}
 	cl := &result.Claim{}
 	cl.Num("low_vdd_ratio", s.LowVddRatio, "").
@@ -163,11 +171,14 @@ func DualVth(lab *device.Lab, _ int) (*result.Result, error) {
 		return nil, err
 	}
 	c2 := c1.Clone()
-	sens, err := dualvth.Assign(c1, dualvth.Options{})
-	if err != nil {
-		return nil, err
-	}
-	slack, err := dualvth.Assign(c2, dualvth.Options{Order: dualvth.BySlack})
+	var sens, slack *dualvth.Result
+	err = runner.Parallel(func() (err error) {
+		sens, err = dualvth.Assign(c1, dualvth.Options{})
+		return err
+	}, func() (err error) {
+		slack, err = dualvth.Assign(c2, dualvth.Options{Order: dualvth.BySlack})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -192,25 +203,31 @@ func ResizeVsVdd(lab *device.Lab, _ int) (*result.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rzC := base.Clone()
-	rz, err := resize.Downsize(rzC, resize.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	comb, err := core.RunFlow(base.Clone())
+	// The stand-alone resize, and after it CVS on the downsized netlist
+	// (the paper's sub-optimality observation), run beside the combined
+	// flow; the two share nothing but the read-only base.
+	var rz *resize.Result
+	var comb *core.FlowResult
+	var afterResize *cvs.Result
+	err = runner.Parallel(func() (err error) {
+		rzC := base.Clone()
+		if rz, err = resize.Downsize(rzC, resize.DefaultOptions()); err != nil {
+			return err
+		}
+		// rzC is the downsized netlist; sizing is deterministic, so a second
+		// run on a fresh clone would only repeat it.
+		afterResize, err = cvs.Assign(rzC, cvs.DefaultOptions())
+		return err
+	}, func() (err error) {
+		comb, err = core.RunFlow(base.Clone())
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	// The flow's first stage is CVS with default options at 1/period on a
 	// clean clone, which is exactly the stand-alone CVS observation.
 	cvsOnSame := comb.CVS
-	// Resize first, then CVS: the paper's sub-optimality observation. The
-	// downsized netlist is rzC's; sizing is deterministic, so a second run
-	// on a fresh clone would only repeat it.
-	afterResize, err := cvs.Assign(rzC.Clone(), cvs.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
 	cl := &result.Claim{}
 	cl.Num("resize_size_reduction", rz.SizeReduction, "").
 		Num("resize_dynamic_saving", rz.DynamicSaving, "").

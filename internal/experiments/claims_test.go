@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"nanometer/internal/device"
 	"nanometer/internal/itrs"
+	"nanometer/internal/render"
 	"nanometer/internal/repeater"
 	"nanometer/internal/resize"
+	"nanometer/internal/result"
 	"nanometer/internal/units"
 	"nanometer/internal/wire"
 )
@@ -243,6 +247,32 @@ func TestClaimResizeVsVdd(t *testing.T) {
 	if after, first := num(t, c, "assigned_after_resize"), num(t, c, "cvs_assigned_fraction"); after >= first {
 		t.Fatalf("resize-then-CVS (%.0f%%) must reach fewer gates than CVS-first (%.0f%%)",
 			after*100, first*100)
+	}
+}
+
+// TestForkedPassesIndependentOfGOMAXPROCS: c3–c6 run their independent
+// optimizer passes on goroutines of their own, each on its own clone, and
+// join them in a fixed order, so their findings are byte for byte the same
+// JSON on one core as on four.
+func TestForkedPassesIndependentOfGOMAXPROCS(t *testing.T) {
+	arts := []func(*device.Lab, int) (*result.Result, error){Library, CVS, DualVth, ResizeVsVdd}
+	encodeAt := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make([]string, len(arts))
+		for i, a := range arts {
+			var b strings.Builder
+			if err := (render.JSON{}).Encode(&b, run(t, a)); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
+		}
+		return out
+	}
+	one, four := encodeAt(1), encodeAt(4)
+	for i := range arts {
+		if one[i] != four[i] {
+			t.Errorf("c%d findings differ between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", i+3, one[i], four[i])
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"nanometer/internal/netlist"
 	"nanometer/internal/power"
+	"nanometer/internal/runner"
 	"nanometer/internal/sta"
 )
 
@@ -136,17 +137,24 @@ func snapUp(lib Library, s float64) float64 {
 }
 
 // CompareLibraries runs the same base circuit through each library, with
-// power at 1/period. The base circuit is not modified; each run works on a
-// clone.
+// power at 1/period. The base circuit is not modified: each library sizes
+// a clone of its own, on a goroutine of its own, and the results come back
+// in the order of libs.
 func CompareLibraries(base *netlist.Circuit, libs []Library) ([]*Result, error) {
-	out := make([]*Result, 0, len(libs))
-	for _, lib := range libs {
-		c := base.Clone()
-		r, err := SizeWithLibrary(c, lib, 0)
-		if err != nil {
-			return nil, fmt.Errorf("libopt: %s: %w", lib.Name, err)
+	out := make([]*Result, len(libs))
+	runs := make([]func() error, len(libs))
+	for i, lib := range libs {
+		runs[i] = func() error {
+			r, err := SizeWithLibrary(base.Clone(), lib, 0)
+			if err != nil {
+				return fmt.Errorf("libopt: %s: %w", lib.Name, err)
+			}
+			out[i] = r
+			return nil
 		}
-		out = append(out, r)
+	}
+	if err := runner.Parallel(runs...); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,11 +3,14 @@
 // bounded worker pool while preserving the deterministic output order of a
 // serial run: every job writes to its own buffer, and buffers are released
 // to the sink strictly in submission order. One failed job does not abort
-// the others; per-job errors are collected and reported together.
+// the others; per-job errors are collected and reported together. Parallel
+// is the same isolation one level down: the fork-join of the independent
+// passes inside one artifact.
 package runner
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -86,7 +89,7 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 					results[i] = Result{ID: jobs[i].ID, Err: err}
 				} else {
 					var buf bytes.Buffer
-					err := runJob(jobs[i], &buf)
+					err := protect(func() error { return jobs[i].Run(&buf) })
 					results[i] = Result{ID: jobs[i].ID, Output: buf.Bytes(), Err: err}
 				}
 				close(done[i])
@@ -110,14 +113,34 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 	return results, sinkErr
 }
 
-// runJob invokes the job with panic recovery.
-func runJob(j Job, w io.Writer) (err error) {
+// Parallel runs each fn on its own goroutine and returns once every one of
+// them has returned: the fork-join of an artifact's independent optimizer
+// passes, each on a clone of its own. A panic in fn becomes fn's error,
+// worded as a job's ("panic: <v>"), so a crashing pass cannot take the
+// process down from a goroutine that no caller recovers. The result is the
+// first non-nil error in argument order, whichever fn finished first.
+func Parallel(fns ...func() error) error {
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	for i, fn := range fns {
+		go func() {
+			defer wg.Done()
+			errs[i] = protect(fn)
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
+}
+
+// protect calls fn and turns a panic into the error "panic: <v>".
+func protect(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return j.Run(w)
+	return fn()
 }
 
 // Errs aggregates the per-job failures of a run into a single error (nil if

@@ -252,3 +252,43 @@ func waitGoroutines(t *testing.T, want int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestParallelJoinsEveryFn: Parallel returns only once every fn has
+// returned; a panic becomes that fn's "panic: <v>" error while its siblings
+// run on to their end; and the error it returns is the first in argument
+// order, not the first to happen. No goroutine outlives the call.
+func TestParallelJoinsEveryFn(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	if err := Parallel(); err != nil {
+		t.Fatalf("Parallel() = %v, want nil", err)
+	}
+	panicked := make(chan struct{})
+	var finished atomic.Int64
+	sibling := func() error {
+		<-panicked
+		time.Sleep(5 * time.Millisecond)
+		finished.Add(1)
+		return nil
+	}
+	boom := func() error {
+		defer close(panicked)
+		panic("kaboom")
+	}
+	if err := Parallel(sibling, boom, sibling); err == nil || err.Error() != "panic: kaboom" {
+		t.Fatalf("Parallel with a panicking fn = %v, want \"panic: kaboom\"", err)
+	}
+	if got := finished.Load(); got != 2 {
+		t.Fatalf("Parallel returned with %d of 2 siblings finished", got)
+	}
+	waitGoroutines(t, baseline)
+
+	// The later error in argument order loses to the earlier one, although
+	// it happens first.
+	first, second := errors.New("first"), errors.New("second")
+	happened := make(chan struct{})
+	err := Parallel(func() error { <-happened; return first }, func() error { defer close(happened); return second })
+	if err != first {
+		t.Fatalf("Parallel = %v, want the first fn's error %v", err, first)
+	}
+	waitGoroutines(t, baseline)
+}

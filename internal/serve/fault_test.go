@@ -21,6 +21,7 @@ import (
 	"nanometer/internal/render"
 	"nanometer/internal/repro"
 	"nanometer/internal/result"
+	"nanometer/internal/runner"
 	"nanometer/internal/store"
 )
 
@@ -122,6 +123,22 @@ func TestFaultPathsReturnToBaseline(t *testing.T) {
 				}
 			},
 			retry: "/api/v1/artifacts/boom",
+		},
+		{
+			// The panic happens on a goroutine the compute forked, which
+			// neither the compute cache nor the leader's recover can see:
+			// runner.Parallel must turn it into the compute's error.
+			name: "forked-pass-panic-500",
+			setup: func(t *testing.T) ([]repro.Artifact, func(*testing.T, *Server, *httptest.Server)) {
+				arts := []repro.Artifact{forkPanickyArtifact()}
+				return arts, func(t *testing.T, s *Server, _ *httptest.Server) {
+					rec := get(t, s.Handler(), "/api/v1/artifacts/forkboom", nil)
+					if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "computing forkboom: panic: boom") {
+						t.Fatalf("panicking forked pass = %d (%s), want 500 naming the panic", rec.Code, rec.Body.String())
+					}
+				}
+			},
+			retry: "/api/v1/artifacts/forkboom",
 		},
 		{
 			name: "report-compute-error-500",
@@ -510,6 +527,29 @@ func panickyArtifact() repro.Artifact {
 			panic("boom")
 		}
 		return res, nil
+	}
+	return a
+}
+
+// forkPanickyArtifact runs panickyArtifact's compute as one of two forked
+// passes, so its first compute panics off the compute's own goroutine; the
+// sibling pass waits for the panic and finishes after it.
+func forkPanickyArtifact() repro.Artifact {
+	a := panickyArtifact()
+	a.ID, a.Title = "forkboom", "forkboom"
+	compute := a.Compute
+	a.Compute = func(lab *device.Lab, meshN int) (*result.Result, error) {
+		var res *result.Result
+		done := make(chan struct{})
+		err := runner.Parallel(func() (err error) {
+			defer close(done)
+			res, err = compute(lab, meshN)
+			return err
+		}, func() error {
+			<-done
+			return nil
+		})
+		return res, err
 	}
 	return a
 }
