@@ -87,7 +87,8 @@ func NewTableIn(lab *device.Lab, nodeNM, n int, loFrac, logicDepth float64) (*Ta
 		p.RelPower = (p.FreqHz * p.Vdd * p.Vdd) / (top.FreqHz * top.Vdd * top.Vdd)
 		p.EnergyPerWork = (p.Vdd * p.Vdd) / (top.Vdd * top.Vdd)
 	}
-	// PointForUtilization's binary search relies on this ordering.
+	// PointForUtilization's count of covering points relies on this
+	// ordering.
 	for i := 1; i < n; i++ {
 		if !(t.Points[i].RelSpeed < t.Points[i-1].RelSpeed) {
 			return nil, fmt.Errorf("dvfs: relative speed %g at %g V does not fall below %g at %g V",
@@ -101,22 +102,21 @@ func NewTableIn(lab *device.Lab, nodeNM, n int, loFrac, logicDepth float64) (*Ta
 // demanded utilization (fraction of full-speed work per interval): the last
 // point with RelSpeed ≥ u − 1e-12, or the top point when none covers it.
 // RelSpeed strictly descends, so the covering points are a prefix of the
-// table and a binary search finds its end.
+// table and their count k ends it. The count is branch-free: each point
+// adds its comparison's outcome, which the compiler sets with a flag
+// instruction, so a utilization that changes every interval costs no
+// mispredicted branches. A NaN u is covered by no point.
 func (t *Table) PointForUtilization(u float64) OperatingPoint {
 	need := u - 1e-12
-	lo, hi := 0, len(t.Points)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if t.Points[m].RelSpeed >= need {
-			lo = m + 1
-		} else {
-			hi = m
+	k := 0
+	for i := range t.Points {
+		c := 0
+		if t.Points[i].RelSpeed >= need {
+			c = 1
 		}
+		k += c
 	}
-	if lo == 0 {
-		return t.Points[0]
-	}
-	return t.Points[lo-1]
+	return t.Points[max(k-1, 0)]
 }
 
 // EnergyVsThrottling compares the two §2.1 responses delivering the same

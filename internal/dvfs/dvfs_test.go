@@ -30,7 +30,7 @@ func TestNewTableErrors(t *testing.T) {
 		t.Fatalf("unknown node must error")
 	}
 	// Supplies 1e-13 apart give the same clock: speed no longer strictly
-	// descends, which PointForUtilization's search cannot accept.
+	// descends, which PointForUtilization's count cannot accept.
 	if _, err := NewTableIn(device.BaseLab(), 100, 1000, 1-1e-13, 0); err == nil || !strings.Contains(err.Error(), "does not fall below") {
 		t.Fatalf("flat speed must error, got %v", err)
 	}
@@ -101,8 +101,9 @@ func TestPointForUtilization(t *testing.T) {
 }
 
 // TestTablesDescendInSpeed: every base node's table (the shape the trace
-// simulator builds) is strictly descending in RelSpeed, the invariant the
-// binary search in PointForUtilization relies on and NewTableIn checks.
+// simulator builds) is strictly descending in RelSpeed, the invariant that
+// makes the covering points a prefix, so that PointForUtilization can count
+// them, and that NewTableIn checks.
 func TestTablesDescendInSpeed(t *testing.T) {
 	lab := device.BaseLab()
 	for _, nm := range lab.NodesNM() {
@@ -121,10 +122,13 @@ func TestTablesDescendInSpeed(t *testing.T) {
 	}
 }
 
-// TestPointForUtilizationMatchesScan pins the binary search to the linear
-// scan it replaced (the last point with RelSpeed ≥ u − 1e-12, else the top
-// point) on a dense grid of u that hits every RelSpeed exactly, ±1e-12
-// around it, and u outside [0, 1].
+// TestPointForUtilizationMatchesScan pins the count of covering points to
+// the linear scan it stands for (the last point with RelSpeed ≥ u − 1e-12,
+// else the top point) on 2-, 8- and 32-point tables of every node, over a
+// dense grid of u that hits every RelSpeed exactly and ±1e-12 around it,
+// every threshold RelSpeed + 1e-12 with the three floats on either side of
+// it, u outside [0, 1], ±0, ±Inf and NaN (covered by no point: the top
+// point).
 func TestPointForUtilizationMatchesScan(t *testing.T) {
 	scan := func(tb *Table, u float64) OperatingPoint {
 		best := tb.Points[0]
@@ -137,23 +141,36 @@ func TestPointForUtilizationMatchesScan(t *testing.T) {
 	}
 	lab := device.BaseLab()
 	for _, nm := range lab.NodesNM() {
-		tb, err := NewTableIn(lab, nm, 8, 0.5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		us := []float64{-1, -1e-12, 0, 1, 1 + 1e-13, 1 + 1e-12, 1 + 2e-12, 1.5, math.Inf(1), math.Inf(-1), math.NaN()}
-		for i := -100; i <= 1100; i++ {
-			us = append(us, float64(i)/1000)
-		}
-		for _, p := range tb.Points {
-			for _, d := range []float64{-2e-12, -1e-12, -5e-13, 0, 5e-13, 1e-12, 2e-12} {
-				us = append(us, p.RelSpeed+d)
+		for _, n := range []int{2, 8, 32} {
+			tb, err := NewTableIn(lab, nm, n, 0.5, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			us = append(us, math.Nextafter(p.RelSpeed+1e-12, 0), math.Nextafter(p.RelSpeed+1e-12, 2))
-		}
-		for _, u := range us {
-			if got, want := tb.PointForUtilization(u), scan(tb, u); got != want {
-				t.Fatalf("%d nm, u = %v: point at %g V, scan picks %g V", nm, u, got.Vdd, want.Vdd)
+			if got := tb.PointForUtilization(math.NaN()); got != tb.Points[0] {
+				t.Fatalf("%d nm, %d points: NaN picks the point at %g V, want the top point", nm, n, got.Vdd)
+			}
+			us := []float64{-1, -1e-12, math.Copysign(0, -1), 0, 1, 1 + 1e-13, 1 + 1e-12, 1 + 2e-12, 1.5,
+				math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+			for i := -100; i <= 1100; i++ {
+				us = append(us, float64(i)/1000)
+			}
+			for _, p := range tb.Points {
+				for _, d := range []float64{-2e-12, -1e-12, -5e-13, 0, 5e-13, 2e-12} {
+					us = append(us, p.RelSpeed+d)
+				}
+				// The threshold itself and the floats next to it: the
+				// comparison flips within these ulps.
+				below, above := p.RelSpeed+1e-12, p.RelSpeed+1e-12
+				us = append(us, below)
+				for k := 0; k < 3; k++ {
+					below, above = math.Nextafter(below, math.Inf(-1)), math.Nextafter(above, math.Inf(1))
+					us = append(us, below, above)
+				}
+			}
+			for _, u := range us {
+				if got, want := tb.PointForUtilization(u), scan(tb, u); got != want {
+					t.Fatalf("%d nm, %d points, u = %v: point at %g V, scan picks %g V", nm, n, u, got.Vdd, want.Vdd)
+				}
 			}
 		}
 	}

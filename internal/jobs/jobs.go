@@ -7,9 +7,10 @@
 //
 // Lifecycle: queued → running → done | failed | canceled. A queued job
 // canceled before it reaches a worker slot goes straight to canceled; a
-// running job's context is checked by the simulator every control
-// interval, so Cancel stops real work within one interval and the Admit
-// release (gate capacity) is returned immediately after.
+// running job's context is checked by the simulator after every progress
+// chunk and before every block of its series, so Cancel stops real work
+// within one block of at most 4096 intervals, and the Admit release (gate
+// capacity) is returned immediately after.
 package jobs
 
 import (
@@ -343,7 +344,8 @@ func (q *Queue) Stats() (active, retained int) {
 }
 
 // Cancel cancels a job. Queued jobs go terminal without running; running
-// jobs stop within one simulated control interval. Canceling a terminal
+// jobs stop within one block of at most 4096 simulated intervals (see
+// trace.Run). Canceling a terminal
 // job is a no-op. Returns false for unknown IDs.
 func (q *Queue) Cancel(id string) bool {
 	j, ok := q.Get(id)

@@ -113,22 +113,29 @@ func (p Pool) RunToContext(ctx context.Context, sink io.Writer, jobs []Job) ([]R
 	return results, sinkErr
 }
 
-// Parallel runs each fn on its own goroutine and returns once every one of
-// them has returned: the fork-join of an artifact's independent optimizer
-// passes, each on a clone of its own. A panic in fn becomes fn's error,
-// worded as a job's ("panic: <v>"), so a crashing pass cannot take the
-// process down from a goroutine that no caller recovers. The result is the
-// first non-nil error in argument order, whichever fn finished first.
+// Parallel runs every fn but the last on a goroutine of its own and the
+// last on the caller's, and returns once every one of them has returned:
+// the fork-join of an artifact's independent optimizer passes, each on a
+// clone of its own. A panic in fn becomes fn's error, worded as a job's
+// ("panic: <v>"): a crashing pass on a forked goroutine cannot take the
+// process down, and one on the caller's cannot unwind it before its
+// siblings are joined. The result is the first non-nil error in argument
+// order, whichever fn finished first.
 func Parallel(fns ...func() error) error {
+	if len(fns) == 0 {
+		return nil
+	}
 	errs := make([]error, len(fns))
+	last := len(fns) - 1
 	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for i, fn := range fns {
+	wg.Add(last)
+	for i, fn := range fns[:last] {
 		go func() {
 			defer wg.Done()
 			errs[i] = protect(fn)
 		}()
 	}
+	errs[last] = protect(fns[last])
 	wg.Wait()
 	return cmp.Or(errs...)
 }

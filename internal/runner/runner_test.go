@@ -255,32 +255,40 @@ func waitGoroutines(t *testing.T, want int) {
 
 // TestParallelJoinsEveryFn: Parallel returns only once every fn has
 // returned; a panic becomes that fn's "panic: <v>" error while its siblings
-// run on to their end; and the error it returns is the first in argument
-// order, not the first to happen. No goroutine outlives the call.
+// run on to their end, whether it happens on a forked goroutine or in the
+// last fn, which runs on the caller's; and the error it returns is the
+// first in argument order, not the first to happen. No goroutine outlives
+// the call.
 func TestParallelJoinsEveryFn(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	if err := Parallel(); err != nil {
 		t.Fatalf("Parallel() = %v, want nil", err)
 	}
-	panicked := make(chan struct{})
-	var finished atomic.Int64
-	sibling := func() error {
-		<-panicked
-		time.Sleep(5 * time.Millisecond)
-		finished.Add(1)
-		return nil
+	for _, at := range []string{"forked", "inline"} {
+		panicked := make(chan struct{})
+		var finished atomic.Int64
+		sibling := func() error {
+			<-panicked
+			time.Sleep(5 * time.Millisecond)
+			finished.Add(1)
+			return nil
+		}
+		boom := func() error {
+			defer close(panicked)
+			panic("kaboom")
+		}
+		fns := []func() error{sibling, boom, sibling}
+		if at == "inline" {
+			fns = []func() error{sibling, sibling, boom}
+		}
+		if err := Parallel(fns...); err == nil || err.Error() != "panic: kaboom" {
+			t.Fatalf("%s: Parallel with a panicking fn = %v, want \"panic: kaboom\"", at, err)
+		}
+		if got := finished.Load(); got != 2 {
+			t.Fatalf("%s: Parallel returned with %d of 2 siblings finished", at, got)
+		}
+		waitGoroutines(t, baseline)
 	}
-	boom := func() error {
-		defer close(panicked)
-		panic("kaboom")
-	}
-	if err := Parallel(sibling, boom, sibling); err == nil || err.Error() != "panic: kaboom" {
-		t.Fatalf("Parallel with a panicking fn = %v, want \"panic: kaboom\"", err)
-	}
-	if got := finished.Load(); got != 2 {
-		t.Fatalf("Parallel returned with %d of 2 siblings finished", got)
-	}
-	waitGoroutines(t, baseline)
 
 	// The later error in argument order loses to the earlier one, although
 	// it happens first.

@@ -20,7 +20,8 @@ func jobWeight(tr *trace.Trace) int64 {
 
 // cancelGrace bounds how long DELETE waits for the canceled job to reach
 // its terminal state. The simulator observes cancellation within one
-// control interval, so this is comfortably long; it exists so a DELETE
+// block of at most 4096 intervals, well under a millisecond of
+// simulation, so this is comfortably long; it exists so a DELETE
 // response reports the settled state (and freed gate units) rather than a
 // snapshot mid-teardown.
 const cancelGrace = 5 * time.Second
@@ -160,7 +161,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobCancel is DELETE /api/v1/jobs/{id}. Cancellation reaches a
-// running simulation within one control interval; the handler waits (up
+// running simulation within one block of intervals; the handler waits (up
 // to cancelGrace) for the terminal state so the response reports the
 // settled job — gate units already released. Canceling a terminal job is
 // an idempotent no-op answering its current snapshot.

@@ -161,8 +161,8 @@ func TestJobsE2E(t *testing.T) {
 }
 
 // TestJobsCancelReleasesGate pins the acceptance contract: a running
-// job's DELETE cancels it within one control interval and the job's gate
-// units return to the pool.
+// job's DELETE cancels it within cancelGrace (the simulator stops within
+// one block of intervals) and the job's gate units return to the pool.
 func TestJobsCancelReleasesGate(t *testing.T) {
 	srv := New(Config{JobWorkers: 1, GateUnits: 64})
 	defer srv.Close()
@@ -202,7 +202,7 @@ func TestJobsCancelReleasesGate(t *testing.T) {
 		t.Fatalf("DELETE = %d, state %s", resp.StatusCode, settled.State)
 	}
 	if waited := time.Since(start); waited > cancelGrace {
-		t.Fatalf("DELETE took %v, cancellation did not land within a control interval", waited)
+		t.Fatalf("DELETE took %v, cancellation did not land within cancelGrace", waited)
 	}
 	if settled.Progress == nil || settled.Progress.Done >= settled.Progress.Total {
 		t.Fatalf("canceled job progress %+v, want partial", settled.Progress)

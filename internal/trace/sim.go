@@ -226,9 +226,12 @@ func (s *sim) emit(a *tally, i int, p float64, onChunk func(Progress)) {
 // briefly use two cores. Run stops that goroutine and waits for it to
 // exit before it returns, on every path.
 //
-// ctx is checked every control interval, so cancellation (a job DELETE, a
-// dropped stream) stops the simulation within one interval of simulated
-// work. A canceled run returns ctx's error and no result. A failed
+// ctx is checked after every progress chunk and before every block of the
+// series, so cancellation (a job DELETE, a dropped stream) stops the
+// simulation within min(stride, blockLen) intervals of simulated work,
+// stride being the intervals per chunk; a cancel raised inside onChunk
+// stops it before the next interval, and no chunk follows that one. A
+// canceled run returns ctx's error and no result. A failed
 // assertion is not an error: it becomes a failed check on the result's
 // claim findings (Result.FailedChecks surfaces them).
 func (t *Trace) Run(ctx context.Context, onChunk func(Progress)) (*result.Result, error) {
@@ -286,9 +289,12 @@ func (s *sim) produce() (full <-chan []float64, free chan<- []float64, stop func
 // factor, the governor's thresholds and ctx's done channel. The plant
 // temperature and the governor's operating point live in locals, and the
 // energy term is memoized on the last utilization (the virus's is
-// constant). Each interval still polls the done channel and repeats the
-// arithmetic in the same order, so the result is bit-identical to
-// evaluating everything per interval.
+// constant). Each interval repeats the arithmetic in the same order, so the
+// result is bit-identical to evaluating everything per interval.
+//
+// ctx is not polled per interval but after each chunk is emitted and
+// before each block is taken, first on its own there, so that a block
+// already filled cannot win the select against an earlier cancel.
 func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 	full, free, stop := s.produce()
 	defer stop()
@@ -317,6 +323,9 @@ func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 		decay = math.Exp(-dt / tau)
 	}
 	for i := 0; i < s.total; {
+		if err := ctx.Err(); err != nil {
+			return tally{}, err
+		}
 		var blk []float64
 		select {
 		case <-cancel:
@@ -324,11 +333,6 @@ func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 		case blk = <-full:
 		}
 		for _, d := range blk {
-			select {
-			case <-cancel:
-				return tally{}, ctx.Err()
-			default:
-			}
 			fs, vs := fsCool, vsCool
 			if sensor.Read(temp) {
 				fs, vs = fsOver, vsOver
@@ -377,6 +381,9 @@ func (s *sim) run(ctx context.Context, onChunk func(Progress)) (tally, error) {
 				countdown = s.stride
 				plant.TempC = temp
 				s.emit(&a, i, p, onChunk)
+				if err := ctx.Err(); err != nil {
+					return tally{}, err
+				}
 			}
 			i++
 		}

@@ -207,9 +207,10 @@ func TestRunAssertions(t *testing.T) {
 	}
 }
 
-// TestRunCancel pins the cancellation contract: a canceled run stops within
-// one control interval — observed as a prompt error, no result, and a
-// progress stream cut short of the total.
+// TestRunCancel pins the cancellation contract end to end, through Run: a
+// run canceled from its progress callback stops at once — observed as a
+// prompt error, no result, and a progress stream cut short of the total.
+// TestRunCancelInChunk and TestRunCancelBound pin where it stops.
 func TestRunCancel(t *testing.T) {
 	tr := MustParse(`{"name":"long","dt_seconds":0.01,"generator":{"kind":"workload","intervals":40000000}}`)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -230,6 +231,77 @@ func TestRunCancel(t *testing.T) {
 	}
 	if last.Done >= last.Total {
 		t.Fatalf("run completed (%d/%d) despite cancellation", last.Done, last.Total)
+	}
+}
+
+// TestRunCancelInChunk pins that a cancel raised inside onChunk lands
+// before the next interval: the run returns context.Canceled, and the
+// chunk that canceled is the last one delivered, whether it is the first
+// chunk, one in the middle of a block (40 000 intervals chunk every 79, so
+// the next check at a block edge would come about 50 chunks later) or the
+// final one.
+func TestRunCancelInChunk(t *testing.T) {
+	tr := MustParse(`{"name":"chunky","dt_seconds":0.01,"generator":{"kind":"workload","intervals":40000}}`)
+	var all []Progress
+	if _, err := tr.Run(context.Background(), func(p Progress) { all = append(all, p) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 7, len(all)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var got []Progress
+		res, err := tr.Run(ctx, func(p Progress) {
+			if got = append(got, p); len(got) == k {
+				cancel()
+			}
+		})
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel in chunk %d: run returned res=%v err=%v, want context.Canceled", k, res, err)
+		}
+		if len(got) != k || got[k-1] != all[k-1] {
+			t.Fatalf("cancel in chunk %d (done %d): %d chunks delivered, the last at done %d",
+				k, all[k-1].Done, len(got), got[len(got)-1].Done)
+		}
+	}
+}
+
+// TestRunCancelBound pins how far a run goes past a cancel raised outside
+// it. The filler cancels while it fills block 3, so the loop takes that
+// block only after the cancel and stops there: no interval of block 3
+// runs, and the last chunk delivered is within the first two blocks. With
+// 8 M intervals a chunk covers 15 625 intervals, more than two blocks, so
+// only the check before each block can stop the run there; a run that
+// checked only per chunk would deliver the chunk at 15 625. Block 3 is
+// ready by the time the loop asks for it, so a select that watched the
+// cancel and the block together would take it half the time; the run is
+// repeated so that such a loop fails.
+func TestRunCancelBound(t *testing.T) {
+	tr := MustParse(`{"name":"bound","dt_seconds":0.01,"generator":{"kind":"workload","intervals":8000000}}`)
+	for round := 0; round < 10; round++ {
+		s, err := tr.setup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.stride <= 2*blockLen {
+			t.Fatalf("stride %d must exceed two blocks of %d", s.stride, blockLen)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		blocks, fill := 0, s.fill // blocks is touched by the producer only
+		s.fill = func(buf []float64) {
+			if blocks++; blocks == 3 {
+				cancel()
+			}
+			fill(buf)
+		}
+		var last Progress
+		_, err = s.run(ctx, func(p Progress) { last = p })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: run returned %v, want context.Canceled", round, err)
+		}
+		if bound := 2 * blockLen; last.Done > bound {
+			t.Fatalf("round %d: last chunk at done %d after a cancel in block 3's fill, want at most %d", round, last.Done, bound)
+		}
 	}
 }
 
