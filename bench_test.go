@@ -17,6 +17,7 @@ import (
 	"nanometer/internal/core"
 	"nanometer/internal/device"
 	"nanometer/internal/dualvth"
+	"nanometer/internal/experiments"
 	"nanometer/internal/itrs"
 	"nanometer/internal/libopt"
 	"nanometer/internal/logicsim"
@@ -48,16 +49,16 @@ func BenchmarkArtifact(b *testing.B) {
 	}
 }
 
-// freshCircuit generates the 2000-gate, 30-level netlist the kernel
-// benchmarks share, clocked at guard × its critical path.
-func freshCircuit(b *testing.B, guard float64) *netlist.Circuit {
+// freshCircuit generates the 30-level netlist the kernel benchmarks share
+// (2000 gates; c3–c6 use 3000), clocked at guard × its critical path.
+func freshCircuit(b *testing.B, gates int, guard float64) *netlist.Circuit {
 	b.Helper()
 	tech, err := netlist.NewTechIn(device.BaseLab(), 100, 0.65)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := netlist.DefaultGenParams()
-	p.Gates = 2000
+	p.Gates = gates
 	p.Levels = 30
 	p.ShortPathFraction = 0.5
 	p.Seed = 7
@@ -74,7 +75,7 @@ func freshCircuit(b *testing.B, guard float64) *netlist.Circuit {
 // --- Core engines under load (library performance benchmarks) -------------------
 
 func BenchmarkSTAFull(b *testing.B) {
-	c := freshCircuit(b, 1.15)
+	c := freshCircuit(b, 2000, 1.15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sta.Analyze(c)
@@ -86,10 +87,12 @@ func BenchmarkSTAFull(b *testing.B) {
 // down with the library's NextBelow and kept or rolled back by TryResize
 // (the accept_ratio column, ≈0.87 on this netlist). A fresh slack order
 // starts every round, and a converged netlist is restored to its starting
-// sizes off the clock.
+// sizes off the clock. rewrites/trial is the arrivals a trial writes, kept
+// or rolled back, and cut_share the share of trials rejected at a seed's
+// critical chain (sta.Incremental's counters).
 func BenchmarkSTAIncrementalEdit(b *testing.B) {
 	lib := libopt.Geometric("rich modern (min 1, ratio 1.3)", 1, 64, 1.3)
-	c := freshCircuit(b, 1.15)
+	c := freshCircuit(b, 2000, 1.15)
 	for i := range c.Gates {
 		c.Gates[i].Size = lib.Sizes[sort.SearchFloat64s(lib.Sizes, 8)]
 	}
@@ -99,7 +102,7 @@ func BenchmarkSTAIncrementalEdit(b *testing.B) {
 	start := c.Clone()
 	inc := sta.NewIncremental(c)
 	order, next, moved := inc.SlackOrder(), 0, 0
-	accepted := 0
+	accepted, rewrites, cuts := 0, 0, 0
 	b.ResetTimer()
 	for n := 0; n < b.N; {
 		if next == len(order) {
@@ -108,6 +111,7 @@ func BenchmarkSTAIncrementalEdit(b *testing.B) {
 				for i := range c.Gates {
 					c.Gates[i].Size = start.Gates[i].Size
 				}
+				rewrites, cuts = rewrites+inc.Rewrites, cuts+inc.Cuts
 				inc = sta.NewIncremental(c)
 				order = inc.SlackOrder()
 				b.StartTimer()
@@ -132,12 +136,50 @@ func BenchmarkSTAIncrementalEdit(b *testing.B) {
 		}
 		n++
 	}
+	rewrites, cuts = rewrites+inc.Rewrites, cuts+inc.Cuts
 	b.ReportMetric(float64(accepted)/float64(b.N), "accept_ratio")
+	b.ReportMetric(float64(rewrites)/float64(b.N), "rewrites/trial")
+	b.ReportMetric(float64(cuts)/float64(b.N), "cut_share")
+}
+
+// BenchmarkLibrarySizing times one libopt.SizeWithLibrary pass per c3
+// library on c3's oversized netlist (the default circuit setup, every gate
+// at size 8). c3 sizes its three libraries concurrently, so its wall time
+// is the continuous pass, which BenchmarkArtifact/c3 hides behind the
+// fork. Each pass sizes a fresh clone, made off the clock.
+func BenchmarkLibrarySizing(b *testing.B) {
+	s := experiments.DefaultCircuitSetup()
+	base := freshCircuit(b, s.Gates, s.PeriodGuard)
+	for i := range base.Gates {
+		base.Gates[i].Size = 8
+	}
+	if _, err := sta.SetPeriodFromCritical(base, s.PeriodGuard); err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		lib  libopt.Library
+	}{
+		{"coarse", libopt.Geometric("coarse legacy (min 4, ratio 2)", 4, 64, 2)},
+		{"rich", libopt.Geometric("rich modern (min 1, ratio 1.3)", 1, 64, 1.3)},
+		{"continuous", libopt.Continuous(0.25)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := base.Clone()
+				b.StartTimer()
+				if _, err := libopt.SizeWithLibrary(c, tc.lib, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkCombinedFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := freshCircuit(b, 1.15)
+		c := freshCircuit(b, 2000, 1.15)
 		if _, err := core.RunFlow(c); err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +188,7 @@ func BenchmarkCombinedFlow(b *testing.B) {
 
 func BenchmarkDualVthAssign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := freshCircuit(b, 1.0)
+		c := freshCircuit(b, 2000, 1.0)
 		if _, err := dualvth.Assign(c, dualvth.Options{}); err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +197,7 @@ func BenchmarkDualVthAssign(b *testing.B) {
 
 func BenchmarkResizeDownsize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := freshCircuit(b, 1.15)
+		c := freshCircuit(b, 2000, 1.15)
 		if _, err := resize.Downsize(c, resize.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +327,7 @@ func BenchmarkValidationRCSim(b *testing.B) {
 }
 
 func BenchmarkValidationLogicSim(b *testing.B) {
-	c := freshCircuit(b, 1.15)
+	c := freshCircuit(b, 2000, 1.15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		probMAE, _, err := logicsim.CompareWithModel(c, logicsim.Options{Cycles: 2048, Seed: int64(i)})

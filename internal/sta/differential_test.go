@@ -552,10 +552,14 @@ func TestIncrementalPruningEdgeCases(t *testing.T) {
 // c3's three library loops on the default circuit profile, replayed
 // through the sizing greedy, must make exactly the trials and accepts the
 // report has always made, and land where libopt.SizeWithLibrary lands.
+// The engines' counters must agree with the loop's, and the rejects cut
+// at a seed and the arrivals written are pinned too: a change to either
+// changes how much work a trial does, not its answer.
 func TestLibraryLoopsTrialCount(t *testing.T) {
 	s := experiments.DefaultCircuitSetup()
 	base := testCircuit(t, s.Gates, s.Seed, 8, s.PeriodGuard)
 	trials, accepts := 0, 0
+	var engineTrials, engineAccepts, cuts, rewrites int
 	for _, lib := range []libopt.Library{
 		libopt.Geometric("coarse legacy (min 4, ratio 2)", 4, 64, 2),
 		libopt.Geometric("rich modern (min 1, ratio 1.3)", 1, 64, 1.3),
@@ -567,12 +571,15 @@ func TestLibraryLoopsTrialCount(t *testing.T) {
 				c.Gates[i].Size = lib.Sizes[sort.SearchFloat64s(lib.Sizes, c.Gates[i].Size)]
 			}
 		}
-		for _, m := range sizeLoop(c, sta.NewIncremental(c), 64, lib.NextBelow) {
+		inc := sta.NewIncremental(c)
+		for _, m := range sizeLoop(c, inc, 64, lib.NextBelow) {
 			trials++
 			if m.ok {
 				accepts++
 			}
 		}
+		engineTrials, engineAccepts = engineTrials+inc.Trials, engineAccepts+inc.Accepts
+		cuts, rewrites = cuts+inc.Cuts, rewrites+inc.Rewrites
 		if _, err := libopt.SizeWithLibrary(prodC, lib, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -580,6 +587,12 @@ func TestLibraryLoopsTrialCount(t *testing.T) {
 	}
 	if trials != 103159 || accepts != 70972 {
 		t.Fatalf("%d trials, %d accepted; want 103159, 70972", trials, accepts)
+	}
+	if engineTrials != trials || engineAccepts != accepts {
+		t.Fatalf("engines counted %d trials, %d accepted; the loop %d, %d", engineTrials, engineAccepts, trials, accepts)
+	}
+	if cuts != 29709 || rewrites != 984514 {
+		t.Fatalf("%d rejects cut at a seed, %d arrivals written; want 29709, 984514", cuts, rewrites)
 	}
 }
 

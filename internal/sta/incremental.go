@@ -21,9 +21,10 @@ import (
 // pending set is a bitset over gate IDs scanned in ID order: gates are
 // stored topologically, so ID order is a valid propagation order and each
 // gate is visited at most once per trial. A fanout is queued only when the
-// moved arrival can change its fanin max (see TryUpdate). The rollback
-// state is a pair of dense undo logs truncated at the start of every
-// trial.
+// moved arrival can change its fanin max, and a trial that a seed's
+// critical chain already shows missing the period stops at that seed (see
+// TryUpdate). The rollback state is a pair of dense undo logs truncated at
+// the start of every trial.
 type Incremental struct {
 	c *netlist.Circuit
 	// ArrivalS and DelayS mirror the Result fields and stay current.
@@ -41,6 +42,14 @@ type Incremental struct {
 	// marks a primary output.
 	faninAt, fanin, fanoutAt, fanout []int32
 	po                               []bool
+	// crit[i] is gate i's critical fanout as of the last Slacks (see
+	// backward), -1 at the end of a chain and everywhere before the first.
+	crit []int32
+
+	// Trials counts TryUpdate calls and Accepts the accepted ones; Cuts
+	// counts the rejects decided on a seed's critical chain and Rewrites
+	// the arrivals the trials wrote, kept or rolled back.
+	Trials, Accepts, Cuts, Rewrites int
 
 	// pending marks the gates queued for repropagation in the current
 	// trial; it is all zero between trials.
@@ -93,12 +102,12 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		}
 		nIn, nOut, maxIn = nIn+k, nOut+len(g.Fanouts), max(maxIn, k)
 	}
-	// The four topology arrays share one allocation. delLog and seeds hold
+	// The five topology arrays share one allocation. delLog and seeds hold
 	// a gate and its fanins, the most a TryResize changes. arrLog starts
 	// at an eighth of the circuit, more than the cones the sizing and
 	// assignment loops' trials reach, and grows past it only for a larger
 	// cone. Slacks reuses Analyze's required-time array.
-	topo := make([]int32, 2*(n+1)+nIn+nOut)
+	topo := make([]int32, 2*(n+1)+nIn+nOut+n)
 	inc := &Incremental{
 		c:        c,
 		ArrivalS: r.ArrivalS,
@@ -109,7 +118,8 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		faninAt:  topo[: n+1 : n+1],
 		fanoutAt: topo[n+1 : 2*(n+1) : 2*(n+1)],
 		fanin:    topo[2*(n+1) : 2*(n+1) : 2*(n+1)+nIn],
-		fanout:   topo[2*(n+1)+nIn : 2*(n+1)+nIn],
+		fanout:   topo[2*(n+1)+nIn : 2*(n+1)+nIn : 2*(n+1)+nIn+nOut],
+		crit:     topo[2*(n+1)+nIn+nOut:],
 		po:       make([]bool, n),
 		pending:  make([]uint64, (n+63)/64),
 		delLog:   make([]undo, 0, 1+maxIn),
@@ -131,6 +141,7 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 		inc.faninAt[i+1] = int32(len(inc.fanin))
 		inc.fanoutAt[i+1] = int32(len(inc.fanout))
 		inc.po[i] = g.IsPO
+		inc.crit[i] = -1
 	}
 	return inc
 }
@@ -145,7 +156,22 @@ func NewIncremental(c *netlist.Circuit) *Incremental {
 // inArr[f] still holds its pre-trial value, and a fanin that fails both
 // tests was strictly below f's max and stays at or below it, so f would
 // recompute the arrival it already has.
+//
+// When a seed (a gate in changed) is visited and its arrival rose, the
+// engine walks the seed's critical chain as of the last Slacks, adding
+// each chain gate's delay to the seed's new arrival, and rejects the trial
+// at once if a sum passes the deadline. The cut is exact. The seed's
+// arrival is final when it is visited (its fanins lie below it), every
+// delay the trial changes is set before propagation starts, and float +
+// and max are monotone, so each sum is a lower bound on the arrival full
+// propagation would reach at that chain gate. The chain ends at a primary
+// output (see chainMisses), so that output would end late; and since the
+// view met the period before the trial, full propagation rejects exactly
+// when some output ends late. A chain made stale by accepts since the
+// last Slacks is still a path of fanouts, so it can miss a cut but never
+// make a false one. Before the first Slacks there are no chains.
 func (inc *Incremental) TryUpdate(changed ...int) bool {
+	inc.Trials++
 	inc.delLog, inc.arrLog = inc.delLog[:0], inc.arrLog[:0]
 	lo, hi := len(inc.c.Gates), -1
 	for _, i := range changed {
@@ -160,6 +186,7 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 		inc.setPending(i)
 		lo, hi = min(lo, i), max(hi, i)
 	}
+	lastSeed := hi
 	ok := true
 	for i := inc.nextPending(lo, hi); i >= 0; i = inc.nextPending(i+1, hi) {
 		inc.pending[i>>6] &^= 1 << (i & 63)
@@ -181,6 +208,11 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 		}
 		if inc.po[i] && newArr > inc.deadline {
 			ok = false
+		} else if newArr > oldArr && i <= lastSeed && inc.isSeed(i) && inc.chainMisses(i, newArr) {
+			ok = false
+			inc.Cuts++
+		}
+		if !ok {
 			// Drop the rest of the queue: every pending gate lies in
 			// (i, hi], and the bits below i are already clear.
 			clear(inc.pending[i>>6 : hi>>6+1])
@@ -193,6 +225,7 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 			}
 		}
 	}
+	inc.Rewrites += len(inc.arrLog)
 	if !ok {
 		for _, u := range inc.arrLog {
 			inc.ArrivalS[u.i], inc.inArr[u.i] = u.arr, u.in
@@ -200,8 +233,36 @@ func (inc *Incremental) TryUpdate(changed ...int) bool {
 		for _, u := range inc.delLog {
 			inc.DelayS[u.i] = u.v
 		}
+		return false
 	}
-	return ok
+	inc.Accepts++
+	return true
+}
+
+// isSeed reports whether gate i is one of the current trial's seeds, the
+// gates whose delays it logged.
+func (inc *Incremental) isSeed(i int) bool {
+	for _, u := range inc.delLog {
+		if u.i == i {
+			return true
+		}
+	}
+	return false
+}
+
+// chainMisses reports whether gate i's critical chain misses the period
+// when gate i arrives at a: the walk adds each chain gate's current delay
+// and stops once the sum is past the deadline. A sum past it anywhere
+// means one at the chain's end, which is a primary output: a gate with no
+// path to one has an infinite required time and never sets its fanins',
+// and the sums only grow along the chain.
+func (inc *Incremental) chainMisses(i int, a float64) bool {
+	for h := inc.crit[i]; h >= 0; h = inc.crit[h] {
+		if a += inc.DelayS[h]; a > inc.deadline {
+			return true
+		}
+	}
+	return false
 }
 
 // TryResize is TryUpdate for a size change of gate i: the gate's own delay
@@ -242,9 +303,11 @@ func (inc *Incremental) nextPending(from, hi int) int {
 // Slacks returns every gate's slack from a backward required-time pass
 // over the tracked arrivals and delays. They equal a fresh Analyze's SlackS
 // bit for bit as long as every delay change went through TryUpdate. The
-// returned slice is reused by the next call.
+// pass also records each gate's critical fanout, the chains TryUpdate cuts
+// rejected trials on until the next call. The returned slice is reused by
+// the next call.
 func (inc *Incremental) Slacks() []float64 {
-	backward(inc.c, inc.PeriodS, inc.DelayS, inc.slack)
+	backward(inc.c, inc.PeriodS, inc.DelayS, inc.slack, inc.crit)
 	for i, a := range inc.ArrivalS {
 		inc.slack[i] -= a
 	}
@@ -311,9 +374,9 @@ func (inc *Incremental) Downsize(rounds int, next func(size float64) (float64, b
 // WorstArrival returns the worst PO arrival currently recorded.
 func (inc *Incremental) WorstArrival() float64 {
 	worst := 0.0
-	for i := range inc.c.Gates {
-		if inc.c.Gates[i].IsPO && inc.ArrivalS[i] > worst {
-			worst = inc.ArrivalS[i]
+	for i, a := range inc.ArrivalS {
+		if inc.po[i] && a > worst {
+			worst = a
 		}
 	}
 	return worst

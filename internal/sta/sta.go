@@ -63,7 +63,7 @@ func Analyze(c *netlist.Circuit) *Result {
 	if r.PeriodS == 0 {
 		r.PeriodS = r.MaxDelayS
 	}
-	backward(c, r.PeriodS, r.DelayS, r.RequiredS)
+	backward(c, r.PeriodS, r.DelayS, r.RequiredS, nil)
 	r.WorstSlackS = math.Inf(1)
 	for i := range c.Gates {
 		r.SlackS[i] = r.RequiredS[i] - r.ArrivalS[i]
@@ -76,8 +76,15 @@ func Analyze(c *netlist.Circuit) *Result {
 }
 
 // backward fills required with each gate's required time against period,
-// given the gate delays.
-func backward(c *netlist.Circuit, period float64, delay, required []float64) {
+// given the gate delays. A non-nil crit receives, for each gate whose
+// required time a fanout set, that fanout: the first, in the pass's
+// descending order, with the smallest required time minus delay. Other
+// entries are left alone. Which gates get an entry depends only on the
+// structure (a gate gets one when a fanout has a path to a primary
+// output), so every pass overwrites the same entries; and such a gate's
+// required time is at most the period, so a primary output's own
+// deadline never replaces its entry.
+func backward(c *netlist.Circuit, period float64, delay, required []float64, crit []int32) {
 	for i := range required {
 		required[i] = math.Inf(1)
 	}
@@ -95,6 +102,9 @@ func backward(c *netlist.Circuit, period float64, delay, required []float64) {
 			need := required[i] - delay[i]
 			if need < required[ref] {
 				required[ref] = need
+				if crit != nil {
+					crit[ref] = int32(i)
+				}
 			}
 		}
 	}
